@@ -483,7 +483,7 @@ def trace_inequality(op: StiffnessOperator, field: ScalarFieldP1,
     """
     mesh = op.mesh
     resid_norm = fem.interior_residual_norm(op, field, load)
-    if resid_norm > 10.0 * fem.solver_rtol():
+    if resid_norm > 10.0 * fem.DEFAULT_RTOL:
         raise PreconditionError(
             f"trace inequality needs a discrete-harmonic field: interior "
             f"residual {resid_norm:.3e} exceeds 10*rtol")

@@ -2,7 +2,7 @@
 and the perturbation-ladder experiment.
 
 Everything is written as CSV or legacy VTK for offline plotting; there is
-no interactive mode.  Single-thread invocations are deterministic: the
+no interactive mode.  Invocations are deterministic: the
 same command on the same inputs produces byte-identical files.
 
 Exit codes: 0 success, 1 failed certificate checks, 2 usage or
@@ -262,7 +262,7 @@ def cmd_certify(args) -> int:
                      tr.budget_defect, 1e-11 * scale)
         ok &= _check(lines, f"{tag} circulation bookkeeping",
                      transport.kelvin_consistency(tr), 1e-13)
-    rtol = fem.solver_rtol()
+    rtol = fem.DEFAULT_RTOL
     cds = [float(np.abs(c).max(initial=0.0)) for c in tw.C_d]
     rg_tol = 100 * rtol * max(1.0, max(cds, default=0.0))
     rg = 0.0
@@ -346,7 +346,7 @@ def cmd_stability(args) -> int:
                              f"got {args.perturb!r}") from None
     outdir = _outdir(args)
 
-    rep = stability_experiment(sc, ladder, comp=comp, threads=args.threads)
+    rep = stability_experiment(sc, ladder, comp=comp)
 
     rows = []
     for i, rung in enumerate(rep.rungs):
@@ -423,7 +423,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     metavar="COMP=VAL", help="shift an inflow trace")
     pc.add_argument("--refine", type=int, default=1,
                     help="number of refinement levels for rate checks")
-    pc.add_argument("--threads", type=int, default=1)
     pc.add_argument("-o", "--output", required=True)
     pc.set_defaults(func=cmd_certify)
 
@@ -434,7 +433,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--perturb", default=None,
                     help="inner component id or 'all' (default: first "
                          "inner component)")
-    pt.add_argument("--threads", type=int, default=1)
     pt.add_argument("-o", "--output", required=True)
     pt.set_defaults(func=cmd_stability)
     return ap

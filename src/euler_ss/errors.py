@@ -15,4 +15,5 @@ class PreconditionError(Exception):
 
 
 class SolverError(Exception):
-    """Iterative solver failed to reach tolerance within its iteration cap."""
+    """Numerical failure: a singular factorization or a collapsed time
+    step."""

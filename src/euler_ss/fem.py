@@ -7,10 +7,16 @@ Fields:
 * ``VorticityP0``: one scalar per triangle.
 
 The stiffness matrix discretizes the Dirichlet energy: entry (a, b) is
-sum_T grad(lambda_a) . grad(lambda_b) |T|.  All boundary-value solvers run
-preconditioned conjugate gradients (Jacobi) at relative tolerance
-``DEFAULT_RTOL`` (override with the EULER_SS_RTOL environment variable),
-capped at 20*sqrt(unknowns) iterations.
+sum_T grad(lambda_a) . grad(lambda_b) |T|.  Every boundary-value solver
+pins a node set (a Dirichlet trace; one node for the pure Neumann problem,
+with the mean-zero gauge), eliminates it and solves the rest directly with
+a sparse LU factor.  The factor of each pinned set is cached on the
+``StiffnessOperator``, so the many Green and auxiliary solves of a run
+cost one factorization each and then only triangular solves.
+
+``DEFAULT_RTOL`` is the relative accuracy the certificate checks assume of
+a solved field: the trace-inequality harmonicity precondition, the
+reversed-flux tolerance and the identity-rate floor scale with it.
 
 The consistent flux of a solved field pairs its residual with the indicator
 extension of one boundary component:
@@ -28,30 +34,16 @@ curl(grad_perp(psi)) = laplace(psi) and grad_perp(psi) . n = -d_tau(psi).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .errors import PreconditionError, SolverError, UsageError
 from .mesh import Mesh
 
 DEFAULT_RTOL = 1e-10
-
-
-def solver_rtol() -> float:
-    """CG relative tolerance; EULER_SS_RTOL overrides the default 1e-10."""
-    raw = os.environ.get("EULER_SS_RTOL")
-    if raw is None:
-        return DEFAULT_RTOL
-    try:
-        val = float(raw)
-    except ValueError:
-        raise UsageError(f"EULER_SS_RTOL={raw!r} is not a number") from None
-    if not 0 < val < 1:
-        raise UsageError(f"EULER_SS_RTOL={val} outside (0, 1)")
-    return val
 
 
 def rot90(v: np.ndarray) -> np.ndarray:
@@ -122,7 +114,12 @@ def barycentric_gradients(mesh: Mesh) -> np.ndarray:
 
 
 class StiffnessOperator:
-    """Sparse stiffness matrix with cached element data."""
+    """Sparse stiffness matrix with cached element data.
+
+    ``factors`` holds the sparse LU factor of every pinned node set solved
+    on this operator, keyed by the set; the matrix never changes, so a
+    factor stays valid for the operator's lifetime.
+    """
 
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
@@ -141,6 +138,7 @@ class StiffnessOperator:
              (np.concatenate(rows), np.concatenate(cols))),
             shape=(n, n))
         self.matrix.sum_duplicates()
+        self.factors: dict[bytes, spla.SuperLU] = {}
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self.matrix @ x
@@ -178,78 +176,51 @@ def boundary_load_vector(mesh: Mesh, comp_data: dict[int, np.ndarray]
     return b
 
 
-# -- conjugate gradients ------------------------------------------------
+# -- pinned solves ------------------------------------------------------
 
 
-def _pcg(A: sp.csr_matrix, b: np.ndarray, rtol: float,
-         deflate_constant: bool = False,
-         x0: np.ndarray | None = None) -> np.ndarray:
-    """Jacobi-preconditioned CG; optionally projects out the constant
-    null space (pure Neumann problems).  Raises SolverError on stall."""
-    n = len(b)
-    diag = A.diagonal().copy()
-    # pinned rows keep diag 1 from the caller; guard against zeros anyway
-    diag[diag <= 0] = 1.0
-    inv_diag = 1.0 / diag
+def _pinned_solve(A: sp.csr_matrix, load: np.ndarray, pinned: np.ndarray,
+                  pinned_values: np.ndarray,
+                  factors: dict | None = None) -> np.ndarray:
+    """Solve A x = load at the free nodes with x fixed at the pinned nodes.
 
-    def project(v):
-        if deflate_constant:
-            v = v - v.mean()
-        return v
-
-    b = project(b)
-    norm_b = float(np.linalg.norm(b))
-    if norm_b == 0.0:
-        return np.zeros(n)
-    if x0 is None:
-        x = np.zeros(n)
-        r = b.copy()
-    else:
-        x = project(np.asarray(x0, dtype=np.float64).copy())
-        r = b - A @ x
-        if np.linalg.norm(r) <= rtol * norm_b:
-            return x
-    z = project(inv_diag * r)
-    p = z.copy()
-    rz = float(r @ z)
-    maxiter = max(int(20 * np.sqrt(n)), 50)
-    for _ in range(maxiter):
-        Ap = A @ p
-        denom = float(p @ Ap)
-        if denom <= 0.0:
-            raise SolverError(
-                f"CG breakdown: non-positive curvature {denom:.3e}")
-        alpha = rz / denom
-        x += alpha * p
-        r -= alpha * Ap
-        if np.linalg.norm(r) <= rtol * norm_b:
-            return project(x) if deflate_constant else x
-        z = project(inv_diag * r)
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    raise SolverError(
-        f"CG did not reach rtol={rtol:.1e} in {maxiter} iterations "
-        f"(residual {np.linalg.norm(r) / norm_b:.3e})")
-
-
-def _reduced_solve(op: StiffnessOperator, load: np.ndarray,
-                   pinned: np.ndarray, pinned_values: np.ndarray,
-                   rtol: float, x0: np.ndarray | None = None) -> np.ndarray:
-    """Symmetric elimination of pinned nodes, CG on the reduced system."""
-    n = op.mesh.num_vertices
-    mask = np.zeros(n, dtype=bool)
-    mask[pinned] = True
+    The pinned nodes are eliminated symmetrically and A[free][:, free] is
+    factored by sparse LU (SuperLU, minimum-degree ordering on A^T + A).
+    ``factors`` caches the factor per pinned node set.  Raises SolverError
+    when the reduced matrix is singular.
+    """
+    n = A.shape[0]
     x = np.zeros(n)
     x[pinned] = pinned_values
-    free = np.nonzero(~mask)[0]
+    mask = np.ones(n, dtype=bool)
+    mask[pinned] = False
+    free = np.flatnonzero(mask)
     if free.size == 0:
         return x
-    A = op.matrix
-    b = load[free] - (A @ x)[free]
-    A_ff = A[free][:, free].tocsr()
-    x[free] = _pcg(A_ff, b, rtol, x0=None if x0 is None else x0[free])
+    key = np.unique(pinned).tobytes()
+    lu = factors.get(key) if factors is not None else None
+    if lu is None:
+        try:
+            lu = spla.splu(A[free][:, free].tocsc(),
+                           permc_spec="MMD_AT_PLUS_A")
+        except RuntimeError as exc:
+            raise SolverError(f"sparse factorization failed: {exc}") \
+                from None
+        if factors is not None:
+            factors[key] = lu
+    x[free] = lu.solve((load - A @ x)[free])
     return x
+
+
+def solve_mean_zero(A: sp.csr_matrix, load: np.ndarray,
+                    factors: dict | None = None) -> np.ndarray:
+    """Mean-zero solution of a pure-Neumann system A x = load, where A is
+    symmetric with the constants as its only null space (a connected
+    stiffness or graph Laplacian).  The load loses its nodal mean, node 0
+    is pinned to 0, and the result loses its nodal mean."""
+    x = _pinned_solve(A, load - load.mean(), np.zeros(1, dtype=np.int64),
+                      np.zeros(1), factors)
+    return x - x.mean()
 
 
 # -- boundary-value solvers --------------------------------------------
@@ -279,27 +250,24 @@ def _dirichlet_trace(mesh: Mesh, bc) -> tuple[np.ndarray, np.ndarray]:
     return nodes, arr[nodes]
 
 
-def solve_dirichlet(op: StiffnessOperator, load: np.ndarray, bc,
-                    rtol: float | None = None,
-                    x0: np.ndarray | None = None) -> ScalarFieldP1:
+def solve_dirichlet(op: StiffnessOperator, load: np.ndarray, bc
+                    ) -> ScalarFieldP1:
     """Solve A u = load with the trace pinned on every boundary component.
 
     ``load`` is the right-hand side of the variational problem
     integral(grad u . grad chi) = load(chi); for the Poisson problem
-    laplace(u) = f it is ``-p0_load_vector(mesh, f)``.  ``x0`` is an
-    optional warm-start guess (full nodal vector).
+    laplace(u) = f it is ``-p0_load_vector(mesh, f)``.
     """
     mesh = op.mesh
-    rtol = solver_rtol() if rtol is None else rtol
     nodes, vals = _dirichlet_trace(mesh, bc)
     if not np.isin(mesh.boundary_nodes, nodes).all():
         raise UsageError("Dirichlet solve requires data on every component")
-    return ScalarFieldP1(mesh,
-                         _reduced_solve(op, load, nodes, vals, rtol, x0=x0))
+    return ScalarFieldP1(mesh, _pinned_solve(op.matrix, load, nodes, vals,
+                                             op.factors))
 
 
-def solve_neumann(op: StiffnessOperator, g_edges: dict[int, np.ndarray],
-                  rtol: float | None = None) -> ScalarFieldP1:
+def solve_neumann(op: StiffnessOperator, g_edges: dict[int, np.ndarray]
+                  ) -> ScalarFieldP1:
     """Solve the pure Neumann problem integral(grad u . grad chi) =
     integral_Gamma(g chi) with the mean-zero gauge.
 
@@ -308,7 +276,6 @@ def solve_neumann(op: StiffnessOperator, g_edges: dict[int, np.ndarray],
     boundary integral of g vanishes up to 1e-10 * |Gamma| * max|g|.
     """
     mesh = op.mesh
-    rtol = solver_rtol() if rtol is None else rtol
     total = 0.0
     scale = 0.0
     length = 0.0
@@ -325,17 +292,14 @@ def solve_neumann(op: StiffnessOperator, g_edges: dict[int, np.ndarray],
             f"incompatible Neumann data: net boundary flux {total:.6e} "
             f"exceeds 1e-10 * {length * scale:.6e}")
     b = boundary_load_vector(mesh, g_edges)
-    x = _pcg(op.matrix, b, rtol, deflate_constant=True)
-    return ScalarFieldP1(mesh, x)
+    return ScalarFieldP1(mesh, solve_mean_zero(op.matrix, b, op.factors))
 
 
 def solve_mixed(op: StiffnessOperator, dirichlet: dict[int, float],
-                neumann: dict[int, np.ndarray],
-                rtol: float | None = None) -> ScalarFieldP1:
+                neumann: dict[int, np.ndarray]) -> ScalarFieldP1:
     """Zaremba problem: constants pinned on the Dirichlet components,
     per-edge normal-derivative data on the Neumann components."""
     mesh = op.mesh
-    rtol = solver_rtol() if rtol is None else rtol
     if not dirichlet:
         raise UsageError("mixed solve needs at least one Dirichlet component")
     overlap = set(dirichlet) & set(neumann)
@@ -345,17 +309,19 @@ def solve_mixed(op: StiffnessOperator, dirichlet: dict[int, float],
     load = boundary_load_vector(mesh, neumann) if neumann else \
         np.zeros(mesh.num_vertices)
     nodes, vals = _dirichlet_trace(mesh, dirichlet)
-    return ScalarFieldP1(mesh, _reduced_solve(op, load, nodes, vals, rtol))
+    return ScalarFieldP1(mesh, _pinned_solve(op.matrix, load, nodes, vals,
+                                             op.factors))
 
 
 def solve_constrained(op: StiffnessOperator, load: np.ndarray,
-                      pinned_nodes: np.ndarray, pinned_values: np.ndarray,
-                      rtol: float | None = None) -> ScalarFieldP1:
+                      pinned_nodes: np.ndarray, pinned_values: np.ndarray
+                      ) -> ScalarFieldP1:
     """General solve with an explicit pinned-node set (used by the
     auxiliary-function machinery, where only some components are pinned)."""
-    rtol = solver_rtol() if rtol is None else rtol
-    x = _reduced_solve(op, load, np.asarray(pinned_nodes, dtype=np.int64),
-                       np.asarray(pinned_values, dtype=np.float64), rtol)
+    x = _pinned_solve(op.matrix, load,
+                      np.asarray(pinned_nodes, dtype=np.int64),
+                      np.asarray(pinned_values, dtype=np.float64),
+                      op.factors)
     return ScalarFieldP1(op.mesh, x)
 
 

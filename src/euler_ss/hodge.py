@@ -127,18 +127,17 @@ def compute_dual_basis(basis: HarmonicBasis) -> DualBasis:
     return DualBasis(basis, coeff, fields)
 
 
-def greens_operator(basis: HarmonicBasis, omega: VorticityP0,
-                    x0: np.ndarray | None = None
+def greens_operator(basis: HarmonicBasis, omega: VorticityP0
                     ) -> tuple[ScalarFieldP1, np.ndarray]:
     """Zero-trace stream potential of a vorticity field.
 
     Returns (psi0, load) with laplace(psi0) = omega weakly, psi0 = 0 on the
     whole boundary; ``load`` is the right-hand side for flux pairings.
-    ``x0`` warm-starts the solver (a previous time step's stream values).
+    Every call reuses the operator's cached all-boundary factor.
     """
     load = -fem.p0_load_vector(basis.mesh, omega.values)
     bc = {c.comp: 0.0 for c in basis.mesh.components}
-    return fem.solve_dirichlet(basis.op, load, bc, x0=x0), load
+    return fem.solve_dirichlet(basis.op, load, bc), load
 
 
 def biot_savart(basis: HarmonicBasis, omega: VorticityP0) -> VelocityP0:
@@ -168,15 +167,14 @@ def reconstruct_velocity(basis: HarmonicBasis, omega: VorticityP0,
                          circulations: np.ndarray,
                          multiplier: float = 1.0,
                          phi: ScalarFieldP1 | None = None,
-                         phi_grad: VelocityP0 | None = None,
-                         psi_guess: np.ndarray | None = None
+                         phi_grad: VelocityP0 | None = None
                          ) -> VelocityAssembly:
     """Assemble the velocity of (omega, g, C).
 
     ``circulations`` lists C_i for the inner components in order.  ``phi``
     and ``phi_grad`` may carry a cached unit-multiplier potential solve;
-    otherwise the Neumann problem is solved here.  ``psi_guess`` warm-starts
-    the Green solve.  The sign condition on g is a hard precondition.
+    otherwise the Neumann problem is solved here.  The sign condition on g
+    is a hard precondition.
     """
     mesh = basis.mesh
     C = np.asarray(circulations, dtype=np.float64)
@@ -194,7 +192,7 @@ def reconstruct_velocity(basis: HarmonicBasis, omega: VorticityP0,
         phi = None
         phi_grad = None
 
-    psi0, load = greens_operator(basis, omega, x0=psi_guess)
+    psi0, load = greens_operator(basis, omega)
     g0_flux = np.array([fem.consistent_flux(basis.op, psi0, load, c)
                         for c in basis.inner])
     coeffs = np.linalg.solve(basis.M, C - g0_flux) if basis.num_inner \

@@ -68,6 +68,10 @@ class Mesh:
         self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise UsageError("vertices must be an (V, 2) array")
+        bad = np.flatnonzero(~np.isfinite(self.vertices).all(axis=1))
+        if bad.size:
+            raise UsageError(f"vertex {int(bad[0])} has non-finite "
+                             f"coordinates {self.vertices[bad[0]].tolist()}")
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
             raise UsageError("triangles must be a (T, 3) array")
         self.radii = dict(radii) if radii else None
@@ -287,12 +291,6 @@ class Mesh:
 
     def roles(self) -> dict[int, str]:
         return {c.comp: c.role for c in self.components}
-
-    def inflow_components(self) -> list[int]:
-        return [c.comp for c in self.components if c.role == "inflow"]
-
-    def outflow_components(self) -> list[int]:
-        return [c.comp for c in self.components if c.role == "outflow"]
 
 
 # -- generators ---------------------------------------------------------

@@ -134,16 +134,6 @@ def comparison_oracle(z0: float, C: float, t_eval) -> np.ndarray:
     return ode_oracle(z0, 0.0, C, t_eval)
 
 
-@dataclass
-class OsgoodParams:
-    y0: float
-    a: float
-    C: float
-
-    def bound(self, t):
-        return osgood_bound(self.y0, self.a, self.C, t)
-
-
 # -- technical-lemma checks ---------------------------------------------
 
 
@@ -268,8 +258,8 @@ def calibrate_constant(times: np.ndarray, y: np.ndarray,
     return c
 
 
-def stability_experiment(base_scenario, deltas, comp: int | None = None,
-                         threads: int = 1) -> StabilityReport:
+def stability_experiment(base_scenario, deltas, comp: int | None = None
+                         ) -> StabilityReport:
     """Perturb the initial circulation of one inner component by each
     delta, rerun, and certify the Osgood-type response of the twin energy
     y(t) = running max of |u|_2^2 + |v|_2^2:
@@ -318,12 +308,7 @@ def stability_experiment(base_scenario, deltas, comp: int | None = None,
                              bound_margin=margin, bound_ok=ok,
                              times=times, y_series=y, bound_series=bound)
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            rungs = list(ex.map(one_rung, deltas))
-    else:
-        rungs = [one_rung(d) for d in deltas]
+    rungs = [one_rung(d) for d in deltas]
     live = [r for r in rungs if r.failed is None]
 
     # identical-twin noise floor sets which rungs carry signal

@@ -432,8 +432,7 @@ class FluxAssembler:
         vals = np.concatenate([np.ones(ne), -np.ones(ne)])
         D = sp.csr_matrix((vals, (rows, cols)), shape=(nt, ne))
         lap = (D @ D.T).tocsr()
-        y = fem._pcg(lap, -(resid - resid.mean()), rtol=1e-13,
-                     deflate_constant=True)
+        y = fem.solve_mean_zero(lap, -resid)
         corr = D.T @ y
         after = resid + D @ corr
         self.div_defect = float(np.abs(after).max())
@@ -564,17 +563,17 @@ def run(scenario: Scenario, basis: HarmonicBasis | None = None) -> Trajectory:
     mp_defect = 0.0
     budget_defect = 0.0
 
-    def assemble(om, circ, t, guess):
+    def assemble(om, circ, t):
         return hodge.reconstruct_velocity(
             basis, VorticityP0(mesh, om), g_edges if has_flow else None,
             circ, multiplier=scenario.multiplier(t), phi=phi,
-            phi_grad=phi_grad, psi_guess=guess)
+            phi_grad=phi_grad)
 
     def energy(asm):
         return 0.5 * float(np.einsum("td,td,t->", asm.u.values,
                                      asm.u.values, mesh.tri_area))
 
-    asm = assemble(omega, C, 0.0, None)
+    asm = assemble(omega, C, 0.0)
     states = [SimState(t=0.0, omega=omega.copy(), C=C.copy(), B=B.copy(),
                        assembly=asm, energy=energy(asm), dt_last=0.0,
                        step_count=0)]
@@ -610,7 +609,7 @@ def run(scenario: Scenario, basis: HarmonicBasis | None = None) -> Trajectory:
                 om1 = omega - dt * div / mesh.tri_area
                 C1 = C - dt * rates[1:]
                 t1 = t_next if landed else t + dt
-                asm1 = assemble(om1, C1, t1, asm.psi0.values)
+                asm1 = assemble(om1, C1, t1)
                 f2_int, f2_bdry = flux.fluxes(asm1.psi_total.values,
                                               asm1.multiplier)
                 in2 = {cid: scenario.omega_in_value(cid, t1)
@@ -640,7 +639,7 @@ def run(scenario: Scenario, basis: HarmonicBasis | None = None) -> Trajectory:
 
             t = t_next if landed else t + dt
             total_steps += 1
-            asm = assemble(omega, C, t, asm.psi0.values)
+            asm = assemble(omega, C, t)
 
         states.append(SimState(t=t, omega=omega.copy(), C=C.copy(),
                                B=B.copy(), assembly=asm, energy=energy(asm),

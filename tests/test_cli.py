@@ -80,6 +80,27 @@ def test_mesh_annulus_bad_roles(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["mesh info", "simulate"])
+def test_nan_vertex_is_usage_error(tmp_path, capsys, command):
+    mesh_file = tmp_path / "m.txt"
+    main(["mesh", "annulus", "--r0", "1", "--r1", "2", "--nr", "2",
+          "--ntheta", "8", "--roles", "outflow,inflow",
+          "-o", str(mesh_file)])
+    lines = mesh_file.read_text().splitlines()
+    lines[1] = "nan " + lines[1].split()[1]
+    mesh_file.write_text("\n".join(lines) + "\n")
+    if command == "mesh info":
+        rc = main(["mesh", "info", str(mesh_file)])
+    else:
+        doc = radial_doc()
+        doc["mesh"] = "m.txt"
+        scenario = tmp_path / "radial.json"
+        scenario.write_text(json.dumps(doc))
+        rc = main(["simulate", str(scenario), "-o", str(tmp_path / "run")])
+    assert rc == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
 # -- simulate -----------------------------------------------------------
 
 

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from euler_ss import fem
-from euler_ss.errors import PreconditionError
+from euler_ss import fem, hodge, zaremba
+from euler_ss.errors import PreconditionError, SolverError
 from euler_ss.mesh import generate_annulus
 
 LN2 = math.log(2.0)
@@ -191,19 +192,69 @@ def test_p0_to_p1_preserves_constants(annulus):
     np.testing.assert_allclose(out, 2.5, atol=1e-12)
 
 
-def test_warm_start_matches_cold(annulus, stiffness):
-    load = fem.p0_load_vector(annulus, np.ones(annulus.num_triangles))
-    cold = fem.solve_dirichlet(stiffness, load, {0: 0.0, 1: 0.0})
-    warm = fem.solve_dirichlet(stiffness, load, {0: 0.0, 1: 0.0},
-                               x0=cold.values)
-    assert np.abs(warm.values - cold.values).max() < 1e-9
+def _dense_pinned(A, load, pinned, values):
+    """Reference: dense elimination of the pinned nodes."""
+    x = np.zeros(len(load))
+    x[pinned] = values
+    free = np.setdiff1d(np.arange(len(load)), pinned)
+    x[free] = np.linalg.solve(A[np.ix_(free, free)], (load - A @ x)[free])
+    return x
 
 
-def test_rtol_env_override(monkeypatch):
-    monkeypatch.setenv("EULER_SS_RTOL", "1e-4")
-    assert fem.solver_rtol() == 1e-4
-    monkeypatch.delenv("EULER_SS_RTOL")
-    assert fem.solver_rtol() == fem.DEFAULT_RTOL
+@pytest.mark.parametrize("kind",
+                         ["dirichlet", "mixed", "constrained", "neumann"])
+def test_direct_solve_matches_dense_reference(annulus, kind):
+    op = fem.assemble_stiffness(annulus)
+    A = op.matrix.toarray()
+    rng = np.random.default_rng(11)
+    outer, inner = annulus.component_nodes(0), annulus.component_nodes(1)
+    c0, c1 = annulus.component(0), annulus.component(1)
+    if kind == "dirichlet":
+        load = fem.p0_load_vector(
+            annulus, rng.standard_normal(annulus.num_triangles))
+        got = fem.solve_dirichlet(op, load, {0: 0.0, 1: 1.0})
+        ref = _dense_pinned(A, load, np.concatenate([outer, inner]),
+                            np.r_[np.zeros(len(outer)), np.ones(len(inner))])
+    elif kind == "mixed":
+        q = rng.standard_normal(len(c1.length))
+        got = fem.solve_mixed(op, {0: 0.5}, {1: q})
+        ref = _dense_pinned(A, fem.boundary_load_vector(annulus, {1: q}),
+                            outer, np.full(len(outer), 0.5))
+    elif kind == "constrained":
+        load = rng.standard_normal(annulus.num_vertices)
+        vals = rng.standard_normal(len(inner))
+        got = fem.solve_constrained(op, load, inner, vals)
+        ref = _dense_pinned(A, load, inner, vals)
+    else:
+        q0 = rng.standard_normal(len(c0.length))
+        q1 = rng.standard_normal(len(c1.length))
+        q1 -= (q0 @ c0.length + q1 @ c1.length) / c1.total_length
+        g = {0: q0, 1: q1}
+        got = fem.solve_neumann(op, g)
+        load = fem.boundary_load_vector(annulus, g)
+        ref = _dense_pinned(A, load - load.mean(), [0], [0.0])
+        ref -= ref.mean()
+    assert np.abs(got.values - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_repeated_solves_reuse_cached_factors():
+    mesh = generate_annulus(1.0, 2.0, 4, 16, roles=("outflow", "inflow"))
+    basis = hodge.HarmonicBasis(mesh)
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        omega = fem.VorticityP0(mesh, rng.standard_normal(mesh.num_triangles))
+        psi0, _ = hodge.greens_operator(basis, omega)
+    assert len(basis.op.factors) == 1      # basis and Green: all boundary
+    zaremba.solve_auxiliary(basis, psi0, omega)
+    assert len(basis.op.factors) == 2      # auxiliary: non-inflow pinned
+
+
+def test_singular_system_is_solver_error():
+    # two disconnected pairs: pinning one node leaves the other pair free
+    pair = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    L = sp.csr_matrix(np.kron(np.eye(2), pair))
+    with pytest.raises(SolverError, match="singular"):
+        fem.solve_mean_zero(L, np.array([1.0, -1.0, 0.0, 0.0]))
 
 
 def test_boundary_load_sums_to_length(annulus):
