@@ -22,6 +22,7 @@ trace.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -144,6 +145,79 @@ class TwinRun:
 
     # -- identities -----------------------------------------------------
 
+    def _window(self, k0: int, k1: int | None) -> tuple[int, int]:
+        """Snapshot window [k0, k1]; k1 defaults to the last snapshot."""
+        n = len(self.times)
+        if k1 is None:
+            k1 = n - 1
+        if not 0 <= k0 <= k1 < n:
+            raise UsageError(f"snapshot window ({k0}, {k1}) needs "
+                             f"0 <= k0 <= k1 < {n}")
+        return k0, k1
+
+    @cached_property
+    def _integrands(self) -> dict[str, dict[str, np.ndarray]]:
+        """Per-snapshot integrands of the energy and auxiliary identities,
+        keyed like the pieces those identities return.  Built on first use
+        with one reference-velocity gradient per snapshot; the tangential
+        trace of the difference is shared by both identities."""
+        mesh = self.mesh
+        area = mesh.tri_area
+        rows = []
+        for k in range(len(self.times)):
+            ud = self.u_d[k]
+            aux = self.aux[k]
+            vv = aux.v.values
+            mult = self.mult[k]
+            t = self.times[k]
+
+            eb = bl = bo = bi = bp = 0.0
+            for comp, g in self._flow_components():
+                ut = self._edge_density(self.psi_d[k].values,
+                                        self.load_d[k], comp)
+                eb += float(np.sum(ut * ut * g * comp.length)) * mult
+                if comp.role == "inflow":
+                    bl += float(np.sum(ut * ut * (-g) * comp.length)) * mult
+                    hat_t = self._hat_tau_edges(k, comp)
+                    vn = aux.normal_trace(comp)
+                    bi += float(np.sum(ut * hat_t * vn * comp.length))
+                    phim = 0.5 * (aux.phi.values[comp.edges[:, 0]]
+                                  + aux.phi.values[comp.edges[:, 1]])
+                    om_in = self.omega_in_diff(comp.comp, t)
+                    bp += float(np.sum(phim * om_in * g * comp.length)) \
+                        * mult
+                elif comp.role == "outflow":
+                    # v . tau is the flux density of the potential
+                    # (load-free pairing: the potential is harmonic)
+                    vt = self._edge_density(aux.phi.values,
+                                            np.zeros(len(aux.phi.values)),
+                                            comp)
+                    bo += float(np.sum(ut * vt * (-g) * comp.length)) * mult
+
+            jac_hat = fem.velocity_gradient(
+                mesh, self.traj1.states[k].assembly.u, self.basis.grads)
+            adv_u = fem.convective_term(mesh, VelocityP0(mesh, ud), jac_hat)
+            adv_v = fem.convective_term(mesh, aux.v, jac_hat)
+            om_hat = self.traj1.states[k].omega
+            rows.append((
+                0.5 * eb, np.einsum("td,td,t->", ud, adv_u, area),
+                bl, bo, bi,
+                -float(np.einsum("td,td,t->", ud, adv_v, area)
+                       + np.einsum("td,td,t->", vv, adv_u, area)),
+                np.einsum("t,td,td,t->", om_hat, ud, fem.rot90(vv), area),
+                bp))
+        cols = np.array(rows).T
+        return {"energy": dict(zip(("boundary", "convective"), cols[:2])),
+                "aux": dict(zip(("inflow_energy", "outflow_cross",
+                                 "inflow_cross", "convective", "vortical",
+                                 "inflow_data"), cols[2:]))}
+
+    def _integrals(self, family: str, k0: int, k1: int) -> dict[str, float]:
+        """Trapezoid sums of one identity's integrands over [k0, k1]."""
+        times = self.times[k0:k1 + 1]
+        return {key: _trapz(col[k0:k1 + 1], times)
+                for key, col in self._integrands[family].items()}
+
     def energy_identity(self, k0: int = 0, k1: int | None = None) -> dict:
         """Kinetic-energy balance of the difference velocity:
 
@@ -153,33 +227,10 @@ class TwinRun:
         Returns the three terms and their defect; the residual is pure
         quadrature error and must vanish under refinement.
         """
-        if k1 is None:
-            k1 = len(self.times) - 1
-        sl = slice(k0, k1 + 1)
-        times = self.times[sl]
-        mesh = self.mesh
-        area = mesh.tri_area
-
+        k0, k1 = self._window(k0, k1)
         jump = 0.5 * (self.z_u[k1] - self.z_u[k0])
-
-        bdry = []
-        conv = []
-        for k in range(k0, k1 + 1):
-            ud = self.u_d[k]
-            tot = 0.0
-            for comp, g in self._flow_components():
-                ut = self._edge_density(self.psi_d[k].values,
-                                        self.load_d[k], comp)
-                tot += float(np.sum(ut * ut * g * comp.length)) \
-                    * self.mult[k]
-            bdry.append(0.5 * tot)
-            jac_hat = fem.velocity_gradient(
-                mesh, self.traj1.states[k].assembly.u, self.basis.grads)
-            adv = fem.convective_term(mesh, VelocityP0(mesh, ud), jac_hat)
-            conv.append(float(np.einsum("td,td,t->", ud, adv, area)))
-
-        b_int = _trapz(bdry, times)
-        c_int = _trapz(conv, times)
+        ints = self._integrals("energy", k0, k1)
+        b_int, c_int = ints["boundary"], ints["convective"]
         residual = jump + b_int + c_int
         scale = max(abs(jump), abs(b_int), abs(c_int),
                     0.5 * self.z_u[k0], 0.5 * self.z_u[k1], 1e-300)
@@ -206,58 +257,9 @@ class TwinRun:
         one-sided traces; v . n on the inflow components is the exact
         P1 edge trace of the potential.
         """
-        if k1 is None:
-            k1 = len(self.times) - 1
+        k0, k1 = self._window(k0, k1)
         times = self.times[k0:k1 + 1]
-        mesh = self.mesh
-        area = mesh.tri_area
-
         jump = 0.5 * (self.z_v[k1] - self.z_v[k0])
-
-        lhs_b, r_out, r_in, r_vol, r_curl, r_phi = [], [], [], [], [], []
-        for k in range(k0, k1 + 1):
-            ud = self.u_d[k]
-            aux = self.aux[k]
-            vv = aux.v.values
-            mult = self.mult[k]
-            t = self.times[k]
-
-            bl = bo = bi = bp = 0.0
-            for comp, g in self._flow_components():
-                ut = self._edge_density(self.psi_d[k].values,
-                                        self.load_d[k], comp)
-                if comp.role == "inflow":
-                    bl += float(np.sum(ut * ut * (-g) * comp.length)) * mult
-                    hat_t = self._hat_tau_edges(k, comp)
-                    vn = aux.normal_trace(comp)
-                    bi += float(np.sum(ut * hat_t * vn * comp.length))
-                    phim = 0.5 * (aux.phi.values[comp.edges[:, 0]]
-                                  + aux.phi.values[comp.edges[:, 1]])
-                    om_in = self.omega_in_diff(comp.comp, t)
-                    bp += float(np.sum(phim * om_in * g * comp.length)) \
-                        * mult
-                elif comp.role == "outflow":
-                    # v . tau is the flux density of the potential
-                    # (load-free pairing: the potential is harmonic)
-                    vt = self._edge_density(aux.phi.values,
-                                            np.zeros(len(aux.phi.values)),
-                                            comp)
-                    bo += float(np.sum(ut * vt * (-g) * comp.length)) * mult
-            lhs_b.append(bl)
-            r_out.append(bo)
-            r_in.append(bi)
-            r_phi.append(bp)
-
-            jac_hat = fem.velocity_gradient(
-                mesh, self.traj1.states[k].assembly.u, self.basis.grads)
-            term_u = fem.convective_term(mesh, aux.v, jac_hat)
-            term_v = fem.convective_term(mesh, VelocityP0(mesh, ud), jac_hat)
-            r_vol.append(-float(np.einsum("td,td,t->", ud, term_u, area)
-                                + np.einsum("td,td,t->", vv, term_v, area)))
-
-            om_hat = self.traj1.states[k].omega
-            r_curl.append(float(np.einsum("t,td,td,t->", om_hat, ud,
-                                          fem.rot90(vv), area)))
 
         coeffs = np.array(self.coeff_d[k0:k1 + 1])       # (K, m)
         dpsi = _dt_series(coeffs, times)
@@ -265,18 +267,13 @@ class TwinRun:
                          for k in range(k0, k1 + 1)])
         coupling = -_trapz(np.einsum("km,km->k", dpsi, D_in), times)
 
-        lhs = jump + _trapz(lhs_b, times)
-        rhs = (_trapz(r_out, times) + _trapz(r_in, times)
-               + _trapz(r_vol, times) + _trapz(r_curl, times)
-               + _trapz(r_phi, times) + coupling)
-        residual = lhs - rhs
-        pieces = {"jump": jump, "inflow_energy": _trapz(lhs_b, times),
-                  "outflow_cross": _trapz(r_out, times),
-                  "inflow_cross": _trapz(r_in, times),
-                  "convective": _trapz(r_vol, times),
-                  "vortical": _trapz(r_curl, times),
-                  "inflow_data": _trapz(r_phi, times),
+        pieces = {"jump": jump, **self._integrals("aux", k0, k1),
                   "coupling": coupling}
+        lhs = jump + pieces["inflow_energy"]
+        rhs = (pieces["outflow_cross"] + pieces["inflow_cross"]
+               + pieces["convective"] + pieces["vortical"]
+               + pieces["inflow_data"] + coupling)
+        residual = lhs - rhs
         scale = max(*(abs(v) for v in pieces.values()),
                     0.5 * self.z_v[k0], 0.5 * self.z_v[k1], 1e-300)
         pieces.update({"residual": residual,
@@ -291,8 +288,7 @@ class TwinRun:
         |psi'|_inf <= |M^{-1}|_inf (|C'|_1 + |flux(G[omega])'|_1) holds at
         every snapshot with the same difference quotients on both sides.
         """
-        if k1 is None:
-            k1 = len(self.times) - 1
+        k0, k1 = self._window(k0, k1)
         times = self.times[k0:k1 + 1]
         coeffs = np.array(self.coeff_d[k0:k1 + 1])
         C = np.array(self.C_d[k0:k1 + 1])
@@ -339,9 +335,9 @@ class TwinRun:
         """
         rows = []
         n = len(self.times)
+        e_bdry = self._integrands["energy"]["boundary"]
+        a_bdry = self._integrands["aux"]["inflow_energy"]
         for k in range(n - 1):
-            e_terms = self.energy_identity(k, k + 1)
-            a_terms = self.aux_identity(k, k + 1)
             dt = self.times[k + 1] - self.times[k]
             z = self.z_u[k:k + 2] + self.z_v[k:k + 2]
             t_pair = self.times[k:k + 2]
@@ -355,8 +351,10 @@ class TwinRun:
                                   for t in t_pair)
             data2 += om_in2
 
-            lhs_e = e_terms["kinetic_jump"] + e_terms["boundary"]
-            lhs_a = a_terms["jump"] + a_terms["inflow_energy"]
+            lhs_e = 0.5 * (self.z_u[k + 1] - self.z_u[k]) \
+                + _trapz(e_bdry[k:k + 2], t_pair)
+            lhs_a = 0.5 * (self.z_v[k + 1] - self.z_v[k]) \
+                + _trapz(a_bdry[k:k + 2], t_pair)
             for p in p_grid:
                 zu_pow = self.z_u[k:k + 2] ** (1.0 - 1.0 / p)
                 rhs_e = p * _trapz(zu_pow, t_pair)

@@ -352,7 +352,7 @@ def nodal_flux_density(op: StiffnessOperator, field: ScalarFieldP1,
     weight = np.zeros(mesh.num_vertices)
     np.add.at(weight, c.edges[:, 0], 0.5 * c.length)
     np.add.at(weight, c.edges[:, 1], 0.5 * c.length)
-    nodes = np.unique(c.nodes)
+    nodes = mesh.component_nodes(comp)
     return residual[nodes] / weight[nodes]
 
 

@@ -59,6 +59,11 @@ class BoundaryComponent:
         return float(self.length.sum())
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
 class Mesh:
     """Triangle mesh with validated boundary structure and edge tables."""
 
@@ -223,6 +228,13 @@ class Mesh:
                                 + self.vertices[edges[:, 1]]),
                 tangent=tangent, normal=normal))
 
+        # node sets are built once: every pinned solve asks for them
+        self._component_nodes = [_read_only(np.unique(c.nodes))
+                                 for c in self.components]
+        self._boundary_nodes = _read_only(
+            np.unique(np.concatenate(self._component_nodes))
+            if self.components else np.empty(0, dtype=np.int64))
+
         if validate and self.components:
             # component 0 must be the outer loop: with fluid on the left it
             # is the unique loop of positive signed area
@@ -281,13 +293,12 @@ class Mesh:
 
     @property
     def boundary_nodes(self) -> np.ndarray:
-        """Sorted array of all vertices lying on the boundary."""
-        if not self.components:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(np.concatenate([c.nodes for c in self.components]))
+        """Sorted, read-only array of all vertices lying on the boundary."""
+        return self._boundary_nodes
 
     def component_nodes(self, comp: int) -> np.ndarray:
-        return np.unique(self.components[comp].nodes)
+        """Sorted, read-only array of the vertices of one component."""
+        return self._component_nodes[comp]
 
     def roles(self) -> dict[int, str]:
         return {c.comp: c.role for c in self.components}

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import PreconditionError, SolverError, UsageError
 
@@ -102,6 +101,8 @@ def ode_oracle(y0: float, a: float, C: float, t_eval) -> np.ndarray:
     zero start falls back to linear space with a data-scaled absolute
     tolerance, since the log chart has no origin.
     """
+    from scipy.integrate import solve_ivp
+
     t_eval = np.asarray(t_eval, dtype=np.float64)
     span = (t_eval[0], t_eval[-1])
     if y0 > 0.0:
@@ -184,6 +185,8 @@ def riemann_telescoping_check(y0: float = 1e-3, a: float = 5e-4,
     because p -> F(p, x) is minimized at p = choose_p(x).  The defect
     (rhs - lhs) is nonnegative and shrinks as the partition refines.
     """
+    from scipy.integrate import solve_ivp
+
     sol = solve_ivp(
         lambda t, y: a + growth_F(choose_p(max(y[0], 0.0)),
                                   max(y[0], 0.0)),

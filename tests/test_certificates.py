@@ -120,6 +120,52 @@ def test_inequality_ledger_structure(flow_twin):
             "lhs_aux", "rhs_aux"} <= set(row)
 
 
+def test_integrands_take_one_velocity_gradient_per_snapshot(flow_pair,
+                                                            monkeypatch):
+    calls = []
+    real = fem.velocity_gradient
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fem, "velocity_gradient", counted)
+    twin = TwinRun(*flow_pair)
+    assert len(calls) == 0
+    twin.energy_identity()
+    twin.aux_identity()
+    twin.inequality_ledger()
+    assert len(calls) == len(twin.times)
+
+
+# pieces that are time integrals or jumps over the window; the coupling
+# term differentiates psi inside the window, so it does not telescope
+ENERGY_PIECES = ("kinetic_jump", "boundary", "convective")
+AUX_PIECES = ("jump", "inflow_energy", "outflow_cross", "inflow_cross",
+              "convective", "vortical", "inflow_data")
+
+
+@pytest.mark.parametrize("name, pieces", [("energy_identity", ENERGY_PIECES),
+                                          ("aux_identity", AUX_PIECES)])
+def test_identity_pieces_telescope_over_intervals(flow_twin, name, pieces):
+    identity = getattr(flow_twin, name)
+    whole = identity()
+    parts = [identity(k, k + 1) for k in range(len(flow_twin.times) - 1)]
+    for key in pieces:
+        total = sum(p[key] for p in parts)
+        assert total == pytest.approx(whole[key], rel=1e-12, abs=1e-300), key
+
+
+@pytest.mark.parametrize("window", [(3, 1), (-1, None), (0, 7), (-2, 3),
+                                    (7, None)])
+@pytest.mark.parametrize("name", ["energy_identity", "aux_identity",
+                                  "psi_prime_diagnostic"])
+def test_identity_windows_are_validated(flow_twin, name, window):
+    assert len(flow_twin.times) == 7
+    with pytest.raises(UsageError, match="window"):
+        getattr(flow_twin, name)(*window)
+
+
 # -- velocity-triple identity -------------------------------------------
 
 

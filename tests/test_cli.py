@@ -1,10 +1,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import euler_ss
 from euler_ss.cli import main
 from euler_ss.mesh import load_mesh
 
@@ -231,3 +236,18 @@ def test_stability_bad_ladder(tmp_path, scenario_file, capsys):
                "-o", str(tmp_path / "stab")])
     assert rc == 2
     assert "ladder" in capsys.readouterr().err
+
+
+# -- start-up -----------------------------------------------------------
+
+
+def test_cli_import_skips_ode_integrators():
+    # only the ODE oracles need scipy.integrate; the CLI must not pay for it
+    src = str(Path(euler_ss.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, euler_ss.cli; "
+            "sys.exit('scipy.integrate' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env)
+    assert proc.returncode == 0

@@ -74,6 +74,19 @@ def test_component_nodes_match_loops():
     assert len(m.boundary_nodes) == 16
 
 
+def test_node_sets_are_cached_sorted_and_read_only():
+    m = generate_annulus(1.0, 2.0, 2, 8)
+    for nodes in (m.boundary_nodes, m.component_nodes(0),
+                  m.component_nodes(1)):
+        assert np.all(np.diff(nodes) > 0)
+        assert not nodes.flags.writeable
+    assert m.boundary_nodes is m.boundary_nodes
+    assert m.component_nodes(1) is m.component_nodes(1)
+    assert np.array_equal(
+        m.boundary_nodes,
+        np.union1d(m.component_nodes(0), m.component_nodes(1)))
+
+
 def test_uniform_refine_counts_and_projection():
     m = generate_annulus(1.0, 2.0, 2, 8)
     r1 = uniform_refine(m)
