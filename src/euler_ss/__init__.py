@@ -23,10 +23,9 @@ The package splits along the same seams as the underlying problem:
 from .errors import PreconditionError, SolverError, UsageError
 from .fem import (ScalarFieldP1, StiffnessOperator, VelocityP0,
                   VorticityP0, assemble_stiffness, consistent_flux,
-                  solve_constrained, solve_dirichlet, solve_mixed,
-                  solve_neumann)
-from .hodge import (DualBasis, HarmonicBasis, VelocityAssembly,
-                    compute_dual_basis, greens_operator,
+                  consistent_fluxes, solve_constrained, solve_dirichlet,
+                  solve_mixed, solve_neumann)
+from .hodge import (HarmonicBasis, VelocityAssembly, greens_operator,
                     reconstruct_velocity, validate_sign_condition)
 from .mesh import (BoundaryComponent, Mesh, generate_annulus, load_mesh,
                    save_mesh, uniform_refine)
@@ -41,11 +40,11 @@ from .certificates import (TwinRun, interpolation_inequality,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AuxiliaryState", "BoundaryComponent", "DualBasis", "HarmonicBasis",
+    "AuxiliaryState", "BoundaryComponent", "HarmonicBasis",
     "Mesh", "PreconditionError", "ScalarFieldP1", "Scenario",
     "SolverError", "StiffnessOperator", "Trajectory", "TwinRun",
     "UsageError", "VelocityAssembly", "VelocityP0", "VorticityP0",
-    "assemble_stiffness", "compute_dual_basis", "consistent_flux",
+    "assemble_stiffness", "consistent_flux", "consistent_fluxes",
     "exact_comparison", "generate_annulus", "greens_operator",
     "growth_F", "interpolation_inequality", "lamb_identity",
     "load_mesh", "load_scenario", "mu", "ode_oracle", "osgood_bound",

@@ -104,20 +104,13 @@ class TwinRun:
 
     # -- traces ---------------------------------------------------------
 
-    def _tau(self, vals: np.ndarray, comp) -> np.ndarray:
-        """One-sided tangential trace of a P0 velocity on a component."""
-        return np.einsum("ed,ed->e", vals[comp.tri], comp.tangent)
-
-    def _edge_density(self, vals: np.ndarray, load: np.ndarray, comp
+    def _edge_density(self, field: ScalarFieldP1, load: np.ndarray, comp
                       ) -> np.ndarray:
         """Per-edge normal-derivative trace of a P1 field from the nodal
         consistent-flux density (superconvergent, unlike the one-sided
         cell gradient).  For a stream function this is the tangential
         velocity trace."""
-        r = self.basis.op.apply(vals) - load
-        nodes = comp.edges[:, 0]
-        lumped = 0.5 * (comp.length + np.roll(comp.length, 1))
-        dn = r[nodes] / lumped
+        dn = fem.nodal_flux_density(self.basis.op, field, load, comp.comp)
         return 0.5 * (dn + np.roll(dn, -1))
 
     def _hat_tau_edges(self, k: int, comp) -> np.ndarray:
@@ -125,8 +118,7 @@ class TwinRun:
         plus the exact tangential derivative of the through-flow
         potential."""
         asm = self.traj1.states[k].assembly
-        dens = self._edge_density(asm.psi_total.values, asm.stream_load,
-                                  comp)
+        dens = self._edge_density(asm.psi_total, asm.stream_load, comp)
         if asm.phi is not None:
             a, b = comp.edges[:, 0], comp.edges[:, 1]
             dens = dens + asm.multiplier \
@@ -173,8 +165,8 @@ class TwinRun:
 
             eb = bl = bo = bi = bp = 0.0
             for comp, g in self._flow_components():
-                ut = self._edge_density(self.psi_d[k].values,
-                                        self.load_d[k], comp)
+                ut = self._edge_density(self.psi_d[k], self.load_d[k],
+                                        comp)
                 eb += float(np.sum(ut * ut * g * comp.length)) * mult
                 if comp.role == "inflow":
                     bl += float(np.sum(ut * ut * (-g) * comp.length)) * mult
@@ -189,8 +181,8 @@ class TwinRun:
                 elif comp.role == "outflow":
                     # v . tau is the flux density of the potential
                     # (load-free pairing: the potential is harmonic)
-                    vt = self._edge_density(aux.phi.values,
-                                            np.zeros(len(aux.phi.values)),
+                    vt = self._edge_density(aux.phi,
+                                            np.zeros(mesh.num_vertices),
                                             comp)
                     bo += float(np.sum(ut * vt * (-g) * comp.length)) * mult
 
@@ -486,10 +478,8 @@ def trace_inequality(op: StiffnessOperator, field: ScalarFieldP1,
             f"trace inequality needs a discrete-harmonic field: interior "
             f"residual {resid_norm:.3e} exceeds 10*rtol")
     comp = mesh.component(comp_id)
-    r = (op.apply(field.values) - load)
-    nodes = comp.edges[:, 0]
-    lumped = 0.5 * (comp.length + np.roll(comp.length, 1))
-    lhs = float(np.sum(r[nodes] ** 2 / lumped))
+    dn = fem.nodal_flux_density(op, field, load, comp_id)
+    lhs = float(np.sum(dn ** 2 * comp.lumped_length))
     dtau = (field.values[comp.edges[:, 1]]
             - field.values[comp.edges[:, 0]]) / comp.length
     tangential = float(np.sum(dtau ** 2 * comp.length))

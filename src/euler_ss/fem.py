@@ -18,15 +18,20 @@ cost one factorization each and then only triangular solves.
 a solved field: the trace-inequality harmonicity precondition, the
 reversed-flux tolerance and the identity-rate floor scale with it.
 
-The consistent flux of a solved field pairs its residual with the indicator
-extension of one boundary component:
+The consistent fluxes of a solved field pair one residual with the
+indicator extension of every boundary component at once:
 
-    flux_comp(psi) = chi_comp^T (A psi - load) = integral_comp dpsi/dn
+    flux(psi) = X (A psi - load),   flux_comp(psi) = integral_comp dpsi/dn
 
-with the outward normal of the mesh (out of the fluid, into holes).  For the
-stream function of a flow this equals the circulation along the component in
-the fluid-on-the-left orientation; it is superconvergent compared with the
-one-sided trace quadrature.
+where X is the component x node indicator (``StiffnessOperator.indicator``,
+built with the operator, once per mesh), with the outward normal of the
+mesh (out of the fluid, into holes).  For the stream function of a flow
+this equals the circulation along the component in the fluid-on-the-left
+orientation; it is superconvergent compared with the one-sided trace
+quadrature.  The nodal flux density reads the same residual at the loop
+vertices of one component, in loop order (``BoundaryComponent.nodes``),
+divided by the boundary length each vertex owns (``lumped_length``).
+Outside this module no code multiplies the stiffness matrix to read a flux.
 
 perp-gradient convention: grad_perp(psi) = (-d_y psi, d_x psi), so
 curl(grad_perp(psi)) = laplace(psi) and grad_perp(psi) . n = -d_tau(psi).
@@ -117,8 +122,10 @@ class StiffnessOperator:
     """Sparse stiffness matrix with cached element data.
 
     ``factors`` holds the sparse LU factor of every pinned node set solved
-    on this operator, keyed by the set; the matrix never changes, so a
-    factor stays valid for the operator's lifetime.
+    on this operator, with the free-node indices it acts on, keyed by the
+    set; the matrix never changes, so a factor stays valid for the
+    operator's lifetime.  ``indicator`` is the component x node indicator
+    of the consistent fluxes.
     """
 
     def __init__(self, mesh: Mesh):
@@ -138,7 +145,13 @@ class StiffnessOperator:
              (np.concatenate(rows), np.concatenate(cols))),
             shape=(n, n))
         self.matrix.sum_duplicates()
-        self.factors: dict[bytes, spla.SuperLU] = {}
+        self.factors: dict[bytes, tuple[spla.SuperLU, np.ndarray]] = {}
+        nodes = [mesh.component_nodes(c.comp) for c in mesh.components]
+        comp_of = np.concatenate([np.full(len(nd), c)
+                                  for c, nd in enumerate(nodes)])
+        self.indicator = sp.csr_matrix(
+            (np.ones(len(comp_of)), (comp_of, np.concatenate(nodes))),
+            shape=(len(nodes), n))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self.matrix @ x
@@ -148,14 +161,21 @@ def assemble_stiffness(mesh: Mesh) -> StiffnessOperator:
     return StiffnessOperator(mesh)
 
 
+def _to_vertices(mesh: Mesh, cell_values: np.ndarray) -> np.ndarray:
+    """(V, ...) sums of a per-cell quantity (any trailing shape) over the
+    cells around each vertex."""
+    idx = mesh.triangles.T.ravel()
+    cols = cell_values.reshape(len(cell_values), -1).T
+    out = np.column_stack([np.bincount(idx, weights=np.concatenate([col] * 3),
+                                       minlength=mesh.num_vertices)
+                           for col in cols])
+    return out.reshape((mesh.num_vertices,) + cell_values.shape[1:])
+
+
 def p0_load_vector(mesh: Mesh, cell_values: np.ndarray) -> np.ndarray:
     """Nodal load b_a = integral(f * lambda_a) for piecewise constant f."""
     cell_values = np.asarray(cell_values, dtype=np.float64)
-    contrib = cell_values * mesh.tri_area / 3.0
-    b = np.zeros(mesh.num_vertices)
-    for i in range(3):
-        np.add.at(b, mesh.triangles[:, i], contrib)
-    return b
+    return _to_vertices(mesh, cell_values * mesh.tri_area / 3.0)
 
 
 def boundary_load_vector(mesh: Mesh, comp_data: dict[int, np.ndarray]
@@ -171,8 +191,8 @@ def boundary_load_vector(mesh: Mesh, comp_data: dict[int, np.ndarray]
                 f"component {cid}: expected {len(comp.length)} edge values, "
                 f"got shape {q.shape}")
         w = 0.5 * q * comp.length
-        np.add.at(b, comp.edges[:, 0], w)
-        np.add.at(b, comp.edges[:, 1], w)
+        b += np.bincount(comp.edges.T.ravel(), weights=np.tile(w, 2),
+                         minlength=mesh.num_vertices)
     return b
 
 
@@ -186,29 +206,31 @@ def _pinned_solve(A: sp.csr_matrix, load: np.ndarray, pinned: np.ndarray,
 
     The pinned nodes are eliminated symmetrically and A[free][:, free] is
     factored by sparse LU (SuperLU, minimum-degree ordering on A^T + A).
-    ``factors`` caches the factor per pinned node set.  Raises SolverError
-    when the reduced matrix is singular.
+    ``factors`` caches the factor per pinned node set, together with the
+    free-node indices it acts on.  Raises SolverError when the reduced
+    matrix is singular.
     """
     n = A.shape[0]
-    x = np.zeros(n)
-    x[pinned] = pinned_values
-    mask = np.ones(n, dtype=bool)
-    mask[pinned] = False
-    free = np.flatnonzero(mask)
-    if free.size == 0:
-        return x
     key = np.unique(pinned).tobytes()
-    lu = factors.get(key) if factors is not None else None
-    if lu is None:
+    cached = factors.get(key) if factors is not None else None
+    if cached is None:
+        mask = np.ones(n, dtype=bool)
+        mask[pinned] = False
+        free = np.flatnonzero(mask)
         try:
             lu = spla.splu(A[free][:, free].tocsc(),
-                           permc_spec="MMD_AT_PLUS_A")
+                           permc_spec="MMD_AT_PLUS_A") if free.size else None
         except RuntimeError as exc:
             raise SolverError(f"sparse factorization failed: {exc}") \
                 from None
+        cached = (lu, free)
         if factors is not None:
-            factors[key] = lu
-    x[free] = lu.solve((load - A @ x)[free])
+            factors[key] = cached
+    lu, free = cached
+    x = np.zeros(n)
+    x[pinned] = pinned_values
+    if free.size:
+        x[free] = lu.solve((load - A @ x)[free])
     return x
 
 
@@ -260,7 +282,9 @@ def solve_dirichlet(op: StiffnessOperator, load: np.ndarray, bc
     """
     mesh = op.mesh
     nodes, vals = _dirichlet_trace(mesh, bc)
-    if not np.isin(mesh.boundary_nodes, nodes).all():
+    # an array trace covers every component by construction
+    if isinstance(bc, dict) and \
+            not {c.comp for c in mesh.components} <= set(bc):
         raise UsageError("Dirichlet solve requires data on every component")
     return ScalarFieldP1(mesh, _pinned_solve(op.matrix, load, nodes, vals,
                                              op.factors))
@@ -328,32 +352,32 @@ def solve_constrained(op: StiffnessOperator, load: np.ndarray,
 # -- consistent fluxes --------------------------------------------------
 
 
-def consistent_flux(op: StiffnessOperator, field: ScalarFieldP1,
-                    load: np.ndarray, comp: int) -> float:
-    """Variational flux integral_comp(dfield/dn), outward normal.
+def consistent_fluxes(op: StiffnessOperator, field: ScalarFieldP1,
+                      load: np.ndarray) -> np.ndarray:
+    """(ncomp,) variational fluxes integral_comp(dfield/dn), outward
+    normal, of every component from one residual.
 
     ``load`` must be the load vector of the system the field solves (zero
-    for a harmonic field).  The pairing with the component indicator makes
-    the flux superconvergent.
+    for a harmonic field).  The pairing with the component indicators makes
+    the fluxes superconvergent.
     """
-    mesh = op.mesh
-    residual = op.matrix @ field.values - load
-    nodes = mesh.component_nodes(comp)
-    return float(residual[nodes].sum())
+    return op.indicator @ (op.matrix @ field.values - load)
+
+
+def consistent_flux(op: StiffnessOperator, field: ScalarFieldP1,
+                    load: np.ndarray, comp: int) -> float:
+    """Consistent flux through one component (see ``consistent_fluxes``)."""
+    return float(consistent_fluxes(op, field, load)[comp])
 
 
 def nodal_flux_density(op: StiffnessOperator, field: ScalarFieldP1,
                        load: np.ndarray, comp: int) -> np.ndarray:
-    """Per-node normal derivative on a component: the nodal residual divided
-    by the lumped boundary length (half the two adjacent edges)."""
-    mesh = op.mesh
-    c = mesh.component(comp)
+    """Normal derivative at the loop vertices of a component, in
+    ``BoundaryComponent.nodes`` order: the nodal residual divided by the
+    lumped boundary length (half of each of the two adjacent edges)."""
+    c = op.mesh.component(comp)
     residual = op.matrix @ field.values - load
-    weight = np.zeros(mesh.num_vertices)
-    np.add.at(weight, c.edges[:, 0], 0.5 * c.length)
-    np.add.at(weight, c.edges[:, 1], 0.5 * c.length)
-    nodes = mesh.component_nodes(comp)
-    return residual[nodes] / weight[nodes]
+    return residual[c.nodes] / c.lumped_length
 
 
 def interior_residual_norm(op: StiffnessOperator, field: ScalarFieldP1,
@@ -394,14 +418,10 @@ def p0_to_p1(mesh: Mesh, cell_values: np.ndarray) -> np.ndarray:
     """Area-weighted nodal averaging of a per-cell quantity (any trailing
     shape), the recovery used for gradients of P0 velocities."""
     cell_values = np.asarray(cell_values, dtype=np.float64)
-    out = np.zeros((mesh.num_vertices,) + cell_values.shape[1:])
-    wsum = np.zeros(mesh.num_vertices)
+    shape = (-1,) + (1,) * (cell_values.ndim - 1)
     w = mesh.tri_area
-    weighted = cell_values * w.reshape((-1,) + (1,) * (cell_values.ndim - 1))
-    for i in range(3):
-        np.add.at(out, mesh.triangles[:, i], weighted)
-        np.add.at(wsum, mesh.triangles[:, i], w)
-    return out / wsum.reshape((-1,) + (1,) * (cell_values.ndim - 1))
+    return _to_vertices(mesh, cell_values * w.reshape(shape)) \
+        / _to_vertices(mesh, w).reshape(shape)
 
 
 def velocity_gradient(mesh: Mesh, u: VelocityP0,

@@ -16,9 +16,8 @@ All fluxes are consistent (variational) fluxes with the outward normal; for
 a stream function the flux through component i equals the circulation along
 it with the fluid kept on the left (outer loop counterclockwise, hole loops
 clockwise).  On the annulus with radii (1, 2) this gives M_11 = 2*pi/ln 2
-(positive: the dual basis coefficient is then -ln 2/(2*pi)), and a positive
-prescribed circulation on the inner component drives flow that is clockwise
-around the hole.
+(positive), and a positive prescribed circulation on the inner component
+drives flow that is clockwise around the hole.
 
 The boundary data g must satisfy the sign condition: g <= 0 on inflow
 components, g >= 0 on outflow components, g = 0 on walls.  Violations are
@@ -89,42 +88,16 @@ class HarmonicBasis:
                   for c in mesh.components}
             self.fields.append(fem.solve_dirichlet(self.op, zero_load, bc))
         m = len(self.inner)
-        ncomp = len(mesh.components)
-        self.flux_rows = np.zeros((ncomp, m))
+        self.flux_rows = np.zeros((len(mesh.components), m))
         for j, f in enumerate(self.fields):
-            for c in mesh.components:
-                self.flux_rows[c.comp, j] = fem.consistent_flux(
-                    self.op, f, zero_load, c.comp)
+            self.flux_rows[:, j] = fem.consistent_fluxes(self.op, f,
+                                                         zero_load)
         self.M = self.flux_rows[self.inner, :].copy() if m \
             else np.zeros((0, 0))
 
     @property
     def num_inner(self) -> int:
         return len(self.inner)
-
-
-@dataclass
-class DualBasis:
-    """Linear combinations g^i of the harmonic basis with unit sink flux:
-    flux_j(g^i) = -delta_ij on the inner components."""
-
-    basis: HarmonicBasis
-    coefficients: np.ndarray     # (m, m): column i solves M c = -e_i
-    fields: list[ScalarFieldP1]
-
-
-def compute_dual_basis(basis: HarmonicBasis) -> DualBasis:
-    m = basis.num_inner
-    if m == 0:
-        return DualBasis(basis, np.zeros((0, 0)), [])
-    coeff = np.linalg.solve(basis.M, -np.eye(m))
-    fields = []
-    for i in range(m):
-        vals = np.zeros(basis.mesh.num_vertices)
-        for j in range(m):
-            vals += coeff[j, i] * basis.fields[j].values
-        fields.append(ScalarFieldP1(basis.mesh, vals))
-    return DualBasis(basis, coeff, fields)
 
 
 def greens_operator(basis: HarmonicBasis, omega: VorticityP0
@@ -138,12 +111,6 @@ def greens_operator(basis: HarmonicBasis, omega: VorticityP0
     load = -fem.p0_load_vector(basis.mesh, omega.values)
     bc = {c.comp: 0.0 for c in basis.mesh.components}
     return fem.solve_dirichlet(basis.op, load, bc), load
-
-
-def biot_savart(basis: HarmonicBasis, omega: VorticityP0) -> VelocityP0:
-    """K[omega]: the zero-circulation, zero-flux velocity of a vorticity."""
-    psi0, _ = greens_operator(basis, omega)
-    return fem.perp_gradient(basis.mesh, psi0, basis.grads)
 
 
 @dataclass
@@ -193,10 +160,9 @@ def reconstruct_velocity(basis: HarmonicBasis, omega: VorticityP0,
         phi_grad = None
 
     psi0, load = greens_operator(basis, omega)
-    g0_flux = np.array([fem.consistent_flux(basis.op, psi0, load, c)
-                        for c in basis.inner])
-    coeffs = np.linalg.solve(basis.M, C - g0_flux) if basis.num_inner \
-        else np.zeros(0)
+    g0_flux = fem.consistent_fluxes(basis.op, psi0, load)
+    coeffs = np.linalg.solve(basis.M, C - g0_flux[basis.inner]) \
+        if basis.num_inner else np.zeros(0)
 
     total = psi0.values.copy()
     for c_i, f in zip(coeffs, basis.fields):
@@ -208,15 +174,13 @@ def reconstruct_velocity(basis: HarmonicBasis, omega: VorticityP0,
         u_vals = u_vals + multiplier * phi_grad.values
     u = VelocityP0(mesh, u_vals)
 
-    ncomp = len(mesh.components)
-    circ_cons = np.empty(ncomp)
-    circ_trace = np.empty(ncomp)
+    # the potential part contributes exactly zero circulation (telescoping
+    # tangential P1 trace), so the stream flux is the whole consistent
+    # circulation; the residual is linear and the basis fields carry no
+    # load, so it is the Green flux plus the basis fluxes
+    circ_cons = g0_flux + basis.flux_rows @ coeffs
+    circ_trace = np.empty(len(mesh.components))
     for comp in mesh.components:
-        # the potential part contributes exactly zero circulation
-        # (telescoping tangential P1 trace), so the stream flux is the
-        # whole consistent circulation
-        circ_cons[comp.comp] = fem.consistent_flux(
-            basis.op, psi_total, load, comp.comp)
         ut = np.einsum("ed,ed->e", u.values[comp.tri], comp.tangent)
         circ_trace[comp.comp] = float(ut @ comp.length)
 

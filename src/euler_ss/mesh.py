@@ -27,8 +27,10 @@ refinement can project new boundary vertices back onto the circle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import UsageError
 
@@ -57,6 +59,12 @@ class BoundaryComponent:
     @property
     def total_length(self) -> float:
         return float(self.length.sum())
+
+    @property
+    def lumped_length(self) -> np.ndarray:
+        """Boundary length owned by each loop vertex (``nodes`` order):
+        half of each of its two adjacent edges."""
+        return 0.5 * (self.length + np.roll(self.length, 1))
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -234,6 +242,7 @@ class Mesh:
         self._boundary_nodes = _read_only(
             np.unique(np.concatenate(self._component_nodes))
             if self.components else np.empty(0, dtype=np.int64))
+        self._node_sets: dict[tuple[int, ...], np.ndarray] = {}
 
         if validate and self.components:
             # component 0 must be the outer loop: with fluid on the left it
@@ -299,6 +308,29 @@ class Mesh:
     def component_nodes(self, comp: int) -> np.ndarray:
         """Sorted, read-only array of the vertices of one component."""
         return self._component_nodes[comp]
+
+    def nodes_of(self, comps) -> np.ndarray:
+        """Sorted, read-only union of the vertices of several components,
+        built once per set."""
+        key = tuple(sorted(set(comps)))
+        if key not in self._node_sets:
+            self._node_sets[key] = _read_only(np.unique(np.concatenate(
+                [self._component_nodes[c] for c in key])))
+        return self._node_sets[key]
+
+    @cached_property
+    def incidence(self) -> sp.csr_matrix:
+        """Signed cell x edge incidence over all edges: +1 at the left cell
+        of each directed edge, -1 at its right cell (interior edges only).
+        For edge fluxes counted out of the left cell, ``incidence @ f`` is
+        the net outflux of every cell."""
+        interior = np.flatnonzero(self.interior_edge)
+        ne = len(self.edges)
+        return sp.csr_matrix(
+            (np.concatenate([np.ones(ne), -np.ones(len(interior))]),
+             (np.concatenate([self.edge_left, self.edge_right[interior]]),
+              np.concatenate([np.arange(ne), interior]))),
+            shape=(self.num_triangles, ne))
 
     def roles(self) -> dict[int, str]:
         return {c.comp: c.role for c in self.components}

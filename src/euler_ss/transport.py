@@ -15,18 +15,27 @@ split into a rotational and a through-flow part:
     Boundary through-flow fluxes are prescribed exactly as g * length *
     multiplier, never approximated, so boundary budgets are exact.
 
+Both parts live in one edge-indexed flux array f (counted out of the left
+cell of each directed edge), and every cell sum goes through the mesh's
+signed cell x edge incidence D (``Mesh.incidence``): the cell divergence of
+the upwind vorticity flux is D @ (f * upwind), the positive outflux of each
+cell is (|D| @ |f| + D @ f) / 2, and the projection's cell-graph Laplacian
+is D D^T restricted to the interior edges.
+
 Time stepping is forward Euler (optionally a two-stage strong-stability
 update) under a CFL cap combining the incircle-diameter travel time with a
 positivity cap on the total outflux of each cell; steps land exactly on the
 requested snapshot times.  Circulations on the inner components evolve by
-the boundary vorticity flux, accumulated by the same code path that serves
-the vorticity budget, so the two stay consistent to round-off.
+the boundary vorticity flux, summed per component from the same upwind
+edge array that serves the vorticity budget, so the two stay consistent to
+round-off.
 
 Scenario files are strict JSON: unknown keys anywhere are errors.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass
@@ -210,6 +219,9 @@ class Scenario:
             if c.role == "inflow" and c.comp not in self.omega_in:
                 raise UsageError(f"omega_in: inflow component {c.comp} "
                                  "needs trace data")
+        # additive shifts of a perturbed copy (see ``perturbed``)
+        self.omega0_shift = 0.0
+        self.omega_in_shift: dict[int, float] = {}
 
         self.C0: dict[int, float] = {}
         for key, val in dict(doc.get("C0", {})).items():
@@ -256,8 +268,7 @@ class Scenario:
         """
         if factor < 1 or factor & (factor - 1):
             raise UsageError("refinement factor must be a power of two")
-        other = Scenario.__new__(Scenario)
-        other.__dict__.update(self.__dict__)
+        other = copy.copy(self)
         if isinstance(self.mesh_spec, dict) and "annulus" in self.mesh_spec:
             ann = dict(self.mesh_spec["annulus"])
             ann["nr"] = ann["nr"] * factor
@@ -291,7 +302,8 @@ class Scenario:
             else float(self.mult_profile(t))
 
     def omega_in_value(self, cid: int, t: float) -> float:
-        return float(self.omega_in[cid](t))
+        return float(self.omega_in[cid](t)) \
+            + self.omega_in_shift.get(cid, 0.0)
 
     def _validate_omega0(self, spec) -> None:
         _check_keys(spec, "omega0", required=("type",),
@@ -317,21 +329,21 @@ class Scenario:
         spec = self.omega0_spec
         kind = spec["type"]
         if kind == "constant":
-            return np.full(mesh.num_triangles, float(spec["value"]))
-        if kind == "annular_band":
+            vals = np.full(mesh.num_triangles, float(spec["value"]))
+        elif kind == "annular_band":
             r = np.linalg.norm(mesh.centroid, axis=1)
-            out = np.full(mesh.num_triangles, float(spec.get("background",
-                                                             0.0)))
+            vals = np.full(mesh.num_triangles,
+                           float(spec.get("background", 0.0)))
             band = (r >= float(spec["r0"])) & (r <= float(spec["r1"]))
-            out[band] = float(spec["value"])
-            return out
-        vals = np.loadtxt(self.base_dir / spec["path"], dtype=np.float64,
-                          ndmin=1)
-        if vals.shape != (mesh.num_triangles,):
-            raise UsageError(
-                f"omega0 file: expected {mesh.num_triangles} cell values, "
-                f"got {vals.shape}")
-        return vals
+            vals[band] = float(spec["value"])
+        else:
+            vals = np.loadtxt(self.base_dir / spec["path"],
+                              dtype=np.float64, ndmin=1)
+            if vals.shape != (mesh.num_triangles,):
+                raise UsageError(
+                    f"omega0 file: expected {mesh.num_triangles} cell "
+                    f"values, got {vals.shape}")
+        return vals + self.omega0_shift
 
     def initial_C(self, mesh: Mesh | None = None) -> np.ndarray:
         mesh = mesh or self.mesh
@@ -340,37 +352,24 @@ class Scenario:
 
     def perturbed(self, **delta) -> "Scenario":
         """Copy with additive perturbations: C0={comp: dC}, omega0=dw
-        (constant shift), omega_in={comp: dw}."""
-        other = Scenario.__new__(Scenario)
-        other.__dict__.update(self.__dict__)
+        (constant shift), omega_in={comp: dw}.  The shifts are stored as
+        numbers, which ``initial_omega`` and ``omega_in_value`` add."""
+        other = copy.copy(self)
         if "C0" in delta:
-            c0 = dict(self.C0)
+            other.C0 = dict(self.C0)
             for cid, dv in delta["C0"].items():
-                c0[cid] = c0.get(cid, 0.0) + dv
-            other.C0 = c0
+                other.C0[cid] = other.C0.get(cid, 0.0) + dv
         if "omega0" in delta:
-            dv = float(delta["omega0"])
-            base = self.initial_omega
-            other.initial_omega = \
-                lambda mesh=None, _b=base, _d=dv: _b(mesh) + _d
+            other.omega0_shift = self.omega0_shift + float(delta["omega0"])
         if "omega_in" in delta:
-            shifted = dict(self.omega_in)
+            other.omega_in_shift = dict(self.omega_in_shift)
             for cid, dv in delta["omega_in"].items():
-                shifted[cid] = _ShiftedProfile(shifted[cid], float(dv))
-            other.omega_in = shifted
+                if cid not in self.omega_in:
+                    raise UsageError(f"omega_in: component {cid} is not an "
+                                     "inflow component")
+                other.omega_in_shift[cid] = \
+                    other.omega_in_shift.get(cid, 0.0) + float(dv)
         return other
-
-
-class _ShiftedProfile:
-    def __init__(self, base: _Profile, shift: float):
-        self.base, self.shift = base, shift
-
-    def __call__(self, x):
-        return self.base(x) + self.shift
-
-    def extrema(self):
-        lo, hi = self.base.extrema()
-        return lo + self.shift, hi + self.shift
 
 
 def load_scenario(path) -> Scenario:
@@ -389,66 +388,62 @@ def load_scenario(path) -> Scenario:
 
 
 class FluxAssembler:
-    """Precomputed edge-flux structures for one mesh and one g profile."""
+    """Edge fluxes of one mesh and one g profile, with every cell and
+    component sum taken by an incidence matrix."""
 
     def __init__(self, mesh: Mesh, g_edges: dict[int, np.ndarray],
                  phi_grad: VelocityP0 | None):
         self.mesh = mesh
-        self.int_ids = np.nonzero(mesh.interior_edge)[0]
-        self.ia = mesh.edges[self.int_ids, 0]
-        self.ib = mesh.edges[self.int_ids, 1]
-        self.iL = mesh.edge_left[self.int_ids]
-        self.iR = mesh.edge_right[self.int_ids]
-        self.bcomp = [(c, np.asarray(g_edges.get(c.comp,
-                                                 np.zeros(len(c.length)))))
-                      for c in mesh.components]
-        # prescribed boundary fluxes at unit multiplier
-        self.bflux_unit = [g * c.length for c, g in self.bcomp]
-        self.pot_int = np.zeros(len(self.int_ids))
+        self.D = mesh.incidence
+        self.abs_D = abs(self.D)
+        # boundary edges take their first vertex at both ends, so their
+        # stream jump is exactly zero
+        self.ia = mesh.edges[:, 0]
+        self.ib = np.where(mesh.interior_edge, mesh.edges[:, 1], self.ia)
+        # the cell across each edge; boundary edges of component c face a
+        # ghost cell T + c that holds the component's inflow trace
+        bd = np.concatenate([c.edge_ids for c in mesh.components])
+        comp_of = np.concatenate([np.full(len(c.edge_ids), c.comp)
+                                  for c in mesh.components])
+        self.far = mesh.edge_right.copy()
+        self.far[bd] = mesh.num_triangles + comp_of
+        self.comp_edges = sp.csr_matrix(
+            (np.ones(len(bd)), (comp_of, bd)),
+            shape=(len(mesh.components), len(mesh.edges)))
+        # through-flow fluxes at unit multiplier: exactly g * length on the
+        # boundary, equilibrated potential fluxes inside
+        self.pot = np.zeros(len(mesh.edges))
+        for c in mesh.components:
+            if c.comp in g_edges:
+                self.pot[c.edge_ids] = np.asarray(g_edges[c.comp]) * c.length
         self.div_defect = 0.0
         if phi_grad is not None:
-            self.pot_int = self._equilibrated_potential_fluxes(phi_grad)
+            self._equilibrate_potential_fluxes(phi_grad)
 
-    def _equilibrated_potential_fluxes(self, phi_grad: VelocityP0
-                                       ) -> np.ndarray:
+    def _equilibrate_potential_fluxes(self, phi_grad: VelocityP0) -> None:
         """Averaged-gradient interior fluxes corrected to make every cell
         exactly divergence free against the prescribed boundary fluxes."""
         mesh = self.mesh
         gv = phi_grad.values
-        n = mesh.edge_normal[self.int_ids]
-        ln = mesh.edge_length[self.int_ids]
-        raw = 0.5 * np.einsum("ed,ed->e", gv[self.iL] + gv[self.iR], n) * ln
+        ids = np.flatnonzero(mesh.interior_edge)
+        n = mesh.edge_normal[ids]
+        ln = mesh.edge_length[ids]
+        self.pot[ids] = 0.5 * np.einsum(
+            "ed,ed->e", gv[mesh.edge_left[ids]] + gv[mesh.edge_right[ids]],
+            n) * ln
+        D_int = self.D[:, ids]
+        y = fem.solve_mean_zero((D_int @ D_int.T).tocsr(),
+                                -(self.D @ self.pot))
+        self.pot[ids] += D_int.T @ y
+        self.div_defect = float(np.abs(self.D @ self.pot).max())
 
-        nt = mesh.num_triangles
-        resid = np.zeros(nt)
-        np.add.at(resid, self.iL, raw)
-        np.add.at(resid, self.iR, -raw)
-        for (c, _), fb in zip(self.bcomp, self.bflux_unit):
-            np.add.at(resid, c.tri, fb)
+    def fluxes(self, psi_vals: np.ndarray, mult: float) -> np.ndarray:
+        """Edge fluxes out of the left cell at stream values ``psi_vals``
+        and multiplier ``mult``: psi_a - psi_b + mult * pot on interior
+        edges, exactly mult * g * length on boundary edges."""
+        return (psi_vals[self.ia] - psi_vals[self.ib]) + mult * self.pot
 
-        ne = len(self.int_ids)
-        rows = np.concatenate([self.iL, self.iR])
-        cols = np.concatenate([np.arange(ne), np.arange(ne)])
-        vals = np.concatenate([np.ones(ne), -np.ones(ne)])
-        D = sp.csr_matrix((vals, (rows, cols)), shape=(nt, ne))
-        lap = (D @ D.T).tocsr()
-        y = fem.solve_mean_zero(lap, -resid)
-        corr = D.T @ y
-        after = resid + D @ corr
-        self.div_defect = float(np.abs(after).max())
-        return raw + corr
-
-    def fluxes(self, psi_vals: np.ndarray, mult: float
-               ) -> tuple[np.ndarray, list[np.ndarray]]:
-        """(interior fluxes out of the left cell, boundary fluxes per
-        component) at stream values ``psi_vals`` and multiplier ``mult``."""
-        f_int = (psi_vals[self.ia] - psi_vals[self.ib]) \
-            + mult * self.pot_int
-        f_bdry = [mult * fb for fb in self.bflux_unit]
-        return f_int, f_bdry
-
-    def stable_dt(self, u: VelocityP0, f_int: np.ndarray,
-                  f_bdry: list[np.ndarray], cfl: float) -> float:
+    def stable_dt(self, u: VelocityP0, f: np.ndarray, cfl: float) -> float:
         mesh = self.mesh
         speed = np.linalg.norm(u.values, axis=1)
         with np.errstate(divide="ignore"):
@@ -456,11 +451,7 @@ class FluxAssembler:
                                         mesh.incircle_diameter
                                         / np.maximum(speed, 1e-300),
                                         np.inf)))
-        outflux = np.zeros(mesh.num_triangles)
-        np.add.at(outflux, self.iL, np.maximum(f_int, 0.0))
-        np.add.at(outflux, self.iR, np.maximum(-f_int, 0.0))
-        for (c, _), fb in zip(self.bcomp, f_bdry):
-            np.add.at(outflux, c.tri, np.maximum(fb, 0.0))
+        outflux = 0.5 * (self.abs_D @ np.abs(f) + self.D @ f)
         with np.errstate(divide="ignore"):
             pos = float(np.min(np.where(outflux > 0,
                                         mesh.tri_area
@@ -468,28 +459,23 @@ class FluxAssembler:
                                         np.inf)))
         return cfl * min(adv, pos)
 
-    def upwind_rates(self, omega: np.ndarray, f_int: np.ndarray,
-                     f_bdry: list[np.ndarray],
+    def vorticity_flux(self, omega: np.ndarray, f: np.ndarray,
+                       omega_in_vals: dict[int, float]) -> np.ndarray:
+        """Upwind edge fluxes of vorticity: f times the cell value upwind
+        of each edge, the inflow trace ``omega_in_vals[c]`` on boundary
+        edges of component c that carry flow into the fluid."""
+        ghost = [omega_in_vals.get(c.comp, 0.0)
+                 for c in self.mesh.components]
+        outside = np.concatenate([omega, ghost])[self.far]
+        return f * np.where(f >= 0, omega[self.mesh.edge_left], outside)
+
+    def upwind_rates(self, omega: np.ndarray, f: np.ndarray,
                      omega_in_vals: dict[int, float]
                      ) -> tuple[np.ndarray, np.ndarray]:
         """(cell divergence of the upwind vorticity flux, boundary outflux
         rate per component).  d(omega)/dt = -div/area; dC_i/dt = -rate_i."""
-        mesh = self.mesh
-        up = np.where(f_int >= 0, omega[self.iL], omega[self.iR])
-        contrib = f_int * up
-        div = np.zeros(mesh.num_triangles)
-        np.add.at(div, self.iL, contrib)
-        np.add.at(div, self.iR, -contrib)
-        rates = np.zeros(len(mesh.components))
-        for (c, _), fb in zip(self.bcomp, f_bdry):
-            if not len(fb):
-                continue
-            inval = omega_in_vals.get(c.comp, 0.0)
-            upb = np.where(fb >= 0, omega[c.tri], inval)
-            cb = fb * upb
-            np.add.at(div, c.tri, cb)
-            rates[c.comp] = float(cb.sum())
-        return div, rates
+        cf = self.vorticity_flux(omega, f, omega_in_vals)
+        return self.D @ cf, self.comp_edges @ cf
 
 
 # -- time integration ---------------------------------------------------
@@ -591,9 +577,8 @@ def run(scenario: Scenario, basis: HarmonicBasis | None = None) -> Trajectory:
                     f"time step collapsed: more than "
                     f"{MAX_STEPS_PER_INTERVAL} steps in one snapshot "
                     f"interval (t = {t:.6g}, dt = {dt:.3e})")
-            mult = asm.multiplier
-            f_int, f_bdry = flux.fluxes(asm.psi_total.values, mult)
-            dt = flux.stable_dt(asm.u, f_int, f_bdry, scenario.cfl)
+            f = flux.fluxes(asm.psi_total.values, asm.multiplier)
+            dt = flux.stable_dt(asm.u, f, scenario.cfl)
             landed = t_next - t <= dt
             dt = min(dt, t_next - t)
             if not (dt > 0 and math.isfinite(dt)):
@@ -602,7 +587,7 @@ def run(scenario: Scenario, basis: HarmonicBasis | None = None) -> Trajectory:
 
             in_vals = {cid: scenario.omega_in_value(cid, t)
                        for cid in inflow_ids}
-            div, rates = flux.upwind_rates(omega, f_int, f_bdry, in_vals)
+            div, rates = flux.upwind_rates(omega, f, in_vals)
             mass_before = float(omega @ mesh.tri_area)
 
             if rk2:
@@ -610,11 +595,10 @@ def run(scenario: Scenario, basis: HarmonicBasis | None = None) -> Trajectory:
                 C1 = C - dt * rates[1:]
                 t1 = t_next if landed else t + dt
                 asm1 = assemble(om1, C1, t1)
-                f2_int, f2_bdry = flux.fluxes(asm1.psi_total.values,
-                                              asm1.multiplier)
+                f2 = flux.fluxes(asm1.psi_total.values, asm1.multiplier)
                 in2 = {cid: scenario.omega_in_value(cid, t1)
                        for cid in inflow_ids}
-                div2, rates2 = flux.upwind_rates(om1, f2_int, f2_bdry, in2)
+                div2, rates2 = flux.upwind_rates(om1, f2, in2)
                 omega = 0.5 * (omega + om1 - dt * div2 / mesh.tri_area)
                 rate_eff = 0.5 * (rates + rates2)
                 for v in in2.values():
@@ -712,19 +696,16 @@ def weak_residual(traj: Trajectory, phi: ScalarFieldP1,
         bdry = sum(cv * (states[-1].B[c.comp] - states[0].B[c.comp])
                    for cv, c in zip(comp_const, mesh.components))
     else:
+        bd = ~mesh.interior_edge
+        phim = 0.5 * phi.values[mesh.edges[bd]].sum(axis=1)
         rows = []
         for s in states:
-            tot = 0.0
-            mult = s.assembly.multiplier
-            for (c, g) in traj.flux.bcomp:
-                fb = mult * g * c.length
-                inval = traj.scenario.omega_in_value(c.comp, s.t) \
-                    if c.role == "inflow" else 0.0
-                om_tr = np.where(fb >= 0, s.omega[c.tri], inval)
-                phim = 0.5 * (phi.values[c.edges[:, 0]]
-                              + phi.values[c.edges[:, 1]])
-                tot += float(np.sum(om_tr * phim * fb))
-            rows.append(tot)
+            in_vals = {c.comp: traj.scenario.omega_in_value(c.comp, s.t)
+                       for c in mesh.components if c.role == "inflow"}
+            f = traj.flux.fluxes(s.assembly.psi_total.values,
+                                 s.assembly.multiplier)
+            cf = traj.flux.vorticity_flux(s.omega, f, in_vals)
+            rows.append(float(cf[bd] @ phim))
         bdry = float(np.trapezoid(np.array(rows), times))
 
     return {"volume": vol_int, "jump": jump, "boundary": bdry,

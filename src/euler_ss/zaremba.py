@@ -65,13 +65,11 @@ def solve_auxiliary(basis: HarmonicBasis, psi: ScalarFieldP1,
 
     load = -basis.op.apply(psi.values) \
         - fem.p0_load_vector(mesh, omega.values)
-    nodes = np.concatenate([mesh.component_nodes(c) for c in pinned])
+    nodes = mesh.nodes_of(pinned)
     phi = fem.solve_constrained(basis.op, load, nodes,
                                 np.zeros(len(nodes)))
-
-    residual = basis.op.apply(phi.values)   # pairing load is zero
-    D = np.array([float(residual[mesh.component_nodes(c.comp)].sum())
-                  for c in mesh.components])
+    # consistent fluxes of phi with a zero pairing load
+    D = fem.consistent_fluxes(basis.op, phi, np.zeros(mesh.num_vertices))
     v = fem.perp_gradient(mesh, phi, basis.grads)
     return AuxiliaryState(phi=phi, v=v, D=D, load=load,
                           pinned_components=pinned, free_components=free)

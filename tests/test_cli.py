@@ -204,6 +204,14 @@ def test_certify_malformed_delta(tmp_path, scenario_file, capsys):
     assert rc == 2
 
 
+def test_certify_delta_omega_in_needs_inflow(tmp_path, scenario_file,
+                                             capsys):
+    rc = main(["certify", str(scenario_file), "--delta-omega-in", "0=0.1",
+               "-o", str(tmp_path / "cert")])
+    assert rc == 2
+    assert "not an inflow" in capsys.readouterr().err
+
+
 # -- stability ----------------------------------------------------------
 
 

@@ -5,8 +5,8 @@ import pytest
 import scipy.sparse as sp
 
 from euler_ss import fem, hodge, zaremba
-from euler_ss.errors import PreconditionError, SolverError
-from euler_ss.mesh import generate_annulus
+from euler_ss.errors import PreconditionError, SolverError, UsageError
+from euler_ss.mesh import Mesh, generate_annulus
 
 LN2 = math.log(2.0)
 
@@ -77,17 +77,72 @@ def test_consistent_flux_balance_and_value(annulus, stiffness):
     assert abs(fl0 - (-2 * math.pi / LN2)) < 0.01 * (2 * math.pi / LN2)
 
 
-def test_flux_density_integrates_to_flux(annulus, stiffness):
-    f = fem.solve_dirichlet(stiffness, np.zeros(annulus.num_vertices),
-                            {0: 0.0, 1: 1.0})
-    z = np.zeros(annulus.num_vertices)
+def stretched_annulus(sx=1.5):
+    """The 8x32 annulus stretched by ``sx`` in x: unequal boundary edges."""
+    m = generate_annulus(1.0, 2.0, 8, 32)
+    bedges = [(a, b, c.comp) for c in m.components for a, b in c.edges]
+    return Mesh(m.vertices * [sx, 1.0], m.triangles, np.array(bedges),
+                m.roles())
+
+
+def test_flux_density_integrates_to_flux():
+    # the density is in loop order, so it pairs with loop-order weights
+    mesh = stretched_annulus()
+    op = fem.assemble_stiffness(mesh)
+    z = np.zeros(mesh.num_vertices)
+    f = fem.solve_dirichlet(op, z, {0: 0.0, 1: 1.0})
     for comp in (0, 1):
-        dens = fem.nodal_flux_density(stiffness, f, z, comp)
-        c = annulus.component(comp)
-        w = fem.boundary_load_vector(annulus,
-                                     {comp: np.ones(len(c.edges))})
+        dens = fem.nodal_flux_density(op, f, z, comp)
+        c = mesh.component(comp)
+        w = fem.boundary_load_vector(mesh, {comp: np.ones(len(c.edges))})
         total = dens @ w[c.nodes]
-        assert abs(total - fem.consistent_flux(stiffness, f, z, comp)) < 1e-10
+        assert abs(total - fem.consistent_flux(op, f, z, comp)) < 1e-10
+
+
+def test_consistent_fluxes_take_one_residual(annulus, stiffness):
+    rng = np.random.default_rng(3)
+    load = fem.p0_load_vector(annulus,
+                              rng.standard_normal(annulus.num_triangles))
+    f = fem.solve_dirichlet(stiffness, load, {0: 0.0, 1: 0.5})
+    residual = stiffness.matrix @ f.values - load
+    ref = [residual[annulus.component_nodes(c)].sum() for c in (0, 1)]
+    got = fem.consistent_fluxes(stiffness, f, load)
+    np.testing.assert_allclose(got, ref, rtol=1e-13,
+                               atol=1e-15 * np.abs(residual).max())
+    assert fem.consistent_flux(stiffness, f, load, 1) == got[1]
+
+
+def test_nodal_sums_match_loop_reference(annulus):
+    # same summation order as a scatter loop, so equal to the last bit
+    rng = np.random.default_rng(4)
+    tri, nv = annulus.triangles, annulus.num_vertices
+    cell = rng.standard_normal(annulus.num_triangles)
+    ref = np.zeros(nv)
+    for i in range(3):
+        np.add.at(ref, tri[:, i], cell * annulus.tri_area / 3.0)
+    np.testing.assert_array_equal(fem.p0_load_vector(annulus, cell), ref)
+
+    vec = rng.standard_normal((annulus.num_triangles, 2))
+    num, den = np.zeros((nv, 2)), np.zeros(nv)
+    for i in range(3):
+        np.add.at(num, tri[:, i], vec * annulus.tri_area[:, None])
+        np.add.at(den, tri[:, i], annulus.tri_area)
+    np.testing.assert_array_equal(fem.p0_to_p1(annulus, vec),
+                                  num / den[:, None])
+
+    q = {c.comp: rng.standard_normal(len(c.edges))
+         for c in annulus.components}
+    ref = np.zeros(nv)
+    for c in annulus.components:
+        np.add.at(ref, c.edges[:, 0], 0.5 * q[c.comp] * c.length)
+        np.add.at(ref, c.edges[:, 1], 0.5 * q[c.comp] * c.length)
+    np.testing.assert_array_equal(fem.boundary_load_vector(annulus, q), ref)
+
+
+def test_dirichlet_needs_every_component(annulus, stiffness):
+    load = np.zeros(annulus.num_vertices)
+    with pytest.raises(UsageError, match="every component"):
+        fem.solve_dirichlet(stiffness, load, {0: 0.0})
 
 
 def test_neumann_radial_source(annulus, stiffness):
@@ -245,6 +300,9 @@ def test_repeated_solves_reuse_cached_factors():
         omega = fem.VorticityP0(mesh, rng.standard_normal(mesh.num_triangles))
         psi0, _ = hodge.greens_operator(basis, omega)
     assert len(basis.op.factors) == 1      # basis and Green: all boundary
+    _, free = next(iter(basis.op.factors.values()))
+    np.testing.assert_array_equal(
+        free, np.setdiff1d(np.arange(mesh.num_vertices), mesh.boundary_nodes))
     zaremba.solve_auxiliary(basis, psi0, omega)
     assert len(basis.op.factors) == 2      # auxiliary: non-inflow pinned
 

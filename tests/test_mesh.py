@@ -77,14 +77,34 @@ def test_component_nodes_match_loops():
 def test_node_sets_are_cached_sorted_and_read_only():
     m = generate_annulus(1.0, 2.0, 2, 8)
     for nodes in (m.boundary_nodes, m.component_nodes(0),
-                  m.component_nodes(1)):
+                  m.component_nodes(1), m.nodes_of([1, 0])):
         assert np.all(np.diff(nodes) > 0)
         assert not nodes.flags.writeable
     assert m.boundary_nodes is m.boundary_nodes
     assert m.component_nodes(1) is m.component_nodes(1)
+    assert m.nodes_of([1, 0]) is m.nodes_of((0, 1))
     assert np.array_equal(
         m.boundary_nodes,
         np.union1d(m.component_nodes(0), m.component_nodes(1)))
+    assert np.array_equal(m.nodes_of([0, 1]), m.boundary_nodes)
+    assert np.array_equal(m.nodes_of([1]), m.component_nodes(1))
+
+
+def test_incidence_signs_and_telescoping():
+    m = generate_annulus(1.0, 2.0, 3, 12)
+    assert m.incidence is m.incidence
+    D = m.incidence.toarray()
+    ne = len(m.edges)
+    assert D.shape == (m.num_triangles, ne)
+    assert np.all(D[m.edge_left, np.arange(ne)] == 1.0)
+    inner = np.flatnonzero(m.interior_edge)
+    assert np.all(D[m.edge_right[inner], inner] == -1.0)
+    assert np.array_equal(np.abs(D).sum(axis=0),
+                          np.where(m.interior_edge, 2.0, 1.0))
+    # node-value jumps along the edges telescope around every cell
+    psi = np.random.default_rng(2).standard_normal(m.num_vertices)
+    jump = psi[m.edges[:, 0]] - psi[m.edges[:, 1]]
+    assert np.abs(D @ jump).max() < 1e-14
 
 
 def test_uniform_refine_counts_and_projection():

@@ -180,6 +180,27 @@ def test_perturbed_is_additive():
     assert pert.mesh is sc.mesh
 
 
+def test_perturbed_shifts_omega0_and_omega_in():
+    sc = transport.Scenario(flow_doc())
+    pert = sc.perturbed(omega0=0.1, omega_in={1: -0.2})
+    np.testing.assert_array_equal(pert.initial_omega(),
+                                  sc.initial_omega() + 0.1)
+    assert pert.omega_in_value(1, 0.05) == pytest.approx(0.3)
+    assert sc.omega_in_value(1, 0.05) == 0.5
+    twice = pert.perturbed(omega0=0.1, omega_in={1: 0.2})
+    np.testing.assert_allclose(twice.initial_omega(), 1.2)
+    assert twice.omega_in_value(1, 0.0) == pytest.approx(0.5)
+    with pytest.raises(UsageError, match="not an inflow"):
+        sc.perturbed(omega_in={0: 0.1})
+
+
+def test_perturbed_then_refined_shifts_the_fine_mesh():
+    sc = transport.Scenario(flow_doc())
+    fine = sc.perturbed(omega0=0.1).refined(2)
+    np.testing.assert_array_equal(fine.initial_omega(),
+                                  sc.refined(2).initial_omega() + 0.1)
+
+
 def test_refined_scales_annulus():
     sc = transport.Scenario(wall_doc())
     fine = sc.refined(2)
@@ -196,6 +217,43 @@ def test_flux_assembler_divergence_free(flow_scenario):
     basis = HarmonicBasis(flow_scenario.mesh)
     traj = transport.run(flow_scenario, basis)
     assert traj.flux.div_defect < 1e-13
+
+
+def test_flux_sums_match_scatter_reference(flow_pair):
+    traj, _ = flow_pair
+    mesh, flux, s = traj.mesh, traj.flux, traj.states[2]
+    mult = s.assembly.multiplier
+    f = flux.fluxes(s.assembly.psi_total.values, mult)
+    for c in mesh.components:
+        assert np.array_equal(f[c.edge_ids],
+                              mult * traj.g_edges[c.comp] * c.length)
+    div, rates = flux.upwind_rates(s.omega, f, {1: 0.8})
+    dt = flux.stable_dt(s.assembly.u, f, 1.0)
+
+    L, R, inner = mesh.edge_left, mesh.edge_right, mesh.interior_edge
+    comp_of = np.full(len(mesh.edges), -1)
+    for c in mesh.components:
+        comp_of[c.edge_ids] = c.comp
+    up = np.where(f >= 0, s.omega[L],
+                  np.where(inner, s.omega[R], np.where(comp_of == 1, 0.8,
+                                                       0.0)))
+    cf = f * up
+    ref_div = np.zeros(mesh.num_triangles)
+    np.add.at(ref_div, L, cf)
+    np.add.at(ref_div, R[inner], -cf[inner])
+    ref_rates = np.zeros(len(mesh.components))
+    np.add.at(ref_rates, comp_of[~inner], cf[~inner])
+    out = np.zeros(mesh.num_triangles)
+    np.add.at(out, L, np.maximum(f, 0.0))
+    np.add.at(out, R[inner], np.maximum(-f[inner], 0.0))
+    speed = np.linalg.norm(s.assembly.u.values, axis=1)
+    ref_dt = min((mesh.incircle_diameter / speed).min(),
+                 (mesh.tri_area[out > 0] / out[out > 0]).min())
+
+    tol = 1e-15 * np.abs(cf).max()
+    assert np.abs(div - ref_div).max() <= 4 * tol
+    assert np.abs(rates - ref_rates).max() <= len(cf) * tol
+    assert dt == pytest.approx(ref_dt, rel=1e-14)
 
 
 def test_snapshots_land_exactly(flow_scenario):
