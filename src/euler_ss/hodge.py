@@ -176,9 +176,8 @@ def reconstruct_velocity(basis: HarmonicBasis, omega: VorticityP0,
 
     # the potential part contributes exactly zero circulation (telescoping
     # tangential P1 trace), so the stream flux is the whole consistent
-    # circulation; the residual is linear and the basis fields carry no
-    # load, so it is the Green flux plus the basis fluxes
-    circ_cons = g0_flux + basis.flux_rows @ coeffs
+    # circulation
+    circ_cons = fem.consistent_fluxes(basis.op, psi_total, load)
     circ_trace = np.empty(len(mesh.components))
     for comp in mesh.components:
         ut = np.einsum("ed,ed->e", u.values[comp.tri], comp.tangent)

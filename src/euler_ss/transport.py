@@ -696,16 +696,18 @@ def weak_residual(traj: Trajectory, phi: ScalarFieldP1,
         bdry = sum(cv * (states[-1].B[c.comp] - states[0].B[c.comp])
                    for cv, c in zip(comp_const, mesh.components))
     else:
+        # the prescribed boundary fluxes mult * g * length; interior
+        # entries are zero, so only boundary edges carry vorticity
         bd = ~mesh.interior_edge
-        phim = 0.5 * phi.values[mesh.edges[bd]].sum(axis=1)
+        pot_bd = np.where(bd, traj.flux.pot, 0.0)
+        phim = 0.5 * phi.values[mesh.edges].sum(axis=1)
         rows = []
         for s in states:
             in_vals = {c.comp: traj.scenario.omega_in_value(c.comp, s.t)
                        for c in mesh.components if c.role == "inflow"}
-            f = traj.flux.fluxes(s.assembly.psi_total.values,
-                                 s.assembly.multiplier)
-            cf = traj.flux.vorticity_flux(s.omega, f, in_vals)
-            rows.append(float(cf[bd] @ phim))
+            cf = traj.flux.vorticity_flux(
+                s.omega, s.assembly.multiplier * pot_bd, in_vals)
+            rows.append(float(cf @ phim))
         bdry = float(np.trapezoid(np.array(rows), times))
 
     return {"volume": vol_int, "jump": jump, "boundary": bdry,

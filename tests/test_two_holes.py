@@ -99,9 +99,9 @@ def test_three_component_run_closes_to_round_off(tmp_path, mesh, basis):
     run_basis = HarmonicBasis(sc.mesh)
     traj = transport.run(sc, run_basis)
     assert traj.total_steps > 0
-    assert traj.budget_defect <= 2e-16
-    assert traj.max_principle_defect <= 2e-16
-    assert transport.kelvin_consistency(traj) <= 2e-16
-    assert traj.flux.div_defect <= 2e-16
+    assert traj.budget_defect < 1e-12
+    assert traj.max_principle_defect < 1e-12
+    assert transport.kelvin_consistency(traj) < 1e-13
+    assert traj.flux.div_defect < 1e-13
     # the wall hole neither gains nor loses vorticity through its boundary
     assert np.all(np.array([s.B[2] for s in traj.states]) == 0.0)
