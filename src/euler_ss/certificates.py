@@ -187,7 +187,7 @@ class TwinRun:
                     bo += float(np.sum(ut * vt * (-g) * comp.length)) * mult
 
             jac_hat = fem.velocity_gradient(
-                mesh, self.traj1.states[k].assembly.u, self.basis.grads)
+                mesh, self.traj1.states[k].assembly.u)
             adv_u = fem.convective_term(mesh, VelocityP0(mesh, ud), jac_hat)
             adv_v = fem.convective_term(mesh, aux.v, jac_hat)
             om_hat = self.traj1.states[k].omega
@@ -393,8 +393,7 @@ def _dt_series(series: np.ndarray, times: np.ndarray) -> np.ndarray:
 def lamb_identity(mesh: Mesh, u: VelocityP0, v: VelocityP0, w: VelocityP0,
                   curl_u: np.ndarray | None = None,
                   curl_v: np.ndarray | None = None,
-                  jac_w: np.ndarray | None = None,
-                  grads: np.ndarray | None = None) -> dict:
+                  jac_w: np.ndarray | None = None) -> dict:
     """Integration-by-parts identity for a velocity triple:
 
         oint (u.v)(w.n) - oint (u.w)(v.n) - oint (v.w)(u.n)
@@ -406,15 +405,13 @@ def lamb_identity(mesh: Mesh, u: VelocityP0, v: VelocityP0, w: VelocityP0,
     analytic arrays may be passed to certify the quadratures alone.  All
     boundary integrands are full one-sided cell samples.
     """
-    if grads is None:
-        grads = fem.barycentric_gradients(mesh)
     if jac_w is None:
-        jac_w = fem.velocity_gradient(mesh, w, grads)
+        jac_w = fem.velocity_gradient(mesh, w)
     if curl_u is None:
-        ju = fem.velocity_gradient(mesh, u, grads)
+        ju = fem.velocity_gradient(mesh, u)
         curl_u = ju[:, 1, 0] - ju[:, 0, 1]
     if curl_v is None:
-        jv = fem.velocity_gradient(mesh, v, grads)
+        jv = fem.velocity_gradient(mesh, v)
         curl_v = jv[:, 1, 0] - jv[:, 0, 1]
 
     area = mesh.tri_area

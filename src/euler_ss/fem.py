@@ -12,7 +12,20 @@ pins a node set (a Dirichlet trace; one node for the pure Neumann problem,
 with the mean-zero gauge), eliminates it and solves the rest directly with
 a sparse LU factor.  The factor of each pinned set is cached on the
 ``StiffnessOperator``, so the many Green and auxiliary solves of a run
-cost one factorization each and then only triangular solves.
+cost one factorization each and then only triangular solves; a zero trace
+(every Green, auxiliary and gauge solve) adds no coupling product.
+
+Every per-step kernel on cells and vertices is one product with a fixed
+linear map of the mesh, built once on first use (``Mesh``):
+
+* ``gradient``, ``perp_gradient`` and the differentiation in
+  ``velocity_gradient`` multiply by ``Mesh.gradient_operator``, the
+  (2T, V) matrix of the barycentric gradients;
+* ``p0_load_vector`` and ``p0_to_p1`` sum cells around each vertex with
+  ``Mesh.vertex_cells``, the 0/1 vertex x cell incidence whose rows keep
+  the order of a scatter loop over the three corners, so the sums are
+  those of the loop to the last bit; the averaging divides by the cached
+  ``Mesh.vertex_area``.
 
 ``DEFAULT_RTOL`` is the relative accuracy the certificate checks assume of
 a solved field: the trace-inequality harmonicity precondition, the
@@ -104,22 +117,8 @@ class VelocityP0:
 # -- assembly -----------------------------------------------------------
 
 
-def barycentric_gradients(mesh: Mesh) -> np.ndarray:
-    """(T, 3, 2) array: gradient of hat function lambda_i on each triangle.
-
-    For a counterclockwise triangle (p0, p1, p2):
-    grad(lambda_i) = rot90(p_{i+2} - p_{i+1}) / (2 |T|).
-    """
-    v = mesh.vertices[mesh.triangles]
-    g = np.empty((mesh.num_triangles, 3, 2))
-    for i in range(3):
-        g[:, i] = rot90(v[:, (i + 2) % 3] - v[:, (i + 1) % 3])
-    g /= (2.0 * mesh.tri_area)[:, None, None]
-    return g
-
-
 class StiffnessOperator:
-    """Sparse stiffness matrix with cached element data.
+    """Sparse stiffness matrix of a mesh with its cached solve data.
 
     ``factors`` holds the sparse LU factor of every pinned node set solved
     on this operator, with the free-node indices it acts on, keyed by the
@@ -130,15 +129,15 @@ class StiffnessOperator:
 
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
-        self.grads = barycentric_gradients(mesh)
+        grads = mesh.barycentric_gradients
         area = mesh.tri_area
         rows, cols, vals = [], [], []
         for i in range(3):
             for j in range(3):
                 rows.append(mesh.triangles[:, i])
                 cols.append(mesh.triangles[:, j])
-                vals.append(np.einsum("td,td->t", self.grads[:, i],
-                                      self.grads[:, j]) * area)
+                vals.append(np.einsum("td,td->t", grads[:, i],
+                                      grads[:, j]) * area)
         n = mesh.num_vertices
         self.matrix = sp.csr_matrix(
             (np.concatenate(vals),
@@ -161,21 +160,10 @@ def assemble_stiffness(mesh: Mesh) -> StiffnessOperator:
     return StiffnessOperator(mesh)
 
 
-def _to_vertices(mesh: Mesh, cell_values: np.ndarray) -> np.ndarray:
-    """(V, ...) sums of a per-cell quantity (any trailing shape) over the
-    cells around each vertex."""
-    idx = mesh.triangles.T.ravel()
-    cols = cell_values.reshape(len(cell_values), -1).T
-    out = np.column_stack([np.bincount(idx, weights=np.concatenate([col] * 3),
-                                       minlength=mesh.num_vertices)
-                           for col in cols])
-    return out.reshape((mesh.num_vertices,) + cell_values.shape[1:])
-
-
 def p0_load_vector(mesh: Mesh, cell_values: np.ndarray) -> np.ndarray:
     """Nodal load b_a = integral(f * lambda_a) for piecewise constant f."""
     cell_values = np.asarray(cell_values, dtype=np.float64)
-    return _to_vertices(mesh, cell_values * mesh.tri_area / 3.0)
+    return mesh.vertex_cells @ (cell_values * mesh.tri_area / 3.0)
 
 
 def boundary_load_vector(mesh: Mesh, comp_data: dict[int, np.ndarray]
@@ -200,21 +188,21 @@ def boundary_load_vector(mesh: Mesh, comp_data: dict[int, np.ndarray]
 
 
 def _pinned_solve(A: sp.csr_matrix, load: np.ndarray, pinned: np.ndarray,
-                  pinned_values: np.ndarray,
-                  factors: dict | None = None) -> np.ndarray:
+                  x: np.ndarray, factors: dict | None = None) -> np.ndarray:
     """Solve A x = load at the free nodes with x fixed at the pinned nodes.
 
-    The pinned nodes are eliminated symmetrically and A[free][:, free] is
-    factored by sparse LU (SuperLU, minimum-degree ordering on A^T + A).
-    ``factors`` caches the factor per pinned node set, together with the
-    free-node indices it acts on.  Raises SolverError when the reduced
-    matrix is singular.
+    ``pinned`` is a sorted array of distinct nodes and ``x`` holds their
+    values and zero elsewhere; the free entries of ``x`` are filled in
+    place and ``x`` is returned.  The pinned nodes are eliminated
+    symmetrically and A[free][:, free] is factored by sparse LU (SuperLU,
+    minimum-degree ordering on A^T + A).  ``factors`` caches the factor
+    per pinned node set, together with the free-node indices it acts on.
+    Raises SolverError when the reduced matrix is singular.
     """
-    n = A.shape[0]
-    key = np.unique(pinned).tobytes()
+    key = pinned.tobytes()
     cached = factors.get(key) if factors is not None else None
     if cached is None:
-        mask = np.ones(n, dtype=bool)
+        mask = np.ones(A.shape[0], dtype=bool)
         mask[pinned] = False
         free = np.flatnonzero(mask)
         try:
@@ -227,10 +215,11 @@ def _pinned_solve(A: sp.csr_matrix, load: np.ndarray, pinned: np.ndarray,
         if factors is not None:
             factors[key] = cached
     lu, free = cached
-    x = np.zeros(n)
-    x[pinned] = pinned_values
     if free.size:
-        x[free] = lu.solve((load - A @ x)[free])
+        # a zero trace (every Green, auxiliary and gauge solve) couples
+        # nothing into the free rows
+        rhs = (load - A @ x)[free] if x[pinned].any() else load[free]
+        x[free] = lu.solve(rhs)
     return x
 
 
@@ -241,7 +230,7 @@ def solve_mean_zero(A: sp.csr_matrix, load: np.ndarray,
     stiffness or graph Laplacian).  The load loses its nodal mean, node 0
     is pinned to 0, and the result loses its nodal mean."""
     x = _pinned_solve(A, load - load.mean(), np.zeros(1, dtype=np.int64),
-                      np.zeros(1), factors)
+                      np.zeros(A.shape[0]), factors)
     return x - x.mean()
 
 
@@ -249,27 +238,28 @@ def solve_mean_zero(A: sp.csr_matrix, load: np.ndarray,
 
 
 def _dirichlet_trace(mesh: Mesh, bc) -> tuple[np.ndarray, np.ndarray]:
-    """Normalize a Dirichlet spec to (node indices, values).
+    """Normalize a Dirichlet spec to (sorted pinned nodes, nodal array
+    holding the trace there and zero elsewhere).
 
     ``bc`` is either a dict {component id: constant} or a full nodal array
-    whose boundary values are used as the trace.
+    whose boundary values are used as the trace.  The pinned node sets are
+    the mesh's cached ones.
     """
+    x = np.zeros(mesh.num_vertices)
     if isinstance(bc, dict):
-        nodes, vals = [], []
-        for cid, val in bc.items():
-            cn = mesh.component_nodes(cid)
-            nodes.append(cn)
-            vals.append(np.full(len(cn), float(val)))
-        if not nodes:
+        if not bc:
             raise UsageError("empty Dirichlet specification")
-        return np.concatenate(nodes), np.concatenate(vals)
+        for cid, val in bc.items():
+            x[mesh.component_nodes(cid)] = float(val)
+        return mesh.nodes_of(bc), x
     arr = np.asarray(bc, dtype=np.float64)
     if arr.shape != (mesh.num_vertices,):
         raise UsageError(
             f"Dirichlet trace must be a dict or an ({mesh.num_vertices},) "
             f"array, got shape {arr.shape}")
     nodes = mesh.boundary_nodes
-    return nodes, arr[nodes]
+    x[nodes] = arr[nodes]
+    return nodes, x
 
 
 def solve_dirichlet(op: StiffnessOperator, load: np.ndarray, bc
@@ -281,12 +271,12 @@ def solve_dirichlet(op: StiffnessOperator, load: np.ndarray, bc
     laplace(u) = f it is ``-p0_load_vector(mesh, f)``.
     """
     mesh = op.mesh
-    nodes, vals = _dirichlet_trace(mesh, bc)
+    nodes, x = _dirichlet_trace(mesh, bc)
     # an array trace covers every component by construction
     if isinstance(bc, dict) and \
             not {c.comp for c in mesh.components} <= set(bc):
         raise UsageError("Dirichlet solve requires data on every component")
-    return ScalarFieldP1(mesh, _pinned_solve(op.matrix, load, nodes, vals,
+    return ScalarFieldP1(mesh, _pinned_solve(op.matrix, load, nodes, x,
                                              op.factors))
 
 
@@ -332,8 +322,8 @@ def solve_mixed(op: StiffnessOperator, dirichlet: dict[int, float],
                          "Dirichlet and Neumann")
     load = boundary_load_vector(mesh, neumann) if neumann else \
         np.zeros(mesh.num_vertices)
-    nodes, vals = _dirichlet_trace(mesh, dirichlet)
-    return ScalarFieldP1(mesh, _pinned_solve(op.matrix, load, nodes, vals,
+    nodes, x = _dirichlet_trace(mesh, dirichlet)
+    return ScalarFieldP1(mesh, _pinned_solve(op.matrix, load, nodes, x,
                                              op.factors))
 
 
@@ -342,11 +332,12 @@ def solve_constrained(op: StiffnessOperator, load: np.ndarray,
                       ) -> ScalarFieldP1:
     """General solve with an explicit pinned-node set (used by the
     auxiliary-function machinery, where only some components are pinned)."""
-    x = _pinned_solve(op.matrix, load,
-                      np.asarray(pinned_nodes, dtype=np.int64),
-                      np.asarray(pinned_values, dtype=np.float64),
-                      op.factors)
-    return ScalarFieldP1(op.mesh, x)
+    nodes = np.asarray(pinned_nodes, dtype=np.int64)
+    x = np.zeros(op.mesh.num_vertices)
+    x[nodes] = np.asarray(pinned_values, dtype=np.float64)
+    return ScalarFieldP1(op.mesh, _pinned_solve(op.matrix, load,
+                                                np.unique(nodes), x,
+                                                op.factors))
 
 
 # -- consistent fluxes --------------------------------------------------
@@ -398,41 +389,36 @@ def interior_residual_norm(op: StiffnessOperator, field: ScalarFieldP1,
 # -- discrete calculus --------------------------------------------------
 
 
-def gradient(mesh: Mesh, field: ScalarFieldP1,
-             grads: np.ndarray | None = None) -> VelocityP0:
-    """Per-triangle gradient of a P1 field."""
-    if grads is None:
-        grads = barycentric_gradients(mesh)
-    vals = np.einsum("tid,ti->td", grads, field.values[mesh.triangles])
-    return VelocityP0(mesh, vals)
+def gradient(mesh: Mesh, field: ScalarFieldP1) -> VelocityP0:
+    """Per-triangle gradient of a P1 field (one product with the mesh's
+    gradient operator)."""
+    return VelocityP0(mesh, (mesh.gradient_operator @ field.values)
+                      .reshape(-1, 2))
 
 
-def perp_gradient(mesh: Mesh, field: ScalarFieldP1,
-                  grads: np.ndarray | None = None) -> VelocityP0:
+def perp_gradient(mesh: Mesh, field: ScalarFieldP1) -> VelocityP0:
     """Per-triangle grad_perp = (-d_y, d_x) of a P1 field."""
-    g = gradient(mesh, field, grads)
-    return VelocityP0(mesh, rot90(g.values))
+    return VelocityP0(mesh, rot90(gradient(mesh, field).values))
 
 
 def p0_to_p1(mesh: Mesh, cell_values: np.ndarray) -> np.ndarray:
     """Area-weighted nodal averaging of a per-cell quantity (any trailing
     shape), the recovery used for gradients of P0 velocities."""
     cell_values = np.asarray(cell_values, dtype=np.float64)
-    shape = (-1,) + (1,) * (cell_values.ndim - 1)
-    w = mesh.tri_area
-    return _to_vertices(mesh, cell_values * w.reshape(shape)) \
-        / _to_vertices(mesh, w).reshape(shape)
+    shape = cell_values.shape
+    weighted = (cell_values.reshape(shape[0], -1)
+                * mesh.tri_area[:, None])
+    nodal = (mesh.vertex_cells @ weighted) / mesh.vertex_area[:, None]
+    return nodal.reshape((mesh.num_vertices,) + shape[1:])
 
 
-def velocity_gradient(mesh: Mesh, u: VelocityP0,
-                      grads: np.ndarray | None = None) -> np.ndarray:
+def velocity_gradient(mesh: Mesh, u: VelocityP0) -> np.ndarray:
     """(T, 2, 2) recovered Jacobian J[t, k, d] = d_d(u_k): each component
     is averaged to the vertices, then differentiated per triangle."""
-    if grads is None:
-        grads = barycentric_gradients(mesh)
     nodal = p0_to_p1(mesh, u.values)                     # (V, 2)
-    # J[t, k, d] = sum_i grads[t, i, d] * nodal[tri[t, i], k]
-    return np.einsum("tid,tik->tkd", grads, nodal[mesh.triangles])
+    # row 2t + d, column k of the product is d_d(u_k) on triangle t
+    return (mesh.gradient_operator @ nodal).reshape(-1, 2, 2) \
+        .transpose(0, 2, 1)
 
 
 def convective_term(mesh: Mesh, a: VelocityP0, jac_b: np.ndarray
@@ -471,10 +457,9 @@ def lp_norm_p1(mesh: Mesh, field: ScalarFieldP1, p: float) -> float:
     return top * float(cell.sum() ** (1.0 / p))
 
 
-def w1p_seminorm_p0(mesh: Mesh, u: VelocityP0, p: float,
-                    grads: np.ndarray | None = None) -> float:
+def w1p_seminorm_p0(mesh: Mesh, u: VelocityP0, p: float) -> float:
     """L^p norm of the recovered velocity Jacobian (Frobenius per cell)."""
-    jac = velocity_gradient(mesh, u, grads)
+    jac = velocity_gradient(mesh, u)
     mag = np.linalg.norm(jac.reshape(len(jac), 4), axis=1)
     if np.isinf(p):
         return float(mag.max(initial=0.0))

@@ -79,7 +79,6 @@ class HarmonicBasis:
     def __init__(self, mesh: Mesh, op: StiffnessOperator | None = None):
         self.mesh = mesh
         self.op = op if op is not None else fem.assemble_stiffness(mesh)
-        self.grads = self.op.grads
         self.inner = [c.comp for c in mesh.components[1:]]
         zero_load = np.zeros(mesh.num_vertices)
         self.fields: list[ScalarFieldP1] = []
@@ -141,7 +140,8 @@ def reconstruct_velocity(basis: HarmonicBasis, omega: VorticityP0,
     ``circulations`` lists C_i for the inner components in order.  ``phi``
     and ``phi_grad`` may carry a cached unit-multiplier potential solve;
     otherwise the Neumann problem is solved here.  The sign condition on g
-    is a hard precondition.
+    is a hard precondition, checked here whenever the potential is solved
+    here; a caller handing in ``phi`` has checked it against the same g.
     """
     mesh = basis.mesh
     C = np.asarray(circulations, dtype=np.float64)
@@ -150,11 +150,11 @@ def reconstruct_velocity(basis: HarmonicBasis, omega: VorticityP0,
             f"need {basis.num_inner} circulation value(s), got {C.shape}")
 
     if g_edges:
-        validate_sign_condition(mesh, g_edges)
         if phi is None:
+            validate_sign_condition(mesh, g_edges)
             phi = fem.solve_neumann(basis.op, g_edges)
         if phi_grad is None:
-            phi_grad = fem.gradient(mesh, phi, basis.grads)
+            phi_grad = fem.gradient(mesh, phi)
     else:
         phi = None
         phi_grad = None
@@ -169,7 +169,7 @@ def reconstruct_velocity(basis: HarmonicBasis, omega: VorticityP0,
         total += c_i * f.values
     psi_total = ScalarFieldP1(mesh, total)
 
-    u_vals = fem.perp_gradient(mesh, psi_total, basis.grads).values
+    u_vals = fem.perp_gradient(mesh, psi_total).values
     if phi_grad is not None:
         u_vals = u_vals + multiplier * phi_grad.values
     u = VelocityP0(mesh, u_vals)
@@ -205,7 +205,7 @@ def check_elliptic_growth(basis: HarmonicBasis, assembly: VelocityAssembly,
     c_sum = float(np.abs(np.asarray(circulations)).sum())
     rows = []
     for p in p_grid:
-        semi = fem.w1p_seminorm_p0(mesh, assembly.u, p, basis.grads)
+        semi = fem.w1p_seminorm_p0(mesh, assembly.u, p)
         up = fem.lp_norm_p0(mesh, assembly.u.values, p)
         proxy = (up ** p + semi ** p) ** (1.0 / p)
         data = fem.lp_norm_p0(mesh, omega.values, p) + g_inf + c_sum

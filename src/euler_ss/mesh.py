@@ -22,6 +22,10 @@ Text format (one mesh per file)::
 
 Circles produced by the annulus generator remember their radii so midpoint
 refinement can project new boundary vertices back onto the circle.
+
+The fixed linear maps of a mesh (the cell x edge and vertex x cell
+incidences, the P1 gradient operator, the cell graph with its Laplacian
+factor) are built once, on first use, and shared by every run on it.
 """
 
 from __future__ import annotations
@@ -65,6 +69,22 @@ class BoundaryComponent:
         """Boundary length owned by each loop vertex (``nodes`` order):
         half of each of its two adjacent edges."""
         return 0.5 * (self.length + np.roll(self.length, 1))
+
+
+@dataclass
+class CellGraph:
+    """The cell graph of a mesh: cells joined across interior edges.
+
+    ``incidence`` holds the columns of ``Mesh.incidence`` at the interior
+    edges ``interior``; ``laplacian`` is incidence @ incidence^T.  The
+    matrix never changes, so ``factors`` caches the sparse LU factor of
+    its pinned solves (``fem.solve_mean_zero``) for the mesh's lifetime.
+    """
+
+    interior: np.ndarray
+    incidence: sp.csr_matrix
+    laplacian: sp.csr_matrix
+    factors: dict
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -123,30 +143,40 @@ class Mesh:
         # triangle; the triangle interior lies on the left of each
         directed = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
         owner = np.concatenate([np.arange(len(t))] * 3)
-        key = {}
-        edges = []
-        edge_left = []
-        edge_right = []
-        for (a, b), tri in zip(directed.tolist(), owner.tolist()):
-            k = (b, a)
-            if k in key:
-                e = key[k]
-                if edge_right[e] != -1:
-                    raise UsageError(
-                        f"edge ({b}, {a}) shared by more than two triangles")
-                edge_right[e] = tri
-            else:
-                if (a, b) in key:
-                    raise UsageError(
-                        f"edge ({a}, {b}) traversed twice in the same direction "
-                        "(inconsistent orientation)")
-                key[(a, b)] = len(edges)
-                edges.append((a, b))
-                edge_left.append(tri)
-                edge_right.append(-1)
-        self.edges = np.asarray(edges, dtype=np.int64)          # directed a->b
-        self.edge_left = np.asarray(edge_left, dtype=np.int64)   # fluid left of a->b
-        self.edge_right = np.asarray(edge_right, dtype=np.int64)  # -1 on boundary
+        # one edge per undirected vertex pair, numbered by first occurrence
+        # and directed as it first occurs; the left cell is that occurrence's
+        key = directed.min(axis=1) * max(self.num_vertices, 1) \
+            + directed.max(axis=1)
+        _, first, inverse = np.unique(key, return_index=True,
+                                      return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        eid = rank[inverse]                 # edge id of every occurrence
+        first = first[order]
+        self.edges = directed[first]                 # directed a->b
+        self.edge_left = owner[first]                # fluid left of a->b
+        # the first reversed occurrence of an edge gives its right cell
+        same = directed[:, 0] == self.edges[eid, 0]
+        rev = np.flatnonzero(~same)
+        rev_edges, rev_first = np.unique(eid[rev], return_index=True)
+        self.edge_right = np.full(len(first), -1, dtype=np.int64)
+        self.edge_right[rev_edges] = owner[rev[rev_first]]  # -1 on boundary
+        # every other occurrence is an error; report the earliest one
+        extra = np.ones(len(directed), dtype=bool)
+        extra[first] = False
+        extra[rev[rev_first]] = False
+        if extra.any():
+            p = int(np.flatnonzero(extra)[0])
+            a, b = (int(v) for v in self.edges[eid[p]])
+            if same[p]:
+                raise UsageError(
+                    f"edge ({a}, {b}) traversed twice in the same direction "
+                    "(inconsistent orientation)")
+            raise UsageError(
+                f"edge ({a}, {b}) shared by more than two triangles")
+        # edges (0, 1), (1, 2), (2, 0) of every triangle
+        self.tri_edges = eid.reshape(3, -1).T
         vec = self.vertices[self.edges[:, 1]] - self.vertices[self.edges[:, 0]]
         self.edge_length = np.linalg.norm(vec, axis=1)
         # normal = tangent rotated -90 degrees: points right of a->b, i.e.
@@ -156,8 +186,6 @@ class Mesh:
         self.edge_normal[:, 1] = -vec[:, 0]
         self.edge_normal /= self.edge_length[:, None]
         self.interior_edge = self.edge_right >= 0
-        self._edge_index = {(int(a), int(b)): i
-                            for i, (a, b) in enumerate(self.edges)}
 
     def _build_components(self, bedges: np.ndarray, roles: dict,
                           validate: bool) -> None:
@@ -294,11 +322,15 @@ class Mesh:
     def euler_characteristic(self) -> int:
         return len(self.vertices) - len(self.edges) + len(self.triangles)
 
+    def _comp_index(self, comp) -> int:
+        """``comp`` as an index into ``components``; a negative or
+        out-of-range id is a usage error, never a wrapped index."""
+        if not 0 <= comp < len(self.components):
+            raise UsageError(f"no boundary component {comp}")
+        return comp
+
     def component(self, comp: int) -> BoundaryComponent:
-        try:
-            return self.components[comp]
-        except IndexError:
-            raise UsageError(f"no boundary component {comp}") from None
+        return self.components[self._comp_index(comp)]
 
     @property
     def boundary_nodes(self) -> np.ndarray:
@@ -307,7 +339,7 @@ class Mesh:
 
     def component_nodes(self, comp: int) -> np.ndarray:
         """Sorted, read-only array of the vertices of one component."""
-        return self._component_nodes[comp]
+        return self._component_nodes[self._comp_index(comp)]
 
     def nodes_of(self, comps) -> np.ndarray:
         """Sorted, read-only union of the vertices of several components,
@@ -315,8 +347,11 @@ class Mesh:
         key = tuple(sorted(set(comps)))
         if key not in self._node_sets:
             self._node_sets[key] = _read_only(np.unique(np.concatenate(
-                [self._component_nodes[c] for c in key])))
+                [self._component_nodes[self._comp_index(c)]
+                 for c in key])))
         return self._node_sets[key]
+
+    # -- fixed linear maps, each built once on first use ----------------
 
     @cached_property
     def incidence(self) -> sp.csr_matrix:
@@ -331,6 +366,62 @@ class Mesh:
              (np.concatenate([self.edge_left, self.edge_right[interior]]),
               np.concatenate([np.arange(ne), interior]))),
             shape=(self.num_triangles, ne))
+
+    @cached_property
+    def cell_graph(self) -> CellGraph:
+        """Interior-edge incidence and Laplacian of the cell graph, with
+        the factor cache of its pinned solves (see ``CellGraph``)."""
+        interior = np.flatnonzero(self.interior_edge)
+        D_int = self.incidence[:, interior].tocsr()
+        return CellGraph(interior=interior, incidence=D_int,
+                         laplacian=(D_int @ D_int.T).tocsr(), factors={})
+
+    @cached_property
+    def vertex_cells(self) -> sp.csr_matrix:
+        """0/1 vertex x cell incidence.  Each row lists the cells of its
+        vertex corner by corner (every cell at its corner 0, then at its
+        corner 1, then at corner 2), so ``vertex_cells @ x`` sums the cells
+        around a vertex in the order of a scatter loop over the three
+        corners: the sums are equal to the last bit."""
+        nt = self.num_triangles
+        corner_major = self.triangles.T.ravel()
+        order = np.argsort(corner_major, kind="stable")
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(
+            corner_major, minlength=self.num_vertices))])
+        return sp.csr_matrix(
+            (np.ones(3 * nt), np.tile(np.arange(nt), 3)[order], indptr),
+            shape=(self.num_vertices, nt))
+
+    @cached_property
+    def vertex_area(self) -> np.ndarray:
+        """Area of the cells around each vertex (``vertex_cells`` sums)."""
+        return _read_only(self.vertex_cells @ self.tri_area)
+
+    @cached_property
+    def barycentric_gradients(self) -> np.ndarray:
+        """Read-only (T, 3, 2) array: the gradient of the hat function
+        lambda_i on each triangle.  For a counterclockwise triangle
+        (p0, p1, p2), grad(lambda_i) = rot90(p_{i+2} - p_{i+1}) / (2 |T|),
+        with rot90 (x, y) -> (-y, x)."""
+        v = self.vertices[self.triangles]
+        opposite = v[:, [2, 0, 1]] - v[:, [1, 2, 0]]
+        g = np.empty((self.num_triangles, 3, 2))
+        g[..., 0] = -opposite[..., 1]
+        g[..., 1] = opposite[..., 0]
+        g /= (2.0 * self.tri_area)[:, None, None]
+        return _read_only(g)
+
+    @cached_property
+    def gradient_operator(self) -> sp.csr_matrix:
+        """(2T, V) P1 gradient: row 2t + d of ``gradient_operator @ f`` is
+        d_d f on triangle t, a sum over its three corners in order."""
+        nt = self.num_triangles
+        g = self.barycentric_gradients
+        return sp.csr_matrix(
+            (g.transpose(0, 2, 1).ravel(),
+             np.repeat(self.triangles, 2, axis=0).ravel(),
+             np.arange(0, 6 * nt + 1, 3)),
+            shape=(2 * nt, self.num_vertices))
 
     def roles(self) -> dict[int, str]:
         return {c.comp: c.role for c in self.components}
@@ -406,20 +497,10 @@ def uniform_refine(mesh: Mesh) -> Mesh:
 
     vertices = np.vstack([mesh.vertices, mids])
 
-    def eid(a, b):
-        if (a, b) in mesh._edge_index:
-            return mesh._edge_index[(a, b)]
-        return mesh._edge_index[(b, a)]
-
-    tris = np.empty((4 * mesh.num_triangles, 3), dtype=np.int64)
-    for t, (a, b, c) in enumerate(mesh.triangles.tolist()):
-        mab = mid_id[eid(a, b)]
-        mbc = mid_id[eid(b, c)]
-        mca = mid_id[eid(c, a)]
-        tris[4 * t + 0] = (a, mab, mca)
-        tris[4 * t + 1] = (mab, b, mbc)
-        tris[4 * t + 2] = (mca, mbc, c)
-        tris[4 * t + 3] = (mab, mbc, mca)
+    a, b, c = mesh.triangles.T
+    mab, mbc, mca = mid_id[mesh.tri_edges].T
+    tris = np.stack([a, mab, mca, mab, b, mbc, mca, mbc, c, mab, mbc, mca],
+                    axis=1).reshape(-1, 3)
 
     bedges = []
     for comp in mesh.components:

@@ -20,11 +20,15 @@ cell of each directed edge), and every cell sum goes through the mesh's
 signed cell x edge incidence D (``Mesh.incidence``): the cell divergence of
 the upwind vorticity flux is D @ (f * upwind), the positive outflux of each
 cell is (|D| @ |f| + D @ f) / 2, and the projection's cell-graph Laplacian
-is D D^T restricted to the interior edges.
+is D D^T restricted to the interior edges.  That Laplacian, its interior
+columns and its sparse LU factor belong to the mesh (``Mesh.cell_graph``),
+so every ``FluxAssembler`` of one mesh (the twin and ladder runs) shares
+one factorization and pays one triangular solve for its own g.
 
 Time stepping is forward Euler (optionally a two-stage strong-stability
 update) under a CFL cap combining the incircle-diameter travel time with a
-positivity cap on the total outflux of each cell; steps land exactly on the
+positivity cap on the total outflux of each cell (one maximum of cell
+rates, |u|^2 / d^2 and outflux / area); steps land exactly on the
 requested snapshot times.  Circulations on the inner components evolve by
 the boundary vorticity flux, summed per component from the same upwind
 edge array that serves the vorticity budget, so the two stay consistent to
@@ -353,11 +357,17 @@ class Scenario:
     def perturbed(self, **delta) -> "Scenario":
         """Copy with additive perturbations: C0={comp: dC}, omega0=dw
         (constant shift), omega_in={comp: dw}.  The shifts are stored as
-        numbers, which ``initial_omega`` and ``omega_in_value`` add."""
+        numbers, which ``initial_omega`` and ``omega_in_value`` add.  A
+        C0 shift names an inner component, an omega_in shift an inflow
+        component; any other id is a usage error."""
         other = copy.copy(self)
         if "C0" in delta:
             other.C0 = dict(self.C0)
+            inner = {c.comp for c in self.mesh.components[1:]}
             for cid, dv in delta["C0"].items():
+                if cid not in inner:
+                    raise UsageError(f"C0: component {cid} is not an inner "
+                                     "component")
                 other.C0[cid] = other.C0.get(cid, 0.0) + dv
         if "omega0" in delta:
             other.omega0_shift = self.omega0_shift + float(delta["omega0"])
@@ -389,13 +399,19 @@ def load_scenario(path) -> Scenario:
 
 class FluxAssembler:
     """Edge fluxes of one mesh and one g profile, with every cell and
-    component sum taken by an incidence matrix."""
+    component sum taken by an incidence matrix.  The cell-graph Laplacian
+    and its factor belong to the mesh (``Mesh.cell_graph``), so every
+    assembler of one mesh shares them."""
 
     def __init__(self, mesh: Mesh, g_edges: dict[int, np.ndarray],
                  phi_grad: VelocityP0 | None):
         self.mesh = mesh
         self.D = mesh.incidence
         self.abs_D = abs(self.D)
+        # squared inverse incircle diameters and inverse areas: the CFL
+        # rates of each cell are products with these
+        self.inv_d2 = mesh.incircle_diameter ** -2
+        self.inv_area = 1.0 / mesh.tri_area
         # boundary edges take their first vertex at both ends, so their
         # stream jump is exactly zero
         self.ia = mesh.edges[:, 0]
@@ -424,17 +440,17 @@ class FluxAssembler:
         """Averaged-gradient interior fluxes corrected to make every cell
         exactly divergence free against the prescribed boundary fluxes."""
         mesh = self.mesh
+        graph = mesh.cell_graph
         gv = phi_grad.values
-        ids = np.flatnonzero(mesh.interior_edge)
+        ids = graph.interior
         n = mesh.edge_normal[ids]
         ln = mesh.edge_length[ids]
         self.pot[ids] = 0.5 * np.einsum(
             "ed,ed->e", gv[mesh.edge_left[ids]] + gv[mesh.edge_right[ids]],
             n) * ln
-        D_int = self.D[:, ids]
-        y = fem.solve_mean_zero((D_int @ D_int.T).tocsr(),
-                                -(self.D @ self.pot))
-        self.pot[ids] += D_int.T @ y
+        y = fem.solve_mean_zero(graph.laplacian, -(self.D @ self.pot),
+                                graph.factors)
+        self.pot[ids] += graph.incidence.T @ y
         self.div_defect = float(np.abs(self.D @ self.pot).max())
 
     def fluxes(self, psi_vals: np.ndarray, mult: float) -> np.ndarray:
@@ -444,20 +460,15 @@ class FluxAssembler:
         return (psi_vals[self.ia] - psi_vals[self.ib]) + mult * self.pot
 
     def stable_dt(self, u: VelocityP0, f: np.ndarray, cfl: float) -> float:
-        mesh = self.mesh
-        speed = np.linalg.norm(u.values, axis=1)
-        with np.errstate(divide="ignore"):
-            adv = float(np.min(np.where(speed > 0,
-                                        mesh.incircle_diameter
-                                        / np.maximum(speed, 1e-300),
-                                        np.inf)))
+        """cfl times the shortest of two times over all cells: the travel
+        time d / |u| across the incircle diameter d, and the time
+        area / outflux in which the positive outflux empties the cell.
+        Infinite when nothing moves."""
+        ux, uy = u.values[:, 0], u.values[:, 1]
+        adv2 = float(np.max((ux * ux + uy * uy) * self.inv_d2))
         outflux = 0.5 * (self.abs_D @ np.abs(f) + self.D @ f)
-        with np.errstate(divide="ignore"):
-            pos = float(np.min(np.where(outflux > 0,
-                                        mesh.tri_area
-                                        / np.maximum(outflux, 1e-300),
-                                        np.inf)))
-        return cfl * min(adv, pos)
+        rate = max(math.sqrt(adv2), float(np.max(outflux * self.inv_area)))
+        return cfl / rate if rate > 0 else math.inf
 
     def vorticity_flux(self, omega: np.ndarray, f: np.ndarray,
                        omega_in_vals: dict[int, float]) -> np.ndarray:
@@ -532,7 +543,7 @@ def run(scenario: Scenario, basis: HarmonicBasis | None = None) -> Trajectory:
     if has_flow:
         hodge.validate_sign_condition(mesh, g_edges)
         phi = fem.solve_neumann(basis.op, g_edges)
-        phi_grad = fem.gradient(mesh, phi, basis.grads)
+        phi_grad = fem.gradient(mesh, phi)
     flux = FluxAssembler(mesh, g_edges, phi_grad)
 
     omega = scenario.initial_omega(mesh)
@@ -666,8 +677,7 @@ def weak_residual(traj: Trajectory, phi: ScalarFieldP1,
     mesh = traj.mesh
     states = traj.states[k0:k1 + 1]
     times = np.array([s.t for s in states])
-    grads = traj.basis.grads
-    gphi = fem.gradient(mesh, phi, grads).values
+    gphi = fem.gradient(mesh, phi).values
 
     vol = np.array([float(np.einsum("t,td,td,t->", s.omega,
                                     s.assembly.u.values, gphi,

@@ -70,7 +70,7 @@ def solve_auxiliary(basis: HarmonicBasis, psi: ScalarFieldP1,
                                 np.zeros(len(nodes)))
     # consistent fluxes of phi with a zero pairing load
     D = fem.consistent_fluxes(basis.op, phi, np.zeros(mesh.num_vertices))
-    v = fem.perp_gradient(mesh, phi, basis.grads)
+    v = fem.perp_gradient(mesh, phi)
     return AuxiliaryState(phi=phi, v=v, D=D, load=load,
                           pinned_components=pinned, free_components=free)
 

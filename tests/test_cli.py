@@ -212,6 +212,15 @@ def test_certify_delta_omega_in_needs_inflow(tmp_path, scenario_file,
     assert "not an inflow" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("delta", ["5=0.1", "0=0.1"])
+def test_certify_delta_c0_needs_inner_component(tmp_path, scenario_file,
+                                                capsys, delta):
+    rc = main(["certify", str(scenario_file), "--delta-c0", delta,
+               "-o", str(tmp_path / "cert")])
+    assert rc == 2
+    assert "not an inner component" in capsys.readouterr().err
+
+
 # -- stability ----------------------------------------------------------
 
 

@@ -204,6 +204,28 @@ def test_gradients_exact_for_linear_fields(annulus):
                                atol=1e-12)
 
 
+def test_gradient_operators_match_einsum_reference(annulus):
+    m, tri = annulus, annulus.triangles
+    v = m.vertices[tri]
+    grads = m.barycentric_gradients
+    for i in range(3):
+        np.testing.assert_array_equal(
+            grads[:, i], fem.rot90(v[:, (i + 2) % 3] - v[:, (i + 1) % 3])
+            / (2.0 * m.tri_area)[:, None])
+    rng = np.random.default_rng(9)
+    f = fem.ScalarFieldP1(m, rng.standard_normal(m.num_vertices))
+    ref = np.einsum("tid,ti->td", grads, f.values[tri])
+    tol = 1e-14 * np.abs(ref).max()
+    assert np.abs(fem.gradient(m, f).values - ref).max() <= tol
+    assert np.abs(fem.perp_gradient(m, f).values - fem.rot90(ref)).max() \
+        <= tol
+    u = fem.VelocityP0(m, rng.standard_normal((m.num_triangles, 2)))
+    ref_j = np.einsum("tid,tik->tkd", grads,
+                      fem.p0_to_p1(m, u.values)[tri])
+    assert np.abs(fem.velocity_gradient(m, u) - ref_j).max() \
+        <= 1e-14 * np.abs(ref_j).max()
+
+
 def test_rot90_convention():
     np.testing.assert_allclose(fem.rot90(np.array([[1.0, 0.0]])),
                                [[0.0, 1.0]])
@@ -305,6 +327,15 @@ def test_repeated_solves_reuse_cached_factors():
         free, np.setdiff1d(np.arange(mesh.num_vertices), mesh.boundary_nodes))
     zaremba.solve_auxiliary(basis, psi0, omega)
     assert len(basis.op.factors) == 2      # auxiliary: non-inflow pinned
+
+
+def test_negative_component_id_is_usage_error(stiffness):
+    # a negative id must not wrap around to the last component
+    with pytest.raises(UsageError, match="no boundary component -1"):
+        fem.solve_mixed(stiffness, {-1: 1.0}, {})
+    with pytest.raises(UsageError, match="no boundary component -1"):
+        fem.solve_dirichlet(stiffness, np.zeros(stiffness.mesh.num_vertices),
+                            {0: 0.0, 1: 0.0, -1: 1.0})
 
 
 def test_singular_system_is_solver_error():

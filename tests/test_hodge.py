@@ -75,7 +75,7 @@ def test_biot_savart_no_slip_walls(basis_mid):
     m = basis_mid.mesh
     w = fem.VorticityP0(m, np.ones(m.num_triangles))
     psi0, _ = greens_operator(basis_mid, w)
-    u = fem.perp_gradient(m, psi0, basis_mid.grads)
+    u = fem.perp_gradient(m, psi0)
     for c in m.components:
         un = np.einsum("ed,ed->e", u.values[c.tri], c.normal)
         assert np.abs(un).max() < 1e-13

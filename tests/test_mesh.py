@@ -68,6 +68,71 @@ def test_edge_table_consistency():
     assert (~m.interior_edge).sum() == n_bdry
 
 
+def _loop_edge_table(triangles):
+    """Reference: the edge table by a dictionary loop over the directed
+    edges (edge 0 of every triangle, then edge 1, then edge 2)."""
+    t = np.asarray(triangles)
+    directed = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
+    owner = np.concatenate([np.arange(len(t))] * 3)
+    key, edges, left, right = {}, [], [], []
+    for (a, b), tri in zip(directed.tolist(), owner.tolist()):
+        if (b, a) in key:
+            e = key[(b, a)]
+            if right[e] != -1:
+                raise UsageError(
+                    f"edge ({b}, {a}) shared by more than two triangles")
+            right[e] = tri
+        else:
+            if (a, b) in key:
+                raise UsageError(
+                    f"edge ({a}, {b}) traversed twice in the same direction "
+                    "(inconsistent orientation)")
+            key[(a, b)] = len(edges)
+            edges.append((a, b))
+            left.append(tri)
+            right.append(-1)
+    return np.array(edges), np.array(left), np.array(right)
+
+
+def test_edge_table_matches_loop_reference():
+    coarse = generate_annulus(1.0, 2.0, 3, 12)
+    for m in (coarse, uniform_refine(coarse)):
+        edges, left, right = _loop_edge_table(m.triangles)
+        np.testing.assert_array_equal(m.edges, edges)
+        np.testing.assert_array_equal(m.edge_left, left)
+        np.testing.assert_array_equal(m.edge_right, right)
+        # tri_edges lists the edges (0, 1), (1, 2), (2, 0) of each triangle
+        for i in range(3):
+            pair = np.sort(m.triangles[:, [i, (i + 1) % 3]], axis=1)
+            np.testing.assert_array_equal(
+                np.sort(m.edges[m.tri_edges[:, i]], axis=1), pair)
+
+
+@pytest.mark.parametrize("triangles", [
+    [[0, 1, 2], [1, 0, 3], [1, 0, 5]],     # edge (0, 1) in three cells
+    [[0, 1, 2], [0, 1, 4], [1, 0, 3]],     # edge (0, 1) twice forward
+    [[0, 1, 2], [1, 0, 3], [0, 1, 4]],     # a reversed pair, then forward
+])
+def test_edge_table_errors_match_loop_reference(triangles):
+    vertices = [[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0],
+                [0.5, 2.0], [0.5, -2.0]]
+    with pytest.raises(UsageError) as ref:
+        _loop_edge_table(triangles)
+    with pytest.raises(UsageError) as got:
+        Mesh(vertices, triangles, np.zeros((0, 3), dtype=int), {})
+    assert str(got.value) == str(ref.value)
+
+
+def test_negative_component_id_is_usage_error():
+    m = generate_annulus(1.0, 2.0, 2, 8)
+    for query in (m.component, m.component_nodes,
+                  lambda c: m.nodes_of([c])):
+        for bad in (-1, 2):
+            with pytest.raises(UsageError, match=f"no boundary component "
+                                                 f"{bad}"):
+                query(bad)
+
+
 def test_component_nodes_match_loops():
     m = generate_annulus(1.0, 2.0, 2, 8)
     assert set(m.component_nodes(0)) == set(m.component(0).nodes)

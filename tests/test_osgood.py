@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from euler_ss import osgood
+from euler_ss import fem, osgood
 from euler_ss.errors import UsageError
 from euler_ss.osgood import (P_SWITCH, calibrate_constant, choose_p,
                              comparison_oracle, exact_comparison, growth_F,
@@ -228,6 +228,22 @@ def test_stability_scaling_and_constants(stability_report):
     assert rep.C_dev <= 0.5
     assert rep.C_spread >= 1.0
     assert rep.noise_floor < 1e-20
+
+
+def test_ladder_factors_each_system_once(tmp_path, monkeypatch):
+    calls = []
+    real = fem.spla.splu
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fem.spla, "splu", counted)
+    sc = modulated_band_scenario(tmp_path, nr=4, ntheta=16)
+    stability_experiment(sc, [1e-3, 3e-3, 1e-2, 3e-2, 1e-1])
+    # six runs share one mesh: the Dirichlet (basis and Green), Neumann,
+    # auxiliary and cell-graph systems are factored once each
+    assert len(calls) == 4
 
 
 def test_stability_rejects_negative_delta(tmp_path):

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from euler_ss import transport
+from euler_ss import fem, transport
 from euler_ss.errors import PreconditionError, UsageError
+from euler_ss.fem import VelocityP0
 from euler_ss.hodge import HarmonicBasis
 from euler_ss.mesh import generate_annulus, save_mesh
 
@@ -178,6 +179,9 @@ def test_perturbed_is_additive():
     assert pert.C0[1] == pytest.approx(0.4)
     assert sc.C0[1] == pytest.approx(0.3)
     assert pert.mesh is sc.mesh
+    for bad in (0, 5):
+        with pytest.raises(UsageError, match="not an inner"):
+            sc.perturbed(C0={bad: 0.1})
 
 
 def test_perturbed_shifts_omega0_and_omega_in():
@@ -254,6 +258,50 @@ def test_flux_sums_match_scatter_reference(flow_pair):
     assert np.abs(div - ref_div).max() <= 4 * tol
     assert np.abs(rates - ref_rates).max() <= len(cf) * tol
     assert dt == pytest.approx(ref_dt, rel=1e-14)
+
+
+def test_stable_dt_matches_norm_formula(flow_pair):
+    traj, _ = flow_pair
+    mesh, flux = traj.mesh, traj.flux
+    for s in traj.states:
+        u = s.assembly.u
+        f = flux.fluxes(s.assembly.psi_total.values, s.assembly.multiplier)
+        speed = np.linalg.norm(u.values, axis=1)
+        outflux = 0.5 * (flux.abs_D @ np.abs(f) + flux.D @ f)
+        with np.errstate(divide="ignore"):
+            adv = np.min(np.where(speed > 0, mesh.incircle_diameter
+                                  / np.maximum(speed, 1e-300), np.inf))
+            pos = np.min(np.where(outflux > 0, mesh.tri_area
+                                  / np.maximum(outflux, 1e-300), np.inf))
+        assert flux.stable_dt(u, f, 0.4) == \
+            pytest.approx(0.4 * min(adv, pos), rel=1e-14)
+    still = VelocityP0(mesh, np.zeros((mesh.num_triangles, 2)))
+    assert flux.stable_dt(still, np.zeros(len(mesh.edges)), 0.4) == math.inf
+
+
+def test_flux_assemblers_share_the_graph_factor(monkeypatch):
+    calls = []
+    real = fem.spla.splu
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fem.spla, "splu", counted)
+    mesh = generate_annulus(1.0, 2.0, 4, 16, roles=("outflow", "inflow"))
+    basis = HarmonicBasis(mesh)
+    g = {0: np.full(16, 0.25), 1: np.full(16, -0.5)}
+    phi_grad = fem.gradient(mesh, fem.solve_neumann(basis.op, g))
+    solver_calls = len(calls)
+    a = transport.FluxAssembler(mesh, g, phi_grad)
+    g2 = {c: 2.0 * v for c, v in g.items()}
+    b = transport.FluxAssembler(mesh, g2,
+                                VelocityP0(mesh, 2.0 * phi_grad.values))
+    assert calls[solver_calls:] == [(mesh.num_triangles - 1,) * 2]
+    assert len(mesh.cell_graph.factors) == 1
+    assert max(a.div_defect, b.div_defect) < 1e-13
+    np.testing.assert_allclose(b.pot, 2.0 * a.pot, rtol=1e-12,
+                               atol=1e-14 * np.abs(a.pot).max())
 
 
 def test_snapshots_land_exactly(flow_scenario):
