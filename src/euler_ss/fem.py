@@ -13,14 +13,16 @@ with the mean-zero gauge), eliminates it and solves the rest directly with
 a sparse LU factor.  The factor of each pinned set is cached on the
 ``StiffnessOperator``, so the many Green and auxiliary solves of a run
 cost one factorization each and then only triangular solves; a zero trace
-(every Green, auxiliary and gauge solve) adds no coupling product.
+(every Green, auxiliary and gauge solve) writes no trace values and adds no
+coupling product.
 
 Every per-step kernel on cells and vertices is one product with a fixed
 linear map of the mesh, built once on first use (``Mesh``):
 
-* ``gradient``, ``perp_gradient`` and the differentiation in
-  ``velocity_gradient`` multiply by ``Mesh.gradient_operator``, the
-  (2T, V) matrix of the barycentric gradients;
+* ``gradient`` and the differentiation in ``velocity_gradient`` multiply
+  by ``Mesh.gradient_operator``, the (2T, V) matrix of the barycentric
+  gradients, and ``perp_gradient`` by ``Mesh.perp_gradient_operator``,
+  the same entries with the rows of each triangle swapped and one negated;
 * ``p0_load_vector`` and ``p0_to_p1`` sum cells around each vertex with
   ``Mesh.vertex_cells``, the 0/1 vertex x cell incidence whose rows keep
   the order of a scatter loop over the three corners, so the sums are
@@ -36,14 +38,18 @@ indicator extension of every boundary component at once:
 
     flux(psi) = X (A psi - load),   flux_comp(psi) = integral_comp dpsi/dn
 
-where X is the component x node indicator (``StiffnessOperator.indicator``,
-built with the operator, once per mesh), with the outward normal of the
+where X is the component x node indicator, with the outward normal of the
 mesh (out of the fluid, into holes).  For the stream function of a flow
 this equals the circulation along the component in the fluid-on-the-left
 orientation; it is superconvergent compared with the one-sided trace
-quadrature.  The nodal flux density reads the same residual at the loop
-vertices of one component, in loop order (``BoundaryComponent.nodes``),
-divided by the boundary length each vertex owns (``lumped_length``).
+quadrature.  X is zero off the boundary nodes, so only the boundary rows
+of the residual are formed:
+``boundary_indicator @ (boundary_rows @ psi - load[boundary nodes])``
+(``StiffnessOperator``, both built once per operator) sums the same terms
+in the same order as X (A psi - load), without the V x V product.  The
+nodal flux density reads the same boundary residual at the loop vertices
+of one component, in loop order (``BoundaryComponent.nodes``), divided by
+the boundary length each vertex owns (``lumped_length``).
 Outside this module no code multiplies the stiffness matrix to read a flux.
 
 perp-gradient convention: grad_perp(psi) = (-d_y psi, d_x psi), so
@@ -53,6 +59,7 @@ curl(grad_perp(psi)) = laplace(psi) and grad_perp(psi) . n = -d_tau(psi).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -123,8 +130,8 @@ class StiffnessOperator:
     ``factors`` holds the sparse LU factor of every pinned node set solved
     on this operator, with the free-node indices it acts on, keyed by the
     set; the matrix never changes, so a factor stays valid for the
-    operator's lifetime.  ``indicator`` is the component x node indicator
-    of the consistent fluxes.
+    operator's lifetime.  ``boundary_rows`` and ``boundary_indicator``
+    are the two factors of the consistent fluxes, built on first use.
     """
 
     def __init__(self, mesh: Mesh):
@@ -145,15 +152,36 @@ class StiffnessOperator:
             shape=(n, n))
         self.matrix.sum_duplicates()
         self.factors: dict[bytes, tuple[spla.SuperLU, np.ndarray]] = {}
-        nodes = [mesh.component_nodes(c.comp) for c in mesh.components]
-        comp_of = np.concatenate([np.full(len(nd), c)
-                                  for c, nd in enumerate(nodes)])
-        self.indicator = sp.csr_matrix(
-            (np.ones(len(comp_of)), (comp_of, np.concatenate(nodes))),
-            shape=(len(nodes), n))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self.matrix @ x
+
+    @cached_property
+    def boundary_rows(self) -> sp.csr_matrix:
+        """The rows of the matrix at ``Mesh.boundary_nodes``: the only
+        rows of the residual that a consistent flux reads."""
+        return self.matrix[self.mesh.boundary_nodes]
+
+    @cached_property
+    def boundary_indicator(self) -> sp.csr_matrix:
+        """Component x boundary-node indicator: row c sums the entries of
+        ``boundary_rows`` at the nodes of component c, in node order."""
+        mesh = self.mesh
+        nodes = [mesh.component_nodes(c.comp) for c in mesh.components]
+        comp_of = np.concatenate([np.full(len(nd), c)
+                                  for c, nd in enumerate(nodes)])
+        return sp.csr_matrix(
+            (np.ones(len(comp_of)),
+             (comp_of, np.searchsorted(mesh.boundary_nodes,
+                                       np.concatenate(nodes)))),
+            shape=(len(nodes), len(mesh.boundary_nodes)))
+
+    def boundary_fluxes(self, boundary_product: np.ndarray,
+                        load: np.ndarray) -> np.ndarray:
+        """Consistent fluxes of every component from the boundary rows of
+        a product, ``boundary_rows @ x`` (see ``consistent_fluxes``)."""
+        return self.boundary_indicator @ \
+            (boundary_product - load[self.mesh.boundary_nodes])
 
 
 def assemble_stiffness(mesh: Mesh) -> StiffnessOperator:
@@ -243,15 +271,18 @@ def _dirichlet_trace(mesh: Mesh, bc) -> tuple[np.ndarray, np.ndarray]:
 
     ``bc`` is either a dict {component id: constant} or a full nodal array
     whose boundary values are used as the trace.  The pinned node sets are
-    the mesh's cached ones.
+    the mesh's cached ones; a zero constant (every Green solve) leaves its
+    nodes untouched.
     """
     x = np.zeros(mesh.num_vertices)
     if isinstance(bc, dict):
         if not bc:
             raise UsageError("empty Dirichlet specification")
+        nodes = mesh.nodes_of(bc)
         for cid, val in bc.items():
-            x[mesh.component_nodes(cid)] = float(val)
-        return mesh.nodes_of(bc), x
+            if float(val):
+                x[mesh.component_nodes(cid)] = float(val)
+        return nodes, x
     arr = np.asarray(bc, dtype=np.float64)
     if arr.shape != (mesh.num_vertices,):
         raise UsageError(
@@ -352,7 +383,7 @@ def consistent_fluxes(op: StiffnessOperator, field: ScalarFieldP1,
     for a harmonic field).  The pairing with the component indicators makes
     the fluxes superconvergent.
     """
-    return op.indicator @ (op.matrix @ field.values - load)
+    return op.boundary_fluxes(op.boundary_rows @ field.values, load)
 
 
 def consistent_flux(op: StiffnessOperator, field: ScalarFieldP1,
@@ -366,9 +397,12 @@ def nodal_flux_density(op: StiffnessOperator, field: ScalarFieldP1,
     """Normal derivative at the loop vertices of a component, in
     ``BoundaryComponent.nodes`` order: the nodal residual divided by the
     lumped boundary length (half of each of the two adjacent edges)."""
-    c = op.mesh.component(comp)
-    residual = op.matrix @ field.values - load
-    return residual[c.nodes] / c.lumped_length
+    mesh = op.mesh
+    c = mesh.component(comp)
+    residual = op.boundary_rows @ field.values \
+        - load[mesh.boundary_nodes]
+    return residual[np.searchsorted(mesh.boundary_nodes, c.nodes)] \
+        / c.lumped_length
 
 
 def interior_residual_norm(op: StiffnessOperator, field: ScalarFieldP1,
@@ -397,8 +431,10 @@ def gradient(mesh: Mesh, field: ScalarFieldP1) -> VelocityP0:
 
 
 def perp_gradient(mesh: Mesh, field: ScalarFieldP1) -> VelocityP0:
-    """Per-triangle grad_perp = (-d_y, d_x) of a P1 field."""
-    return VelocityP0(mesh, rot90(gradient(mesh, field).values))
+    """Per-triangle grad_perp = (-d_y, d_x) of a P1 field (one product
+    with the mesh's perp-gradient operator)."""
+    return VelocityP0(mesh, (mesh.perp_gradient_operator @ field.values)
+                      .reshape(-1, 2))
 
 
 def p0_to_p1(mesh: Mesh, cell_values: np.ndarray) -> np.ndarray:

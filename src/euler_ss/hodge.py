@@ -19,6 +19,15 @@ clockwise).  On the annulus with radii (1, 2) this gives M_11 = 2*pi/ln 2
 (positive), and a positive prescribed circulation on the inner component
 drives flow that is clockwise around the hole.
 
+Per reconstruction this is one load, one Green solve, one boundary-row
+product for the Green fluxes, the m-term sum of the stream function, and
+one product with ``HarmonicBasis.stream_operator``, a stack of the
+perp-gradient, the edge jumps and the stiffness boundary rows: it yields
+the velocity, the rotational edge fluxes of the transport step and the
+consistent circulations, each to the last bit of its own map.  The basis
+also holds the flow set-ups of the runs on it, one per g (filled by
+``transport.flow_setup``).
+
 The boundary data g must satisfy the sign condition: g <= 0 on inflow
 components, g >= 0 on outflow components, g = 0 on walls.  Violations are
 hard errors naming the offending edge.
@@ -26,9 +35,11 @@ hard errors naming the offending edge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import fem
 from .errors import PreconditionError, UsageError
@@ -93,10 +104,25 @@ class HarmonicBasis:
                                                          zero_load)
         self.M = self.flux_rows[self.inner, :].copy() if m \
             else np.zeros((0, 0))
+        # flow set-ups keyed by the bytes of g (``transport.flow_setup``)
+        self.flows: dict[tuple, tuple] = {}
 
     @property
     def num_inner(self) -> int:
         return len(self.inner)
+
+    @cached_property
+    def stream_operator(self) -> sp.csr_matrix:
+        """(2T + E + B, V) stack of the maps a velocity reconstruction
+        applies to its stream function: the perp-gradient (the velocity),
+        the edge jumps (the rotational edge fluxes) and the boundary rows
+        of the stiffness matrix (the consistent circulations).  The rows
+        are those of the three maps, so one product gives each of them to
+        the last bit.  Built on first use."""
+        mesh = self.mesh
+        return sp.vstack([mesh.perp_gradient_operator,
+                          mesh.edge_jump_operator, self.op.boundary_rows],
+                         format="csr")
 
 
 def greens_operator(basis: HarmonicBasis, omega: VorticityP0
@@ -125,7 +151,34 @@ class VelocityAssembly:
     phi: ScalarFieldP1 | None      # through-flow potential (unit multiplier)
     multiplier: float
     circulation_consistent: np.ndarray   # per component, consistent flux
-    circulation_trace: np.ndarray        # per component, one-sided quadrature
+    # the edge jumps of the reconstruction's product (see ``edge_jumps``)
+    step_jumps: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def edge_jumps(self) -> np.ndarray:
+        """(E,) stream jumps psi_a - psi_b across every edge a -> b, zero on
+        boundary edges: the reconstruction's own product, or, once that
+        was dropped (``without_step_jumps``), ``Mesh.edge_jump_operator``
+        applied anew, which gives the same bits."""
+        if self.step_jumps is None:
+            return self.mesh.edge_jump_operator @ self.psi_total.values
+        return self.step_jumps
+
+    def without_step_jumps(self) -> "VelocityAssembly":
+        """This assembly without the jump buffer, for storing: only the
+        step taken from it reads the jumps, and a saved snapshot would
+        otherwise keep one edge array each."""
+        return replace(self, step_jumps=None)
+
+    @property
+    def circulation_trace(self) -> np.ndarray:
+        """Per-component circulation by the one-sided quadrature of the
+        tangential velocity (first order; a diagnostic only)."""
+        out = np.empty(len(self.mesh.components))
+        for comp in self.mesh.components:
+            ut = np.einsum("ed,ed->e", self.u.values[comp.tri], comp.tangent)
+            out[comp.comp] = float(ut @ comp.length)
+        return out
 
 
 def reconstruct_velocity(basis: HarmonicBasis, omega: VorticityP0,
@@ -142,6 +195,10 @@ def reconstruct_velocity(basis: HarmonicBasis, omega: VorticityP0,
     otherwise the Neumann problem is solved here.  The sign condition on g
     is a hard precondition, checked here whenever the potential is solved
     here; a caller handing in ``phi`` has checked it against the same g.
+
+    Past the Green solve, the stream function meets one product with
+    ``basis.stream_operator``, which gives the velocity, the edge jumps
+    and the boundary rows of the consistent circulations.
     """
     mesh = basis.mesh
     C = np.asarray(circulations, dtype=np.float64)
@@ -164,29 +221,31 @@ def reconstruct_velocity(basis: HarmonicBasis, omega: VorticityP0,
     coeffs = np.linalg.solve(basis.M, C - g0_flux[basis.inner]) \
         if basis.num_inner else np.zeros(0)
 
+    # a sum per field: a product with the stacked fields would change the
+    # summation order when there are two or more
     total = psi0.values.copy()
     for c_i, f in zip(coeffs, basis.fields):
         total += c_i * f.values
     psi_total = ScalarFieldP1(mesh, total)
 
-    u_vals = fem.perp_gradient(mesh, psi_total).values
-    if phi_grad is not None:
-        u_vals = u_vals + multiplier * phi_grad.values
-    u = VelocityP0(mesh, u_vals)
-
+    stream = basis.stream_operator @ total
+    nu = 2 * mesh.num_triangles
+    nj = nu + len(mesh.edges)
+    # the velocity gets a buffer of its own: a view would keep the whole
+    # product alive in every saved snapshot
+    u_vals = stream[:nu].reshape(-1, 2)
+    u_vals = u_vals + multiplier * phi_grad.values \
+        if phi_grad is not None else u_vals.copy()
     # the potential part contributes exactly zero circulation (telescoping
     # tangential P1 trace), so the stream flux is the whole consistent
     # circulation
-    circ_cons = fem.consistent_fluxes(basis.op, psi_total, load)
-    circ_trace = np.empty(len(mesh.components))
-    for comp in mesh.components:
-        ut = np.einsum("ed,ed->e", u.values[comp.tri], comp.tangent)
-        circ_trace[comp.comp] = float(ut @ comp.length)
+    circ_cons = basis.op.boundary_fluxes(stream[nj:], load)
 
     return VelocityAssembly(
-        mesh=mesh, u=u, psi0=psi0, psi_coeffs=coeffs, psi_total=psi_total,
-        stream_load=load, phi=phi, multiplier=multiplier,
-        circulation_consistent=circ_cons, circulation_trace=circ_trace)
+        mesh=mesh, u=VelocityP0(mesh, u_vals), psi0=psi0, psi_coeffs=coeffs,
+        psi_total=psi_total, stream_load=load, phi=phi,
+        multiplier=multiplier, circulation_consistent=circ_cons,
+        step_jumps=stream[nu:nj])
 
 
 def check_elliptic_growth(basis: HarmonicBasis, assembly: VelocityAssembly,

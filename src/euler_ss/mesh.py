@@ -24,8 +24,11 @@ Circles produced by the annulus generator remember their radii so midpoint
 refinement can project new boundary vertices back onto the circle.
 
 The fixed linear maps of a mesh (the cell x edge and vertex x cell
-incidences, the P1 gradient operator, the cell graph with its Laplacian
-factor) are built once, on first use, and shared by every run on it.
+incidences, the P1 gradient and perp-gradient operators, the edge-jump map
+of a stream function, the cell graph with its Laplacian factor) are built
+once, on first use, and shared by every run on it.  Each is laid out so
+that its product sums the same terms in the same order as the loop or
+gather it replaces: the results are equal to the last bit.
 """
 
 from __future__ import annotations
@@ -422,6 +425,36 @@ class Mesh:
              np.repeat(self.triangles, 2, axis=0).ravel(),
              np.arange(0, 6 * nt + 1, 3)),
             shape=(2 * nt, self.num_vertices))
+
+    @cached_property
+    def perp_gradient_operator(self) -> sp.csr_matrix:
+        """(2T, V) P1 perp-gradient (-d_y, d_x): ``gradient_operator`` with
+        the two rows of each triangle swapped and the new x row negated.
+        It reuses the gradient's entries in their column order, so its
+        product is ``rot90`` of the gradient's to the last bit."""
+        g = self.gradient_operator
+        nt = self.num_triangles
+        data = g.data.reshape(nt, 2, 3)[:, ::-1].copy()
+        data[:, 0] *= -1.0
+        return sp.csr_matrix(
+            (data.ravel(), g.indices.reshape(nt, 2, 3)[:, ::-1].ravel(),
+             g.indptr.copy()),
+            shape=g.shape)
+
+    @cached_property
+    def edge_jump_operator(self) -> sp.csr_matrix:
+        """(E, V) stream jump across each edge: +1 at its first vertex, -1
+        at its second, and an empty row on boundary edges (a stream trace
+        is constant along a component).  Its product with psi equals
+        ``psi[a] - psi[b]`` on every interior edge a -> b to the last
+        bit."""
+        interior = self.interior_edge
+        counts = np.where(interior, 2, 0)
+        return sp.csr_matrix(
+            (np.tile([1.0, -1.0], int(interior.sum())),
+             self.edges[interior].ravel(),
+             np.concatenate([[0], np.cumsum(counts)])),
+            shape=(len(self.edges), self.num_vertices))
 
     def roles(self) -> dict[int, str]:
         return {c.comp: c.role for c in self.components}

@@ -21,9 +21,16 @@ signed cell x edge incidence D (``Mesh.incidence``): the cell divergence of
 the upwind vorticity flux is D @ (f * upwind), the positive outflux of each
 cell is (|D| @ |f| + D @ f) / 2, and the projection's cell-graph Laplacian
 is D D^T restricted to the interior edges.  That Laplacian, its interior
-columns and its sparse LU factor belong to the mesh (``Mesh.cell_graph``),
-so every ``FluxAssembler`` of one mesh (the twin and ladder runs) shares
-one factorization and pays one triangular solve for its own g.
+columns and its sparse LU factor belong to the mesh (``Mesh.cell_graph``).
+The rotational part is the reconstruction's own edge-jump product
+(``VelocityAssembly.edge_jumps``), and the cell and component sums of the
+upwind flux are one product with D stacked over the component x edge
+indicator.
+
+The through-flow set-up of a run (the Neumann potential, its gradient and
+the equilibrated ``FluxAssembler``) depends only on the mesh and g.
+``flow_setup`` caches it on the harmonic basis, keyed by the bytes of the
+g arrays, so the twin and ladder runs on one basis pay for it once.
 
 Time stepping is forward Euler (optionally a two-stage strong-stability
 update) under a CFL cap combining the incircle-diameter travel time with a
@@ -223,6 +230,10 @@ class Scenario:
             if c.role == "inflow" and c.comp not in self.omega_in:
                 raise UsageError(f"omega_in: inflow component {c.comp} "
                                  "needs trace data")
+        # a file omega0 is read once, keyed by its path; the copies made by
+        # ``perturbed`` and ``refined`` share this dict, so a ladder reads
+        # the file once too
+        self._omega0_files: dict[Path, np.ndarray] = {}
         # additive shifts of a perturbed copy (see ``perturbed``)
         self.omega0_shift = 0.0
         self.omega_in_shift: dict[int, float] = {}
@@ -341,8 +352,12 @@ class Scenario:
             band = (r >= float(spec["r0"])) & (r <= float(spec["r1"]))
             vals[band] = float(spec["value"])
         else:
-            vals = np.loadtxt(self.base_dir / spec["path"],
-                              dtype=np.float64, ndmin=1)
+            path = self.base_dir / spec["path"]
+            if path not in self._omega0_files:
+                vals = np.loadtxt(path, dtype=np.float64, ndmin=1)
+                vals.setflags(write=False)
+                self._omega0_files[path] = vals
+            vals = self._omega0_files[path]
             if vals.shape != (mesh.num_triangles,):
                 raise UsageError(
                     f"omega0 file: expected {mesh.num_triangles} cell "
@@ -401,7 +416,8 @@ class FluxAssembler:
     """Edge fluxes of one mesh and one g profile, with every cell and
     component sum taken by an incidence matrix.  The cell-graph Laplacian
     and its factor belong to the mesh (``Mesh.cell_graph``), so every
-    assembler of one mesh shares them."""
+    assembler of one mesh shares them; ``flow_setup`` shares one
+    assembler among the runs of one g."""
 
     def __init__(self, mesh: Mesh, g_edges: dict[int, np.ndarray],
                  phi_grad: VelocityP0 | None):
@@ -412,10 +428,6 @@ class FluxAssembler:
         # rates of each cell are products with these
         self.inv_d2 = mesh.incircle_diameter ** -2
         self.inv_area = 1.0 / mesh.tri_area
-        # boundary edges take their first vertex at both ends, so their
-        # stream jump is exactly zero
-        self.ia = mesh.edges[:, 0]
-        self.ib = np.where(mesh.interior_edge, mesh.edges[:, 1], self.ia)
         # the cell across each edge; boundary edges of component c face a
         # ghost cell T + c that holds the component's inflow trace
         bd = np.concatenate([c.edge_ids for c in mesh.components])
@@ -423,9 +435,12 @@ class FluxAssembler:
                                   for c in mesh.components])
         self.far = mesh.edge_right.copy()
         self.far[bd] = mesh.num_triangles + comp_of
-        self.comp_edges = sp.csr_matrix(
+        # cell sums (D) stacked over per-component boundary sums: one
+        # product gives both rows of ``upwind_rates``
+        comp_edges = sp.csr_matrix(
             (np.ones(len(bd)), (comp_of, bd)),
             shape=(len(mesh.components), len(mesh.edges)))
+        self.rate_rows = sp.vstack([self.D, comp_edges], format="csr")
         # through-flow fluxes at unit multiplier: exactly g * length on the
         # boundary, equilibrated potential fluxes inside
         self.pot = np.zeros(len(mesh.edges))
@@ -435,6 +450,8 @@ class FluxAssembler:
         self.div_defect = 0.0
         if phi_grad is not None:
             self._equilibrate_potential_fluxes(phi_grad)
+        # shared by every run of this g on the basis
+        self.pot.setflags(write=False)
 
     def _equilibrate_potential_fluxes(self, phi_grad: VelocityP0) -> None:
         """Averaged-gradient interior fluxes corrected to make every cell
@@ -453,11 +470,11 @@ class FluxAssembler:
         self.pot[ids] += graph.incidence.T @ y
         self.div_defect = float(np.abs(self.D @ self.pot).max())
 
-    def fluxes(self, psi_vals: np.ndarray, mult: float) -> np.ndarray:
-        """Edge fluxes out of the left cell at stream values ``psi_vals``
-        and multiplier ``mult``: psi_a - psi_b + mult * pot on interior
-        edges, exactly mult * g * length on boundary edges."""
-        return (psi_vals[self.ia] - psi_vals[self.ib]) + mult * self.pot
+    def fluxes(self, asm: VelocityAssembly) -> np.ndarray:
+        """Edge fluxes out of the left cell of a reconstructed flow: its
+        stream jumps psi_a - psi_b plus multiplier * pot, which is exactly
+        multiplier * g * length on boundary edges (their jump is zero)."""
+        return asm.edge_jumps + asm.multiplier * self.pot
 
     def stable_dt(self, u: VelocityP0, f: np.ndarray, cfl: float) -> float:
         """cfl times the shortest of two times over all cells: the travel
@@ -485,8 +502,31 @@ class FluxAssembler:
                      ) -> tuple[np.ndarray, np.ndarray]:
         """(cell divergence of the upwind vorticity flux, boundary outflux
         rate per component).  d(omega)/dt = -div/area; dC_i/dt = -rate_i."""
-        cf = self.vorticity_flux(omega, f, omega_in_vals)
-        return self.D @ cf, self.comp_edges @ cf
+        sums = self.rate_rows @ self.vorticity_flux(omega, f, omega_in_vals)
+        nt = self.mesh.num_triangles
+        return sums[:nt], sums[nt:]
+
+
+def flow_setup(basis: HarmonicBasis, g_edges: dict[int, np.ndarray]
+               ) -> tuple[ScalarFieldP1 | None, VelocityP0 | None,
+                          FluxAssembler]:
+    """(phi, grad phi, FluxAssembler) of the unit-multiplier through-flow
+    of ``g_edges`` on the basis's mesh; phi and its gradient are None when
+    nothing flows.  The set-up is cached on the basis, keyed by the bytes
+    of the g arrays, so the runs of a ladder or a twin pair (one mesh, one
+    g) share one Neumann solve and one equilibration."""
+    key = tuple((cid, np.asarray(g, dtype=np.float64).tobytes())
+                for cid, g in sorted(g_edges.items()))
+    if key not in basis.flows:
+        mesh = basis.mesh
+        phi = phi_grad = None
+        if any(np.any(g != 0.0) for g in g_edges.values()):
+            hodge.validate_sign_condition(mesh, g_edges)
+            phi = fem.solve_neumann(basis.op, g_edges)
+            phi_grad = fem.gradient(mesh, phi)
+        basis.flows[key] = (phi, phi_grad,
+                            FluxAssembler(mesh, g_edges, phi_grad))
+    return basis.flows[key]
 
 
 # -- time integration ---------------------------------------------------
@@ -538,13 +578,8 @@ def run(scenario: Scenario, basis: HarmonicBasis | None = None) -> Trajectory:
         raise UsageError("basis was assembled on a different mesh")
 
     g_edges = scenario.g_edges(mesh)
-    has_flow = any(np.any(g != 0.0) for g in g_edges.values())
-    phi = phi_grad = None
-    if has_flow:
-        hodge.validate_sign_condition(mesh, g_edges)
-        phi = fem.solve_neumann(basis.op, g_edges)
-        phi_grad = fem.gradient(mesh, phi)
-    flux = FluxAssembler(mesh, g_edges, phi_grad)
+    phi, phi_grad, flux = flow_setup(basis, g_edges)
+    has_flow = phi is not None
 
     omega = scenario.initial_omega(mesh)
     if np.any(~np.isfinite(omega)):
@@ -572,8 +607,8 @@ def run(scenario: Scenario, basis: HarmonicBasis | None = None) -> Trajectory:
 
     asm = assemble(omega, C, 0.0)
     states = [SimState(t=0.0, omega=omega.copy(), C=C.copy(), B=B.copy(),
-                       assembly=asm, energy=energy(asm), dt_last=0.0,
-                       step_count=0)]
+                       assembly=asm.without_step_jumps(),
+                       energy=energy(asm), dt_last=0.0, step_count=0)]
     t = 0.0
     total_steps = 0
     rk2 = scenario.scheme == "rk2"
@@ -588,7 +623,7 @@ def run(scenario: Scenario, basis: HarmonicBasis | None = None) -> Trajectory:
                     f"time step collapsed: more than "
                     f"{MAX_STEPS_PER_INTERVAL} steps in one snapshot "
                     f"interval (t = {t:.6g}, dt = {dt:.3e})")
-            f = flux.fluxes(asm.psi_total.values, asm.multiplier)
+            f = flux.fluxes(asm)
             dt = flux.stable_dt(asm.u, f, scenario.cfl)
             landed = t_next - t <= dt
             dt = min(dt, t_next - t)
@@ -606,7 +641,7 @@ def run(scenario: Scenario, basis: HarmonicBasis | None = None) -> Trajectory:
                 C1 = C - dt * rates[1:]
                 t1 = t_next if landed else t + dt
                 asm1 = assemble(om1, C1, t1)
-                f2 = flux.fluxes(asm1.psi_total.values, asm1.multiplier)
+                f2 = flux.fluxes(asm1)
                 in2 = {cid: scenario.omega_in_value(cid, t1)
                        for cid in inflow_ids}
                 div2, rates2 = flux.upwind_rates(om1, f2, in2)
@@ -637,8 +672,10 @@ def run(scenario: Scenario, basis: HarmonicBasis | None = None) -> Trajectory:
             asm = assemble(omega, C, t)
 
         states.append(SimState(t=t, omega=omega.copy(), C=C.copy(),
-                               B=B.copy(), assembly=asm, energy=energy(asm),
-                               dt_last=dt, step_count=total_steps))
+                               B=B.copy(),
+                               assembly=asm.without_step_jumps(),
+                               energy=energy(asm), dt_last=dt,
+                               step_count=total_steps))
 
     return Trajectory(scenario=scenario, mesh=mesh, basis=basis,
                       states=states, g_edges=g_edges, flux=flux, phi=phi,

@@ -230,6 +230,17 @@ def test_stability_scaling_and_constants(stability_report):
     assert rep.noise_floor < 1e-20
 
 
+def test_identical_twin_differs_by_exact_zeros(flow_pair):
+    # the premise of the constant noise floor: a run twinned with itself
+    # has no measured noise to add to it
+    from euler_ss.certificates import TwinRun
+    base, _ = flow_pair
+    tw = TwinRun(base, base)
+    assert np.array_equal(tw.z_u, np.zeros(len(base.states)))
+    assert np.array_equal(tw.z_v, np.zeros(len(base.states)))
+    assert osgood.NOISE_FLOOR == 1e-28
+
+
 def test_ladder_factors_each_system_once(tmp_path, monkeypatch):
     calls = []
     real = fem.spla.splu

@@ -227,7 +227,7 @@ def test_flux_sums_match_scatter_reference(flow_pair):
     traj, _ = flow_pair
     mesh, flux, s = traj.mesh, traj.flux, traj.states[2]
     mult = s.assembly.multiplier
-    f = flux.fluxes(s.assembly.psi_total.values, mult)
+    f = flux.fluxes(s.assembly)
     for c in mesh.components:
         assert np.array_equal(f[c.edge_ids],
                               mult * traj.g_edges[c.comp] * c.length)
@@ -265,7 +265,7 @@ def test_stable_dt_matches_norm_formula(flow_pair):
     mesh, flux = traj.mesh, traj.flux
     for s in traj.states:
         u = s.assembly.u
-        f = flux.fluxes(s.assembly.psi_total.values, s.assembly.multiplier)
+        f = flux.fluxes(s.assembly)
         speed = np.linalg.norm(u.values, axis=1)
         outflux = 0.5 * (flux.abs_D @ np.abs(f) + flux.D @ f)
         with np.errstate(divide="ignore"):
