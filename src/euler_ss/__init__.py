@@ -22,7 +22,7 @@ The package splits along the same seams as the underlying problem:
 
 from .errors import PreconditionError, SolverError, UsageError
 from .fem import (ScalarFieldP1, StiffnessOperator, VelocityP0,
-                  VorticityP0, assemble_stiffness, consistent_flux,
+                  VorticityP0, consistent_flux,
                   consistent_fluxes, solve_constrained, solve_dirichlet,
                   solve_mixed, solve_neumann)
 from .hodge import (HarmonicBasis, VelocityAssembly, greens_operator,
@@ -44,7 +44,7 @@ __all__ = [
     "Mesh", "PreconditionError", "ScalarFieldP1", "Scenario",
     "SolverError", "StiffnessOperator", "Trajectory", "TwinRun",
     "UsageError", "VelocityAssembly", "VelocityP0", "VorticityP0",
-    "assemble_stiffness", "consistent_flux", "consistent_fluxes",
+    "consistent_flux", "consistent_fluxes",
     "exact_comparison", "generate_annulus", "greens_operator",
     "growth_F", "interpolation_inequality", "lamb_identity",
     "load_mesh", "load_scenario", "mu", "ode_oracle", "osgood_bound",

@@ -56,8 +56,8 @@ class TwinRun:
         T = traj1.scenario.T
         if np.abs(t1 - t2).max(initial=0.0) > 1e-13 * T:
             raise UsageError("twin runs have different snapshot times")
-        for cid, g in traj1.g_edges.items():
-            if not np.array_equal(g, traj2.g_edges.get(cid)):
+        for cid, g in traj1.flux.g_edges.items():
+            if not np.array_equal(g, traj2.flux.g_edges.get(cid)):
                 raise UsageError("twin runs must share the boundary data g")
         for s1, s2 in zip(traj1.states, traj2.states):
             if s1.assembly.multiplier != s2.assembly.multiplier:
@@ -119,10 +119,11 @@ class TwinRun:
         potential."""
         asm = self.traj1.states[k].assembly
         dens = self._edge_density(asm.psi_total, asm.stream_load, comp)
-        if asm.phi is not None:
+        phi = self.traj1.flux.phi
+        if phi is not None:
             a, b = comp.edges[:, 0], comp.edges[:, 1]
             dens = dens + asm.multiplier \
-                * (asm.phi.values[b] - asm.phi.values[a]) / comp.length
+                * (phi.values[b] - phi.values[a]) / comp.length
         return dens
 
     def omega_in_diff(self, cid: int, t: float) -> float:
@@ -131,7 +132,7 @@ class TwinRun:
 
     def _flow_components(self):
         for comp in self.mesh.components:
-            g = self.traj1.g_edges.get(comp.comp)
+            g = self.traj1.flux.g_edges.get(comp.comp)
             if g is not None and np.any(g != 0.0):
                 yield comp, g
 
@@ -480,7 +481,7 @@ def trace_inequality(op: StiffnessOperator, field: ScalarFieldP1,
     dtau = (field.values[comp.edges[:, 1]]
             - field.values[comp.edges[:, 0]]) / comp.length
     tangential = float(np.sum(dtau ** 2 * comp.length))
-    energy = float(field.values @ op.apply(field.values))
+    energy = float(field.values @ (op.matrix @ field.values))
     c_required = max(0.0, lhs - tangential) / max(energy, 1e-300)
     return TraceReport(lhs=lhs, tangential=tangential, energy=energy,
                        c_required=c_required)

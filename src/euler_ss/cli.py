@@ -92,6 +92,9 @@ def cmd_mesh(args) -> int:
               f"{m.num_triangles} triangles")
         return 0
     if args.mesh_cmd == "refine":
+        if args.times < 1:
+            raise UsageError(f"--times must be a positive integer, got "
+                             f"{args.times}")
         m = load_mesh(args.input)
         for _ in range(args.times):
             m = uniform_refine(m)
@@ -232,6 +235,9 @@ def cmd_certify(args) -> int:
     sc1 = transport.load_scenario(args.scenario)
     sc2 = transport.load_scenario(args.pair) if args.pair else None
     delta = _perturbation(args)
+    if args.refine < 1:
+        raise UsageError(f"--refine must be a positive integer, got "
+                         f"{args.refine}")
     if sc2 is not None and delta:
         raise UsageError("certify: give either a second scenario or "
                          "perturbation flags, not both")
@@ -243,7 +249,7 @@ def cmd_certify(args) -> int:
     outdir = _outdir(args)
 
     levels = []
-    for lvl in range(max(args.refine, 1)):
+    for lvl in range(args.refine):
         scl = sc1.refined(2 ** lvl) if lvl else sc1
         levels.append(_certify_level(scl, delta, sc2 if lvl == 0 else None))
 

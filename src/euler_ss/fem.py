@@ -153,9 +153,6 @@ class StiffnessOperator:
         self.matrix.sum_duplicates()
         self.factors: dict[bytes, tuple[spla.SuperLU, np.ndarray]] = {}
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix @ x
-
     @cached_property
     def boundary_rows(self) -> sp.csr_matrix:
         """The rows of the matrix at ``Mesh.boundary_nodes``: the only
@@ -182,10 +179,6 @@ class StiffnessOperator:
         a product, ``boundary_rows @ x`` (see ``consistent_fluxes``)."""
         return self.boundary_indicator @ \
             (boundary_product - load[self.mesh.boundary_nodes])
-
-
-def assemble_stiffness(mesh: Mesh) -> StiffnessOperator:
-    return StiffnessOperator(mesh)
 
 
 def p0_load_vector(mesh: Mesh, cell_values: np.ndarray) -> np.ndarray:
@@ -216,7 +209,7 @@ def boundary_load_vector(mesh: Mesh, comp_data: dict[int, np.ndarray]
 
 
 def _pinned_solve(A: sp.csr_matrix, load: np.ndarray, pinned: np.ndarray,
-                  x: np.ndarray, factors: dict | None = None) -> np.ndarray:
+                  x: np.ndarray, factors: dict) -> np.ndarray:
     """Solve A x = load at the free nodes with x fixed at the pinned nodes.
 
     ``pinned`` is a sorted array of distinct nodes and ``x`` holds their
@@ -228,7 +221,7 @@ def _pinned_solve(A: sp.csr_matrix, load: np.ndarray, pinned: np.ndarray,
     Raises SolverError when the reduced matrix is singular.
     """
     key = pinned.tobytes()
-    cached = factors.get(key) if factors is not None else None
+    cached = factors.get(key)
     if cached is None:
         mask = np.ones(A.shape[0], dtype=bool)
         mask[pinned] = False
@@ -239,9 +232,7 @@ def _pinned_solve(A: sp.csr_matrix, load: np.ndarray, pinned: np.ndarray,
         except RuntimeError as exc:
             raise SolverError(f"sparse factorization failed: {exc}") \
                 from None
-        cached = (lu, free)
-        if factors is not None:
-            factors[key] = cached
+        cached = factors[key] = (lu, free)
     lu, free = cached
     if free.size:
         # a zero trace (every Green, auxiliary and gauge solve) couples
@@ -251,12 +242,13 @@ def _pinned_solve(A: sp.csr_matrix, load: np.ndarray, pinned: np.ndarray,
     return x
 
 
-def solve_mean_zero(A: sp.csr_matrix, load: np.ndarray,
-                    factors: dict | None = None) -> np.ndarray:
+def solve_mean_zero(A: sp.csr_matrix, load: np.ndarray, factors: dict
+                    ) -> np.ndarray:
     """Mean-zero solution of a pure-Neumann system A x = load, where A is
     symmetric with the constants as its only null space (a connected
     stiffness or graph Laplacian).  The load loses its nodal mean, node 0
-    is pinned to 0, and the result loses its nodal mean."""
+    is pinned to 0, and the result loses its nodal mean.  ``factors`` is
+    the factor cache of A (see ``_pinned_solve``)."""
     x = _pinned_solve(A, load - load.mean(), np.zeros(1, dtype=np.int64),
                       np.zeros(A.shape[0]), factors)
     return x - x.mean()
@@ -481,18 +473,6 @@ def lp_norm_p0(mesh: Mesh, values: np.ndarray, p: float) -> float:
     return top * float((mesh.tri_area @ (mag / top) ** p) ** (1.0 / p))
 
 
-def lp_norm_p1(mesh: Mesh, field: ScalarFieldP1, p: float) -> float:
-    """L^p norm of a P1 field by the 3-midpoint rule (exact to degree 2);
-    the L-infinity norm is the nodal max (exact for linears)."""
-    top = float(np.abs(field.values).max(initial=0.0))
-    if np.isinf(p) or top == 0.0:
-        return top
-    v = field.values[mesh.triangles] / top               # (T, 3)
-    mids = 0.5 * (v + np.roll(v, -1, axis=1))            # edge midpoints
-    cell = (np.abs(mids) ** p).sum(axis=1) * mesh.tri_area / 3.0
-    return top * float(cell.sum() ** (1.0 / p))
-
-
 def w1p_seminorm_p0(mesh: Mesh, u: VelocityP0, p: float) -> float:
     """L^p norm of the recovered velocity Jacobian (Frobenius per cell)."""
     jac = velocity_gradient(mesh, u)
@@ -505,11 +485,10 @@ def w1p_seminorm_p0(mesh: Mesh, u: VelocityP0, p: float) -> float:
 # -- VTK output ---------------------------------------------------------
 
 
-def write_vtk(path, mesh: Mesh, point_data=None, cell_data=None,
-              title="euler-ss fields") -> None:
+def write_vtk(path, mesh: Mesh, point_data=None, cell_data=None) -> None:
     """Legacy ASCII VTK unstructured grid; scalars and 2-vectors (padded to
     3 components) on points (P1) and cells (P0)."""
-    lines = ["# vtk DataFile Version 3.0", title, "ASCII",
+    lines = ["# vtk DataFile Version 3.0", "euler-ss fields", "ASCII",
              "DATASET UNSTRUCTURED_GRID",
              f"POINTS {mesh.num_vertices} double"]
     for x, y in mesh.vertices:

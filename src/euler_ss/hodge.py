@@ -24,9 +24,9 @@ product for the Green fluxes, the m-term sum of the stream function, and
 one product with ``HarmonicBasis.stream_operator``, a stack of the
 perp-gradient, the edge jumps and the stiffness boundary rows: it yields
 the velocity, the rotational edge fluxes of the transport step and the
-consistent circulations, each to the last bit of its own map.  The basis
-also holds the flow set-ups of the runs on it, one per g (filled by
-``transport.flow_setup``).
+consistent circulations, each to the last bit of its own map.  The
+through-flow, g with phi_g and its gradient at unit multiplier, is owned
+by ``transport.FluxAssembler``, one per g cached on the basis.
 
 The boundary data g must satisfy the sign condition: g <= 0 on inflow
 components, g >= 0 on outflow components, g = 0 on walls.  Violations are
@@ -49,13 +49,12 @@ from .mesh import Mesh
 SIGN_TOL = 1e-12
 
 
-def validate_sign_condition(mesh: Mesh, g_edges: dict[int, np.ndarray],
-                            scale: float | None = None) -> None:
+def validate_sign_condition(mesh: Mesh, g_edges: dict[int, np.ndarray]
+                            ) -> None:
     """Enforce the sign condition on per-edge boundary data (tolerance
     1e-12 relative to the data scale)."""
-    if scale is None:
-        scale = max((float(np.abs(np.asarray(g)).max(initial=0.0))
-                     for g in g_edges.values()), default=0.0)
+    scale = max((float(np.abs(np.asarray(g)).max(initial=0.0))
+                 for g in g_edges.values()), default=0.0)
     tol = SIGN_TOL * max(scale, 1.0)
     for comp in mesh.components:
         g = np.asarray(g_edges.get(comp.comp, np.zeros(len(comp.length))),
@@ -87,9 +86,9 @@ class HarmonicBasis:
     components (symmetric positive definite up to solver tolerance).
     """
 
-    def __init__(self, mesh: Mesh, op: StiffnessOperator | None = None):
+    def __init__(self, mesh: Mesh):
         self.mesh = mesh
-        self.op = op if op is not None else fem.assemble_stiffness(mesh)
+        self.op = StiffnessOperator(mesh)
         self.inner = [c.comp for c in mesh.components[1:]]
         zero_load = np.zeros(mesh.num_vertices)
         self.fields: list[ScalarFieldP1] = []
@@ -104,8 +103,8 @@ class HarmonicBasis:
                                                          zero_load)
         self.M = self.flux_rows[self.inner, :].copy() if m \
             else np.zeros((0, 0))
-        # flow set-ups keyed by the bytes of g (``transport.flow_setup``)
-        self.flows: dict[tuple, tuple] = {}
+        # ``transport.FluxAssembler`` per g (``transport.flow_setup``)
+        self.flows: dict[tuple, object] = {}
 
     @property
     def num_inner(self) -> int:
@@ -144,12 +143,10 @@ class VelocityAssembly:
 
     mesh: Mesh
     u: VelocityP0
-    psi0: ScalarFieldP1            # Green part, zero trace
     psi_coeffs: np.ndarray         # (m,) harmonic-basis constants
-    psi_total: ScalarFieldP1       # psi0 + sum_i psi_i f^i
+    psi_total: ScalarFieldP1       # G[omega] + sum_i psi_i f^i
     stream_load: np.ndarray        # load vector of psi_total's system
-    phi: ScalarFieldP1 | None      # through-flow potential (unit multiplier)
-    multiplier: float
+    multiplier: float              # of the through-flow potential
     circulation_consistent: np.ndarray   # per component, consistent flux
     # the edge jumps of the reconstruction's product (see ``edge_jumps``)
     step_jumps: np.ndarray | None = field(default=None, repr=False)
@@ -182,19 +179,16 @@ class VelocityAssembly:
 
 
 def reconstruct_velocity(basis: HarmonicBasis, omega: VorticityP0,
-                         g_edges: dict[int, np.ndarray] | None,
                          circulations: np.ndarray,
                          multiplier: float = 1.0,
-                         phi: ScalarFieldP1 | None = None,
                          phi_grad: VelocityP0 | None = None
                          ) -> VelocityAssembly:
     """Assemble the velocity of (omega, g, C).
 
-    ``circulations`` lists C_i for the inner components in order.  ``phi``
-    and ``phi_grad`` may carry a cached unit-multiplier potential solve;
-    otherwise the Neumann problem is solved here.  The sign condition on g
-    is a hard precondition, checked here whenever the potential is solved
-    here; a caller handing in ``phi`` has checked it against the same g.
+    ``circulations`` lists C_i for the inner components in order.
+    ``phi_grad`` is the gradient of the unit-multiplier through-flow
+    potential of g (``transport.FluxAssembler.phi_grad``), None when
+    nothing flows; the velocity adds ``multiplier`` times it.
 
     Past the Green solve, the stream function meets one product with
     ``basis.stream_operator``, which gives the velocity, the edge jumps
@@ -206,24 +200,15 @@ def reconstruct_velocity(basis: HarmonicBasis, omega: VorticityP0,
         raise UsageError(
             f"need {basis.num_inner} circulation value(s), got {C.shape}")
 
-    if g_edges:
-        if phi is None:
-            validate_sign_condition(mesh, g_edges)
-            phi = fem.solve_neumann(basis.op, g_edges)
-        if phi_grad is None:
-            phi_grad = fem.gradient(mesh, phi)
-    else:
-        phi = None
-        phi_grad = None
-
     psi0, load = greens_operator(basis, omega)
     g0_flux = fem.consistent_fluxes(basis.op, psi0, load)
     coeffs = np.linalg.solve(basis.M, C - g0_flux[basis.inner]) \
         if basis.num_inner else np.zeros(0)
 
-    # a sum per field: a product with the stacked fields would change the
-    # summation order when there are two or more
-    total = psi0.values.copy()
+    # a sum per field, into the Green part's own buffer: a product with
+    # the stacked fields would change the summation order when there are
+    # two or more
+    total = psi0.values
     for c_i, f in zip(coeffs, basis.fields):
         total += c_i * f.values
     psi_total = ScalarFieldP1(mesh, total)
@@ -242,9 +227,9 @@ def reconstruct_velocity(basis: HarmonicBasis, omega: VorticityP0,
     circ_cons = basis.op.boundary_fluxes(stream[nj:], load)
 
     return VelocityAssembly(
-        mesh=mesh, u=VelocityP0(mesh, u_vals), psi0=psi0, psi_coeffs=coeffs,
-        psi_total=psi_total, stream_load=load, phi=phi,
-        multiplier=multiplier, circulation_consistent=circ_cons,
+        mesh=mesh, u=VelocityP0(mesh, u_vals), psi_coeffs=coeffs,
+        psi_total=psi_total, stream_load=load, multiplier=multiplier,
+        circulation_consistent=circ_cons,
         step_jumps=stream[nu:nj])
 
 

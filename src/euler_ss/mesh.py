@@ -99,7 +99,7 @@ class Mesh:
     """Triangle mesh with validated boundary structure and edge tables."""
 
     def __init__(self, vertices, triangles, boundary_edges, roles,
-                 radii=None, _validate=True):
+                 radii=None):
         self.vertices = np.ascontiguousarray(vertices, dtype=np.float64)
         self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
@@ -112,26 +112,24 @@ class Mesh:
             raise UsageError("triangles must be a (T, 3) array")
         self.radii = dict(radii) if radii else None
 
-        self._build_triangle_data(_validate)
+        self._build_triangle_data()
         self._build_edge_table()
         self._build_components(np.asarray(boundary_edges, dtype=np.int64),
-                               dict(roles), _validate)
-        if _validate:
-            self._validate_global()
+                               dict(roles))
+        self._validate_global()
 
     # -- construction ---------------------------------------------------
 
-    def _build_triangle_data(self, validate: bool) -> None:
+    def _build_triangle_data(self) -> None:
         v = self.vertices[self.triangles]          # (T, 3, 2)
         d1 = v[:, 1] - v[:, 0]
         d2 = v[:, 2] - v[:, 0]
         signed = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-        if validate:
-            bad = np.nonzero(signed <= 0.0)[0]
-            if bad.size:
-                raise UsageError(
-                    f"inverted triangle {int(bad[0])} "
-                    f"(signed area {signed[bad[0]]:.3e}; must be counterclockwise)")
+        bad = np.nonzero(signed <= 0.0)[0]
+        if bad.size:
+            raise UsageError(
+                f"inverted triangle {int(bad[0])} "
+                f"(signed area {signed[bad[0]]:.3e}; must be counterclockwise)")
         self.tri_area = signed
         self.centroid = v.mean(axis=1)
         l0 = np.linalg.norm(v[:, 2] - v[:, 1], axis=1)
@@ -190,8 +188,7 @@ class Mesh:
         self.edge_normal /= self.edge_length[:, None]
         self.interior_edge = self.edge_right >= 0
 
-    def _build_components(self, bedges: np.ndarray, roles: dict,
-                          validate: bool) -> None:
+    def _build_components(self, bedges: np.ndarray, roles: dict) -> None:
         boundary_ids = np.nonzero(~self.interior_edge)[0]
         derived = {}
         for e in boundary_ids:
@@ -275,7 +272,7 @@ class Mesh:
             if self.components else np.empty(0, dtype=np.int64))
         self._node_sets: dict[tuple[int, ...], np.ndarray] = {}
 
-        if validate and self.components:
+        if self.components:
             # component 0 must be the outer loop: with fluid on the left it
             # is the unique loop of positive signed area
             areas = [self._loop_area(comp) for comp in self.components]
@@ -570,7 +567,7 @@ def load_mesh(path) -> Mesh:
     try:
         with open(path) as f:
             raw = f.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read mesh file {path}: {exc}") from None
 
     def fail(lineno, msg):
@@ -585,56 +582,36 @@ def load_mesh(path) -> Mesh:
         nv, nt, nb, nk = (int(x) for x in head)
     except ValueError:
         fail(1, f"non-integer header field in {raw[0]!r}")
+    if min(nv, nt, nb, nk) < 0:
+        fail(1, f"negative count in header {raw[0]!r}")
     need = 1 + nv + nt + nb + nk
-    body = [ln for ln in raw if ln.strip()]
+    # (file line number, text) of the non-empty lines
+    body = [(n, ln) for n, ln in enumerate(raw, start=1) if ln.strip()]
     if len(body) != need:
         fail(len(raw), f"expected {need} lines, found {len(body)} non-empty")
 
-    vertices = np.empty((nv, 2))
-    for i in range(nv):
-        ln = body[1 + i].split()
-        if len(ln) != 2:
-            fail(2 + i, f"vertex line needs 'x y', got {body[1 + i]!r}")
-        try:
-            vertices[i] = [float(ln[0]), float(ln[1])]
-        except ValueError:
-            fail(2 + i, f"bad vertex coordinates {body[1 + i]!r}")
+    def rows(start, count, what, fields, kinds):
+        """Body lines start .. start + count - 1, one token per kind, each
+        parsed by its kind (np.int64 rejects what overflows)."""
+        out = []
+        for lineno, line in body[start:start + count]:
+            tokens = line.split()
+            if len(tokens) != len(kinds):
+                fail(lineno, f"{what} line needs '{fields}', got {line!r}")
+            try:
+                out.append(tuple(k(x) for k, x in zip(kinds, tokens)))
+            except (ValueError, OverflowError):
+                fail(lineno, f"bad {what} line {line!r}")
+        return out
 
-    triangles = np.empty((nt, 3), dtype=np.int64)
-    for i in range(nt):
-        lineno = 1 + nv + i
-        ln = body[lineno].split()
-        if len(ln) != 3:
-            fail(lineno + 1, f"triangle line needs 'i j k', got {body[lineno]!r}")
-        try:
-            triangles[i] = [int(x) for x in ln]
-        except ValueError:
-            fail(lineno + 1, f"bad triangle indices {body[lineno]!r}")
-        if triangles[i].min() < 0 or triangles[i].max() >= nv:
-            fail(lineno + 1, f"triangle index out of range in {body[lineno]!r}")
-
-    bedges = np.empty((nb, 3), dtype=np.int64)
-    for i in range(nb):
-        lineno = 1 + nv + nt + i
-        ln = body[lineno].split()
-        if len(ln) != 3:
-            fail(lineno + 1,
-                 f"boundary line needs 'i j comp', got {body[lineno]!r}")
-        try:
-            bedges[i] = [int(x) for x in ln]
-        except ValueError:
-            fail(lineno + 1, f"bad boundary edge {body[lineno]!r}")
-
-    roles = {}
-    for i in range(nk):
-        lineno = 1 + nv + nt + nb + i
-        ln = body[lineno].split()
-        if len(ln) != 2:
-            fail(lineno + 1,
-                 f"component line needs 'comp role', got {body[lineno]!r}")
-        try:
-            roles[int(ln[0])] = ln[1]
-        except ValueError:
-            fail(lineno + 1, f"bad component id {body[lineno]!r}")
-
-    return Mesh(vertices, triangles, bedges, roles)
+    index3 = (np.int64,) * 3
+    vertices = rows(1, nv, "vertex", "x y", (float, float))
+    triangles = rows(1 + nv, nt, "triangle", "i j k", index3)
+    for (lineno, line), tri in zip(body[1 + nv:], triangles):
+        if min(tri) < 0 or max(tri) >= nv:
+            fail(lineno, f"triangle index out of range in {line!r}")
+    bedges = rows(1 + nv + nt, nb, "boundary", "i j comp", index3)
+    roles = rows(1 + nv + nt + nb, nk, "component", "comp role", (int, str))
+    return Mesh(np.array(vertices, dtype=np.float64).reshape(nv, 2),
+                np.array(triangles, dtype=np.int64).reshape(nt, 3),
+                np.array(bedges, dtype=np.int64).reshape(nb, 3), dict(roles))

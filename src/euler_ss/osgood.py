@@ -244,10 +244,6 @@ class StabilityReport:
     noise_floor: float
 
 
-def _running_max(z: np.ndarray) -> np.ndarray:
-    return np.maximum.accumulate(z)
-
-
 def calibrate_constant(times: np.ndarray, y: np.ndarray,
                        data2: float) -> float:
     """Smallest C with  [y]_k <= C ( int_k y (1 + |log y|) + data2 dt )
@@ -279,8 +275,9 @@ def stability_experiment(base_scenario, deltas, comp: int | None = None
     from .hodge import HarmonicBasis
 
     deltas = sorted(float(d) for d in deltas)
-    if not deltas or deltas[0] < 0:
-        raise UsageError("deltas must be nonnegative")
+    if not deltas or not all(math.isfinite(d) and d >= 0 for d in deltas):
+        raise UsageError(f"deltas must be finite and nonnegative, got "
+                         f"{deltas}")
     mesh = base_scenario.mesh
     if comp is None:
         if len(mesh.components) < 2:
@@ -302,7 +299,7 @@ def stability_experiment(base_scenario, deltas, comp: int | None = None
                                  a=math.nan, bound_margin=math.nan,
                                  bound_ok=False, failed=str(exc))
         times = tw.times
-        y = _running_max(tw.z_u + tw.z_v)
+        y = np.maximum.accumulate(tw.z_u + tw.z_v)
         data2 = len(comps) * delta * delta
         c_hat = calibrate_constant(times, y, data2)
         a = c_hat * data2

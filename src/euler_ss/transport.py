@@ -27,10 +27,10 @@ The rotational part is the reconstruction's own edge-jump product
 upwind flux are one product with D stacked over the component x edge
 indicator.
 
-The through-flow set-up of a run (the Neumann potential, its gradient and
-the equilibrated ``FluxAssembler``) depends only on the mesh and g.
-``flow_setup`` caches it on the harmonic basis, keyed by the bytes of the
-g arrays, so the twin and ladder runs on one basis pay for it once.
+The through-flow of a g (the sign check, the Neumann potential, its
+gradient and the equilibrated fluxes) has one owner, ``FluxAssembler``.
+``flow_setup`` caches one per g on the harmonic basis, so the twin and
+ladder runs on one basis pay for it once.
 
 Time stepping is forward Euler (optionally a two-stage strong-stability
 update) under a CFL cap combining the incircle-diameter travel time with a
@@ -141,11 +141,29 @@ class _Profile:
 
 
 def _comp_key(key, where: str) -> int:
-    try:
-        return int(key)
-    except (TypeError, ValueError):
-        raise UsageError(f"{where}: component keys must be integers, "
-                         f"got {key!r}") from None
+    if isinstance(key, (int, str)) and not isinstance(key, bool):
+        try:
+            return int(key)
+        except ValueError:
+            pass
+    raise UsageError(f"{where}: component keys must be integers, "
+                     f"got {key!r}")
+
+
+def _container(doc: dict, key: str, lists: bool = False):
+    """``doc[key]`` (default {}): an object, or a list if ``lists``."""
+    raw = doc.get(key, {})
+    if isinstance(raw, dict) or (lists and isinstance(raw, list)):
+        return raw
+    kinds = "an object or a list" if lists else "an object"
+    raise UsageError(f"{key}: expected {kinds}, got {type(raw).__name__}")
+
+
+def _path(spec: dict, where: str) -> str:
+    path = spec["path"]
+    if not isinstance(path, str) or not path:
+        raise UsageError(f"{where}: 'path' must be a non-empty string")
+    return path
 
 
 class Scenario:
@@ -176,7 +194,7 @@ class Scenario:
                              "(expected 'euler' or 'rk2')")
 
         comp_ids = {c.comp for c in self.mesh.components}
-        raw_g = doc.get("g", {})
+        raw_g = _container(doc, "g", lists=True)
         if isinstance(raw_g, list):
             flat = {}
             for item in raw_g:
@@ -189,7 +207,7 @@ class Scenario:
                 flat[cid] = item
             raw_g = flat
         self.g_profiles: dict[int, _Profile] = {}
-        for key, spec in dict(raw_g).items():
+        for key, spec in raw_g.items():
             cid = _comp_key(key, "g")
             if cid not in comp_ids:
                 raise UsageError(f"g: no boundary component {cid}")
@@ -218,7 +236,7 @@ class Scenario:
         self._validate_omega0(self.omega0_spec)
 
         self.omega_in: dict[int, _Profile] = {}
-        for key, spec in dict(doc.get("omega_in", {})).items():
+        for key, spec in _container(doc, "omega_in").items():
             cid = _comp_key(key, "omega_in")
             if cid not in comp_ids:
                 raise UsageError(f"omega_in: no boundary component {cid}")
@@ -239,7 +257,7 @@ class Scenario:
         self.omega_in_shift: dict[int, float] = {}
 
         self.C0: dict[int, float] = {}
-        for key, val in dict(doc.get("C0", {})).items():
+        for key, val in _container(doc, "C0").items():
             cid = _comp_key(key, "C0")
             if cid not in comp_ids or cid == 0:
                 raise UsageError(f"C0: component {cid} is not an inner "
@@ -255,7 +273,7 @@ class Scenario:
         if ("annulus" in spec) == ("path" in spec):
             raise UsageError("mesh: give exactly one of 'annulus' or 'path'")
         if "path" in spec:
-            return load_mesh(self.base_dir / spec["path"])
+            return load_mesh(self.base_dir / _path(spec, "mesh"))
         ann = spec["annulus"]
         _check_keys(ann, "mesh.annulus", required=("r0", "r1", "nr", "ntheta"),
                     optional=("roles",))
@@ -301,12 +319,11 @@ class Scenario:
 
     # -- data on a mesh -------------------------------------------------
 
-    def g_edges(self, mesh: Mesh | None = None) -> dict[int, np.ndarray]:
+    def g_edges(self) -> dict[int, np.ndarray]:
         """Per-edge boundary data at unit multiplier."""
-        mesh = mesh or self.mesh
         out = {}
         for cid, prof in self.g_profiles.items():
-            comp = mesh.component(cid)
+            comp = self.mesh.component(cid)
             s = (np.cumsum(comp.length) - 0.5 * comp.length) \
                 / comp.total_length
             out[cid] = np.asarray(prof(s), dtype=np.float64)
@@ -336,11 +353,12 @@ class Scenario:
                 _number(spec["background"], "omega0.background")
         elif kind == "file":
             _check_keys(spec, "omega0", required=("type", "path"))
+            _path(spec, "omega0")
         else:
             raise UsageError(f"omega0: unknown type {kind!r}")
 
-    def initial_omega(self, mesh: Mesh | None = None) -> np.ndarray:
-        mesh = mesh or self.mesh
+    def initial_omega(self) -> np.ndarray:
+        mesh = self.mesh
         spec = self.omega0_spec
         kind = spec["type"]
         if kind == "constant":
@@ -354,7 +372,11 @@ class Scenario:
         else:
             path = self.base_dir / spec["path"]
             if path not in self._omega0_files:
-                vals = np.loadtxt(path, dtype=np.float64, ndmin=1)
+                try:
+                    vals = np.loadtxt(path, dtype=np.float64, ndmin=1)
+                except (OSError, ValueError) as exc:
+                    raise UsageError(f"cannot read omega0 file {path}: "
+                                     f"{exc}") from None
                 vals.setflags(write=False)
                 self._omega0_files[path] = vals
             vals = self._omega0_files[path]
@@ -364,17 +386,17 @@ class Scenario:
                     f"values, got {vals.shape}")
         return vals + self.omega0_shift
 
-    def initial_C(self, mesh: Mesh | None = None) -> np.ndarray:
-        mesh = mesh or self.mesh
+    def initial_C(self) -> np.ndarray:
         return np.array([self.C0.get(c.comp, 0.0)
-                         for c in mesh.components[1:]])
+                         for c in self.mesh.components[1:]])
 
     def perturbed(self, **delta) -> "Scenario":
         """Copy with additive perturbations: C0={comp: dC}, omega0=dw
         (constant shift), omega_in={comp: dw}.  The shifts are stored as
         numbers, which ``initial_omega`` and ``omega_in_value`` add.  A
         C0 shift names an inner component, an omega_in shift an inflow
-        component; any other id is a usage error."""
+        component; any other id, and any shift that is not a finite
+        number, is a usage error."""
         other = copy.copy(self)
         if "C0" in delta:
             other.C0 = dict(self.C0)
@@ -383,9 +405,11 @@ class Scenario:
                 if cid not in inner:
                     raise UsageError(f"C0: component {cid} is not an inner "
                                      "component")
-                other.C0[cid] = other.C0.get(cid, 0.0) + dv
+                other.C0[cid] = other.C0.get(cid, 0.0) \
+                    + _number(dv, f"C0[{cid}] shift")
         if "omega0" in delta:
-            other.omega0_shift = self.omega0_shift + float(delta["omega0"])
+            other.omega0_shift = self.omega0_shift \
+                + _number(delta["omega0"], "omega0 shift")
         if "omega_in" in delta:
             other.omega_in_shift = dict(self.omega_in_shift)
             for cid, dv in delta["omega_in"].items():
@@ -393,7 +417,8 @@ class Scenario:
                     raise UsageError(f"omega_in: component {cid} is not an "
                                      "inflow component")
                 other.omega_in_shift[cid] = \
-                    other.omega_in_shift.get(cid, 0.0) + float(dv)
+                    other.omega_in_shift.get(cid, 0.0) \
+                    + _number(dv, f"omega_in[{cid}] shift")
         return other
 
 
@@ -401,7 +426,7 @@ def load_scenario(path) -> Scenario:
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read scenario {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise UsageError(f"scenario {path} is not valid JSON: {exc}") \
@@ -413,15 +438,22 @@ def load_scenario(path) -> Scenario:
 
 
 class FluxAssembler:
-    """Edge fluxes of one mesh and one g profile, with every cell and
-    component sum taken by an incidence matrix.  The cell-graph Laplacian
-    and its factor belong to the mesh (``Mesh.cell_graph``), so every
-    assembler of one mesh shares them; ``flow_setup`` shares one
-    assembler among the runs of one g."""
+    """The through-flow of one g on one basis and the edge fluxes of its
+    runs: g checked against the sign condition, its unit-multiplier
+    Neumann potential ``phi`` and ``phi_grad`` (None when nothing flows),
+    and the equilibrated fluxes ``pot``.  Every cell and component sum is
+    an incidence product; the cell-graph factor belongs to the mesh."""
 
-    def __init__(self, mesh: Mesh, g_edges: dict[int, np.ndarray],
-                 phi_grad: VelocityP0 | None):
+    def __init__(self, basis: HarmonicBasis, g_edges: dict[int, np.ndarray]):
+        mesh = basis.mesh
         self.mesh = mesh
+        self.g_edges = g_edges
+        self.phi: ScalarFieldP1 | None = None
+        self.phi_grad: VelocityP0 | None = None
+        if any(np.any(g != 0.0) for g in g_edges.values()):
+            hodge.validate_sign_condition(mesh, g_edges)
+            self.phi = fem.solve_neumann(basis.op, g_edges)
+            self.phi_grad = fem.gradient(mesh, self.phi)
         self.D = mesh.incidence
         self.abs_D = abs(self.D)
         # squared inverse incircle diameters and inverse areas: the CFL
@@ -448,17 +480,17 @@ class FluxAssembler:
             if c.comp in g_edges:
                 self.pot[c.edge_ids] = np.asarray(g_edges[c.comp]) * c.length
         self.div_defect = 0.0
-        if phi_grad is not None:
-            self._equilibrate_potential_fluxes(phi_grad)
+        if self.phi_grad is not None:
+            self._equilibrate_potential_fluxes()
         # shared by every run of this g on the basis
         self.pot.setflags(write=False)
 
-    def _equilibrate_potential_fluxes(self, phi_grad: VelocityP0) -> None:
+    def _equilibrate_potential_fluxes(self) -> None:
         """Averaged-gradient interior fluxes corrected to make every cell
         exactly divergence free against the prescribed boundary fluxes."""
         mesh = self.mesh
         graph = mesh.cell_graph
-        gv = phi_grad.values
+        gv = self.phi_grad.values
         ids = graph.interior
         n = mesh.edge_normal[ids]
         ln = mesh.edge_length[ids]
@@ -508,24 +540,13 @@ class FluxAssembler:
 
 
 def flow_setup(basis: HarmonicBasis, g_edges: dict[int, np.ndarray]
-               ) -> tuple[ScalarFieldP1 | None, VelocityP0 | None,
-                          FluxAssembler]:
-    """(phi, grad phi, FluxAssembler) of the unit-multiplier through-flow
-    of ``g_edges`` on the basis's mesh; phi and its gradient are None when
-    nothing flows.  The set-up is cached on the basis, keyed by the bytes
-    of the g arrays, so the runs of a ladder or a twin pair (one mesh, one
-    g) share one Neumann solve and one equilibration."""
+               ) -> FluxAssembler:
+    """The ``FluxAssembler`` of ``g_edges``, cached on the basis by the
+    bytes of the g arrays: the runs of a ladder or a twin pair share it."""
     key = tuple((cid, np.asarray(g, dtype=np.float64).tobytes())
                 for cid, g in sorted(g_edges.items()))
     if key not in basis.flows:
-        mesh = basis.mesh
-        phi = phi_grad = None
-        if any(np.any(g != 0.0) for g in g_edges.values()):
-            hodge.validate_sign_condition(mesh, g_edges)
-            phi = fem.solve_neumann(basis.op, g_edges)
-            phi_grad = fem.gradient(mesh, phi)
-        basis.flows[key] = (phi, phi_grad,
-                            FluxAssembler(mesh, g_edges, phi_grad))
+        basis.flows[key] = FluxAssembler(basis, g_edges)
     return basis.flows[key]
 
 
@@ -543,7 +564,6 @@ class SimState:
     assembly: VelocityAssembly
     energy: float
     dt_last: float
-    step_count: int
 
     @property
     def circulations(self) -> np.ndarray:
@@ -558,9 +578,7 @@ class Trajectory:
     mesh: Mesh
     basis: HarmonicBasis
     states: list[SimState]
-    g_edges: dict[int, np.ndarray]
-    flux: FluxAssembler
-    phi: ScalarFieldP1 | None
+    flux: FluxAssembler            # the through-flow: g, phi and its fluxes
     max_principle_defect: float
     budget_defect: float
     total_steps: int
@@ -577,15 +595,13 @@ def run(scenario: Scenario, basis: HarmonicBasis | None = None) -> Trajectory:
     if basis.mesh is not mesh:
         raise UsageError("basis was assembled on a different mesh")
 
-    g_edges = scenario.g_edges(mesh)
-    phi, phi_grad, flux = flow_setup(basis, g_edges)
-    has_flow = phi is not None
+    flux = flow_setup(basis, scenario.g_edges())
 
-    omega = scenario.initial_omega(mesh)
+    omega = scenario.initial_omega()
     if np.any(~np.isfinite(omega)):
         raise PreconditionError("initial vorticity contains non-finite "
                                 "values")
-    C = scenario.initial_C(mesh)
+    C = scenario.initial_C()
     ncomp = len(mesh.components)
     B = np.zeros(ncomp)
     inflow_ids = [c.comp for c in mesh.components if c.role == "inflow"]
@@ -597,9 +613,8 @@ def run(scenario: Scenario, basis: HarmonicBasis | None = None) -> Trajectory:
 
     def assemble(om, circ, t):
         return hodge.reconstruct_velocity(
-            basis, VorticityP0(mesh, om), g_edges if has_flow else None,
-            circ, multiplier=scenario.multiplier(t), phi=phi,
-            phi_grad=phi_grad)
+            basis, VorticityP0(mesh, om), circ,
+            multiplier=scenario.multiplier(t), phi_grad=flux.phi_grad)
 
     def energy(asm):
         return 0.5 * float(np.einsum("td,td,t->", asm.u.values,
@@ -608,7 +623,7 @@ def run(scenario: Scenario, basis: HarmonicBasis | None = None) -> Trajectory:
     asm = assemble(omega, C, 0.0)
     states = [SimState(t=0.0, omega=omega.copy(), C=C.copy(), B=B.copy(),
                        assembly=asm.without_step_jumps(),
-                       energy=energy(asm), dt_last=0.0, step_count=0)]
+                       energy=energy(asm), dt_last=0.0)]
     t = 0.0
     total_steps = 0
     rk2 = scenario.scheme == "rk2"
@@ -674,11 +689,10 @@ def run(scenario: Scenario, basis: HarmonicBasis | None = None) -> Trajectory:
         states.append(SimState(t=t, omega=omega.copy(), C=C.copy(),
                                B=B.copy(),
                                assembly=asm.without_step_jumps(),
-                               energy=energy(asm), dt_last=dt,
-                               step_count=total_steps))
+                               energy=energy(asm), dt_last=dt))
 
     return Trajectory(scenario=scenario, mesh=mesh, basis=basis,
-                      states=states, g_edges=g_edges, flux=flux, phi=phi,
+                      states=states, flux=flux,
                       max_principle_defect=mp_defect,
                       budget_defect=budget_defect, total_steps=total_steps)
 

@@ -37,7 +37,6 @@ class AuxiliaryState:
     phi: ScalarFieldP1
     v: VelocityP0                  # grad_perp(phi)
     D: np.ndarray                  # (ncomp,) consistent fluxes of phi
-    load: np.ndarray               # RHS used in the solve
     pinned_components: list[int]
     free_components: list[int]
 
@@ -63,7 +62,7 @@ def solve_auxiliary(basis: HarmonicBasis, psi: ScalarFieldP1,
             "auxiliary problem needs at least one wall or outflow "
             "component to pin (every component is an inflow)")
 
-    load = -basis.op.apply(psi.values) \
+    load = -(basis.op.matrix @ psi.values) \
         - fem.p0_load_vector(mesh, omega.values)
     nodes = mesh.nodes_of(pinned)
     phi = fem.solve_constrained(basis.op, load, nodes,
@@ -71,7 +70,7 @@ def solve_auxiliary(basis: HarmonicBasis, psi: ScalarFieldP1,
     # consistent fluxes of phi with a zero pairing load
     D = fem.consistent_fluxes(basis.op, phi, np.zeros(mesh.num_vertices))
     v = fem.perp_gradient(mesh, phi)
-    return AuxiliaryState(phi=phi, v=v, D=D, load=load,
+    return AuxiliaryState(phi=phi, v=v, D=D,
                           pinned_components=pinned, free_components=free)
 
 

@@ -225,7 +225,7 @@ def test_lamb_identity_rate():
 
 def test_trace_inequality_harmonic_values():
     m = generate_annulus(1.0, 2.0, 16, 64)
-    op = fem.assemble_stiffness(m)
+    op = fem.StiffnessOperator(m)
     f = fem.solve_dirichlet(op, np.zeros(m.num_vertices), {0: 0.0, 1: 1.0})
     rep = trace_inequality(op, f, np.zeros(m.num_vertices), 1)
     exact_lhs = 2 * math.pi / LN2 ** 2
@@ -239,7 +239,7 @@ def test_trace_inequality_harmonic_values():
 
 
 def test_trace_inequality_needs_harmonic_field(annulus_mid):
-    op = fem.assemble_stiffness(annulus_mid)
+    op = fem.StiffnessOperator(annulus_mid)
     r = np.hypot(*annulus_mid.vertices.T)
     bumpy = fem.ScalarFieldP1(annulus_mid, r ** 2)
     with pytest.raises(PreconditionError, match="harmonic"):

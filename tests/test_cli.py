@@ -221,6 +221,62 @@ def test_certify_delta_c0_needs_inner_component(tmp_path, scenario_file,
     assert "not an inner component" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("g", 2.5, "g: expected an object or a list, got float"),
+    ("g", True, "g: expected an object or a list, got bool"),
+    ("g", None, "g: expected an object or a list, got NoneType"),
+    ("C0", [1.0, 2.0], "C0: expected an object, got list"),
+    ("C0", None, "C0: expected an object, got NoneType"),
+    ("omega_in", "x", "omega_in: expected an object, got str"),
+])
+def test_scenario_container_of_wrong_type_is_usage_error(
+        tmp_path, capsys, key, value, message):
+    doc = radial_doc()
+    doc[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    rc = main(["simulate", str(path), "-o", str(tmp_path / "out")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--delta-c0", "1=nan"],
+    ["certify", "--delta-c0", "1=inf"],
+    ["certify", "--delta-omega-in", "1=inf"],
+    ["certify", "--delta-omega0", "nan"],
+    ["stability", "--ladder", "nan"],
+    ["stability", "--ladder", "inf"],
+    ["stability", "--ladder", "0.01,-inf"],
+], ids=" ".join)
+def test_non_finite_perturbation_is_usage_error(tmp_path, scenario_file,
+                                                capsys, argv):
+    out = tmp_path / "out"
+    rc = main([argv[0], str(scenario_file), *argv[1:], "-o", str(out)])
+    assert rc == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (out / "report.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "SCENARIO", "--delta-c0", "1=0.1", "--refine", "0"],
+    ["certify", "SCENARIO", "--delta-c0", "1=0.1", "--refine", "-2"],
+    ["mesh", "refine", "MESH", "--times", "-1"],
+    ["mesh", "refine", "MESH", "--times", "0"],
+], ids=" ".join)
+def test_count_out_of_range_is_usage_error(tmp_path, scenario_file, capsys,
+                                           argv):
+    mesh_file = tmp_path / "m.txt"
+    main(["mesh", "annulus", "--r0", "1", "--r1", "2", "--nr", "2",
+          "--ntheta", "8", "-o", str(mesh_file)])
+    out = tmp_path / "out"
+    names = {"SCENARIO": str(scenario_file), "MESH": str(mesh_file)}
+    rc = main([names.get(a, a) for a in argv] + ["-o", str(out)])
+    assert rc == 2
+    assert "positive integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- stability ----------------------------------------------------------
 
 

@@ -215,6 +215,33 @@ def test_load_errors_name_the_line(tmp_path):
         load_mesh(path)
 
 
+@pytest.mark.parametrize("lineno,text", [
+    (0, "-1 57 16 2"),                      # the line total still matches
+    (25, "0 99999999999999999999 9"),       # triangle index past int64
+    (57, "99999999999999999999 17 0"),      # boundary vertex past int64
+])
+def test_load_rejects_negative_counts_and_huge_indices(tmp_path, lineno,
+                                                        text):
+    path = tmp_path / "bad.txt"
+    save_mesh(generate_annulus(1.0, 2.0, 2, 8), path)
+    lines = path.read_text().splitlines()
+    lines[lineno] = text
+    path.write_text("\n".join(lines))
+    with pytest.raises(UsageError, match=f"line {lineno + 1}"):
+        load_mesh(path)
+
+
+def test_load_errors_count_blank_lines(tmp_path):
+    path = tmp_path / "bad.txt"
+    save_mesh(generate_annulus(1.0, 2.0, 2, 8), path)
+    lines = path.read_text().splitlines()
+    lines[2] = "x 0.5"
+    lines.insert(1, "")
+    path.write_text("\n".join(lines))
+    with pytest.raises(UsageError, match="line 4: bad vertex"):
+        load_mesh(path)
+
+
 def test_load_rejects_truncation(tmp_path):
     path = tmp_path / "short.txt"
     m = generate_annulus(1.0, 2.0, 2, 8)

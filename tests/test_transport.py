@@ -230,7 +230,7 @@ def test_flux_sums_match_scatter_reference(flow_pair):
     f = flux.fluxes(s.assembly)
     for c in mesh.components:
         assert np.array_equal(f[c.edge_ids],
-                              mult * traj.g_edges[c.comp] * c.length)
+                              mult * traj.flux.g_edges[c.comp] * c.length)
     div, rates = flux.upwind_rates(s.omega, f, {1: 0.8})
     dt = flux.stable_dt(s.assembly.u, f, 1.0)
 
@@ -291,12 +291,11 @@ def test_flux_assemblers_share_the_graph_factor(monkeypatch):
     mesh = generate_annulus(1.0, 2.0, 4, 16, roles=("outflow", "inflow"))
     basis = HarmonicBasis(mesh)
     g = {0: np.full(16, 0.25), 1: np.full(16, -0.5)}
-    phi_grad = fem.gradient(mesh, fem.solve_neumann(basis.op, g))
+    fem.solve_neumann(basis.op, g)
     solver_calls = len(calls)
-    a = transport.FluxAssembler(mesh, g, phi_grad)
+    a = transport.FluxAssembler(basis, g)
     g2 = {c: 2.0 * v for c, v in g.items()}
-    b = transport.FluxAssembler(mesh, g2,
-                                VelocityP0(mesh, 2.0 * phi_grad.values))
+    b = transport.FluxAssembler(basis, g2)
     assert calls[solver_calls:] == [(mesh.num_triangles - 1,) * 2]
     assert len(mesh.cell_graph.factors) == 1
     assert max(a.div_defect, b.div_defect) < 1e-13
