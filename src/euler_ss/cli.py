@@ -7,12 +7,15 @@ same command on the same inputs produces byte-identical files.
 
 Exit codes: 0 success, 1 failed certificate checks, 2 usage or
 configuration errors, 3 precondition violations, 4 solver failures.
+``main`` returns the code; ``console_entry`` (the ``euler-ss`` script and
+``python -m euler_ss.cli``) exits the process with it.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -359,12 +362,14 @@ def cmd_stability(args) -> int:
         bound_T = rung.bound_series[-1] if rung.bound_series is not None \
             else math.nan
         rows.append([rung.delta, sc.T, rung.y_final, bound_T,
-                     rep.beta, rung.C_hat])
+                     rep.beta, rung.C_hat, rung.y0, rung.a,
+                     rung.bound_margin])
         if rung.times is not None:
             _write_csv(outdir / f"rung_{i:02d}.csv", ["t", "y", "bound"],
                        zip(rung.times, rung.y_series, rung.bound_series))
     _write_csv(outdir / "report.csv",
-               ["delta", "T", "y_T", "bound_T", "beta_fit", "C_hat"], rows)
+               ["delta", "T", "y_T", "bound_T", "beta_fit", "C_hat", "y0",
+                "a", "bound_margin"], rows)
 
     failed = [r for r in rep.rungs if r.failed is not None]
     for r in failed:
@@ -459,5 +464,25 @@ def main(argv=None) -> int:
         return 4
 
 
+def console_entry() -> None:
+    """Run ``main`` on the command line and end the process with its code.
+
+    Every output file is closed before ``main`` returns, so once stdout
+    and stderr are flushed nothing is left for interpreter teardown to
+    do but free modules, 0.05-0.13 s on a 2-vCPU machine once scipy is
+    imported: ``os._exit`` skips it.  An exception escaping ``main``
+    (argparse's ``SystemExit`` included) or a failed flush takes the
+    normal exit.
+    """
+    code = main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:      # None when the descriptor is closed
+                stream.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console_entry()

@@ -302,6 +302,10 @@ def test_stability_ladder_monotone(tmp_path, scenario_file):
                for i in range(len(rows)))
     beta = float(rows[0]["beta_fit"])
     assert 0.0 < beta <= 1.05
+    # every rung is live here: its envelope inputs and margin are written
+    for r in rows:
+        assert all(math.isfinite(float(r[k]))
+                   for k in ("y0", "a", "bound_margin"))
 
 
 def test_stability_bad_ladder(tmp_path, scenario_file, capsys):
@@ -311,16 +315,68 @@ def test_stability_bad_ladder(tmp_path, scenario_file, capsys):
     assert "ladder" in capsys.readouterr().err
 
 
-# -- start-up -----------------------------------------------------------
+# -- start-up and exit --------------------------------------------------
 
 
-def test_cli_import_skips_ode_integrators():
-    # only the ODE oracles need scipy.integrate; the CLI must not pay for it
+def child_env() -> dict:
+    """This checkout's package on the path, and stdout block buffered."""
     src = str(Path(euler_ss.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def test_cli_import_skips_ode_integrators():
+    # only the ODE oracles need scipy.integrate; the CLI must not pay for it
     code = ("import sys, euler_ss.cli; "
             "sys.exit('scipy.integrate' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code], env=env)
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env())
     assert proc.returncode == 0
+
+
+def run_module(tmp_path, args):
+    """``python -m euler_ss.cli ARGS`` with stdout and stderr sent to
+    files; returns (exit code, stdout, stderr)."""
+    out, err = tmp_path / "stdout.txt", tmp_path / "stderr.txt"
+    with open(out, "wb") as fo, open(err, "wb") as fe:
+        code = subprocess.run([sys.executable, "-m", "euler_ss.cli", *args],
+                              env=child_env(), stdout=fo, stderr=fe,
+                              timeout=120).returncode
+    return code, out.read_text(), err.read_text()
+
+
+def test_module_entry_flushes_before_exit(tmp_path, scenario_file, capsys):
+    # in process, main returns its code and leaves the interpreter running
+    assert main(["simulate", str(scenario_file),
+                 "-o", str(tmp_path / "inproc")]) == 0
+    expected = capsys.readouterr().out
+    code, out, _ = run_module(tmp_path, ["simulate", str(scenario_file),
+                                         "-o", str(tmp_path / "child")])
+    assert code == 0
+    # the block-buffered stdout reaches its file whole
+    assert out == expected.replace("inproc", "child")
+    assert (tmp_path / "child" / "trajectory.csv").read_bytes() \
+        == (tmp_path / "inproc" / "trajectory.csv").read_bytes()
+
+
+@pytest.mark.parametrize("case", ["flag", "ladder", "sign"])
+def test_module_entry_error_codes(tmp_path, scenario_file, case):
+    if case == "flag":          # argparse exits from inside main
+        args, want, text = ["simulate", "--no-such-flag"], 2, "usage:"
+    elif case == "ladder":
+        args = ["stability", str(scenario_file), "--ladder", "0.1,fish",
+                "-o", str(tmp_path / "stab")]
+        want, text = 2, "error: --ladder"
+    else:
+        doc = radial_doc()
+        doc["g"][0]["value"] = -0.05        # outflow data with g < 0
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        args = ["simulate", str(bad), "-o", str(tmp_path / "run")]
+        want, text = 3, "precondition violated: sign condition"
+    code, out, err = run_module(tmp_path, args)
+    assert code == want
+    assert text in err
+    assert out == ""

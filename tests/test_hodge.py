@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from euler_ss import fem
+from euler_ss import fem, transport
 from euler_ss.errors import PreconditionError, UsageError
 from euler_ss.hodge import (HarmonicBasis, check_elliptic_growth,
                             greens_operator, reconstruct_velocity,
@@ -174,7 +174,7 @@ def test_sign_condition_accepts_valid_data():
     validate_sign_condition(m2, g2)
 
 
-def test_elliptic_growth_proxy_bounded(basis_mid):
+def test_elliptic_growth_proxy_bounded(basis_mid, flow_scenario):
     m = basis_mid.mesh
     rng = np.random.default_rng(9)
     w = fem.VorticityP0(m, rng.uniform(-1.0, 1.0, m.num_triangles))
@@ -185,3 +185,22 @@ def test_elliptic_growth_proxy_bounded(basis_mid):
     assert all(np.isfinite(p) and p > 0 for p in proxies)
     # the p-scaled norms must not blow up with p
     assert max(proxies) < 50.0
+
+    # with through-flow, each row's data term adds |g|_inf * |multiplier|
+    basis = HarmonicBasis(flow_scenario.mesh)
+    flow = transport.flow_setup(basis, flow_scenario.g_edges())
+    m = basis.mesh
+    w = fem.VorticityP0(m, rng.uniform(-1.0, 1.0, m.num_triangles))
+    mult = 0.7
+    asm = reconstruct_velocity(basis, w, np.array([0.2]), multiplier=mult,
+                               phi_grad=flow.phi_grad)
+    dry = check_elliptic_growth(basis, asm, w, None, np.array([0.2]))
+    rep = check_elliptic_growth(basis, asm, w, flow.g_edges, np.array([0.2]))
+    assert rep["bounded"]
+    g_inf = max(float(np.abs(g).max()) for g in flow.g_edges.values())
+    assert g_inf > 0
+    for r0, r in zip(dry["rows"], rep["rows"]):
+        assert r["proxy"] == r0["proxy"]
+        data0 = r0["proxy"] / (r0["p"] * r0["ratio"])
+        data = r["proxy"] / (r["p"] * r["ratio"])
+        assert data - data0 == pytest.approx(g_inf * mult, rel=1e-12)
