@@ -9,8 +9,8 @@ The package splits along the same seams as the underlying problem:
   consistent boundary fluxes,
 - :mod:`euler_ss.hodge` — harmonic stream basis, circulation matrix, and
   velocity reconstruction from vorticity plus boundary data,
-- :mod:`euler_ss.transport` — scenarios, conservative upwind transport,
-  and circulation bookkeeping,
+- :mod:`euler_ss.transport` — scenarios as parsed immutable values,
+  conservative upwind transport, and circulation bookkeeping,
 - :mod:`euler_ss.zaremba` — the auxiliary mixed problem of a difference
   state and its reversed-flux law,
 - :mod:`euler_ss.certificates` — twin-run identities, growth-inequality
@@ -31,7 +31,8 @@ from .mesh import (BoundaryComponent, Mesh, generate_annulus, load_mesh,
                    save_mesh, uniform_refine)
 from .osgood import (exact_comparison, growth_F, mu, ode_oracle,
                      osgood_bound, stability_experiment)
-from .transport import Scenario, Trajectory, load_scenario, run
+from .transport import (Scenario, Trajectory, load_scenario, parse_scenario,
+                        run)
 from .zaremba import AuxiliaryState, reversed_flux_residuals, \
     solve_auxiliary
 from .certificates import (TwinRun, interpolation_inequality,
@@ -44,10 +45,10 @@ __all__ = [
     "Mesh", "PreconditionError", "ScalarFieldP1", "Scenario",
     "SolverError", "StiffnessOperator", "Trajectory", "TwinRun",
     "UsageError", "VelocityAssembly", "VelocityP0", "VorticityP0",
-    "consistent_flux", "consistent_fluxes",
-    "exact_comparison", "generate_annulus", "greens_operator",
-    "growth_F", "interpolation_inequality", "lamb_identity",
-    "load_mesh", "load_scenario", "mu", "ode_oracle", "osgood_bound",
+    "consistent_flux", "consistent_fluxes", "exact_comparison",
+    "generate_annulus", "greens_operator", "growth_F",
+    "interpolation_inequality", "lamb_identity", "load_mesh",
+    "load_scenario", "mu", "ode_oracle", "osgood_bound", "parse_scenario",
     "reconstruct_velocity", "reversed_flux_residuals", "run",
     "save_mesh", "solve_auxiliary", "solve_constrained",
     "solve_dirichlet", "solve_mixed", "solve_neumann",

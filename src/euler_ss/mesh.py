@@ -468,11 +468,19 @@ def generate_annulus(r0: float, r1: float, nr: int, ntheta: int,
     2*nr*ntheta triangles.  Component 0 is the outer circle, component 1 the
     inner circle; ``roles`` assigns their roles in that order.  The mesh
     remembers both radii so refinement re-projects boundary midpoints.
+    Every argument is checked here, for the CLI and scenario files alike.
     """
-    if r0 <= 0 or r1 <= r0:
+    for name, n in (("nr", nr), ("ntheta", ntheta)):
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise UsageError(f"{name} must be an integer, got {n!r}")
+    if not 0 < r0 < r1:
         raise UsageError(f"need 0 < r0 < r1, got r0={r0}, r1={r1}")
     if nr < 1 or ntheta < 3:
         raise UsageError(f"need nr >= 1 and ntheta >= 3, got {nr}, {ntheta}")
+    if not (isinstance(roles, (tuple, list)) and len(roles) == 2
+            and all(r in ROLES for r in roles)):
+        raise UsageError(f"roles must be two of {ROLES} (outer first), "
+                         f"got {roles!r}")
     radii = np.linspace(r0, r1, nr + 1)
     theta = 2.0 * np.pi * np.arange(ntheta) / ntheta
     vx = np.outer(radii, np.cos(theta)).ravel()

@@ -241,7 +241,6 @@ class StabilityReport:
     C_spread: float         # max/min of the nonzero calibrated constants
     C_dev: float            # max relative deviation of C_hat from median
     monotone: bool          # final amplitudes ordered with delta
-    noise_floor: float
 
 
 def calibrate_constant(times: np.ndarray, y: np.ndarray,
@@ -335,5 +334,4 @@ def stability_experiment(base_scenario, deltas, comp: int | None = None
     monotone = bool(finals) and \
         bool(np.all(np.diff(finals) >= -1e-12 * max(finals)))
     return StabilityReport(rungs=rungs, beta=beta, beta_ok=beta_ok,
-                           C_spread=spread, C_dev=dev, monotone=monotone,
-                           noise_floor=NOISE_FLOOR)
+                           C_spread=spread, C_dev=dev, monotone=monotone)

@@ -42,14 +42,17 @@ edge array that serves the vorticity budget, so the two stay consistent to
 round-off.
 
 Scenario files are strict JSON: unknown keys anywhere are errors.
+``parse_scenario`` checks a document and parses each value once into a
+frozen ``Scenario``: every profile is a sample table that ``np.interp``
+evaluates, and a file omega0 is read then.  ``perturbed`` and ``refined``
+return ``dataclasses.replace`` copies.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -59,7 +62,7 @@ from . import fem, hodge
 from .errors import PreconditionError, SolverError, UsageError
 from .fem import ScalarFieldP1, VelocityP0, VorticityP0
 from .hodge import HarmonicBasis, VelocityAssembly
-from .mesh import ROLES, Mesh, generate_annulus, load_mesh, uniform_refine
+from .mesh import Mesh, generate_annulus, load_mesh, uniform_refine
 
 MAX_STEPS_PER_INTERVAL = 2_000_000
 
@@ -99,45 +102,43 @@ def _table(spec: dict, where: str, xkey: str):
     return x, y
 
 
-class _Profile:
-    """Constant or linearly interpolated scalar profile."""
+@dataclass(frozen=True, eq=False)
+class Profile:
+    """A scalar profile as a sample table, linearly interpolated by
+    ``np.interp``.  A constant is a one-sample table; a periodic table
+    (arclength fractions, evaluated mod 1) ends with its wrap sample."""
 
-    def __init__(self, spec: dict, where: str, xkey: str,
-                 periodic: bool = False):
-        if isinstance(spec, dict) and "profile" in spec \
-                and "type" not in spec:
-            spec = {**spec}
-            spec["type"] = spec.pop("profile")
-        _check_keys(spec, where, required=("type",),
-                    optional=("value", xkey, "values"))
-        self.kind = spec["type"]
-        self.periodic = periodic
-        if self.kind == "constant":
-            _check_keys(spec, where, required=("type", "value"))
-            self.value = _number(spec["value"], where)
-        elif self.kind == "tabulated":
-            _check_keys(spec, where, required=("type", xkey, "values"))
-            self.x, self.y = _table(spec, where, xkey)
-            if periodic and not (self.x[0] >= 0.0 and self.x[-1] <= 1.0):
-                raise UsageError(f"{where}: arclength fractions must lie "
-                                 "in [0, 1]")
-        else:
-            raise UsageError(f"{where}: unknown profile type {self.kind!r}")
+    x: np.ndarray
+    y: np.ndarray
+    periodic: bool = False
 
     def __call__(self, x):
-        if self.kind == "constant":
-            return self.value if np.isscalar(x) \
-                else np.full(np.shape(x), self.value)
-        if self.periodic:
-            xs = np.concatenate([self.x, [self.x[0] + 1.0]])
-            ys = np.concatenate([self.y, [self.y[0]]])
-            return np.interp(np.mod(x, 1.0), xs, ys)
-        return np.interp(x, self.x, self.y)
+        return np.interp(np.mod(x, 1.0) if self.periodic else x,
+                         self.x, self.y)
 
-    def extrema(self):
-        if self.kind == "constant":
-            return self.value, self.value
-        return float(self.y.min()), float(self.y.max())
+
+def _profile(spec: dict, where: str, xkey: str,
+             periodic: bool = False) -> Profile:
+    """The table of a constant or tabulated profile spec."""
+    if isinstance(spec, dict) and "profile" in spec and "type" not in spec:
+        spec = {**spec}
+        spec["type"] = spec.pop("profile")
+    _check_keys(spec, where, required=("type",),
+                optional=("value", xkey, "values"))
+    kind = spec["type"]
+    if kind == "constant":
+        _check_keys(spec, where, required=("type", "value"))
+        return Profile(np.zeros(1), np.array([_number(spec["value"], where)]))
+    if kind != "tabulated":
+        raise UsageError(f"{where}: unknown profile type {kind!r}")
+    _check_keys(spec, where, required=("type", xkey, "values"))
+    x, y = _table(spec, where, xkey)
+    if periodic:
+        if not (x[0] >= 0.0 and x[-1] <= 1.0):
+            raise UsageError(f"{where}: arclength fractions must lie "
+                             "in [0, 1]")
+        x, y = np.append(x, x[0] + 1.0), np.append(y, y[0])
+    return Profile(x, y, periodic)
 
 
 def _comp_key(key, where: str) -> int:
@@ -166,163 +167,109 @@ def _path(spec: dict, where: str) -> str:
     return path
 
 
+def _mesh(spec, base_dir: Path) -> tuple[Mesh, tuple | None]:
+    """The mesh of a spec and, for an annulus, its ``generate_annulus``
+    arguments (None for a mesh file)."""
+    if isinstance(spec, str):
+        return load_mesh(base_dir / spec), None
+    _check_keys(spec, "mesh", optional=("annulus", "path"))
+    if ("annulus" in spec) == ("path" in spec):
+        raise UsageError("mesh: give exactly one of 'annulus' or 'path'")
+    if "path" in spec:
+        return load_mesh(base_dir / _path(spec, "mesh")), None
+    ann = spec["annulus"]
+    _check_keys(ann, "mesh.annulus", required=("r0", "r1", "nr", "ntheta"),
+                optional=("roles",))
+    args = (_number(ann["r0"], "mesh.annulus.r0"),
+            _number(ann["r1"], "mesh.annulus.r1"), ann["nr"], ann["ntheta"],
+            ann.get("roles", ("wall", "wall")))
+    return generate_annulus(*args), args
+
+
+@dataclass(frozen=True, eq=False)
+class Omega0:
+    """Parsed initial vorticity: ``cells`` read from a file (read-only,
+    one value per cell), or ``background`` with ``value`` on the band
+    r0 <= |x| <= r1 of ``band`` = (r0, r1, value), None for a constant."""
+
+    background: float = 0.0
+    band: tuple[float, float, float] | None = None
+    cells: np.ndarray | None = None
+
+
+def _omega0(spec: dict, base_dir: Path) -> Omega0:
+    _check_keys(spec, "omega0", required=("type",),
+                optional=("value", "r0", "r1", "background", "path"))
+    kind = spec["type"]
+    if kind == "constant":
+        _check_keys(spec, "omega0", required=("type", "value"))
+        return Omega0(_number(spec["value"], "omega0.value"))
+    if kind == "annular_band":
+        _check_keys(spec, "omega0", required=("type", "r0", "r1", "value"),
+                    optional=("background",))
+        band = tuple(_number(spec[k], f"omega0.{k}")
+                     for k in ("r0", "r1", "value"))
+        return Omega0(_number(spec.get("background", 0.0),
+                              "omega0.background"), band)
+    if kind != "file":
+        raise UsageError(f"omega0: unknown type {kind!r}")
+    _check_keys(spec, "omega0", required=("type", "path"))
+    path = base_dir / _path(spec, "omega0")
+    try:
+        cells = np.loadtxt(path, dtype=np.float64, ndmin=1)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read omega0 file {path}: {exc}") from None
+    cells.setflags(write=False)
+    return Omega0(cells=cells)
+
+
+@dataclass(frozen=True, eq=False)
 class Scenario:
-    """Validated simulation setup; resolves data onto any compatible mesh."""
+    """A parsed simulation setup (``parse_scenario``).  It is immutable:
+    ``perturbed`` and ``refined`` return ``dataclasses.replace`` copies,
+    which share every value they do not change."""
 
-    def __init__(self, doc: dict, base_dir: Path | str = "."):
-        self.base_dir = Path(base_dir)
-        _check_keys(doc, "scenario",
-                    required=("mesh", "omega0", "T", "cfl", "snapshots"),
-                    optional=("g", "g_multiplier", "omega_in", "C0",
-                              "scheme"))
-        self.mesh_spec = doc["mesh"]
-        self.mesh = self._build_mesh(self.mesh_spec)
-
-        self.T = _number(doc["T"], "T")
-        if self.T <= 0:
-            raise UsageError("T must be positive")
-        self.cfl = _number(doc["cfl"], "cfl")
-        if not 0 < self.cfl <= 1:
-            raise UsageError("cfl must lie in (0, 1]")
-        sn = doc["snapshots"]
-        if isinstance(sn, bool) or not isinstance(sn, int) or sn < 1:
-            raise UsageError("snapshots must be a positive integer")
-        self.snapshots = sn
-        self.scheme = doc.get("scheme", "euler")
-        if self.scheme not in ("euler", "rk2"):
-            raise UsageError(f"unknown scheme {self.scheme!r} "
-                             "(expected 'euler' or 'rk2')")
-
-        comp_ids = {c.comp for c in self.mesh.components}
-        raw_g = _container(doc, "g", lists=True)
-        if isinstance(raw_g, list):
-            flat = {}
-            for item in raw_g:
-                if not isinstance(item, dict) or "comp" not in item:
-                    raise UsageError("g: list entries need a 'comp' key")
-                item = {**item}
-                cid = _comp_key(item.pop("comp"), "g")
-                if cid in flat:
-                    raise UsageError(f"g: component {cid} given twice")
-                flat[cid] = item
-            raw_g = flat
-        self.g_profiles: dict[int, _Profile] = {}
-        for key, spec in raw_g.items():
-            cid = _comp_key(key, "g")
-            if cid not in comp_ids:
-                raise UsageError(f"g: no boundary component {cid}")
-            role = self.mesh.component(cid).role
-            if role == "wall":
-                raise UsageError(f"g: component {cid} is a wall; boundary "
-                                 "data belongs on inflow/outflow components")
-            self.g_profiles[cid] = _Profile(spec, f"g[{cid}]", "s",
-                                            periodic=True)
-        for c in self.mesh.components:
-            if c.role != "wall" and c.comp not in self.g_profiles:
-                raise UsageError(f"g: component {c.comp} has role "
-                                 f"{c.role!r} but no boundary data")
-
-        if "g_multiplier" in doc:
-            self.mult_profile = _Profile(doc["g_multiplier"], "g_multiplier",
-                                         "times")
-            lo, _ = self.mult_profile.extrema()
-            if lo < 0:
-                raise UsageError("g_multiplier must be nonnegative "
-                                 "(a sign change would swap the roles)")
-        else:
-            self.mult_profile = None
-
-        self.omega0_spec = doc["omega0"]
-        self._validate_omega0(self.omega0_spec)
-
-        self.omega_in: dict[int, _Profile] = {}
-        for key, spec in _container(doc, "omega_in").items():
-            cid = _comp_key(key, "omega_in")
-            if cid not in comp_ids:
-                raise UsageError(f"omega_in: no boundary component {cid}")
-            if self.mesh.component(cid).role != "inflow":
-                raise UsageError(f"omega_in: component {cid} is not an "
-                                 "inflow component")
-            self.omega_in[cid] = _Profile(spec, f"omega_in[{cid}]", "times")
-        for c in self.mesh.components:
-            if c.role == "inflow" and c.comp not in self.omega_in:
-                raise UsageError(f"omega_in: inflow component {c.comp} "
-                                 "needs trace data")
-        # a file omega0 is read once, keyed by its path; the copies made by
-        # ``perturbed`` and ``refined`` share this dict, so a ladder reads
-        # the file once too
-        self._omega0_files: dict[Path, np.ndarray] = {}
-        # additive shifts of a perturbed copy (see ``perturbed``)
-        self.omega0_shift = 0.0
-        self.omega_in_shift: dict[int, float] = {}
-
-        self.C0: dict[int, float] = {}
-        for key, val in _container(doc, "C0").items():
-            cid = _comp_key(key, "C0")
-            if cid not in comp_ids or cid == 0:
-                raise UsageError(f"C0: component {cid} is not an inner "
-                                 "component")
-            self.C0[cid] = _number(val, f"C0[{cid}]")
-
-    # -- mesh -----------------------------------------------------------
-
-    def _build_mesh(self, spec) -> Mesh:
-        if isinstance(spec, str):
-            return load_mesh(self.base_dir / spec)
-        _check_keys(spec, "mesh", optional=("annulus", "path"))
-        if ("annulus" in spec) == ("path" in spec):
-            raise UsageError("mesh: give exactly one of 'annulus' or 'path'")
-        if "path" in spec:
-            return load_mesh(self.base_dir / _path(spec, "mesh"))
-        ann = spec["annulus"]
-        _check_keys(ann, "mesh.annulus", required=("r0", "r1", "nr", "ntheta"),
-                    optional=("roles",))
-        r0 = _number(ann["r0"], "mesh.annulus.r0")
-        r1 = _number(ann["r1"], "mesh.annulus.r1")
-        nr, ntheta = ann["nr"], ann["ntheta"]
-        for name, v in (("nr", nr), ("ntheta", ntheta)):
-            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-                raise UsageError(f"mesh.annulus.{name} must be a positive "
-                                 "integer")
-        roles = ann.get("roles", ["wall", "wall"])
-        if not (isinstance(roles, list) and len(roles) == 2
-                and all(r in ROLES for r in roles)):
-            raise UsageError("mesh.annulus.roles must be a list of two of "
-                             f"{ROLES} (outer first)")
-        if not 0 < r0 < r1:
-            raise UsageError("mesh.annulus needs 0 < r0 < r1")
-        return generate_annulus(r0, r1, nr, ntheta, roles=tuple(roles))
+    mesh: Mesh
+    annulus: tuple | None          # generate_annulus arguments, or None
+    T: float
+    cfl: float
+    snapshots: int
+    scheme: str
+    g: dict[int, Profile]          # per flow component, in arclength s
+    g_multiplier: Profile          # in time; the constant 1 when absent
+    omega0: Omega0
+    omega_in: dict[int, Profile]   # per inflow component, in time
+    C0: dict[int, float]
+    # additive shifts of a perturbed copy (see ``perturbed``)
+    omega0_shift: float = 0.0
+    omega_in_shift: dict[int, float] = field(default_factory=dict)
 
     def refined(self, factor: int = 2) -> "Scenario":
         """The same scenario on a mesh refined by ``factor`` (a power of 2).
 
         The CFL cap scales the time step with the mesh, so this refines
-        space and time together.
+        space and time together.  An annulus is regenerated, a mesh file
+        refined by midpoints; a per-cell omega0 file fits one mesh only.
         """
         if factor < 1 or factor & (factor - 1):
             raise UsageError("refinement factor must be a power of two")
-        other = copy.copy(self)
-        if isinstance(self.mesh_spec, dict) and "annulus" in self.mesh_spec:
-            ann = dict(self.mesh_spec["annulus"])
-            ann["nr"] = ann["nr"] * factor
-            ann["ntheta"] = ann["ntheta"] * factor
-            other.mesh_spec = {"annulus": ann}
-            other.mesh = self._build_mesh(other.mesh_spec)
-        else:
-            m = self.mesh
-            f = factor
-            while f > 1:
-                m = uniform_refine(m)
-                f //= 2
-            other.mesh = m
-        return other
+        if self.omega0.cells is not None:
+            raise UsageError("omega0: a per-cell file cannot be refined")
+        if self.annulus is not None:
+            r0, r1, nr, ntheta, roles = self.annulus
+            ann = (r0, r1, nr * factor, ntheta * factor, roles)
+            return replace(self, mesh=generate_annulus(*ann), annulus=ann)
+        mesh = self.mesh
+        for _ in range(factor.bit_length() - 1):
+            mesh = uniform_refine(mesh)
+        return replace(self, mesh=mesh)
 
     # -- data on a mesh -------------------------------------------------
 
     def g_edges(self) -> dict[int, np.ndarray]:
         """Per-edge boundary data at unit multiplier."""
         out = {}
-        for cid, prof in self.g_profiles.items():
+        for cid, prof in self.g.items():
             comp = self.mesh.component(cid)
             s = (np.cumsum(comp.length) - 0.5 * comp.length) \
                 / comp.total_length
@@ -330,60 +277,25 @@ class Scenario:
         return out
 
     def multiplier(self, t: float) -> float:
-        return 1.0 if self.mult_profile is None \
-            else float(self.mult_profile(t))
+        return float(self.g_multiplier(t))
 
     def omega_in_value(self, cid: int, t: float) -> float:
         return float(self.omega_in[cid](t)) \
             + self.omega_in_shift.get(cid, 0.0)
 
-    def _validate_omega0(self, spec) -> None:
-        _check_keys(spec, "omega0", required=("type",),
-                    optional=("value", "r0", "r1", "background", "path"))
-        kind = spec["type"]
-        if kind == "constant":
-            _check_keys(spec, "omega0", required=("type", "value"))
-            _number(spec["value"], "omega0.value")
-        elif kind == "annular_band":
-            _check_keys(spec, "omega0", required=("type", "r0", "r1", "value"),
-                        optional=("background",))
-            for k in ("r0", "r1", "value"):
-                _number(spec[k], f"omega0.{k}")
-            if "background" in spec:
-                _number(spec["background"], "omega0.background")
-        elif kind == "file":
-            _check_keys(spec, "omega0", required=("type", "path"))
-            _path(spec, "omega0")
-        else:
-            raise UsageError(f"omega0: unknown type {kind!r}")
-
     def initial_omega(self) -> np.ndarray:
-        mesh = self.mesh
-        spec = self.omega0_spec
-        kind = spec["type"]
-        if kind == "constant":
-            vals = np.full(mesh.num_triangles, float(spec["value"]))
-        elif kind == "annular_band":
-            r = np.linalg.norm(mesh.centroid, axis=1)
-            vals = np.full(mesh.num_triangles,
-                           float(spec.get("background", 0.0)))
-            band = (r >= float(spec["r0"])) & (r <= float(spec["r1"]))
-            vals[band] = float(spec["value"])
-        else:
-            path = self.base_dir / spec["path"]
-            if path not in self._omega0_files:
-                try:
-                    vals = np.loadtxt(path, dtype=np.float64, ndmin=1)
-                except (OSError, ValueError) as exc:
-                    raise UsageError(f"cannot read omega0 file {path}: "
-                                     f"{exc}") from None
-                vals.setflags(write=False)
-                self._omega0_files[path] = vals
-            vals = self._omega0_files[path]
-            if vals.shape != (mesh.num_triangles,):
+        mesh, w = self.mesh, self.omega0
+        if w.cells is not None:
+            if w.cells.shape != (mesh.num_triangles,):
                 raise UsageError(
                     f"omega0 file: expected {mesh.num_triangles} cell "
-                    f"values, got {vals.shape}")
+                    f"values, got {w.cells.shape}")
+            return w.cells + self.omega0_shift
+        vals = np.full(mesh.num_triangles, w.background)
+        if w.band is not None:
+            r0, r1, value = w.band
+            r = np.linalg.norm(mesh.centroid, axis=1)
+            vals[(r >= r0) & (r <= r1)] = value
         return vals + self.omega0_shift
 
     def initial_C(self) -> np.ndarray:
@@ -397,29 +309,114 @@ class Scenario:
         C0 shift names an inner component, an omega_in shift an inflow
         component; any other id, and any shift that is not a finite
         number, is a usage error."""
-        other = copy.copy(self)
-        if "C0" in delta:
-            other.C0 = dict(self.C0)
-            inner = {c.comp for c in self.mesh.components[1:]}
-            for cid, dv in delta["C0"].items():
-                if cid not in inner:
-                    raise UsageError(f"C0: component {cid} is not an inner "
-                                     "component")
-                other.C0[cid] = other.C0.get(cid, 0.0) \
-                    + _number(dv, f"C0[{cid}] shift")
+        C0 = dict(self.C0)
+        inner = {c.comp for c in self.mesh.components[1:]}
+        for cid, dv in delta.get("C0", {}).items():
+            if cid not in inner:
+                raise UsageError(f"C0: component {cid} is not an inner "
+                                 "component")
+            C0[cid] = C0.get(cid, 0.0) + _number(dv, f"C0[{cid}] shift")
+        omega0_shift = self.omega0_shift
         if "omega0" in delta:
-            other.omega0_shift = self.omega0_shift \
-                + _number(delta["omega0"], "omega0 shift")
-        if "omega_in" in delta:
-            other.omega_in_shift = dict(self.omega_in_shift)
-            for cid, dv in delta["omega_in"].items():
-                if cid not in self.omega_in:
-                    raise UsageError(f"omega_in: component {cid} is not an "
-                                     "inflow component")
-                other.omega_in_shift[cid] = \
-                    other.omega_in_shift.get(cid, 0.0) \
-                    + _number(dv, f"omega_in[{cid}] shift")
-        return other
+            omega0_shift += _number(delta["omega0"], "omega0 shift")
+        omega_in_shift = dict(self.omega_in_shift)
+        for cid, dv in delta.get("omega_in", {}).items():
+            if cid not in self.omega_in:
+                raise UsageError(f"omega_in: component {cid} is not an "
+                                 "inflow component")
+            omega_in_shift[cid] = omega_in_shift.get(cid, 0.0) \
+                + _number(dv, f"omega_in[{cid}] shift")
+        return replace(self, C0=C0, omega0_shift=omega0_shift,
+                       omega_in_shift=omega_in_shift)
+
+
+def parse_scenario(doc: dict, base_dir: Path | str = ".") -> Scenario:
+    """Check a scenario document and parse each of its values once; the
+    mesh and omega0 files it names are read relative to ``base_dir``."""
+    base_dir = Path(base_dir)
+    _check_keys(doc, "scenario",
+                required=("mesh", "omega0", "T", "cfl", "snapshots"),
+                optional=("g", "g_multiplier", "omega_in", "C0", "scheme"))
+    mesh, annulus = _mesh(doc["mesh"], base_dir)
+
+    T = _number(doc["T"], "T")
+    if T <= 0:
+        raise UsageError("T must be positive")
+    cfl = _number(doc["cfl"], "cfl")
+    if not 0 < cfl <= 1:
+        raise UsageError("cfl must lie in (0, 1]")
+    snapshots = doc["snapshots"]
+    if isinstance(snapshots, bool) or not isinstance(snapshots, int) \
+            or snapshots < 1:
+        raise UsageError("snapshots must be a positive integer")
+    scheme = doc.get("scheme", "euler")
+    if scheme not in ("euler", "rk2"):
+        raise UsageError(f"unknown scheme {scheme!r} "
+                         "(expected 'euler' or 'rk2')")
+
+    comp_ids = {c.comp for c in mesh.components}
+    raw_g = _container(doc, "g", lists=True)
+    if isinstance(raw_g, list):
+        flat = {}
+        for item in raw_g:
+            if not isinstance(item, dict) or "comp" not in item:
+                raise UsageError("g: list entries need a 'comp' key")
+            item = {**item}
+            cid = _comp_key(item.pop("comp"), "g")
+            if cid in flat:
+                raise UsageError(f"g: component {cid} given twice")
+            flat[cid] = item
+        raw_g = flat
+    g: dict[int, Profile] = {}
+    for key, spec in raw_g.items():
+        cid = _comp_key(key, "g")
+        if cid not in comp_ids:
+            raise UsageError(f"g: no boundary component {cid}")
+        if mesh.component(cid).role == "wall":
+            raise UsageError(f"g: component {cid} is a wall; boundary "
+                             "data belongs on inflow/outflow components")
+        g[cid] = _profile(spec, f"g[{cid}]", "s", periodic=True)
+    for c in mesh.components:
+        if c.role != "wall" and c.comp not in g:
+            raise UsageError(f"g: component {c.comp} has role "
+                             f"{c.role!r} but no boundary data")
+
+    g_multiplier = Profile(np.zeros(1), np.ones(1))
+    if "g_multiplier" in doc:
+        g_multiplier = _profile(doc["g_multiplier"], "g_multiplier",
+                                "times")
+        if g_multiplier.y.min() < 0:
+            raise UsageError("g_multiplier must be nonnegative "
+                             "(a sign change would swap the roles)")
+
+    omega0 = _omega0(doc["omega0"], base_dir)
+
+    omega_in: dict[int, Profile] = {}
+    for key, spec in _container(doc, "omega_in").items():
+        cid = _comp_key(key, "omega_in")
+        if cid not in comp_ids:
+            raise UsageError(f"omega_in: no boundary component {cid}")
+        if mesh.component(cid).role != "inflow":
+            raise UsageError(f"omega_in: component {cid} is not an "
+                             "inflow component")
+        omega_in[cid] = _profile(spec, f"omega_in[{cid}]", "times")
+    for c in mesh.components:
+        if c.role == "inflow" and c.comp not in omega_in:
+            raise UsageError(f"omega_in: inflow component {c.comp} "
+                             "needs trace data")
+
+    C0: dict[int, float] = {}
+    for key, val in _container(doc, "C0").items():
+        cid = _comp_key(key, "C0")
+        if cid not in comp_ids or cid == 0:
+            raise UsageError(f"C0: component {cid} is not an inner "
+                             "component")
+        C0[cid] = _number(val, f"C0[{cid}]")
+
+    return Scenario(mesh=mesh, annulus=annulus, T=T, cfl=cfl,
+                    snapshots=snapshots, scheme=scheme, g=g,
+                    g_multiplier=g_multiplier, omega0=omega0,
+                    omega_in=omega_in, C0=C0)
 
 
 def load_scenario(path) -> Scenario:
@@ -431,7 +428,7 @@ def load_scenario(path) -> Scenario:
     except json.JSONDecodeError as exc:
         raise UsageError(f"scenario {path} is not valid JSON: {exc}") \
             from None
-    return Scenario(doc, base_dir=path.parent)
+    return parse_scenario(doc, base_dir=path.parent)
 
 
 # -- edge fluxes --------------------------------------------------------

@@ -37,8 +37,6 @@ class AuxiliaryState:
     phi: ScalarFieldP1
     v: VelocityP0                  # grad_perp(phi)
     D: np.ndarray                  # (ncomp,) consistent fluxes of phi
-    pinned_components: list[int]
-    free_components: list[int]
 
     def normal_trace(self, comp) -> np.ndarray:
         """Per-edge v . n on a boundary component (outward normal).
@@ -56,7 +54,6 @@ def solve_auxiliary(basis: HarmonicBasis, psi: ScalarFieldP1,
     difference state (psi, omega)."""
     mesh = basis.mesh
     pinned = [c.comp for c in mesh.components if c.role != "inflow"]
-    free = [c.comp for c in mesh.components if c.role == "inflow"]
     if not pinned:
         raise PreconditionError(
             "auxiliary problem needs at least one wall or outflow "
@@ -70,8 +67,7 @@ def solve_auxiliary(basis: HarmonicBasis, psi: ScalarFieldP1,
     # consistent fluxes of phi with a zero pairing load
     D = fem.consistent_fluxes(basis.op, phi, np.zeros(mesh.num_vertices))
     v = fem.perp_gradient(mesh, phi)
-    return AuxiliaryState(phi=phi, v=v, D=D,
-                          pinned_components=pinned, free_components=free)
+    return AuxiliaryState(phi=phi, v=v, D=D)
 
 
 def reversed_flux_residuals(aux: AuxiliaryState, basis: HarmonicBasis,

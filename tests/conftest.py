@@ -46,7 +46,7 @@ def modulated_band_scenario(tmpdir, nr=6, ntheta=24, flow=True, **extra):
     if not flow:
         doc["mesh"]["annulus"]["roles"] = ["wall", "wall"]
         del doc["g"], doc["omega_in"]
-    return transport.Scenario(doc, base_dir=tmpdir)
+    return transport.parse_scenario(doc, base_dir=tmpdir)
 
 
 @pytest.fixture(scope="session")

@@ -136,7 +136,7 @@ def test_criterion_04_transport_exactness(capsys, tmp_path):
               1: {"type": "constant", "value": -Q / (2.0 * math.pi)}},
         "T": 0.5, "cfl": 0.004, "snapshots": 5,
     }
-    sc = transport.Scenario(doc, base_dir=tmp_path)
+    sc = transport.parse_scenario(doc, base_dir=tmp_path)
     traj = transport.run(sc)
     const_defect = max(float(np.abs(s.omega - w).max())
                        for s in traj.states)

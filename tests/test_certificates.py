@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -38,8 +39,8 @@ def test_twin_requires_shared_basis(flow_scenario):
 def test_twin_requires_equal_snapshot_count(flow_pair, flow_scenario,
                                             tmp_path):
     base, _ = flow_pair
-    short = modulated_band_scenario(tmp_path, snapshots=3)
-    short.mesh = flow_scenario.mesh
+    short = replace(modulated_band_scenario(tmp_path, snapshots=3),
+                    mesh=flow_scenario.mesh)
     t2 = transport.run(short, base.basis)
     with pytest.raises(UsageError, match="snapshot"):
         TwinRun(base, t2)
@@ -50,7 +51,7 @@ def test_twin_requires_equal_g(flow_pair, flow_scenario, tmp_path):
     other = modulated_band_scenario(
         tmp_path, g={0: {"type": "constant", "value": 0.26},
                      1: {"type": "constant", "value": -0.52}})
-    other.mesh = flow_scenario.mesh
+    other = replace(other, mesh=flow_scenario.mesh)
     t2 = transport.run(other, base.basis)
     with pytest.raises(UsageError, match="boundary data"):
         TwinRun(base, t2)

@@ -182,6 +182,25 @@ def test_certify_pair_plus_refine_rejected(tmp_path, scenario_file, capsys):
     assert "refine" in capsys.readouterr().err
 
 
+def test_certify_refine_of_file_omega0_fails_first(tmp_path, capsys,
+                                                  monkeypatch):
+    np.savetxt(tmp_path / "w.txt", np.ones(288))
+    doc = radial_doc()
+    doc["omega0"] = {"type": "file", "path": "w.txt"}
+    scenario = tmp_path / "file.json"
+    scenario.write_text(json.dumps(doc))
+    runs = []
+    monkeypatch.setattr(euler_ss.transport, "run",
+                        lambda *a: runs.append(a))
+    out = tmp_path / "cert"
+    rc = main(["certify", str(scenario), "--delta-c0", "1=0.1",
+               "--refine", "2", "-o", str(out)])
+    assert rc == 2
+    assert "cannot be refined" in capsys.readouterr().err
+    assert runs == []
+    assert not (out / "ledger.csv").exists()
+
+
 def test_certify_broken_sign_condition(tmp_path, capsys):
     doc = radial_doc()
     # outflow data with the wrong sign violates the flow preconditions
@@ -380,3 +399,26 @@ def test_module_entry_error_codes(tmp_path, scenario_file, case):
     assert code == want
     assert text in err
     assert out == ""
+
+
+@pytest.mark.parametrize("unbuffered", [False, True],
+                         ids=["block-buffered", "unbuffered"])
+def test_closed_stdout_pipe_exits_quietly(tmp_path, unbuffered):
+    # the reader closes its end long before the child, still importing
+    # scipy, prints: the print (unbuffered) or the final flush (block
+    # buffered) meets a broken pipe
+    mesh_file = tmp_path / "m.mesh"
+    main(["mesh", "annulus", "--r0", "1", "--r1", "2", "--nr", "2",
+          "--ntheta", "8", "-o", str(mesh_file)])
+    env = child_env()
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "euler_ss.cli", "mesh", "info",
+         str(mesh_file)], env=env, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""

@@ -164,7 +164,6 @@ def test_flow_setups_are_keyed_by_g():
 
 
 def test_ladder_reads_omega0_file_once(tmp_path, monkeypatch):
-    sc = modulated_band_scenario(tmp_path, nr=4, ntheta=16)
     calls = []
     real = np.loadtxt
 
@@ -173,6 +172,7 @@ def test_ladder_reads_omega0_file_once(tmp_path, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(transport.np, "loadtxt", counted)
+    sc = modulated_band_scenario(tmp_path, nr=4, ntheta=16)
     rep = stability_experiment(sc, LADDER)
     assert len(rep.rungs) == 5
     assert len(calls) == 1

@@ -1,14 +1,20 @@
 """Malformed input files fail at the boundary with an exit code, never with
 a traceback: mutated scenario files make ``simulate`` return 0, 2 or 3,
-and corrupted mesh files make ``mesh info`` return 0 or 2."""
+and corrupted mesh files make ``mesh info`` return 0 or 2.  Valid
+scenarios with drawn values run to the end within the solver's defect
+bounds."""
 
 import copy
+import io
 import json
 import math
+import re
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import accumulate
 from pathlib import Path
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -95,6 +101,84 @@ def test_mutated_scenario_exits_cleanly(data):
         rc = main(["simulate", str(tmp / "scenario.json"),
                    "-o", str(tmp / "out")])
     assert rc in (0, 2, 3)
+
+
+def valid_doc(data, tmp: Path) -> dict:
+    """A valid 2-3 x 8-12 flow annulus with drawn values and a balanced
+    through-flow g = +-Q / (2 pi r); a file omega0 is written to ``tmp``."""
+    nr = data.draw(st.integers(2, 3))
+    ntheta = data.draw(st.integers(8, 12))
+    T = data.draw(st.floats(0.01, 0.1))
+    k = data.draw(st.integers(2, 4))
+    times = [T * i / (k - 1) for i in range(k)]
+
+    def table(lo, hi):
+        values = data.draw(st.lists(st.floats(lo, hi), min_size=k,
+                                    max_size=k))
+        return {"type": "tabulated", "times": times, "values": values}
+
+    if data.draw(st.booleans()):
+        r0, r1 = sorted(data.draw(st.floats(1.0, 2.0)) for _ in range(2))
+        omega0 = {"type": "annular_band", "r0": r0, "r1": r1,
+                  "value": data.draw(st.floats(-2.0, 2.0)),
+                  "background": data.draw(st.floats(-2.0, 2.0))}
+    else:
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        np.savetxt(tmp / "omega0.txt",
+                   rng.uniform(-2.0, 2.0, 2 * nr * ntheta))
+        omega0 = {"type": "file", "path": "omega0.txt"}
+    Q = data.draw(st.floats(0.0, 1.0))
+    omega_in = table(-2.0, 2.0) if data.draw(st.booleans()) else \
+        {"type": "constant", "value": data.draw(st.floats(-2.0, 2.0))}
+    return {
+        "mesh": {"annulus": {"r0": 1.0, "r1": 2.0, "nr": nr,
+                             "ntheta": ntheta,
+                             "roles": ["outflow", "inflow"]}},
+        "omega0": omega0,
+        "T": T, "cfl": data.draw(st.floats(0.05, 1.0)),
+        "snapshots": data.draw(st.integers(1, 4)),
+        "scheme": data.draw(st.sampled_from(["euler", "rk2"])),
+        "g": {"0": {"type": "constant", "value": Q / (2 * math.pi * 2.0)},
+              "1": {"type": "constant", "value": -Q / (2 * math.pi)}},
+        "g_multiplier": table(0.0, 2.0),
+        "omega_in": {"1": omega_in},
+        "C0": {"1": data.draw(st.floats(-1.0, 1.0))},
+    }
+
+
+def simulate(tmp: Path, doc: dict) -> tuple[int, str]:
+    """``simulate`` on ``doc`` in process: (exit code, stdout)."""
+    (tmp / "scenario.json").write_text(json.dumps(doc))
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        rc = main(["simulate", str(tmp / "scenario.json"),
+                   "-o", str(tmp / "out")])
+    return rc, out.getvalue()
+
+
+@FUZZ
+@given(data=st.data())
+def test_valid_scenario_runs_to_the_end(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        doc = valid_doc(data, tmp)
+        rc, out = simulate(tmp, doc)
+        assert rc == 0
+        header, *rows = (tmp / "out" / "trajectory.csv").read_text() \
+            .splitlines()
+        assert len(rows) == doc["snapshots"] + 1
+        cols = header.split(",")
+        extremes = [abs(float(row.split(",")[cols.index(name)]))
+                    for row in rows for name in ("vort_min", "vort_max")]
+        bound = 1e-11 * max([1.0] + extremes)
+        defects = re.search(r"max principle defect (\S+), "
+                            r"budget defect (\S+)", out).groups()
+        assert all(float(d) <= bound for d in defects)
+        # the through-flow against the roles: one g of the wrong sign
+        g = doc["g"][data.draw(st.sampled_from(["0", "1"]))]
+        if g["value"] != 0.0:
+            g["value"] = -g["value"]
+            assert simulate(tmp, doc)[0] == 3
 
 
 def mesh_sections() -> list[list[str]]:

@@ -23,6 +23,21 @@ def test_annulus_roles_and_radii():
     assert m.radii == {0: 2.0, 1: 1.0}
 
 
+@pytest.mark.parametrize("args,kwargs,name", [
+    ((1.0, 2.0, 2.0, 8), {}, "nr"),
+    ((1.0, 2.0, 2, True), {}, "ntheta"),
+    ((2.0, 1.0, 2, 8), {}, "r0 < r1"),
+    ((math.nan, 2.0, 2, 8), {}, "r0 < r1"),
+    ((1.0, 2.0, 2, 2), {}, "ntheta >= 3"),
+    ((1.0, 2.0, 2, 8), {"roles": ("wall", "lava")}, "roles"),
+    # a longer tuple is not cut to its first two roles
+    ((1.0, 2.0, 2, 8), {"roles": ("wall", "wall", "wall")}, "roles"),
+])
+def test_annulus_arguments_checked(args, kwargs, name):
+    with pytest.raises(UsageError, match=name):
+        generate_annulus(*args, **kwargs)
+
+
 def test_triangle_orientation_and_area():
     m = generate_annulus(1.0, 2.0, 4, 16)
     assert np.all(m.tri_area > 0)

@@ -227,7 +227,7 @@ def test_stability_scaling_and_constants(stability_report):
     assert 0.0 < rep.beta <= 1.05
     assert rep.C_dev <= 0.5
     assert rep.C_spread >= 1.0
-    assert rep.noise_floor < 1e-20
+    assert osgood.NOISE_FLOOR < 1e-20
 
 
 def test_identical_twin_differs_by_exact_zeros(flow_pair):

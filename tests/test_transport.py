@@ -1,5 +1,5 @@
-import copy
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -37,14 +37,14 @@ def flow_doc(**extra):
 
 def test_unknown_top_level_key_rejected():
     with pytest.raises(UsageError, match="unknown key"):
-        transport.Scenario(wall_doc(extra_key=1))
+        transport.parse_scenario(wall_doc(extra_key=1))
 
 
 def test_missing_required_key_rejected():
     doc = wall_doc()
     del doc["T"]
     with pytest.raises(UsageError, match="T"):
-        transport.Scenario(doc)
+        transport.parse_scenario(doc)
 
 
 @pytest.mark.parametrize("field,value,match", [
@@ -58,55 +58,55 @@ def test_missing_required_key_rejected():
 ])
 def test_scalar_field_validation(field, value, match):
     with pytest.raises(UsageError, match=match):
-        transport.Scenario(wall_doc(**{field: value}))
+        transport.parse_scenario(wall_doc(**{field: value}))
 
 
 def test_g_on_wall_rejected():
     doc = wall_doc(g={0: {"type": "constant", "value": 0.1}})
     with pytest.raises(UsageError, match="wall"):
-        transport.Scenario(doc)
+        transport.parse_scenario(doc)
 
 
 def test_missing_g_on_flow_component_rejected():
     doc = flow_doc()
     del doc["g"][0]
     with pytest.raises(UsageError, match="no boundary data"):
-        transport.Scenario(doc)
+        transport.parse_scenario(doc)
 
 
 def test_omega_in_on_non_inflow_rejected():
     doc = flow_doc()
     doc["omega_in"] = {0: {"type": "constant", "value": 0.5}}
     with pytest.raises(UsageError, match="not an inflow"):
-        transport.Scenario(doc)
+        transport.parse_scenario(doc)
 
 
 def test_missing_omega_in_rejected():
     doc = flow_doc()
     del doc["omega_in"]
     with pytest.raises(UsageError, match="needs trace data"):
-        transport.Scenario(doc)
+        transport.parse_scenario(doc)
 
 
 def test_c0_on_outer_component_rejected():
     with pytest.raises(UsageError, match="C0"):
-        transport.Scenario(wall_doc(C0={0: 0.1}))
+        transport.parse_scenario(wall_doc(C0={0: 0.1}))
 
 
 def test_c0_unknown_component_rejected():
     with pytest.raises(UsageError, match="C0"):
-        transport.Scenario(wall_doc(C0={7: 0.1}))
+        transport.parse_scenario(wall_doc(C0={7: 0.1}))
 
 
 def test_omega0_unknown_type_rejected():
     with pytest.raises(UsageError, match="omega0"):
-        transport.Scenario(wall_doc(omega0={"type": "blob"}))
+        transport.parse_scenario(wall_doc(omega0={"type": "blob"}))
 
 
 def test_omega0_file_wrong_count(tmp_path):
     np.savetxt(tmp_path / "w.txt", np.ones(7))
     doc = wall_doc(omega0={"type": "file", "path": "w.txt"})
-    sc = transport.Scenario(doc, base_dir=tmp_path)
+    sc = transport.parse_scenario(doc, base_dir=tmp_path)
     with pytest.raises(UsageError, match="cell values"):
         sc.initial_omega()
 
@@ -115,21 +115,21 @@ def test_mesh_spec_exactly_one_source():
     doc = wall_doc()
     doc["mesh"] = {"annulus": doc["mesh"]["annulus"], "path": "x.txt"}
     with pytest.raises(UsageError, match="exactly one"):
-        transport.Scenario(doc)
+        transport.parse_scenario(doc)
 
 
 def test_bad_roles_rejected():
     doc = wall_doc()
     doc["mesh"]["annulus"]["roles"] = ["wall", "lava"]
     with pytest.raises(UsageError, match="roles"):
-        transport.Scenario(doc)
+        transport.parse_scenario(doc)
 
 
 def test_negative_multiplier_rejected():
     doc = flow_doc(g_multiplier={"type": "tabulated",
                                  "times": [0.0, 1.0], "values": [1.0, -0.5]})
     with pytest.raises(UsageError, match="nonnegative"):
-        transport.Scenario(doc)
+        transport.parse_scenario(doc)
 
 
 # -- accepted spellings ------------------------------------------------
@@ -138,7 +138,7 @@ def test_negative_multiplier_rejected():
 def test_g_list_form_and_profile_alias():
     doc = flow_doc(g=[{"comp": 0, "profile": "constant", "value": 0.2},
                       {"comp": 1, "type": "constant", "value": -0.4}])
-    sc = transport.Scenario(doc)
+    sc = transport.parse_scenario(doc)
     ge = sc.g_edges()
     assert np.all(ge[0] == 0.2)
     assert np.all(ge[1] == -0.4)
@@ -149,7 +149,7 @@ def test_g_duplicate_component_rejected():
                       {"comp": 0, "type": "constant", "value": 0.3},
                       {"comp": 1, "type": "constant", "value": -0.4}])
     with pytest.raises(UsageError, match="twice"):
-        transport.Scenario(doc)
+        transport.parse_scenario(doc)
 
 
 def test_mesh_bare_string_path(tmp_path):
@@ -157,7 +157,7 @@ def test_mesh_bare_string_path(tmp_path):
     save_mesh(m, tmp_path / "disk.txt")
     doc = wall_doc()
     doc["mesh"] = "disk.txt"
-    sc = transport.Scenario(doc, base_dir=tmp_path)
+    sc = transport.parse_scenario(doc, base_dir=tmp_path)
     assert sc.mesh.num_triangles == m.num_triangles
 
 
@@ -165,8 +165,8 @@ def test_tabulated_g_is_periodic():
     doc = flow_doc()
     doc["g"][0] = {"type": "tabulated", "s": [0.0, 0.5],
                    "values": [0.1, 0.3]}
-    sc = transport.Scenario(doc)
-    prof = sc.g_profiles[0]
+    sc = transport.parse_scenario(doc)
+    prof = sc.g[0]
     assert prof(0.25) == pytest.approx(0.2)
     # wraps around: s=0.75 interpolates between 0.3 at 0.5 and 0.1 at 1.0
     assert prof(0.75) == pytest.approx(0.2)
@@ -174,7 +174,7 @@ def test_tabulated_g_is_periodic():
 
 
 def test_perturbed_is_additive():
-    sc = transport.Scenario(flow_doc(C0={1: 0.3}))
+    sc = transport.parse_scenario(flow_doc(C0={1: 0.3}))
     pert = sc.perturbed(C0={1: 0.1})
     assert pert.C0[1] == pytest.approx(0.4)
     assert sc.C0[1] == pytest.approx(0.3)
@@ -185,7 +185,7 @@ def test_perturbed_is_additive():
 
 
 def test_perturbed_shifts_omega0_and_omega_in():
-    sc = transport.Scenario(flow_doc())
+    sc = transport.parse_scenario(flow_doc())
     pert = sc.perturbed(omega0=0.1, omega_in={1: -0.2})
     np.testing.assert_array_equal(pert.initial_omega(),
                                   sc.initial_omega() + 0.1)
@@ -199,19 +199,53 @@ def test_perturbed_shifts_omega0_and_omega_in():
 
 
 def test_perturbed_then_refined_shifts_the_fine_mesh():
-    sc = transport.Scenario(flow_doc())
+    sc = transport.parse_scenario(flow_doc())
     fine = sc.perturbed(omega0=0.1).refined(2)
     np.testing.assert_array_equal(fine.initial_omega(),
                                   sc.refined(2).initial_omega() + 0.1)
 
 
-def test_refined_scales_annulus():
-    sc = transport.Scenario(wall_doc())
-    fine = sc.refined(2)
-    assert fine.mesh.num_triangles == 4 * sc.mesh.num_triangles
-    assert fine.T == sc.T
-    with pytest.raises(UsageError, match="power of two"):
-        sc.refined(3)
+def test_refined_scales_annulus(tmp_path):
+    # a generated annulus, and a mesh file refined by midpoints
+    save_mesh(generate_annulus(1.0, 2.0, 4, 16), tmp_path / "m.mesh")
+    on_file = wall_doc(mesh={"path": "m.mesh"},
+                       omega0={"type": "annular_band", "r0": 1.25,
+                               "r1": 1.75, "value": 1.0})
+    for doc in (wall_doc(), on_file):
+        sc = transport.parse_scenario(doc, base_dir=tmp_path)
+        fine = sc.refined(2)
+        assert fine.mesh.num_triangles == 4 * sc.mesh.num_triangles
+        assert fine.T == sc.T
+        assert fine.initial_omega().shape == (fine.mesh.num_triangles,)
+        with pytest.raises(UsageError, match="power of two"):
+            sc.refined(3)
+
+
+def test_refined_rejects_file_omega0(tmp_path):
+    np.savetxt(tmp_path / "w.txt", np.ones(128))
+    sc = transport.parse_scenario(
+        wall_doc(omega0={"type": "file", "path": "w.txt"}), base_dir=tmp_path)
+    with pytest.raises(UsageError, match="per-cell file cannot be refined"):
+        sc.refined(2)
+
+
+def test_scenario_is_immutable():
+    sc = transport.parse_scenario(flow_doc())
+    with pytest.raises(FrozenInstanceError):
+        sc.mesh = None
+    # copies share what they do not change
+    pert = sc.perturbed(C0={1: 0.1})
+    assert pert.mesh is sc.mesh and pert.g is sc.g
+    assert pert.C0 is not sc.C0
+
+
+def test_constant_profile_is_exact():
+    sc = transport.parse_scenario(flow_doc())
+    s = np.linspace(-3.0, 3.0, 1000)
+    for prof, value in ((sc.g[0], 0.2), (sc.g[1], -0.4),
+                        (sc.omega_in[1], 0.5), (sc.g_multiplier, 1.0)):
+        assert np.all(prof(s) == value)
+        assert prof(0.3) == value
 
 
 # -- discrete structure ------------------------------------------------
@@ -315,7 +349,7 @@ def test_snapshots_land_exactly(flow_scenario):
 
 
 def test_constant_state_is_steady():
-    sc = transport.Scenario(wall_doc(T=0.2, snapshots=4))
+    sc = transport.parse_scenario(wall_doc(T=0.2, snapshots=4))
     traj = transport.run(sc)
     for s in traj.states:
         assert np.abs(s.omega - 1.0).max() < 1e-12
@@ -373,7 +407,7 @@ def test_circulation_evolution_kelvin_closed_form():
         "omega_in": {1: {"type": "constant", "value": 1.0}},
         "C0": {1: 0.3},
     }
-    sc = transport.Scenario(doc)
+    sc = transport.parse_scenario(doc)
     traj = transport.run(sc)
     # vorticity advects inward across the inner circle at the polygonal
     # rate w * Q * ntheta sin(pi/ntheta) / pi

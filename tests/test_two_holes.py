@@ -95,7 +95,7 @@ def test_three_component_run_closes_to_round_off(tmp_path, mesh, basis):
               1: {"type": "constant", "value": g_in}},
         "omega_in": {1: {"type": "constant", "value": 0.8}},
     }
-    sc = transport.Scenario(doc, base_dir=tmp_path)
+    sc = transport.parse_scenario(doc, base_dir=tmp_path)
     run_basis = HarmonicBasis(sc.mesh)
     traj = transport.run(sc, run_basis)
     assert traj.total_steps > 0

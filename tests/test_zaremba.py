@@ -28,8 +28,6 @@ def test_manufactured_harmonic_difference(flow_basis):
     omega = fem.VorticityP0(m, np.zeros(m.num_triangles))
     aux = solve_auxiliary(flow_basis, psi, omega)
     assert np.abs(aux.phi.values + psi.values).max() < 1e-11
-    assert aux.pinned_components == [0]
-    assert aux.free_components == [1]
 
 
 def test_pinned_trace_is_exactly_zero(flow_basis):
