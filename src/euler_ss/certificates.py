@@ -41,7 +41,15 @@ class TwinRun:
     """Snapshot-aligned difference state of two runs on one mesh.
 
     Run 1 is the reference flow (the 'hat' fields of the convective
-    terms); the difference is run 1 minus run 2.
+    terms); the difference is run 1 minus run 2.  Per snapshot a twin
+    keeps only what defines the difference beyond the two trajectories:
+    the auxiliary potential with its fluxes (``aux``), the differences of
+    the stream coefficients (``coeff_d``) and circulations (``C_d``), and
+    the squared L2 norms ``z_u`` of the difference velocity and ``z_v``
+    of the auxiliary field.  The difference fields themselves (vorticity,
+    velocity, stream function and its load) are formed from the two
+    trajectories one snapshot at a time when the identities are first
+    read, so a twin holds O(V) floats per snapshot and no cell array.
     """
 
     def __init__(self, traj1: Trajectory, traj2: Trajectory):
@@ -69,11 +77,8 @@ class TwinRun:
         self.basis = traj1.basis
         self.times = t1
         mesh = self.mesh
+        area = mesh.tri_area
 
-        self.omega_d: list[np.ndarray] = []
-        self.u_d: list[np.ndarray] = []
-        self.psi_d: list[ScalarFieldP1] = []
-        self.load_d: list[np.ndarray] = []
         self.coeff_d: list[np.ndarray] = []
         self.C_d: list[np.ndarray] = []
         self.aux: list[zaremba.AuxiliaryState] = []
@@ -82,25 +87,33 @@ class TwinRun:
         self.mult = np.array([s.assembly.multiplier for s in traj1.states])
 
         for k, (s1, s2) in enumerate(zip(traj1.states, traj2.states)):
-            om = s1.omega - s2.omega
-            ud = s1.assembly.u.values - s2.assembly.u.values
-            psi = ScalarFieldP1(mesh, s1.assembly.psi_total.values
-                                - s2.assembly.psi_total.values)
-            load = s1.assembly.stream_load - s2.assembly.stream_load
-            self.omega_d.append(om)
-            self.u_d.append(ud)
-            self.psi_d.append(psi)
-            self.load_d.append(load)
             self.coeff_d.append(s1.assembly.psi_coeffs
                                 - s2.assembly.psi_coeffs)
             self.C_d.append(s1.C - s2.C)
-            aux = zaremba.solve_auxiliary(self.basis, psi,
-                                          VorticityP0(mesh, om))
+            aux = zaremba.solve_auxiliary(
+                self.basis, self._psi_d(k),
+                VorticityP0(mesh, s1.omega - s2.omega))
             self.aux.append(aux)
-            area = mesh.tri_area
+            ud = self._u_d(k)
+            vv = aux.v.values
             self.z_u[k] = float(np.einsum("td,td,t->", ud, ud, area))
-            self.z_v[k] = float(np.einsum("td,td,t->", aux.v.values,
-                                          aux.v.values, area))
+            self.z_v[k] = float(np.einsum("td,td,t->", vv, vv, area))
+
+    # -- difference fields, formed on read ------------------------------
+
+    def _states(self, k: int):
+        return self.traj1.states[k], self.traj2.states[k]
+
+    def _u_d(self, k: int) -> np.ndarray:
+        """(T, 2) difference velocity at snapshot k."""
+        s1, s2 = self._states(k)
+        return s1.assembly.u.values - s2.assembly.u.values
+
+    def _psi_d(self, k: int) -> ScalarFieldP1:
+        """Difference stream function at snapshot k."""
+        s1, s2 = self._states(k)
+        return ScalarFieldP1(self.mesh, s1.assembly.psi_total.values
+                             - s2.assembly.psi_total.values)
 
     # -- traces ---------------------------------------------------------
 
@@ -113,12 +126,12 @@ class TwinRun:
         dn = fem.nodal_flux_density(self.basis.op, field, load, comp.comp)
         return 0.5 * (dn + np.roll(dn, -1))
 
-    def _hat_tau_edges(self, k: int, comp) -> np.ndarray:
-        """Tangential trace of the reference velocity: stream flux density
-        plus the exact tangential derivative of the through-flow
-        potential."""
+    def _hat_tau_edges(self, k: int, load: np.ndarray, comp) -> np.ndarray:
+        """Tangential trace of the reference velocity at snapshot k (whose
+        stream load is ``load``): stream flux density plus the exact
+        tangential derivative of the through-flow potential."""
         asm = self.traj1.states[k].assembly
-        dens = self._edge_density(asm.psi_total, asm.stream_load, comp)
+        dens = self._edge_density(asm.psi_total, load, comp)
         phi = self.traj1.flux.phi
         if phi is not None:
             a, b = comp.edges[:, 0], comp.edges[:, 1]
@@ -152,26 +165,32 @@ class TwinRun:
     def _integrands(self) -> dict[str, dict[str, np.ndarray]]:
         """Per-snapshot integrands of the energy and auxiliary identities,
         keyed like the pieces those identities return.  Built on first use
-        with one reference-velocity gradient per snapshot; the tangential
-        trace of the difference is shared by both identities."""
+        with one reference-velocity gradient per snapshot, forming each
+        snapshot's difference fields and auxiliary field only while its
+        row is summed; the tangential trace of the difference is shared by
+        both identities."""
         mesh = self.mesh
         area = mesh.tri_area
         rows = []
         for k in range(len(self.times)):
-            ud = self.u_d[k]
+            s1, s2 = self._states(k)
+            ud = self._u_d(k)
+            psi_d = self._psi_d(k)
+            load1 = s1.stream_load
+            load_d = load1 - s2.stream_load
             aux = self.aux[k]
-            vv = aux.v.values
+            v = aux.v
+            vv = v.values
             mult = self.mult[k]
             t = self.times[k]
 
             eb = bl = bo = bi = bp = 0.0
             for comp, g in self._flow_components():
-                ut = self._edge_density(self.psi_d[k], self.load_d[k],
-                                        comp)
+                ut = self._edge_density(psi_d, load_d, comp)
                 eb += float(np.sum(ut * ut * g * comp.length)) * mult
                 if comp.role == "inflow":
                     bl += float(np.sum(ut * ut * (-g) * comp.length)) * mult
-                    hat_t = self._hat_tau_edges(k, comp)
+                    hat_t = self._hat_tau_edges(k, load1, comp)
                     vn = aux.normal_trace(comp)
                     bi += float(np.sum(ut * hat_t * vn * comp.length))
                     phim = 0.5 * (aux.phi.values[comp.edges[:, 0]]
@@ -187,11 +206,10 @@ class TwinRun:
                                             comp)
                     bo += float(np.sum(ut * vt * (-g) * comp.length)) * mult
 
-            jac_hat = fem.velocity_gradient(
-                mesh, self.traj1.states[k].assembly.u)
+            jac_hat = fem.velocity_gradient(mesh, s1.assembly.u)
             adv_u = fem.convective_term(mesh, VelocityP0(mesh, ud), jac_hat)
-            adv_v = fem.convective_term(mesh, aux.v, jac_hat)
-            om_hat = self.traj1.states[k].omega
+            adv_v = fem.convective_term(mesh, v, jac_hat)
+            om_hat = s1.omega
             rows.append((
                 0.5 * eb, np.einsum("td,td,t->", ud, adv_u, area),
                 bl, bo, bi,

@@ -250,10 +250,14 @@ def cmd_certify(args) -> int:
     scs = [sc1.refined(2 ** lvl) if lvl else sc1
            for lvl in range(args.refine)]
     outdir = _outdir(args)
-    levels = [_certify_level(scl, delta, sc2 if lvl == 0 else None)
-              for lvl, scl in enumerate(scs)]
+    # the rate checks read only the residuals of a coarser level: keep
+    # those, and free its basis, runs and twin before the next level runs
+    levels = []
+    for lvl, scl in enumerate(scs):
+        fine = None
+        fine = _certify_level(scl, delta, sc2 if lvl == 0 else None)
+        levels.append({key: fine[key] for key in ("energy", "aux", "lamb")})
 
-    fine = levels[-1]
     tw, (traj1, traj2) = fine["tw"], fine["trajs"]
     basis = fine["basis"]
 

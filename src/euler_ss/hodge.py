@@ -52,10 +52,10 @@ SIGN_TOL = 1e-12
 def validate_sign_condition(mesh: Mesh, g_edges: dict[int, np.ndarray]
                             ) -> None:
     """Enforce the sign condition on per-edge boundary data (tolerance
-    1e-12 relative to the data scale)."""
+    1e-12 relative to the largest |g|, at every data scale)."""
     scale = max((float(np.abs(np.asarray(g)).max(initial=0.0))
                  for g in g_edges.values()), default=0.0)
-    tol = SIGN_TOL * max(scale, 1.0)
+    tol = SIGN_TOL * scale
     for comp in mesh.components:
         g = np.asarray(g_edges.get(comp.comp, np.zeros(len(comp.length))),
                        dtype=np.float64)
@@ -139,33 +139,42 @@ def greens_operator(basis: HarmonicBasis, omega: VorticityP0
 
 @dataclass
 class VelocityAssembly:
-    """Reconstructed velocity with its stream data and flux diagnostics."""
+    """Reconstructed velocity with its stream data and flux diagnostics.
+
+    The reconstruction also hands over two buffers that only the step
+    taken from it reads: the edge jumps and the load of the stream
+    system.  The stored form (``stored``) drops both; ``edge_jumps``
+    recomputes the jumps, and a snapshot derives the load from its
+    vorticity (``transport.SimState.stream_load``), each to the same bits.
+    """
 
     mesh: Mesh
     u: VelocityP0
     psi_coeffs: np.ndarray         # (m,) harmonic-basis constants
     psi_total: ScalarFieldP1       # G[omega] + sum_i psi_i f^i
-    stream_load: np.ndarray        # load vector of psi_total's system
     multiplier: float              # of the through-flow potential
     circulation_consistent: np.ndarray   # per component, consistent flux
     # the edge jumps of the reconstruction's product (see ``edge_jumps``)
     step_jumps: np.ndarray | None = field(default=None, repr=False)
+    # load vector of psi_total's system, -p0_load_vector(mesh, omega);
+    # None in the stored form
+    stream_load: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def edge_jumps(self) -> np.ndarray:
         """(E,) stream jumps psi_a - psi_b across every edge a -> b, zero on
-        boundary edges: the reconstruction's own product, or, once that
-        was dropped (``without_step_jumps``), ``Mesh.edge_jump_operator``
-        applied anew, which gives the same bits."""
+        boundary edges: the reconstruction's own product, or, in the
+        stored form, ``Mesh.edge_jump_operator`` applied anew, which gives
+        the same bits."""
         if self.step_jumps is None:
             return self.mesh.edge_jump_operator @ self.psi_total.values
         return self.step_jumps
 
-    def without_step_jumps(self) -> "VelocityAssembly":
-        """This assembly without the jump buffer, for storing: only the
-        step taken from it reads the jumps, and a saved snapshot would
-        otherwise keep one edge array each."""
-        return replace(self, step_jumps=None)
+    def stored(self) -> "VelocityAssembly":
+        """This assembly as a snapshot keeps it: without the jump and load
+        buffers, an edge and a vertex array per snapshot that
+        ``edge_jumps`` and ``SimState.stream_load`` derive anew."""
+        return replace(self, step_jumps=None, stream_load=None)
 
     @property
     def circulation_trace(self) -> np.ndarray:
@@ -228,9 +237,9 @@ def reconstruct_velocity(basis: HarmonicBasis, omega: VorticityP0,
 
     return VelocityAssembly(
         mesh=mesh, u=VelocityP0(mesh, u_vals), psi_coeffs=coeffs,
-        psi_total=psi_total, stream_load=load, multiplier=multiplier,
+        psi_total=psi_total, multiplier=multiplier,
         circulation_consistent=circ_cons,
-        step_jumps=stream[nu:nj])
+        step_jumps=stream[nu:nj], stream_load=load)
 
 
 def check_elliptic_growth(basis: HarmonicBasis, assembly: VelocityAssembly,

@@ -552,7 +552,9 @@ def flow_setup(basis: HarmonicBasis, g_edges: dict[int, np.ndarray]
 
 @dataclass
 class SimState:
-    """One saved snapshot."""
+    """One saved snapshot: the transported state and the stored form of
+    its velocity assembly (``VelocityAssembly.stored``).  The stream
+    load and the edge jumps are derived on read."""
 
     t: float
     omega: np.ndarray              # (T,) cell vorticity
@@ -567,6 +569,12 @@ class SimState:
         """Consistent-flux circulation of every component (row 0 is the
         diagnosed outer circulation)."""
         return self.assembly.circulation_consistent
+
+    @property
+    def stream_load(self) -> np.ndarray:
+        """Load vector of the stream system, -p0_load_vector(mesh, omega):
+        the bits the reconstruction of this snapshot used."""
+        return -fem.p0_load_vector(self.assembly.mesh, self.omega)
 
 
 @dataclass
@@ -619,7 +627,7 @@ def run(scenario: Scenario, basis: HarmonicBasis | None = None) -> Trajectory:
 
     asm = assemble(omega, C, 0.0)
     states = [SimState(t=0.0, omega=omega.copy(), C=C.copy(), B=B.copy(),
-                       assembly=asm.without_step_jumps(),
+                       assembly=asm.stored(),
                        energy=energy(asm), dt_last=0.0)]
     t = 0.0
     total_steps = 0
@@ -685,7 +693,7 @@ def run(scenario: Scenario, basis: HarmonicBasis | None = None) -> Trajectory:
 
         states.append(SimState(t=t, omega=omega.copy(), C=C.copy(),
                                B=B.copy(),
-                               assembly=asm.without_step_jumps(),
+                               assembly=asm.stored(),
                                energy=energy(asm), dt_last=dt))
 
     return Trajectory(scenario=scenario, mesh=mesh, basis=basis,

@@ -32,11 +32,20 @@ from .hodge import HarmonicBasis
 
 @dataclass
 class AuxiliaryState:
-    """Solved auxiliary potential with its flux and trace diagnostics."""
+    """Solved auxiliary potential with its fluxes and trace diagnostics.
+
+    Only phi and D are kept; the reversed-flow field v is derived from phi
+    on each read, so a twin run holds one vertex array per snapshot.
+    """
 
     phi: ScalarFieldP1
-    v: VelocityP0                  # grad_perp(phi)
     D: np.ndarray                  # (ncomp,) consistent fluxes of phi
+
+    @property
+    def v(self) -> VelocityP0:
+        """grad_perp(phi): one product with the mesh's perp-gradient
+        operator, the same bits on every read."""
+        return fem.perp_gradient(self.phi.mesh, self.phi)
 
     def normal_trace(self, comp) -> np.ndarray:
         """Per-edge v . n on a boundary component (outward normal).
@@ -66,8 +75,7 @@ def solve_auxiliary(basis: HarmonicBasis, psi: ScalarFieldP1,
                                 np.zeros(len(nodes)))
     # consistent fluxes of phi with a zero pairing load
     D = fem.consistent_fluxes(basis.op, phi, np.zeros(mesh.num_vertices))
-    v = fem.perp_gradient(mesh, phi)
-    return AuxiliaryState(phi=phi, v=v, D=D)
+    return AuxiliaryState(phi=phi, D=D)
 
 
 def reversed_flux_residuals(aux: AuxiliaryState, basis: HarmonicBasis,

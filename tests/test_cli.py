@@ -1,9 +1,11 @@
 import csv
+import gc
 import json
 import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -215,6 +217,48 @@ def test_certify_broken_sign_condition(tmp_path, capsys):
                "-o", str(tmp_path / "cert")])
     assert rc == 3
     assert "precondition" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("Q", [1.0, 1e-14])
+def test_swapped_roles_fail_the_sign_check_at_every_scale(tmp_path, capsys,
+                                                          Q):
+    # balanced data on swapped roles: flow enters through the outflow
+    doc = radial_doc()
+    doc["mesh"]["annulus"].update(nr=2, ntheta=8,
+                                  roles=["inflow", "outflow"])
+    doc["g"] = [{"comp": 0, "profile": "constant",
+                 "value": Q / (4 * math.pi)},
+                {"comp": 1, "profile": "constant",
+                 "value": -Q / (2 * math.pi)}]
+    doc["omega_in"] = {0: {"type": "constant", "value": 1.0}}
+    bad = tmp_path / "swapped.json"
+    bad.write_text(json.dumps(doc))
+    rc = main(["simulate", str(bad), "-o", str(tmp_path / "out")])
+    assert rc == 3
+    assert "sign condition" in capsys.readouterr().err
+
+
+def test_certify_refine_frees_coarse_levels(tmp_path, scenario_file,
+                                            monkeypatch):
+    runs = []               # (level, weak reference) per transport run
+    real = euler_ss.transport.run
+
+    def tracked(sc, basis=None):
+        level = sc.mesh.num_triangles
+        if runs and runs[-1][0] != level:
+            # the first run of a finer level: every coarser run is gone
+            gc.collect()
+            assert [ref() for _, ref in runs] == [None] * len(runs)
+        traj = real(sc, basis)
+        runs.append((level, weakref.ref(traj)))
+        return traj
+
+    monkeypatch.setattr(euler_ss.transport, "run", tracked)
+    rc = main(["certify", str(scenario_file), "--delta-c0", "1=0.1",
+               "--refine", "3", "-o", str(tmp_path / "cert")])
+    assert rc == 0
+    assert len({level for level, _ in runs}) == 3
+    assert len(runs) == 6
 
 
 def test_certify_malformed_delta(tmp_path, scenario_file, capsys):

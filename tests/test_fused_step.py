@@ -99,8 +99,8 @@ def test_fused_step_is_bit_identical_to_reference(flow):
     assert np.array_equal(rates, ref["rates"])
     assert flux.stable_dt(asm.u, f, 0.4) == ref["dt"]
     # a stored snapshot recomputes its jumps to the same bits
-    stored = asm.without_step_jumps()
-    assert stored.step_jumps is None
+    stored = asm.stored()
+    assert stored.step_jumps is None and stored.stream_load is None
     assert np.array_equal(stored.edge_jumps, ref["jumps"])
     # the flux of every component from the boundary rows alone
     assert np.array_equal(

@@ -174,6 +174,18 @@ def test_sign_condition_accepts_valid_data():
     validate_sign_condition(m2, g2)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-14, 1e-30])
+def test_sign_condition_is_relative_at_every_scale(scale):
+    m = generate_annulus(1.0, 2.0, 4, 16, roles=("outflow", "inflow"))
+    g = {0: np.full(len(m.component(0).edges), 0.1 * scale),
+         1: np.full(len(m.component(1).edges), -0.1 * scale)}
+    g[1][3] = 1e-14 * scale      # below the relative tolerance: zero
+    validate_sign_condition(m, g)
+    g[1][3] = 1e-3 * scale
+    with pytest.raises(PreconditionError, match="edge 3"):
+        validate_sign_condition(m, g)
+
+
 def test_elliptic_growth_proxy_bounded(basis_mid, flow_scenario):
     m = basis_mid.mesh
     rng = np.random.default_rng(9)
