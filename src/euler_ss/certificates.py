@@ -28,13 +28,87 @@ import numpy as np
 
 from . import fem, zaremba
 from .errors import PreconditionError, UsageError
-from .fem import ScalarFieldP1, StiffnessOperator, VelocityP0, VorticityP0
+from .fem import ScalarFieldP1, StiffnessOperator, VelocityP0
 from .mesh import Mesh
 from .transport import Trajectory
 
 
+# Snapshots are processed in blocks: a block's auxiliary potentials are
+# one multi-column solve, and each vertex operator meets the block in one
+# product.  A block column costs about _BYTES_PER_VERTEX bytes per mesh
+# vertex of work space (its columns of the auxiliary load, solve and
+# boundary residual, with the solver's own buffers), so blocks hold as
+# many snapshots as fit in BLOCK_BYTES: small enough that the block
+# buffers stay below one snapshot's cell-sized volume work, which is done
+# one snapshot at a time, and do not raise the peak memory of a run.
+BLOCK_BYTES = 1 << 20
+_BYTES_PER_VERTEX = 64
+
+
 def _trapz(vals, times):
     return float(np.trapezoid(np.asarray(vals), np.asarray(times)))
+
+
+def _blocks(n: int, mesh: Mesh) -> list[tuple[int, int]]:
+    """Snapshots 0..n-1 as consecutive blocks [k0, k1) of nearly equal
+    size, each small enough for its work arrays to fit in BLOCK_BYTES."""
+    per = _BYTES_PER_VERTEX * mesh.num_vertices
+    count = max(1, -(-n // max(1, BLOCK_BYTES // per)))
+    bounds = [n * i // count for i in range(count + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _columns(fields, out: np.ndarray) -> np.ndarray:
+    """``out`` with column j (last axis) set to the j-th field."""
+    for j, f in enumerate(fields):
+        out[..., j] = f
+    return out
+
+
+def _sq_norm(vel: np.ndarray, area: np.ndarray) -> float:
+    """Squared L2 norm of a (T, 2) cell field, summed term by term.
+
+    The ledger and the stability ladder read differences of consecutive
+    norms, which magnify any change in the rounding of a norm by about
+    z / dz (1e5 over the one-step intervals of a 32x128 annulus), so the
+    norms keep this one summation order (np.einsum's)."""
+    return float(np.einsum("td,td,t->", vel, vel, area))
+
+
+def _volume_terms(area: np.ndarray, ud: np.ndarray, v: np.ndarray,
+                  jac: np.ndarray, omega_hat: np.ndarray
+                  ) -> tuple[float, float, float]:
+    """Volume integrands of one snapshot: the convective energy term, the
+    auxiliary convective term and the vortical term, for the (T, 2)
+    difference velocity ``ud``, auxiliary field ``v`` and reference
+    Jacobian ``jac[t, i, d] = d_d(uhat_i)``.
+
+    Each is a sum of BLAS dots of Jacobian entries against area-weighted
+    products of velocity components: the quadratic forms are expanded by
+    hand, so no convective field is formed."""
+    ux, uy, vx, vy = ud[:, 0], ud[:, 1], v[:, 0], v[:, 1]
+    jxx, jyy = jac[:, 0, 0], jac[:, 1, 1]
+    jsym = jac[:, 0, 1] + jac[:, 1, 0]
+    wx, wy = area * ux, area * uy
+    mxy, myx = wx * vy, wy * vx
+    # u . ((u . grad) uhat) = sum_id J_id u_i u_d
+    convective = jxx @ (wx * ux) + jsym @ (wx * uy) + jyy @ (wy * uy)
+    # -(u . ((v . grad) uhat) + v . ((u . grad) uhat))
+    #   = -sum_id J_id (u_i v_d + v_i u_d)
+    aux_convective = -(2.0 * (jxx @ (wx * vx) + jyy @ (wy * vy))
+                       + jsym @ (mxy + myx))
+    # omegahat u . rot90(v), rot90(v) = (-v_y, v_x)
+    vortical = omega_hat @ (myx - mxy)
+    return convective, aux_convective, vortical
+
+
+def _edge_means(dn: np.ndarray) -> np.ndarray:
+    """Per-edge means of loop-vertex values (edge i joins loop vertices i
+    and i + 1, cyclically), for every column of a block."""
+    out = np.empty_like(dn)
+    np.add(dn[:-1], dn[1:], out=out[:-1])
+    np.add(dn[-1], dn[0], out=out[-1])
+    return 0.5 * out
 
 
 class TwinRun:
@@ -48,8 +122,11 @@ class TwinRun:
     the squared L2 norms ``z_u`` of the difference velocity and ``z_v``
     of the auxiliary field.  The difference fields themselves (vorticity,
     velocity, stream function and its load) are formed from the two
-    trajectories one snapshot at a time when the identities are first
-    read, so a twin holds O(V) floats per snapshot and no cell array.
+    trajectories one snapshot at a time when they are needed, so a twin
+    holds O(V) floats per snapshot and no cell array.  Their vertex work
+    is done for blocks of snapshots (``_blocks``): the auxiliary
+    potentials of a block are one multi-column solve, and the boundary
+    traces of a block one residual product.
     """
 
     def __init__(self, traj1: Trajectory, traj2: Trajectory):
@@ -76,68 +153,56 @@ class TwinRun:
         self.mesh: Mesh = traj1.mesh
         self.basis = traj1.basis
         self.times = t1
-        mesh = self.mesh
-        area = mesh.tri_area
+        area = self.mesh.tri_area
 
-        self.coeff_d: list[np.ndarray] = []
-        self.C_d: list[np.ndarray] = []
+        pairs = list(zip(traj1.states, traj2.states))
+        self.coeff_d = [s1.assembly.psi_coeffs - s2.assembly.psi_coeffs
+                        for s1, s2 in pairs]
+        self.C_d = [s1.C - s2.C for s1, s2 in pairs]
         self.aux: list[zaremba.AuxiliaryState] = []
         self.z_u = np.empty(len(t1))
         self.z_v = np.empty(len(t1))
         self.mult = np.array([s.assembly.multiplier for s in traj1.states])
 
-        for k, (s1, s2) in enumerate(zip(traj1.states, traj2.states)):
-            self.coeff_d.append(s1.assembly.psi_coeffs
-                                - s2.assembly.psi_coeffs)
-            self.C_d.append(s1.C - s2.C)
-            aux = zaremba.solve_auxiliary(
-                self.basis, self._psi_d(k),
-                VorticityP0(mesh, s1.omega - s2.omega))
-            self.aux.append(aux)
-            ud = self._u_d(k)
-            vv = aux.v.values
-            self.z_u[k] = float(np.einsum("td,td,t->", ud, ud, area))
-            self.z_v[k] = float(np.einsum("td,td,t->", vv, vv, area))
+        V, T = self.mesh.num_vertices, self.mesh.num_triangles
+        for k0, k1 in _blocks(len(t1), self.mesh):
+            ks = range(k0, k1)
+            self.aux += zaremba.solve_auxiliary(
+                self.basis,
+                _columns(map(self._psi_d, ks), np.empty((V, len(ks)))),
+                _columns(map(self._omega_d, ks), np.empty((T, len(ks)))))
+        for k, aux in enumerate(self.aux):
+            self.z_u[k] = _sq_norm(self._u_d(k), area)
+            self.z_v[k] = _sq_norm(aux.v.values, area)
 
-    # -- difference fields, formed on read ------------------------------
+    # -- difference fields at snapshot k, formed on read ----------------
 
     def _states(self, k: int):
         return self.traj1.states[k], self.traj2.states[k]
 
     def _u_d(self, k: int) -> np.ndarray:
-        """(T, 2) difference velocity at snapshot k."""
+        """(T, 2) difference velocity."""
         s1, s2 = self._states(k)
         return s1.assembly.u.values - s2.assembly.u.values
 
-    def _psi_d(self, k: int) -> ScalarFieldP1:
-        """Difference stream function at snapshot k."""
+    def _omega_d(self, k: int) -> np.ndarray:
+        """(T,) difference vorticity."""
         s1, s2 = self._states(k)
-        return ScalarFieldP1(self.mesh, s1.assembly.psi_total.values
-                             - s2.assembly.psi_total.values)
+        return s1.omega - s2.omega
 
-    # -- traces ---------------------------------------------------------
+    def _psi_d(self, k: int) -> np.ndarray:
+        """(V,) difference stream function."""
+        s1, s2 = self._states(k)
+        return s1.assembly.psi_total.values - s2.assembly.psi_total.values
 
-    def _edge_density(self, field: ScalarFieldP1, load: np.ndarray, comp
-                      ) -> np.ndarray:
-        """Per-edge normal-derivative trace of a P1 field from the nodal
-        consistent-flux density (superconvergent, unlike the one-sided
-        cell gradient).  For a stream function this is the tangential
-        velocity trace."""
-        dn = fem.nodal_flux_density(self.basis.op, field, load, comp.comp)
-        return 0.5 * (dn + np.roll(dn, -1))
+    def _loads(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """(V,) stream load of the reference run and the load
+        difference."""
+        s1, s2 = self._states(k)
+        load1 = s1.stream_load
+        return load1, load1 - s2.stream_load
 
-    def _hat_tau_edges(self, k: int, load: np.ndarray, comp) -> np.ndarray:
-        """Tangential trace of the reference velocity at snapshot k (whose
-        stream load is ``load``): stream flux density plus the exact
-        tangential derivative of the through-flow potential."""
-        asm = self.traj1.states[k].assembly
-        dens = self._edge_density(asm.psi_total, load, comp)
-        phi = self.traj1.flux.phi
-        if phi is not None:
-            a, b = comp.edges[:, 0], comp.edges[:, 1]
-            dens = dens + asm.multiplier \
-                * (phi.values[b] - phi.values[a]) / comp.length
-        return dens
+    # -- boundary data --------------------------------------------------
 
     def omega_in_diff(self, cid: int, t: float) -> float:
         return self.traj1.scenario.omega_in_value(cid, t) \
@@ -165,63 +230,88 @@ class TwinRun:
     def _integrands(self) -> dict[str, dict[str, np.ndarray]]:
         """Per-snapshot integrands of the energy and auxiliary identities,
         keyed like the pieces those identities return.  Built on first use
-        with one reference-velocity gradient per snapshot, forming each
-        snapshot's difference fields and auxiliary field only while its
-        row is summed; the tangential trace of the difference is shared by
-        both identities."""
-        mesh = self.mesh
-        area = mesh.tri_area
-        rows = []
-        for k in range(len(self.times)):
-            s1, s2 = self._states(k)
-            ud = self._u_d(k)
-            psi_d = self._psi_d(k)
-            load1 = s1.stream_load
-            load_d = load1 - s2.stream_load
-            aux = self.aux[k]
-            v = aux.v
-            vv = v.values
-            mult = self.mult[k]
-            t = self.times[k]
-
-            eb = bl = bo = bi = bp = 0.0
-            for comp, g in self._flow_components():
-                ut = self._edge_density(psi_d, load_d, comp)
-                eb += float(np.sum(ut * ut * g * comp.length)) * mult
-                if comp.role == "inflow":
-                    bl += float(np.sum(ut * ut * (-g) * comp.length)) * mult
-                    hat_t = self._hat_tau_edges(k, load1, comp)
-                    vn = aux.normal_trace(comp)
-                    bi += float(np.sum(ut * hat_t * vn * comp.length))
-                    phim = 0.5 * (aux.phi.values[comp.edges[:, 0]]
-                                  + aux.phi.values[comp.edges[:, 1]])
-                    om_in = self.omega_in_diff(comp.comp, t)
-                    bp += float(np.sum(phim * om_in * g * comp.length)) \
-                        * mult
-                elif comp.role == "outflow":
-                    # v . tau is the flux density of the potential
-                    # (load-free pairing: the potential is harmonic)
-                    vt = self._edge_density(aux.phi,
-                                            np.zeros(mesh.num_vertices),
-                                            comp)
-                    bo += float(np.sum(ut * vt * (-g) * comp.length)) * mult
-
-            jac_hat = fem.velocity_gradient(mesh, s1.assembly.u)
-            adv_u = fem.convective_term(mesh, VelocityP0(mesh, ud), jac_hat)
-            adv_v = fem.convective_term(mesh, v, jac_hat)
-            om_hat = s1.omega
-            rows.append((
-                0.5 * eb, np.einsum("td,td,t->", ud, adv_u, area),
-                bl, bo, bi,
-                -float(np.einsum("td,td,t->", ud, adv_v, area)
-                       + np.einsum("td,td,t->", vv, adv_u, area)),
-                np.einsum("t,td,td,t->", om_hat, ud, fem.rot90(vv), area),
-                bp))
-        cols = np.array(rows).T
+        a block of snapshots at a time (``_integrand_block``)."""
+        cols = np.empty((8, len(self.times)))
+        for k0, k1 in _blocks(len(self.times), self.mesh):
+            cols[:, k0:k1] = self._integrand_block(k0, k1)
         return {"energy": dict(zip(("boundary", "convective"), cols[:2])),
                 "aux": dict(zip(("inflow_energy", "outflow_cross",
                                  "inflow_cross", "convective", "vortical",
                                  "inflow_data"), cols[2:]))}
+
+    def _integrand_block(self, k0: int, k1: int) -> np.ndarray:
+        """(8, n) integrands of snapshots k0..k1-1, in the order of
+        ``_integrands``: the boundary and convective energy terms, then
+        the six auxiliary terms.
+
+        Volume terms are formed one snapshot at a time
+        (``_volume_terms``).  Boundary terms read one boundary residual of
+        the block's difference stream functions, reference stream
+        functions and auxiliary potentials together; the tangential trace
+        of the difference is shared by both identities.
+        """
+        mesh = self.mesh
+        n, V, bn = k1 - k0, mesh.num_vertices, mesh.boundary_nodes
+        out = np.empty((8, n))
+        for j, k in enumerate(range(k0, k1)):
+            s1 = self.traj1.states[k]
+            out[[1, 5, 6], j] = _volume_terms(
+                mesh.tri_area, self._u_d(k), self.aux[k].v.values,
+                fem.velocity_gradient(mesh, s1.assembly.u), s1.omega)
+
+        # boundary residuals of the difference stream functions, the
+        # reference stream functions and the auxiliary potentials, paired
+        # with the difference and reference stream loads and, for the
+        # harmonic potential, no load
+        x = np.empty((V, 3, n))
+        load_rows = np.zeros((len(bn), 3, n))
+        for j, k in enumerate(range(k0, k1)):
+            x[:, 0, j] = self._psi_d(k)
+            x[:, 1, j] = self.traj1.states[k].assembly.psi_total.values
+            x[:, 2, j] = self.aux[k].phi.values
+            load1, load_d = self._loads(k)
+            load_rows[:, 0, j] = load_d[bn]
+            load_rows[:, 1, j] = load1[bn]
+        res_d, res_hat, res_phi = fem.boundary_residual(
+            self.basis.op, x.reshape(V, -1), load_rows.reshape(len(bn), -1)
+        ).reshape(len(bn), 3, n).transpose(1, 0, 2)
+        phi = x[:, 2]
+        mult = self.mult[k0:k1]
+
+        eb, bl, bo, bi, bp = np.zeros((5, n))
+        through = self.traj1.flux.phi
+        for comp, g in self._flow_components():
+            cid = comp.comp
+            a, b = comp.edges[:, 0], comp.edges[:, 1]
+            w = g * comp.length
+            # tangential trace of the difference: its stream flux density
+            ut = _edge_means(fem.loop_flux_density(mesh, res_d, cid))
+            e = (w @ (ut * ut)) * mult
+            eb += e
+            if comp.role == "inflow":
+                bl -= e
+                # tangential trace of the reference velocity: stream flux
+                # density plus the exact tangential derivative of the
+                # through-flow potential
+                hat_t = _edge_means(fem.loop_flux_density(mesh, res_hat,
+                                                          cid))
+                if through is not None:
+                    dphi = through.values[b] - through.values[a]
+                    hat_t += np.multiply.outer(dphi, mult) \
+                        / comp.length[:, None]
+                # v . n, the exact P1 trace of the potential
+                vn = -(phi[b] - phi[a]) / comp.length[:, None]
+                bi += comp.length @ (ut * hat_t * vn)
+                om_in = np.array([self.omega_in_diff(cid, t)
+                                  for t in self.times[k0:k1]])
+                bp += (w @ (0.5 * (phi[a] + phi[b]))) * om_in * mult
+            elif comp.role == "outflow":
+                # v . tau is the flux density of the potential
+                # (load-free pairing: the potential is harmonic)
+                vt = _edge_means(fem.loop_flux_density(mesh, res_phi, cid))
+                bo -= (w @ (ut * vt)) * mult
+        out[[0, 2, 3, 4, 7]] = 0.5 * eb, bl, bo, bi, bp
+        return out
 
     def _integrals(self, family: str, k0: int, k1: int) -> dict[str, float]:
         """Trapezoid sums of one identity's integrands over [k0, k1]."""
@@ -274,8 +364,8 @@ class TwinRun:
 
         coeffs = np.array(self.coeff_d[k0:k1 + 1])       # (K, m)
         dpsi = _dt_series(coeffs, times)
-        D_in = np.array([[self.aux[k].D[c] for c in self.basis.inner]
-                         for k in range(k0, k1 + 1)])
+        D_in = np.array([aux.D[self.basis.inner]
+                         for aux in self.aux[k0:k1 + 1]])
         coupling = -_trapz(np.einsum("km,km->k", dpsi, D_in), times)
 
         pieces = {"jump": jump, **self._integrals("aux", k0, k1),
@@ -344,48 +434,50 @@ class TwinRun:
         interval.  Flags list rows exceeding 1.01 * C * rhs (empty by
         construction of C).
         """
-        rows = []
-        n = len(self.times)
-        e_bdry = self._integrands["energy"]["boundary"]
-        a_bdry = self._integrands["aux"]["inflow_energy"]
-        for k in range(n - 1):
-            dt = self.times[k + 1] - self.times[k]
-            z = self.z_u[k:k + 2] + self.z_v[k:k + 2]
-            t_pair = self.times[k:k + 2]
+        times, zu = self.times, self.z_u
+        z = zu + self.z_v
+        dt = np.diff(times)
 
-            data2 = max(float(np.sum(np.asarray(self.C_d[j]) ** 2))
-                        for j in (k, k + 1))
-            om_in2 = 0.0
-            for comp, _ in self._flow_components():
-                if comp.role == "inflow":
-                    om_in2 += max(self.omega_in_diff(comp.comp, t) ** 2
-                                  for t in t_pair)
-            data2 += om_in2
+        def trap(vals):
+            """Trapezoid of each interval, with the bits of ``_trapz``."""
+            return dt * (vals[1:] + vals[:-1]) / 2.0
 
-            lhs_e = 0.5 * (self.z_u[k + 1] - self.z_u[k]) \
-                + _trapz(e_bdry[k:k + 2], t_pair)
-            lhs_a = 0.5 * (self.z_v[k + 1] - self.z_v[k]) \
-                + _trapz(a_bdry[k:k + 2], t_pair)
-            for p in p_grid:
-                zu_pow = self.z_u[k:k + 2] ** (1.0 - 1.0 / p)
-                rhs_e = p * _trapz(zu_pow, t_pair)
-                z_pow = z + p * z ** (1.0 - 1.0 / p)
-                rhs_a = _trapz(z_pow, t_pair) + data2 * dt
-                rows.append({"interval": k, "p": p,
-                             "lhs_energy": lhs_e, "rhs_energy": rhs_e,
-                             "lhs_aux": lhs_a, "rhs_aux": rhs_a})
+        c2 = np.array([float(np.sum(np.asarray(c) ** 2)) for c in self.C_d])
+        data2 = np.maximum(c2[:-1], c2[1:])
+        om_in2 = np.zeros(len(dt))
+        for comp, _ in self._flow_components():
+            if comp.role == "inflow":
+                o2 = np.array([self.omega_in_diff(comp.comp, t) ** 2
+                               for t in times])
+                om_in2 += np.maximum(o2[:-1], o2[1:])
+        data2 = data2 + om_in2
 
-        def family(lkey, rkey):
-            ratios = [max(r[lkey], 0.0) / r[rkey] for r in rows
-                      if r[rkey] > 0]
-            return max(ratios, default=0.0)
+        ints = self._integrands
+        lhs = np.column_stack([
+            0.5 * np.diff(zu) + trap(ints["energy"]["boundary"]),
+            0.5 * np.diff(self.z_v) + trap(ints["aux"]["inflow_energy"])])
+        # one exponent at a time: a scalar power (a square root at p = 2)
+        rhs_e = np.column_stack([p * trap(zu ** (1.0 - 1.0 / p))
+                                 for p in p_grid])
+        rhs_a = np.column_stack([trap(z + p * z ** (1.0 - 1.0 / p))
+                                 + data2 * dt for p in p_grid])
 
-        c_energy = family("lhs_energy", "rhs_energy")
-        c_aux = family("lhs_aux", "rhs_aux")
-        flags = [r for r in rows
-                 if max(r["lhs_energy"], 0.0) > 1.01 * c_energy
-                 * r["rhs_energy"]
-                 or max(r["lhs_aux"], 0.0) > 1.01 * c_aux * r["rhs_aux"]]
+        def family(lhs_col, rhs):
+            ratio = np.maximum(lhs_col, 0.0)[:, None] / np.where(
+                rhs > 0, rhs, 1.0)
+            return float(np.where(rhs > 0, ratio, 0.0).max(initial=0.0))
+
+        c_energy = family(lhs[:, 0], rhs_e)
+        c_aux = family(lhs[:, 1], rhs_a)
+        flagged = (np.maximum(lhs[:, :1], 0.0) > 1.01 * c_energy * rhs_e) \
+            | (np.maximum(lhs[:, 1:], 0.0) > 1.01 * c_aux * rhs_a)
+        rows = [{"interval": k, "p": pk,
+                 "lhs_energy": le, "rhs_energy": re_k[j],
+                 "lhs_aux": la, "rhs_aux": ra_k[j]}
+                for k, ((le, la), re_k, ra_k) in enumerate(
+                    zip(lhs.tolist(), rhs_e.tolist(), rhs_a.tolist()))
+                for j, pk in enumerate(p_grid)]
+        flags = [rows[i] for i in np.flatnonzero(flagged.ravel())]
         return {"rows": rows, "C_hat": {"energy": c_energy, "aux": c_aux},
                 "flags": flags}
 

@@ -139,6 +139,7 @@ def cmd_simulate(args) -> int:
           f"vorticity range [{last.omega.min():.6g}, {last.omega.max():.6g}]")
     print(f"max principle defect {traj.max_principle_defect:.3e}, "
           f"budget defect {traj.budget_defect:.3e}")
+    print(f"through-flow divergence defect {traj.flux.div_defect:.3e}")
     print(f"wrote {outdir / 'trajectory.csv'}")
     return 0
 
@@ -272,6 +273,8 @@ def cmd_certify(args) -> int:
                      tr.budget_defect, 1e-11 * scale)
         ok &= _check(lines, f"{tag} circulation bookkeeping",
                      transport.kelvin_consistency(tr), 1e-13)
+    lines.append(f"info through-flow divergence defect "
+                 f"{traj1.flux.div_defect:.3e}")
     rtol = fem.DEFAULT_RTOL
     cds = [float(np.abs(c).max(initial=0.0)) for c in tw.C_d]
     rg_tol = 100 * rtol * max(1.0, max(cds, default=0.0))

@@ -14,7 +14,8 @@ a sparse LU factor.  The factor of each pinned set is cached on the
 ``StiffnessOperator``, so the many Green and auxiliary solves of a run
 cost one factorization each and then only triangular solves; a zero trace
 (every Green, auxiliary and gauge solve) writes no trace values and adds no
-coupling product.
+coupling product.  A (V, n) load is n systems with one pinned set, solved
+as the columns of one triangular solve (``solve_constrained``).
 
 Every per-step kernel on cells and vertices is one product with a fixed
 linear map of the mesh, built once on first use (``Mesh``):
@@ -47,9 +48,11 @@ of the residual are formed:
 ``boundary_indicator @ (boundary_rows @ psi - load[boundary nodes])``
 (``StiffnessOperator``, both built once per operator) sums the same terms
 in the same order as X (A psi - load), without the V x V product.  The
-nodal flux density reads the same boundary residual at the loop vertices
-of one component, in loop order (``BoundaryComponent.nodes``), divided by
-the boundary length each vertex owns (``lumped_length``).
+nodal flux density reads the same boundary residual (``boundary_residual``)
+at the loop vertices of one component, in loop order
+(``BoundaryComponent.nodes``), divided by the boundary length each vertex
+owns (``lumped_length``).  Both take a (V, n) block of fields as well, one
+product for all columns.
 Outside this module no code multiplies the stiffness matrix to read a flux.
 
 perp-gradient convention: grad_perp(psi) = (-d_y psi, d_x psi), so
@@ -176,15 +179,21 @@ class StiffnessOperator:
     def boundary_fluxes(self, boundary_product: np.ndarray,
                         load: np.ndarray) -> np.ndarray:
         """Consistent fluxes of every component from the boundary rows of
-        a product, ``boundary_rows @ x`` (see ``consistent_fluxes``)."""
+        a product, ``boundary_rows @ x`` (see ``consistent_fluxes``); a
+        block of columns x with loads of the same shape gives one column
+        of fluxes each."""
         return self.boundary_indicator @ \
             (boundary_product - load[self.mesh.boundary_nodes])
 
 
 def p0_load_vector(mesh: Mesh, cell_values: np.ndarray) -> np.ndarray:
-    """Nodal load b_a = integral(f * lambda_a) for piecewise constant f."""
+    """Nodal load b_a = integral(f * lambda_a) for piecewise constant f;
+    a (T, n) block of fields gives the (V, n) loads of its columns."""
     cell_values = np.asarray(cell_values, dtype=np.float64)
-    return mesh.vertex_cells @ (cell_values * mesh.tri_area / 3.0)
+    weighted = cell_values * mesh.tri_area.reshape(
+        (-1,) + (1,) * (cell_values.ndim - 1))
+    weighted /= 3.0
+    return mesh.vertex_cells @ weighted
 
 
 def boundary_load_vector(mesh: Mesh, comp_data: dict[int, np.ndarray]
@@ -218,6 +227,8 @@ def _pinned_solve(A: sp.csr_matrix, load: np.ndarray, pinned: np.ndarray,
     symmetrically and A[free][:, free] is factored by sparse LU (SuperLU,
     minimum-degree ordering on A^T + A).  ``factors`` caches the factor
     per pinned node set, together with the free-node indices it acts on.
+    A (V, n) load with a (V, n) ``x`` is n systems on one matrix, solved
+    as the columns of one call of the factor's triangular solve.
     Raises SolverError when the reduced matrix is singular.
     """
     key = pinned.tobytes()
@@ -352,30 +363,47 @@ def solve_mixed(op: StiffnessOperator, dirichlet: dict[int, float],
 
 def solve_constrained(op: StiffnessOperator, load: np.ndarray,
                       pinned_nodes: np.ndarray, pinned_values: np.ndarray
-                      ) -> ScalarFieldP1:
+                      ) -> ScalarFieldP1 | np.ndarray:
     """General solve with an explicit pinned-node set (used by the
-    auxiliary-function machinery, where only some components are pinned)."""
+    auxiliary-function machinery, where only some components are pinned).
+
+    A (V, n) ``load`` is a block of n systems with the same pinned values:
+    the result is the (V, n) array of their solutions, one factor solve
+    for all columns."""
+    load = np.asarray(load, dtype=np.float64)
     nodes = np.asarray(pinned_nodes, dtype=np.int64)
-    x = np.zeros(op.mesh.num_vertices)
-    x[nodes] = np.asarray(pinned_values, dtype=np.float64)
-    return ScalarFieldP1(op.mesh, _pinned_solve(op.matrix, load,
-                                                np.unique(nodes), x,
-                                                op.factors))
+    values = np.asarray(pinned_values, dtype=np.float64)
+    x = np.zeros(load.shape)
+    x[nodes] = values if load.ndim == 1 else values[:, None]
+    x = _pinned_solve(op.matrix, load, np.unique(nodes), x, op.factors)
+    return ScalarFieldP1(op.mesh, x) if load.ndim == 1 else x
 
 
 # -- consistent fluxes --------------------------------------------------
 
 
-def consistent_fluxes(op: StiffnessOperator, field: ScalarFieldP1,
+def boundary_residual(op: StiffnessOperator, x: np.ndarray,
+                      load_rows: np.ndarray) -> np.ndarray:
+    """Rows of the residual A x - load at ``Mesh.boundary_nodes``: all of
+    it that a consistent flux or a nodal flux density reads.  ``x`` is a
+    (V,) field or a (V, n) block of fields, and ``load_rows`` holds the
+    rows of their loads at the boundary nodes."""
+    return op.boundary_rows @ x - load_rows
+
+
+def consistent_fluxes(op: StiffnessOperator,
+                      field: ScalarFieldP1 | np.ndarray,
                       load: np.ndarray) -> np.ndarray:
     """(ncomp,) variational fluxes integral_comp(dfield/dn), outward
-    normal, of every component from one residual.
+    normal, of every component from one residual; a (V, n) block of
+    fields with (V, n) loads gives (ncomp, n).
 
     ``load`` must be the load vector of the system the field solves (zero
     for a harmonic field).  The pairing with the component indicators makes
     the fluxes superconvergent.
     """
-    return op.boundary_fluxes(op.boundary_rows @ field.values, load)
+    x = field.values if isinstance(field, ScalarFieldP1) else field
+    return op.boundary_fluxes(op.boundary_rows @ x, load)
 
 
 def consistent_flux(op: StiffnessOperator, field: ScalarFieldP1,
@@ -384,17 +412,24 @@ def consistent_flux(op: StiffnessOperator, field: ScalarFieldP1,
     return float(consistent_fluxes(op, field, load)[comp])
 
 
+def loop_flux_density(mesh: Mesh, residual: np.ndarray, comp: int
+                      ) -> np.ndarray:
+    """Normal derivative at the loop vertices of a component, in
+    ``BoundaryComponent.nodes`` order, from a ``boundary_residual`` (of a
+    field or a block): the nodal residual divided by the lumped boundary
+    length (half of each of the two adjacent edges)."""
+    c = mesh.component(comp)
+    r = residual[np.searchsorted(mesh.boundary_nodes, c.nodes)]
+    return r / c.lumped_length.reshape((-1,) + (1,) * (r.ndim - 1))
+
+
 def nodal_flux_density(op: StiffnessOperator, field: ScalarFieldP1,
                        load: np.ndarray, comp: int) -> np.ndarray:
-    """Normal derivative at the loop vertices of a component, in
-    ``BoundaryComponent.nodes`` order: the nodal residual divided by the
-    lumped boundary length (half of each of the two adjacent edges)."""
-    mesh = op.mesh
-    c = mesh.component(comp)
-    residual = op.boundary_rows @ field.values \
-        - load[mesh.boundary_nodes]
-    return residual[np.searchsorted(mesh.boundary_nodes, c.nodes)] \
-        / c.lumped_length
+    """Normal derivative of a field at the loop vertices of a component
+    (see ``loop_flux_density``)."""
+    residual = boundary_residual(op, field.values,
+                                 load[op.mesh.boundary_nodes])
+    return loop_flux_density(op.mesh, residual, comp)
 
 
 def interior_residual_norm(op: StiffnessOperator, field: ScalarFieldP1,

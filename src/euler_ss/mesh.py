@@ -487,29 +487,24 @@ def generate_annulus(r0: float, r1: float, nr: int, ntheta: int,
     vy = np.outer(radii, np.sin(theta)).ravel()
     vertices = np.column_stack([vx, vy])
 
-    def vid(k, j):
-        return k * ntheta + (j % ntheta)
+    # vertex (k, j) of ring k and sector j is k * ntheta + j; cell (k, j)
+    # splits into (a, b, c) and (a, c, d) with a = (k, j), b = (k + 1, j),
+    # c = (k + 1, j + 1), d = (k, j + 1), sectors cyclic
+    j = np.arange(ntheta)
+    jn = (j + 1) % ntheta
+    a = (np.arange(nr)[:, None] * ntheta + j).ravel()
+    d = (np.arange(nr)[:, None] * ntheta + jn).ravel()
+    tris = np.stack([a, a + ntheta, d + ntheta, a, d + ntheta, d],
+                    axis=1).reshape(-1, 3)
+    # outer circle counterclockwise, inner circle clockwise (fluid on the
+    # left)
+    bedges = np.concatenate([
+        np.stack([nr * ntheta + j, nr * ntheta + jn, np.zeros_like(j)],
+                 axis=1),
+        np.stack([jn, j, np.ones_like(j)], axis=1)])
 
-    tris = []
-    for k in range(nr):
-        for j in range(ntheta):
-            a = vid(k, j)
-            b = vid(k + 1, j)
-            c = vid(k + 1, j + 1)
-            d = vid(k, j + 1)
-            tris.append((a, b, c))
-            tris.append((a, c, d))
-
-    bedges = []
-    # outer circle, counterclockwise (fluid on the left)
-    for j in range(ntheta):
-        bedges.append((vid(nr, j), vid(nr, j + 1), 0))
-    # inner circle, clockwise (fluid on the left)
-    for j in range(ntheta):
-        bedges.append((vid(0, j + 1), vid(0, j), 1))
-
-    return Mesh(vertices, np.asarray(tris), np.asarray(bedges),
-                {0: roles[0], 1: roles[1]}, radii={0: r1, 1: r0})
+    return Mesh(vertices, tris, bedges, {0: roles[0], 1: roles[1]},
+                radii={0: r1, 1: r0})
 
 
 def uniform_refine(mesh: Mesh) -> Mesh:

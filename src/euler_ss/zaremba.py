@@ -57,10 +57,19 @@ class AuxiliaryState:
         return -(self.phi.values[b] - self.phi.values[a]) / comp.length
 
 
-def solve_auxiliary(basis: HarmonicBasis, psi: ScalarFieldP1,
-                    omega: VorticityP0) -> AuxiliaryState:
+def solve_auxiliary(basis: HarmonicBasis,
+                    psi: ScalarFieldP1 | np.ndarray,
+                    omega: VorticityP0 | np.ndarray
+                    ) -> AuxiliaryState | list[AuxiliaryState]:
     """Solve the mixed problem for the auxiliary potential of a
-    difference state (psi, omega)."""
+    difference state (psi, omega).
+
+    A block of difference states, a (V, n) array of stream functions with
+    the (T, n) array of their vorticities, is solved in one go: one load
+    product per operator, one multi-column solve with the cached factor
+    of the pinned set, and one flux product; it returns a list of one
+    state per column.  A single state (a P1 and a P0 field) is solved as
+    the block of one column and returned as it is."""
     mesh = basis.mesh
     pinned = [c.comp for c in mesh.components if c.role != "inflow"]
     if not pinned:
@@ -68,14 +77,26 @@ def solve_auxiliary(basis: HarmonicBasis, psi: ScalarFieldP1,
             "auxiliary problem needs at least one wall or outflow "
             "component to pin (every component is an inflow)")
 
-    load = -(basis.op.matrix @ psi.values) \
-        - fem.p0_load_vector(mesh, omega.values)
+    single = isinstance(psi, ScalarFieldP1)
+    psi_b = (psi.values if single else np.asarray(psi)) \
+        .reshape(mesh.num_vertices, -1)
+    omega_b = (omega.values if isinstance(omega, VorticityP0)
+               else np.asarray(omega)).reshape(mesh.num_triangles, -1)
+    # -(A psi) - b(omega), negated in place: one buffer
+    load = basis.op.matrix @ psi_b
+    load += fem.p0_load_vector(mesh, omega_b)
+    np.negative(load, out=load)
     nodes = mesh.nodes_of(pinned)
     phi = fem.solve_constrained(basis.op, load, nodes,
                                 np.zeros(len(nodes)))
     # consistent fluxes of phi with a zero pairing load
-    D = fem.consistent_fluxes(basis.op, phi, np.zeros(mesh.num_vertices))
-    return AuxiliaryState(phi=phi, D=D)
+    D = fem.consistent_fluxes(basis.op, phi, np.zeros_like(phi))
+    # one contiguous row of phi per state
+    phi = np.ascontiguousarray(phi.T)
+    states = [AuxiliaryState(phi=ScalarFieldP1(mesh, phi[j]),
+                             D=np.ascontiguousarray(D[:, j]))
+              for j in range(len(phi))]
+    return states[0] if single else states
 
 
 def reversed_flux_residuals(aux: AuxiliaryState, basis: HarmonicBasis,

@@ -1,0 +1,210 @@
+"""The per-snapshot twin, kept as a reference for ``TwinRun``'s blocks.
+
+``EinsumTwin`` solves each snapshot's auxiliary problem on its own and
+sums every integrand with ``np.einsum``, one snapshot at a time, and
+``loop_ledger`` builds the inequality ledger one row at a time: the
+formulas below are the ones ``certificates.TwinRun`` used before it
+worked on blocks of snapshots, verbatim.  Tests compare the block kernels
+against them.
+"""
+
+from functools import cached_property
+
+import numpy as np
+
+from euler_ss import certificates, fem, zaremba
+from euler_ss.certificates import TwinRun, _trapz
+from euler_ss.fem import ScalarFieldP1, VelocityP0, VorticityP0
+
+
+class EinsumTwin(TwinRun):
+    """Per-snapshot auxiliary solves and einsum integrands."""
+
+    def __init__(self, traj1, traj2):
+        self.traj1 = traj1
+        self.traj2 = traj2
+        self.mesh = traj1.mesh
+        self.basis = traj1.basis
+        self.times = t1 = traj1.times
+        mesh = self.mesh
+        area = mesh.tri_area
+
+        self.coeff_d = []
+        self.C_d = []
+        self.aux = []
+        self.z_u = np.empty(len(t1))
+        self.z_v = np.empty(len(t1))
+        self.mult = np.array([s.assembly.multiplier for s in traj1.states])
+
+        for k, (s1, s2) in enumerate(zip(traj1.states, traj2.states)):
+            self.coeff_d.append(s1.assembly.psi_coeffs
+                                - s2.assembly.psi_coeffs)
+            self.C_d.append(s1.C - s2.C)
+            aux = zaremba.solve_auxiliary(
+                self.basis, self._psi_field(k),
+                VorticityP0(mesh, s1.omega - s2.omega))
+            self.aux.append(aux)
+            ud = self._u_d(k)
+            vv = aux.v.values
+            self.z_u[k] = float(np.einsum("td,td,t->", ud, ud, area))
+            self.z_v[k] = float(np.einsum("td,td,t->", vv, vv, area))
+
+    def _psi_field(self, k: int) -> ScalarFieldP1:
+        """Difference stream function at snapshot k."""
+        s1, s2 = self._states(k)
+        return ScalarFieldP1(self.mesh, s1.assembly.psi_total.values
+                             - s2.assembly.psi_total.values)
+
+    def _edge_density(self, field: ScalarFieldP1, load: np.ndarray, comp
+                      ) -> np.ndarray:
+        dn = fem.nodal_flux_density(self.basis.op, field, load, comp.comp)
+        return 0.5 * (dn + np.roll(dn, -1))
+
+    def _hat_tau_edges(self, k: int, load: np.ndarray, comp) -> np.ndarray:
+        asm = self.traj1.states[k].assembly
+        dens = self._edge_density(asm.psi_total, load, comp)
+        phi = self.traj1.flux.phi
+        if phi is not None:
+            a, b = comp.edges[:, 0], comp.edges[:, 1]
+            dens = dens + asm.multiplier \
+                * (phi.values[b] - phi.values[a]) / comp.length
+        return dens
+
+    @cached_property
+    def _integrands(self):
+        mesh = self.mesh
+        area = mesh.tri_area
+        rows = []
+        for k in range(len(self.times)):
+            s1, s2 = self._states(k)
+            ud = self._u_d(k)
+            psi_d = self._psi_field(k)
+            load1 = s1.stream_load
+            load_d = load1 - s2.stream_load
+            aux = self.aux[k]
+            v = aux.v
+            vv = v.values
+            mult = self.mult[k]
+            t = self.times[k]
+
+            eb = bl = bo = bi = bp = 0.0
+            for comp, g in self._flow_components():
+                ut = self._edge_density(psi_d, load_d, comp)
+                eb += float(np.sum(ut * ut * g * comp.length)) * mult
+                if comp.role == "inflow":
+                    bl += float(np.sum(ut * ut * (-g) * comp.length)) * mult
+                    hat_t = self._hat_tau_edges(k, load1, comp)
+                    vn = aux.normal_trace(comp)
+                    bi += float(np.sum(ut * hat_t * vn * comp.length))
+                    phim = 0.5 * (aux.phi.values[comp.edges[:, 0]]
+                                  + aux.phi.values[comp.edges[:, 1]])
+                    om_in = self.omega_in_diff(comp.comp, t)
+                    bp += float(np.sum(phim * om_in * g * comp.length)) \
+                        * mult
+                elif comp.role == "outflow":
+                    vt = self._edge_density(aux.phi,
+                                            np.zeros(mesh.num_vertices),
+                                            comp)
+                    bo += float(np.sum(ut * vt * (-g) * comp.length)) * mult
+
+            jac_hat = fem.velocity_gradient(mesh, s1.assembly.u)
+            adv_u = fem.convective_term(mesh, VelocityP0(mesh, ud), jac_hat)
+            adv_v = fem.convective_term(mesh, v, jac_hat)
+            om_hat = s1.omega
+            rows.append((
+                0.5 * eb, np.einsum("td,td,t->", ud, adv_u, area),
+                bl, bo, bi,
+                -float(np.einsum("td,td,t->", ud, adv_v, area)
+                       + np.einsum("td,td,t->", vv, adv_u, area)),
+                np.einsum("t,td,td,t->", om_hat, ud, fem.rot90(vv), area),
+                bp))
+        cols = np.array(rows).T
+        return {"energy": dict(zip(("boundary", "convective"), cols[:2])),
+                "aux": dict(zip(("inflow_energy", "outflow_cross",
+                                 "inflow_cross", "convective", "vortical",
+                                 "inflow_data"), cols[2:]))}
+
+
+def loop_ledger(twin: TwinRun, p_grid=(2, 4, 8, 16, 32)) -> dict:
+    """``TwinRun.inequality_ledger`` built one row at a time."""
+    rows = []
+    n = len(twin.times)
+    e_bdry = twin._integrands["energy"]["boundary"]
+    a_bdry = twin._integrands["aux"]["inflow_energy"]
+    for k in range(n - 1):
+        dt = twin.times[k + 1] - twin.times[k]
+        z = twin.z_u[k:k + 2] + twin.z_v[k:k + 2]
+        t_pair = twin.times[k:k + 2]
+
+        data2 = max(float(np.sum(np.asarray(twin.C_d[j]) ** 2))
+                    for j in (k, k + 1))
+        om_in2 = 0.0
+        for comp, _ in twin._flow_components():
+            if comp.role == "inflow":
+                om_in2 += max(twin.omega_in_diff(comp.comp, t) ** 2
+                              for t in t_pair)
+        data2 += om_in2
+
+        lhs_e = 0.5 * (twin.z_u[k + 1] - twin.z_u[k]) \
+            + _trapz(e_bdry[k:k + 2], t_pair)
+        lhs_a = 0.5 * (twin.z_v[k + 1] - twin.z_v[k]) \
+            + _trapz(a_bdry[k:k + 2], t_pair)
+        for p in p_grid:
+            zu_pow = twin.z_u[k:k + 2] ** (1.0 - 1.0 / p)
+            rhs_e = p * _trapz(zu_pow, t_pair)
+            z_pow = z + p * z ** (1.0 - 1.0 / p)
+            rhs_a = _trapz(z_pow, t_pair) + data2 * dt
+            rows.append({"interval": k, "p": p,
+                         "lhs_energy": lhs_e, "rhs_energy": rhs_e,
+                         "lhs_aux": lhs_a, "rhs_aux": rhs_a})
+
+    def family(lkey, rkey):
+        ratios = [max(r[lkey], 0.0) / r[rkey] for r in rows
+                  if r[rkey] > 0]
+        return max(ratios, default=0.0)
+
+    c_energy = family("lhs_energy", "rhs_energy")
+    c_aux = family("lhs_aux", "rhs_aux")
+    flags = [r for r in rows
+             if max(r["lhs_energy"], 0.0) > 1.01 * c_energy
+             * r["rhs_energy"]
+             or max(r["lhs_aux"], 0.0) > 1.01 * c_aux * r["rhs_aux"]]
+    return {"rows": rows, "C_hat": {"energy": c_energy, "aux": c_aux},
+            "flags": flags}
+
+
+def block_bytes(mesh, size: int) -> int:
+    """A ``certificates.BLOCK_BYTES`` that makes blocks of ``size``
+    snapshots on ``mesh``."""
+    return size * certificates._BYTES_PER_VERTEX * mesh.num_vertices
+
+
+def assert_matches_reference(twin: TwinRun, ref: EinsumTwin,
+                             rtol: float = 1e-12) -> None:
+    """The block kernels agree with the per-snapshot formulas: the norms
+    of the difference velocity to the bit (they keep the reference's
+    summation); auxiliary potentials, fluxes and norms, integrands and
+    identity pieces to ``rtol`` of each quantity's scale (a multi-column
+    solve may round differently from single solves, depending on the
+    BLAS); and the ledger exactly as the row-at-a-time ledger builds it
+    from the same norms and integrands."""
+
+    def close(got, want):
+        return np.abs(np.asarray(got) - want).max() \
+            <= rtol * np.abs(want).max()
+
+    assert np.array_equal(twin.z_u, ref.z_u)
+    assert close(twin.z_v, ref.z_v)
+    assert close([a.phi.values for a in twin.aux],
+                 [a.phi.values for a in ref.aux])
+    assert close([a.D for a in twin.aux], [a.D for a in ref.aux])
+    for family, cols in ref._integrands.items():
+        for key, col in cols.items():
+            assert close(twin._integrands[family][key], col), (family, key)
+    for ident in ("energy_identity", "aux_identity"):
+        got, want = getattr(twin, ident)(), getattr(ref, ident)()
+        scale = max(abs(v) for k, v in want.items() if k != "relative")
+        for key, val in want.items():
+            if key != "relative":
+                assert abs(got[key] - val) <= rtol * scale, (ident, key)
+    assert twin.inequality_ledger() == loop_ledger(twin)

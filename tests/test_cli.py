@@ -466,3 +466,21 @@ def test_closed_stdout_pipe_exits_quietly(tmp_path, unbuffered):
     proc.stderr.close()
     assert proc.wait(timeout=120) == 141
     assert err == b""
+
+
+def test_simulate_and_certify_report_the_divergence_defect(
+        tmp_path, scenario_file, capsys):
+    traj = euler_ss.transport.run(euler_ss.load_scenario(scenario_file))
+    defect = traj.flux.div_defect
+    assert 0.0 < defect < 1e-13
+    assert main(["simulate", str(scenario_file),
+                 "-o", str(tmp_path / "sim")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # after the defect line, which stays as it was
+    at = next(i for i, line in enumerate(lines)
+              if line.startswith("max principle defect "))
+    assert lines[at + 1] == f"through-flow divergence defect {defect:.3e}"
+    assert main(["certify", str(scenario_file), "--delta-c0", "1=0.1",
+                 "-o", str(tmp_path / "cert")]) == 0
+    assert f"info through-flow divergence defect {defect:.3e}" \
+        in capsys.readouterr().out.splitlines()

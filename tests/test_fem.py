@@ -356,3 +356,33 @@ def test_write_vtk_structure(tmp_path, annulus):
     assert f"POINTS {annulus.num_vertices}" in text
     assert "stream" in text and "vorticity" in text
     assert f"CELL_DATA {annulus.num_triangles}" in text
+
+
+def test_block_forms_match_single_column_calls(annulus, stiffness):
+    # a (V, n) load is n solves with one factor; loads and fluxes of a
+    # block are column for column the bits of single calls, and the block
+    # solve agrees with single solves to round-off (bit for bit where the
+    # BLAS kernels of one and several right-hand sides sum alike)
+    rng = np.random.default_rng(7)
+    V, T = annulus.num_vertices, annulus.num_triangles
+    loads = rng.standard_normal((V, 5))
+    cells = rng.standard_normal((T, 5))
+    nodes = annulus.component_nodes(0)
+    for pinned_value in (0.0, 0.25):
+        vals = np.full(len(nodes), pinned_value)
+        block = fem.solve_constrained(stiffness, loads, nodes, vals)
+        assert block.shape == (V, 5)
+        assert np.all(block[nodes] == pinned_value)
+        for j in range(5):
+            one = fem.solve_constrained(stiffness, loads[:, j], nodes, vals)
+            assert np.abs(block[:, j] - one.values).max() \
+                <= 1e-14 * np.abs(one.values).max()
+    p0 = fem.p0_load_vector(annulus, cells)
+    fluxes = fem.consistent_fluxes(stiffness, block, loads)
+    for j in range(5):
+        assert np.array_equal(p0[:, j], fem.p0_load_vector(annulus,
+                                                           cells[:, j]))
+        field = fem.ScalarFieldP1(annulus, block[:, j])
+        assert np.array_equal(fluxes[:, j],
+                              fem.consistent_fluxes(stiffness, field,
+                                                    loads[:, j]))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from euler_ss import mesh as mesh_module
 from euler_ss.errors import UsageError
 from euler_ss.mesh import (Mesh, generate_annulus, load_mesh, save_mesh,
                            uniform_refine)
@@ -271,3 +272,36 @@ def test_incircle_diameter_positive():
     m = generate_annulus(1.0, 2.0, 4, 16)
     assert np.all(m.incircle_diameter > 0)
     assert np.all(m.incircle_diameter < np.sqrt(m.tri_area.max()) * 2)
+
+
+def annulus_arrays_by_loop(nr, ntheta):
+    """The triangles and boundary edges of ``generate_annulus``, built one
+    tuple at a time."""
+    def vid(k, j):
+        return k * ntheta + (j % ntheta)
+
+    tris = []
+    for k in range(nr):
+        for j in range(ntheta):
+            a, b = vid(k, j), vid(k + 1, j)
+            c, d = vid(k + 1, j + 1), vid(k, j + 1)
+            tris.append((a, b, c))
+            tris.append((a, c, d))
+    bedges = [(vid(nr, j), vid(nr, j + 1), 0) for j in range(ntheta)]
+    bedges += [(vid(0, j + 1), vid(0, j), 1) for j in range(ntheta)]
+    return np.asarray(tris), np.asarray(bedges)
+
+
+@pytest.mark.parametrize("nr, ntheta", [(1, 3), (2, 8), (4, 16), (32, 128)])
+def test_annulus_arrays_match_loop_reference(monkeypatch, nr, ntheta):
+    built = {}
+
+    def capture(vertices, triangles, boundary_edges, roles, radii):
+        built.update(tris=triangles, bedges=boundary_edges)
+
+    monkeypatch.setattr(mesh_module, "Mesh", capture)
+    generate_annulus(1.0, 2.0, nr, ntheta)
+    tris, bedges = annulus_arrays_by_loop(nr, ntheta)
+    for got, want in ((built["tris"], tris), (built["bedges"], bedges)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)

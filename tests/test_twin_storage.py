@@ -1,18 +1,19 @@
-"""What snapshots and twin runs keep, and that what they derive on read is
-bit-for-bit what they used to store."""
+"""What snapshots and twin runs keep, that what they derive on read is
+bit-for-bit what they used to store, and that the block kernels of a twin
+agree with the per-snapshot formulas."""
 
 import tracemalloc
-from functools import cached_property
 
 import numpy as np
 import pytest
 
-from euler_ss import fem, hodge, transport, zaremba
+from euler_ss import certificates, fem, hodge, transport, zaremba
 from euler_ss.certificates import TwinRun
-from euler_ss.fem import ScalarFieldP1, VelocityP0, VorticityP0
+from euler_ss.fem import VorticityP0
 from euler_ss.hodge import HarmonicBasis
 
 from conftest import modulated_band_scenario
+from einsum_twin import EinsumTwin, assert_matches_reference, block_bytes
 
 
 @pytest.fixture(scope="module")
@@ -44,88 +45,34 @@ def test_stored_snapshot_derives_the_live_stream_load(small_pair):
 
 
 class StoredDifferenceTwin(TwinRun):
-    """A twin built by storing every difference field of every snapshot
-    and the auxiliary field of each, with the stream loads of the live
-    reconstructions: the reference the derived-on-read twin must match."""
+    """A twin that stores every difference field of every snapshot, with
+    the stream loads of the live reconstructions, and feeds those stored
+    fields through the same block kernels: the reference the
+    derived-on-read twin must match bit for bit."""
 
     def __init__(self, traj1, traj2):
-        self.traj1, self.traj2 = traj1, traj2
-        self.mesh = mesh = traj1.mesh
-        self.basis = traj1.basis
-        self.times = traj1.times
-        self.mult = np.array([s.assembly.multiplier for s in traj1.states])
-        area = mesh.tri_area
-        self.u_d, self.psi_d, self.load_d, self.load1 = [], [], [], []
-        self.coeff_d, self.C_d, self.aux, self.aux_v = [], [], [], []
-        self.z_u = np.empty(len(self.times))
-        self.z_v = np.empty(len(self.times))
-        for k, (s1, s2) in enumerate(zip(traj1.states, traj2.states)):
+        self.u_d, self.omega_d, self.psi_d, self.loads = [], [], [], []
+        for s1, s2 in zip(traj1.states, traj2.states):
             load1 = live_assembly(traj1, s1).stream_load
             load2 = live_assembly(traj2, s2).stream_load
-            ud = s1.assembly.u.values - s2.assembly.u.values
-            psi = ScalarFieldP1(mesh, s1.assembly.psi_total.values
-                                - s2.assembly.psi_total.values)
-            aux = zaremba.solve_auxiliary(
-                self.basis, psi, VorticityP0(mesh, s1.omega - s2.omega))
-            v = fem.perp_gradient(mesh, aux.phi)
-            self.u_d.append(ud)
-            self.psi_d.append(psi)
-            self.load1.append(load1)
-            self.load_d.append(load1 - load2)
-            self.coeff_d.append(s1.assembly.psi_coeffs
-                                - s2.assembly.psi_coeffs)
-            self.C_d.append(s1.C - s2.C)
-            self.aux.append(aux)
-            self.aux_v.append(v)
-            self.z_u[k] = float(np.einsum("td,td,t->", ud, ud, area))
-            self.z_v[k] = float(np.einsum("td,td,t->", v.values, v.values,
-                                          area))
+            self.u_d.append(s1.assembly.u.values - s2.assembly.u.values)
+            self.omega_d.append(s1.omega - s2.omega)
+            self.psi_d.append(s1.assembly.psi_total.values
+                              - s2.assembly.psi_total.values)
+            self.loads.append((load1, load1 - load2))
+        super().__init__(traj1, traj2)
 
-    @cached_property
-    def _integrands(self):
-        mesh = self.mesh
-        area = mesh.tri_area
-        rows = []
-        for k in range(len(self.times)):
-            ud, aux, v = self.u_d[k], self.aux[k], self.aux_v[k]
-            vv = v.values
-            mult, t = self.mult[k], self.times[k]
-            eb = bl = bo = bi = bp = 0.0
-            for comp, g in self._flow_components():
-                ut = self._edge_density(self.psi_d[k], self.load_d[k], comp)
-                eb += float(np.sum(ut * ut * g * comp.length)) * mult
-                if comp.role == "inflow":
-                    bl += float(np.sum(ut * ut * (-g) * comp.length)) * mult
-                    hat_t = self._hat_tau_edges(k, self.load1[k], comp)
-                    vn = aux.normal_trace(comp)
-                    bi += float(np.sum(ut * hat_t * vn * comp.length))
-                    phim = 0.5 * (aux.phi.values[comp.edges[:, 0]]
-                                  + aux.phi.values[comp.edges[:, 1]])
-                    om_in = self.omega_in_diff(comp.comp, t)
-                    bp += float(np.sum(phim * om_in * g * comp.length)) \
-                        * mult
-                elif comp.role == "outflow":
-                    vt = self._edge_density(aux.phi,
-                                            np.zeros(mesh.num_vertices),
-                                            comp)
-                    bo += float(np.sum(ut * vt * (-g) * comp.length)) * mult
-            jac_hat = fem.velocity_gradient(
-                mesh, self.traj1.states[k].assembly.u)
-            adv_u = fem.convective_term(mesh, VelocityP0(mesh, ud), jac_hat)
-            adv_v = fem.convective_term(mesh, v, jac_hat)
-            om_hat = self.traj1.states[k].omega
-            rows.append((
-                0.5 * eb, np.einsum("td,td,t->", ud, adv_u, area),
-                bl, bo, bi,
-                -float(np.einsum("td,td,t->", ud, adv_v, area)
-                       + np.einsum("td,td,t->", vv, adv_u, area)),
-                np.einsum("t,td,td,t->", om_hat, ud, fem.rot90(vv), area),
-                bp))
-        cols = np.array(rows).T
-        return {"energy": dict(zip(("boundary", "convective"), cols[:2])),
-                "aux": dict(zip(("inflow_energy", "outflow_cross",
-                                 "inflow_cross", "convective", "vortical",
-                                 "inflow_data"), cols[2:]))}
+    def _u_d(self, k):
+        return self.u_d[k]
+
+    def _omega_d(self, k):
+        return self.omega_d[k]
+
+    def _psi_d(self, k):
+        return self.psi_d[k]
+
+    def _loads(self, k):
+        return self.loads[k]
 
 
 def test_twin_matches_the_stored_difference_reference(small_pair):
@@ -184,3 +131,27 @@ def test_twin_keeps_vertex_sized_state_per_snapshot(tmp_path):
     allowance = n * (8 * V + 4 * T)
     assert built < allowance, (built, allowance)
     assert read < allowance, (read, allowance)
+
+
+@pytest.mark.parametrize("size", [1, 3, None])
+def test_block_kernels_match_the_per_snapshot_formulas(small_pair,
+                                                       monkeypatch, size):
+    # blocks of one, uneven blocks of three (7 snapshots), the default
+    mesh = small_pair[0].mesh
+    if size is not None:
+        monkeypatch.setattr(certificates, "BLOCK_BYTES",
+                            block_bytes(mesh, size))
+    blocks = certificates._blocks(len(small_pair[0].states), mesh)
+    assert len(blocks) == {1: 7, 3: 3, None: 1}[size]
+    solves = []
+    real = zaremba.solve_auxiliary
+
+    def counted(*args):
+        solves.append(args[1].shape[1])
+        return real(*args)
+
+    monkeypatch.setattr(zaremba, "solve_auxiliary", counted)
+    twin = TwinRun(*small_pair)
+    assert solves == [k1 - k0 for k0, k1 in blocks]
+    monkeypatch.undo()
+    assert_matches_reference(twin, EinsumTwin(*small_pair))

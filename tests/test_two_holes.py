@@ -1,12 +1,16 @@
-"""A domain with two holes: the m x m circulation system and the transport
-contract on three boundary components."""
+"""A domain with two holes: the m x m circulation system, the transport
+contract on three boundary components, and the twin certificates of an
+m = 2 difference."""
 
 import numpy as np
 import pytest
 
-from euler_ss import transport
+from euler_ss import certificates, transport
+from euler_ss.certificates import TwinRun
 from euler_ss.hodge import HarmonicBasis
 from euler_ss.mesh import Mesh, save_mesh
+
+from einsum_twin import EinsumTwin, assert_matches_reference, block_bytes
 
 NX, NY = 24, 12                       # cells of the [0, 2] x [0, 1] grid
 HOLES = ((4, 8), (16, 20))            # hole cell columns; rows [4, 8)
@@ -78,7 +82,9 @@ def test_circulation_matrix_spd_and_mirror_symmetric(basis):
         <= 1e-12 * np.abs(basis.flux_rows).max()
 
 
-def test_three_component_run_closes_to_round_off(tmp_path, mesh, basis):
+def flow_scenario(tmp_path, mesh):
+    """Through-flow from the inflow hole to the outer boundary, past the
+    wall hole, with a smooth initial vorticity."""
     save_mesh(mesh, tmp_path / "two_holes.mesh")
     x, y = mesh.centroid.T
     np.savetxt(tmp_path / "omega0.txt",
@@ -95,7 +101,11 @@ def test_three_component_run_closes_to_round_off(tmp_path, mesh, basis):
               1: {"type": "constant", "value": g_in}},
         "omega_in": {1: {"type": "constant", "value": 0.8}},
     }
-    sc = transport.parse_scenario(doc, base_dir=tmp_path)
+    return transport.parse_scenario(doc, base_dir=tmp_path)
+
+
+def test_three_component_run_closes_to_round_off(tmp_path, mesh, basis):
+    sc = flow_scenario(tmp_path, mesh)
     run_basis = HarmonicBasis(sc.mesh)
     traj = transport.run(sc, run_basis)
     assert traj.total_steps > 0
@@ -105,3 +115,24 @@ def test_three_component_run_closes_to_round_off(tmp_path, mesh, basis):
     assert traj.flux.div_defect < 1e-13
     # the wall hole neither gains nor loses vorticity through its boundary
     assert np.all(np.array([s.B[2] for s in traj.states]) == 0.0)
+
+
+@pytest.mark.parametrize("size", [1, None])
+def test_twin_blocks_match_the_per_snapshot_formulas(tmp_path, mesh,
+                                                     monkeypatch, size):
+    # both holes' circulations and the inflow trace perturbed: an m = 2
+    # difference, pinned on the outer boundary and the wall hole
+    sc = flow_scenario(tmp_path, mesh)
+    run_basis = HarmonicBasis(sc.mesh)
+    pair = (transport.run(sc, run_basis),
+            transport.run(sc.perturbed(C0={1: 0.1, 2: -0.05},
+                                       omega_in={1: 0.05}), run_basis))
+    if size is not None:
+        monkeypatch.setattr(certificates, "BLOCK_BYTES",
+                            block_bytes(sc.mesh, size))
+    n = len(pair[0].states)
+    assert len(certificates._blocks(n, sc.mesh)) == (n if size else 1)
+    twin = TwinRun(*pair)
+    assert all(c.shape == (2,) for c in twin.C_d)
+    assert np.abs(np.array(twin.C_d)).min() > 0.0
+    assert_matches_reference(twin, EinsumTwin(*pair))

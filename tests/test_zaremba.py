@@ -99,3 +99,22 @@ def test_vortical_difference_state(flow_twin):
     res = reversed_flux_residuals(aux, basis, dC)
     scale = max(1.0, float(np.abs(dC).max()))
     assert res.max() < 1e-9 * scale
+
+
+def test_block_solve_matches_single_solves(flow_basis):
+    # one multi-column solve for a block of difference states agrees with
+    # the solve of each state on its own, to round-off
+    m = flow_basis.mesh
+    rng = np.random.default_rng(3)
+    psi = rng.standard_normal((m.num_vertices, 4))
+    omega = rng.standard_normal((m.num_triangles, 4))
+    block = solve_auxiliary(flow_basis, psi, omega)
+    assert len(block) == 4
+    for j, aux in enumerate(block):
+        one = solve_auxiliary(flow_basis, fem.ScalarFieldP1(m, psi[:, j]),
+                              fem.VorticityP0(m, omega[:, j]))
+        assert aux.phi.values.flags.c_contiguous
+        scale = np.abs(one.phi.values).max()
+        assert np.abs(aux.phi.values - one.phi.values).max() \
+            <= 1e-14 * scale
+        assert np.abs(aux.D - one.D).max() <= 1e-12 * np.abs(one.D).max()
