@@ -30,7 +30,8 @@ from . import fem, zaremba
 from .errors import PreconditionError, UsageError
 from .fem import ScalarFieldP1, StiffnessOperator, VelocityP0
 from .mesh import Mesh
-from .transport import Trajectory
+from .hodge import P_GRID
+from .transport import Trajectory, snapshot_window
 
 
 # Snapshots are processed in blocks: a block's auxiliary potentials are
@@ -63,16 +64,6 @@ def _columns(fields, out: np.ndarray) -> np.ndarray:
     for j, f in enumerate(fields):
         out[..., j] = f
     return out
-
-
-def _sq_norm(vel: np.ndarray, area: np.ndarray) -> float:
-    """Squared L2 norm of a (T, 2) cell field, summed term by term.
-
-    The ledger and the stability ladder read differences of consecutive
-    norms, which magnify any change in the rounding of a norm by about
-    z / dz (1e5 over the one-step intervals of a 32x128 annulus), so the
-    norms keep this one summation order (np.einsum's)."""
-    return float(np.einsum("td,td,t->", vel, vel, area))
 
 
 def _volume_terms(area: np.ndarray, ud: np.ndarray, v: np.ndarray,
@@ -153,7 +144,6 @@ class TwinRun:
         self.mesh: Mesh = traj1.mesh
         self.basis = traj1.basis
         self.times = t1
-        area = self.mesh.tri_area
 
         pairs = list(zip(traj1.states, traj2.states))
         self.coeff_d = [s1.assembly.psi_coeffs - s2.assembly.psi_coeffs
@@ -172,8 +162,8 @@ class TwinRun:
                 _columns(map(self._psi_d, ks), np.empty((V, len(ks)))),
                 _columns(map(self._omega_d, ks), np.empty((T, len(ks)))))
         for k, aux in enumerate(self.aux):
-            self.z_u[k] = _sq_norm(self._u_d(k), area)
-            self.z_v[k] = _sq_norm(aux.v.values, area)
+            self.z_u[k] = fem.sq_norm_p0(self.mesh, self._u_d(k))
+            self.z_v[k] = fem.sq_norm_p0(self.mesh, aux.v.values)
 
     # -- difference fields at snapshot k, formed on read ----------------
 
@@ -215,16 +205,6 @@ class TwinRun:
                 yield comp, g
 
     # -- identities -----------------------------------------------------
-
-    def _window(self, k0: int, k1: int | None) -> tuple[int, int]:
-        """Snapshot window [k0, k1]; k1 defaults to the last snapshot."""
-        n = len(self.times)
-        if k1 is None:
-            k1 = n - 1
-        if not 0 <= k0 <= k1 < n:
-            raise UsageError(f"snapshot window ({k0}, {k1}) needs "
-                             f"0 <= k0 <= k1 < {n}")
-        return k0, k1
 
     @cached_property
     def _integrands(self) -> dict[str, dict[str, np.ndarray]]:
@@ -328,7 +308,7 @@ class TwinRun:
         Returns the three terms and their defect; the residual is pure
         quadrature error and must vanish under refinement.
         """
-        k0, k1 = self._window(k0, k1)
+        k0, k1 = snapshot_window(len(self.times), k0, k1)
         jump = 0.5 * (self.z_u[k1] - self.z_u[k0])
         ints = self._integrals("energy", k0, k1)
         b_int, c_int = ints["boundary"], ints["convective"]
@@ -358,7 +338,7 @@ class TwinRun:
         one-sided traces; v . n on the inflow components is the exact
         P1 edge trace of the potential.
         """
-        k0, k1 = self._window(k0, k1)
+        k0, k1 = snapshot_window(len(self.times), k0, k1)
         times = self.times[k0:k1 + 1]
         jump = 0.5 * (self.z_v[k1] - self.z_v[k0])
 
@@ -389,7 +369,7 @@ class TwinRun:
         |psi'|_inf <= |M^{-1}|_inf (|C'|_1 + |flux(G[omega])'|_1) holds at
         every snapshot with the same difference quotients on both sides.
         """
-        k0, k1 = self._window(k0, k1)
+        k0, k1 = snapshot_window(len(self.times), k0, k1)
         times = self.times[k0:k1 + 1]
         coeffs = np.array(self.coeff_d[k0:k1 + 1])
         C = np.array(self.C_d[k0:k1 + 1])
@@ -420,9 +400,10 @@ class TwinRun:
 
     # -- inequality ledger ----------------------------------------------
 
-    def inequality_ledger(self, p_grid=(2, 4, 8, 16, 32)) -> dict:
+    def inequality_ledger(self) -> dict:
         """Per-interval, per-exponent rows of the two growth inequalities
-        behind the uniqueness loop, with one empirical constant per family.
+        behind the uniqueness loop, with one empirical constant per family
+        and one row per exponent p of ``hodge.P_GRID``.
 
         energy row:   [E]  + 1/2 int int_Gamma |u|^2 g
                           <= C p int z_u^{1-1/p}
@@ -458,9 +439,9 @@ class TwinRun:
             0.5 * np.diff(self.z_v) + trap(ints["aux"]["inflow_energy"])])
         # one exponent at a time: a scalar power (a square root at p = 2)
         rhs_e = np.column_stack([p * trap(zu ** (1.0 - 1.0 / p))
-                                 for p in p_grid])
+                                 for p in P_GRID])
         rhs_a = np.column_stack([trap(z + p * z ** (1.0 - 1.0 / p))
-                                 + data2 * dt for p in p_grid])
+                                 + data2 * dt for p in P_GRID])
 
         def family(lhs_col, rhs):
             ratio = np.maximum(lhs_col, 0.0)[:, None] / np.where(
@@ -476,7 +457,7 @@ class TwinRun:
                  "lhs_aux": la, "rhs_aux": ra_k[j]}
                 for k, ((le, la), re_k, ra_k) in enumerate(
                     zip(lhs.tolist(), rhs_e.tolist(), rhs_a.tolist()))
-                for j, pk in enumerate(p_grid)]
+                for j, pk in enumerate(P_GRID)]
         flags = [rows[i] for i in np.flatnonzero(flagged.ravel())]
         return {"rows": rows, "C_hat": {"energy": c_energy, "aux": c_aux},
                 "flags": flags}

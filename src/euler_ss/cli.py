@@ -257,7 +257,9 @@ def cmd_certify(args) -> int:
     for lvl, scl in enumerate(scs):
         fine = None
         fine = _certify_level(scl, delta, sc2 if lvl == 0 else None)
-        levels.append({key: fine[key] for key in ("energy", "aux", "lamb")})
+        levels.append({"energy": abs(fine["energy"]["residual"]),
+                       "aux": abs(fine["aux"]["residual"]),
+                       "lamb": fine["lamb"]})
 
     tw, (traj1, traj2) = fine["tw"], fine["trajs"]
     basis = fine["basis"]
@@ -291,27 +293,16 @@ def cmd_certify(args) -> int:
     ok &= _check(lines, "growth ledger flagged rows",
                  float(len(ledger["flags"])), 0.0)
 
-    rate_rows = []
     if len(levels) >= 2:
-        for key in ("energy", "aux"):
-            res = [abs(lv[key]["residual"]) for lv in levels]
-            rates = [math.log2(max(res[i], 1e-300)
-                               / max(res[i + 1], 1e-300))
-                     for i in range(len(res) - 1)]
-            rate_rows.append((key, res, rates))
-        lres = [lv["lamb"] for lv in levels]
-        lrates = [math.log2(max(lres[i], 1e-300)
-                            / max(lres[i + 1], 1e-300))
-                  for i in range(len(lres) - 1)]
-        rate_rows.append(("lamb", lres, lrates))
-        for key, res, rates in rate_rows:
-            floor = 10 * rtol
-            if max(res) <= floor:       # identical pair: nothing to rate
+        for key in ("energy", "aux", "lamb"):
+            res = [lv[key] for lv in levels]
+            if max(res) <= 10 * rtol:   # identical pair: nothing to rate
                 lines.append(f"PASS {key} identity residual at solver "
                              f"floor ({max(res):.3e})")
                 continue
             need = _IDENTITY_RATE_MIN if key != "lamb" else _LAMB_RATE_MIN
-            got = min(rates)
+            got = min(math.log2(max(coarse, 1e-300) / max(finer, 1e-300))
+                      for coarse, finer in zip(res, res[1:]))
             okr = got >= need
             ok &= okr
             lines.append(f"{'PASS' if okr else 'FAIL'} {key} identity "

@@ -10,12 +10,14 @@ The stiffness matrix discretizes the Dirichlet energy: entry (a, b) is
 sum_T grad(lambda_a) . grad(lambda_b) |T|.  Every boundary-value solver
 pins a node set (a Dirichlet trace; one node for the pure Neumann problem,
 with the mean-zero gauge), eliminates it and solves the rest directly with
-a sparse LU factor.  The factor of each pinned set is cached on the
-``StiffnessOperator``, so the many Green and auxiliary solves of a run
-cost one factorization each and then only triangular solves; a zero trace
-(every Green, auxiliary and gauge solve) writes no trace values and adds no
-coupling product.  A (V, n) load is n systems with one pinned set, solved
-as the columns of one triangular solve (``solve_constrained``).
+a sparse LU factor.  Dirichlet data is one dict {component id: constant}
+(``solve_dirichlet``, ``solve_mixed``).  The factor of each pinned set is
+cached on the ``StiffnessOperator``, so the many Green and auxiliary
+solves of a run cost one factorization each and then only triangular
+solves; a zero trace (every Green, auxiliary and gauge solve) writes no
+trace values and adds no coupling product.  A (V, n) load is n systems
+with one pinned set, solved as the columns of one triangular solve
+(``solve_constrained``).
 
 Every per-step kernel on cells and vertices is one product with a fixed
 linear map of the mesh, built once on first use (``Mesh``):
@@ -268,36 +270,30 @@ def solve_mean_zero(A: sp.csr_matrix, load: np.ndarray, factors: dict
 # -- boundary-value solvers --------------------------------------------
 
 
-def _dirichlet_trace(mesh: Mesh, bc) -> tuple[np.ndarray, np.ndarray]:
-    """Normalize a Dirichlet spec to (sorted pinned nodes, nodal array
-    holding the trace there and zero elsewhere).
+def _dirichlet_trace(mesh: Mesh, bc: dict[int, float]
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Normalize a non-empty Dirichlet spec {component id: constant} to
+    (sorted pinned nodes, nodal array holding the trace there and zero
+    elsewhere).
 
-    ``bc`` is either a dict {component id: constant} or a full nodal array
-    whose boundary values are used as the trace.  The pinned node sets are
-    the mesh's cached ones; a zero constant (every Green solve) leaves its
-    nodes untouched.
+    The pinned node sets are the mesh's cached ones; a zero constant
+    (every Green solve) leaves its nodes untouched.
     """
+    if not isinstance(bc, dict):
+        raise UsageError("Dirichlet trace must be a dict {component id: "
+                         f"constant}}, got {type(bc).__name__}")
+    if not bc:
+        raise UsageError("empty Dirichlet specification")
     x = np.zeros(mesh.num_vertices)
-    if isinstance(bc, dict):
-        if not bc:
-            raise UsageError("empty Dirichlet specification")
-        nodes = mesh.nodes_of(bc)
-        for cid, val in bc.items():
-            if float(val):
-                x[mesh.component_nodes(cid)] = float(val)
-        return nodes, x
-    arr = np.asarray(bc, dtype=np.float64)
-    if arr.shape != (mesh.num_vertices,):
-        raise UsageError(
-            f"Dirichlet trace must be a dict or an ({mesh.num_vertices},) "
-            f"array, got shape {arr.shape}")
-    nodes = mesh.boundary_nodes
-    x[nodes] = arr[nodes]
+    nodes = mesh.nodes_of(bc)
+    for cid, val in bc.items():
+        if float(val):
+            x[mesh.component_nodes(cid)] = float(val)
     return nodes, x
 
 
-def solve_dirichlet(op: StiffnessOperator, load: np.ndarray, bc
-                    ) -> ScalarFieldP1:
+def solve_dirichlet(op: StiffnessOperator, load: np.ndarray,
+                    bc: dict[int, float]) -> ScalarFieldP1:
     """Solve A u = load with the trace pinned on every boundary component.
 
     ``load`` is the right-hand side of the variational problem
@@ -306,9 +302,7 @@ def solve_dirichlet(op: StiffnessOperator, load: np.ndarray, bc
     """
     mesh = op.mesh
     nodes, x = _dirichlet_trace(mesh, bc)
-    # an array trace covers every component by construction
-    if isinstance(bc, dict) and \
-            not {c.comp for c in mesh.components} <= set(bc):
+    if not {c.comp for c in mesh.components} <= set(bc):
         raise UsageError("Dirichlet solve requires data on every component")
     return ScalarFieldP1(mesh, _pinned_solve(op.matrix, load, nodes, x,
                                              op.factors))
@@ -348,15 +342,13 @@ def solve_mixed(op: StiffnessOperator, dirichlet: dict[int, float],
     """Zaremba problem: constants pinned on the Dirichlet components,
     per-edge normal-derivative data on the Neumann components."""
     mesh = op.mesh
-    if not dirichlet:
-        raise UsageError("mixed solve needs at least one Dirichlet component")
+    nodes, x = _dirichlet_trace(mesh, dirichlet)
     overlap = set(dirichlet) & set(neumann)
     if overlap:
         raise UsageError(f"components {sorted(overlap)} listed as both "
                          "Dirichlet and Neumann")
     load = boundary_load_vector(mesh, neumann) if neumann else \
         np.zeros(mesh.num_vertices)
-    nodes, x = _dirichlet_trace(mesh, dirichlet)
     return ScalarFieldP1(mesh, _pinned_solve(op.matrix, load, nodes, x,
                                              op.factors))
 
@@ -506,6 +498,17 @@ def lp_norm_p0(mesh: Mesh, values: np.ndarray, p: float) -> float:
     if np.isinf(p) or top == 0.0:
         return top
     return top * float((mesh.tri_area @ (mag / top) ** p) ** (1.0 / p))
+
+
+def sq_norm_p0(mesh: Mesh, vel: np.ndarray) -> float:
+    """Squared L2 norm of a (T, 2) cell field, summed term by term.
+
+    Run energies, the twin ledger and the stability ladder read
+    differences of consecutive norms, which magnify any change in the
+    rounding of a norm by about z / dz (1e5 over the one-step intervals of
+    a 32x128 annulus), so the norms keep this one summation order
+    (np.einsum's)."""
+    return float(np.einsum("td,td,t->", vel, vel, mesh.tri_area))
 
 
 def w1p_seminorm_p0(mesh: Mesh, u: VelocityP0, p: float) -> float:

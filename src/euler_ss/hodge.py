@@ -24,9 +24,12 @@ product for the Green fluxes, the m-term sum of the stream function, and
 one product with ``HarmonicBasis.stream_operator``, a stack of the
 perp-gradient, the edge jumps and the stiffness boundary rows: it yields
 the velocity, the rotational edge fluxes of the transport step and the
-consistent circulations, each to the last bit of its own map.  The
-through-flow, g with phi_g and its gradient at unit multiplier, is owned
-by ``transport.FluxAssembler``, one per g cached on the basis.
+consistent circulations, each to the last bit of its own map.
+``reconstruct_velocity`` returns the assembly with the edge jumps beside
+it: the step reads the jumps once, and a saved snapshot keeps the
+assembly as built.  The through-flow, g with phi_g and its gradient at
+unit multiplier, is owned by ``transport.FluxAssembler``, one per g
+cached on the basis.
 
 The boundary data g must satisfy the sign condition: g <= 0 on inflow
 components, g >= 0 on outflow components, g = 0 on walls.  Violations are
@@ -35,7 +38,7 @@ hard errors naming the offending edge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -47,6 +50,9 @@ from .fem import ScalarFieldP1, StiffnessOperator, VelocityP0, VorticityP0
 from .mesh import Mesh
 
 SIGN_TOL = 1e-12
+# exponents of the p-growth checks: the elliptic estimate here and the
+# growth ledger of ``certificates.TwinRun``
+P_GRID = (2, 4, 8, 16, 32)
 
 
 def validate_sign_condition(mesh: Mesh, g_edges: dict[int, np.ndarray]
@@ -139,14 +145,9 @@ def greens_operator(basis: HarmonicBasis, omega: VorticityP0
 
 @dataclass
 class VelocityAssembly:
-    """Reconstructed velocity with its stream data and flux diagnostics.
-
-    The reconstruction also hands over two buffers that only the step
-    taken from it reads: the edge jumps and the load of the stream
-    system.  The stored form (``stored``) drops both; ``edge_jumps``
-    recomputes the jumps, and a snapshot derives the load from its
-    vorticity (``transport.SimState.stream_load``), each to the same bits.
-    """
+    """Reconstructed velocity with its stream data and flux diagnostics,
+    all of which a saved snapshot keeps; the edge jumps of the step come
+    beside it (``reconstruct_velocity``)."""
 
     mesh: Mesh
     u: VelocityP0
@@ -154,27 +155,6 @@ class VelocityAssembly:
     psi_total: ScalarFieldP1       # G[omega] + sum_i psi_i f^i
     multiplier: float              # of the through-flow potential
     circulation_consistent: np.ndarray   # per component, consistent flux
-    # the edge jumps of the reconstruction's product (see ``edge_jumps``)
-    step_jumps: np.ndarray | None = field(default=None, repr=False)
-    # load vector of psi_total's system, -p0_load_vector(mesh, omega);
-    # None in the stored form
-    stream_load: np.ndarray | None = field(default=None, repr=False)
-
-    @property
-    def edge_jumps(self) -> np.ndarray:
-        """(E,) stream jumps psi_a - psi_b across every edge a -> b, zero on
-        boundary edges: the reconstruction's own product, or, in the
-        stored form, ``Mesh.edge_jump_operator`` applied anew, which gives
-        the same bits."""
-        if self.step_jumps is None:
-            return self.mesh.edge_jump_operator @ self.psi_total.values
-        return self.step_jumps
-
-    def stored(self) -> "VelocityAssembly":
-        """This assembly as a snapshot keeps it: without the jump and load
-        buffers, an edge and a vertex array per snapshot that
-        ``edge_jumps`` and ``SimState.stream_load`` derive anew."""
-        return replace(self, step_jumps=None, stream_load=None)
 
     @property
     def circulation_trace(self) -> np.ndarray:
@@ -191,8 +171,10 @@ def reconstruct_velocity(basis: HarmonicBasis, omega: VorticityP0,
                          circulations: np.ndarray,
                          multiplier: float = 1.0,
                          phi_grad: VelocityP0 | None = None
-                         ) -> VelocityAssembly:
-    """Assemble the velocity of (omega, g, C).
+                         ) -> tuple[VelocityAssembly, np.ndarray]:
+    """Assemble the velocity of (omega, g, C); return the assembly and the
+    (E,) stream jumps psi_a - psi_b across every edge a -> b, zero on
+    boundary edges (the rotational edge fluxes of a transport step).
 
     ``circulations`` lists C_i for the inner components in order.
     ``phi_grad`` is the gradient of the unit-multiplier through-flow
@@ -235,21 +217,20 @@ def reconstruct_velocity(basis: HarmonicBasis, omega: VorticityP0,
     # circulation
     circ_cons = basis.op.boundary_fluxes(stream[nj:], load)
 
-    return VelocityAssembly(
+    asm = VelocityAssembly(
         mesh=mesh, u=VelocityP0(mesh, u_vals), psi_coeffs=coeffs,
         psi_total=psi_total, multiplier=multiplier,
-        circulation_consistent=circ_cons,
-        step_jumps=stream[nu:nj], stream_load=load)
+        circulation_consistent=circ_cons)
+    return asm, stream[nu:nj]
 
 
 def check_elliptic_growth(basis: HarmonicBasis, assembly: VelocityAssembly,
                           omega: VorticityP0,
                           g_edges: dict[int, np.ndarray] | None,
-                          circulations: np.ndarray,
-                          p_grid=(2, 4, 8, 16, 32)) -> dict:
+                          circulations: np.ndarray) -> dict:
     """Report the p-growth of the W^{1,p} proxy of u against
-    p * (|omega|_p + |g|_inf + sum|C_i|); the flag asserts the whole
-    sequence stays within twice its p = 2 value."""
+    p * (|omega|_p + |g|_inf + sum|C_i|) for every p of ``P_GRID``; the
+    flag asserts the whole sequence stays within twice its p = 2 value."""
     mesh = basis.mesh
     g_inf = 0.0
     if g_edges:
@@ -257,7 +238,7 @@ def check_elliptic_growth(basis: HarmonicBasis, assembly: VelocityAssembly,
                     for g in g_edges.values()) * abs(assembly.multiplier)
     c_sum = float(np.abs(np.asarray(circulations)).sum())
     rows = []
-    for p in p_grid:
+    for p in P_GRID:
         semi = fem.w1p_seminorm_p0(mesh, assembly.u, p)
         up = fem.lp_norm_p0(mesh, assembly.u.values, p)
         proxy = (up ** p + semi ** p) ** (1.0 / p)

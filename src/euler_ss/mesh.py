@@ -296,7 +296,7 @@ class Mesh:
 
     def _validate_global(self) -> None:
         n_holes = max(len(self.components) - 1, 0)
-        chi = len(self.vertices) - len(self.edges) + len(self.triangles)
+        chi = self.euler_characteristic
         if chi != 1 - n_holes:
             raise UsageError(
                 f"Euler characteristic {chi} does not match "

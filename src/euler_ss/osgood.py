@@ -133,11 +133,6 @@ def ode_oracle(y0: float, a: float, C: float, t_eval) -> np.ndarray:
     return sol.y[0]
 
 
-def comparison_oracle(z0: float, C: float, t_eval) -> np.ndarray:
-    """Reference integration of z' = C mu(z)."""
-    return ode_oracle(z0, 0.0, C, t_eval)
-
-
 # -- technical-lemma checks ---------------------------------------------
 
 

@@ -22,10 +22,10 @@ the upwind vorticity flux is D @ (f * upwind), the positive outflux of each
 cell is (|D| @ |f| + D @ f) / 2, and the projection's cell-graph Laplacian
 is D D^T restricted to the interior edges.  That Laplacian, its interior
 columns and its sparse LU factor belong to the mesh (``Mesh.cell_graph``).
-The rotational part is the reconstruction's own edge-jump product
-(``VelocityAssembly.edge_jumps``), and the cell and component sums of the
-upwind flux are one product with D stacked over the component x edge
-indicator.
+The rotational part is the edge-jump product that
+``hodge.reconstruct_velocity`` returns beside its assembly, and the cell
+and component sums of the upwind flux are one product with D stacked over
+the component x edge indicator.
 
 The through-flow of a g (the sign check, the Neumann potential, its
 gradient and the equilibrated fluxes) has one owner, ``FluxAssembler``.
@@ -499,11 +499,11 @@ class FluxAssembler:
         self.pot[ids] += graph.incidence.T @ y
         self.div_defect = float(np.abs(self.D @ self.pot).max())
 
-    def fluxes(self, asm: VelocityAssembly) -> np.ndarray:
+    def fluxes(self, jumps: np.ndarray, multiplier: float) -> np.ndarray:
         """Edge fluxes out of the left cell of a reconstructed flow: its
         stream jumps psi_a - psi_b plus multiplier * pot, which is exactly
         multiplier * g * length on boundary edges (their jump is zero)."""
-        return asm.edge_jumps + asm.multiplier * self.pot
+        return jumps + multiplier * self.pot
 
     def stable_dt(self, u: VelocityP0, f: np.ndarray, cfl: float) -> float:
         """cfl times the shortest of two times over all cells: the travel
@@ -552,9 +552,9 @@ def flow_setup(basis: HarmonicBasis, g_edges: dict[int, np.ndarray]
 
 @dataclass
 class SimState:
-    """One saved snapshot: the transported state and the stored form of
-    its velocity assembly (``VelocityAssembly.stored``).  The stream
-    load and the edge jumps are derived on read."""
+    """One saved snapshot: the transported state and its velocity
+    assembly as the reconstruction built it.  The stream load is derived
+    on read."""
 
     t: float
     omega: np.ndarray              # (T,) cell vorticity
@@ -622,13 +622,11 @@ def run(scenario: Scenario, basis: HarmonicBasis | None = None) -> Trajectory:
             multiplier=scenario.multiplier(t), phi_grad=flux.phi_grad)
 
     def energy(asm):
-        return 0.5 * float(np.einsum("td,td,t->", asm.u.values,
-                                     asm.u.values, mesh.tri_area))
+        return 0.5 * fem.sq_norm_p0(mesh, asm.u.values)
 
-    asm = assemble(omega, C, 0.0)
+    asm, jumps = assemble(omega, C, 0.0)
     states = [SimState(t=0.0, omega=omega.copy(), C=C.copy(), B=B.copy(),
-                       assembly=asm.stored(),
-                       energy=energy(asm), dt_last=0.0)]
+                       assembly=asm, energy=energy(asm), dt_last=0.0)]
     t = 0.0
     total_steps = 0
     rk2 = scenario.scheme == "rk2"
@@ -643,7 +641,7 @@ def run(scenario: Scenario, basis: HarmonicBasis | None = None) -> Trajectory:
                     f"time step collapsed: more than "
                     f"{MAX_STEPS_PER_INTERVAL} steps in one snapshot "
                     f"interval (t = {t:.6g}, dt = {dt:.3e})")
-            f = flux.fluxes(asm)
+            f = flux.fluxes(jumps, asm.multiplier)
             dt = flux.stable_dt(asm.u, f, scenario.cfl)
             landed = t_next - t <= dt
             dt = min(dt, t_next - t)
@@ -660,8 +658,8 @@ def run(scenario: Scenario, basis: HarmonicBasis | None = None) -> Trajectory:
                 om1 = omega - dt * div / mesh.tri_area
                 C1 = C - dt * rates[1:]
                 t1 = t_next if landed else t + dt
-                asm1 = assemble(om1, C1, t1)
-                f2 = flux.fluxes(asm1)
+                asm1, jumps1 = assemble(om1, C1, t1)
+                f2 = flux.fluxes(jumps1, asm1.multiplier)
                 in2 = {cid: scenario.omega_in_value(cid, t1)
                        for cid in inflow_ids}
                 div2, rates2 = flux.upwind_rates(om1, f2, in2)
@@ -689,11 +687,10 @@ def run(scenario: Scenario, basis: HarmonicBasis | None = None) -> Trajectory:
 
             t = t_next if landed else t + dt
             total_steps += 1
-            asm = assemble(omega, C, t)
+            asm, jumps = assemble(omega, C, t)
 
         states.append(SimState(t=t, omega=omega.copy(), C=C.copy(),
-                               B=B.copy(),
-                               assembly=asm.stored(),
+                               B=B.copy(), assembly=asm,
                                energy=energy(asm), dt_last=dt))
 
     return Trajectory(scenario=scenario, mesh=mesh, basis=basis,
@@ -703,6 +700,17 @@ def run(scenario: Scenario, basis: HarmonicBasis | None = None) -> Trajectory:
 
 
 # -- diagnostics --------------------------------------------------------
+
+
+def snapshot_window(n: int, k0: int, k1: int | None) -> tuple[int, int]:
+    """Snapshot window [k0, k1] of n snapshots; k1 defaults to the last
+    one.  A window outside 0 <= k0 <= k1 < n is a usage error."""
+    if k1 is None:
+        k1 = n - 1
+    if not 0 <= k0 <= k1 < n:
+        raise UsageError(f"snapshot window ({k0}, {k1}) needs "
+                         f"0 <= k0 <= k1 < {n}")
+    return k0, k1
 
 
 def kelvin_consistency(traj: Trajectory) -> float:
@@ -728,8 +736,7 @@ def weak_residual(traj: Trajectory, phi: ScalarFieldP1,
     boundary integral is taken from the exact per-step accumulators;
     otherwise it is a trapezoid over the snapshots.
     """
-    if k1 is None:
-        k1 = len(traj.states) - 1
+    k0, k1 = snapshot_window(len(traj.states), k0, k1)
     mesh = traj.mesh
     states = traj.states[k0:k1 + 1]
     times = np.array([s.t for s in states])

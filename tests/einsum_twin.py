@@ -15,6 +15,7 @@ import numpy as np
 from euler_ss import certificates, fem, zaremba
 from euler_ss.certificates import TwinRun, _trapz
 from euler_ss.fem import ScalarFieldP1, VelocityP0, VorticityP0
+from euler_ss.hodge import P_GRID
 
 
 class EinsumTwin(TwinRun):
@@ -125,7 +126,7 @@ class EinsumTwin(TwinRun):
                                  "inflow_data"), cols[2:]))}
 
 
-def loop_ledger(twin: TwinRun, p_grid=(2, 4, 8, 16, 32)) -> dict:
+def loop_ledger(twin: TwinRun) -> dict:
     """``TwinRun.inequality_ledger`` built one row at a time."""
     rows = []
     n = len(twin.times)
@@ -149,7 +150,7 @@ def loop_ledger(twin: TwinRun, p_grid=(2, 4, 8, 16, 32)) -> dict:
             + _trapz(e_bdry[k:k + 2], t_pair)
         lhs_a = 0.5 * (twin.z_v[k + 1] - twin.z_v[k]) \
             + _trapz(a_bdry[k:k + 2], t_pair)
-        for p in p_grid:
+        for p in P_GRID:
             zu_pow = twin.z_u[k:k + 2] ** (1.0 - 1.0 / p)
             rhs_e = p * _trapz(zu_pow, t_pair)
             z_pow = z + p * z ** (1.0 - 1.0 / p)

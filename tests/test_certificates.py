@@ -10,7 +10,7 @@ from euler_ss import fem, transport
 from euler_ss.certificates import (TwinRun, interpolation_inequality,
                                    lamb_identity, trace_inequality)
 from euler_ss.errors import PreconditionError, UsageError
-from euler_ss.hodge import HarmonicBasis
+from euler_ss.hodge import P_GRID, HarmonicBasis
 from euler_ss.mesh import generate_annulus
 
 from conftest import modulated_band_scenario
@@ -108,10 +108,10 @@ def test_psi_prime_bound_holds(flow_twin):
 
 
 def test_inequality_ledger_structure(flow_twin):
-    p_grid = (2, 4, 8, 16, 32)
-    led = flow_twin.inequality_ledger(p_grid)
+    led = flow_twin.inequality_ledger()
     n_int = len(flow_twin.times) - 1
-    assert len(led["rows"]) == n_int * len(p_grid)
+    assert len(led["rows"]) == n_int * len(P_GRID)
+    assert [r["p"] for r in led["rows"][:len(P_GRID)]] == list(P_GRID)
     assert led["flags"] == []
     for fam in ("energy", "aux"):
         c = led["C_hat"][fam]

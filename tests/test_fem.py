@@ -138,6 +138,17 @@ def test_dirichlet_needs_every_component(annulus, stiffness):
         fem.solve_dirichlet(stiffness, load, {0: 0.0})
 
 
+@pytest.mark.parametrize("solve", [
+    lambda op, bc: fem.solve_dirichlet(op, np.zeros(op.mesh.num_vertices),
+                                       bc),
+    lambda op, bc: fem.solve_mixed(op, bc, {})], ids=["dirichlet", "mixed"])
+def test_dirichlet_trace_must_be_a_dict(stiffness, solve):
+    with pytest.raises(UsageError, match="must be a dict"):
+        solve(stiffness, np.zeros(stiffness.mesh.num_vertices))
+    with pytest.raises(UsageError, match="empty Dirichlet"):
+        solve(stiffness, {})
+
+
 def test_neumann_radial_source(annulus, stiffness):
     Q = 1.0
     g = {}

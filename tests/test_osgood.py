@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from euler_ss import fem, osgood
 from euler_ss.errors import UsageError
 from euler_ss.osgood import (P_SWITCH, calibrate_constant, choose_p,
-                             comparison_oracle, exact_comparison, growth_F,
+                             exact_comparison, growth_F,
                              lemma_envelope_check, mu, ode_oracle,
                              osgood_bound, riemann_telescoping_check,
                              stability_experiment)
@@ -144,15 +144,16 @@ def test_exact_comparison_against_oracle():
     z0, C = 1e-55, 4.8
     t = np.linspace(0.0, 1.0, 9)
     closed = exact_comparison(z0, C, t)
-    numeric = comparison_oracle(z0, C, t)
+    numeric = ode_oracle(z0, 0.0, C, t)
     rel = np.abs(closed - numeric) / np.maximum(np.abs(closed), 1e-300)
     assert rel.max() < 1e-7
 
 
 def test_ode_oracle_reduces_to_comparison():
+    # no forcing: the comparison ODE z' = C mu(z) and its closed form
     t = np.linspace(0.0, 0.5, 5)
     np.testing.assert_allclose(ode_oracle(1e-4, 0.0, 2.0, t),
-                               comparison_oracle(1e-4, 2.0, t), rtol=1e-9)
+                               exact_comparison(1e-4, 2.0, t), rtol=1e-9)
 
 
 def test_ode_oracle_resolves_tiny_scales():

@@ -261,7 +261,8 @@ def test_flux_sums_match_scatter_reference(flow_pair):
     traj, _ = flow_pair
     mesh, flux, s = traj.mesh, traj.flux, traj.states[2]
     mult = s.assembly.multiplier
-    f = flux.fluxes(s.assembly)
+    f = flux.fluxes(mesh.edge_jump_operator @ s.assembly.psi_total.values,
+                    mult)
     for c in mesh.components:
         assert np.array_equal(f[c.edge_ids],
                               mult * traj.flux.g_edges[c.comp] * c.length)
@@ -299,7 +300,8 @@ def test_stable_dt_matches_norm_formula(flow_pair):
     mesh, flux = traj.mesh, traj.flux
     for s in traj.states:
         u = s.assembly.u
-        f = flux.fluxes(s.assembly)
+        f = flux.fluxes(mesh.edge_jump_operator @ s.assembly.psi_total.values,
+                        s.assembly.multiplier)
         speed = np.linalg.norm(u.values, axis=1)
         outflux = 0.5 * (flux.abs_D @ np.abs(f) + flux.D @ f)
         with np.errstate(divide="ignore"):
@@ -438,6 +440,15 @@ def test_weak_residual_consistent_for_smooth_test_function(flow_pair):
     # upwind diffusion leaves an O(h) defect; terms must still mostly cancel
     scale = max(abs(rep["volume"]), abs(rep["jump"]))
     assert rep["residual"] <= 0.5 * scale
+
+
+@pytest.mark.parametrize("window", [(3, 1), (-2, None), (0, 99)])
+def test_weak_residual_windows_are_validated(flow_pair, window):
+    # reversed, a negative start, an end past the last snapshot
+    base, _ = flow_pair
+    phi = fem.ScalarFieldP1(base.mesh, np.ones(base.mesh.num_vertices))
+    with pytest.raises(UsageError, match="snapshot window"):
+        transport.weak_residual(base, phi, *window)
 
 
 def test_trajectory_csv_deterministic(tmp_path, flow_scenario):
