@@ -11,13 +11,18 @@ sum_T grad(lambda_a) . grad(lambda_b) |T|.  Every boundary-value solver
 pins a node set (a Dirichlet trace; one node for the pure Neumann problem,
 with the mean-zero gauge), eliminates it and solves the rest directly with
 a sparse LU factor.  Dirichlet data is one dict {component id: constant}
-(``solve_dirichlet``, ``solve_mixed``).  The factor of each pinned set is
-cached on the ``StiffnessOperator``, so the many Green and auxiliary
-solves of a run cost one factorization each and then only triangular
-solves; a zero trace (every Green, auxiliary and gauge solve) writes no
-trace values and adds no coupling product.  A (V, n) load is n systems
-with one pinned set, solved as the columns of one triangular solve
-(``solve_constrained``).
+(``solve_dirichlet``, ``solve_mixed``).  The factor of a pinned set that
+serves many solves is cached on the ``StiffnessOperator``: the
+all-boundary set of the basis and of every step's Green solve, and the
+auxiliary set of every twin block, so those cost one factorization each
+and then only triangular solves.  A pure Neumann system
+(``solve_mean_zero``: the through-flow potential and the cell-graph
+equilibration, each solved once per g) is factored, solved and its factor
+released, since keeping it would hold its fill for the process's lifetime
+with no second solve to serve.  A zero trace (every Green, auxiliary and
+gauge solve) writes no trace values and adds no coupling product.  A
+(V, n) load is n systems with one pinned set, solved as the columns of
+one triangular solve (``solve_constrained``).
 
 Every per-step kernel on cells and vertices is one product with a fixed
 linear map of the mesh, built once on first use (``Mesh``):
@@ -132,11 +137,13 @@ class VelocityP0:
 class StiffnessOperator:
     """Sparse stiffness matrix of a mesh with its cached solve data.
 
-    ``factors`` holds the sparse LU factor of every pinned node set solved
-    on this operator, with the free-node indices it acts on, keyed by the
-    set; the matrix never changes, so a factor stays valid for the
-    operator's lifetime.  ``boundary_rows`` and ``boundary_indicator``
-    are the two factors of the consistent fluxes, built on first use.
+    ``factors`` holds the sparse LU factor of every Dirichlet or
+    auxiliary pinned node set solved on this operator, with the free-node
+    indices it acts on, keyed by the set; the matrix never changes, so a
+    factor stays valid for the operator's lifetime.  The single-use
+    Neumann factor is not kept (``solve_mean_zero``).  ``boundary_rows``
+    and ``boundary_indicator`` are the two factors of the consistent
+    fluxes, built on first use.
     """
 
     def __init__(self, mesh: Mesh):
@@ -255,15 +262,14 @@ def _pinned_solve(A: sp.csr_matrix, load: np.ndarray, pinned: np.ndarray,
     return x
 
 
-def solve_mean_zero(A: sp.csr_matrix, load: np.ndarray, factors: dict
-                    ) -> np.ndarray:
+def solve_mean_zero(A: sp.csr_matrix, load: np.ndarray) -> np.ndarray:
     """Mean-zero solution of a pure-Neumann system A x = load, where A is
     symmetric with the constants as its only null space (a connected
     stiffness or graph Laplacian).  The load loses its nodal mean, node 0
-    is pinned to 0, and the result loses its nodal mean.  ``factors`` is
-    the factor cache of A (see ``_pinned_solve``)."""
+    is pinned to 0, and the result loses its nodal mean.  Each caller
+    solves once per g, so the factor is released on return."""
     x = _pinned_solve(A, load - load.mean(), np.zeros(1, dtype=np.int64),
-                      np.zeros(A.shape[0]), factors)
+                      np.zeros(A.shape[0]), {})
     return x - x.mean()
 
 
@@ -334,7 +340,7 @@ def solve_neumann(op: StiffnessOperator, g_edges: dict[int, np.ndarray]
             f"incompatible Neumann data: net boundary flux {total:.6e} "
             f"exceeds 1e-10 * {length * scale:.6e}")
     b = boundary_load_vector(mesh, g_edges)
-    return ScalarFieldP1(mesh, solve_mean_zero(op.matrix, b, op.factors))
+    return ScalarFieldP1(mesh, solve_mean_zero(op.matrix, b))
 
 
 def solve_mixed(op: StiffnessOperator, dirichlet: dict[int, float],
@@ -513,11 +519,16 @@ def sq_norm_p0(mesh: Mesh, vel: np.ndarray) -> float:
 
 def w1p_seminorm_p0(mesh: Mesh, u: VelocityP0, p: float) -> float:
     """L^p norm of the recovered velocity Jacobian (Frobenius per cell)."""
+    return w1p_seminorms_p0(mesh, u, (p,))[0]
+
+
+def w1p_seminorms_p0(mesh: Mesh, u: VelocityP0, ps) -> list[float]:
+    """``w1p_seminorm_p0`` for every exponent of ``ps``, all read from one
+    recovered Jacobian."""
     jac = velocity_gradient(mesh, u)
     mag = np.linalg.norm(jac.reshape(len(jac), 4), axis=1)
-    if np.isinf(p):
-        return float(mag.max(initial=0.0))
-    return float((mesh.tri_area @ mag ** p) ** (1.0 / p))
+    return [float(mag.max(initial=0.0)) if np.isinf(p) else
+            float((mesh.tri_area @ mag ** p) ** (1.0 / p)) for p in ps]
 
 
 # -- VTK output ---------------------------------------------------------

@@ -25,10 +25,12 @@ refinement can project new boundary vertices back onto the circle.
 
 The fixed linear maps of a mesh (the cell x edge and vertex x cell
 incidences, the P1 gradient and perp-gradient operators, the edge-jump map
-of a stream function, the cell graph with its Laplacian factor) are built
-once, on first use, and shared by every run on it.  Each is laid out so
-that its product sums the same terms in the same order as the loop or
-gather it replaces: the results are equal to the last bit.
+of a stream function) are built once, on first use, and shared by every
+run on it.  Each is laid out so that its product sums the same terms in
+the same order as the loop or gather it replaces: the results are equal
+to the last bit.  The cell-graph Laplacian is not among them: it serves
+one solve per g, so ``transport.FluxAssembler`` builds it from
+``incidence``, solves and lets it go.
 """
 
 from __future__ import annotations
@@ -72,22 +74,6 @@ class BoundaryComponent:
         """Boundary length owned by each loop vertex (``nodes`` order):
         half of each of its two adjacent edges."""
         return 0.5 * (self.length + np.roll(self.length, 1))
-
-
-@dataclass
-class CellGraph:
-    """The cell graph of a mesh: cells joined across interior edges.
-
-    ``incidence`` holds the columns of ``Mesh.incidence`` at the interior
-    edges ``interior``; ``laplacian`` is incidence @ incidence^T.  The
-    matrix never changes, so ``factors`` caches the sparse LU factor of
-    its pinned solves (``fem.solve_mean_zero``) for the mesh's lifetime.
-    """
-
-    interior: np.ndarray
-    incidence: sp.csr_matrix
-    laplacian: sp.csr_matrix
-    factors: dict
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -366,15 +352,6 @@ class Mesh:
              (np.concatenate([self.edge_left, self.edge_right[interior]]),
               np.concatenate([np.arange(ne), interior]))),
             shape=(self.num_triangles, ne))
-
-    @cached_property
-    def cell_graph(self) -> CellGraph:
-        """Interior-edge incidence and Laplacian of the cell graph, with
-        the factor cache of its pinned solves (see ``CellGraph``)."""
-        interior = np.flatnonzero(self.interior_edge)
-        D_int = self.incidence[:, interior].tocsr()
-        return CellGraph(interior=interior, incidence=D_int,
-                         laplacian=(D_int @ D_int.T).tocsr(), factors={})
 
     @cached_property
     def vertex_cells(self) -> sp.csr_matrix:

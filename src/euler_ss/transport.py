@@ -20,8 +20,9 @@ cell of each directed edge), and every cell sum goes through the mesh's
 signed cell x edge incidence D (``Mesh.incidence``): the cell divergence of
 the upwind vorticity flux is D @ (f * upwind), the positive outflux of each
 cell is (|D| @ |f| + D @ f) / 2, and the projection's cell-graph Laplacian
-is D D^T restricted to the interior edges.  That Laplacian, its interior
-columns and its sparse LU factor belong to the mesh (``Mesh.cell_graph``).
+is D D^T restricted to the interior edges.  That Laplacian and its sparse
+LU factor serve one solve per g, so the equilibration builds them, solves
+and lets them go; so does the Neumann solve of the potential.
 The rotational part is the edge-jump product that
 ``hodge.reconstruct_velocity`` returns beside its assembly, and the cell
 and component sums of the upwind flux are one product with D stacked over
@@ -439,7 +440,8 @@ class FluxAssembler:
     runs: g checked against the sign condition, its unit-multiplier
     Neumann potential ``phi`` and ``phi_grad`` (None when nothing flows),
     and the equilibrated fluxes ``pot``.  Every cell and component sum is
-    an incidence product; the cell-graph factor belongs to the mesh."""
+    an incidence product; the Neumann and cell-graph factors are released
+    after their one solve."""
 
     def __init__(self, basis: HarmonicBasis, g_edges: dict[int, np.ndarray]):
         mesh = basis.mesh
@@ -486,17 +488,18 @@ class FluxAssembler:
         """Averaged-gradient interior fluxes corrected to make every cell
         exactly divergence free against the prescribed boundary fluxes."""
         mesh = self.mesh
-        graph = mesh.cell_graph
         gv = self.phi_grad.values
-        ids = graph.interior
+        ids = np.flatnonzero(mesh.interior_edge)
         n = mesh.edge_normal[ids]
         ln = mesh.edge_length[ids]
         self.pot[ids] = 0.5 * np.einsum(
             "ed,ed->e", gv[mesh.edge_left[ids]] + gv[mesh.edge_right[ids]],
             n) * ln
-        y = fem.solve_mean_zero(graph.laplacian, -(self.D @ self.pot),
-                                graph.factors)
-        self.pot[ids] += graph.incidence.T @ y
+        # the cell-graph Laplacian D_int D_int^T of the interior edges
+        D_int = mesh.incidence[:, ids].tocsr()
+        y = fem.solve_mean_zero((D_int @ D_int.T).tocsr(),
+                                -(self.D @ self.pot))
+        self.pot[ids] += D_int.T @ y
         self.div_defect = float(np.abs(self.D @ self.pot).max())
 
     def fluxes(self, jumps: np.ndarray, multiplier: float) -> np.ndarray:

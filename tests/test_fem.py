@@ -345,7 +345,7 @@ def test_singular_system_is_solver_error():
     pair = np.array([[1.0, -1.0], [-1.0, 1.0]])
     L = sp.csr_matrix(np.kron(np.eye(2), pair))
     with pytest.raises(SolverError, match="singular"):
-        fem.solve_mean_zero(L, np.array([1.0, -1.0, 0.0, 0.0]), {})
+        fem.solve_mean_zero(L, np.array([1.0, -1.0, 0.0, 0.0]))
 
 
 def test_boundary_load_sums_to_length(annulus):

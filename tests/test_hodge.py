@@ -5,7 +5,7 @@ import pytest
 
 from euler_ss import fem, transport
 from euler_ss.errors import PreconditionError, UsageError
-from euler_ss.hodge import (HarmonicBasis, check_elliptic_growth,
+from euler_ss.hodge import (P_GRID, HarmonicBasis, check_elliptic_growth,
                             greens_operator, reconstruct_velocity,
                             validate_sign_condition)
 from euler_ss.mesh import generate_annulus
@@ -216,3 +216,28 @@ def test_elliptic_growth_proxy_bounded(basis_mid, flow_scenario):
         data0 = r0["proxy"] / (r0["p"] * r0["ratio"])
         data = r["proxy"] / (r["p"] * r["ratio"])
         assert data - data0 == pytest.approx(g_inf * mult, rel=1e-12)
+
+
+def test_elliptic_growth_takes_one_velocity_gradient(basis_mid,
+                                                     monkeypatch):
+    m = basis_mid.mesh
+    w = fem.VorticityP0(m, np.random.default_rng(11).uniform(
+        -1.0, 1.0, m.num_triangles))
+    asm, _ = reconstruct_velocity(basis_mid, w, np.array([0.2]))
+    calls = []
+    real = fem.velocity_gradient
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(fem, "velocity_gradient", counted)
+    rep = check_elliptic_growth(basis_mid, asm, w, None, np.array([0.2]))
+    assert len(calls) == 1
+    monkeypatch.setattr(fem, "velocity_gradient", real)
+    # every row is the proxy of the per-p seminorm, bit for bit
+    for row, p in zip(rep["rows"], P_GRID, strict=True):
+        assert row["p"] == p
+        semi = fem.w1p_seminorm_p0(m, asm.u, p)
+        up = fem.lp_norm_p0(m, asm.u.values, p)
+        assert row["proxy"] == (up ** p + semi ** p) ** (1.0 / p)

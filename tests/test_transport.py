@@ -1,16 +1,22 @@
+import gc
 import math
+import weakref
 from dataclasses import FrozenInstanceError
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from euler_ss import fem, transport
+from euler_ss.certificates import TwinRun
 from euler_ss.errors import PreconditionError, UsageError
 from euler_ss.fem import VelocityP0
 from euler_ss.hodge import HarmonicBasis
 from euler_ss.mesh import generate_annulus, save_mesh
 
 from conftest import modulated_band_scenario
+from test_two_holes import flow_scenario as two_hole_scenario
+from test_two_holes import two_hole_mesh
 
 
 def wall_doc(**extra):
@@ -315,7 +321,7 @@ def test_stable_dt_matches_norm_formula(flow_pair):
     assert flux.stable_dt(still, np.zeros(len(mesh.edges)), 0.4) == math.inf
 
 
-def test_flux_assemblers_share_the_graph_factor(monkeypatch):
+def test_flow_setup_factors_single_use_systems_once_per_g(monkeypatch):
     calls = []
     real = fem.spla.splu
 
@@ -327,16 +333,116 @@ def test_flux_assemblers_share_the_graph_factor(monkeypatch):
     mesh = generate_annulus(1.0, 2.0, 4, 16, roles=("outflow", "inflow"))
     basis = HarmonicBasis(mesh)
     g = {0: np.full(16, 0.25), 1: np.full(16, -0.5)}
-    fem.solve_neumann(basis.op, g)
-    solver_calls = len(calls)
-    a = transport.FluxAssembler(basis, g)
+    a = transport.flow_setup(basis, g)
+    setup_calls = len(calls)
+    # the cached assembler of a g is reused: no second factorization
+    assert transport.flow_setup(basis, {c: v.copy() for c, v in g.items()}) \
+        is a
+    assert len(calls) == setup_calls
+    # a new g factors its Neumann and cell-graph systems once each
     g2 = {c: 2.0 * v for c, v in g.items()}
-    b = transport.FluxAssembler(basis, g2)
-    assert calls[solver_calls:] == [(mesh.num_triangles - 1,) * 2]
-    assert len(mesh.cell_graph.factors) == 1
+    b = transport.flow_setup(basis, g2)
+    assert calls[setup_calls:] == [(mesh.num_vertices - 1,) * 2,
+                                   (mesh.num_triangles - 1,) * 2]
     assert max(a.div_defect, b.div_defect) < 1e-13
     np.testing.assert_allclose(b.pot, 2.0 * a.pot, rtol=1e-12,
                                atol=1e-14 * np.abs(a.pot).max())
+
+
+class WeakFactor:
+    """A SuperLU factor behind a Python object that takes weak references
+    (SuperLU objects do not)."""
+
+    def __init__(self, lu):
+        self.lu = lu
+
+    def solve(self, rhs):
+        return self.lu.solve(rhs)
+
+
+def through_flow_scenario(kind, tmp_path):
+    if kind == "annulus":
+        return transport.parse_scenario(flow_doc())
+    return two_hole_scenario(tmp_path, two_hole_mesh())
+
+
+@pytest.mark.parametrize("kind", ["annulus", "two_holes"])
+def test_single_use_factors_are_released(kind, tmp_path, monkeypatch):
+    factors = []
+    real = fem.spla.splu
+
+    def weak(*args, **kwargs):
+        lu = WeakFactor(real(*args, **kwargs))
+        factors.append((args[0].shape[0], weakref.ref(lu)))
+        return lu
+
+    monkeypatch.setattr(fem.spla, "splu", weak)
+    sc = through_flow_scenario(kind, tmp_path)
+    mesh = sc.mesh
+    basis = HarmonicBasis(mesh)
+    transport.flow_setup(basis, sc.g_edges())
+    gc.collect()
+    interior = mesh.num_vertices - len(mesh.boundary_nodes)
+    # Green (all boundary pinned), Neumann, cell graph
+    assert [(n, ref() is not None) for n, ref in factors] == \
+        [(interior, True), (mesh.num_vertices - 1, False),
+         (mesh.num_triangles - 1, False)]
+    assert list(basis.op.factors) == [mesh.boundary_nodes.tobytes()]
+    # a twin's runs reuse the through-flow and add the auxiliary set
+    TwinRun(transport.run(sc, basis),
+            transport.run(sc.perturbed(C0={1: 0.1}), basis))
+    gc.collect()
+    green, neumann, graph, aux = [ref() for _, ref in factors]
+    assert neumann is None and graph is None
+    assert [lu for lu, _ in basis.op.factors.values()] == [green, aux]
+
+
+def cached_solve_mean_zero(A, load, factors):
+    """``fem.solve_mean_zero`` as it was with a kept factor cache."""
+    x = fem._pinned_solve(A, load - load.mean(), np.zeros(1, dtype=np.int64),
+                          np.zeros(A.shape[0]), factors)
+    return x - x.mean()
+
+
+def cached_graph_through_flow(basis, g_edges):
+    """``FluxAssembler``'s phi, phi_grad, pot and div_defect as built with
+    the Neumann factor cached on the operator and the cell graph, with its
+    factor cache, cached on the mesh (``Mesh.cell_graph``)."""
+    mesh, op = basis.mesh, basis.op
+    phi = cached_solve_mean_zero(
+        op.matrix, fem.boundary_load_vector(mesh, g_edges), op.factors)
+    gv = fem.gradient(mesh, fem.ScalarFieldP1(mesh, phi)).values
+    interior = np.flatnonzero(mesh.interior_edge)
+    D_int = mesh.incidence[:, interior].tocsr()
+    graph = SimpleNamespace(interior=interior, incidence=D_int,
+                            laplacian=(D_int @ D_int.T).tocsr(), factors={})
+    pot = np.zeros(len(mesh.edges))
+    for c in mesh.components:
+        if c.comp in g_edges:
+            pot[c.edge_ids] = np.asarray(g_edges[c.comp]) * c.length
+    ids = graph.interior
+    n = mesh.edge_normal[ids]
+    ln = mesh.edge_length[ids]
+    pot[ids] = 0.5 * np.einsum(
+        "ed,ed->e", gv[mesh.edge_left[ids]] + gv[mesh.edge_right[ids]],
+        n) * ln
+    y = cached_solve_mean_zero(graph.laplacian, -(mesh.incidence @ pot),
+                               graph.factors)
+    pot[ids] += graph.incidence.T @ y
+    return phi, gv, pot, float(np.abs(mesh.incidence @ pot).max())
+
+
+@pytest.mark.parametrize("kind", ["annulus", "two_holes"])
+def test_released_factors_keep_the_through_flow_bits(kind, tmp_path):
+    sc = through_flow_scenario(kind, tmp_path)
+    basis = HarmonicBasis(sc.mesh)
+    flux = transport.FluxAssembler(basis, sc.g_edges())
+    phi, phi_grad, pot, div_defect = cached_graph_through_flow(
+        HarmonicBasis(sc.mesh), sc.g_edges())
+    assert np.array_equal(flux.phi.values, phi)
+    assert np.array_equal(flux.phi_grad.values, phi_grad)
+    assert np.array_equal(flux.pot, pot)
+    assert flux.div_defect == div_defect
 
 
 def test_snapshots_land_exactly(flow_scenario):
