@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import fem, zaremba
+from . import fem, hodge, zaremba
 from .errors import PreconditionError, UsageError
 from .fem import ScalarFieldP1, StiffnessOperator, VelocityP0
 from .mesh import Mesh
@@ -35,13 +35,12 @@ from .transport import Trajectory, snapshot_window
 
 
 # Snapshots are processed in blocks: a block's auxiliary potentials are
-# one multi-column solve, and each vertex operator meets the block in one
+# one multi-column solve, and each mesh operator meets the block in one
 # product.  A block column costs about _BYTES_PER_VERTEX bytes per mesh
 # vertex of work space (its columns of the auxiliary load, solve and
 # boundary residual, with the solver's own buffers), so blocks hold as
-# many snapshots as fit in BLOCK_BYTES: small enough that the block
-# buffers stay below one snapshot's cell-sized volume work, which is done
-# one snapshot at a time, and do not raise the peak memory of a run.
+# many snapshots as fit in BLOCK_BYTES: a few snapshots, whose cell-sized
+# velocities and velocity gradients live only while the block is summed.
 BLOCK_BYTES = 1 << 20
 _BYTES_PER_VERTEX = 64
 
@@ -113,11 +112,12 @@ class TwinRun:
     the squared L2 norms ``z_u`` of the difference velocity and ``z_v``
     of the auxiliary field.  The difference fields themselves (vorticity,
     velocity, stream function and its load) are formed from the two
-    trajectories one snapshot at a time when they are needed, so a twin
-    holds O(V) floats per snapshot and no cell array.  Their vertex work
-    is done for blocks of snapshots (``_blocks``): the auxiliary
-    potentials of a block are one multi-column solve, and the boundary
-    traces of a block one residual product.
+    trajectories when they are needed, so a twin holds O(V) floats per
+    snapshot and no cell array.  Their vertex work is done for blocks of
+    snapshots (``_blocks``): the auxiliary potentials of a block are one
+    multi-column solve, the velocities of each run one perp-gradient
+    product, the reference velocity gradients one recovery, and the
+    boundary traces one residual product.
     """
 
     def __init__(self, traj1: Trajectory, traj2: Trajectory):
@@ -150,7 +150,7 @@ class TwinRun:
                         for s1, s2 in pairs]
         self.C_d = [s1.C - s2.C for s1, s2 in pairs]
         self.aux: list[zaremba.AuxiliaryState] = []
-        self.z_u = np.empty(len(t1))
+        self._z_u: np.ndarray | None = None     # built on first read
         self.z_v = np.empty(len(t1))
         self.mult = np.array([s.assembly.multiplier for s in traj1.states])
 
@@ -162,18 +162,47 @@ class TwinRun:
                 _columns(map(self._psi_d, ks), np.empty((V, len(ks)))),
                 _columns(map(self._omega_d, ks), np.empty((T, len(ks)))))
         for k, aux in enumerate(self.aux):
-            self.z_u[k] = fem.sq_norm_p0(self.mesh, self._u_d(k))
             self.z_v[k] = fem.sq_norm_p0(self.mesh, aux.v.values)
+
+    @property
+    def z_u(self) -> np.ndarray:
+        """Squared L2 norms of the difference velocity, per snapshot.  They
+        read the snapshots' derived velocities, so they are built on first
+        read: by the block pass of the integrands when that comes first
+        (the identities and the ledger build the integrands before they
+        read the norms), else by a velocity pass of their own."""
+        if self._z_u is None:
+            self._z_u = np.empty(len(self.times))
+            for k0, k1 in _blocks(len(self.times), self.mesh):
+                _, u_d = self._velocity_block(k0, k1)
+                self._z_u[k0:k1] = self._norms(u_d)
+        return self._z_u
+
+    def _norms(self, u_d: np.ndarray) -> list[float]:
+        return [fem.sq_norm_p0(self.mesh, ud) for ud in u_d]
 
     # -- difference fields at snapshot k, formed on read ----------------
 
     def _states(self, k: int):
         return self.traj1.states[k], self.traj2.states[k]
 
-    def _u_d(self, k: int) -> np.ndarray:
-        """(T, 2) difference velocity."""
-        s1, s2 = self._states(k)
-        return s1.assembly.u.values - s2.assembly.u.values
+    def _velocity_block(self, k0: int, k1: int
+                        ) -> tuple[np.ndarray, np.ndarray]:
+        """Velocities of snapshots k0..k1-1, the bits of each snapshot's
+        ``assembly.u`` from one perp-gradient product per run: the
+        (T, 2, n) reference velocities and the (n, T, 2) difference
+        velocities, each snapshot's a contiguous (T, 2) array."""
+        shape = (self.mesh.num_vertices, k1 - k0)
+        u1, u2 = (hodge.stream_velocity(
+            self.mesh, _columns((s.assembly.psi_total.values
+                                 for s in traj.states[k0:k1]),
+                                np.empty(shape)),
+            self.mult[k0:k1], self.traj1.flux.phi_grad)
+            for traj in (self.traj1, self.traj2))
+        u_d = np.empty((k1 - k0,) + u1.shape[:2])
+        for j, ud in enumerate(u_d):
+            np.subtract(u1[..., j], u2[..., j], out=ud)
+        return u1, u_d
 
     def _omega_d(self, k: int) -> np.ndarray:
         """(T,) difference vorticity."""
@@ -210,21 +239,28 @@ class TwinRun:
     def _integrands(self) -> dict[str, dict[str, np.ndarray]]:
         """Per-snapshot integrands of the energy and auxiliary identities,
         keyed like the pieces those identities return.  Built on first use
-        a block of snapshots at a time (``_integrand_block``)."""
-        cols = np.empty((8, len(self.times)))
-        for k0, k1 in _blocks(len(self.times), self.mesh):
-            cols[:, k0:k1] = self._integrand_block(k0, k1)
+        a block of snapshots at a time (``_integrand_block``), with the
+        norms ``z_u`` of the same velocities when those are not built
+        yet."""
+        n = len(self.times)
+        cols, z_u = np.empty((8, n)), np.empty(n)
+        for k0, k1 in _blocks(n, self.mesh):
+            cols[:, k0:k1], z_u[k0:k1] = self._integrand_block(k0, k1)
+        if self._z_u is None:
+            self._z_u = z_u
         return {"energy": dict(zip(("boundary", "convective"), cols[:2])),
                 "aux": dict(zip(("inflow_energy", "outflow_cross",
                                  "inflow_cross", "convective", "vortical",
                                  "inflow_data"), cols[2:]))}
 
-    def _integrand_block(self, k0: int, k1: int) -> np.ndarray:
+    def _integrand_block(self, k0: int, k1: int
+                         ) -> tuple[np.ndarray, list[float]]:
         """(8, n) integrands of snapshots k0..k1-1, in the order of
         ``_integrands``: the boundary and convective energy terms, then
-        the six auxiliary terms.
+        the six auxiliary terms; and the n norms ``z_u`` of the block.
 
-        Volume terms are formed one snapshot at a time
+        Volume terms read the block's velocities and reference velocity
+        gradients and are summed one snapshot at a time
         (``_volume_terms``).  Boundary terms read one boundary residual of
         the block's difference stream functions, reference stream
         functions and auxiliary potentials together; the tangential trace
@@ -233,11 +269,12 @@ class TwinRun:
         mesh = self.mesh
         n, V, bn = k1 - k0, mesh.num_vertices, mesh.boundary_nodes
         out = np.empty((8, n))
+        u_hat, u_d = self._velocity_block(k0, k1)
+        jac = fem.velocity_gradient(mesh, u_hat)
         for j, k in enumerate(range(k0, k1)):
-            s1 = self.traj1.states[k]
             out[[1, 5, 6], j] = _volume_terms(
-                mesh.tri_area, self._u_d(k), self.aux[k].v.values,
-                fem.velocity_gradient(mesh, s1.assembly.u), s1.omega)
+                mesh.tri_area, u_d[j], self.aux[k].v.values, jac[..., j],
+                self.traj1.states[k].omega)
 
         # boundary residuals of the difference stream functions, the
         # reference stream functions and the auxiliary potentials, paired
@@ -291,7 +328,7 @@ class TwinRun:
                 vt = _edge_means(fem.loop_flux_density(mesh, res_phi, cid))
                 bo -= (w @ (ut * vt)) * mult
         out[[0, 2, 3, 4, 7]] = 0.5 * eb, bl, bo, bi, bp
-        return out
+        return out, self._norms(u_d)
 
     def _integrals(self, family: str, k0: int, k1: int) -> dict[str, float]:
         """Trapezoid sums of one identity's integrands over [k0, k1]."""
@@ -309,8 +346,8 @@ class TwinRun:
         quadrature error and must vanish under refinement.
         """
         k0, k1 = snapshot_window(len(self.times), k0, k1)
-        jump = 0.5 * (self.z_u[k1] - self.z_u[k0])
         ints = self._integrals("energy", k0, k1)
+        jump = 0.5 * (self.z_u[k1] - self.z_u[k0])
         b_int, c_int = ints["boundary"], ints["convective"]
         residual = jump + b_int + c_int
         scale = max(abs(jump), abs(b_int), abs(c_int),
@@ -415,6 +452,7 @@ class TwinRun:
         interval.  Flags list rows exceeding 1.01 * C * rhs (empty by
         construction of C).
         """
+        ints = self._integrands
         times, zu = self.times, self.z_u
         z = zu + self.z_v
         dt = np.diff(times)
@@ -433,7 +471,6 @@ class TwinRun:
                 om_in2 += np.maximum(o2[:-1], o2[1:])
         data2 = data2 + om_in2
 
-        ints = self._integrands
         lhs = np.column_stack([
             0.5 * np.diff(zu) + trap(ints["energy"]["boundary"]),
             0.5 * np.diff(self.z_v) + trap(ints["aux"]["inflow_energy"])])

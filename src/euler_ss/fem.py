@@ -473,13 +473,18 @@ def p0_to_p1(mesh: Mesh, cell_values: np.ndarray) -> np.ndarray:
     return nodal.reshape((mesh.num_vertices,) + shape[1:])
 
 
-def velocity_gradient(mesh: Mesh, u: VelocityP0) -> np.ndarray:
+def velocity_gradient(mesh: Mesh, u: VelocityP0 | np.ndarray
+                      ) -> np.ndarray:
     """(T, 2, 2) recovered Jacobian J[t, k, d] = d_d(u_k): each component
-    is averaged to the vertices, then differentiated per triangle."""
-    nodal = p0_to_p1(mesh, u.values)                     # (V, 2)
-    # row 2t + d, column k of the product is d_d(u_k) on triangle t
-    return (mesh.gradient_operator @ nodal).reshape(-1, 2, 2) \
-        .transpose(0, 2, 1)
+    is averaged to the vertices, then differentiated per triangle.  A
+    (T, 2, n) block of velocities gives the (T, 2, 2, n) Jacobians of its
+    columns, one product for all of them."""
+    vals = u.values if isinstance(u, VelocityP0) else np.asarray(u)
+    nodal = p0_to_p1(mesh, vals).reshape(mesh.num_vertices, -1)
+    # row 2t + d, column k (of column j) of the product is d_d(u_k) on
+    # triangle t
+    return (mesh.gradient_operator @ nodal).reshape(
+        (-1, 2) + vals.shape[1:]).swapaxes(1, 2)
 
 
 def convective_term(mesh: Mesh, a: VelocityP0, jac_b: np.ndarray

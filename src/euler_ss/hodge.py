@@ -25,11 +25,14 @@ one product with ``HarmonicBasis.stream_operator``, a stack of the
 perp-gradient, the edge jumps and the stiffness boundary rows: it yields
 the velocity, the rotational edge fluxes of the transport step and the
 consistent circulations, each to the last bit of its own map.
-``reconstruct_velocity`` returns the assembly with the edge jumps beside
-it: the step reads the jumps once, and a saved snapshot keeps the
-assembly as built.  The through-flow, g with phi_g and its gradient at
-unit multiplier, is owned by ``transport.FluxAssembler``, one per g
-cached on the basis.
+``reconstruct_velocity`` returns the assembly with the velocity and the
+edge jumps beside it: the step reads them once, and a saved snapshot
+keeps the assembly as built.  The assembly stores no velocity: its ``u``
+is the perp-gradient product of its stream function plus the multiplier
+times the shared through-flow gradient, the bits of the stacked product
+(``stream_velocity``, which takes a block of stream functions too).  The
+through-flow, g with phi_g and its gradient at unit multiplier, is owned
+by ``transport.FluxAssembler``, one per g cached on the basis.
 
 The boundary data g must satisfy the sign condition: g <= 0 on inflow
 components, g >= 0 on outflow components, g = 0 on walls.  Violations are
@@ -143,26 +146,53 @@ def greens_operator(basis: HarmonicBasis, omega: VorticityP0
     return fem.solve_dirichlet(basis.op, load, bc), load
 
 
+def stream_velocity(mesh: Mesh, psi: np.ndarray, multiplier,
+                    phi_grad: VelocityP0 | None) -> np.ndarray:
+    """(T, 2) P0 velocity grad_perp(psi) + multiplier * phi_grad of a (V,)
+    stream function, one product with the mesh's perp-gradient operator;
+    a (V, n) block with n multipliers gives the (T, 2, n) velocities of
+    its columns, the same bits column by column."""
+    u = (mesh.perp_gradient_operator @ psi).reshape(
+        (mesh.num_triangles, 2) + psi.shape[1:])
+    if phi_grad is not None:
+        # a column at a time, each add over all cells at once
+        block = u.reshape(mesh.num_triangles, 2, -1)
+        for j, m in enumerate(np.atleast_1d(multiplier)):
+            block[..., j] += m * phi_grad.values
+    return u
+
+
 @dataclass
 class VelocityAssembly:
-    """Reconstructed velocity with its stream data and flux diagnostics,
-    all of which a saved snapshot keeps; the edge jumps of the step come
-    beside it (``reconstruct_velocity``)."""
+    """Stream data and flux diagnostics of a reconstructed velocity, all
+    of which a saved snapshot keeps.  The velocity itself is derived on
+    read (``u``); the step gets it and the edge jumps beside the assembly
+    (``reconstruct_velocity``)."""
 
     mesh: Mesh
-    u: VelocityP0
     psi_coeffs: np.ndarray         # (m,) harmonic-basis constants
     psi_total: ScalarFieldP1       # G[omega] + sum_i psi_i f^i
     multiplier: float              # of the through-flow potential
     circulation_consistent: np.ndarray   # per component, consistent flux
+    # the through-flow gradient at unit multiplier, shared with its
+    # ``transport.FluxAssembler`` (None when nothing flows)
+    phi_grad: VelocityP0 | None
+
+    @property
+    def u(self) -> VelocityP0:
+        """The P0 velocity, to the bit the one the step used."""
+        return VelocityP0(self.mesh, stream_velocity(
+            self.mesh, self.psi_total.values, self.multiplier,
+            self.phi_grad))
 
     @property
     def circulation_trace(self) -> np.ndarray:
         """Per-component circulation by the one-sided quadrature of the
         tangential velocity (first order; a diagnostic only)."""
+        u = self.u.values
         out = np.empty(len(self.mesh.components))
         for comp in self.mesh.components:
-            ut = np.einsum("ed,ed->e", self.u.values[comp.tri], comp.tangent)
+            ut = np.einsum("ed,ed->e", u[comp.tri], comp.tangent)
             out[comp.comp] = float(ut @ comp.length)
         return out
 
@@ -171,15 +201,17 @@ def reconstruct_velocity(basis: HarmonicBasis, omega: VorticityP0,
                          circulations: np.ndarray,
                          multiplier: float = 1.0,
                          phi_grad: VelocityP0 | None = None
-                         ) -> tuple[VelocityAssembly, np.ndarray]:
-    """Assemble the velocity of (omega, g, C); return the assembly and the
-    (E,) stream jumps psi_a - psi_b across every edge a -> b, zero on
-    boundary edges (the rotational edge fluxes of a transport step).
+                         ) -> tuple[VelocityAssembly, VelocityP0, np.ndarray]:
+    """Assemble the velocity of (omega, g, C); return the assembly, the
+    velocity and the (E,) stream jumps psi_a - psi_b across every edge
+    a -> b, zero on boundary edges (the rotational edge fluxes of a
+    transport step).
 
     ``circulations`` lists C_i for the inner components in order.
     ``phi_grad`` is the gradient of the unit-multiplier through-flow
     potential of g (``transport.FluxAssembler.phi_grad``), None when
-    nothing flows; the velocity adds ``multiplier`` times it.
+    nothing flows; the velocity adds ``multiplier`` times it, and the
+    assembly keeps a reference to it.
 
     Past the Green solve, the stream function meets one product with
     ``basis.stream_operator``, which gives the velocity, the edge jumps
@@ -207,21 +239,20 @@ def reconstruct_velocity(basis: HarmonicBasis, omega: VorticityP0,
     stream = basis.stream_operator @ total
     nu = 2 * mesh.num_triangles
     nj = nu + len(mesh.edges)
-    # the velocity gets a buffer of its own: a view would keep the whole
-    # product alive in every saved snapshot
+    # the perp-gradient rows are those of ``stream_velocity``
     u_vals = stream[:nu].reshape(-1, 2)
-    u_vals = u_vals + multiplier * phi_grad.values \
-        if phi_grad is not None else u_vals.copy()
+    if phi_grad is not None:
+        u_vals = u_vals + multiplier * phi_grad.values
     # the potential part contributes exactly zero circulation (telescoping
     # tangential P1 trace), so the stream flux is the whole consistent
     # circulation
     circ_cons = basis.op.boundary_fluxes(stream[nj:], load)
 
     asm = VelocityAssembly(
-        mesh=mesh, u=VelocityP0(mesh, u_vals), psi_coeffs=coeffs,
-        psi_total=psi_total, multiplier=multiplier,
-        circulation_consistent=circ_cons)
-    return asm, stream[nu:nj]
+        mesh=mesh, psi_coeffs=coeffs, psi_total=psi_total,
+        multiplier=multiplier, circulation_consistent=circ_cons,
+        phi_grad=phi_grad)
+    return asm, VelocityP0(mesh, u_vals), stream[nu:nj]
 
 
 def check_elliptic_growth(basis: HarmonicBasis, assembly: VelocityAssembly,
@@ -238,9 +269,10 @@ def check_elliptic_growth(basis: HarmonicBasis, assembly: VelocityAssembly,
                     for g in g_edges.values()) * abs(assembly.multiplier)
     c_sum = float(np.abs(np.asarray(circulations)).sum())
     rows = []
-    semis = fem.w1p_seminorms_p0(mesh, assembly.u, P_GRID)
+    u = assembly.u
+    semis = fem.w1p_seminorms_p0(mesh, u, P_GRID)
     for p, semi in zip(P_GRID, semis):
-        up = fem.lp_norm_p0(mesh, assembly.u.values, p)
+        up = fem.lp_norm_p0(mesh, u.values, p)
         proxy = (up ** p + semi ** p) ** (1.0 / p)
         data = fem.lp_norm_p0(mesh, omega.values, p) + g_inf + c_sum
         rows.append({"p": p, "proxy": proxy,

@@ -69,11 +69,12 @@ class BoundaryComponent:
     def total_length(self) -> float:
         return float(self.length.sum())
 
-    @property
+    @cached_property
     def lumped_length(self) -> np.ndarray:
-        """Boundary length owned by each loop vertex (``nodes`` order):
-        half of each of its two adjacent edges."""
-        return 0.5 * (self.length + np.roll(self.length, 1))
+        """Read-only boundary length owned by each loop vertex (``nodes``
+        order): half of each of its two adjacent edges.  Built on first
+        use."""
+        return _read_only(0.5 * (self.length + np.roll(self.length, 1)))
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:

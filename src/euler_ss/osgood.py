@@ -272,6 +272,10 @@ def stability_experiment(base_scenario, deltas, comp: int | None = None
     if not deltas or not all(math.isfinite(d) and d >= 0 for d in deltas):
         raise UsageError(f"deltas must be finite and nonnegative, got "
                          f"{deltas}")
+    # a repeated delta adds no point to the fit of beta: two equal
+    # deltas alone leave its slope undetermined
+    if len(set(deltas)) != len(deltas):
+        raise UsageError(f"deltas must be distinct, got {deltas}")
     mesh = base_scenario.mesh
     if comp is None:
         if len(mesh.components) < 2:

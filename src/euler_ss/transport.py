@@ -455,10 +455,11 @@ class FluxAssembler:
             self.phi_grad = fem.gradient(mesh, self.phi)
         self.D = mesh.incidence
         self.abs_D = abs(self.D)
-        # squared inverse incircle diameters and inverse areas: the CFL
-        # rates of each cell are products with these
+        # squared inverse incircle diameters and halved inverse areas: the
+        # CFL rates of each cell are products with these (the half is a
+        # power of two, so it moves no bit of the rate)
         self.inv_d2 = mesh.incircle_diameter ** -2
-        self.inv_area = 1.0 / mesh.tri_area
+        self.half_inv_area = 0.5 / mesh.tri_area
         # the cell across each edge; boundary edges of component c face a
         # ghost cell T + c that holds the component's inflow trace
         bd = np.concatenate([c.edge_ids for c in mesh.components])
@@ -513,10 +514,11 @@ class FluxAssembler:
         time d / |u| across the incircle diameter d, and the time
         area / outflux in which the positive outflux empties the cell.
         Infinite when nothing moves."""
-        ux, uy = u.values[:, 0], u.values[:, 1]
-        adv2 = float(np.max((ux * ux + uy * uy) * self.inv_d2))
-        outflux = 0.5 * (self.abs_D @ np.abs(f) + self.D @ f)
-        rate = max(math.sqrt(adv2), float(np.max(outflux * self.inv_area)))
+        sq = u.values * u.values
+        adv2 = float(np.max((sq[:, 0] + sq[:, 1]) * self.inv_d2))
+        outflux2 = self.abs_D @ np.abs(f) + self.D @ f
+        rate = max(math.sqrt(adv2),
+                   float(np.max(outflux2 * self.half_inv_area)))
         return cfl / rate if rate > 0 else math.inf
 
     def vorticity_flux(self, omega: np.ndarray, f: np.ndarray,
@@ -526,8 +528,8 @@ class FluxAssembler:
         edges of component c that carry flow into the fluid."""
         ghost = [omega_in_vals.get(c.comp, 0.0)
                  for c in self.mesh.components]
-        outside = np.concatenate([omega, ghost])[self.far]
-        return f * np.where(f >= 0, omega[self.mesh.edge_left], outside)
+        upwind = np.where(f >= 0, self.mesh.edge_left, self.far)
+        return f * np.concatenate([omega, ghost])[upwind]
 
     def upwind_rates(self, omega: np.ndarray, f: np.ndarray,
                      omega_in_vals: dict[int, float]
@@ -556,8 +558,8 @@ def flow_setup(basis: HarmonicBasis, g_edges: dict[int, np.ndarray]
 @dataclass
 class SimState:
     """One saved snapshot: the transported state and its velocity
-    assembly as the reconstruction built it.  The stream load is derived
-    on read."""
+    assembly as the reconstruction built it.  The velocity
+    (``assembly.u``) and the stream load are derived on read."""
 
     t: float
     omega: np.ndarray              # (T,) cell vorticity
@@ -624,12 +626,12 @@ def run(scenario: Scenario, basis: HarmonicBasis | None = None) -> Trajectory:
             basis, VorticityP0(mesh, om), circ,
             multiplier=scenario.multiplier(t), phi_grad=flux.phi_grad)
 
-    def energy(asm):
-        return 0.5 * fem.sq_norm_p0(mesh, asm.u.values)
+    def energy(u):
+        return 0.5 * fem.sq_norm_p0(mesh, u.values)
 
-    asm, jumps = assemble(omega, C, 0.0)
+    asm, u, jumps = assemble(omega, C, 0.0)
     states = [SimState(t=0.0, omega=omega.copy(), C=C.copy(), B=B.copy(),
-                       assembly=asm, energy=energy(asm), dt_last=0.0)]
+                       assembly=asm, energy=energy(u), dt_last=0.0)]
     t = 0.0
     total_steps = 0
     rk2 = scenario.scheme == "rk2"
@@ -645,7 +647,7 @@ def run(scenario: Scenario, basis: HarmonicBasis | None = None) -> Trajectory:
                     f"{MAX_STEPS_PER_INTERVAL} steps in one snapshot "
                     f"interval (t = {t:.6g}, dt = {dt:.3e})")
             f = flux.fluxes(jumps, asm.multiplier)
-            dt = flux.stable_dt(asm.u, f, scenario.cfl)
+            dt = flux.stable_dt(u, f, scenario.cfl)
             landed = t_next - t <= dt
             dt = min(dt, t_next - t)
             if not (dt > 0 and math.isfinite(dt)):
@@ -661,7 +663,7 @@ def run(scenario: Scenario, basis: HarmonicBasis | None = None) -> Trajectory:
                 om1 = omega - dt * div / mesh.tri_area
                 C1 = C - dt * rates[1:]
                 t1 = t_next if landed else t + dt
-                asm1, jumps1 = assemble(om1, C1, t1)
+                asm1, _, jumps1 = assemble(om1, C1, t1)
                 f2 = flux.fluxes(jumps1, asm1.multiplier)
                 in2 = {cid: scenario.omega_in_value(cid, t1)
                        for cid in inflow_ids}
@@ -690,11 +692,11 @@ def run(scenario: Scenario, basis: HarmonicBasis | None = None) -> Trajectory:
 
             t = t_next if landed else t + dt
             total_steps += 1
-            asm, jumps = assemble(omega, C, t)
+            asm, u, jumps = assemble(omega, C, t)
 
         states.append(SimState(t=t, omega=omega.copy(), C=C.copy(),
                                B=B.copy(), assembly=asm,
-                               energy=energy(asm), dt_last=dt))
+                               energy=energy(u), dt_last=dt))
 
     return Trajectory(scenario=scenario, mesh=mesh, basis=basis,
                       states=states, flux=flux,

@@ -33,7 +33,7 @@ class EinsumTwin(TwinRun):
         self.coeff_d = []
         self.C_d = []
         self.aux = []
-        self.z_u = np.empty(len(t1))
+        self._z_u = np.empty(len(t1))
         self.z_v = np.empty(len(t1))
         self.mult = np.array([s.assembly.multiplier for s in traj1.states])
 
@@ -47,8 +47,13 @@ class EinsumTwin(TwinRun):
             self.aux.append(aux)
             ud = self._u_d(k)
             vv = aux.v.values
-            self.z_u[k] = float(np.einsum("td,td,t->", ud, ud, area))
+            self._z_u[k] = float(np.einsum("td,td,t->", ud, ud, area))
             self.z_v[k] = float(np.einsum("td,td,t->", vv, vv, area))
+
+    def _u_d(self, k: int) -> np.ndarray:
+        """Difference velocity at snapshot k, one snapshot's products."""
+        s1, s2 = self._states(k)
+        return s1.assembly.u.values - s2.assembly.u.values
 
     def _psi_field(self, k: int) -> ScalarFieldP1:
         """Difference stream function at snapshot k."""

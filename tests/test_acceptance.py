@@ -96,7 +96,7 @@ def test_criterion_03_velocity_oracle(capsys):
         g = {0: np.full(nt, 1.0 / (4.0 * math.pi)),
              1: np.full(nt, -1.0 / (2.0 * math.pi))}
         zero_w = VorticityP0(m, np.zeros(m.num_triangles))
-        asm, _ = hodge.reconstruct_velocity(
+        asm, _, _ = hodge.reconstruct_velocity(
             basis, zero_w, np.zeros(1),
             phi_grad=transport.flow_setup(basis, g).phi_grad)
         ex = s / (2.0 * math.pi) * cen / r2[:, None]
@@ -104,8 +104,8 @@ def test_criterion_03_velocity_oracle(capsys):
                         / fem.lp_norm_p0(m, ex, 2.0))
 
         # pure circulation: positive C spins the flow clockwise
-        asm2, _ = hodge.reconstruct_velocity(basis, zero_w,
-                                             np.array([C]))
+        asm2, _, _ = hodge.reconstruct_velocity(basis, zero_w,
+                                                np.array([C]))
         ex2 = C / (2.0 * math.pi) \
             * np.column_stack([cen[:, 1], -cen[:, 0]]) / r2[:, None]
         errs_circ.append(fem.lp_norm_p0(m, asm2.u.values - ex2, 2.0)
@@ -243,10 +243,10 @@ def test_criterion_07_reversed_flux_relation(capsys, tmp_path):
         om = VorticityP0(m, sc.initial_omega())
         phi_grad = transport.flow_setup(basis, sc.g_edges()).phi_grad
         c0 = sc.initial_C()
-        a1, _ = hodge.reconstruct_velocity(basis, om, c0,
-                                           phi_grad=phi_grad)
-        a2, _ = hodge.reconstruct_velocity(basis, om, c0 + 0.1,
-                                           phi_grad=phi_grad)
+        a1, _, _ = hodge.reconstruct_velocity(basis, om, c0,
+                                              phi_grad=phi_grad)
+        a2, _, _ = hodge.reconstruct_velocity(basis, om, c0 + 0.1,
+                                              phi_grad=phi_grad)
         psi_d = ScalarFieldP1(m, a2.psi_total.values - a1.psi_total.values)
         aux = solve_auxiliary(basis, psi_d,
                               VorticityP0(m, np.zeros(m.num_triangles)))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from euler_ss import fem, transport
+from euler_ss import certificates, fem, transport
 from euler_ss.certificates import (TwinRun, interpolation_inequality,
                                    lamb_identity, trace_inequality)
 from euler_ss.errors import PreconditionError, UsageError
@@ -14,6 +14,7 @@ from euler_ss.hodge import P_GRID, HarmonicBasis
 from euler_ss.mesh import generate_annulus
 
 from conftest import modulated_band_scenario
+from einsum_twin import block_bytes
 
 LN2 = math.log(2.0)
 
@@ -121,8 +122,11 @@ def test_inequality_ledger_structure(flow_twin):
             "lhs_aux", "rhs_aux"} <= set(row)
 
 
-def test_integrands_take_one_velocity_gradient_per_snapshot(flow_pair,
-                                                            monkeypatch):
+def test_integrands_take_one_velocity_gradient_per_block(flow_pair,
+                                                         monkeypatch):
+    # uneven blocks of three: 7 snapshots make 3 blocks
+    monkeypatch.setattr(certificates, "BLOCK_BYTES",
+                        block_bytes(flow_pair[0].mesh, 3))
     calls = []
     real = fem.velocity_gradient
 
@@ -136,7 +140,8 @@ def test_integrands_take_one_velocity_gradient_per_snapshot(flow_pair,
     twin.energy_identity()
     twin.aux_identity()
     twin.inequality_ledger()
-    assert len(calls) == len(twin.times)
+    assert len(calls) == len(certificates._blocks(len(twin.times),
+                                                  twin.mesh)) == 3
 
 
 # pieces that are time integrals or jumps over the window; the coupling

@@ -371,6 +371,17 @@ def test_stability_ladder_monotone(tmp_path, scenario_file):
                    for k in ("y0", "a", "bound_margin"))
 
 
+def test_stability_repeated_ladder_delta_is_usage_error(tmp_path,
+                                                        scenario_file,
+                                                        capsys):
+    out = tmp_path / "stab"
+    rc = main(["stability", str(scenario_file), "--ladder", "1e-3,1e-3",
+               "-o", str(out)])
+    assert rc == 2
+    assert "distinct" in capsys.readouterr().err
+    assert not (out / "report.csv").exists()
+
+
 def test_stability_bad_ladder(tmp_path, scenario_file, capsys):
     rc = main(["stability", str(scenario_file), "--ladder", "0.1,fish",
                "-o", str(tmp_path / "stab")])

@@ -397,3 +397,31 @@ def test_block_forms_match_single_column_calls(annulus, stiffness):
         assert np.array_equal(fluxes[:, j],
                               fem.consistent_fluxes(stiffness, field,
                                                     loads[:, j]))
+
+
+def test_velocity_gradient_of_a_block_matches_single_calls(annulus):
+    # a (T, 2, n) block of velocities: column j of the (T, 2, 2, n)
+    # Jacobians is the bits of the single call on column j
+    rng = np.random.default_rng(11)
+    block = rng.standard_normal((annulus.num_triangles, 2, 3))
+    jac = fem.velocity_gradient(annulus, block)
+    assert jac.shape == (annulus.num_triangles, 2, 2, 3)
+    for j in range(3):
+        one = fem.velocity_gradient(
+            annulus, fem.VelocityP0(annulus, block[..., j].copy()))
+        assert np.array_equal(jac[..., j], one)
+
+
+@pytest.mark.parametrize("which", ["annulus", "two_holes"])
+def test_stiffness_and_cell_graph_laplacian_exactly_symmetric(annulus,
+                                                              which):
+    # the pure-Neumann solves factor these as symmetric systems
+    from test_two_holes import two_hole_mesh
+
+    mesh = annulus if which == "annulus" else two_hole_mesh()
+    A = fem.StiffnessOperator(mesh).matrix
+    assert (A != A.T).nnz == 0
+    D_int = mesh.incidence[:, np.flatnonzero(mesh.interior_edge)].tocsr()
+    L = (D_int @ D_int.T).tocsr()
+    assert (L != L.T).nnz == 0
+    assert L.shape == (mesh.num_triangles, mesh.num_triangles)

@@ -84,7 +84,7 @@ def test_biot_savart_no_slip_walls(basis_mid):
 def test_positive_circulation_flows_clockwise(basis_mid):
     m = basis_mid.mesh
     w = fem.VorticityP0(m, np.zeros(m.num_triangles))
-    asm, _ = reconstruct_velocity(basis_mid, w, np.array([0.4]))
+    asm, _, _ = reconstruct_velocity(basis_mid, w, np.array([0.4]))
     cen = m.centroid
     th = np.arctan2(cen[:, 1], cen[:, 0])
     u_theta = (-np.sin(th) * asm.u.values[:, 0]
@@ -95,7 +95,7 @@ def test_positive_circulation_flows_clockwise(basis_mid):
 def test_circulation_bookkeeping(basis_mid):
     m = basis_mid.mesh
     w = fem.VorticityP0(m, np.full(m.num_triangles, 0.5))
-    asm, _ = reconstruct_velocity(basis_mid, w, np.array([0.7]))
+    asm, _, _ = reconstruct_velocity(basis_mid, w, np.array([0.7]))
     # prescribed inner circulation is honoured to solver accuracy
     assert abs(asm.circulation_consistent[1] - 0.7) < 1e-10
     integral = w.values @ m.tri_area
@@ -110,7 +110,7 @@ def test_circulation_trace_first_order():
         m = generate_annulus(1.0, 2.0, nr, 4 * nr)
         b = HarmonicBasis(m)
         w = fem.VorticityP0(m, np.full(m.num_triangles, 0.5))
-        asm, _ = reconstruct_velocity(b, w, np.array([0.7]))
+        asm, _, _ = reconstruct_velocity(b, w, np.array([0.7]))
         defects.append(np.abs(asm.circulation_trace
                               - asm.circulation_consistent).max())
     assert defects[0] < 0.4
@@ -121,7 +121,7 @@ def test_stream_velocity_tangent_to_walls(basis_mid):
     m = basis_mid.mesh
     rng = np.random.default_rng(5)
     w = fem.VorticityP0(m, rng.standard_normal(m.num_triangles))
-    asm, _ = reconstruct_velocity(basis_mid, w, np.array([0.3]))
+    asm, _, _ = reconstruct_velocity(basis_mid, w, np.array([0.3]))
     for c in m.components:
         un = np.einsum("ed,ed->e", asm.u.values[c.tri], c.normal)
         assert np.abs(un).max() < 1e-13
@@ -190,7 +190,7 @@ def test_elliptic_growth_proxy_bounded(basis_mid, flow_scenario):
     m = basis_mid.mesh
     rng = np.random.default_rng(9)
     w = fem.VorticityP0(m, rng.uniform(-1.0, 1.0, m.num_triangles))
-    asm, _ = reconstruct_velocity(basis_mid, w, np.array([0.2]))
+    asm, _, _ = reconstruct_velocity(basis_mid, w, np.array([0.2]))
     rep = check_elliptic_growth(basis_mid, asm, w, None, np.array([0.2]))
     assert rep["bounded"]
     proxies = [row["proxy"] for row in rep["rows"]]
@@ -204,8 +204,8 @@ def test_elliptic_growth_proxy_bounded(basis_mid, flow_scenario):
     m = basis.mesh
     w = fem.VorticityP0(m, rng.uniform(-1.0, 1.0, m.num_triangles))
     mult = 0.7
-    asm, _ = reconstruct_velocity(basis, w, np.array([0.2]),
-                                  multiplier=mult, phi_grad=flow.phi_grad)
+    asm, _, _ = reconstruct_velocity(basis, w, np.array([0.2]),
+                                     multiplier=mult, phi_grad=flow.phi_grad)
     dry = check_elliptic_growth(basis, asm, w, None, np.array([0.2]))
     rep = check_elliptic_growth(basis, asm, w, flow.g_edges, np.array([0.2]))
     assert rep["bounded"]
@@ -223,7 +223,7 @@ def test_elliptic_growth_takes_one_velocity_gradient(basis_mid,
     m = basis_mid.mesh
     w = fem.VorticityP0(m, np.random.default_rng(11).uniform(
         -1.0, 1.0, m.num_triangles))
-    asm, _ = reconstruct_velocity(basis_mid, w, np.array([0.2]))
+    asm, _, _ = reconstruct_velocity(basis_mid, w, np.array([0.2]))
     calls = []
     real = fem.velocity_gradient
 

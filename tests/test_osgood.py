@@ -264,6 +264,13 @@ def test_stability_rejects_negative_delta(tmp_path):
         stability_experiment(sc, [-0.1, 0.1])
 
 
+@pytest.mark.parametrize("deltas", [[1e-3, 1e-3], [0.1, 1e-2, 0.1]])
+def test_stability_rejects_repeated_deltas(tmp_path, deltas):
+    sc = modulated_band_scenario(tmp_path)
+    with pytest.raises(UsageError, match="distinct"):
+        stability_experiment(sc, deltas)
+
+
 def test_stability_accepts_component_list(tmp_path):
     sc = modulated_band_scenario(tmp_path, T=0.25, snapshots=3)
     rep = stability_experiment(sc, [1e-2], comp=[1])

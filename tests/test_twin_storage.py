@@ -1,5 +1,5 @@
 """What snapshots and twin runs keep, that what they derive on read is
-bit-for-bit what they used to store, and that the block kernels of a twin
+bit-for-bit what the live step used, and that the block kernels of a twin
 agree with the per-snapshot formulas."""
 
 import tracemalloc
@@ -14,6 +14,8 @@ from euler_ss.hodge import HarmonicBasis
 
 from conftest import modulated_band_scenario
 from einsum_twin import EinsumTwin, assert_matches_reference, block_bytes
+from test_two_holes import flow_scenario as two_hole_scenario
+from test_two_holes import two_hole_mesh
 
 
 @pytest.fixture(scope="module")
@@ -28,12 +30,25 @@ def small_pair(tmp_path_factory):
     return base, pert
 
 
-def live_assembly(traj, state):
-    """The reconstruction the run made at this snapshot, made again."""
-    asm, _ = hodge.reconstruct_velocity(
+@pytest.fixture(scope="module", params=["annulus", "two_holes"])
+def any_pair(request, small_pair, tmp_path_factory):
+    """``small_pair``, and twins of both circulations on the two-hole
+    mesh."""
+    if request.param == "annulus":
+        return small_pair
+    sc = two_hole_scenario(tmp_path_factory.mktemp("two_holes"),
+                           two_hole_mesh())
+    basis = HarmonicBasis(sc.mesh)
+    return (transport.run(sc, basis),
+            transport.run(sc.perturbed(C0={1: 0.1, 2: -0.05}), basis))
+
+
+def live_velocity(traj, state):
+    """The velocity the step read at this snapshot, reconstructed again."""
+    _, u, _ = hodge.reconstruct_velocity(
         traj.basis, VorticityP0(traj.mesh, state.omega), state.C,
         multiplier=state.assembly.multiplier, phi_grad=traj.flux.phi_grad)
-    return asm
+    return u.values
 
 
 def live_load(traj, state):
@@ -45,9 +60,38 @@ def live_load(traj, state):
 def test_stored_snapshot_derives_the_live_stream_load(small_pair):
     for traj in small_pair:
         for s in traj.states:
-            live = live_assembly(traj, s)
-            assert np.array_equal(live.u.values, s.assembly.u.values)
             assert np.array_equal(s.stream_load, live_load(traj, s))
+
+
+def test_snapshots_derive_the_live_step_velocity(any_pair):
+    T = any_pair[0].mesh.num_triangles
+    live = [np.stack([live_velocity(traj, s) for s in traj.states])
+            for traj in any_pair]
+    for traj, u in zip(any_pair, live):
+        assert traj.flux.phi_grad is not None
+        for k, s in enumerate(traj.states):
+            # one snapshot: the derived velocity, to the bit
+            assert np.array_equal(s.assembly.u.values, u[k])
+            # and no (T, 2) array of its own: the through-flow gradient
+            # is the assembler's, not a copy
+            for name, val in vars(s.assembly).items():
+                if name == "phi_grad":
+                    assert val is traj.flux.phi_grad
+                    continue
+                val = getattr(val, "values", val)
+                assert not (isinstance(val, np.ndarray)
+                            and val.shape == (T, 2)), name
+    # blocks of snapshots: one product per run gives every column's bits
+    twin = TwinRun(*any_pair)
+    n = len(twin.times)
+    for size in (1, 3, n):
+        for k0 in range(0, n, size):
+            k1 = min(n, k0 + size)
+            u_hat, u_d = twin._velocity_block(k0, k1)
+            assert np.array_equal(np.moveaxis(u_hat, -1, 0),
+                                  live[0][k0:k1])
+            assert np.array_equal(u_d, live[0][k0:k1] - live[1][k0:k1])
+            assert all(ud.flags.c_contiguous for ud in u_d)
 
 
 class StoredDifferenceTwin(TwinRun):
@@ -57,19 +101,23 @@ class StoredDifferenceTwin(TwinRun):
     derived-on-read twin must match bit for bit."""
 
     def __init__(self, traj1, traj2):
-        self.u_d, self.omega_d, self.psi_d, self.loads = [], [], [], []
+        self.u_hat, self.u_d, self.omega_d, self.psi_d, self.loads = \
+            [], [], [], [], []
         for s1, s2 in zip(traj1.states, traj2.states):
             load1 = live_load(traj1, s1)
             load2 = live_load(traj2, s2)
-            self.u_d.append(s1.assembly.u.values - s2.assembly.u.values)
+            u1 = live_velocity(traj1, s1)
+            self.u_hat.append(u1)
+            self.u_d.append(u1 - live_velocity(traj2, s2))
             self.omega_d.append(s1.omega - s2.omega)
             self.psi_d.append(s1.assembly.psi_total.values
                               - s2.assembly.psi_total.values)
             self.loads.append((load1, load1 - load2))
         super().__init__(traj1, traj2)
 
-    def _u_d(self, k):
-        return self.u_d[k]
+    def _velocity_block(self, k0, k1):
+        return np.stack(self.u_hat[k0:k1], axis=-1), \
+            np.stack(self.u_d[k0:k1])
 
     def _omega_d(self, k):
         return self.omega_d[k]
