@@ -58,13 +58,6 @@ def _blocks(n: int, mesh: Mesh) -> list[tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _columns(fields, out: np.ndarray) -> np.ndarray:
-    """``out`` with column j (last axis) set to the j-th field."""
-    for j, f in enumerate(fields):
-        out[..., j] = f
-    return out
-
-
 def _volume_terms(area: np.ndarray, ud: np.ndarray, v: np.ndarray,
                   jac: np.ndarray, omega_hat: np.ndarray
                   ) -> tuple[float, float, float]:
@@ -107,17 +100,15 @@ class TwinRun:
     Run 1 is the reference flow (the 'hat' fields of the convective
     terms); the difference is run 1 minus run 2.  Per snapshot a twin
     keeps only what defines the difference beyond the two trajectories:
-    the auxiliary potential with its fluxes (``aux``), the differences of
-    the stream coefficients (``coeff_d``) and circulations (``C_d``), and
-    the squared L2 norms ``z_u`` of the difference velocity and ``z_v``
-    of the auxiliary field.  The difference fields themselves (vorticity,
-    velocity, stream function and its load) are formed from the two
-    trajectories when they are needed, so a twin holds O(V) floats per
-    snapshot and no cell array.  Their vertex work is done for blocks of
-    snapshots (``_blocks``): the auxiliary potentials of a block are one
-    multi-column solve, the velocities of each run one perp-gradient
-    product, the reference velocity gradients one recovery, and the
-    boundary traces one residual product.
+    the auxiliary potential with its fluxes (``aux``), a row of the
+    (N, m) differences of the stream coefficients (``coeff_d``) and of
+    the circulations (``C_d``), and the squared L2 norms ``z_u`` of the
+    difference velocity and ``z_v`` of the auxiliary field.  The
+    difference fields are formed from the two trajectories when they are
+    needed, so a twin holds O(V) floats per snapshot and no cell array.
+    They are formed for blocks of snapshots (``_blocks``): each pass over
+    a block gathers its stream functions, potentials and vorticities
+    once, and each mesh operator meets the block in one product.
     """
 
     def __init__(self, traj1: Trajectory, traj2: Trajectory):
@@ -128,9 +119,8 @@ class TwinRun:
         if len(traj1.states) != len(traj2.states):
             raise UsageError("twin runs have different snapshot counts")
         t1 = traj1.times
-        t2 = traj2.times
-        T = traj1.scenario.T
-        if np.abs(t1 - t2).max(initial=0.0) > 1e-13 * T:
+        if np.abs(t1 - traj2.times).max(initial=0.0) \
+                > 1e-13 * traj1.scenario.T:
             raise UsageError("twin runs have different snapshot times")
         for cid, g in traj1.flux.g_edges.items():
             if not np.array_equal(g, traj2.flux.g_edges.get(cid)):
@@ -145,81 +135,96 @@ class TwinRun:
         self.basis = traj1.basis
         self.times = t1
 
-        pairs = list(zip(traj1.states, traj2.states))
-        self.coeff_d = [s1.assembly.psi_coeffs - s2.assembly.psi_coeffs
-                        for s1, s2 in pairs]
-        self.C_d = [s1.C - s2.C for s1, s2 in pairs]
+        s1s, s2s = traj1.states, traj2.states
+        self.coeff_d = np.array([s.assembly.psi_coeffs for s in s1s]) \
+            - np.array([s.assembly.psi_coeffs for s in s2s])
+        self.C_d = np.array([s.C for s in s1s]) - np.array([s.C for s in s2s])
         self.aux: list[zaremba.AuxiliaryState] = []
         self._z_u: np.ndarray | None = None     # built on first read
         self.z_v = np.empty(len(t1))
-        self.mult = np.array([s.assembly.multiplier for s in traj1.states])
+        self.mult = np.array([s.assembly.multiplier for s in s1s])
 
         V, T = self.mesh.num_vertices, self.mesh.num_triangles
         for k0, k1 in _blocks(len(t1), self.mesh):
-            ks = range(k0, k1)
-            self.aux += zaremba.solve_auxiliary(
-                self.basis,
-                _columns(map(self._psi_d, ks), np.empty((V, len(ks)))),
-                _columns(map(self._omega_d, ks), np.empty((T, len(ks)))))
-        for k, aux in enumerate(self.aux):
-            self.z_v[k] = fem.sq_norm_p0(self.mesh, aux.v.values)
+            # the differences, a snapshot at a time into (V, n) and (T, n)
+            psi_d, omega_d = np.empty((V, k1 - k0)), np.empty((T, k1 - k0))
+            for j, (s1, s2) in enumerate(zip(s1s[k0:k1], s2s[k0:k1])):
+                np.subtract(s1.assembly.psi_total.values,
+                            s2.assembly.psi_total.values, out=psi_d[:, j])
+                np.subtract(s1.omega, s2.omega, out=omega_d[:, j])
+            self.aux += zaremba.solve_auxiliary(self.basis, psi_d, omega_d)
+        # the auxiliary fields, once every solve's work arrays are freed
+        for k0, k1 in _blocks(len(t1), self.mesh):
+            self.z_v[k0:k1] = self._norms(self._aux_field(
+                np.stack([a.phi.values for a in self.aux[k0:k1]], axis=1)))
 
     @property
     def z_u(self) -> np.ndarray:
-        """Squared L2 norms of the difference velocity, per snapshot.  They
-        read the snapshots' derived velocities, so they are built on first
-        read: by the block pass of the integrands when that comes first
-        (the identities and the ledger build the integrands before they
-        read the norms), else by a velocity pass of their own."""
+        """Squared L2 norms of the difference velocity, per snapshot, built
+        on first read: by the integrands pass when that comes first (the
+        identities and the ledger run it before they read the norms), else
+        by a velocity pass of their own."""
         if self._z_u is None:
             self._z_u = np.empty(len(self.times))
             for k0, k1 in _blocks(len(self.times), self.mesh):
-                _, u_d = self._velocity_block(k0, k1)
+                _, u_d = self._velocity_block(self._gather(k0, k1)[0],
+                                              k0, k1)
                 self._z_u[k0:k1] = self._norms(u_d)
         return self._z_u
 
-    def _norms(self, u_d: np.ndarray) -> list[float]:
-        return [fem.sq_norm_p0(self.mesh, ud) for ud in u_d]
+    def _norms(self, block: np.ndarray) -> list[float]:
+        """``fem.sq_norm_p0`` of each column of a (T, 2, n) block, copied in
+        turn to one contiguous (T, 2) buffer: a single field's summation."""
+        buf, out = np.empty(block.shape[:2]), []
+        for j in range(block.shape[-1]):
+            buf[...] = block[..., j]
+            out.append(fem.sq_norm_p0(self.mesh, buf))
+        return out
 
-    # -- difference fields at snapshot k, formed on read ----------------
+    # -- block fields of snapshots k0..k1-1, formed on read -------------
 
-    def _states(self, k: int):
-        return self.traj1.states[k], self.traj2.states[k]
+    def _gather(self, k0: int, k1: int, aux: bool = False
+                ) -> tuple[np.ndarray, np.ndarray | None]:
+        """(2, V, n) stream functions of run 1 and run 2, one column per
+        snapshot, and with ``aux`` the (V, n) auxiliary potentials."""
+        V, n = self.mesh.num_vertices, k1 - k0
+        psi, phi = np.empty((2, V, n)), np.empty((V, n)) if aux else None
+        for j, k in enumerate(range(k0, k1)):
+            psi[0, :, j] = self.traj1.states[k].assembly.psi_total.values
+            psi[1, :, j] = self.traj2.states[k].assembly.psi_total.values
+            if aux:
+                phi[:, j] = self.aux[k].phi.values
+        return psi, phi
 
-    def _velocity_block(self, k0: int, k1: int
+    def _velocity_block(self, psi: np.ndarray, k0: int, k1: int
                         ) -> tuple[np.ndarray, np.ndarray]:
-        """Velocities of snapshots k0..k1-1, the bits of each snapshot's
-        ``assembly.u`` from one perp-gradient product per run: the
-        (T, 2, n) reference velocities and the (n, T, 2) difference
-        velocities, each snapshot's a contiguous (T, 2) array."""
-        shape = (self.mesh.num_vertices, k1 - k0)
-        u1, u2 = (hodge.stream_velocity(
-            self.mesh, _columns((s.assembly.psi_total.values
-                                 for s in traj.states[k0:k1]),
-                                np.empty(shape)),
-            self.mult[k0:k1], self.traj1.flux.phi_grad)
-            for traj in (self.traj1, self.traj2))
-        u_d = np.empty((k1 - k0,) + u1.shape[:2])
-        for j, ud in enumerate(u_d):
-            np.subtract(u1[..., j], u2[..., j], out=ud)
-        return u1, u_d
+        """(T, 2, n) reference and difference velocities from the block's
+        stream functions ``psi`` (``_gather``): the bits of each
+        ``assembly.u``, from one perp-gradient product per run."""
+        mult, phi_grad = self.mult[k0:k1], self.traj1.flux.phi_grad
+        u_hat = hodge.stream_velocity(self.mesh, psi[0], mult, phi_grad)
+        u_d = hodge.stream_velocity(self.mesh, psi[1], mult, phi_grad)
+        np.subtract(u_hat, u_d, out=u_d)
+        return u_hat, u_d
 
-    def _omega_d(self, k: int) -> np.ndarray:
-        """(T,) difference vorticity."""
-        s1, s2 = self._states(k)
-        return s1.omega - s2.omega
+    def _aux_field(self, phi: np.ndarray) -> np.ndarray:
+        """(T, 2, n) fields grad_perp(phi) of a (V, n) block of potentials
+        from one product: the bits of each ``AuxiliaryState.v``."""
+        return (self.mesh.perp_gradient_operator @ phi).reshape(
+            self.mesh.num_triangles, 2, -1)
 
-    def _psi_d(self, k: int) -> np.ndarray:
-        """(V,) difference stream function."""
-        s1, s2 = self._states(k)
-        return s1.assembly.psi_total.values - s2.assembly.psi_total.values
-
-    def _loads(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """(V,) stream load of the reference run and the load
-        difference."""
-        s1, s2 = self._states(k)
-        load1 = s1.stream_load
-        return load1, load1 - s2.stream_load
+    def _load_rows(self, k0: int, k1: int) -> tuple[np.ndarray, np.ndarray]:
+        """(B, n) rows at ``Mesh.boundary_nodes`` of run 1's stream loads
+        -p0_load_vector(mesh, omega) and of the load differences, the
+        bits the reconstructions solved with: one row product per run."""
+        mesh = self.mesh
+        rows, weighted = [], np.empty((mesh.num_triangles, k1 - k0))
+        for traj in (self.traj1, self.traj2):
+            for j, s in enumerate(traj.states[k0:k1]):
+                np.multiply(s.omega, mesh.tri_area, out=weighted[:, j])
+            weighted /= 3.0
+            rows.append(-(mesh.boundary_vertex_cells @ weighted))
+        return rows[0], rows[0] - rows[1]
 
     # -- boundary data --------------------------------------------------
 
@@ -259,40 +264,21 @@ class TwinRun:
         ``_integrands``: the boundary and convective energy terms, then
         the six auxiliary terms; and the n norms ``z_u`` of the block.
 
-        Volume terms read the block's velocities and reference velocity
-        gradients and are summed one snapshot at a time
-        (``_volume_terms``).  Boundary terms read one boundary residual of
-        the block's difference stream functions, reference stream
-        functions and auxiliary potentials together; the tangential trace
-        of the difference is shared by both identities.
+        Boundary terms come first, before any cell-sized block: they read
+        the boundary residuals of the difference and reference stream
+        functions, paired with their loads, and of the harmonic
+        potentials, paired with none.  Volume terms read the velocities,
+        reference velocity gradients and auxiliary fields and are summed
+        one snapshot at a time (``_volume_terms``).
         """
-        mesh = self.mesh
-        n, V, bn = k1 - k0, mesh.num_vertices, mesh.boundary_nodes
+        mesh, op = self.mesh, self.basis.op
+        n = k1 - k0
         out = np.empty((8, n))
-        u_hat, u_d = self._velocity_block(k0, k1)
-        jac = fem.velocity_gradient(mesh, u_hat)
-        for j, k in enumerate(range(k0, k1)):
-            out[[1, 5, 6], j] = _volume_terms(
-                mesh.tri_area, u_d[j], self.aux[k].v.values, jac[..., j],
-                self.traj1.states[k].omega)
-
-        # boundary residuals of the difference stream functions, the
-        # reference stream functions and the auxiliary potentials, paired
-        # with the difference and reference stream loads and, for the
-        # harmonic potential, no load
-        x = np.empty((V, 3, n))
-        load_rows = np.zeros((len(bn), 3, n))
-        for j, k in enumerate(range(k0, k1)):
-            x[:, 0, j] = self._psi_d(k)
-            x[:, 1, j] = self.traj1.states[k].assembly.psi_total.values
-            x[:, 2, j] = self.aux[k].phi.values
-            load1, load_d = self._loads(k)
-            load_rows[:, 0, j] = load_d[bn]
-            load_rows[:, 1, j] = load1[bn]
-        res_d, res_hat, res_phi = fem.boundary_residual(
-            self.basis.op, x.reshape(V, -1), load_rows.reshape(len(bn), -1)
-        ).reshape(len(bn), 3, n).transpose(1, 0, 2)
-        phi = x[:, 2]
+        load1, load_d = self._load_rows(k0, k1)
+        psi, phi = self._gather(k0, k1, aux=True)
+        res_d = fem.boundary_residual(op, psi[0] - psi[1], load_d)
+        res_hat = fem.boundary_residual(op, psi[0], load1)
+        res_phi = op.boundary_rows @ phi
         mult = self.mult[k0:k1]
 
         eb, bl, bo, bi, bp = np.zeros((5, n))
@@ -324,10 +310,20 @@ class TwinRun:
                 bp += (w @ (0.5 * (phi[a] + phi[b]))) * om_in * mult
             elif comp.role == "outflow":
                 # v . tau is the flux density of the potential
-                # (load-free pairing: the potential is harmonic)
                 vt = _edge_means(fem.loop_flux_density(mesh, res_phi, cid))
                 bo -= (w @ (ut * vt)) * mult
         out[[0, 2, 3, 4, 7]] = 0.5 * eb, bl, bo, bi, bp
+
+        u_hat, u_d = self._velocity_block(psi, k0, k1)
+        # each block is freed once read, before the next one is formed
+        del psi
+        jac = fem.velocity_gradient(mesh, u_hat)
+        del u_hat
+        v = self._aux_field(phi)
+        for j, k in enumerate(range(k0, k1)):
+            out[[1, 5, 6], j] = _volume_terms(
+                mesh.tri_area, u_d[..., j], v[..., j], jac[..., j],
+                self.traj1.states[k].omega)
         return out, self._norms(u_d)
 
     def _integrals(self, family: str, k0: int, k1: int) -> dict[str, float]:
@@ -379,7 +375,7 @@ class TwinRun:
         times = self.times[k0:k1 + 1]
         jump = 0.5 * (self.z_v[k1] - self.z_v[k0])
 
-        coeffs = np.array(self.coeff_d[k0:k1 + 1])       # (K, m)
+        coeffs = self.coeff_d[k0:k1 + 1]                 # (K, m)
         dpsi = _dt_series(coeffs, times)
         D_in = np.array([aux.D[self.basis.inner]
                          for aux in self.aux[k0:k1 + 1]])
@@ -408,8 +404,8 @@ class TwinRun:
         """
         k0, k1 = snapshot_window(len(self.times), k0, k1)
         times = self.times[k0:k1 + 1]
-        coeffs = np.array(self.coeff_d[k0:k1 + 1])
-        C = np.array(self.C_d[k0:k1 + 1])
+        coeffs = self.coeff_d[k0:k1 + 1]
+        C = self.C_d[k0:k1 + 1]
         g0 = C - coeffs @ self.basis.M.T        # flux of the Green part
         dpsi = _dt_series(coeffs, times)
         dC = _dt_series(C, times)
@@ -461,7 +457,7 @@ class TwinRun:
             """Trapezoid of each interval, with the bits of ``_trapz``."""
             return dt * (vals[1:] + vals[:-1]) / 2.0
 
-        c2 = np.array([float(np.sum(np.asarray(c) ** 2)) for c in self.C_d])
+        c2 = (self.C_d ** 2).sum(axis=1)
         data2 = np.maximum(c2[:-1], c2[1:])
         om_in2 = np.zeros(len(dt))
         for comp, _ in self._flow_components():
@@ -502,8 +498,6 @@ class TwinRun:
 
 def _dt_series(series: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Centered time differences on a snapshot series (one-sided ends)."""
-    series = np.asarray(series, dtype=np.float64)
-    times = np.asarray(times, dtype=np.float64)
     out = np.empty_like(series)
     if len(times) < 2:
         return np.zeros_like(series)

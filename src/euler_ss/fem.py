@@ -186,13 +186,15 @@ class StiffnessOperator:
             shape=(len(nodes), len(mesh.boundary_nodes)))
 
     def boundary_fluxes(self, boundary_product: np.ndarray,
-                        load: np.ndarray) -> np.ndarray:
+                        load: np.ndarray | None = None) -> np.ndarray:
         """Consistent fluxes of every component from the boundary rows of
         a product, ``boundary_rows @ x`` (see ``consistent_fluxes``); a
         block of columns x with loads of the same shape gives one column
-        of fluxes each."""
-        return self.boundary_indicator @ \
-            (boundary_product - load[self.mesh.boundary_nodes])
+        of fluxes each.  A harmonic field pairs with no load (None)."""
+        if load is not None:
+            boundary_product = boundary_product \
+                - load[self.mesh.boundary_nodes]
+        return self.boundary_indicator @ boundary_product
 
 
 def p0_load_vector(mesh: Mesh, cell_values: np.ndarray) -> np.ndarray:
@@ -391,12 +393,12 @@ def boundary_residual(op: StiffnessOperator, x: np.ndarray,
 
 def consistent_fluxes(op: StiffnessOperator,
                       field: ScalarFieldP1 | np.ndarray,
-                      load: np.ndarray) -> np.ndarray:
+                      load: np.ndarray | None = None) -> np.ndarray:
     """(ncomp,) variational fluxes integral_comp(dfield/dn), outward
     normal, of every component from one residual; a (V, n) block of
     fields with (V, n) loads gives (ncomp, n).
 
-    ``load`` must be the load vector of the system the field solves (zero
+    ``load`` must be the load vector of the system the field solves (None
     for a harmonic field).  The pairing with the component indicators makes
     the fluxes superconvergent.
     """

@@ -108,8 +108,7 @@ class HarmonicBasis:
         m = len(self.inner)
         self.flux_rows = np.zeros((len(mesh.components), m))
         for j, f in enumerate(self.fields):
-            self.flux_rows[:, j] = fem.consistent_fluxes(self.op, f,
-                                                         zero_load)
+            self.flux_rows[:, j] = fem.consistent_fluxes(self.op, f)
         self.M = self.flux_rows[self.inner, :].copy() if m \
             else np.zeros((0, 0))
         # ``transport.FluxAssembler`` per g (``transport.flow_setup``)

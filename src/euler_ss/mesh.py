@@ -371,6 +371,12 @@ class Mesh:
             shape=(self.num_vertices, nt))
 
     @cached_property
+    def boundary_vertex_cells(self) -> sp.csr_matrix:
+        """The rows of ``vertex_cells`` at ``boundary_nodes``: a P0 load's
+        boundary rows, to the last bit of the full product's."""
+        return self.vertex_cells[self.boundary_nodes]
+
+    @cached_property
     def vertex_area(self) -> np.ndarray:
         """Area of the cells around each vertex (``vertex_cells`` sums)."""
         return _read_only(self.vertex_cells @ self.tri_area)

@@ -350,6 +350,11 @@ def parse_scenario(doc: dict, base_dir: Path | str = ".") -> Scenario:
     if isinstance(snapshots, bool) or not isinstance(snapshots, int) \
             or snapshots < 1:
         raise UsageError("snapshots must be a positive integer")
+    # the snapshot times as ``run`` computes them
+    if any(k * T / snapshots >= (k + 1) * T / snapshots
+           for k in range(snapshots)):
+        raise UsageError(f"T = {T!r} is too small for {snapshots} "
+                         "snapshots: the times k*T/snapshots must increase")
     scheme = doc.get("scheme", "euler")
     if scheme not in ("euler", "rk2"):
         raise UsageError(f"unknown scheme {scheme!r} "
@@ -559,7 +564,7 @@ def flow_setup(basis: HarmonicBasis, g_edges: dict[int, np.ndarray]
 class SimState:
     """One saved snapshot: the transported state and its velocity
     assembly as the reconstruction built it.  The velocity
-    (``assembly.u``) and the stream load are derived on read."""
+    (``assembly.u``) is derived on read; no stream load is kept."""
 
     t: float
     omega: np.ndarray              # (T,) cell vorticity
@@ -574,12 +579,6 @@ class SimState:
         """Consistent-flux circulation of every component (row 0 is the
         diagnosed outer circulation)."""
         return self.assembly.circulation_consistent
-
-    @property
-    def stream_load(self) -> np.ndarray:
-        """Load vector of the stream system, -p0_load_vector(mesh, omega):
-        the bits the reconstruction of this snapshot used."""
-        return -fem.p0_load_vector(self.assembly.mesh, self.omega)
 
 
 @dataclass

@@ -89,8 +89,8 @@ def solve_auxiliary(basis: HarmonicBasis,
     nodes = mesh.nodes_of(pinned)
     phi = fem.solve_constrained(basis.op, load, nodes,
                                 np.zeros(len(nodes)))
-    # consistent fluxes of phi with a zero pairing load
-    D = fem.consistent_fluxes(basis.op, phi, np.zeros_like(phi))
+    # consistent fluxes of phi, which is harmonic: no pairing load
+    D = fem.consistent_fluxes(basis.op, phi)
     # one contiguous row of phi per state
     phi = np.ascontiguousarray(phi.T)
     states = [AuxiliaryState(phi=ScalarFieldP1(mesh, phi[j]),

@@ -30,17 +30,15 @@ class EinsumTwin(TwinRun):
         mesh = self.mesh
         area = mesh.tri_area
 
-        self.coeff_d = []
-        self.C_d = []
+        coeff_d, C_d = [], []
         self.aux = []
         self._z_u = np.empty(len(t1))
         self.z_v = np.empty(len(t1))
         self.mult = np.array([s.assembly.multiplier for s in traj1.states])
 
         for k, (s1, s2) in enumerate(zip(traj1.states, traj2.states)):
-            self.coeff_d.append(s1.assembly.psi_coeffs
-                                - s2.assembly.psi_coeffs)
-            self.C_d.append(s1.C - s2.C)
+            coeff_d.append(s1.assembly.psi_coeffs - s2.assembly.psi_coeffs)
+            C_d.append(s1.C - s2.C)
             aux = zaremba.solve_auxiliary(
                 self.basis, self._psi_field(k),
                 VorticityP0(mesh, s1.omega - s2.omega))
@@ -49,15 +47,19 @@ class EinsumTwin(TwinRun):
             vv = aux.v.values
             self._z_u[k] = float(np.einsum("td,td,t->", ud, ud, area))
             self.z_v[k] = float(np.einsum("td,td,t->", vv, vv, area))
+        self.coeff_d, self.C_d = np.array(coeff_d), np.array(C_d)
+
+    def _pair(self, k: int):
+        return self.traj1.states[k], self.traj2.states[k]
 
     def _u_d(self, k: int) -> np.ndarray:
         """Difference velocity at snapshot k, one snapshot's products."""
-        s1, s2 = self._states(k)
+        s1, s2 = self._pair(k)
         return s1.assembly.u.values - s2.assembly.u.values
 
     def _psi_field(self, k: int) -> ScalarFieldP1:
         """Difference stream function at snapshot k."""
-        s1, s2 = self._states(k)
+        s1, s2 = self._pair(k)
         return ScalarFieldP1(self.mesh, s1.assembly.psi_total.values
                              - s2.assembly.psi_total.values)
 
@@ -82,11 +84,11 @@ class EinsumTwin(TwinRun):
         area = mesh.tri_area
         rows = []
         for k in range(len(self.times)):
-            s1, s2 = self._states(k)
+            s1, s2 = self._pair(k)
             ud = self._u_d(k)
             psi_d = self._psi_field(k)
-            load1 = s1.stream_load
-            load_d = load1 - s2.stream_load
+            load1 = -fem.p0_load_vector(mesh, s1.omega)
+            load_d = load1 + fem.p0_load_vector(mesh, s2.omega)
             aux = self.aux[k]
             v = aux.v
             vv = v.values

@@ -13,7 +13,9 @@ import pytest
 
 import euler_ss
 from euler_ss.cli import main
-from euler_ss.mesh import load_mesh
+from euler_ss.mesh import Mesh, load_mesh, save_mesh
+
+from test_two_holes import two_hole_mesh
 
 
 def radial_doc():
@@ -338,6 +340,51 @@ def test_count_out_of_range_is_usage_error(tmp_path, scenario_file, capsys,
     assert rc == 2
     assert "positive integer" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("T, snapshots", [(5e-324, 2), (1e-323, 3)])
+def test_t_too_small_for_the_snapshots_is_usage_error(tmp_path, capsys, T,
+                                                      snapshots):
+    # 5e-324 / 2 rounds to 0, the start time; 1e-323 / 3 and
+    # 2e-323 / 3 both round to 5e-324
+    doc = radial_doc()
+    doc.update(T=T, snapshots=snapshots)
+    scenario = tmp_path / "tiny.json"
+    scenario.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    rc = main(["simulate", str(scenario), "-o", str(out)])
+    assert rc == 2
+    assert "must increase" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_certify_pair_with_renumbered_holes_is_usage_error(tmp_path,
+                                                           capsys):
+    # one mesh saved twice, the second with hole ids 1 and 2 swapped: the
+    # same C0 by id gives each hole a different circulation in the two
+    # files, so the pair does not describe one domain
+    mesh = two_hole_mesh(roles=("wall", "wall", "wall"))
+    swap = {1: 2, 2: 1}
+    bedges = np.concatenate([
+        np.column_stack([c.edges, np.full(len(c.edges),
+                                          swap.get(c.comp, c.comp))])
+        for c in mesh.components])
+    save_mesh(mesh, tmp_path / "a.mesh")
+    save_mesh(Mesh(mesh.vertices, mesh.triangles, bedges, mesh.roles()),
+              tmp_path / "b.mesh")
+    files = []
+    for name in ("a", "b"):
+        doc = {"mesh": f"{name}.mesh",
+               "omega0": {"type": "constant", "value": 1.0},
+               "T": 0.1, "cfl": 0.4, "snapshots": 2,
+               "C0": {1: 0.3, 2: -0.2}}
+        files.append(tmp_path / f"{name}.json")
+        files[-1].write_text(json.dumps(doc))
+    out = tmp_path / "cert"
+    rc = main(["certify", *map(str, files), "-o", str(out)])
+    assert rc == 2
+    assert "different meshes" in capsys.readouterr().err
+    assert not (out / "ledger.csv").exists()
 
 
 # -- stability ----------------------------------------------------------

@@ -57,12 +57,6 @@ def live_load(traj, state):
         traj.basis, VorticityP0(traj.mesh, state.omega))[1]
 
 
-def test_stored_snapshot_derives_the_live_stream_load(small_pair):
-    for traj in small_pair:
-        for s in traj.states:
-            assert np.array_equal(s.stream_load, live_load(traj, s))
-
-
 def test_snapshots_derive_the_live_step_velocity(any_pair):
     T = any_pair[0].mesh.num_triangles
     live = [np.stack([live_velocity(traj, s) for s in traj.states])
@@ -81,52 +75,70 @@ def test_snapshots_derive_the_live_step_velocity(any_pair):
                 val = getattr(val, "values", val)
                 assert not (isinstance(val, np.ndarray)
                             and val.shape == (T, 2)), name
-    # blocks of snapshots: one product per run gives every column's bits
+    # blocks of snapshots: one product per run gives every column's bits,
+    # and the norms of the block's columns are those of single fields
     twin = TwinRun(*any_pair)
     n = len(twin.times)
     for size in (1, 3, n):
         for k0 in range(0, n, size):
             k1 = min(n, k0 + size)
-            u_hat, u_d = twin._velocity_block(k0, k1)
+            psi, _ = twin._gather(k0, k1)
+            u_hat, u_d = twin._velocity_block(psi, k0, k1)
+            diff = live[0][k0:k1] - live[1][k0:k1]
             assert np.array_equal(np.moveaxis(u_hat, -1, 0),
                                   live[0][k0:k1])
-            assert np.array_equal(u_d, live[0][k0:k1] - live[1][k0:k1])
-            assert all(ud.flags.c_contiguous for ud in u_d)
+            assert np.array_equal(np.moveaxis(u_d, -1, 0), diff)
+            assert twin._norms(u_d) == [fem.sq_norm_p0(twin.mesh, ud)
+                                        for ud in diff]
+
+
+def test_block_fields_are_the_bits_of_single_fields(any_pair):
+    # the auxiliary fields of a block are each potential's ``v``, and the
+    # load rows of a block are the boundary rows of the loads the live
+    # reconstructions solved with
+    twin = TwinRun(*any_pair)
+    bn = twin.mesh.boundary_nodes
+    n = len(twin.times)
+    for size in (1, 3, n):
+        for k0 in range(0, n, size):
+            k1 = min(n, k0 + size)
+            _, phi = twin._gather(k0, k1, aux=True)
+            v = np.moveaxis(twin._aux_field(phi), -1, 0)
+            assert np.array_equal(v, [a.v.values for a in twin.aux[k0:k1]])
+            loads = [np.array([live_load(traj, s)[bn]
+                               for s in traj.states[k0:k1]]).T
+                     for traj in any_pair]
+            load1, load_d = twin._load_rows(k0, k1)
+            assert np.array_equal(load1, loads[0])
+            assert np.array_equal(load_d, loads[0] - loads[1])
 
 
 class StoredDifferenceTwin(TwinRun):
-    """A twin that stores every difference field of every snapshot, with
-    the stream loads of the live reconstructions, and feeds those stored
-    fields through the same block kernels: the reference the
-    derived-on-read twin must match bit for bit."""
+    """A twin that stores the velocities and stream loads of the live
+    reconstructions of every snapshot, and feeds those stored fields
+    through the same block kernels in place of the fields the twin forms
+    on read: the reference the derived-on-read twin must match bit for
+    bit."""
 
     def __init__(self, traj1, traj2):
-        self.u_hat, self.u_d, self.omega_d, self.psi_d, self.loads = \
-            [], [], [], [], []
+        self.u_hat, self.u_d, self.loads = [], [], []
+        bn = traj1.mesh.boundary_nodes
         for s1, s2 in zip(traj1.states, traj2.states):
             load1 = live_load(traj1, s1)
             load2 = live_load(traj2, s2)
             u1 = live_velocity(traj1, s1)
             self.u_hat.append(u1)
             self.u_d.append(u1 - live_velocity(traj2, s2))
-            self.omega_d.append(s1.omega - s2.omega)
-            self.psi_d.append(s1.assembly.psi_total.values
-                              - s2.assembly.psi_total.values)
-            self.loads.append((load1, load1 - load2))
+            self.loads.append((load1[bn], (load1 - load2)[bn]))
         super().__init__(traj1, traj2)
 
-    def _velocity_block(self, k0, k1):
+    def _velocity_block(self, psi, k0, k1):
         return np.stack(self.u_hat[k0:k1], axis=-1), \
-            np.stack(self.u_d[k0:k1])
+            np.stack(self.u_d[k0:k1], axis=-1)
 
-    def _omega_d(self, k):
-        return self.omega_d[k]
-
-    def _psi_d(self, k):
-        return self.psi_d[k]
-
-    def _loads(self, k):
-        return self.loads[k]
+    def _load_rows(self, k0, k1):
+        load1, load_d = zip(*self.loads[k0:k1])
+        return np.stack(load1, axis=-1), np.stack(load_d, axis=-1)
 
 
 def test_twin_matches_the_stored_difference_reference(small_pair):
@@ -209,3 +221,50 @@ def test_block_kernels_match_the_per_snapshot_formulas(small_pair,
     assert solves == [k1 - k0 for k0, k1 in blocks]
     monkeypatch.undo()
     assert_matches_reference(twin, EinsumTwin(*small_pair))
+
+
+def test_norms_read_alone_build_no_integrands(any_pair, monkeypatch):
+    # the stability ladder reads only the norms: they take no velocity
+    # gradient, and their bits do not depend on which pass built them
+    calls = []
+    real = fem.velocity_gradient
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fem, "velocity_gradient", counted)
+    twin = TwinRun(*any_pair)
+    z_u, z_v = twin.z_u, twin.z_v
+    assert calls == []
+    assert "_integrands" not in vars(twin)
+    monkeypatch.undo()
+    after = TwinRun(*any_pair)
+    after.energy_identity()
+    assert "_integrands" in vars(after)
+    assert np.array_equal(after.z_u, z_u)
+    assert np.array_equal(after.z_v, z_v)
+
+
+def test_twin_takes_one_load_product_per_block(any_pair, monkeypatch):
+    # blocks of three; over the identities and the ledger, the auxiliary
+    # solve is the only full P0 load of a block, and no auxiliary field
+    # is formed one snapshot at a time
+    mesh = any_pair[0].mesh
+    monkeypatch.setattr(certificates, "BLOCK_BYTES", block_bytes(mesh, 3))
+    counts = {"p0_load_vector": 0, "perp_gradient": 0}
+    for name in counts:
+        real = getattr(fem, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(fem, name, counted)
+    twin = TwinRun(*any_pair)
+    twin.energy_identity()
+    twin.aux_identity()
+    twin.inequality_ledger()
+    blocks = certificates._blocks(len(twin.times), mesh)
+    assert len(blocks) >= 2
+    assert counts == {"p0_load_vector": len(blocks), "perp_gradient": 0}
