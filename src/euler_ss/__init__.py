@@ -33,15 +33,14 @@ from .osgood import (exact_comparison, growth_F, mu, ode_oracle,
                      osgood_bound, stability_experiment)
 from .transport import (Scenario, Trajectory, load_scenario, parse_scenario,
                         run)
-from .zaremba import AuxiliaryState, reversed_flux_residuals, \
-    solve_auxiliary
+from .zaremba import reversed_flux_residuals, solve_auxiliary
 from .certificates import (TwinRun, interpolation_inequality,
                            lamb_identity, trace_inequality)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AuxiliaryState", "BoundaryComponent", "HarmonicBasis",
+    "BoundaryComponent", "HarmonicBasis",
     "Mesh", "PreconditionError", "ScalarFieldP1", "Scenario",
     "SolverError", "StiffnessOperator", "Trajectory", "TwinRun",
     "UsageError", "VelocityAssembly", "VelocityP0", "VorticityP0",

@@ -99,16 +99,17 @@ class TwinRun:
 
     Run 1 is the reference flow (the 'hat' fields of the convective
     terms); the difference is run 1 minus run 2.  Per snapshot a twin
-    keeps only what defines the difference beyond the two trajectories:
-    the auxiliary potential with its fluxes (``aux``), a row of the
-    (N, m) differences of the stream coefficients (``coeff_d``) and of
-    the circulations (``C_d``), and the squared L2 norms ``z_u`` of the
-    difference velocity and ``z_v`` of the auxiliary field.  The
-    difference fields are formed from the two trajectories when they are
-    needed, so a twin holds O(V) floats per snapshot and no cell array.
-    They are formed for blocks of snapshots (``_blocks``): each pass over
-    a block gathers its stream functions, potentials and vorticities
-    once, and each mesh operator meets the block in one product.
+    keeps only what defines the difference beyond the two trajectories: a
+    column of the (V, N) auxiliary potentials ``phi`` and of their
+    (ncomp, N) consistent fluxes ``D``, a row of the (N, m) differences
+    of the stream coefficients (``coeff_d``) and of the circulations
+    (``C_d``), and the squared L2 norms ``z_u`` of the difference
+    velocity and ``z_v`` of the auxiliary field.  The difference fields
+    are formed from the two trajectories when they are needed, so a twin
+    holds O(V) floats per snapshot and no cell array.  They are formed
+    for blocks of snapshots (``_blocks``): each pass over a block gathers
+    its stream functions and vorticities once, reads its columns of
+    ``phi``, and each mesh operator meets the block in one product.
     """
 
     def __init__(self, traj1: Trajectory, traj2: Trajectory):
@@ -139,12 +140,13 @@ class TwinRun:
         self.coeff_d = np.array([s.assembly.psi_coeffs for s in s1s]) \
             - np.array([s.assembly.psi_coeffs for s in s2s])
         self.C_d = np.array([s.C for s in s1s]) - np.array([s.C for s in s2s])
-        self.aux: list[zaremba.AuxiliaryState] = []
         self._z_u: np.ndarray | None = None     # built on first read
         self.z_v = np.empty(len(t1))
         self.mult = np.array([s.assembly.multiplier for s in s1s])
 
         V, T = self.mesh.num_vertices, self.mesh.num_triangles
+        self.phi = np.empty((V, len(t1)))
+        self.D = np.empty((len(self.mesh.components), len(t1)))
         for k0, k1 in _blocks(len(t1), self.mesh):
             # the differences, a snapshot at a time into (V, n) and (T, n)
             psi_d, omega_d = np.empty((V, k1 - k0)), np.empty((T, k1 - k0))
@@ -152,11 +154,12 @@ class TwinRun:
                 np.subtract(s1.assembly.psi_total.values,
                             s2.assembly.psi_total.values, out=psi_d[:, j])
                 np.subtract(s1.omega, s2.omega, out=omega_d[:, j])
-            self.aux += zaremba.solve_auxiliary(self.basis, psi_d, omega_d)
+            self.phi[:, k0:k1], self.D[:, k0:k1] = zaremba.solve_auxiliary(
+                self.basis, psi_d, omega_d)
         # the auxiliary fields, once every solve's work arrays are freed
         for k0, k1 in _blocks(len(t1), self.mesh):
-            self.z_v[k0:k1] = self._norms(self._aux_field(
-                np.stack([a.phi.values for a in self.aux[k0:k1]], axis=1)))
+            self.z_v[k0:k1] = self._norms(hodge.stream_velocity(
+                self.mesh, self.phi[:, k0:k1], None, None))
 
     @property
     def z_u(self) -> np.ndarray:
@@ -167,8 +170,7 @@ class TwinRun:
         if self._z_u is None:
             self._z_u = np.empty(len(self.times))
             for k0, k1 in _blocks(len(self.times), self.mesh):
-                _, u_d = self._velocity_block(self._gather(k0, k1)[0],
-                                              k0, k1)
+                _, u_d = self._velocity_block(self._gather(k0, k1), k0, k1)
                 self._z_u[k0:k1] = self._norms(u_d)
         return self._z_u
 
@@ -183,18 +185,14 @@ class TwinRun:
 
     # -- block fields of snapshots k0..k1-1, formed on read -------------
 
-    def _gather(self, k0: int, k1: int, aux: bool = False
-                ) -> tuple[np.ndarray, np.ndarray | None]:
+    def _gather(self, k0: int, k1: int) -> np.ndarray:
         """(2, V, n) stream functions of run 1 and run 2, one column per
-        snapshot, and with ``aux`` the (V, n) auxiliary potentials."""
-        V, n = self.mesh.num_vertices, k1 - k0
-        psi, phi = np.empty((2, V, n)), np.empty((V, n)) if aux else None
+        snapshot."""
+        psi = np.empty((2, self.mesh.num_vertices, k1 - k0))
         for j, k in enumerate(range(k0, k1)):
             psi[0, :, j] = self.traj1.states[k].assembly.psi_total.values
             psi[1, :, j] = self.traj2.states[k].assembly.psi_total.values
-            if aux:
-                phi[:, j] = self.aux[k].phi.values
-        return psi, phi
+        return psi
 
     def _velocity_block(self, psi: np.ndarray, k0: int, k1: int
                         ) -> tuple[np.ndarray, np.ndarray]:
@@ -206,12 +204,6 @@ class TwinRun:
         u_d = hodge.stream_velocity(self.mesh, psi[1], mult, phi_grad)
         np.subtract(u_hat, u_d, out=u_d)
         return u_hat, u_d
-
-    def _aux_field(self, phi: np.ndarray) -> np.ndarray:
-        """(T, 2, n) fields grad_perp(phi) of a (V, n) block of potentials
-        from one product: the bits of each ``AuxiliaryState.v``."""
-        return (self.mesh.perp_gradient_operator @ phi).reshape(
-            self.mesh.num_triangles, 2, -1)
 
     def _load_rows(self, k0: int, k1: int) -> tuple[np.ndarray, np.ndarray]:
         """(B, n) rows at ``Mesh.boundary_nodes`` of run 1's stream loads
@@ -275,7 +267,7 @@ class TwinRun:
         n = k1 - k0
         out = np.empty((8, n))
         load1, load_d = self._load_rows(k0, k1)
-        psi, phi = self._gather(k0, k1, aux=True)
+        psi, phi = self._gather(k0, k1), self.phi[:, k0:k1]
         res_d = fem.boundary_residual(op, psi[0] - psi[1], load_d)
         res_hat = fem.boundary_residual(op, psi[0], load1)
         res_phi = op.boundary_rows @ phi
@@ -319,7 +311,7 @@ class TwinRun:
         del psi
         jac = fem.velocity_gradient(mesh, u_hat)
         del u_hat
-        v = self._aux_field(phi)
+        v = hodge.stream_velocity(mesh, phi, None, None)
         for j, k in enumerate(range(k0, k1)):
             out[[1, 5, 6], j] = _volume_terms(
                 mesh.tri_area, u_d[..., j], v[..., j], jac[..., j],
@@ -377,9 +369,8 @@ class TwinRun:
 
         coeffs = self.coeff_d[k0:k1 + 1]                 # (K, m)
         dpsi = _dt_series(coeffs, times)
-        D_in = np.array([aux.D[self.basis.inner]
-                         for aux in self.aux[k0:k1 + 1]])
-        coupling = -_trapz(np.einsum("km,km->k", dpsi, D_in), times)
+        D_in = self.D[self.basis.inner, k0:k1 + 1]       # (m, K)
+        coupling = -_trapz(np.einsum("km,mk->k", dpsi, D_in), times)
 
         pieces = {"jump": jump, **self._integrals("aux", k0, k1),
                   "coupling": coupling}

@@ -29,8 +29,9 @@ linear map of the mesh, built once on first use (``Mesh``):
 
 * ``gradient`` and the differentiation in ``velocity_gradient`` multiply
   by ``Mesh.gradient_operator``, the (2T, V) matrix of the barycentric
-  gradients, and ``perp_gradient`` by ``Mesh.perp_gradient_operator``,
-  the same entries with the rows of each triangle swapped and one negated;
+  gradients (``hodge.stream_velocity`` multiplies by
+  ``Mesh.perp_gradient_operator``, the same entries with the rows of each
+  triangle swapped and one negated);
 * ``p0_load_vector`` and ``p0_to_p1`` sum cells around each vertex with
   ``Mesh.vertex_cells``, the 0/1 vertex x cell incidence whose rows keep
   the order of a scatter loop over the three corners, so the sums are
@@ -454,13 +455,6 @@ def gradient(mesh: Mesh, field: ScalarFieldP1) -> VelocityP0:
     """Per-triangle gradient of a P1 field (one product with the mesh's
     gradient operator)."""
     return VelocityP0(mesh, (mesh.gradient_operator @ field.values)
-                      .reshape(-1, 2))
-
-
-def perp_gradient(mesh: Mesh, field: ScalarFieldP1) -> VelocityP0:
-    """Per-triangle grad_perp = (-d_y, d_x) of a P1 field (one product
-    with the mesh's perp-gradient operator)."""
-    return VelocityP0(mesh, (mesh.perp_gradient_operator @ field.values)
                       .reshape(-1, 2))
 
 

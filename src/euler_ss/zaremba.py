@@ -9,9 +9,14 @@ difference omega, the auxiliary potential solves
 for every test function chi vanishing on the outflow and wall components;
 phi itself is pinned to zero there, free on the inflow components and in
 the interior.  Its perp-gradient v = grad_perp(phi) is the reversed-flow
-field used by the difference estimates: v is discrete-divergence-free by
-construction and its consistent fluxes D_i through the inflow components
-reproduce the negated circulations of the difference state.
+field used by the difference estimates (``hodge.stream_velocity`` of phi
+with no through-flow): v is discrete-divergence-free by construction and
+its consistent fluxes D_i through the inflow components reproduce the
+negated circulations of the difference state.
+
+The potentials of a block of difference states are kept as they are
+solved, one column each: a (V, n) array of phi and an (ncomp, n) array of
+D.
 
 The right-hand side vanishes at interior rows (the stream equation), so
 phi is discrete harmonic away from the boundary data; everything it knows
@@ -20,56 +25,22 @@ about the difference state enters through the inflow components.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import fem
 from .errors import PreconditionError
-from .fem import ScalarFieldP1, VelocityP0, VorticityP0
 from .hodge import HarmonicBasis
 
 
-@dataclass
-class AuxiliaryState:
-    """Solved auxiliary potential with its fluxes and trace diagnostics.
+def solve_auxiliary(basis: HarmonicBasis, psi: np.ndarray, omega: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Solve the mixed problem for the auxiliary potentials of a block of
+    difference states: the (V, n) array of their stream functions with the
+    (T, n) array of their vorticities, one column per state.
 
-    Only phi and D are kept; the reversed-flow field v is derived from phi
-    on each read, so a twin run holds one vertex array per snapshot.
-    """
-
-    phi: ScalarFieldP1
-    D: np.ndarray                  # (ncomp,) consistent fluxes of phi
-
-    @property
-    def v(self) -> VelocityP0:
-        """grad_perp(phi): one product with the mesh's perp-gradient
-        operator, the same bits on every read."""
-        return fem.perp_gradient(self.phi.mesh, self.phi)
-
-    def normal_trace(self, comp) -> np.ndarray:
-        """Per-edge v . n on a boundary component (outward normal).
-
-        For v = grad_perp(phi) this is the exact P1 trace
-        -d(phi)/d(tau) = -(phi_b - phi_a)/len on the directed edge.
-        """
-        a, b = comp.edges[:, 0], comp.edges[:, 1]
-        return -(self.phi.values[b] - self.phi.values[a]) / comp.length
-
-
-def solve_auxiliary(basis: HarmonicBasis,
-                    psi: ScalarFieldP1 | np.ndarray,
-                    omega: VorticityP0 | np.ndarray
-                    ) -> AuxiliaryState | list[AuxiliaryState]:
-    """Solve the mixed problem for the auxiliary potential of a
-    difference state (psi, omega).
-
-    A block of difference states, a (V, n) array of stream functions with
-    the (T, n) array of their vorticities, is solved in one go: one load
-    product per operator, one multi-column solve with the cached factor
-    of the pinned set, and one flux product; it returns a list of one
-    state per column.  A single state (a P1 and a P0 field) is solved as
-    the block of one column and returned as it is."""
+    One load product per operator, one multi-column solve with the cached
+    factor of the pinned set, and one flux product.  Returns the (V, n)
+    potentials phi and their (ncomp, n) consistent fluxes D."""
     mesh = basis.mesh
     pinned = [c.comp for c in mesh.components if c.role != "inflow"]
     if not pinned:
@@ -77,41 +48,27 @@ def solve_auxiliary(basis: HarmonicBasis,
             "auxiliary problem needs at least one wall or outflow "
             "component to pin (every component is an inflow)")
 
-    single = isinstance(psi, ScalarFieldP1)
-    psi_b = (psi.values if single else np.asarray(psi)) \
-        .reshape(mesh.num_vertices, -1)
-    omega_b = (omega.values if isinstance(omega, VorticityP0)
-               else np.asarray(omega)).reshape(mesh.num_triangles, -1)
     # -(A psi) - b(omega), negated in place: one buffer
-    load = basis.op.matrix @ psi_b
-    load += fem.p0_load_vector(mesh, omega_b)
+    load = basis.op.matrix @ psi
+    load += fem.p0_load_vector(mesh, omega)
     np.negative(load, out=load)
     nodes = mesh.nodes_of(pinned)
-    phi = fem.solve_constrained(basis.op, load, nodes,
-                                np.zeros(len(nodes)))
+    phi = fem.solve_constrained(basis.op, load, nodes, np.zeros(len(nodes)))
     # consistent fluxes of phi, which is harmonic: no pairing load
-    D = fem.consistent_fluxes(basis.op, phi)
-    # one contiguous row of phi per state
-    phi = np.ascontiguousarray(phi.T)
-    states = [AuxiliaryState(phi=ScalarFieldP1(mesh, phi[j]),
-                             D=np.ascontiguousarray(D[:, j]))
-              for j in range(len(phi))]
-    return states[0] if single else states
+    return phi, fem.consistent_fluxes(basis.op, phi)
 
 
-def reversed_flux_residuals(aux: AuxiliaryState, basis: HarmonicBasis,
-                            circulations: np.ndarray) -> np.ndarray:
-    """Per-inflow-component residual |D_i + C_i| of the reversed-flux law.
+def reversed_flux_residuals(D: np.ndarray, basis: HarmonicBasis,
+                            C: np.ndarray) -> np.ndarray:
+    """Residuals |D_i + C_i| of the reversed-flux law: one row per state,
+    one column per inflow component.
 
-    ``circulations`` lists C_i of the difference state for the inner
-    components in basis order; the law only constrains inflow components.
+    ``D`` holds the (ncomp, n) consistent fluxes of ``solve_auxiliary``
+    and ``C`` the (n, m) circulations of the difference states for the
+    inner components in basis order; the law only constrains inflow
+    components.
     """
-    mesh = basis.mesh
-    C = np.asarray(circulations, dtype=np.float64)
-    out = []
-    for c in mesh.components:
-        if c.role != "inflow" or c.comp == 0:
-            continue
-        idx = basis.inner.index(c.comp)
-        out.append(abs(aux.D[c.comp] + C[idx]))
-    return np.array(out)
+    comps = [c.comp for c in basis.mesh.components
+             if c.role == "inflow" and c.comp != 0]
+    idx = [basis.inner.index(cid) for cid in comps]
+    return np.abs(D[comps].T + np.asarray(C, dtype=np.float64)[:, idx])

@@ -1,11 +1,11 @@
 """The per-snapshot twin, kept as a reference for ``TwinRun``'s blocks.
 
-``EinsumTwin`` solves each snapshot's auxiliary problem on its own and
-sums every integrand with ``np.einsum``, one snapshot at a time, and
-``loop_ledger`` builds the inequality ledger one row at a time: the
-formulas below are the ones ``certificates.TwinRun`` used before it
-worked on blocks of snapshots, verbatim.  Tests compare the block kernels
-against them.
+``EinsumTwin`` solves each snapshot's auxiliary problem on its own, as a
+block of one column, and sums every integrand with ``np.einsum``, one
+snapshot at a time, and ``loop_ledger`` builds the inequality ledger one
+row at a time: the formulas below are the ones ``certificates.TwinRun``
+used before it worked on blocks of snapshots, verbatim.  Tests compare
+the block kernels against them.
 """
 
 from functools import cached_property
@@ -14,8 +14,8 @@ import numpy as np
 
 from euler_ss import certificates, fem, zaremba
 from euler_ss.certificates import TwinRun, _trapz
-from euler_ss.fem import ScalarFieldP1, VelocityP0, VorticityP0
-from euler_ss.hodge import P_GRID
+from euler_ss.fem import ScalarFieldP1, VelocityP0
+from euler_ss.hodge import P_GRID, stream_velocity
 
 
 class EinsumTwin(TwinRun):
@@ -31,7 +31,8 @@ class EinsumTwin(TwinRun):
         area = mesh.tri_area
 
         coeff_d, C_d = [], []
-        self.aux = []
+        self.phi = np.empty((mesh.num_vertices, len(t1)))
+        self.D = np.empty((len(mesh.components), len(t1)))
         self._z_u = np.empty(len(t1))
         self.z_v = np.empty(len(t1))
         self.mult = np.array([s.assembly.multiplier for s in traj1.states])
@@ -39,12 +40,12 @@ class EinsumTwin(TwinRun):
         for k, (s1, s2) in enumerate(zip(traj1.states, traj2.states)):
             coeff_d.append(s1.assembly.psi_coeffs - s2.assembly.psi_coeffs)
             C_d.append(s1.C - s2.C)
-            aux = zaremba.solve_auxiliary(
-                self.basis, self._psi_field(k),
-                VorticityP0(mesh, s1.omega - s2.omega))
-            self.aux.append(aux)
+            phi, D = zaremba.solve_auxiliary(
+                self.basis, self._psi_field(k).values[:, None],
+                (s1.omega - s2.omega)[:, None])
+            self.phi[:, k], self.D[:, k] = phi[:, 0], D[:, 0]
             ud = self._u_d(k)
-            vv = aux.v.values
+            vv = self._v(k).values
             self._z_u[k] = float(np.einsum("td,td,t->", ud, ud, area))
             self.z_v[k] = float(np.einsum("td,td,t->", vv, vv, area))
         self.coeff_d, self.C_d = np.array(coeff_d), np.array(C_d)
@@ -56,6 +57,11 @@ class EinsumTwin(TwinRun):
         """Difference velocity at snapshot k, one snapshot's products."""
         s1, s2 = self._pair(k)
         return s1.assembly.u.values - s2.assembly.u.values
+
+    def _v(self, k: int) -> VelocityP0:
+        """Auxiliary field grad_perp(phi) at snapshot k."""
+        return VelocityP0(self.mesh, stream_velocity(
+            self.mesh, self.phi[:, k], None, None))
 
     def _psi_field(self, k: int) -> ScalarFieldP1:
         """Difference stream function at snapshot k."""
@@ -89,8 +95,8 @@ class EinsumTwin(TwinRun):
             psi_d = self._psi_field(k)
             load1 = -fem.p0_load_vector(mesh, s1.omega)
             load_d = load1 + fem.p0_load_vector(mesh, s2.omega)
-            aux = self.aux[k]
-            v = aux.v
+            phi = ScalarFieldP1(mesh, self.phi[:, k])
+            v = self._v(k)
             vv = v.values
             mult = self.mult[k]
             t = self.times[k]
@@ -102,15 +108,15 @@ class EinsumTwin(TwinRun):
                 if comp.role == "inflow":
                     bl += float(np.sum(ut * ut * (-g) * comp.length)) * mult
                     hat_t = self._hat_tau_edges(k, load1, comp)
-                    vn = aux.normal_trace(comp)
+                    a, b = comp.edges[:, 0], comp.edges[:, 1]
+                    vn = -(phi.values[b] - phi.values[a]) / comp.length
                     bi += float(np.sum(ut * hat_t * vn * comp.length))
-                    phim = 0.5 * (aux.phi.values[comp.edges[:, 0]]
-                                  + aux.phi.values[comp.edges[:, 1]])
+                    phim = 0.5 * (phi.values[a] + phi.values[b])
                     om_in = self.omega_in_diff(comp.comp, t)
                     bp += float(np.sum(phim * om_in * g * comp.length)) \
                         * mult
                 elif comp.role == "outflow":
-                    vt = self._edge_density(aux.phi,
+                    vt = self._edge_density(phi,
                                             np.zeros(mesh.num_vertices),
                                             comp)
                     bo += float(np.sum(ut * vt * (-g) * comp.length)) * mult
@@ -203,9 +209,8 @@ def assert_matches_reference(twin: TwinRun, ref: EinsumTwin,
 
     assert np.array_equal(twin.z_u, ref.z_u)
     assert close(twin.z_v, ref.z_v)
-    assert close([a.phi.values for a in twin.aux],
-                 [a.phi.values for a in ref.aux])
-    assert close([a.D for a in twin.aux], [a.D for a in ref.aux])
+    assert close(twin.phi, ref.phi)
+    assert close(twin.D, ref.D)
     for family, cols in ref._integrands.items():
         for key, col in cols.items():
             assert close(twin._integrands[family][key], col), (family, key)

@@ -277,6 +277,16 @@ def test_certify_delta_omega_in_needs_inflow(tmp_path, scenario_file,
     assert "not an inflow" in capsys.readouterr().err
 
 
+def test_certify_inflow_trace_twin_passes(tmp_path, scenario_file, capsys):
+    # the difference enters only through the inflow trace; the
+    # reversed-flux law holds on it to round-off
+    rc = main(["certify", str(scenario_file), "--delta-omega-in", "1=0.1",
+               "-o", str(tmp_path / "cert")])
+    out = capsys.readouterr().out
+    assert rc == 0, out
+    assert "PASS reversed-flux law" in out
+
+
 @pytest.mark.parametrize("delta", ["5=0.1", "0=0.1"])
 def test_certify_delta_c0_needs_inner_component(tmp_path, scenario_file,
                                                 capsys, delta):

@@ -82,8 +82,7 @@ def test_snapshots_derive_the_live_step_velocity(any_pair):
     for size in (1, 3, n):
         for k0 in range(0, n, size):
             k1 = min(n, k0 + size)
-            psi, _ = twin._gather(k0, k1)
-            u_hat, u_d = twin._velocity_block(psi, k0, k1)
+            u_hat, u_d = twin._velocity_block(twin._gather(k0, k1), k0, k1)
             diff = live[0][k0:k1] - live[1][k0:k1]
             assert np.array_equal(np.moveaxis(u_hat, -1, 0),
                                   live[0][k0:k1])
@@ -93,18 +92,20 @@ def test_snapshots_derive_the_live_step_velocity(any_pair):
 
 
 def test_block_fields_are_the_bits_of_single_fields(any_pair):
-    # the auxiliary fields of a block are each potential's ``v``, and the
-    # load rows of a block are the boundary rows of the loads the live
-    # reconstructions solved with
+    # the auxiliary fields of a block are each potential's perp-gradient,
+    # and the load rows of a block are the boundary rows of the loads the
+    # live reconstructions solved with
     twin = TwinRun(*any_pair)
-    bn = twin.mesh.boundary_nodes
+    mesh = twin.mesh
+    bn = mesh.boundary_nodes
     n = len(twin.times)
+    single = [(mesh.perp_gradient_operator @ twin.phi[:, k]).reshape(-1, 2)
+              for k in range(n)]
     for size in (1, 3, n):
         for k0 in range(0, n, size):
             k1 = min(n, k0 + size)
-            _, phi = twin._gather(k0, k1, aux=True)
-            v = np.moveaxis(twin._aux_field(phi), -1, 0)
-            assert np.array_equal(v, [a.v.values for a in twin.aux[k0:k1]])
+            v = hodge.stream_velocity(mesh, twin.phi[:, k0:k1], None, None)
+            assert np.array_equal(np.moveaxis(v, -1, 0), single[k0:k1])
             loads = [np.array([live_load(traj, s)[bn]
                                for s in traj.states[k0:k1]]).T
                      for traj in any_pair]
@@ -147,11 +148,10 @@ def test_twin_matches_the_stored_difference_reference(small_pair):
     assert np.array_equal(twin.z_u, ref.z_u)
     assert np.array_equal(twin.z_v, ref.z_v)
     assert twin.z_u.max() > 0.0 and twin.z_v.max() > 0.0
-    for k in range(len(twin.times)):
-        assert np.array_equal(twin.aux[k].D, ref.aux[k].D)
-        assert np.array_equal(twin.aux[k].phi.values, ref.aux[k].phi.values)
-        assert np.array_equal(twin.coeff_d[k], ref.coeff_d[k])
-        assert np.array_equal(twin.C_d[k], ref.C_d[k])
+    assert np.array_equal(twin.D, ref.D)
+    assert np.array_equal(twin.phi, ref.phi)
+    assert np.array_equal(twin.coeff_d, ref.coeff_d)
+    assert np.array_equal(twin.C_d, ref.C_d)
     # the inflow-trace difference reaches the data term
     assert np.any(twin._integrands["aux"]["inflow_data"] != 0.0)
     assert twin.energy_identity() == ref.energy_identity()
@@ -162,12 +162,12 @@ def test_twin_matches_the_stored_difference_reference(small_pair):
 
 
 def test_auxiliary_state_keeps_only_phi_and_fluxes(small_pair):
+    # one column of potentials and one of fluxes per snapshot, as solved
     twin = TwinRun(*small_pair)
-    aux = twin.aux[-1]
-    assert set(vars(aux)) == {"phi", "D"}
-    assert np.array_equal(aux.v.values,
-                          fem.perp_gradient(twin.mesh, aux.phi).values)
-    for name in ("omega_d", "u_d", "psi_d", "load_d"):
+    mesh, n = twin.mesh, len(twin.times)
+    assert twin.phi.shape == (mesh.num_vertices, n)
+    assert twin.D.shape == (len(mesh.components), n)
+    for name in ("aux", "omega_d", "u_d", "psi_d", "load_d"):
         assert not hasattr(twin, name)
 
 
@@ -248,23 +248,21 @@ def test_norms_read_alone_build_no_integrands(any_pair, monkeypatch):
 
 def test_twin_takes_one_load_product_per_block(any_pair, monkeypatch):
     # blocks of three; over the identities and the ledger, the auxiliary
-    # solve is the only full P0 load of a block, and no auxiliary field
-    # is formed one snapshot at a time
+    # solve is the only full P0 load of a block
     mesh = any_pair[0].mesh
     monkeypatch.setattr(certificates, "BLOCK_BYTES", block_bytes(mesh, 3))
-    counts = {"p0_load_vector": 0, "perp_gradient": 0}
-    for name in counts:
-        real = getattr(fem, name)
+    calls = []
+    real = fem.p0_load_vector
 
-        def counted(*args, _real=real, _name=name, **kwargs):
-            counts[_name] += 1
-            return _real(*args, **kwargs)
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
 
-        monkeypatch.setattr(fem, name, counted)
+    monkeypatch.setattr(fem, "p0_load_vector", counted)
     twin = TwinRun(*any_pair)
     twin.energy_identity()
     twin.aux_identity()
     twin.inequality_ledger()
     blocks = certificates._blocks(len(twin.times), mesh)
     assert len(blocks) >= 2
-    assert counts == {"p0_load_vector": len(blocks), "perp_gradient": 0}
+    assert len(calls) == len(blocks)

@@ -83,23 +83,27 @@ def test_circulation_matrix_spd_and_mirror_symmetric(basis):
 
 
 def flow_scenario(tmp_path, mesh):
-    """Through-flow from the inflow hole to the outer boundary, past the
-    wall hole, with a smooth initial vorticity."""
+    """Through-flow from the inflow holes to the outer boundary, past a
+    wall hole if there is one, with a smooth initial vorticity."""
     save_mesh(mesh, tmp_path / "two_holes.mesh")
     x, y = mesh.centroid.T
     np.savetxt(tmp_path / "omega0.txt",
                np.sin(np.pi * x) * np.cos(np.pi * y))
-    outer, inflow = mesh.component(0), mesh.component(1)
+    outer = mesh.component(0)
+    inflows = [c.comp for c in mesh.components if c.role == "inflow"]
     g_in = -0.5
+    inflow_length = sum(mesh.component(cid).total_length for cid in inflows)
+    g = {0: {"type": "constant",
+             "value": -g_in * inflow_length / outer.total_length}}
+    g.update({cid: {"type": "constant", "value": g_in} for cid in inflows})
     doc = {
         "mesh": "two_holes.mesh",
         "omega0": {"type": "file", "path": "omega0.txt"},
         "T": 0.2, "cfl": 0.4, "snapshots": 4,
         "C0": {1: 0.3, 2: -0.2},
-        "g": {0: {"type": "constant",
-                  "value": -g_in * inflow.total_length / outer.total_length},
-              1: {"type": "constant", "value": g_in}},
-        "omega_in": {1: {"type": "constant", "value": 0.8}},
+        "g": g,
+        "omega_in": {cid: {"type": "constant", "value": 0.8}
+                     for cid in inflows},
     }
     return transport.parse_scenario(doc, base_dir=tmp_path)
 

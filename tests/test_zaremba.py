@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
-from euler_ss import fem
+from euler_ss import fem, hodge, transport
+from euler_ss.certificates import TwinRun
 from euler_ss.errors import PreconditionError
 from euler_ss.hodge import HarmonicBasis
 from euler_ss.mesh import generate_annulus
 from euler_ss.zaremba import reversed_flux_residuals, solve_auxiliary
+
+from test_two_holes import flow_scenario, two_hole_mesh
 
 
 @pytest.fixture(scope="module")
@@ -18,85 +21,91 @@ def flow_basis(flow_mesh):
     return HarmonicBasis(flow_mesh)
 
 
+def column(values):
+    """A (N,) field as the (N, 1) block of one state."""
+    return np.asarray(values, dtype=np.float64)[:, None]
+
+
 def test_manufactured_harmonic_difference(flow_basis):
     # psi = c f^1 carries circulation -c M_11 ... but as a difference
     # stream field its auxiliary potential must be -psi: both solve the
     # same mixed problem with opposite boundary data
     m = flow_basis.mesh
     c = 0.37
-    psi = fem.ScalarFieldP1(m, c * flow_basis.fields[0].values)
-    omega = fem.VorticityP0(m, np.zeros(m.num_triangles))
-    aux = solve_auxiliary(flow_basis, psi, omega)
-    assert np.abs(aux.phi.values + psi.values).max() < 1e-11
+    psi = c * flow_basis.fields[0].values
+    phi, _ = solve_auxiliary(flow_basis, column(psi),
+                             np.zeros((m.num_triangles, 1)))
+    assert phi.shape == (m.num_vertices, 1)
+    assert np.abs(phi[:, 0] + psi).max() < 1e-11
 
 
 def test_pinned_trace_is_exactly_zero(flow_basis):
     m = flow_basis.mesh
     rng = np.random.default_rng(2)
-    psi = fem.ScalarFieldP1(m, flow_basis.fields[0].values * 0.2)
-    omega = fem.VorticityP0(m, rng.standard_normal(m.num_triangles) * 0.1)
-    aux = solve_auxiliary(flow_basis, psi, omega)
-    assert np.abs(aux.phi.values[m.component(0).nodes]).max() == 0.0
+    psi = column(flow_basis.fields[0].values * 0.2)
+    omega = column(rng.standard_normal(m.num_triangles) * 0.1)
+    phi, _ = solve_auxiliary(flow_basis, psi, omega)
+    assert np.abs(phi[m.component(0).nodes]).max() == 0.0
 
 
 def test_flux_sum_vanishes_for_harmonic_data(flow_basis):
     # with no vorticity the load is supported on the boundary rows, so the
     # fluxes telescope: sum_i D_i = 1^T A phi = 0
     m = flow_basis.mesh
-    psi = fem.ScalarFieldP1(m, flow_basis.fields[0].values * -0.4)
-    omega = fem.VorticityP0(m, np.zeros(m.num_triangles))
-    aux = solve_auxiliary(flow_basis, psi, omega)
-    assert abs(aux.D.sum()) < 1e-12
+    psi = column(flow_basis.fields[0].values * -0.4)
+    _, D = solve_auxiliary(flow_basis, psi, np.zeros((m.num_triangles, 1)))
+    assert D.shape == (len(m.components), 1)
+    assert abs(D.sum()) < 1e-12
 
 
 def test_reversed_flux_matches_negated_circulation(flow_basis):
     m = flow_basis.mesh
     c = 0.37
-    psi = fem.ScalarFieldP1(m, c * flow_basis.fields[0].values)
-    omega = fem.VorticityP0(m, np.zeros(m.num_triangles))
-    aux = solve_auxiliary(flow_basis, psi, omega)
+    psi = column(c * flow_basis.fields[0].values)
+    _, D = solve_auxiliary(flow_basis, psi, np.zeros((m.num_triangles, 1)))
     # circulation of psi = c f^1 around the inner component is c M_11
     C1 = c * flow_basis.M[0, 0]
-    res = reversed_flux_residuals(aux, flow_basis, np.array([C1]))
-    assert res.shape == (1,)
-    assert res[0] < 1e-10
+    res = reversed_flux_residuals(D, flow_basis, np.array([[C1]]))
+    assert res.shape == (1, 1)
+    assert res[0, 0] < 1e-10
 
 
 def test_normal_trace_matches_cell_velocity(flow_basis):
+    # the exact P1 trace -(phi_b - phi_a) / len of each directed boundary
+    # edge, the v . n the twin's inflow integrands read, is the v . n of
+    # the edge's cell, for every column of a block
     m = flow_basis.mesh
     rng = np.random.default_rng(5)
-    psi = fem.ScalarFieldP1(m, flow_basis.fields[0].values * 0.1)
-    omega = fem.VorticityP0(m, rng.standard_normal(m.num_triangles) * 0.2)
-    aux = solve_auxiliary(flow_basis, psi, omega)
+    psi = flow_basis.fields[0].values[:, None] * [0.1, -0.3]
+    omega = rng.standard_normal((m.num_triangles, 2)) * 0.2
+    phi, _ = solve_auxiliary(flow_basis, psi, omega)
+    v = hodge.stream_velocity(m, phi, None, None)
     for comp in m.components:
-        tr = aux.normal_trace(comp)
-        cell = np.einsum("ed,ed->e", aux.v.values[comp.tri], comp.normal)
+        a, b = comp.edges[:, 0], comp.edges[:, 1]
+        tr = -(phi[b] - phi[a]) / comp.length[:, None]
+        cell = np.einsum("edn,ed->en", v[comp.tri], comp.normal)
         assert np.abs(tr - cell).max() < 1e-13
 
 
 def test_all_inflow_rejected():
     m = generate_annulus(1.0, 2.0, 4, 16, roles=("inflow", "inflow"))
     b = HarmonicBasis(m)
-    psi = fem.ScalarFieldP1(m, np.zeros(m.num_vertices))
-    omega = fem.VorticityP0(m, np.zeros(m.num_triangles))
     with pytest.raises(PreconditionError, match="inflow"):
-        solve_auxiliary(b, psi, omega)
+        solve_auxiliary(b, np.zeros((m.num_vertices, 1)),
+                        np.zeros((m.num_triangles, 1)))
 
 
 def test_vortical_difference_state(flow_twin):
     """The auxiliary flux law holds for a genuine twin difference."""
     base, pert = flow_twin.traj1, flow_twin.traj2
-    m = base.mesh
     basis = base.basis
     k = len(base.states) - 1
     sa, sb = base.states[k], pert.states[k]
-    psi = fem.ScalarFieldP1(
-        m, sa.assembly.psi_total.values - sb.assembly.psi_total.values)
-    omega = fem.VorticityP0(m, sa.omega - sb.omega)
-    aux = solve_auxiliary(basis, psi, omega)
+    psi = column(sa.assembly.psi_total.values - sb.assembly.psi_total.values)
+    _, D = solve_auxiliary(basis, psi, column(sa.omega - sb.omega))
     dC = (sa.assembly.circulation_consistent
           - sb.assembly.circulation_consistent)[1:]
-    res = reversed_flux_residuals(aux, basis, dC)
+    res = reversed_flux_residuals(D, basis, dC[None, :])
     scale = max(1.0, float(np.abs(dC).max()))
     assert res.max() < 1e-9 * scale
 
@@ -108,13 +117,34 @@ def test_block_solve_matches_single_solves(flow_basis):
     rng = np.random.default_rng(3)
     psi = rng.standard_normal((m.num_vertices, 4))
     omega = rng.standard_normal((m.num_triangles, 4))
-    block = solve_auxiliary(flow_basis, psi, omega)
-    assert len(block) == 4
-    for j, aux in enumerate(block):
-        one = solve_auxiliary(flow_basis, fem.ScalarFieldP1(m, psi[:, j]),
-                              fem.VorticityP0(m, omega[:, j]))
-        assert aux.phi.values.flags.c_contiguous
-        scale = np.abs(one.phi.values).max()
-        assert np.abs(aux.phi.values - one.phi.values).max() \
-            <= 1e-14 * scale
-        assert np.abs(aux.D - one.D).max() <= 1e-12 * np.abs(one.D).max()
+    phi, D = solve_auxiliary(flow_basis, psi, omega)
+    assert phi.shape == (m.num_vertices, 4)
+    assert D.shape == (len(m.components), 4)
+    for j in range(4):
+        one_phi, one_D = solve_auxiliary(flow_basis, psi[:, [j]],
+                                         omega[:, [j]])
+        scale = np.abs(one_phi).max()
+        assert np.abs(phi[:, [j]] - one_phi).max() <= 1e-14 * scale
+        assert np.abs(D[:, [j]] - one_D).max() <= 1e-12 * np.abs(one_D).max()
+
+
+def test_both_holes_inflow_reversed_flux_rows(tmp_path):
+    # both holes inflow: the law constrains two components, and each
+    # inflow id maps to its own column of the circulations
+    sc = flow_scenario(tmp_path, two_hole_mesh(("outflow", "inflow",
+                                                "inflow")))
+    basis = HarmonicBasis(sc.mesh)
+    twin = TwinRun(transport.run(sc, basis),
+                   transport.run(sc.perturbed(C0={1: 0.1, 2: -0.05},
+                                              omega_in={1: 0.05, 2: -0.03}),
+                                 basis))
+    n = len(twin.times)
+    assert twin.C_d.shape == (n, 2)
+    assert np.abs(twin.C_d).min() > 0.0
+    res = reversed_flux_residuals(twin.D, basis, twin.C_d)
+    assert res.shape == (n, 2)
+    tol = 100 * fem.DEFAULT_RTOL * np.maximum(1.0, np.abs(twin.C_d))
+    assert np.all(res < tol)
+    for k in range(n):
+        one = reversed_flux_residuals(twin.D[:, [k]], basis, twin.C_d[[k]])
+        assert np.array_equal(res[[k]], one)
