@@ -6,7 +6,9 @@ The package splits along the same seams as the underlying problem:
 - :mod:`euler_ss.mesh` — conforming triangulations with loop-ordered
   boundary components and role tags,
 - :mod:`euler_ss.fem` — P1 stiffness machinery, constrained solves, and
-  consistent boundary fluxes,
+  consistent boundary fluxes; every P1 and P0 field is a plain float64
+  array, (V,), (T,) or (T, 2), with a last axis of n for a block of n
+  fields,
 - :mod:`euler_ss.hodge` — harmonic stream basis, circulation matrix, and
   velocity reconstruction from vorticity plus boundary data,
 - :mod:`euler_ss.transport` — scenarios as parsed immutable values,
@@ -21,10 +23,9 @@ The package splits along the same seams as the underlying problem:
 """
 
 from .errors import PreconditionError, SolverError, UsageError
-from .fem import (ScalarFieldP1, StiffnessOperator, VelocityP0,
-                  VorticityP0, consistent_flux,
-                  consistent_fluxes, solve_constrained, solve_dirichlet,
-                  solve_mixed, solve_neumann)
+from .fem import (StiffnessOperator, consistent_flux, consistent_fluxes,
+                  solve_constrained, solve_dirichlet, solve_mixed,
+                  solve_neumann)
 from .hodge import (HarmonicBasis, VelocityAssembly, greens_operator,
                     reconstruct_velocity, validate_sign_condition)
 from .mesh import (BoundaryComponent, Mesh, generate_annulus, load_mesh,
@@ -40,10 +41,9 @@ from .certificates import (TwinRun, interpolation_inequality,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundaryComponent", "HarmonicBasis",
-    "Mesh", "PreconditionError", "ScalarFieldP1", "Scenario",
-    "SolverError", "StiffnessOperator", "Trajectory", "TwinRun",
-    "UsageError", "VelocityAssembly", "VelocityP0", "VorticityP0",
+    "BoundaryComponent", "HarmonicBasis", "Mesh", "PreconditionError",
+    "Scenario", "SolverError", "StiffnessOperator", "Trajectory", "TwinRun",
+    "UsageError", "VelocityAssembly",
     "consistent_flux", "consistent_fluxes", "exact_comparison",
     "generate_annulus", "greens_operator", "growth_F",
     "interpolation_inequality", "lamb_identity", "load_mesh",

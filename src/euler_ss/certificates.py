@@ -28,7 +28,6 @@ import numpy as np
 
 from . import fem, hodge, zaremba
 from .errors import PreconditionError, UsageError
-from .fem import ScalarFieldP1, StiffnessOperator, VelocityP0
 from .mesh import Mesh
 from .hodge import P_GRID
 from .transport import Trajectory, snapshot_window
@@ -151,8 +150,8 @@ class TwinRun:
             # the differences, a snapshot at a time into (V, n) and (T, n)
             psi_d, omega_d = np.empty((V, k1 - k0)), np.empty((T, k1 - k0))
             for j, (s1, s2) in enumerate(zip(s1s[k0:k1], s2s[k0:k1])):
-                np.subtract(s1.assembly.psi_total.values,
-                            s2.assembly.psi_total.values, out=psi_d[:, j])
+                np.subtract(s1.assembly.psi_total, s2.assembly.psi_total,
+                            out=psi_d[:, j])
                 np.subtract(s1.omega, s2.omega, out=omega_d[:, j])
             self.phi[:, k0:k1], self.D[:, k0:k1] = zaremba.solve_auxiliary(
                 self.basis, psi_d, omega_d)
@@ -190,8 +189,8 @@ class TwinRun:
         snapshot."""
         psi = np.empty((2, self.mesh.num_vertices, k1 - k0))
         for j, k in enumerate(range(k0, k1)):
-            psi[0, :, j] = self.traj1.states[k].assembly.psi_total.values
-            psi[1, :, j] = self.traj2.states[k].assembly.psi_total.values
+            psi[0, :, j] = self.traj1.states[k].assembly.psi_total
+            psi[1, :, j] = self.traj2.states[k].assembly.psi_total
         return psi
 
     def _velocity_block(self, psi: np.ndarray, k0: int, k1: int
@@ -291,7 +290,7 @@ class TwinRun:
                 hat_t = _edge_means(fem.loop_flux_density(mesh, res_hat,
                                                           cid))
                 if through is not None:
-                    dphi = through.values[b] - through.values[a]
+                    dphi = through[b] - through[a]
                     hat_t += np.multiply.outer(dphi, mult) \
                         / comp.length[:, None]
                 # v . n, the exact P1 trace of the potential
@@ -504,11 +503,11 @@ def _dt_series(series: np.ndarray, times: np.ndarray) -> np.ndarray:
 # -- Lamb-type identity -------------------------------------------------
 
 
-def lamb_identity(mesh: Mesh, u: VelocityP0, v: VelocityP0, w: VelocityP0,
+def lamb_identity(mesh: Mesh, u: np.ndarray, v: np.ndarray, w: np.ndarray,
                   curl_u: np.ndarray | None = None,
                   curl_v: np.ndarray | None = None,
                   jac_w: np.ndarray | None = None) -> dict:
-    """Integration-by-parts identity for a velocity triple:
+    """Integration-by-parts identity for a triple of (T, 2) velocities:
 
         oint (u.v)(w.n) - oint (u.w)(v.n) - oint (v.w)(u.n)
           = int (u.v) div w
@@ -539,18 +538,16 @@ def lamb_identity(mesh: Mesh, u: VelocityP0, v: VelocityP0, w: VelocityP0,
             tot += float(np.sum(ab * cn * comp.length))
         return tot
 
-    uu, vv, ww = u.values, v.values, w.values
-    lhs = pair_normal(uu, vv, ww) - pair_normal(uu, ww, vv) \
-        - pair_normal(vv, ww, uu)
+    lhs = pair_normal(u, v, w) - pair_normal(u, w, v) - pair_normal(v, w, u)
 
     div_w = jac_w[:, 0, 0] + jac_w[:, 1, 1]
-    t_div = float(np.einsum("td,td,t,t->", uu, vv, div_w, area))
-    t_cu = -float(np.einsum("t,td,td,t->", curl_u, fem.rot90(vv), ww, area))
-    t_cv = -float(np.einsum("t,td,td,t->", curl_v, fem.rot90(uu), ww, area))
-    adv_v = fem.convective_term(mesh, v, jac_w)
-    adv_u = fem.convective_term(mesh, u, jac_w)
-    t_au = -float(np.einsum("td,td,t->", uu, adv_v, area))
-    t_av = -float(np.einsum("td,td,t->", vv, adv_u, area))
+    t_div = float(np.einsum("td,td,t,t->", u, v, div_w, area))
+    t_cu = -float(np.einsum("t,td,td,t->", curl_u, fem.rot90(v), w, area))
+    t_cv = -float(np.einsum("t,td,td,t->", curl_v, fem.rot90(u), w, area))
+    adv_v = fem.convective_term(v, jac_w)
+    adv_u = fem.convective_term(u, jac_w)
+    t_au = -float(np.einsum("td,td,t->", u, adv_v, area))
+    t_av = -float(np.einsum("td,td,t->", v, adv_u, area))
 
     rhs = t_div + t_cu + t_cv + t_au + t_av
     residual = lhs - rhs
@@ -572,7 +569,7 @@ class TraceReport:
     c_required: float     # smallest constant making the inequality hold
 
 
-def trace_inequality(op: StiffnessOperator, field: ScalarFieldP1,
+def trace_inequality(op: fem.StiffnessOperator, field: np.ndarray,
                      load: np.ndarray, comp_id: int) -> TraceReport:
     """Sharpest constant C in the normal-trace inequality
 
@@ -591,10 +588,9 @@ def trace_inequality(op: StiffnessOperator, field: ScalarFieldP1,
     comp = mesh.component(comp_id)
     dn = fem.nodal_flux_density(op, field, load, comp_id)
     lhs = float(np.sum(dn ** 2 * comp.lumped_length))
-    dtau = (field.values[comp.edges[:, 1]]
-            - field.values[comp.edges[:, 0]]) / comp.length
+    dtau = (field[comp.edges[:, 1]] - field[comp.edges[:, 0]]) / comp.length
     tangential = float(np.sum(dtau ** 2 * comp.length))
-    energy = float(field.values @ (op.matrix @ field.values))
+    energy = float(field @ (op.matrix @ field))
     c_required = max(0.0, lhs - tangential) / max(energy, 1e-300)
     return TraceReport(lhs=lhs, tangential=tangential, energy=energy,
                        c_required=c_required)

@@ -1,10 +1,11 @@
 """P1 Lagrange finite elements on triangle meshes.
 
-Fields:
-
-* ``ScalarFieldP1``: one value per vertex, linear on each triangle;
-* ``VelocityP0``: one 2-vector per triangle (gradients of P1 potentials);
-* ``VorticityP0``: one scalar per triangle.
+Fields are plain arrays: a float64 ``np.ndarray`` of shape (V,) for a P1
+field (one value per vertex, linear on each triangle), (T,) for a P0
+scalar such as a vorticity and (T, 2) for a P0 vector such as a velocity
+or the gradient of a P1 field.  A block of n fields adds a last axis:
+(V, n), (T, n) or (T, 2, n).  The mesh is passed beside the array where
+it is needed.
 
 The stiffness matrix discretizes the Dirichlet energy: entry (a, b) is
 sum_T grad(lambda_a) . grad(lambda_b) |T|.  Every boundary-value solver
@@ -69,7 +70,6 @@ curl(grad_perp(psi)) = laplace(psi) and grad_perp(psi) . n = -d_tau(psi).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -88,48 +88,6 @@ def rot90(v: np.ndarray) -> np.ndarray:
     out[..., 0] = -v[..., 1]
     out[..., 1] = v[..., 0]
     return out
-
-
-# -- fields -------------------------------------------------------------
-
-
-@dataclass
-class ScalarFieldP1:
-    mesh: Mesh
-    values: np.ndarray      # (V,)
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.shape != (self.mesh.num_vertices,):
-            raise UsageError(
-                f"P1 field needs {self.mesh.num_vertices} values, "
-                f"got shape {self.values.shape}")
-
-
-@dataclass
-class VorticityP0:
-    mesh: Mesh
-    values: np.ndarray      # (T,)
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.shape != (self.mesh.num_triangles,):
-            raise UsageError(
-                f"P0 field needs {self.mesh.num_triangles} values, "
-                f"got shape {self.values.shape}")
-
-
-@dataclass
-class VelocityP0:
-    mesh: Mesh
-    values: np.ndarray      # (T, 2)
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.shape != (self.mesh.num_triangles, 2):
-            raise UsageError(
-                f"P0 velocity needs shape ({self.mesh.num_triangles}, 2), "
-                f"got {self.values.shape}")
 
 
 # -- assembly -----------------------------------------------------------
@@ -302,7 +260,7 @@ def _dirichlet_trace(mesh: Mesh, bc: dict[int, float]
 
 
 def solve_dirichlet(op: StiffnessOperator, load: np.ndarray,
-                    bc: dict[int, float]) -> ScalarFieldP1:
+                    bc: dict[int, float]) -> np.ndarray:
     """Solve A u = load with the trace pinned on every boundary component.
 
     ``load`` is the right-hand side of the variational problem
@@ -313,12 +271,11 @@ def solve_dirichlet(op: StiffnessOperator, load: np.ndarray,
     nodes, x = _dirichlet_trace(mesh, bc)
     if not {c.comp for c in mesh.components} <= set(bc):
         raise UsageError("Dirichlet solve requires data on every component")
-    return ScalarFieldP1(mesh, _pinned_solve(op.matrix, load, nodes, x,
-                                             op.factors))
+    return _pinned_solve(op.matrix, load, nodes, x, op.factors)
 
 
 def solve_neumann(op: StiffnessOperator, g_edges: dict[int, np.ndarray]
-                  ) -> ScalarFieldP1:
+                  ) -> np.ndarray:
     """Solve the pure Neumann problem integral(grad u . grad chi) =
     integral_Gamma(g chi) with the mean-zero gauge.
 
@@ -343,11 +300,11 @@ def solve_neumann(op: StiffnessOperator, g_edges: dict[int, np.ndarray]
             f"incompatible Neumann data: net boundary flux {total:.6e} "
             f"exceeds 1e-10 * {length * scale:.6e}")
     b = boundary_load_vector(mesh, g_edges)
-    return ScalarFieldP1(mesh, solve_mean_zero(op.matrix, b))
+    return solve_mean_zero(op.matrix, b)
 
 
 def solve_mixed(op: StiffnessOperator, dirichlet: dict[int, float],
-                neumann: dict[int, np.ndarray]) -> ScalarFieldP1:
+                neumann: dict[int, np.ndarray]) -> np.ndarray:
     """Zaremba problem: constants pinned on the Dirichlet components,
     per-edge normal-derivative data on the Neumann components."""
     mesh = op.mesh
@@ -358,13 +315,12 @@ def solve_mixed(op: StiffnessOperator, dirichlet: dict[int, float],
                          "Dirichlet and Neumann")
     load = boundary_load_vector(mesh, neumann) if neumann else \
         np.zeros(mesh.num_vertices)
-    return ScalarFieldP1(mesh, _pinned_solve(op.matrix, load, nodes, x,
-                                             op.factors))
+    return _pinned_solve(op.matrix, load, nodes, x, op.factors)
 
 
 def solve_constrained(op: StiffnessOperator, load: np.ndarray,
                       pinned_nodes: np.ndarray, pinned_values: np.ndarray
-                      ) -> ScalarFieldP1 | np.ndarray:
+                      ) -> np.ndarray:
     """General solve with an explicit pinned-node set (used by the
     auxiliary-function machinery, where only some components are pinned).
 
@@ -376,8 +332,7 @@ def solve_constrained(op: StiffnessOperator, load: np.ndarray,
     values = np.asarray(pinned_values, dtype=np.float64)
     x = np.zeros(load.shape)
     x[nodes] = values if load.ndim == 1 else values[:, None]
-    x = _pinned_solve(op.matrix, load, np.unique(nodes), x, op.factors)
-    return ScalarFieldP1(op.mesh, x) if load.ndim == 1 else x
+    return _pinned_solve(op.matrix, load, np.unique(nodes), x, op.factors)
 
 
 # -- consistent fluxes --------------------------------------------------
@@ -392,8 +347,7 @@ def boundary_residual(op: StiffnessOperator, x: np.ndarray,
     return op.boundary_rows @ x - load_rows
 
 
-def consistent_fluxes(op: StiffnessOperator,
-                      field: ScalarFieldP1 | np.ndarray,
+def consistent_fluxes(op: StiffnessOperator, field: np.ndarray,
                       load: np.ndarray | None = None) -> np.ndarray:
     """(ncomp,) variational fluxes integral_comp(dfield/dn), outward
     normal, of every component from one residual; a (V, n) block of
@@ -403,11 +357,10 @@ def consistent_fluxes(op: StiffnessOperator,
     for a harmonic field).  The pairing with the component indicators makes
     the fluxes superconvergent.
     """
-    x = field.values if isinstance(field, ScalarFieldP1) else field
-    return op.boundary_fluxes(op.boundary_rows @ x, load)
+    return op.boundary_fluxes(op.boundary_rows @ field, load)
 
 
-def consistent_flux(op: StiffnessOperator, field: ScalarFieldP1,
+def consistent_flux(op: StiffnessOperator, field: np.ndarray,
                     load: np.ndarray, comp: int) -> float:
     """Consistent flux through one component (see ``consistent_fluxes``)."""
     return float(consistent_fluxes(op, field, load)[comp])
@@ -424,16 +377,15 @@ def loop_flux_density(mesh: Mesh, residual: np.ndarray, comp: int
     return r / c.lumped_length.reshape((-1,) + (1,) * (r.ndim - 1))
 
 
-def nodal_flux_density(op: StiffnessOperator, field: ScalarFieldP1,
+def nodal_flux_density(op: StiffnessOperator, field: np.ndarray,
                        load: np.ndarray, comp: int) -> np.ndarray:
     """Normal derivative of a field at the loop vertices of a component
     (see ``loop_flux_density``)."""
-    residual = boundary_residual(op, field.values,
-                                 load[op.mesh.boundary_nodes])
+    residual = boundary_residual(op, field, load[op.mesh.boundary_nodes])
     return loop_flux_density(op.mesh, residual, comp)
 
 
-def interior_residual_norm(op: StiffnessOperator, field: ScalarFieldP1,
+def interior_residual_norm(op: StiffnessOperator, field: np.ndarray,
                            load: np.ndarray) -> float:
     """Relative Galerkin residual on interior nodes; near zero for any
     solved field, used to certify harmonicity of inputs."""
@@ -442,8 +394,8 @@ def interior_residual_norm(op: StiffnessOperator, field: ScalarFieldP1,
                             mesh.boundary_nodes)
     if interior.size == 0:
         return 0.0
-    r = (op.matrix @ field.values - load)[interior]
-    scale = max(float(np.abs(op.matrix @ field.values).max()),
+    r = (op.matrix @ field - load)[interior]
+    scale = max(float(np.abs(op.matrix @ field).max()),
                 float(np.abs(load).max()), 1e-300)
     return float(np.abs(r).max()) / scale
 
@@ -451,11 +403,10 @@ def interior_residual_norm(op: StiffnessOperator, field: ScalarFieldP1,
 # -- discrete calculus --------------------------------------------------
 
 
-def gradient(mesh: Mesh, field: ScalarFieldP1) -> VelocityP0:
-    """Per-triangle gradient of a P1 field (one product with the mesh's
-    gradient operator)."""
-    return VelocityP0(mesh, (mesh.gradient_operator @ field.values)
-                      .reshape(-1, 2))
+def gradient(mesh: Mesh, field: np.ndarray) -> np.ndarray:
+    """(T, 2) per-triangle gradient of a P1 field (one product with the
+    mesh's gradient operator)."""
+    return (mesh.gradient_operator @ field).reshape(-1, 2)
 
 
 def p0_to_p1(mesh: Mesh, cell_values: np.ndarray) -> np.ndarray:
@@ -469,24 +420,22 @@ def p0_to_p1(mesh: Mesh, cell_values: np.ndarray) -> np.ndarray:
     return nodal.reshape((mesh.num_vertices,) + shape[1:])
 
 
-def velocity_gradient(mesh: Mesh, u: VelocityP0 | np.ndarray
-                      ) -> np.ndarray:
+def velocity_gradient(mesh: Mesh, u: np.ndarray) -> np.ndarray:
     """(T, 2, 2) recovered Jacobian J[t, k, d] = d_d(u_k): each component
     is averaged to the vertices, then differentiated per triangle.  A
     (T, 2, n) block of velocities gives the (T, 2, 2, n) Jacobians of its
     columns, one product for all of them."""
-    vals = u.values if isinstance(u, VelocityP0) else np.asarray(u)
-    nodal = p0_to_p1(mesh, vals).reshape(mesh.num_vertices, -1)
+    nodal = p0_to_p1(mesh, u).reshape(mesh.num_vertices, -1)
     # row 2t + d, column k (of column j) of the product is d_d(u_k) on
     # triangle t
     return (mesh.gradient_operator @ nodal).reshape(
-        (-1, 2) + vals.shape[1:]).swapaxes(1, 2)
+        (-1, 2) + u.shape[1:]).swapaxes(1, 2)
 
 
-def convective_term(mesh: Mesh, a: VelocityP0, jac_b: np.ndarray
-                    ) -> np.ndarray:
-    """(T, 2) cellwise (a . grad) b given the recovered Jacobian of b."""
-    return np.einsum("tkd,td->tk", jac_b, a.values)
+def convective_term(a: np.ndarray, jac_b: np.ndarray) -> np.ndarray:
+    """(T, 2) cellwise (a . grad) b of a (T, 2) velocity a, given the
+    recovered Jacobian of b."""
+    return np.einsum("tkd,td->tk", jac_b, a)
 
 
 # -- norms --------------------------------------------------------------
@@ -518,14 +467,10 @@ def sq_norm_p0(mesh: Mesh, vel: np.ndarray) -> float:
     return float(np.einsum("td,td,t->", vel, vel, mesh.tri_area))
 
 
-def w1p_seminorm_p0(mesh: Mesh, u: VelocityP0, p: float) -> float:
-    """L^p norm of the recovered velocity Jacobian (Frobenius per cell)."""
-    return w1p_seminorms_p0(mesh, u, (p,))[0]
-
-
-def w1p_seminorms_p0(mesh: Mesh, u: VelocityP0, ps) -> list[float]:
-    """``w1p_seminorm_p0`` for every exponent of ``ps``, all read from one
-    recovered Jacobian."""
+def w1p_seminorms_p0(mesh: Mesh, u: np.ndarray, ps) -> list[float]:
+    """L^p norms of the recovered Jacobian (Frobenius per cell) of a
+    (T, 2) velocity, one for every exponent of ``ps``, all read from one
+    Jacobian."""
     jac = velocity_gradient(mesh, u)
     mag = np.linalg.norm(jac.reshape(len(jac), 4), axis=1)
     return [float(mag.max(initial=0.0)) if np.isinf(p) else

@@ -49,7 +49,6 @@ import scipy.sparse as sp
 
 from . import fem
 from .errors import PreconditionError, UsageError
-from .fem import ScalarFieldP1, StiffnessOperator, VelocityP0, VorticityP0
 from .mesh import Mesh
 
 SIGN_TOL = 1e-12
@@ -97,10 +96,10 @@ class HarmonicBasis:
 
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
-        self.op = StiffnessOperator(mesh)
+        self.op = fem.StiffnessOperator(mesh)
         self.inner = [c.comp for c in mesh.components[1:]]
         zero_load = np.zeros(mesh.num_vertices)
-        self.fields: list[ScalarFieldP1] = []
+        self.fields: list[np.ndarray] = []
         for cid in self.inner:
             bc = {c.comp: (1.0 if c.comp == cid else 0.0)
                   for c in mesh.components}
@@ -132,21 +131,21 @@ class HarmonicBasis:
                          format="csr")
 
 
-def greens_operator(basis: HarmonicBasis, omega: VorticityP0
-                    ) -> tuple[ScalarFieldP1, np.ndarray]:
-    """Zero-trace stream potential of a vorticity field.
+def greens_operator(basis: HarmonicBasis, omega: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-trace stream potential of a (T,) vorticity field.
 
     Returns (psi0, load) with laplace(psi0) = omega weakly, psi0 = 0 on the
     whole boundary; ``load`` is the right-hand side for flux pairings.
     Every call reuses the operator's cached all-boundary factor.
     """
-    load = -fem.p0_load_vector(basis.mesh, omega.values)
+    load = -fem.p0_load_vector(basis.mesh, omega)
     bc = {c.comp: 0.0 for c in basis.mesh.components}
     return fem.solve_dirichlet(basis.op, load, bc), load
 
 
 def stream_velocity(mesh: Mesh, psi: np.ndarray, multiplier,
-                    phi_grad: VelocityP0 | None) -> np.ndarray:
+                    phi_grad: np.ndarray | None) -> np.ndarray:
     """(T, 2) P0 velocity grad_perp(psi) + multiplier * phi_grad of a (V,)
     stream function, one product with the mesh's perp-gradient operator;
     a (V, n) block with n multipliers gives the (T, 2, n) velocities of
@@ -157,7 +156,7 @@ def stream_velocity(mesh: Mesh, psi: np.ndarray, multiplier,
         # a column at a time, each add over all cells at once
         block = u.reshape(mesh.num_triangles, 2, -1)
         for j, m in enumerate(np.atleast_1d(multiplier)):
-            block[..., j] += m * phi_grad.values
+            block[..., j] += m * phi_grad
     return u
 
 
@@ -170,25 +169,24 @@ class VelocityAssembly:
 
     mesh: Mesh
     psi_coeffs: np.ndarray         # (m,) harmonic-basis constants
-    psi_total: ScalarFieldP1       # G[omega] + sum_i psi_i f^i
+    psi_total: np.ndarray          # (V,) G[omega] + sum_i psi_i f^i
     multiplier: float              # of the through-flow potential
     circulation_consistent: np.ndarray   # per component, consistent flux
     # the through-flow gradient at unit multiplier, shared with its
     # ``transport.FluxAssembler`` (None when nothing flows)
-    phi_grad: VelocityP0 | None
+    phi_grad: np.ndarray | None
 
     @property
-    def u(self) -> VelocityP0:
-        """The P0 velocity, to the bit the one the step used."""
-        return VelocityP0(self.mesh, stream_velocity(
-            self.mesh, self.psi_total.values, self.multiplier,
-            self.phi_grad))
+    def u(self) -> np.ndarray:
+        """The (T, 2) P0 velocity, to the bit the one the step used."""
+        return stream_velocity(self.mesh, self.psi_total, self.multiplier,
+                               self.phi_grad)
 
     @property
     def circulation_trace(self) -> np.ndarray:
         """Per-component circulation by the one-sided quadrature of the
         tangential velocity (first order; a diagnostic only)."""
-        u = self.u.values
+        u = self.u
         out = np.empty(len(self.mesh.components))
         for comp in self.mesh.components:
             ut = np.einsum("ed,ed->e", u[comp.tri], comp.tangent)
@@ -196,15 +194,15 @@ class VelocityAssembly:
         return out
 
 
-def reconstruct_velocity(basis: HarmonicBasis, omega: VorticityP0,
+def reconstruct_velocity(basis: HarmonicBasis, omega: np.ndarray,
                          circulations: np.ndarray,
                          multiplier: float = 1.0,
-                         phi_grad: VelocityP0 | None = None
-                         ) -> tuple[VelocityAssembly, VelocityP0, np.ndarray]:
-    """Assemble the velocity of (omega, g, C); return the assembly, the
-    velocity and the (E,) stream jumps psi_a - psi_b across every edge
-    a -> b, zero on boundary edges (the rotational edge fluxes of a
-    transport step).
+                         phi_grad: np.ndarray | None = None
+                         ) -> tuple[VelocityAssembly, np.ndarray, np.ndarray]:
+    """Assemble the velocity of a (T,) vorticity ``omega``, g and C;
+    return the assembly, the (T, 2) velocity and the (E,) stream jumps
+    psi_a - psi_b across every edge a -> b, zero on boundary edges (the
+    rotational edge fluxes of a transport step).
 
     ``circulations`` lists C_i for the inner components in order.
     ``phi_grad`` is the gradient of the unit-multiplier through-flow
@@ -222,26 +220,24 @@ def reconstruct_velocity(basis: HarmonicBasis, omega: VorticityP0,
         raise UsageError(
             f"need {basis.num_inner} circulation value(s), got {C.shape}")
 
-    psi0, load = greens_operator(basis, omega)
-    g0_flux = fem.consistent_fluxes(basis.op, psi0, load)
+    psi_total, load = greens_operator(basis, omega)
+    g0_flux = fem.consistent_fluxes(basis.op, psi_total, load)
     coeffs = np.linalg.solve(basis.M, C - g0_flux[basis.inner]) \
         if basis.num_inner else np.zeros(0)
 
     # a sum per field, into the Green part's own buffer: a product with
     # the stacked fields would change the summation order when there are
     # two or more
-    total = psi0.values
     for c_i, f in zip(coeffs, basis.fields):
-        total += c_i * f.values
-    psi_total = ScalarFieldP1(mesh, total)
+        psi_total += c_i * f
 
-    stream = basis.stream_operator @ total
+    stream = basis.stream_operator @ psi_total
     nu = 2 * mesh.num_triangles
     nj = nu + len(mesh.edges)
     # the perp-gradient rows are those of ``stream_velocity``
-    u_vals = stream[:nu].reshape(-1, 2)
+    u = stream[:nu].reshape(-1, 2)
     if phi_grad is not None:
-        u_vals = u_vals + multiplier * phi_grad.values
+        u = u + multiplier * phi_grad
     # the potential part contributes exactly zero circulation (telescoping
     # tangential P1 trace), so the stream flux is the whole consistent
     # circulation
@@ -251,11 +247,11 @@ def reconstruct_velocity(basis: HarmonicBasis, omega: VorticityP0,
         mesh=mesh, psi_coeffs=coeffs, psi_total=psi_total,
         multiplier=multiplier, circulation_consistent=circ_cons,
         phi_grad=phi_grad)
-    return asm, VelocityP0(mesh, u_vals), stream[nu:nj]
+    return asm, u, stream[nu:nj]
 
 
 def check_elliptic_growth(basis: HarmonicBasis, assembly: VelocityAssembly,
-                          omega: VorticityP0,
+                          omega: np.ndarray,
                           g_edges: dict[int, np.ndarray] | None,
                           circulations: np.ndarray) -> dict:
     """Report the p-growth of the W^{1,p} proxy of u against
@@ -271,9 +267,9 @@ def check_elliptic_growth(basis: HarmonicBasis, assembly: VelocityAssembly,
     u = assembly.u
     semis = fem.w1p_seminorms_p0(mesh, u, P_GRID)
     for p, semi in zip(P_GRID, semis):
-        up = fem.lp_norm_p0(mesh, u.values, p)
+        up = fem.lp_norm_p0(mesh, u, p)
         proxy = (up ** p + semi ** p) ** (1.0 / p)
-        data = fem.lp_norm_p0(mesh, omega.values, p) + g_inf + c_sum
+        data = fem.lp_norm_p0(mesh, omega, p) + g_inf + c_sum
         rows.append({"p": p, "proxy": proxy,
                      "ratio": proxy / (p * data) if data > 0 else np.inf})
     base = rows[0]["ratio"]

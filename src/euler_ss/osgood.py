@@ -254,10 +254,11 @@ def calibrate_constant(times: np.ndarray, y: np.ndarray,
     return c
 
 
-def stability_experiment(base_scenario, deltas, comp: int | None = None
+def stability_experiment(base_scenario, deltas, comp: int | list | None = None
                          ) -> StabilityReport:
-    """Perturb the initial circulation of one inner component by each
-    delta, rerun, and certify the Osgood-type response of the twin energy
+    """Perturb the initial circulation of inner component ``comp`` (the
+    first by default, each of a non-empty list) by each delta, rerun, and
+    certify the Osgood-type response of the twin energy
     y(t) = running max of |u|_2^2 + |v|_2^2:
 
       * every rung obeys its own calibrated closed-form bound,
@@ -278,10 +279,10 @@ def stability_experiment(base_scenario, deltas, comp: int | None = None
         raise UsageError(f"deltas must be distinct, got {deltas}")
     mesh = base_scenario.mesh
     if comp is None:
-        if len(mesh.components) < 2:
-            raise UsageError("stability experiment needs an inner component")
-        comp = mesh.components[1].comp
+        comp = [c.comp for c in mesh.components[1:2]]
     comps = [int(comp)] if np.isscalar(comp) else sorted(int(c) for c in comp)
+    if not comps:
+        raise UsageError("stability experiment needs an inner component")
 
     basis = HarmonicBasis(mesh)
     base_traj = transport.run(base_scenario, basis)

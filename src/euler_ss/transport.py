@@ -61,7 +61,6 @@ import scipy.sparse as sp
 
 from . import fem, hodge
 from .errors import PreconditionError, SolverError, UsageError
-from .fem import ScalarFieldP1, VelocityP0, VorticityP0
 from .hodge import HarmonicBasis, VelocityAssembly
 from .mesh import Mesh, generate_annulus, load_mesh, uniform_refine
 
@@ -452,8 +451,8 @@ class FluxAssembler:
         mesh = basis.mesh
         self.mesh = mesh
         self.g_edges = g_edges
-        self.phi: ScalarFieldP1 | None = None
-        self.phi_grad: VelocityP0 | None = None
+        self.phi: np.ndarray | None = None
+        self.phi_grad: np.ndarray | None = None
         if any(np.any(g != 0.0) for g in g_edges.values()):
             hodge.validate_sign_condition(mesh, g_edges)
             self.phi = fem.solve_neumann(basis.op, g_edges)
@@ -494,7 +493,7 @@ class FluxAssembler:
         """Averaged-gradient interior fluxes corrected to make every cell
         exactly divergence free against the prescribed boundary fluxes."""
         mesh = self.mesh
-        gv = self.phi_grad.values
+        gv = self.phi_grad
         ids = np.flatnonzero(mesh.interior_edge)
         n = mesh.edge_normal[ids]
         ln = mesh.edge_length[ids]
@@ -514,12 +513,12 @@ class FluxAssembler:
         multiplier * g * length on boundary edges (their jump is zero)."""
         return jumps + multiplier * self.pot
 
-    def stable_dt(self, u: VelocityP0, f: np.ndarray, cfl: float) -> float:
+    def stable_dt(self, u: np.ndarray, f: np.ndarray, cfl: float) -> float:
         """cfl times the shortest of two times over all cells: the travel
         time d / |u| across the incircle diameter d, and the time
         area / outflux in which the positive outflux empties the cell.
         Infinite when nothing moves."""
-        sq = u.values * u.values
+        sq = u * u
         adv2 = float(np.max((sq[:, 0] + sq[:, 1]) * self.inv_d2))
         outflux2 = self.abs_D @ np.abs(f) + self.D @ f
         rate = max(math.sqrt(adv2),
@@ -622,11 +621,11 @@ def run(scenario: Scenario, basis: HarmonicBasis | None = None) -> Trajectory:
 
     def assemble(om, circ, t):
         return hodge.reconstruct_velocity(
-            basis, VorticityP0(mesh, om), circ,
-            multiplier=scenario.multiplier(t), phi_grad=flux.phi_grad)
+            basis, om, circ, multiplier=scenario.multiplier(t),
+            phi_grad=flux.phi_grad)
 
     def energy(u):
-        return 0.5 * fem.sq_norm_p0(mesh, u.values)
+        return 0.5 * fem.sq_norm_p0(mesh, u)
 
     asm, u, jumps = assemble(omega, C, 0.0)
     states = [SimState(t=0.0, omega=omega.copy(), C=C.copy(), B=B.copy(),
@@ -729,30 +728,30 @@ def kelvin_consistency(traj: Trajectory) -> float:
     return worst
 
 
-def weak_residual(traj: Trajectory, phi: ScalarFieldP1,
+def weak_residual(traj: Trajectory, phi: np.ndarray,
                   k0: int = 0, k1: int | None = None) -> dict:
     """Residual of the weak transport identity over [t_k0, t_k1]:
 
         int_t int_Omega omega u . grad(phi)
-        = [int_Omega omega phi]_{t_k0}^{t_k1} + int_t int_Gamma omega phi g.
+        = [int_Omega omega phi]_{t_k0}^{t_k1} + int_t int_Gamma omega phi g
 
-    When the test function is constant on every boundary component the
-    boundary integral is taken from the exact per-step accumulators;
-    otherwise it is a trapezoid over the snapshots.
+    for a (V,) P1 test function ``phi``.  When it is constant on every
+    boundary component the boundary integral is taken from the exact
+    per-step accumulators; otherwise it is a trapezoid over the snapshots.
     """
     k0, k1 = snapshot_window(len(traj.states), k0, k1)
     mesh = traj.mesh
     states = traj.states[k0:k1 + 1]
     times = np.array([s.t for s in states])
-    gphi = fem.gradient(mesh, phi).values
+    gphi = fem.gradient(mesh, phi)
 
     vol = np.array([float(np.einsum("t,td,td,t->", s.omega,
-                                    s.assembly.u.values, gphi,
+                                    s.assembly.u, gphi,
                                     mesh.tri_area))
                     for s in states])
     vol_int = float(np.trapezoid(vol, times))
 
-    phi_bar = phi.values[mesh.triangles].mean(axis=1)
+    phi_bar = phi[mesh.triangles].mean(axis=1)
 
     def mass(s):
         return float((s.omega * phi_bar) @ mesh.tri_area)
@@ -762,9 +761,9 @@ def weak_residual(traj: Trajectory, phi: ScalarFieldP1,
     comp_const = []
     is_const = True
     for c in mesh.components:
-        tv = phi.values[c.edges[:, 0]]
-        if np.ptp(phi.values[np.unique(c.edges)]) > 1e-12 * max(
-                1.0, float(np.abs(phi.values).max())):
+        tv = phi[c.edges[:, 0]]
+        if np.ptp(phi[np.unique(c.edges)]) > 1e-12 * max(
+                1.0, float(np.abs(phi).max())):
             is_const = False
             break
         comp_const.append(float(tv[0]))
@@ -777,7 +776,7 @@ def weak_residual(traj: Trajectory, phi: ScalarFieldP1,
         # entries are zero, so only boundary edges carry vorticity
         bd = ~mesh.interior_edge
         pot_bd = np.where(bd, traj.flux.pot, 0.0)
-        phim = 0.5 * phi.values[mesh.edges].sum(axis=1)
+        phim = 0.5 * phi[mesh.edges].sum(axis=1)
         rows = []
         for s in states:
             in_vals = {c.comp: traj.scenario.omega_in_value(c.comp, s.t)

@@ -14,7 +14,6 @@ import numpy as np
 
 from euler_ss import certificates, fem, zaremba
 from euler_ss.certificates import TwinRun, _trapz
-from euler_ss.fem import ScalarFieldP1, VelocityP0
 from euler_ss.hodge import P_GRID, stream_velocity
 
 
@@ -41,11 +40,11 @@ class EinsumTwin(TwinRun):
             coeff_d.append(s1.assembly.psi_coeffs - s2.assembly.psi_coeffs)
             C_d.append(s1.C - s2.C)
             phi, D = zaremba.solve_auxiliary(
-                self.basis, self._psi_field(k).values[:, None],
+                self.basis, self._psi_field(k)[:, None],
                 (s1.omega - s2.omega)[:, None])
             self.phi[:, k], self.D[:, k] = phi[:, 0], D[:, 0]
             ud = self._u_d(k)
-            vv = self._v(k).values
+            vv = self._v(k)
             self._z_u[k] = float(np.einsum("td,td,t->", ud, ud, area))
             self.z_v[k] = float(np.einsum("td,td,t->", vv, vv, area))
         self.coeff_d, self.C_d = np.array(coeff_d), np.array(C_d)
@@ -56,20 +55,18 @@ class EinsumTwin(TwinRun):
     def _u_d(self, k: int) -> np.ndarray:
         """Difference velocity at snapshot k, one snapshot's products."""
         s1, s2 = self._pair(k)
-        return s1.assembly.u.values - s2.assembly.u.values
+        return s1.assembly.u - s2.assembly.u
 
-    def _v(self, k: int) -> VelocityP0:
+    def _v(self, k: int) -> np.ndarray:
         """Auxiliary field grad_perp(phi) at snapshot k."""
-        return VelocityP0(self.mesh, stream_velocity(
-            self.mesh, self.phi[:, k], None, None))
+        return stream_velocity(self.mesh, self.phi[:, k], None, None)
 
-    def _psi_field(self, k: int) -> ScalarFieldP1:
+    def _psi_field(self, k: int) -> np.ndarray:
         """Difference stream function at snapshot k."""
         s1, s2 = self._pair(k)
-        return ScalarFieldP1(self.mesh, s1.assembly.psi_total.values
-                             - s2.assembly.psi_total.values)
+        return s1.assembly.psi_total - s2.assembly.psi_total
 
-    def _edge_density(self, field: ScalarFieldP1, load: np.ndarray, comp
+    def _edge_density(self, field: np.ndarray, load: np.ndarray, comp
                       ) -> np.ndarray:
         dn = fem.nodal_flux_density(self.basis.op, field, load, comp.comp)
         return 0.5 * (dn + np.roll(dn, -1))
@@ -81,7 +78,7 @@ class EinsumTwin(TwinRun):
         if phi is not None:
             a, b = comp.edges[:, 0], comp.edges[:, 1]
             dens = dens + asm.multiplier \
-                * (phi.values[b] - phi.values[a]) / comp.length
+                * (phi[b] - phi[a]) / comp.length
         return dens
 
     @cached_property
@@ -95,9 +92,8 @@ class EinsumTwin(TwinRun):
             psi_d = self._psi_field(k)
             load1 = -fem.p0_load_vector(mesh, s1.omega)
             load_d = load1 + fem.p0_load_vector(mesh, s2.omega)
-            phi = ScalarFieldP1(mesh, self.phi[:, k])
-            v = self._v(k)
-            vv = v.values
+            phi = self.phi[:, k]
+            vv = self._v(k)
             mult = self.mult[k]
             t = self.times[k]
 
@@ -109,9 +105,9 @@ class EinsumTwin(TwinRun):
                     bl += float(np.sum(ut * ut * (-g) * comp.length)) * mult
                     hat_t = self._hat_tau_edges(k, load1, comp)
                     a, b = comp.edges[:, 0], comp.edges[:, 1]
-                    vn = -(phi.values[b] - phi.values[a]) / comp.length
+                    vn = -(phi[b] - phi[a]) / comp.length
                     bi += float(np.sum(ut * hat_t * vn * comp.length))
-                    phim = 0.5 * (phi.values[a] + phi.values[b])
+                    phim = 0.5 * (phi[a] + phi[b])
                     om_in = self.omega_in_diff(comp.comp, t)
                     bp += float(np.sum(phim * om_in * g * comp.length)) \
                         * mult
@@ -122,8 +118,8 @@ class EinsumTwin(TwinRun):
                     bo += float(np.sum(ut * vt * (-g) * comp.length)) * mult
 
             jac_hat = fem.velocity_gradient(mesh, s1.assembly.u)
-            adv_u = fem.convective_term(mesh, VelocityP0(mesh, ud), jac_hat)
-            adv_v = fem.convective_term(mesh, v, jac_hat)
+            adv_u = fem.convective_term(ud, jac_hat)
+            adv_v = fem.convective_term(vv, jac_hat)
             om_hat = s1.omega
             rows.append((
                 0.5 * eb, np.einsum("td,td,t->", ud, adv_u, area),

@@ -177,7 +177,7 @@ def test_identity_windows_are_validated(flow_twin, name, window):
 
 def test_lamb_identity_trivial_on_constants(annulus_mid):
     m = annulus_mid
-    mk = lambda vec: fem.VelocityP0(m, np.tile(vec, (m.num_triangles, 1)))
+    mk = lambda vec: np.tile(vec, (m.num_triangles, 1))
     res = lamb_identity(m, mk([1.0, 0.0]), mk([0.0, 1.0]), mk([1.0, 1.0]))
     assert abs(res["residual"]) < 1e-14
 
@@ -186,9 +186,9 @@ def test_lamb_identity_canonical_triple(annulus_mid):
     m = annulus_mid
     x, y = m.centroid[:, 0], m.centroid[:, 1]
     r2 = x * x + y * y
-    u = fem.VelocityP0(m, np.column_stack([-y, x]))
-    v = fem.VelocityP0(m, np.column_stack([-y, x]) / r2[:, None])
-    w = fem.VelocityP0(m, np.column_stack([x, y]) / r2[:, None])
+    u = np.column_stack([-y, x])
+    v = np.column_stack([-y, x]) / r2[:, None]
+    w = np.column_stack([x, y]) / r2[:, None]
     jac = np.empty((m.num_triangles, 2, 2))
     jac[:, 0, 0] = (y * y - x * x) / r2 ** 2
     jac[:, 0, 1] = -2 * x * y / r2 ** 2
@@ -212,9 +212,9 @@ def test_lamb_identity_rate():
         m = generate_annulus(1.0, 2.0, nr, 4 * nr)
         x, y = m.centroid[:, 0], m.centroid[:, 1]
         r2 = x * x + y * y
-        u = fem.VelocityP0(m, np.column_stack([-y, x]))
-        v = fem.VelocityP0(m, np.column_stack([-y, x]) / r2[:, None])
-        w = fem.VelocityP0(m, np.column_stack([x, y]) / r2[:, None])
+        u = np.column_stack([-y, x])
+        v = np.column_stack([-y, x]) / r2[:, None]
+        w = np.column_stack([x, y]) / r2[:, None]
         jac = np.empty((m.num_triangles, 2, 2))
         jac[:, 0, 0] = (y * y - x * x) / r2 ** 2
         jac[:, 0, 1] = -2 * x * y / r2 ** 2
@@ -247,7 +247,7 @@ def test_trace_inequality_harmonic_values():
 def test_trace_inequality_needs_harmonic_field(annulus_mid):
     op = fem.StiffnessOperator(annulus_mid)
     r = np.hypot(*annulus_mid.vertices.T)
-    bumpy = fem.ScalarFieldP1(annulus_mid, r ** 2)
+    bumpy = r ** 2
     with pytest.raises(PreconditionError, match="harmonic"):
         trace_inequality(op, bumpy, np.zeros(annulus_mid.num_vertices), 0)
 

@@ -446,6 +446,46 @@ def test_stability_bad_ladder(tmp_path, scenario_file, capsys):
     assert "ladder" in capsys.readouterr().err
 
 
+def two_triangle_square(tmp_path, lo: float) -> Path:
+    """Scenario on the square [lo, 1]^2 split along its diagonal from
+    (lo, lo) to (1, 1) into two triangles, one wall component."""
+    verts = np.array([[lo, lo], [1.0, lo], [1.0, 1.0], [lo, 1.0]])
+    bedges = np.array([[0, 1, 0], [1, 2, 0], [2, 3, 0], [3, 0, 0]])
+    save_mesh(Mesh(verts, np.array([[0, 1, 2], [0, 2, 3]]), bedges,
+                   {0: "wall"}), tmp_path / "square.mesh")
+    doc = {"mesh": "square.mesh",
+           "omega0": {"type": "constant", "value": 1.0},
+           "T": 0.1, "cfl": 0.4, "snapshots": 2}
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_stability_perturb_all_without_hole_is_usage_error(tmp_path,
+                                                           capsys):
+    # no inner component: --perturb all names none, and a ladder that
+    # perturbs nothing certifies nothing
+    out = tmp_path / "stab"
+    rc = main(["stability", str(two_triangle_square(tmp_path, 0.0)),
+               "--perturb", "all", "-o", str(out)])
+    assert rc == 2
+    assert "inner component" in capsys.readouterr().err
+    assert not (out / "report.csv").exists()
+
+
+@pytest.mark.parametrize("refine", ["1", "3"])
+def test_certify_origin_in_the_fluid_is_precondition_error(tmp_path,
+                                                           capsys, refine):
+    # the origin lies on the shared edge of the two triangles, so on no
+    # cell centroid; the Lamb triple is singular there
+    out = tmp_path / "cert"
+    rc = main(["certify", str(two_triangle_square(tmp_path, -1.0)),
+               "--delta-omega0", "0.1", "--refine", refine, "-o", str(out)])
+    assert rc == 3
+    assert "origin outside the fluid" in capsys.readouterr().err
+    assert not (out / "ledger.csv").exists()
+
+
 # -- start-up and exit --------------------------------------------------
 
 

@@ -276,3 +276,10 @@ def test_stability_accepts_component_list(tmp_path):
     rep = stability_experiment(sc, [1e-2], comp=[1])
     assert len(rep.rungs) == 1
     assert rep.rungs[0].failed is None
+
+
+def test_stability_rejects_empty_component_list(tmp_path):
+    # a ladder that perturbs nothing has nothing to certify
+    sc = modulated_band_scenario(tmp_path)
+    with pytest.raises(UsageError, match="inner component"):
+        stability_experiment(sc, [1e-2], comp=[])

@@ -10,7 +10,6 @@ import pytest
 from euler_ss import fem, transport
 from euler_ss.certificates import TwinRun
 from euler_ss.errors import PreconditionError, UsageError
-from euler_ss.fem import VelocityP0
 from euler_ss.hodge import HarmonicBasis
 from euler_ss.mesh import generate_annulus, save_mesh
 
@@ -267,8 +266,7 @@ def test_flux_sums_match_scatter_reference(flow_pair):
     traj, _ = flow_pair
     mesh, flux, s = traj.mesh, traj.flux, traj.states[2]
     mult = s.assembly.multiplier
-    f = flux.fluxes(mesh.edge_jump_operator @ s.assembly.psi_total.values,
-                    mult)
+    f = flux.fluxes(mesh.edge_jump_operator @ s.assembly.psi_total, mult)
     for c in mesh.components:
         assert np.array_equal(f[c.edge_ids],
                               mult * traj.flux.g_edges[c.comp] * c.length)
@@ -291,7 +289,7 @@ def test_flux_sums_match_scatter_reference(flow_pair):
     out = np.zeros(mesh.num_triangles)
     np.add.at(out, L, np.maximum(f, 0.0))
     np.add.at(out, R[inner], np.maximum(-f[inner], 0.0))
-    speed = np.linalg.norm(s.assembly.u.values, axis=1)
+    speed = np.linalg.norm(s.assembly.u, axis=1)
     ref_dt = min((mesh.incircle_diameter / speed).min(),
                  (mesh.tri_area[out > 0] / out[out > 0]).min())
 
@@ -306,9 +304,9 @@ def test_stable_dt_matches_norm_formula(flow_pair):
     mesh, flux = traj.mesh, traj.flux
     for s in traj.states:
         u = s.assembly.u
-        f = flux.fluxes(mesh.edge_jump_operator @ s.assembly.psi_total.values,
+        f = flux.fluxes(mesh.edge_jump_operator @ s.assembly.psi_total,
                         s.assembly.multiplier)
-        speed = np.linalg.norm(u.values, axis=1)
+        speed = np.linalg.norm(u, axis=1)
         outflux = 0.5 * (flux.abs_D @ np.abs(f) + flux.D @ f)
         with np.errstate(divide="ignore"):
             adv = np.min(np.where(speed > 0, mesh.incircle_diameter
@@ -317,7 +315,7 @@ def test_stable_dt_matches_norm_formula(flow_pair):
                                   / np.maximum(outflux, 1e-300), np.inf))
         assert flux.stable_dt(u, f, 0.4) == \
             pytest.approx(0.4 * min(adv, pos), rel=1e-14)
-    still = VelocityP0(mesh, np.zeros((mesh.num_triangles, 2)))
+    still = np.zeros((mesh.num_triangles, 2))
     assert flux.stable_dt(still, np.zeros(len(mesh.edges)), 0.4) == math.inf
 
 
@@ -411,7 +409,7 @@ def cached_graph_through_flow(basis, g_edges):
     mesh, op = basis.mesh, basis.op
     phi = cached_solve_mean_zero(
         op.matrix, fem.boundary_load_vector(mesh, g_edges), op.factors)
-    gv = fem.gradient(mesh, fem.ScalarFieldP1(mesh, phi)).values
+    gv = fem.gradient(mesh, phi)
     interior = np.flatnonzero(mesh.interior_edge)
     D_int = mesh.incidence[:, interior].tocsr()
     graph = SimpleNamespace(interior=interior, incidence=D_int,
@@ -439,8 +437,8 @@ def test_released_factors_keep_the_through_flow_bits(kind, tmp_path):
     flux = transport.FluxAssembler(basis, sc.g_edges())
     phi, phi_grad, pot, div_defect = cached_graph_through_flow(
         HarmonicBasis(sc.mesh), sc.g_edges())
-    assert np.array_equal(flux.phi.values, phi)
-    assert np.array_equal(flux.phi_grad.values, phi_grad)
+    assert np.array_equal(flux.phi, phi)
+    assert np.array_equal(flux.phi_grad, phi_grad)
     assert np.array_equal(flux.pot, pot)
     assert flux.div_defect == div_defect
 
@@ -528,7 +526,7 @@ def test_circulation_evolution_kelvin_closed_form():
 def test_weak_residual_exact_for_constant_test_function(flow_pair):
     base, _ = flow_pair
     from euler_ss import fem
-    phi = fem.ScalarFieldP1(base.mesh, np.ones(base.mesh.num_vertices))
+    phi = np.ones(base.mesh.num_vertices)
     rep = transport.weak_residual(base, phi)
     # conservation against phi == 1 is the per-step accumulator identity
     assert rep["exact_boundary"]
@@ -541,7 +539,7 @@ def test_weak_residual_consistent_for_smooth_test_function(flow_pair):
     m = base.mesh
     from euler_ss import fem
     r = np.hypot(*m.vertices.T)
-    phi = fem.ScalarFieldP1(m, np.sin(math.pi * (r - 1.0)) ** 2)
+    phi = np.sin(math.pi * (r - 1.0)) ** 2
     rep = transport.weak_residual(base, phi)
     # upwind diffusion leaves an O(h) defect; terms must still mostly cancel
     scale = max(abs(rep["volume"]), abs(rep["jump"]))
@@ -552,7 +550,7 @@ def test_weak_residual_consistent_for_smooth_test_function(flow_pair):
 def test_weak_residual_windows_are_validated(flow_pair, window):
     # reversed, a negative start, an end past the last snapshot
     base, _ = flow_pair
-    phi = fem.ScalarFieldP1(base.mesh, np.ones(base.mesh.num_vertices))
+    phi = np.ones(base.mesh.num_vertices)
     with pytest.raises(UsageError, match="snapshot window"):
         transport.weak_residual(base, phi, *window)
 
