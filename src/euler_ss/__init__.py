@@ -7,8 +7,7 @@ The package splits along the same seams as the underlying problem:
   boundary components and role tags,
 - :mod:`euler_ss.fem` — P1 stiffness machinery, constrained solves, and
   consistent boundary fluxes; every P1 and P0 field is a plain float64
-  array, (V,), (T,) or (T, 2), with a last axis of n for a block of n
-  fields,
+  array, (V,), (T,) or (T, 2),
 - :mod:`euler_ss.hodge` — harmonic stream basis, circulation matrix, and
   velocity reconstruction from vorticity plus boundary data,
 - :mod:`euler_ss.transport` — scenarios as parsed immutable values,

@@ -33,28 +33,8 @@ from .hodge import P_GRID
 from .transport import Trajectory, snapshot_window
 
 
-# Snapshots are processed in blocks: a block's auxiliary potentials are
-# one multi-column solve, and each mesh operator meets the block in one
-# product.  A block column costs about _BYTES_PER_VERTEX bytes per mesh
-# vertex of work space (its columns of the auxiliary load, solve and
-# boundary residual, with the solver's own buffers), so blocks hold as
-# many snapshots as fit in BLOCK_BYTES: a few snapshots, whose cell-sized
-# velocities and velocity gradients live only while the block is summed.
-BLOCK_BYTES = 1 << 20
-_BYTES_PER_VERTEX = 64
-
-
 def _trapz(vals, times):
     return float(np.trapezoid(np.asarray(vals), np.asarray(times)))
-
-
-def _blocks(n: int, mesh: Mesh) -> list[tuple[int, int]]:
-    """Snapshots 0..n-1 as consecutive blocks [k0, k1) of nearly equal
-    size, each small enough for its work arrays to fit in BLOCK_BYTES."""
-    per = _BYTES_PER_VERTEX * mesh.num_vertices
-    count = max(1, -(-n // max(1, BLOCK_BYTES // per)))
-    bounds = [n * i // count for i in range(count + 1)]
-    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def _volume_terms(area: np.ndarray, ud: np.ndarray, v: np.ndarray,
@@ -86,7 +66,7 @@ def _volume_terms(area: np.ndarray, ud: np.ndarray, v: np.ndarray,
 
 def _edge_means(dn: np.ndarray) -> np.ndarray:
     """Per-edge means of loop-vertex values (edge i joins loop vertices i
-    and i + 1, cyclically), for every column of a block."""
+    and i + 1, cyclically), for every snapshot's column."""
     out = np.empty_like(dn)
     np.add(dn[:-1], dn[1:], out=out[:-1])
     np.add(dn[-1], dn[0], out=out[-1])
@@ -104,11 +84,9 @@ class TwinRun:
     of the stream coefficients (``coeff_d``) and of the circulations
     (``C_d``), and the squared L2 norms ``z_u`` of the difference
     velocity and ``z_v`` of the auxiliary field.  The difference fields
-    are formed from the two trajectories when they are needed, so a twin
-    holds O(V) floats per snapshot and no cell array.  They are formed
-    for blocks of snapshots (``_blocks``): each pass over a block gathers
-    its stream functions and vorticities once, reads its columns of
-    ``phi``, and each mesh operator meets the block in one product.
+    are formed from the two trajectories when they are needed, one
+    snapshot at a time, so a twin holds O(V) floats per snapshot and no
+    cell array.
     """
 
     def __init__(self, traj1: Trajectory, traj2: Trajectory):
@@ -140,25 +118,20 @@ class TwinRun:
             - np.array([s.assembly.psi_coeffs for s in s2s])
         self.C_d = np.array([s.C for s in s1s]) - np.array([s.C for s in s2s])
         self._z_u: np.ndarray | None = None     # built on first read
-        self.z_v = np.empty(len(t1))
         self.mult = np.array([s.assembly.multiplier for s in s1s])
 
-        V, T = self.mesh.num_vertices, self.mesh.num_triangles
-        self.phi = np.empty((V, len(t1)))
-        self.D = np.empty((len(self.mesh.components), len(t1)))
-        for k0, k1 in _blocks(len(t1), self.mesh):
-            # the differences, a snapshot at a time into (V, n) and (T, n)
-            psi_d, omega_d = np.empty((V, k1 - k0)), np.empty((T, k1 - k0))
-            for j, (s1, s2) in enumerate(zip(s1s[k0:k1], s2s[k0:k1])):
-                np.subtract(s1.assembly.psi_total, s2.assembly.psi_total,
-                            out=psi_d[:, j])
-                np.subtract(s1.omega, s2.omega, out=omega_d[:, j])
-            self.phi[:, k0:k1], self.D[:, k0:k1] = zaremba.solve_auxiliary(
-                self.basis, psi_d, omega_d)
-        # the auxiliary fields, once every solve's work arrays are freed
-        for k0, k1 in _blocks(len(t1), self.mesh):
-            self.z_v[k0:k1] = self._norms(hodge.stream_velocity(
-                self.mesh, self.phi[:, k0:k1], None, None))
+        mesh, n = self.mesh, len(t1)
+        # column-major: each snapshot's potential is one contiguous column
+        self.phi = np.empty((mesh.num_vertices, n), order="F")
+        self.D = np.empty((len(mesh.components), n))
+        self.z_v = np.empty(n)
+        for k, (s1, s2) in enumerate(zip(s1s, s2s)):
+            phi, self.D[:, k] = zaremba.solve_auxiliary(
+                self.basis, s1.assembly.psi_total - s2.assembly.psi_total,
+                s1.omega - s2.omega)
+            self.phi[:, k] = phi
+            self.z_v[k] = fem.sq_norm_p0(
+                mesh, hodge.stream_velocity(mesh, phi, None, None))
 
     @property
     def z_u(self) -> np.ndarray:
@@ -167,55 +140,28 @@ class TwinRun:
         identities and the ledger run it before they read the norms), else
         by a velocity pass of their own."""
         if self._z_u is None:
-            self._z_u = np.empty(len(self.times))
-            for k0, k1 in _blocks(len(self.times), self.mesh):
-                _, u_d = self._velocity_block(self._gather(k0, k1), k0, k1)
-                self._z_u[k0:k1] = self._norms(u_d)
+            self._z_u = np.array([
+                fem.sq_norm_p0(self.mesh, self._velocities(k)[1])
+                for k in range(len(self.times))])
         return self._z_u
 
-    def _norms(self, block: np.ndarray) -> list[float]:
-        """``fem.sq_norm_p0`` of each column of a (T, 2, n) block, copied in
-        turn to one contiguous (T, 2) buffer: a single field's summation."""
-        buf, out = np.empty(block.shape[:2]), []
-        for j in range(block.shape[-1]):
-            buf[...] = block[..., j]
-            out.append(fem.sq_norm_p0(self.mesh, buf))
-        return out
+    # -- fields of snapshot k, formed on read ---------------------------
 
-    # -- block fields of snapshots k0..k1-1, formed on read -------------
+    def _velocities(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """(T, 2) reference and difference velocities at snapshot k, from
+        each run's ``assembly.u``: the bits its step read."""
+        u_hat = self.traj1.states[k].assembly.u
+        return u_hat, u_hat - self.traj2.states[k].assembly.u
 
-    def _gather(self, k0: int, k1: int) -> np.ndarray:
-        """(2, V, n) stream functions of run 1 and run 2, one column per
-        snapshot."""
-        psi = np.empty((2, self.mesh.num_vertices, k1 - k0))
-        for j, k in enumerate(range(k0, k1)):
-            psi[0, :, j] = self.traj1.states[k].assembly.psi_total
-            psi[1, :, j] = self.traj2.states[k].assembly.psi_total
-        return psi
-
-    def _velocity_block(self, psi: np.ndarray, k0: int, k1: int
-                        ) -> tuple[np.ndarray, np.ndarray]:
-        """(T, 2, n) reference and difference velocities from the block's
-        stream functions ``psi`` (``_gather``): the bits of each
-        ``assembly.u``, from one perp-gradient product per run."""
-        mult, phi_grad = self.mult[k0:k1], self.traj1.flux.phi_grad
-        u_hat = hodge.stream_velocity(self.mesh, psi[0], mult, phi_grad)
-        u_d = hodge.stream_velocity(self.mesh, psi[1], mult, phi_grad)
-        np.subtract(u_hat, u_d, out=u_d)
-        return u_hat, u_d
-
-    def _load_rows(self, k0: int, k1: int) -> tuple[np.ndarray, np.ndarray]:
-        """(B, n) rows at ``Mesh.boundary_nodes`` of run 1's stream loads
-        -p0_load_vector(mesh, omega) and of the load differences, the
-        bits the reconstructions solved with: one row product per run."""
+    def _stream_loads(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Rows at ``Mesh.boundary_nodes`` of run 1's stream load
+        -p0_load_vector(mesh, omega) at snapshot k and of the load
+        difference: the bits the reconstructions solved with."""
         mesh = self.mesh
-        rows, weighted = [], np.empty((mesh.num_triangles, k1 - k0))
-        for traj in (self.traj1, self.traj2):
-            for j, s in enumerate(traj.states[k0:k1]):
-                np.multiply(s.omega, mesh.tri_area, out=weighted[:, j])
-            weighted /= 3.0
-            rows.append(-(mesh.boundary_vertex_cells @ weighted))
-        return rows[0], rows[0] - rows[1]
+        load1, load2 = (-(mesh.boundary_vertex_cells
+                          @ (traj.states[k].omega * mesh.tri_area / 3.0))
+                        for traj in (self.traj1, self.traj2))
+        return load1, load1 - load2
 
     # -- boundary data --------------------------------------------------
 
@@ -235,13 +181,35 @@ class TwinRun:
     def _integrands(self) -> dict[str, dict[str, np.ndarray]]:
         """Per-snapshot integrands of the energy and auxiliary identities,
         keyed like the pieces those identities return.  Built on first use
-        a block of snapshots at a time (``_integrand_block``), with the
-        norms ``z_u`` of the same velocities when those are not built
-        yet."""
+        in one pass over the snapshots, with the norms ``z_u`` of the same
+        velocities when those are not built yet.
+
+        Volume terms read the velocities, the reference velocity gradient
+        and the auxiliary field of one snapshot (``_volume_terms``).
+        Boundary terms read only the boundary rows of three residuals: of
+        the difference and reference stream functions, paired with their
+        loads, and of the potential, paired with none.  Those rows are
+        stacked as (B, N) arrays, one column per snapshot, and summed for
+        every snapshot at once (``_boundary_terms``).
+        """
+        mesh, op = self.mesh, self.basis.op
         n = len(self.times)
         cols, z_u = np.empty((8, n)), np.empty(n)
-        for k0, k1 in _blocks(n, self.mesh):
-            cols[:, k0:k1], z_u[k0:k1] = self._integrand_block(k0, k1)
+        res = np.empty((3, len(mesh.boundary_nodes), n))
+        for k, s1 in enumerate(self.traj1.states):
+            psi1, phi = s1.assembly.psi_total, self.phi[:, k]
+            load1, load_d = self._stream_loads(k)
+            res[0, :, k] = fem.boundary_residual(
+                op, psi1 - self.traj2.states[k].assembly.psi_total, load_d)
+            res[1, :, k] = fem.boundary_residual(op, psi1, load1)
+            res[2, :, k] = op.boundary_rows @ phi
+            u_hat, u_d = self._velocities(k)
+            z_u[k] = fem.sq_norm_p0(mesh, u_d)
+            cols[[1, 5, 6], k] = _volume_terms(
+                mesh.tri_area, u_d,
+                hodge.stream_velocity(mesh, phi, None, None),
+                fem.velocity_gradient(mesh, u_hat), s1.omega)
+        cols[[0, 2, 3, 4, 7]] = self._boundary_terms(*res)
         if self._z_u is None:
             self._z_u = z_u
         return {"energy": dict(zip(("boundary", "convective"), cols[:2])),
@@ -249,30 +217,15 @@ class TwinRun:
                                  "inflow_cross", "convective", "vortical",
                                  "inflow_data"), cols[2:]))}
 
-    def _integrand_block(self, k0: int, k1: int
-                         ) -> tuple[np.ndarray, list[float]]:
-        """(8, n) integrands of snapshots k0..k1-1, in the order of
-        ``_integrands``: the boundary and convective energy terms, then
-        the six auxiliary terms; and the n norms ``z_u`` of the block.
-
-        Boundary terms come first, before any cell-sized block: they read
-        the boundary residuals of the difference and reference stream
-        functions, paired with their loads, and of the harmonic
-        potentials, paired with none.  Volume terms read the velocities,
-        reference velocity gradients and auxiliary fields and are summed
-        one snapshot at a time (``_volume_terms``).
-        """
-        mesh, op = self.mesh, self.basis.op
-        n = k1 - k0
-        out = np.empty((8, n))
-        load1, load_d = self._load_rows(k0, k1)
-        psi, phi = self._gather(k0, k1), self.phi[:, k0:k1]
-        res_d = fem.boundary_residual(op, psi[0] - psi[1], load_d)
-        res_hat = fem.boundary_residual(op, psi[0], load1)
-        res_phi = op.boundary_rows @ phi
-        mult = self.mult[k0:k1]
-
-        eb, bl, bo, bi, bp = np.zeros((5, n))
+    def _boundary_terms(self, res_d: np.ndarray, res_hat: np.ndarray,
+                        res_phi: np.ndarray) -> np.ndarray:
+        """(5, N) boundary integrands, in the order of ``_integrands``: the
+        energy term, then the inflow-energy, outflow-cross, inflow-cross
+        and inflow-data terms, from the (B, N) boundary residual rows of
+        the difference and reference stream functions and of the
+        potentials."""
+        mesh, phi, mult = self.mesh, self.phi, self.mult
+        eb, bl, bo, bi, bp = out = np.zeros((5, len(self.times)))
         through = self.traj1.flux.phi
         for comp, g in self._flow_components():
             cid = comp.comp
@@ -297,25 +250,14 @@ class TwinRun:
                 vn = -(phi[b] - phi[a]) / comp.length[:, None]
                 bi += comp.length @ (ut * hat_t * vn)
                 om_in = np.array([self.omega_in_diff(cid, t)
-                                  for t in self.times[k0:k1]])
+                                  for t in self.times])
                 bp += (w @ (0.5 * (phi[a] + phi[b]))) * om_in * mult
             elif comp.role == "outflow":
                 # v . tau is the flux density of the potential
                 vt = _edge_means(fem.loop_flux_density(mesh, res_phi, cid))
                 bo -= (w @ (ut * vt)) * mult
-        out[[0, 2, 3, 4, 7]] = 0.5 * eb, bl, bo, bi, bp
-
-        u_hat, u_d = self._velocity_block(psi, k0, k1)
-        # each block is freed once read, before the next one is formed
-        del psi
-        jac = fem.velocity_gradient(mesh, u_hat)
-        del u_hat
-        v = hodge.stream_velocity(mesh, phi, None, None)
-        for j, k in enumerate(range(k0, k1)):
-            out[[1, 5, 6], j] = _volume_terms(
-                mesh.tri_area, u_d[..., j], v[..., j], jac[..., j],
-                self.traj1.states[k].omega)
-        return out, self._norms(u_d)
+        eb *= 0.5
+        return out
 
     def _integrals(self, family: str, k0: int, k1: int) -> dict[str, float]:
         """Trapezoid sums of one identity's integrands over [k0, k1]."""

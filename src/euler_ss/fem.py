@@ -3,9 +3,8 @@
 Fields are plain arrays: a float64 ``np.ndarray`` of shape (V,) for a P1
 field (one value per vertex, linear on each triangle), (T,) for a P0
 scalar such as a vorticity and (T, 2) for a P0 vector such as a velocity
-or the gradient of a P1 field.  A block of n fields adds a last axis:
-(V, n), (T, n) or (T, 2, n).  The mesh is passed beside the array where
-it is needed.
+or the gradient of a P1 field.  The mesh is passed beside the array
+where it is needed.
 
 The stiffness matrix discretizes the Dirichlet energy: entry (a, b) is
 sum_T grad(lambda_a) . grad(lambda_b) |T|.  Every boundary-value solver
@@ -15,15 +14,13 @@ a sparse LU factor.  Dirichlet data is one dict {component id: constant}
 (``solve_dirichlet``, ``solve_mixed``).  The factor of a pinned set that
 serves many solves is cached on the ``StiffnessOperator``: the
 all-boundary set of the basis and of every step's Green solve, and the
-auxiliary set of every twin block, so those cost one factorization each
-and then only triangular solves.  A pure Neumann system
+auxiliary set of every twin snapshot, so those cost one factorization
+each and then only triangular solves.  A pure Neumann system
 (``solve_mean_zero``: the through-flow potential and the cell-graph
 equilibration, each solved once per g) is factored, solved and its factor
 released, since keeping it would hold its fill for the process's lifetime
 with no second solve to serve.  A zero trace (every Green, auxiliary and
-gauge solve) writes no trace values and adds no coupling product.  A
-(V, n) load is n systems with one pinned set, solved as the columns of
-one triangular solve (``solve_constrained``).
+gauge solve) writes no trace values and adds no coupling product.
 
 Every per-step kernel on cells and vertices is one product with a fixed
 linear map of the mesh, built once on first use (``Mesh``):
@@ -60,8 +57,8 @@ in the same order as X (A psi - load), without the V x V product.  The
 nodal flux density reads the same boundary residual (``boundary_residual``)
 at the loop vertices of one component, in loop order
 (``BoundaryComponent.nodes``), divided by the boundary length each vertex
-owns (``lumped_length``).  Both take a (V, n) block of fields as well, one
-product for all columns.
+owns (``lumped_length``), and takes the residual rows of several fields
+stacked as (B, n) columns as well.
 Outside this module no code multiplies the stiffness matrix to read a flux.
 
 perp-gradient convention: grad_perp(psi) = (-d_y psi, d_x psi), so
@@ -147,9 +144,8 @@ class StiffnessOperator:
     def boundary_fluxes(self, boundary_product: np.ndarray,
                         load: np.ndarray | None = None) -> np.ndarray:
         """Consistent fluxes of every component from the boundary rows of
-        a product, ``boundary_rows @ x`` (see ``consistent_fluxes``); a
-        block of columns x with loads of the same shape gives one column
-        of fluxes each.  A harmonic field pairs with no load (None)."""
+        a product, ``boundary_rows @ x`` (see ``consistent_fluxes``).  A
+        harmonic field pairs with no load (None)."""
         if load is not None:
             boundary_product = boundary_product \
                 - load[self.mesh.boundary_nodes]
@@ -157,11 +153,8 @@ class StiffnessOperator:
 
 
 def p0_load_vector(mesh: Mesh, cell_values: np.ndarray) -> np.ndarray:
-    """Nodal load b_a = integral(f * lambda_a) for piecewise constant f;
-    a (T, n) block of fields gives the (V, n) loads of its columns."""
-    cell_values = np.asarray(cell_values, dtype=np.float64)
-    weighted = cell_values * mesh.tri_area.reshape(
-        (-1,) + (1,) * (cell_values.ndim - 1))
+    """Nodal load b_a = integral(f * lambda_a) for piecewise constant f."""
+    weighted = np.asarray(cell_values, dtype=np.float64) * mesh.tri_area
     weighted /= 3.0
     return mesh.vertex_cells @ weighted
 
@@ -197,8 +190,6 @@ def _pinned_solve(A: sp.csr_matrix, load: np.ndarray, pinned: np.ndarray,
     symmetrically and A[free][:, free] is factored by sparse LU (SuperLU,
     minimum-degree ordering on A^T + A).  ``factors`` caches the factor
     per pinned node set, together with the free-node indices it acts on.
-    A (V, n) load with a (V, n) ``x`` is n systems on one matrix, solved
-    as the columns of one call of the factor's triangular solve.
     Raises SolverError when the reduced matrix is singular.
     """
     key = pinned.tobytes()
@@ -322,16 +313,12 @@ def solve_constrained(op: StiffnessOperator, load: np.ndarray,
                       pinned_nodes: np.ndarray, pinned_values: np.ndarray
                       ) -> np.ndarray:
     """General solve with an explicit pinned-node set (used by the
-    auxiliary-function machinery, where only some components are pinned).
-
-    A (V, n) ``load`` is a block of n systems with the same pinned values:
-    the result is the (V, n) array of their solutions, one factor solve
-    for all columns."""
+    auxiliary-function machinery, where only some components are pinned)."""
     load = np.asarray(load, dtype=np.float64)
     nodes = np.asarray(pinned_nodes, dtype=np.int64)
     values = np.asarray(pinned_values, dtype=np.float64)
     x = np.zeros(load.shape)
-    x[nodes] = values if load.ndim == 1 else values[:, None]
+    x[nodes] = values
     return _pinned_solve(op.matrix, load, np.unique(nodes), x, op.factors)
 
 
@@ -341,17 +328,15 @@ def solve_constrained(op: StiffnessOperator, load: np.ndarray,
 def boundary_residual(op: StiffnessOperator, x: np.ndarray,
                       load_rows: np.ndarray) -> np.ndarray:
     """Rows of the residual A x - load at ``Mesh.boundary_nodes``: all of
-    it that a consistent flux or a nodal flux density reads.  ``x`` is a
-    (V,) field or a (V, n) block of fields, and ``load_rows`` holds the
-    rows of their loads at the boundary nodes."""
+    it that a consistent flux or a nodal flux density reads.
+    ``load_rows`` holds the rows of the load at the boundary nodes."""
     return op.boundary_rows @ x - load_rows
 
 
 def consistent_fluxes(op: StiffnessOperator, field: np.ndarray,
                       load: np.ndarray | None = None) -> np.ndarray:
     """(ncomp,) variational fluxes integral_comp(dfield/dn), outward
-    normal, of every component from one residual; a (V, n) block of
-    fields with (V, n) loads gives (ncomp, n).
+    normal, of every component from one residual.
 
     ``load`` must be the load vector of the system the field solves (None
     for a harmonic field).  The pairing with the component indicators makes
@@ -369,9 +354,10 @@ def consistent_flux(op: StiffnessOperator, field: np.ndarray,
 def loop_flux_density(mesh: Mesh, residual: np.ndarray, comp: int
                       ) -> np.ndarray:
     """Normal derivative at the loop vertices of a component, in
-    ``BoundaryComponent.nodes`` order, from a ``boundary_residual`` (of a
-    field or a block): the nodal residual divided by the lumped boundary
-    length (half of each of the two adjacent edges)."""
+    ``BoundaryComponent.nodes`` order, from a ``boundary_residual`` (of
+    one field, or of n fields stacked as (B, n) columns): the nodal
+    residual divided by the lumped boundary length (half of each of the
+    two adjacent edges)."""
     c = mesh.component(comp)
     r = residual[np.searchsorted(mesh.boundary_nodes, c.nodes)]
     return r / c.lumped_length.reshape((-1,) + (1,) * (r.ndim - 1))

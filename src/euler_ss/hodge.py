@@ -30,9 +30,9 @@ edge jumps beside it: the step reads them once, and a saved snapshot
 keeps the assembly as built.  The assembly stores no velocity: its ``u``
 is the perp-gradient product of its stream function plus the multiplier
 times the shared through-flow gradient, the bits of the stacked product
-(``stream_velocity``, which takes a block of stream functions too).  The
-through-flow, g with phi_g and its gradient at unit multiplier, is owned
-by ``transport.FluxAssembler``, one per g cached on the basis.
+(``stream_velocity``).  The through-flow, g with phi_g and its gradient
+at unit multiplier, is owned by ``transport.FluxAssembler``, one per g
+cached on the basis.
 
 The boundary data g must satisfy the sign condition: g <= 0 on inflow
 components, g >= 0 on outflow components, g = 0 on walls.  Violations are
@@ -147,16 +147,10 @@ def greens_operator(basis: HarmonicBasis, omega: np.ndarray
 def stream_velocity(mesh: Mesh, psi: np.ndarray, multiplier,
                     phi_grad: np.ndarray | None) -> np.ndarray:
     """(T, 2) P0 velocity grad_perp(psi) + multiplier * phi_grad of a (V,)
-    stream function, one product with the mesh's perp-gradient operator;
-    a (V, n) block with n multipliers gives the (T, 2, n) velocities of
-    its columns, the same bits column by column."""
-    u = (mesh.perp_gradient_operator @ psi).reshape(
-        (mesh.num_triangles, 2) + psi.shape[1:])
+    stream function, one product with the mesh's perp-gradient operator."""
+    u = (mesh.perp_gradient_operator @ psi).reshape(-1, 2)
     if phi_grad is not None:
-        # a column at a time, each add over all cells at once
-        block = u.reshape(mesh.num_triangles, 2, -1)
-        for j, m in enumerate(np.atleast_1d(multiplier)):
-            block[..., j] += m * phi_grad
+        u += multiplier * phi_grad
     return u
 
 

@@ -283,6 +283,9 @@ def stability_experiment(base_scenario, deltas, comp: int | list | None = None
     comps = [int(comp)] if np.isscalar(comp) else sorted(int(c) for c in comp)
     if not comps:
         raise UsageError("stability experiment needs an inner component")
+    # the data term counts each perturbed component once
+    if len(set(comps)) != len(comps):
+        raise UsageError(f"components must be distinct, got {comps}")
 
     basis = HarmonicBasis(mesh)
     base_traj = transport.run(base_scenario, basis)

@@ -14,10 +14,6 @@ with no through-flow): v is discrete-divergence-free by construction and
 its consistent fluxes D_i through the inflow components reproduce the
 negated circulations of the difference state.
 
-The potentials of a block of difference states are kept as they are
-solved, one column each: a (V, n) array of phi and an (ncomp, n) array of
-D.
-
 The right-hand side vanishes at interior rows (the stream equation), so
 phi is discrete harmonic away from the boundary data; everything it knows
 about the difference state enters through the inflow components.
@@ -34,13 +30,12 @@ from .hodge import HarmonicBasis
 
 def solve_auxiliary(basis: HarmonicBasis, psi: np.ndarray, omega: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Solve the mixed problem for the auxiliary potentials of a block of
-    difference states: the (V, n) array of their stream functions with the
-    (T, n) array of their vorticities, one column per state.
+    """Solve the mixed problem for the auxiliary potential of one
+    difference state: its (V,) stream function and (T,) vorticity.
 
-    One load product per operator, one multi-column solve with the cached
-    factor of the pinned set, and one flux product.  Returns the (V, n)
-    potentials phi and their (ncomp, n) consistent fluxes D."""
+    One load product per operator, one solve with the cached factor of
+    the pinned set, and one flux product.  Returns the (V,) potential phi
+    and its (ncomp,) consistent fluxes D."""
     mesh = basis.mesh
     pinned = [c.comp for c in mesh.components if c.role != "inflow"]
     if not pinned:
@@ -63,10 +58,10 @@ def reversed_flux_residuals(D: np.ndarray, basis: HarmonicBasis,
     """Residuals |D_i + C_i| of the reversed-flux law: one row per state,
     one column per inflow component.
 
-    ``D`` holds the (ncomp, n) consistent fluxes of ``solve_auxiliary``
-    and ``C`` the (n, m) circulations of the difference states for the
-    inner components in basis order; the law only constrains inflow
-    components.
+    ``D`` holds the (ncomp, n) consistent fluxes of n difference states,
+    one ``solve_auxiliary`` column each, and ``C`` their (n, m)
+    circulations for the inner components in basis order; the law only
+    constrains inflow components.
     """
     comps = [c.comp for c in basis.mesh.components
              if c.role == "inflow" and c.comp != 0]

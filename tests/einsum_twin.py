@@ -1,18 +1,19 @@
-"""The per-snapshot twin, kept as a reference for ``TwinRun``'s blocks.
+"""The einsum twin, kept as a reference for ``TwinRun``'s kernels.
 
-``EinsumTwin`` solves each snapshot's auxiliary problem on its own, as a
-block of one column, and sums every integrand with ``np.einsum``, one
-snapshot at a time, and ``loop_ledger`` builds the inequality ledger one
-row at a time: the formulas below are the ones ``certificates.TwinRun``
-used before it worked on blocks of snapshots, verbatim.  Tests compare
-the block kernels against them.
+``EinsumTwin`` solves each snapshot's auxiliary problem on its own, as
+``TwinRun`` does, and sums every integrand with ``np.einsum``, one
+snapshot and one boundary component at a time, and ``loop_ledger``
+builds the inequality ledger one row at a time: the formulas below are
+the textbook forms of ``certificates.TwinRun``'s BLAS dots, (B, N)
+boundary pass and array ledger.  Tests compare those kernels against
+them.
 """
 
 from functools import cached_property
 
 import numpy as np
 
-from euler_ss import certificates, fem, zaremba
+from euler_ss import fem, zaremba
 from euler_ss.certificates import TwinRun, _trapz
 from euler_ss.hodge import P_GRID, stream_velocity
 
@@ -39,10 +40,8 @@ class EinsumTwin(TwinRun):
         for k, (s1, s2) in enumerate(zip(traj1.states, traj2.states)):
             coeff_d.append(s1.assembly.psi_coeffs - s2.assembly.psi_coeffs)
             C_d.append(s1.C - s2.C)
-            phi, D = zaremba.solve_auxiliary(
-                self.basis, self._psi_field(k)[:, None],
-                (s1.omega - s2.omega)[:, None])
-            self.phi[:, k], self.D[:, k] = phi[:, 0], D[:, 0]
+            self.phi[:, k], self.D[:, k] = zaremba.solve_auxiliary(
+                self.basis, self._psi_field(k), s1.omega - s2.omega)
             ud = self._u_d(k)
             vv = self._v(k)
             self._z_u[k] = float(np.einsum("td,td,t->", ud, ud, area))
@@ -183,30 +182,23 @@ def loop_ledger(twin: TwinRun) -> dict:
             "flags": flags}
 
 
-def block_bytes(mesh, size: int) -> int:
-    """A ``certificates.BLOCK_BYTES`` that makes blocks of ``size``
-    snapshots on ``mesh``."""
-    return size * certificates._BYTES_PER_VERTEX * mesh.num_vertices
-
-
 def assert_matches_reference(twin: TwinRun, ref: EinsumTwin,
                              rtol: float = 1e-12) -> None:
-    """The block kernels agree with the per-snapshot formulas: the norms
-    of the difference velocity to the bit (they keep the reference's
-    summation); auxiliary potentials, fluxes and norms, integrands and
-    identity pieces to ``rtol`` of each quantity's scale (a multi-column
-    solve may round differently from single solves, depending on the
-    BLAS); and the ledger exactly as the row-at-a-time ledger builds it
-    from the same norms and integrands."""
+    """``TwinRun``'s kernels agree with the einsum formulas: the auxiliary
+    potentials, their fluxes and both norms to the bit (each is one
+    solve and one summation in both); integrands and identity pieces to
+    ``rtol`` of each quantity's scale (BLAS dots round differently from
+    ``np.einsum``); and the ledger exactly as the row-at-a-time ledger
+    builds it from the same norms and integrands."""
 
     def close(got, want):
         return np.abs(np.asarray(got) - want).max() \
             <= rtol * np.abs(want).max()
 
     assert np.array_equal(twin.z_u, ref.z_u)
-    assert close(twin.z_v, ref.z_v)
-    assert close(twin.phi, ref.phi)
-    assert close(twin.D, ref.D)
+    assert np.array_equal(twin.z_v, ref.z_v)
+    assert np.array_equal(twin.phi, ref.phi)
+    assert np.array_equal(twin.D, ref.D)
     for family, cols in ref._integrands.items():
         for key, col in cols.items():
             assert close(twin._integrands[family][key], col), (family, key)

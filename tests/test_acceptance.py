@@ -247,9 +247,8 @@ def test_criterion_07_reversed_flux_relation(capsys, tmp_path):
         a2, _, _ = hodge.reconstruct_velocity(basis, om, c0 + 0.1,
                                               phi_grad=phi_grad)
         psi_d = a2.psi_total - a1.psi_total
-        _, D = solve_auxiliary(basis, psi_d[:, None],
-                               np.zeros((m.num_triangles, 1)))
-        res[nr] = float(reversed_flux_residuals(D, basis,
+        _, D = solve_auxiliary(basis, psi_d, np.zeros(m.num_triangles))
+        res[nr] = float(reversed_flux_residuals(D[:, None], basis,
                                                 np.array([[0.1]])).max())
     # tolerance halves twice with h; the measured values sit at the
     # linear-solver floor, far below either bound

@@ -326,7 +326,7 @@ def test_repeated_solves_reuse_cached_factors():
     _, free = next(iter(basis.op.factors.values()))
     np.testing.assert_array_equal(
         free, np.setdiff1d(np.arange(mesh.num_vertices), mesh.boundary_nodes))
-    zaremba.solve_auxiliary(basis, psi0[:, None], omega[:, None])
+    zaremba.solve_auxiliary(basis, psi0, omega)
     assert len(basis.op.factors) == 2      # auxiliary: non-inflow pinned
 
 
@@ -369,32 +369,21 @@ def test_write_vtk_structure(tmp_path, annulus):
 
 
 def test_block_forms_match_single_column_calls(annulus, stiffness):
-    # a (V, n) load is n solves with one factor; loads and fluxes of a
-    # block are column for column the bits of single calls, and the block
-    # solve agrees with single solves to round-off (bit for bit where the
-    # BLAS kernels of one and several right-hand sides sum alike)
+    # the boundary residual rows of n fields, stacked as (B, n) columns,
+    # give each column's nodal flux density to the bit
     rng = np.random.default_rng(7)
-    V, T = annulus.num_vertices, annulus.num_triangles
+    V = annulus.num_vertices
+    fields = rng.standard_normal((V, 5))
     loads = rng.standard_normal((V, 5))
-    cells = rng.standard_normal((T, 5))
-    nodes = annulus.component_nodes(0)
-    for pinned_value in (0.0, 0.25):
-        vals = np.full(len(nodes), pinned_value)
-        block = fem.solve_constrained(stiffness, loads, nodes, vals)
-        assert block.shape == (V, 5)
-        assert np.all(block[nodes] == pinned_value)
+    bn = annulus.boundary_nodes
+    rows = np.column_stack([
+        fem.boundary_residual(stiffness, fields[:, j], loads[bn, j])
+        for j in range(5)])
+    for comp in (0, 1):
+        dens = fem.loop_flux_density(annulus, rows, comp)
         for j in range(5):
-            one = fem.solve_constrained(stiffness, loads[:, j], nodes, vals)
-            assert np.abs(block[:, j] - one).max() \
-                <= 1e-14 * np.abs(one).max()
-    p0 = fem.p0_load_vector(annulus, cells)
-    fluxes = fem.consistent_fluxes(stiffness, block, loads)
-    for j in range(5):
-        assert np.array_equal(p0[:, j], fem.p0_load_vector(annulus,
-                                                           cells[:, j]))
-        assert np.array_equal(
-            fluxes[:, j],
-            fem.consistent_fluxes(stiffness, block[:, j], loads[:, j]))
+            assert np.array_equal(dens[:, j], fem.nodal_flux_density(
+                stiffness, fields[:, j], loads[:, j], comp))
 
 
 def test_velocity_gradient_of_a_block_matches_single_calls(annulus):

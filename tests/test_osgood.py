@@ -283,3 +283,11 @@ def test_stability_rejects_empty_component_list(tmp_path):
     sc = modulated_band_scenario(tmp_path)
     with pytest.raises(UsageError, match="inner component"):
         stability_experiment(sc, [1e-2], comp=[])
+
+
+def test_stability_rejects_repeated_components(tmp_path):
+    # [1, 1] perturbs component 1 once: a data term of 2 delta^2 would
+    # count it twice
+    sc = modulated_band_scenario(tmp_path, nr=4, ntheta=16)
+    with pytest.raises(UsageError, match="distinct"):
+        stability_experiment(sc, [1e-2], comp=[1, 1])

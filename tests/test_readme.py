@@ -11,7 +11,7 @@ from euler_ss.cli import main
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def fenced_blocks(lang: str) -> list[str]:
+def fenced_sections(lang: str) -> list[str]:
     return re.findall(rf"^```{lang}\n(.*?)^```", README.read_text(),
                       flags=re.M | re.S)
 
@@ -26,9 +26,9 @@ def commands(block: str) -> list[list[str]]:
 
 def test_readme_scenario_commands_and_example(tmp_path, monkeypatch,
                                               capsys):
-    (scenario,) = fenced_blocks("json")
-    (cli_block,) = [b for b in fenced_blocks("sh") if "euler-ss" in b]
-    (example,) = fenced_blocks("python")
+    (scenario,) = fenced_sections("json")
+    (cli_block,) = [b for b in fenced_sections("sh") if "euler-ss" in b]
+    (example,) = fenced_sections("python")
     monkeypatch.chdir(tmp_path)
     (tmp_path / "scenario.json").write_text(scenario)
     argvs = commands(cli_block)

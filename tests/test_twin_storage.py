@@ -1,5 +1,5 @@
 """What snapshots and twin runs keep, that what they derive on read is
-bit-for-bit what the live step used, and that the block kernels of a twin
+bit-for-bit what the live step used, and that the kernels of a twin
 agree with the per-snapshot formulas."""
 
 import tracemalloc
@@ -7,12 +7,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from euler_ss import certificates, fem, hodge, transport, zaremba
+from euler_ss import fem, hodge, transport, zaremba
 from euler_ss.certificates import TwinRun
 from euler_ss.hodge import HarmonicBasis
 
 from conftest import modulated_band_scenario
-from einsum_twin import EinsumTwin, assert_matches_reference, block_bytes
+from einsum_twin import EinsumTwin, assert_matches_reference
 from test_two_holes import flow_scenario as two_hole_scenario
 from test_two_holes import two_hole_mesh
 
@@ -74,50 +74,28 @@ def test_snapshots_derive_the_live_step_velocity(any_pair):
                 val = getattr(val, "values", val)
                 assert not (isinstance(val, np.ndarray)
                             and val.shape == (T, 2)), name
-    # blocks of snapshots: one product per run gives every column's bits,
-    # and the norms of the block's columns are those of single fields
+    # the twin's fields of a snapshot: the live velocities and their
+    # difference, the norm of that difference, and the boundary rows of
+    # the loads the live reconstructions solved with
     twin = TwinRun(*any_pair)
-    n = len(twin.times)
-    for size in (1, 3, n):
-        for k0 in range(0, n, size):
-            k1 = min(n, k0 + size)
-            u_hat, u_d = twin._velocity_block(twin._gather(k0, k1), k0, k1)
-            diff = live[0][k0:k1] - live[1][k0:k1]
-            assert np.array_equal(np.moveaxis(u_hat, -1, 0),
-                                  live[0][k0:k1])
-            assert np.array_equal(np.moveaxis(u_d, -1, 0), diff)
-            assert twin._norms(u_d) == [fem.sq_norm_p0(twin.mesh, ud)
-                                        for ud in diff]
-
-
-def test_block_fields_are_the_bits_of_single_fields(any_pair):
-    # the auxiliary fields of a block are each potential's perp-gradient,
-    # and the load rows of a block are the boundary rows of the loads the
-    # live reconstructions solved with
-    twin = TwinRun(*any_pair)
-    mesh = twin.mesh
-    bn = mesh.boundary_nodes
-    n = len(twin.times)
-    single = [(mesh.perp_gradient_operator @ twin.phi[:, k]).reshape(-1, 2)
-              for k in range(n)]
-    for size in (1, 3, n):
-        for k0 in range(0, n, size):
-            k1 = min(n, k0 + size)
-            v = hodge.stream_velocity(mesh, twin.phi[:, k0:k1], None, None)
-            assert np.array_equal(np.moveaxis(v, -1, 0), single[k0:k1])
-            loads = [np.array([live_load(traj, s)[bn]
-                               for s in traj.states[k0:k1]]).T
-                     for traj in any_pair]
-            load1, load_d = twin._load_rows(k0, k1)
-            assert np.array_equal(load1, loads[0])
-            assert np.array_equal(load_d, loads[0] - loads[1])
+    bn = twin.mesh.boundary_nodes
+    for k in range(len(twin.times)):
+        u_hat, u_d = twin._velocities(k)
+        assert np.array_equal(u_hat, live[0][k])
+        assert np.array_equal(u_d, live[0][k] - live[1][k])
+        assert twin.z_u[k] == fem.sq_norm_p0(twin.mesh, u_d)
+        load1, load2 = (live_load(traj, traj.states[k])[bn]
+                        for traj in any_pair)
+        got1, got_d = twin._stream_loads(k)
+        assert np.array_equal(got1, load1)
+        assert np.array_equal(got_d, load1 - load2)
 
 
 class StoredDifferenceTwin(TwinRun):
     """A twin that stores the velocities and stream loads of the live
     reconstructions of every snapshot, and feeds those stored fields
-    through the same block kernels in place of the fields the twin forms
-    on read: the reference the derived-on-read twin must match bit for
+    through the same kernels in place of the fields the twin forms on
+    read: the reference the derived-on-read twin must match bit for
     bit."""
 
     def __init__(self, traj1, traj2):
@@ -132,13 +110,11 @@ class StoredDifferenceTwin(TwinRun):
             self.loads.append((load1[bn], (load1 - load2)[bn]))
         super().__init__(traj1, traj2)
 
-    def _velocity_block(self, psi, k0, k1):
-        return np.stack(self.u_hat[k0:k1], axis=-1), \
-            np.stack(self.u_d[k0:k1], axis=-1)
+    def _velocities(self, k):
+        return self.u_hat[k], self.u_d[k]
 
-    def _load_rows(self, k0, k1):
-        load1, load_d = zip(*self.loads[k0:k1])
-        return np.stack(load1, axis=-1), np.stack(load_d, axis=-1)
+    def _stream_loads(self, k):
+        return self.loads[k]
 
 
 def test_twin_matches_the_stored_difference_reference(small_pair):
@@ -198,28 +174,8 @@ def test_twin_keeps_vertex_sized_state_per_snapshot(tmp_path):
     assert read < allowance, (read, allowance)
 
 
-@pytest.mark.parametrize("size", [1, 3, None])
-def test_block_kernels_match_the_per_snapshot_formulas(small_pair,
-                                                       monkeypatch, size):
-    # blocks of one, uneven blocks of three (7 snapshots), the default
-    mesh = small_pair[0].mesh
-    if size is not None:
-        monkeypatch.setattr(certificates, "BLOCK_BYTES",
-                            block_bytes(mesh, size))
-    blocks = certificates._blocks(len(small_pair[0].states), mesh)
-    assert len(blocks) == {1: 7, 3: 3, None: 1}[size]
-    solves = []
-    real = zaremba.solve_auxiliary
-
-    def counted(*args):
-        solves.append(args[1].shape[1])
-        return real(*args)
-
-    monkeypatch.setattr(zaremba, "solve_auxiliary", counted)
-    twin = TwinRun(*small_pair)
-    assert solves == [k1 - k0 for k0, k1 in blocks]
-    monkeypatch.undo()
-    assert_matches_reference(twin, EinsumTwin(*small_pair))
+def test_twin_matches_the_per_snapshot_formulas(small_pair):
+    assert_matches_reference(TwinRun(*small_pair), EinsumTwin(*small_pair))
 
 
 def test_norms_read_alone_build_no_integrands(any_pair, monkeypatch):
@@ -245,23 +201,28 @@ def test_norms_read_alone_build_no_integrands(any_pair, monkeypatch):
     assert np.array_equal(after.z_v, z_v)
 
 
-def test_twin_takes_one_load_product_per_block(any_pair, monkeypatch):
-    # blocks of three; over the identities and the ledger, the auxiliary
-    # solve is the only full P0 load of a block
-    mesh = any_pair[0].mesh
-    monkeypatch.setattr(certificates, "BLOCK_BYTES", block_bytes(mesh, 3))
-    calls = []
-    real = fem.p0_load_vector
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(fem, "p0_load_vector", counted)
+def test_twin_makes_one_solve_and_gradient_per_snapshot(any_pair,
+                                                        monkeypatch):
+    # the counts the benchmark tracer reads: one auxiliary solve per
+    # snapshot, one reference velocity gradient per snapshot once the
+    # identities run and none for the norms alone; the auxiliary load is
+    # the only full P0 load of a snapshot
+    calls = {"solve_auxiliary": 0, "velocity_gradient": 0,
+             "p0_load_vector": 0}
+    for mod, name in ((zaremba, "solve_auxiliary"),
+                      (fem, "velocity_gradient"), (fem, "p0_load_vector")):
+        def counted(*args, _real=getattr(mod, name), _name=name,
+                    **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(mod, name, counted)
     twin = TwinRun(*any_pair)
+    n = len(twin.times)
+    assert twin.z_u.shape == twin.z_v.shape == (n,)
+    assert calls == {"solve_auxiliary": n, "velocity_gradient": 0,
+                     "p0_load_vector": n}
     twin.energy_identity()
     twin.aux_identity()
     twin.inequality_ledger()
-    blocks = certificates._blocks(len(twin.times), mesh)
-    assert len(blocks) >= 2
-    assert len(calls) == len(blocks)
+    assert calls == {"solve_auxiliary": n, "velocity_gradient": n,
+                     "p0_load_vector": n}

@@ -5,12 +5,12 @@ m = 2 difference."""
 import numpy as np
 import pytest
 
-from euler_ss import certificates, transport
+from euler_ss import transport
 from euler_ss.certificates import TwinRun
 from euler_ss.hodge import HarmonicBasis
 from euler_ss.mesh import Mesh, save_mesh
 
-from einsum_twin import EinsumTwin, assert_matches_reference, block_bytes
+from einsum_twin import EinsumTwin, assert_matches_reference
 
 NX, NY = 24, 12                       # cells of the [0, 2] x [0, 1] grid
 HOLES = ((4, 8), (16, 20))            # hole cell columns; rows [4, 8)
@@ -121,9 +121,7 @@ def test_three_component_run_closes_to_round_off(tmp_path, mesh, basis):
     assert np.all(np.array([s.B[2] for s in traj.states]) == 0.0)
 
 
-@pytest.mark.parametrize("size", [1, None])
-def test_twin_blocks_match_the_per_snapshot_formulas(tmp_path, mesh,
-                                                     monkeypatch, size):
+def test_twin_matches_the_per_snapshot_formulas(tmp_path, mesh):
     # both holes' circulations and the inflow trace perturbed: an m = 2
     # difference, pinned on the outer boundary and the wall hole
     sc = flow_scenario(tmp_path, mesh)
@@ -131,11 +129,6 @@ def test_twin_blocks_match_the_per_snapshot_formulas(tmp_path, mesh,
     pair = (transport.run(sc, run_basis),
             transport.run(sc.perturbed(C0={1: 0.1, 2: -0.05},
                                        omega_in={1: 0.05}), run_basis))
-    if size is not None:
-        monkeypatch.setattr(certificates, "BLOCK_BYTES",
-                            block_bytes(sc.mesh, size))
-    n = len(pair[0].states)
-    assert len(certificates._blocks(n, sc.mesh)) == (n if size else 1)
     twin = TwinRun(*pair)
     assert all(c.shape == (2,) for c in twin.C_d)
     assert np.abs(np.array(twin.C_d)).min() > 0.0

@@ -21,11 +21,6 @@ def flow_basis(flow_mesh):
     return HarmonicBasis(flow_mesh)
 
 
-def column(values):
-    """A (N,) field as the (N, 1) block of one state."""
-    return np.asarray(values, dtype=np.float64)[:, None]
-
-
 def test_manufactured_harmonic_difference(flow_basis):
     # psi = c f^1 carries circulation -c M_11 ... but as a difference
     # stream field its auxiliary potential must be -psi: both solve the
@@ -33,17 +28,16 @@ def test_manufactured_harmonic_difference(flow_basis):
     m = flow_basis.mesh
     c = 0.37
     psi = c * flow_basis.fields[0]
-    phi, _ = solve_auxiliary(flow_basis, column(psi),
-                             np.zeros((m.num_triangles, 1)))
-    assert phi.shape == (m.num_vertices, 1)
-    assert np.abs(phi[:, 0] + psi).max() < 1e-11
+    phi, _ = solve_auxiliary(flow_basis, psi, np.zeros(m.num_triangles))
+    assert phi.shape == (m.num_vertices,)
+    assert np.abs(phi + psi).max() < 1e-11
 
 
 def test_pinned_trace_is_exactly_zero(flow_basis):
     m = flow_basis.mesh
     rng = np.random.default_rng(2)
-    psi = column(flow_basis.fields[0] * 0.2)
-    omega = column(rng.standard_normal(m.num_triangles) * 0.1)
+    psi = flow_basis.fields[0] * 0.2
+    omega = rng.standard_normal(m.num_triangles) * 0.1
     phi, _ = solve_auxiliary(flow_basis, psi, omega)
     assert np.abs(phi[m.component(0).nodes]).max() == 0.0
 
@@ -52,20 +46,20 @@ def test_flux_sum_vanishes_for_harmonic_data(flow_basis):
     # with no vorticity the load is supported on the boundary rows, so the
     # fluxes telescope: sum_i D_i = 1^T A phi = 0
     m = flow_basis.mesh
-    psi = column(flow_basis.fields[0] * -0.4)
-    _, D = solve_auxiliary(flow_basis, psi, np.zeros((m.num_triangles, 1)))
-    assert D.shape == (len(m.components), 1)
+    psi = flow_basis.fields[0] * -0.4
+    _, D = solve_auxiliary(flow_basis, psi, np.zeros(m.num_triangles))
+    assert D.shape == (len(m.components),)
     assert abs(D.sum()) < 1e-12
 
 
 def test_reversed_flux_matches_negated_circulation(flow_basis):
     m = flow_basis.mesh
     c = 0.37
-    psi = column(c * flow_basis.fields[0])
-    _, D = solve_auxiliary(flow_basis, psi, np.zeros((m.num_triangles, 1)))
+    psi = c * flow_basis.fields[0]
+    _, D = solve_auxiliary(flow_basis, psi, np.zeros(m.num_triangles))
     # circulation of psi = c f^1 around the inner component is c M_11
     C1 = c * flow_basis.M[0, 0]
-    res = reversed_flux_residuals(D, flow_basis, np.array([[C1]]))
+    res = reversed_flux_residuals(D[:, None], flow_basis, np.array([[C1]]))
     assert res.shape == (1, 1)
     assert res[0, 0] < 1e-10
 
@@ -73,26 +67,27 @@ def test_reversed_flux_matches_negated_circulation(flow_basis):
 def test_normal_trace_matches_cell_velocity(flow_basis):
     # the exact P1 trace -(phi_b - phi_a) / len of each directed boundary
     # edge, the v . n the twin's inflow integrands read, is the v . n of
-    # the edge's cell, for every column of a block
+    # the edge's cell
     m = flow_basis.mesh
     rng = np.random.default_rng(5)
-    psi = flow_basis.fields[0][:, None] * [0.1, -0.3]
-    omega = rng.standard_normal((m.num_triangles, 2)) * 0.2
-    phi, _ = solve_auxiliary(flow_basis, psi, omega)
-    v = hodge.stream_velocity(m, phi, None, None)
-    for comp in m.components:
-        a, b = comp.edges[:, 0], comp.edges[:, 1]
-        tr = -(phi[b] - phi[a]) / comp.length[:, None]
-        cell = np.einsum("edn,ed->en", v[comp.tri], comp.normal)
-        assert np.abs(tr - cell).max() < 1e-13
+    for scale in (0.1, -0.3):
+        omega = rng.standard_normal(m.num_triangles) * 0.2
+        phi, _ = solve_auxiliary(flow_basis, flow_basis.fields[0] * scale,
+                                 omega)
+        v = hodge.stream_velocity(m, phi, None, None)
+        for comp in m.components:
+            a, b = comp.edges[:, 0], comp.edges[:, 1]
+            tr = -(phi[b] - phi[a]) / comp.length
+            cell = np.einsum("ed,ed->e", v[comp.tri], comp.normal)
+            assert np.abs(tr - cell).max() < 1e-13
 
 
 def test_all_inflow_rejected():
     m = generate_annulus(1.0, 2.0, 4, 16, roles=("inflow", "inflow"))
     b = HarmonicBasis(m)
     with pytest.raises(PreconditionError, match="inflow"):
-        solve_auxiliary(b, np.zeros((m.num_vertices, 1)),
-                        np.zeros((m.num_triangles, 1)))
+        solve_auxiliary(b, np.zeros(m.num_vertices),
+                        np.zeros(m.num_triangles))
 
 
 def test_vortical_difference_state(flow_twin):
@@ -101,31 +96,14 @@ def test_vortical_difference_state(flow_twin):
     basis = base.basis
     k = len(base.states) - 1
     sa, sb = base.states[k], pert.states[k]
-    psi = column(sa.assembly.psi_total - sb.assembly.psi_total)
-    _, D = solve_auxiliary(basis, psi, column(sa.omega - sb.omega))
+    _, D = solve_auxiliary(basis,
+                           sa.assembly.psi_total - sb.assembly.psi_total,
+                           sa.omega - sb.omega)
     dC = (sa.assembly.circulation_consistent
           - sb.assembly.circulation_consistent)[1:]
-    res = reversed_flux_residuals(D, basis, dC[None, :])
+    res = reversed_flux_residuals(D[:, None], basis, dC[None, :])
     scale = max(1.0, float(np.abs(dC).max()))
     assert res.max() < 1e-9 * scale
-
-
-def test_block_solve_matches_single_solves(flow_basis):
-    # one multi-column solve for a block of difference states agrees with
-    # the solve of each state on its own, to round-off
-    m = flow_basis.mesh
-    rng = np.random.default_rng(3)
-    psi = rng.standard_normal((m.num_vertices, 4))
-    omega = rng.standard_normal((m.num_triangles, 4))
-    phi, D = solve_auxiliary(flow_basis, psi, omega)
-    assert phi.shape == (m.num_vertices, 4)
-    assert D.shape == (len(m.components), 4)
-    for j in range(4):
-        one_phi, one_D = solve_auxiliary(flow_basis, psi[:, [j]],
-                                         omega[:, [j]])
-        scale = np.abs(one_phi).max()
-        assert np.abs(phi[:, [j]] - one_phi).max() <= 1e-14 * scale
-        assert np.abs(D[:, [j]] - one_D).max() <= 1e-12 * np.abs(one_D).max()
 
 
 def test_both_holes_inflow_reversed_flux_rows(tmp_path):
