@@ -14,6 +14,7 @@ from euler_ss.hodge import P_GRID, HarmonicBasis
 from euler_ss.mesh import generate_annulus
 
 from conftest import modulated_band_scenario
+from einsum_twin import snapshot_blocks
 
 LN2 = math.log(2.0)
 
@@ -119,6 +120,32 @@ def test_inequality_ledger_structure(flow_twin):
     row = led["rows"][0]
     assert {"interval", "p", "lhs_energy", "rhs_energy",
             "lhs_aux", "rhs_aux"} <= set(row)
+
+
+def test_integrands_take_one_velocity_gradient_per_block(flow_pair,
+                                                         monkeypatch):
+    # the identities read over uneven blocks of three snapshot intervals
+    # (7 snapshots make the blocks [0, 3] and [3, 6]), over the whole run
+    # and by the ledger share one integrands pass: one velocity gradient
+    # per snapshot, none for the twin alone
+    calls = []
+    real = fem.velocity_gradient
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fem, "velocity_gradient", counted)
+    twin = TwinRun(*flow_pair)
+    n = len(twin.times)
+    assert len(calls) == 0
+    blocks = snapshot_blocks(n, 3)
+    assert blocks == [(0, 3), (3, 6)]
+    for k0, k1 in blocks + snapshot_blocks(n, None):
+        twin.energy_identity(k0, k1)
+        twin.aux_identity(k0, k1)
+    twin.inequality_ledger()
+    assert len(calls) == n == 7
 
 
 # pieces that are time integrals or jumps over the window; the coupling

@@ -12,7 +12,8 @@ from euler_ss.certificates import TwinRun
 from euler_ss.hodge import HarmonicBasis
 
 from conftest import modulated_band_scenario
-from einsum_twin import EinsumTwin, assert_matches_reference
+from einsum_twin import (EinsumTwin, assert_matches_reference,
+                         snapshot_blocks)
 from test_two_holes import flow_scenario as two_hole_scenario
 from test_two_holes import two_hole_mesh
 
@@ -174,8 +175,15 @@ def test_twin_keeps_vertex_sized_state_per_snapshot(tmp_path):
     assert read < allowance, (read, allowance)
 
 
-def test_twin_matches_the_per_snapshot_formulas(small_pair):
-    assert_matches_reference(TwinRun(*small_pair), EinsumTwin(*small_pair))
+@pytest.mark.parametrize("size", [1, 3, None])
+def test_block_kernels_match_the_per_snapshot_formulas(small_pair, size):
+    # the identities read over blocks of one snapshot interval, uneven
+    # blocks of three (6 intervals: the last block is [3, 6]) and the
+    # whole run, each against the einsum formulas of the same window
+    n = len(small_pair[0].states)
+    assert len(snapshot_blocks(n, size)) == {1: 6, 3: 2, None: 1}[size]
+    assert_matches_reference(TwinRun(*small_pair), EinsumTwin(*small_pair),
+                             block=size)
 
 
 def test_norms_read_alone_build_no_integrands(any_pair, monkeypatch):
@@ -201,12 +209,12 @@ def test_norms_read_alone_build_no_integrands(any_pair, monkeypatch):
     assert np.array_equal(after.z_v, z_v)
 
 
-def test_twin_makes_one_solve_and_gradient_per_snapshot(any_pair,
-                                                        monkeypatch):
+def test_twin_takes_one_load_product_per_block(any_pair, monkeypatch):
     # the counts the benchmark tracer reads: one auxiliary solve per
     # snapshot, one reference velocity gradient per snapshot once the
     # identities run and none for the norms alone; the auxiliary load is
-    # the only full P0 load of a snapshot
+    # the only full P0 load of a snapshot, however many blocks of
+    # snapshots the identities are read over
     calls = {"solve_auxiliary": 0, "velocity_gradient": 0,
              "p0_load_vector": 0}
     for mod, name in ((zaremba, "solve_auxiliary"),
@@ -221,8 +229,9 @@ def test_twin_makes_one_solve_and_gradient_per_snapshot(any_pair,
     assert twin.z_u.shape == twin.z_v.shape == (n,)
     assert calls == {"solve_auxiliary": n, "velocity_gradient": 0,
                      "p0_load_vector": n}
-    twin.energy_identity()
-    twin.aux_identity()
+    for k0, k1 in snapshot_blocks(n, 3) + snapshot_blocks(n, None):
+        twin.energy_identity(k0, k1)
+        twin.aux_identity(k0, k1)
     twin.inequality_ledger()
     assert calls == {"solve_auxiliary": n, "velocity_gradient": n,
                      "p0_load_vector": n}

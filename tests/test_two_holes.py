@@ -121,9 +121,11 @@ def test_three_component_run_closes_to_round_off(tmp_path, mesh, basis):
     assert np.all(np.array([s.B[2] for s in traj.states]) == 0.0)
 
 
-def test_twin_matches_the_per_snapshot_formulas(tmp_path, mesh):
+@pytest.mark.parametrize("size", [1, None])
+def test_twin_blocks_match_the_per_snapshot_formulas(tmp_path, mesh, size):
     # both holes' circulations and the inflow trace perturbed: an m = 2
-    # difference, pinned on the outer boundary and the wall hole
+    # difference, pinned on the outer boundary and the wall hole; the
+    # identities read over blocks of one snapshot interval and the run
     sc = flow_scenario(tmp_path, mesh)
     run_basis = HarmonicBasis(sc.mesh)
     pair = (transport.run(sc, run_basis),
@@ -132,4 +134,4 @@ def test_twin_matches_the_per_snapshot_formulas(tmp_path, mesh):
     twin = TwinRun(*pair)
     assert all(c.shape == (2,) for c in twin.C_d)
     assert np.abs(np.array(twin.C_d)).min() > 0.0
-    assert_matches_reference(twin, EinsumTwin(*pair))
+    assert_matches_reference(twin, EinsumTwin(*pair), block=size)
