@@ -14,9 +14,9 @@ The package splits along the same seams as the underlying problem:
   conservative upwind transport, and circulation bookkeeping,
 - :mod:`euler_ss.zaremba` — the auxiliary mixed problem of a difference
   state and its reversed-flux law,
-- :mod:`euler_ss.certificates` — twin-run identities, growth-inequality
-  ledger, and pointwise inequality checks,
-- :mod:`euler_ss.osgood` — comparison lemma closed forms and the
+- :mod:`euler_ss.certificates` — twin-run identities, the Lamb identity
+  and the growth-inequality ledger,
+- :mod:`euler_ss.osgood` — the comparison bound and the
   perturbation-ladder experiment,
 - :mod:`euler_ss.cli` — batch entry points (``euler-ss``).
 """
@@ -29,13 +29,11 @@ from .hodge import (HarmonicBasis, VelocityAssembly, greens_operator,
                     reconstruct_velocity, validate_sign_condition)
 from .mesh import (BoundaryComponent, Mesh, generate_annulus, load_mesh,
                    save_mesh, uniform_refine)
-from .osgood import (exact_comparison, growth_F, mu, ode_oracle,
-                     osgood_bound, stability_experiment)
+from .osgood import mu, osgood_bound, stability_experiment
 from .transport import (Scenario, Trajectory, load_scenario, parse_scenario,
                         run)
 from .zaremba import reversed_flux_residuals, solve_auxiliary
-from .certificates import (TwinRun, interpolation_inequality,
-                           lamb_identity, trace_inequality)
+from .certificates import TwinRun, lamb_identity
 
 __version__ = "0.1.0"
 
@@ -43,13 +41,10 @@ __all__ = [
     "BoundaryComponent", "HarmonicBasis", "Mesh", "PreconditionError",
     "Scenario", "SolverError", "StiffnessOperator", "Trajectory", "TwinRun",
     "UsageError", "VelocityAssembly",
-    "consistent_flux", "consistent_fluxes", "exact_comparison",
-    "generate_annulus", "greens_operator", "growth_F",
-    "interpolation_inequality", "lamb_identity", "load_mesh",
-    "load_scenario", "mu", "ode_oracle", "osgood_bound", "parse_scenario",
-    "reconstruct_velocity", "reversed_flux_residuals", "run",
-    "save_mesh", "solve_auxiliary", "solve_constrained",
-    "solve_dirichlet", "solve_mixed", "solve_neumann",
-    "stability_experiment", "trace_inequality", "uniform_refine",
-    "validate_sign_condition",
+    "consistent_flux", "consistent_fluxes", "generate_annulus",
+    "greens_operator", "lamb_identity", "load_mesh", "load_scenario", "mu",
+    "osgood_bound", "parse_scenario", "reconstruct_velocity",
+    "reversed_flux_residuals", "run", "save_mesh", "solve_auxiliary",
+    "solve_constrained", "solve_dirichlet", "solve_mixed", "solve_neumann",
+    "stability_experiment", "uniform_refine", "validate_sign_condition",
 ]

@@ -1,13 +1,12 @@
 """Numerical certificates for the difference of two transported flows.
 
-Every estimate used by the uniqueness argument for bounded-vorticity flow
-is realized here as a computable identity or inequality on a pair of runs
-sharing one mesh and one boundary through-flow:
+The estimates of the uniqueness argument for bounded-vorticity flow are
+realized here as computable identities and inequalities, all but the Lamb
+identity on a pair of runs sharing one mesh and one boundary through-flow:
 
   * the kinetic-energy identity of the difference velocity,
   * the auxiliary-potential identity (its reversed-flow twin),
   * the Lamb-type integration-by-parts identity for velocity triples,
-  * the boundary trace inequality for discrete-harmonic fields,
   * the interval ledger of the growth inequalities behind the Osgood loop,
   * the time-regularity bound for the stream coefficients.
 
@@ -21,16 +20,17 @@ trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import fem, hodge, zaremba
-from .errors import PreconditionError, UsageError
+from .errors import UsageError
 from .mesh import Mesh
-from .hodge import P_GRID
 from .transport import Trajectory, snapshot_window
+
+# exponents of the growth ledger's rows
+P_GRID = (2, 4, 8, 16, 32)
 
 
 def _trapz(vals, times):
@@ -368,7 +368,7 @@ class TwinRun:
     def inequality_ledger(self) -> dict:
         """Per-interval, per-exponent rows of the two growth inequalities
         behind the uniqueness loop, with one empirical constant per family
-        and one row per exponent p of ``hodge.P_GRID``.
+        and one row per exponent p of ``P_GRID``.
 
         energy row:   [E]  + 1/2 int int_Gamma |u|^2 g
                           <= C p int z_u^{1-1/p}
@@ -498,58 +498,3 @@ def lamb_identity(mesh: Mesh, u: np.ndarray, v: np.ndarray, w: np.ndarray,
     return {"lhs": lhs, "div": t_div, "curl_u": t_cu, "curl_v": t_cv,
             "conv_u": t_au, "conv_v": t_av, "rhs": rhs,
             "residual": residual, "relative": abs(residual) / scale}
-
-
-# -- boundary trace inequality ------------------------------------------
-
-
-@dataclass
-class TraceReport:
-    lhs: float            # sum of squared nodal flux density over the loop
-    tangential: float     # squared tangential-derivative seminorm
-    energy: float         # Dirichlet energy of the field
-    c_required: float     # smallest constant making the inequality hold
-
-
-def trace_inequality(op: fem.StiffnessOperator, field: np.ndarray,
-                     load: np.ndarray, comp_id: int) -> TraceReport:
-    """Sharpest constant C in the normal-trace inequality
-
-        |dfield/dn|_{-1/2,lumped}^2 <= |d_tau field|^2 + C |grad field|^2
-
-    on one boundary component, for a discrete-harmonic field.  The left
-    side is the lumped dual norm sum(r_a^2 / l_a) of the nodal consistent
-    flux density; harmonicity away from the boundary is a precondition.
-    """
-    mesh = op.mesh
-    resid_norm = fem.interior_residual_norm(op, field, load)
-    if resid_norm > 10.0 * fem.DEFAULT_RTOL:
-        raise PreconditionError(
-            f"trace inequality needs a discrete-harmonic field: interior "
-            f"residual {resid_norm:.3e} exceeds 10*rtol")
-    comp = mesh.component(comp_id)
-    dn = fem.nodal_flux_density(op, field, load, comp_id)
-    lhs = float(np.sum(dn ** 2 * comp.lumped_length))
-    dtau = (field[comp.edges[:, 1]] - field[comp.edges[:, 0]]) / comp.length
-    tangential = float(np.sum(dtau ** 2 * comp.length))
-    energy = float(field @ (op.matrix @ field))
-    c_required = max(0.0, lhs - tangential) / max(energy, 1e-300)
-    return TraceReport(lhs=lhs, tangential=tangential, energy=energy,
-                       c_required=c_required)
-
-
-# -- interpolation inequality -------------------------------------------
-
-
-def interpolation_inequality(mesh: Mesh, values: np.ndarray, p: float
-                             ) -> dict:
-    """|w|_{2p/(p-1)} <= |w|_inf^{1/p} |w|_2^{(p-1)/p} for P0 fields
-    (exact for the piecewise-constant quadrature; p > 1)."""
-    if not p > 1:
-        raise UsageError("interpolation inequality needs p > 1")
-    q = 2.0 * p / (p - 1.0)
-    lhs = fem.lp_norm_p0(mesh, values, q)
-    rhs = fem.lp_norm_p0(mesh, values, np.inf) ** (1.0 / p) \
-        * fem.lp_norm_p0(mesh, values, 2.0) ** ((p - 1.0) / p)
-    return {"lhs": lhs, "rhs": rhs,
-            "satisfied": lhs <= rhs * (1 + 1e-12) + 1e-300}

@@ -161,8 +161,11 @@ def _parse_comp_val(text: str, flag: str) -> tuple[int, float]:
 
 def _align_pair(sc1: transport.Scenario,
                 sc2: transport.Scenario) -> transport.Scenario:
-    """``sc2`` on the mesh object of ``sc1`` (twins must share it); each
-    boundary component must keep its id, role and set of edges."""
+    """``sc2`` on the mesh object of ``sc1`` (twins must share it), checked
+    before either run against what ``TwinRun`` needs of a pair: each
+    boundary component keeps its id, role and set of edges, and the two
+    share T (to 1e-13 T), the snapshot count, g and the g multiplier at
+    the snapshot times."""
     m1, m2 = sc1.mesh, sc2.mesh
     same = np.array_equal(m1.vertices, m2.vertices) \
         and np.array_equal(m1.triangles, m2.triangles) \
@@ -171,7 +174,23 @@ def _align_pair(sc1: transport.Scenario,
     if not same:
         raise UsageError("certify: the two scenarios describe different "
                          "meshes")
-    return replace(sc2, mesh=m1)
+    sc2 = replace(sc2, mesh=m1)
+    differ = "certify: the two scenarios have different"
+    if abs(sc1.T - sc2.T) > 1e-13 * sc1.T:
+        raise UsageError(f"{differ} T ({sc1.T!r} and {sc2.T!r})")
+    if sc1.snapshots != sc2.snapshots:
+        raise UsageError(f"{differ} snapshot counts ({sc1.snapshots} and "
+                         f"{sc2.snapshots})")
+    g1, g2 = sc1.g_edges(), sc2.g_edges()
+    if g1.keys() != g2.keys() \
+            or not all(np.array_equal(g1[c], g2[c]) for c in g1):
+        raise UsageError(f"{differ} boundary data g")
+    # the times ``transport.run`` saves its snapshots at
+    mults = [[sc.multiplier(k * sc.T / sc.snapshots)
+              for k in range(sc.snapshots + 1)] for sc in (sc1, sc2)]
+    if mults[0] != mults[1]:
+        raise UsageError(f"{differ} g multipliers at the snapshot times")
+    return sc2
 
 
 def _perturbation(args) -> dict:
@@ -218,13 +237,11 @@ def _lamb_on(mesh: Mesh) -> float:
     return res["relative"]
 
 
-def _certify_level(sc1, delta, sc2_file) -> dict:
-    if sc2_file is not None:
-        sc2 = _align_pair(sc1, sc2_file)
-    elif delta:
-        sc2 = sc1.perturbed(**delta)
-    else:
-        sc2 = sc1
+def _certify_level(sc1, delta, sc2) -> dict:
+    """One level of ``certify``: the twin of ``sc1`` and its aligned pair
+    ``sc2``, or of ``sc1`` and its perturbation when ``sc2`` is None."""
+    if sc2 is None:
+        sc2 = sc1.perturbed(**delta) if delta else sc1
     lamb = _lamb_on(sc1.mesh)       # checks its precondition before the runs
     basis = HarmonicBasis(sc1.mesh)
     traj1 = transport.run(sc1, basis)
@@ -251,6 +268,8 @@ def cmd_certify(args) -> int:
         # perturbation form
         raise UsageError("certify: --refine needs a perturbation, "
                          "not a scenario pair")
+    if sc2 is not None:
+        sc2 = _align_pair(sc1, sc2)
     # every level's scenario before the first run, so that one which
     # cannot be refined fails first
     scs = [sc1.refined(2 ** lvl) if lvl else sc1

@@ -37,8 +37,8 @@ linear map of the mesh, built once on first use (``Mesh``):
   ``Mesh.vertex_area``.
 
 ``DEFAULT_RTOL`` is the relative accuracy the certificate checks assume of
-a solved field: the trace-inequality harmonicity precondition, the
-reversed-flux tolerance and the identity-rate floor scale with it.
+a solved field: the reversed-flux tolerance and the identity-rate floor
+scale with it.
 
 The consistent fluxes of a solved field pair one residual with the
 indicator extension of every boundary component at once:
@@ -54,11 +54,11 @@ of the residual are formed:
 ``boundary_indicator @ (boundary_rows @ psi - load[boundary nodes])``
 (``StiffnessOperator``, both built once per operator) sums the same terms
 in the same order as X (A psi - load), without the V x V product.  The
-nodal flux density reads the same boundary residual (``boundary_residual``)
-at the loop vertices of one component, in loop order
-(``BoundaryComponent.nodes``), divided by the boundary length each vertex
-owns (``lumped_length``), and takes the residual rows of several fields
-stacked as (B, n) columns as well.
+loop flux density (``loop_flux_density``) reads the same boundary
+residual (``boundary_residual``) at the loop vertices of one component,
+in loop order (``BoundaryComponent.nodes``), divided by the boundary
+length each vertex owns (``lumped_length``), and takes the residual rows
+of several fields stacked as (B, n) columns as well.
 Outside this module no code multiplies the stiffness matrix to read a flux.
 
 perp-gradient convention: grad_perp(psi) = (-d_y psi, d_x psi), so
@@ -328,7 +328,7 @@ def solve_constrained(op: StiffnessOperator, load: np.ndarray,
 def boundary_residual(op: StiffnessOperator, x: np.ndarray,
                       load_rows: np.ndarray) -> np.ndarray:
     """Rows of the residual A x - load at ``Mesh.boundary_nodes``: all of
-    it that a consistent flux or a nodal flux density reads.
+    it that a consistent flux or a loop flux density reads.
     ``load_rows`` holds the rows of the load at the boundary nodes."""
     return op.boundary_rows @ x - load_rows
 
@@ -363,29 +363,6 @@ def loop_flux_density(mesh: Mesh, residual: np.ndarray, comp: int
     return r / c.lumped_length.reshape((-1,) + (1,) * (r.ndim - 1))
 
 
-def nodal_flux_density(op: StiffnessOperator, field: np.ndarray,
-                       load: np.ndarray, comp: int) -> np.ndarray:
-    """Normal derivative of a field at the loop vertices of a component
-    (see ``loop_flux_density``)."""
-    residual = boundary_residual(op, field, load[op.mesh.boundary_nodes])
-    return loop_flux_density(op.mesh, residual, comp)
-
-
-def interior_residual_norm(op: StiffnessOperator, field: np.ndarray,
-                           load: np.ndarray) -> float:
-    """Relative Galerkin residual on interior nodes; near zero for any
-    solved field, used to certify harmonicity of inputs."""
-    mesh = op.mesh
-    interior = np.setdiff1d(np.arange(mesh.num_vertices),
-                            mesh.boundary_nodes)
-    if interior.size == 0:
-        return 0.0
-    r = (op.matrix @ field - load)[interior]
-    scale = max(float(np.abs(op.matrix @ field).max()),
-                float(np.abs(load).max()), 1e-300)
-    return float(np.abs(r).max()) / scale
-
-
 # -- discrete calculus --------------------------------------------------
 
 
@@ -396,26 +373,19 @@ def gradient(mesh: Mesh, field: np.ndarray) -> np.ndarray:
 
 
 def p0_to_p1(mesh: Mesh, cell_values: np.ndarray) -> np.ndarray:
-    """Area-weighted nodal averaging of a per-cell quantity (any trailing
-    shape), the recovery used for gradients of P0 velocities."""
-    cell_values = np.asarray(cell_values, dtype=np.float64)
-    shape = cell_values.shape
-    weighted = (cell_values.reshape(shape[0], -1)
-                * mesh.tri_area[:, None])
-    nodal = (mesh.vertex_cells @ weighted) / mesh.vertex_area[:, None]
-    return nodal.reshape((mesh.num_vertices,) + shape[1:])
+    """(V, 2) area-weighted nodal averages of a (T, 2) cell field, the
+    recovery used for gradients of P0 velocities."""
+    weighted = cell_values * mesh.tri_area[:, None]
+    return (mesh.vertex_cells @ weighted) / mesh.vertex_area[:, None]
 
 
 def velocity_gradient(mesh: Mesh, u: np.ndarray) -> np.ndarray:
-    """(T, 2, 2) recovered Jacobian J[t, k, d] = d_d(u_k): each component
-    is averaged to the vertices, then differentiated per triangle.  A
-    (T, 2, n) block of velocities gives the (T, 2, 2, n) Jacobians of its
-    columns, one product for all of them."""
-    nodal = p0_to_p1(mesh, u).reshape(mesh.num_vertices, -1)
-    # row 2t + d, column k (of column j) of the product is d_d(u_k) on
-    # triangle t
-    return (mesh.gradient_operator @ nodal).reshape(
-        (-1, 2) + u.shape[1:]).swapaxes(1, 2)
+    """(T, 2, 2) recovered Jacobian J[t, k, d] = d_d(u_k) of a (T, 2)
+    velocity: each component is averaged to the vertices, then
+    differentiated per triangle."""
+    # row 2t + d, column k of the product is d_d(u_k) on triangle t
+    return (mesh.gradient_operator @ p0_to_p1(mesh, u)).reshape(
+        -1, 2, 2).swapaxes(1, 2)
 
 
 def convective_term(a: np.ndarray, jac_b: np.ndarray) -> np.ndarray:
@@ -427,21 +397,6 @@ def convective_term(a: np.ndarray, jac_b: np.ndarray) -> np.ndarray:
 # -- norms --------------------------------------------------------------
 
 
-def lp_norm_p0(mesh: Mesh, values: np.ndarray, p: float) -> float:
-    """L^p norm of a P0 field; (T, 2) arrays use the Euclidean cell norm.
-
-    Powers are taken of magnitudes scaled by the max, so large exponents
-    cannot overflow; the scaled sum is at least one cell's area.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    mag = np.abs(values) if values.ndim == 1 else \
-        np.linalg.norm(values, axis=1)
-    top = float(mag.max(initial=0.0))
-    if np.isinf(p) or top == 0.0:
-        return top
-    return top * float((mesh.tri_area @ (mag / top) ** p) ** (1.0 / p))
-
-
 def sq_norm_p0(mesh: Mesh, vel: np.ndarray) -> float:
     """Squared L2 norm of a (T, 2) cell field, summed term by term.
 
@@ -451,16 +406,6 @@ def sq_norm_p0(mesh: Mesh, vel: np.ndarray) -> float:
     a 32x128 annulus), so the norms keep this one summation order
     (np.einsum's)."""
     return float(np.einsum("td,td,t->", vel, vel, mesh.tri_area))
-
-
-def w1p_seminorms_p0(mesh: Mesh, u: np.ndarray, ps) -> list[float]:
-    """L^p norms of the recovered Jacobian (Frobenius per cell) of a
-    (T, 2) velocity, one for every exponent of ``ps``, all read from one
-    Jacobian."""
-    jac = velocity_gradient(mesh, u)
-    mag = np.linalg.norm(jac.reshape(len(jac), 4), axis=1)
-    return [float(mag.max(initial=0.0)) if np.isinf(p) else
-            float((mesh.tri_area @ mag ** p) ** (1.0 / p)) for p in ps]
 
 
 # -- VTK output ---------------------------------------------------------

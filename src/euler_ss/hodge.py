@@ -52,9 +52,6 @@ from .errors import PreconditionError, UsageError
 from .mesh import Mesh
 
 SIGN_TOL = 1e-12
-# exponents of the p-growth checks: the elliptic estimate here and the
-# growth ledger of ``certificates.TwinRun``
-P_GRID = (2, 4, 8, 16, 32)
 
 
 def validate_sign_condition(mesh: Mesh, g_edges: dict[int, np.ndarray]
@@ -176,17 +173,6 @@ class VelocityAssembly:
         return stream_velocity(self.mesh, self.psi_total, self.multiplier,
                                self.phi_grad)
 
-    @property
-    def circulation_trace(self) -> np.ndarray:
-        """Per-component circulation by the one-sided quadrature of the
-        tangential velocity (first order; a diagnostic only)."""
-        u = self.u
-        out = np.empty(len(self.mesh.components))
-        for comp in self.mesh.components:
-            ut = np.einsum("ed,ed->e", u[comp.tri], comp.tangent)
-            out[comp.comp] = float(ut @ comp.length)
-        return out
-
 
 def reconstruct_velocity(basis: HarmonicBasis, omega: np.ndarray,
                          circulations: np.ndarray,
@@ -242,30 +228,3 @@ def reconstruct_velocity(basis: HarmonicBasis, omega: np.ndarray,
         multiplier=multiplier, circulation_consistent=circ_cons,
         phi_grad=phi_grad)
     return asm, u, stream[nu:nj]
-
-
-def check_elliptic_growth(basis: HarmonicBasis, assembly: VelocityAssembly,
-                          omega: np.ndarray,
-                          g_edges: dict[int, np.ndarray] | None,
-                          circulations: np.ndarray) -> dict:
-    """Report the p-growth of the W^{1,p} proxy of u against
-    p * (|omega|_p + |g|_inf + sum|C_i|) for every p of ``P_GRID``; the
-    flag asserts the whole sequence stays within twice its p = 2 value."""
-    mesh = basis.mesh
-    g_inf = 0.0
-    if g_edges:
-        g_inf = max(float(np.abs(np.asarray(g)).max(initial=0.0))
-                    for g in g_edges.values()) * abs(assembly.multiplier)
-    c_sum = float(np.abs(np.asarray(circulations)).sum())
-    rows = []
-    u = assembly.u
-    semis = fem.w1p_seminorms_p0(mesh, u, P_GRID)
-    for p, semi in zip(P_GRID, semis):
-        up = fem.lp_norm_p0(mesh, u, p)
-        proxy = (up ** p + semi ** p) ** (1.0 / p)
-        data = fem.lp_norm_p0(mesh, omega, p) + g_inf + c_sum
-        rows.append({"p": p, "proxy": proxy,
-                     "ratio": proxy / (p * data) if data > 0 else np.inf})
-    base = rows[0]["ratio"]
-    flag = all(r["ratio"] <= 2.0 * base + 1e-300 for r in rows)
-    return {"rows": rows, "bounded": flag}

@@ -517,12 +517,17 @@ class FluxAssembler:
         """cfl times the shortest of two times over all cells: the travel
         time d / |u| across the incircle diameter d, and the time
         area / outflux in which the positive outflux empties the cell.
-        Infinite when nothing moves."""
-        sq = u * u
-        adv2 = float(np.max((sq[:, 0] + sq[:, 1]) * self.inv_d2))
-        outflux2 = self.abs_D @ np.abs(f) + self.D @ f
-        rate = max(math.sqrt(adv2),
-                   float(np.max(outflux2 * self.half_inv_area)))
+        Infinite when nothing moves; a SolverError when a rate overflows
+        float64."""
+        with np.errstate(over="ignore"):
+            sq = u * u
+            adv2 = float(np.max((sq[:, 0] + sq[:, 1]) * self.inv_d2))
+            outflux2 = self.abs_D @ np.abs(f) + self.D @ f
+            rate = max(math.sqrt(adv2),
+                       float(np.max(outflux2 * self.half_inv_area)))
+        if rate == math.inf:
+            raise SolverError("velocity overflow: the CFL rate of the flow "
+                              "exceeds the float64 range")
         return cfl / rate if rate > 0 else math.inf
 
     def vorticity_flux(self, omega: np.ndarray, f: np.ndarray,
@@ -726,69 +731,6 @@ def kelvin_consistency(traj: Trajectory) -> float:
         scale = max(1.0, float(np.abs(s.C).max(initial=0.0)))
         worst = max(worst, float(np.abs(drift).max(initial=0.0)) / scale)
     return worst
-
-
-def weak_residual(traj: Trajectory, phi: np.ndarray,
-                  k0: int = 0, k1: int | None = None) -> dict:
-    """Residual of the weak transport identity over [t_k0, t_k1]:
-
-        int_t int_Omega omega u . grad(phi)
-        = [int_Omega omega phi]_{t_k0}^{t_k1} + int_t int_Gamma omega phi g
-
-    for a (V,) P1 test function ``phi``.  When it is constant on every
-    boundary component the boundary integral is taken from the exact
-    per-step accumulators; otherwise it is a trapezoid over the snapshots.
-    """
-    k0, k1 = snapshot_window(len(traj.states), k0, k1)
-    mesh = traj.mesh
-    states = traj.states[k0:k1 + 1]
-    times = np.array([s.t for s in states])
-    gphi = fem.gradient(mesh, phi)
-
-    vol = np.array([float(np.einsum("t,td,td,t->", s.omega,
-                                    s.assembly.u, gphi,
-                                    mesh.tri_area))
-                    for s in states])
-    vol_int = float(np.trapezoid(vol, times))
-
-    phi_bar = phi[mesh.triangles].mean(axis=1)
-
-    def mass(s):
-        return float((s.omega * phi_bar) @ mesh.tri_area)
-
-    jump = mass(states[-1]) - mass(states[0])
-
-    comp_const = []
-    is_const = True
-    for c in mesh.components:
-        tv = phi[c.edges[:, 0]]
-        if np.ptp(phi[np.unique(c.edges)]) > 1e-12 * max(
-                1.0, float(np.abs(phi).max())):
-            is_const = False
-            break
-        comp_const.append(float(tv[0]))
-
-    if is_const:
-        bdry = sum(cv * (states[-1].B[c.comp] - states[0].B[c.comp])
-                   for cv, c in zip(comp_const, mesh.components))
-    else:
-        # the prescribed boundary fluxes mult * g * length; interior
-        # entries are zero, so only boundary edges carry vorticity
-        bd = ~mesh.interior_edge
-        pot_bd = np.where(bd, traj.flux.pot, 0.0)
-        phim = 0.5 * phi[mesh.edges].sum(axis=1)
-        rows = []
-        for s in states:
-            in_vals = {c.comp: traj.scenario.omega_in_value(c.comp, s.t)
-                       for c in mesh.components if c.role == "inflow"}
-            cf = traj.flux.vorticity_flux(
-                s.omega, s.assembly.multiplier * pot_bd, in_vals)
-            rows.append(float(cf @ phim))
-        bdry = float(np.trapezoid(np.array(rows), times))
-
-    return {"volume": vol_int, "jump": jump, "boundary": bdry,
-            "residual": vol_int - jump - bdry,
-            "exact_boundary": is_const}
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

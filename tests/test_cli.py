@@ -153,6 +153,26 @@ def test_simulate_deterministic(tmp_path, scenario_file):
         == (b / "trajectory.csv").read_bytes()
 
 
+@pytest.mark.parametrize("field", ["C0", "omega0", "g"])
+def test_simulate_velocity_overflow_is_solver_error(tmp_path, capsys,
+                                                    field):
+    # the squared velocity of the CFL rate overflows; under the tests'
+    # error::RuntimeWarning filter a numpy warning would escape main
+    doc = radial_doc()
+    if field == "C0":
+        doc["C0"] = {1: 1e300}
+    elif field == "omega0":
+        doc["omega0"]["value"] = 1e300
+    else:
+        for item in doc["g"]:
+            item["value"] *= 1e300
+    scenario = tmp_path / "huge.json"
+    scenario.write_text(json.dumps(doc))
+    rc = main(["simulate", str(scenario), "-o", str(tmp_path / "run")])
+    assert rc == 4
+    assert "velocity overflow" in capsys.readouterr().err
+
+
 # -- certify ------------------------------------------------------------
 
 
@@ -395,6 +415,32 @@ def test_certify_pair_with_renumbered_holes_is_usage_error(tmp_path,
     assert rc == 2
     assert "different meshes" in capsys.readouterr().err
     assert not (out / "ledger.csv").exists()
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"T": 0.6}, "different T (0.5 and 0.6)"),
+    ({"snapshots": 4}, "different snapshot counts (5 and 4)"),
+    ({"g": [{**item, "value": 2.0 * item["value"]}
+            for item in radial_doc()["g"]]}, "different boundary data g"),
+    ({"g_multiplier": {"profile": "tabulated", "times": [0.0, 1.0],
+                       "values": [1.0, 2.0]}},
+     "different g multipliers at the snapshot times"),
+], ids=["T", "snapshots", "g", "g_multiplier"])
+def test_certify_mismatched_pair_fails_before_the_runs(
+        tmp_path, scenario_file, capsys, monkeypatch, change, message):
+    runs = []
+    monkeypatch.setattr(euler_ss.transport, "run",
+                        lambda *a: runs.append(a))
+    doc = radial_doc()
+    doc.update(change)
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps(doc))
+    out = tmp_path / "cert"
+    rc = main(["certify", str(scenario_file), str(pair), "-o", str(out)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert runs == []
+    assert not out.exists()
 
 
 # -- stability ----------------------------------------------------------

@@ -6,13 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from euler_ss import fem, osgood
 from euler_ss.errors import UsageError
-from euler_ss.osgood import (P_SWITCH, calibrate_constant, choose_p,
-                             exact_comparison, growth_F,
-                             lemma_envelope_check, mu, ode_oracle,
-                             osgood_bound, riemann_telescoping_check,
+from euler_ss.osgood import (calibrate_constant, mu, osgood_bound,
                              stability_experiment)
 
 from conftest import modulated_band_scenario
+from oracles import (P_SWITCH, choose_p, exact_comparison, growth_F,
+                     lemma_envelope_check, ode_oracle,
+                     riemann_telescoping_check)
 
 E = math.e
 
