@@ -2,7 +2,9 @@
 
 The estimates of the uniqueness argument for bounded-vorticity flow are
 realized here as computable identities and inequalities, all but the Lamb
-identity on a pair of runs sharing one mesh and one boundary through-flow:
+identity on a pair of runs sharing one mesh and one boundary through-flow,
+compared row by row (snapshot k of one trajectory against snapshot k of
+the other):
 
   * the kinetic-energy identity of the difference velocity,
   * the auxiliary-potential identity (its reversed-flow twin),
@@ -84,9 +86,11 @@ class TwinRun:
     of the stream coefficients (``coeff_d``) and of the circulations
     (``C_d``), and the squared L2 norms ``z_u`` of the difference
     velocity and ``z_v`` of the auxiliary field.  The difference fields
-    are formed from the two trajectories when they are needed, one
+    are formed from the rows of the two trajectories when they are needed
+    (``traj.psi[k]``, ``traj.omega[k]``, ``traj.velocity(k)``), one
     snapshot at a time, so a twin holds O(V) floats per snapshot and no
-    cell array.
+    cell array.  The pair must share one mesh, one basis and what
+    ``Scenario.twin_mismatch`` compares.
     """
 
     def __init__(self, traj1: Trajectory, traj2: Trajectory):
@@ -94,41 +98,30 @@ class TwinRun:
             raise UsageError("twin runs must share one mesh object")
         if traj1.basis is not traj2.basis:
             raise UsageError("twin runs must share one harmonic basis")
-        if len(traj1.states) != len(traj2.states):
-            raise UsageError("twin runs have different snapshot counts")
-        t1 = traj1.times
-        if np.abs(t1 - traj2.times).max(initial=0.0) \
-                > 1e-13 * traj1.scenario.T:
-            raise UsageError("twin runs have different snapshot times")
-        for cid, g in traj1.flux.g_edges.items():
-            if not np.array_equal(g, traj2.flux.g_edges.get(cid)):
-                raise UsageError("twin runs must share the boundary data g")
-        for s1, s2 in zip(traj1.states, traj2.states):
-            if s1.assembly.multiplier != s2.assembly.multiplier:
-                raise UsageError("twin runs must share the g multiplier")
+        mismatch = traj1.scenario.twin_mismatch(traj2.scenario)
+        if mismatch is not None:
+            raise UsageError(f"twin runs have different {mismatch}")
 
         self.traj1 = traj1
         self.traj2 = traj2
         self.mesh: Mesh = traj1.mesh
         self.basis = traj1.basis
-        self.times = t1
+        self.times = traj1.times
 
-        s1s, s2s = traj1.states, traj2.states
-        self.coeff_d = np.array([s.assembly.psi_coeffs for s in s1s]) \
-            - np.array([s.assembly.psi_coeffs for s in s2s])
-        self.C_d = np.array([s.C for s in s1s]) - np.array([s.C for s in s2s])
+        self.coeff_d = traj1.psi_coeffs - traj2.psi_coeffs
+        self.C_d = traj1.C - traj2.C
         self._z_u: np.ndarray | None = None     # built on first read
-        self.mult = np.array([s.assembly.multiplier for s in s1s])
+        self.mult = traj1.multiplier
 
-        mesh, n = self.mesh, len(t1)
+        mesh, n = self.mesh, len(self.times)
         # column-major: each snapshot's potential is one contiguous column
         self.phi = np.empty((mesh.num_vertices, n), order="F")
         self.D = np.empty((len(mesh.components), n))
         self.z_v = np.empty(n)
-        for k, (s1, s2) in enumerate(zip(s1s, s2s)):
+        for k in range(n):
             phi, self.D[:, k] = zaremba.solve_auxiliary(
-                self.basis, s1.assembly.psi_total - s2.assembly.psi_total,
-                s1.omega - s2.omega)
+                self.basis, traj1.psi[k] - traj2.psi[k],
+                traj1.omega[k] - traj2.omega[k])
             self.phi[:, k] = phi
             self.z_v[k] = fem.sq_norm_p0(
                 mesh, hodge.stream_velocity(mesh, phi, None, None))
@@ -149,9 +142,9 @@ class TwinRun:
 
     def _velocities(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """(T, 2) reference and difference velocities at snapshot k, from
-        each run's ``assembly.u``: the bits its step read."""
-        u_hat = self.traj1.states[k].assembly.u
-        return u_hat, u_hat - self.traj2.states[k].assembly.u
+        each run's ``velocity(k)``: the bits its step read."""
+        u_hat = self.traj1.velocity(k)
+        return u_hat, u_hat - self.traj2.velocity(k)
 
     def _stream_loads(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Rows at ``Mesh.boundary_nodes`` of run 1's stream load
@@ -159,7 +152,7 @@ class TwinRun:
         difference: the bits the reconstructions solved with."""
         mesh = self.mesh
         load1, load2 = (-(mesh.boundary_vertex_cells
-                          @ (traj.states[k].omega * mesh.tri_area / 3.0))
+                          @ (traj.omega[k] * mesh.tri_area / 3.0))
                         for traj in (self.traj1, self.traj2))
         return load1, load1 - load2
 
@@ -196,11 +189,11 @@ class TwinRun:
         n = len(self.times)
         cols, z_u = np.empty((8, n)), np.empty(n)
         res = np.empty((3, len(mesh.boundary_nodes), n))
-        for k, s1 in enumerate(self.traj1.states):
-            psi1, phi = s1.assembly.psi_total, self.phi[:, k]
+        for k in range(n):
+            psi1, phi = self.traj1.psi[k], self.phi[:, k]
             load1, load_d = self._stream_loads(k)
             res[0, :, k] = fem.boundary_residual(
-                op, psi1 - self.traj2.states[k].assembly.psi_total, load_d)
+                op, psi1 - self.traj2.psi[k], load_d)
             res[1, :, k] = fem.boundary_residual(op, psi1, load1)
             res[2, :, k] = op.boundary_rows @ phi
             u_hat, u_d = self._velocities(k)
@@ -208,7 +201,7 @@ class TwinRun:
             cols[[1, 5, 6], k] = _volume_terms(
                 mesh.tri_area, u_d,
                 hodge.stream_velocity(mesh, phi, None, None),
-                fem.velocity_gradient(mesh, u_hat), s1.omega)
+                fem.velocity_gradient(mesh, u_hat), self.traj1.omega[k])
         cols[[0, 2, 3, 4, 7]] = self._boundary_terms(*res)
         if self._z_u is None:
             self._z_u = z_u

@@ -118,11 +118,11 @@ def cmd_mesh(args) -> int:
 
 
 def _write_snapshots(outdir: Path, traj: transport.Trajectory) -> None:
-    for k, s in enumerate(traj.states):
+    for k in range(len(traj.times)):
         fem.write_vtk(outdir / f"snap_{k:03d}.vtk", traj.mesh,
-                      point_data={"stream": s.assembly.psi_total},
-                      cell_data={"vorticity": s.omega,
-                                 "velocity": s.assembly.u})
+                      point_data={"stream": traj.psi[k]},
+                      cell_data={"vorticity": traj.omega[k],
+                                 "velocity": traj.velocity(k)})
 
 
 def cmd_simulate(args) -> int:
@@ -132,11 +132,11 @@ def cmd_simulate(args) -> int:
     transport.write_trajectory_csv(traj, outdir / "trajectory.csv")
     if args.vtk:
         _write_snapshots(outdir, traj)
-    last = traj.states[-1]
-    print(f"ran {traj.total_steps} steps to t={last.t:.6g} "
-          f"({len(traj.states)} snapshots)")
-    print(f"final energy {last.energy:.12g}, "
-          f"vorticity range [{last.omega.min():.6g}, {last.omega.max():.6g}]")
+    last = traj.omega[-1]
+    print(f"ran {traj.total_steps} steps to t={traj.times[-1]:.6g} "
+          f"({len(traj.times)} snapshots)")
+    print(f"final energy {traj.energy[-1]:.12g}, "
+          f"vorticity range [{last.min():.6g}, {last.max():.6g}]")
     print(f"max principle defect {traj.max_principle_defect:.3e}, "
           f"budget defect {traj.budget_defect:.3e}")
     print(f"through-flow divergence defect {traj.flux.div_defect:.3e}")
@@ -147,25 +147,31 @@ def cmd_simulate(args) -> int:
 # -- certify ------------------------------------------------------------
 
 
-def _parse_comp_val(text: str, flag: str) -> tuple[int, float]:
-    comp, sep, val = text.partition("=")
-    if not sep:
-        raise UsageError(f"{flag} expects COMP=VALUE, got {text!r}")
-    try:
-        return int(comp), float(val)
-    except ValueError:
-        raise UsageError(f"{flag} expects COMP=VALUE with an integer "
-                         f"component and numeric value, got {text!r}") \
-            from None
+def _comp_values(texts: list[str], flag: str) -> dict[int, float]:
+    """The COMP=VALUE arguments of a repeated flag, one per component."""
+    out: dict[int, float] = {}
+    for text in texts:
+        comp, sep, val = text.partition("=")
+        if not sep:
+            raise UsageError(f"{flag} expects COMP=VALUE, got {text!r}")
+        try:
+            cid, value = int(comp), float(val)
+        except ValueError:
+            raise UsageError(f"{flag} expects COMP=VALUE with an integer "
+                             f"component and numeric value, got {text!r}") \
+                from None
+        if cid in out:
+            raise UsageError(f"{flag}: component {cid} given twice")
+        out[cid] = value
+    return out
 
 
 def _align_pair(sc1: transport.Scenario,
                 sc2: transport.Scenario) -> transport.Scenario:
     """``sc2`` on the mesh object of ``sc1`` (twins must share it), checked
     before either run against what ``TwinRun`` needs of a pair: each
-    boundary component keeps its id, role and set of edges, and the two
-    share T (to 1e-13 T), the snapshot count, g and the g multiplier at
-    the snapshot times."""
+    boundary component keeps its id, role and set of edges, and
+    ``Scenario.twin_mismatch`` finds nothing."""
     m1, m2 = sc1.mesh, sc2.mesh
     same = np.array_equal(m1.vertices, m2.vertices) \
         and np.array_equal(m1.triangles, m2.triangles) \
@@ -175,34 +181,22 @@ def _align_pair(sc1: transport.Scenario,
         raise UsageError("certify: the two scenarios describe different "
                          "meshes")
     sc2 = replace(sc2, mesh=m1)
-    differ = "certify: the two scenarios have different"
-    if abs(sc1.T - sc2.T) > 1e-13 * sc1.T:
-        raise UsageError(f"{differ} T ({sc1.T!r} and {sc2.T!r})")
-    if sc1.snapshots != sc2.snapshots:
-        raise UsageError(f"{differ} snapshot counts ({sc1.snapshots} and "
-                         f"{sc2.snapshots})")
-    g1, g2 = sc1.g_edges(), sc2.g_edges()
-    if g1.keys() != g2.keys() \
-            or not all(np.array_equal(g1[c], g2[c]) for c in g1):
-        raise UsageError(f"{differ} boundary data g")
-    # the times ``transport.run`` saves its snapshots at
-    mults = [[sc.multiplier(k * sc.T / sc.snapshots)
-              for k in range(sc.snapshots + 1)] for sc in (sc1, sc2)]
-    if mults[0] != mults[1]:
-        raise UsageError(f"{differ} g multipliers at the snapshot times")
+    mismatch = sc1.twin_mismatch(sc2)
+    if mismatch is not None:
+        raise UsageError(f"certify: the two scenarios have different "
+                         f"{mismatch}")
     return sc2
 
 
 def _perturbation(args) -> dict:
     delta = {}
     if args.delta_c0:
-        delta["C0"] = dict(_parse_comp_val(s, "--delta-c0")
-                           for s in args.delta_c0)
+        delta["C0"] = _comp_values(args.delta_c0, "--delta-c0")
     if args.delta_omega0 is not None:
         delta["omega0"] = args.delta_omega0
     if args.delta_omega_in:
-        delta["omega_in"] = dict(_parse_comp_val(s, "--delta-omega-in")
-                                 for s in args.delta_omega_in)
+        delta["omega_in"] = _comp_values(args.delta_omega_in,
+                                         "--delta-omega-in")
     return delta
 
 
@@ -290,8 +284,7 @@ def cmd_certify(args) -> int:
 
     lines: list[str] = []
     ok = True
-    scale = max(1.0, max(float(np.abs(s.omega).max(initial=0.0))
-                         for s in traj1.states))
+    scale = max(1.0, float(np.abs(traj1.omega).max(initial=0.0)))
     for tag, tr in (("run1", traj1), ("run2", traj2)):
         ok &= _check(lines, f"{tag} max principle defect",
                      tr.max_principle_defect, 1e-11 * scale)

@@ -27,12 +27,12 @@ the velocity, the rotational edge fluxes of the transport step and the
 consistent circulations, each to the last bit of its own map.
 ``reconstruct_velocity`` returns the assembly with the velocity and the
 edge jumps beside it: the step reads them once, and a saved snapshot
-keeps the assembly as built.  The assembly stores no velocity: its ``u``
-is the perp-gradient product of its stream function plus the multiplier
-times the shared through-flow gradient, the bits of the stacked product
-(``stream_velocity``).  The through-flow, g with phi_g and its gradient
-at unit multiplier, is owned by ``transport.FluxAssembler``, one per g
-cached on the basis.
+copies the assembly into its trajectory row.  No velocity is stored:
+``stream_velocity`` derives it from a row's stream function and
+multiplier and the shared through-flow gradient, to the bits of the
+stacked product (``traj.velocity(k)``).  The through-flow, g with phi_g
+and its gradient at unit multiplier, is owned by
+``transport.FluxAssembler``, one per g cached on the basis.
 
 The boundary data g must satisfy the sign condition: g <= 0 on inflow
 components, g >= 0 on outflow components, g = 0 on walls.  Violations are
@@ -153,25 +153,14 @@ def stream_velocity(mesh: Mesh, psi: np.ndarray, multiplier,
 
 @dataclass
 class VelocityAssembly:
-    """Stream data and flux diagnostics of a reconstructed velocity, all
-    of which a saved snapshot keeps.  The velocity itself is derived on
-    read (``u``); the step gets it and the edge jumps beside the assembly
-    (``reconstruct_velocity``)."""
+    """Stream data and flux diagnostics of a reconstructed velocity, which
+    a saved snapshot keeps; the velocity and the edge jumps come beside
+    it (``reconstruct_velocity``)."""
 
-    mesh: Mesh
     psi_coeffs: np.ndarray         # (m,) harmonic-basis constants
     psi_total: np.ndarray          # (V,) G[omega] + sum_i psi_i f^i
     multiplier: float              # of the through-flow potential
     circulation_consistent: np.ndarray   # per component, consistent flux
-    # the through-flow gradient at unit multiplier, shared with its
-    # ``transport.FluxAssembler`` (None when nothing flows)
-    phi_grad: np.ndarray | None
-
-    @property
-    def u(self) -> np.ndarray:
-        """The (T, 2) P0 velocity, to the bit the one the step used."""
-        return stream_velocity(self.mesh, self.psi_total, self.multiplier,
-                               self.phi_grad)
 
 
 def reconstruct_velocity(basis: HarmonicBasis, omega: np.ndarray,
@@ -187,8 +176,7 @@ def reconstruct_velocity(basis: HarmonicBasis, omega: np.ndarray,
     ``circulations`` lists C_i for the inner components in order.
     ``phi_grad`` is the gradient of the unit-multiplier through-flow
     potential of g (``transport.FluxAssembler.phi_grad``), None when
-    nothing flows; the velocity adds ``multiplier`` times it, and the
-    assembly keeps a reference to it.
+    nothing flows; the velocity adds ``multiplier`` times it.
 
     Past the Green solve, the stream function meets one product with
     ``basis.stream_operator``, which gives the velocity, the edge jumps
@@ -224,7 +212,6 @@ def reconstruct_velocity(basis: HarmonicBasis, omega: np.ndarray,
     circ_cons = basis.op.boundary_fluxes(stream[nj:], load)
 
     asm = VelocityAssembly(
-        mesh=mesh, psi_coeffs=coeffs, psi_total=psi_total,
-        multiplier=multiplier, circulation_consistent=circ_cons,
-        phi_grad=phi_grad)
+        psi_coeffs=coeffs, psi_total=psi_total, multiplier=multiplier,
+        circulation_consistent=circ_cons)
     return asm, u, stream[nu:nj]

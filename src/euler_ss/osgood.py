@@ -129,12 +129,15 @@ def stability_experiment(base_scenario, deltas, comp: int | list | None = None
     if len(set(comps)) != len(comps):
         raise UsageError(f"components must be distinct, got {comps}")
 
+    # every rung's scenario before the basis and the base run, so that a
+    # component that cannot be perturbed fails first
+    perturbed = [base_scenario.perturbed(C0={c: delta for c in comps})
+                 for delta in deltas]
     basis = HarmonicBasis(mesh)
     base_traj = transport.run(base_scenario, basis)
 
-    def one_rung(delta: float) -> StabilityRung:
+    def one_rung(delta: float, pert) -> StabilityRung:
         try:
-            pert = base_scenario.perturbed(C0={c: delta for c in comps})
             traj2 = transport.run(pert, basis)
             tw = TwinRun(base_traj, traj2)
         except SolverError as exc:
@@ -155,7 +158,7 @@ def stability_experiment(base_scenario, deltas, comp: int | list | None = None
                              bound_margin=margin, bound_ok=ok,
                              times=times, y_series=y, bound_series=bound)
 
-    rungs = [one_rung(d) for d in deltas]
+    rungs = [one_rung(d, pert) for d, pert in zip(deltas, perturbed)]
     live = [r for r in rungs if r.failed is None]
 
     usable = [r for r in live if r.y_final > 1e3 * NOISE_FLOOR]

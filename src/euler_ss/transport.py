@@ -37,10 +37,12 @@ Time stepping is forward Euler (optionally a two-stage strong-stability
 update) under a CFL cap combining the incircle-diameter travel time with a
 positivity cap on the total outflux of each cell (one maximum of cell
 rates, |u|^2 / d^2 and outflux / area); steps land exactly on the
-requested snapshot times.  Circulations on the inner components evolve by
-the boundary vorticity flux, summed per component from the same upwind
-edge array that serves the vorticity budget, so the two stay consistent to
-round-off.
+snapshot times (``Scenario.snapshot_times``).  Circulations on the inner
+components evolve by the boundary vorticity flux, summed per component
+from the same upwind edge array that serves the vorticity budget, so the
+two stay consistent to round-off.  A ``Trajectory`` holds one row per
+snapshot (``traj.omega[k]``, ``traj.psi[k]``, ...); ``traj.velocity(k)``
+derives the velocity that snapshot's step read.
 
 Scenario files are strict JSON: unknown keys anywhere are errors.
 ``parse_scenario`` checks a document and parses each value once into a
@@ -61,7 +63,7 @@ import scipy.sparse as sp
 
 from . import fem, hodge
 from .errors import PreconditionError, SolverError, UsageError
-from .hodge import HarmonicBasis, VelocityAssembly
+from .hodge import HarmonicBasis
 from .mesh import Mesh, generate_annulus, load_mesh, uniform_refine
 
 MAX_STEPS_PER_INTERVAL = 2_000_000
@@ -264,6 +266,31 @@ class Scenario:
             mesh = uniform_refine(mesh)
         return replace(self, mesh=mesh)
 
+    @property
+    def snapshot_times(self) -> np.ndarray:
+        """The times k * T / snapshots, k = 0..snapshots, at which a run
+        saves its snapshots (and which a twin pair must share)."""
+        return np.array([k * self.T / self.snapshots
+                         for k in range(self.snapshots + 1)])
+
+    def twin_mismatch(self, other: "Scenario") -> str | None:
+        """What a twin of runs of this scenario and ``other`` (on one mesh)
+        finds different first, in words ("T (0.5 and 0.6)"), or None: T
+        to 1e-13 T, snapshot count, g, g multiplier at the snapshots."""
+        if abs(self.T - other.T) > 1e-13 * self.T:
+            return f"T ({self.T!r} and {other.T!r})"
+        if self.snapshots != other.snapshots:
+            return (f"snapshot counts ({self.snapshots} and "
+                    f"{other.snapshots})")
+        g1, g2 = self.g_edges(), other.g_edges()
+        if g1.keys() != g2.keys() \
+                or not all(np.array_equal(g1[c], g2[c]) for c in g1):
+            return "boundary data g"
+        if not np.array_equal(self.g_multiplier(self.snapshot_times),
+                              other.g_multiplier(other.snapshot_times)):
+            return "g multipliers at the snapshot times"
+        return None
+
     # -- data on a mesh -------------------------------------------------
 
     def g_edges(self) -> dict[int, np.ndarray]:
@@ -349,11 +376,6 @@ def parse_scenario(doc: dict, base_dir: Path | str = ".") -> Scenario:
     if isinstance(snapshots, bool) or not isinstance(snapshots, int) \
             or snapshots < 1:
         raise UsageError("snapshots must be a positive integer")
-    # the snapshot times as ``run`` computes them
-    if any(k * T / snapshots >= (k + 1) * T / snapshots
-           for k in range(snapshots)):
-        raise UsageError(f"T = {T!r} is too small for {snapshots} "
-                         "snapshots: the times k*T/snapshots must increase")
     scheme = doc.get("scheme", "euler")
     if scheme not in ("euler", "rk2"):
         raise UsageError(f"unknown scheme {scheme!r} "
@@ -418,10 +440,14 @@ def parse_scenario(doc: dict, base_dir: Path | str = ".") -> Scenario:
                              "component")
         C0[cid] = _number(val, f"C0[{cid}]")
 
-    return Scenario(mesh=mesh, annulus=annulus, T=T, cfl=cfl,
-                    snapshots=snapshots, scheme=scheme, g=g,
-                    g_multiplier=g_multiplier, omega0=omega0,
-                    omega_in=omega_in, C0=C0)
+    sc = Scenario(mesh=mesh, annulus=annulus, T=T, cfl=cfl,
+                  snapshots=snapshots, scheme=scheme, g=g,
+                  g_multiplier=g_multiplier, omega0=omega0,
+                  omega_in=omega_in, C0=C0)
+    if np.any(np.diff(sc.snapshot_times) <= 0):
+        raise UsageError(f"T = {T!r} is too small for {snapshots} "
+                         "snapshots: the times k*T/snapshots must increase")
+    return sc
 
 
 def load_scenario(path) -> Scenario:
@@ -564,41 +590,40 @@ def flow_setup(basis: HarmonicBasis, g_edges: dict[int, np.ndarray]
 # -- time integration ---------------------------------------------------
 
 
-@dataclass
-class SimState:
-    """One saved snapshot: the transported state and its velocity
-    assembly as the reconstruction built it.  The velocity
-    (``assembly.u``) is derived on read; no stream load is kept."""
-
-    t: float
-    omega: np.ndarray              # (T,) cell vorticity
-    C: np.ndarray                  # (m,) inner-component circulations
-    B: np.ndarray                  # (ncomp,) cumulative boundary vorticity flux
-    assembly: VelocityAssembly
-    energy: float
-    dt_last: float
-
-    @property
-    def circulations(self) -> np.ndarray:
-        """Consistent-flux circulation of every component (row 0 is the
-        diagnosed outer circulation)."""
-        return self.assembly.circulation_consistent
-
-
-@dataclass
 class Trajectory:
-    scenario: Scenario
-    mesh: Mesh
-    basis: HarmonicBasis
-    states: list[SimState]
-    flux: FluxAssembler            # the through-flow: g, phi and its fluxes
-    max_principle_defect: float
-    budget_defect: float
-    total_steps: int
+    """The snapshots of one run as arrays, one row per snapshot, which
+    ``run`` fills as it saves each one.  The velocity of a snapshot is
+    derived on read (``velocity``); no stream load is kept."""
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.states])
+    def __init__(self, scenario: Scenario, basis: HarmonicBasis,
+                 flux: FluxAssembler):
+        self.scenario = scenario
+        self.mesh = mesh = basis.mesh
+        self.basis = basis
+        self.flux = flux               # the through-flow: g, phi, fluxes
+        n, m = scenario.snapshots + 1, basis.num_inner
+        ncomp = len(mesh.components)
+        self.times = np.empty(n)
+        self.omega = np.empty((n, mesh.num_triangles))  # cell vorticity
+        self.C = np.empty((n, m))                # inner circulations
+        self.B = np.empty((n, ncomp))   # cumulative boundary vorticity flux
+        self.psi = np.empty((n, mesh.num_vertices))     # stream function
+        self.psi_coeffs = np.empty((n, m))       # its harmonic constants
+        self.multiplier = np.empty(n)            # of the through-flow
+        # consistent-flux circulation of every component (column 0 is the
+        # diagnosed outer one)
+        self.circulations = np.empty((n, ncomp))
+        self.energy = np.empty(n)                # kinetic
+        self.dt = np.empty(n)           # of the step landing on it, 0 first
+        self.max_principle_defect = 0.0
+        self.budget_defect = 0.0
+        self.total_steps = 0
+
+    def velocity(self, k: int) -> np.ndarray:
+        """The (T, 2) velocity of snapshot k, to the bit the one its step
+        read."""
+        return hodge.stream_velocity(self.mesh, self.psi[k],
+                                     self.multiplier[k], self.flux.phi_grad)
 
 
 def run(scenario: Scenario, basis: HarmonicBasis | None = None) -> Trajectory:
@@ -621,26 +646,32 @@ def run(scenario: Scenario, basis: HarmonicBasis | None = None) -> Trajectory:
 
     bound_lo = float(omega.min(initial=np.inf))
     bound_hi = float(omega.max(initial=-np.inf))
-    mp_defect = 0.0
-    budget_defect = 0.0
 
     def assemble(om, circ, t):
         return hodge.reconstruct_velocity(
             basis, om, circ, multiplier=scenario.multiplier(t),
             phi_grad=flux.phi_grad)
 
-    def energy(u):
-        return 0.5 * fem.sq_norm_p0(mesh, u)
+    traj = Trajectory(scenario, basis, flux)
+
+    def save(k, t, dt_last):
+        traj.times[k] = t
+        traj.omega[k] = omega
+        traj.C[k] = C
+        traj.B[k] = B
+        traj.psi[k] = asm.psi_total
+        traj.psi_coeffs[k] = asm.psi_coeffs
+        traj.multiplier[k] = asm.multiplier
+        traj.circulations[k] = asm.circulation_consistent
+        traj.energy[k] = 0.5 * fem.sq_norm_p0(mesh, u)
+        traj.dt[k] = dt_last
 
     asm, u, jumps = assemble(omega, C, 0.0)
-    states = [SimState(t=0.0, omega=omega.copy(), C=C.copy(), B=B.copy(),
-                       assembly=asm, energy=energy(u), dt_last=0.0)]
+    save(0, 0.0, 0.0)
     t = 0.0
-    total_steps = 0
     rk2 = scenario.scheme == "rk2"
 
-    for k in range(1, scenario.snapshots + 1):
-        t_next = k * scenario.T / scenario.snapshots
+    for k, t_next in enumerate(scenario.snapshot_times[1:].tolist(), 1):
         interval_steps = 0
         while t < t_next:
             interval_steps += 1
@@ -685,26 +716,22 @@ def run(scenario: Scenario, basis: HarmonicBasis | None = None) -> Trajectory:
             for v in in_vals.values():
                 bound_lo = min(bound_lo, v)
                 bound_hi = max(bound_hi, v)
-            mp_defect = max(mp_defect,
-                            float(omega.max(initial=-np.inf)) - bound_hi,
-                            bound_lo - float(omega.min(initial=np.inf)))
+            traj.max_principle_defect = max(
+                traj.max_principle_defect,
+                float(omega.max(initial=-np.inf)) - bound_hi,
+                bound_lo - float(omega.min(initial=np.inf)))
             mass_after = float(omega @ mesh.tri_area)
             bd = abs(mass_after - mass_before + dt * rate_eff.sum())
             scale = max(1.0, abs(mass_before), abs(dt * rate_eff).sum())
-            budget_defect = max(budget_defect, bd / scale)
+            traj.budget_defect = max(traj.budget_defect, bd / scale)
 
             t = t_next if landed else t + dt
-            total_steps += 1
+            traj.total_steps += 1
             asm, u, jumps = assemble(omega, C, t)
 
-        states.append(SimState(t=t, omega=omega.copy(), C=C.copy(),
-                               B=B.copy(), assembly=asm,
-                               energy=energy(u), dt_last=dt))
+        save(k, t, dt)
 
-    return Trajectory(scenario=scenario, mesh=mesh, basis=basis,
-                      states=states, flux=flux,
-                      max_principle_defect=mp_defect,
-                      budget_defect=budget_defect, total_steps=total_steps)
+    return traj
 
 
 # -- diagnostics --------------------------------------------------------
@@ -724,13 +751,10 @@ def snapshot_window(n: int, k0: int, k1: int | None) -> tuple[int, int]:
 def kelvin_consistency(traj: Trajectory) -> float:
     """Max discrepancy between the transported circulations and the
     boundary-flux accumulators (identical code path; round-off only)."""
-    worst = 0.0
-    C0 = traj.states[0].C
-    for s in traj.states:
-        drift = s.C - (C0 - s.B[1:])
-        scale = max(1.0, float(np.abs(s.C).max(initial=0.0)))
-        worst = max(worst, float(np.abs(drift).max(initial=0.0)) / scale)
-    return worst
+    drift = traj.C - (traj.C[0] - traj.B[:, 1:])
+    scale = np.maximum(1.0, np.abs(traj.C).max(axis=1, initial=0.0))
+    return float((np.abs(drift).max(axis=1, initial=0.0) / scale)
+                 .max(initial=0.0))
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
@@ -742,10 +766,8 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
         + ["vort_mass", "vort_min", "vort_max", "energy", "dt"]
     lines = [",".join(cols)]
     area = traj.mesh.tri_area
-    for s in traj.states:
-        circ = s.circulations
-        row = [s.t] + [circ[c] for c in range(ncomp)] \
-            + [float(s.omega @ area), float(s.omega.min()),
-               float(s.omega.max()), s.energy, s.dt_last]
+    for k, w in enumerate(traj.omega):
+        row = [traj.times[k], *traj.circulations[k], float(w @ area),
+               w.min(), w.max(), traj.energy[k], traj.dt[k]]
         lines.append(",".join(f"{v:.17g}" for v in row))
     Path(path).write_text("\n".join(lines) + "\n")

@@ -37,26 +37,23 @@ class EinsumTwin(TwinRun):
         self.D = np.empty((len(mesh.components), len(t1)))
         self._z_u = np.empty(len(t1))
         self.z_v = np.empty(len(t1))
-        self.mult = np.array([s.assembly.multiplier for s in traj1.states])
+        self.mult = traj1.multiplier
 
-        for k, (s1, s2) in enumerate(zip(traj1.states, traj2.states)):
-            coeff_d.append(s1.assembly.psi_coeffs - s2.assembly.psi_coeffs)
-            C_d.append(s1.C - s2.C)
+        for k in range(len(t1)):
+            coeff_d.append(traj1.psi_coeffs[k] - traj2.psi_coeffs[k])
+            C_d.append(traj1.C[k] - traj2.C[k])
             self.phi[:, k], self.D[:, k] = zaremba.solve_auxiliary(
-                self.basis, self._psi_field(k), s1.omega - s2.omega)
+                self.basis, self._psi_field(k),
+                traj1.omega[k] - traj2.omega[k])
             ud = self._u_d(k)
             vv = self._v(k)
             self._z_u[k] = float(np.einsum("td,td,t->", ud, ud, area))
             self.z_v[k] = float(np.einsum("td,td,t->", vv, vv, area))
         self.coeff_d, self.C_d = np.array(coeff_d), np.array(C_d)
 
-    def _pair(self, k: int):
-        return self.traj1.states[k], self.traj2.states[k]
-
     def _u_d(self, k: int) -> np.ndarray:
         """Difference velocity at snapshot k, one snapshot's products."""
-        s1, s2 = self._pair(k)
-        return s1.assembly.u - s2.assembly.u
+        return self.traj1.velocity(k) - self.traj2.velocity(k)
 
     def _v(self, k: int) -> np.ndarray:
         """Auxiliary field grad_perp(phi) at snapshot k."""
@@ -64,8 +61,7 @@ class EinsumTwin(TwinRun):
 
     def _psi_field(self, k: int) -> np.ndarray:
         """Difference stream function at snapshot k."""
-        s1, s2 = self._pair(k)
-        return s1.assembly.psi_total - s2.assembly.psi_total
+        return self.traj1.psi[k] - self.traj2.psi[k]
 
     def _edge_density(self, field: np.ndarray, load: np.ndarray, comp
                       ) -> np.ndarray:
@@ -73,12 +69,11 @@ class EinsumTwin(TwinRun):
         return 0.5 * (dn + np.roll(dn, -1))
 
     def _hat_tau_edges(self, k: int, load: np.ndarray, comp) -> np.ndarray:
-        asm = self.traj1.states[k].assembly
-        dens = self._edge_density(asm.psi_total, load, comp)
+        dens = self._edge_density(self.traj1.psi[k], load, comp)
         phi = self.traj1.flux.phi
         if phi is not None:
             a, b = comp.edges[:, 0], comp.edges[:, 1]
-            dens = dens + asm.multiplier \
+            dens = dens + self.traj1.multiplier[k] \
                 * (phi[b] - phi[a]) / comp.length
         return dens
 
@@ -88,11 +83,11 @@ class EinsumTwin(TwinRun):
         area = mesh.tri_area
         rows = []
         for k in range(len(self.times)):
-            s1, s2 = self._pair(k)
+            om_hat = self.traj1.omega[k]
             ud = self._u_d(k)
             psi_d = self._psi_field(k)
-            load1 = -fem.p0_load_vector(mesh, s1.omega)
-            load_d = load1 + fem.p0_load_vector(mesh, s2.omega)
+            load1 = -fem.p0_load_vector(mesh, om_hat)
+            load_d = load1 + fem.p0_load_vector(mesh, self.traj2.omega[k])
             phi = self.phi[:, k]
             vv = self._v(k)
             mult = self.mult[k]
@@ -118,10 +113,9 @@ class EinsumTwin(TwinRun):
                                             comp)
                     bo += float(np.sum(ut * vt * (-g) * comp.length)) * mult
 
-            jac_hat = fem.velocity_gradient(mesh, s1.assembly.u)
+            jac_hat = fem.velocity_gradient(mesh, self.traj1.velocity(k))
             adv_u = fem.convective_term(ud, jac_hat)
             adv_v = fem.convective_term(vv, jac_hat)
-            om_hat = s1.omega
             rows.append((
                 0.5 * eb, np.einsum("td,td,t->", ud, adv_u, area),
                 bl, bo, bi,

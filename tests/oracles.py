@@ -24,7 +24,7 @@ import numpy as np
 from euler_ss import fem
 from euler_ss.certificates import P_GRID
 from euler_ss.errors import PreconditionError, UsageError
-from euler_ss.hodge import HarmonicBasis, VelocityAssembly
+from euler_ss.hodge import HarmonicBasis
 from euler_ss.mesh import Mesh
 from euler_ss.osgood import mu
 from euler_ss.transport import Trajectory, snapshot_window
@@ -288,24 +288,24 @@ def weak_residual(traj: Trajectory, phi: np.ndarray,
     boundary component the boundary integral is taken from the exact
     per-step accumulators; otherwise it is a trapezoid over the snapshots.
     """
-    k0, k1 = snapshot_window(len(traj.states), k0, k1)
+    k0, k1 = snapshot_window(len(traj.times), k0, k1)
     mesh = traj.mesh
-    states = traj.states[k0:k1 + 1]
-    times = np.array([s.t for s in states])
+    window = range(k0, k1 + 1)
+    times = traj.times[k0:k1 + 1]
     gphi = fem.gradient(mesh, phi)
 
-    vol = np.array([float(np.einsum("t,td,td,t->", s.omega,
-                                    s.assembly.u, gphi,
+    vol = np.array([float(np.einsum("t,td,td,t->", traj.omega[k],
+                                    traj.velocity(k), gphi,
                                     mesh.tri_area))
-                    for s in states])
+                    for k in window])
     vol_int = float(np.trapezoid(vol, times))
 
     phi_bar = phi[mesh.triangles].mean(axis=1)
 
-    def mass(s):
-        return float((s.omega * phi_bar) @ mesh.tri_area)
+    def mass(k):
+        return float((traj.omega[k] * phi_bar) @ mesh.tri_area)
 
-    jump = mass(states[-1]) - mass(states[0])
+    jump = mass(k1) - mass(k0)
 
     comp_const = []
     is_const = True
@@ -318,7 +318,7 @@ def weak_residual(traj: Trajectory, phi: np.ndarray,
         comp_const.append(float(tv[0]))
 
     if is_const:
-        bdry = sum(cv * (states[-1].B[c.comp] - states[0].B[c.comp])
+        bdry = sum(cv * (traj.B[k1, c.comp] - traj.B[k0, c.comp])
                    for cv, c in zip(comp_const, mesh.components))
     else:
         # the prescribed boundary fluxes mult * g * length; interior
@@ -327,11 +327,12 @@ def weak_residual(traj: Trajectory, phi: np.ndarray,
         pot_bd = np.where(bd, traj.flux.pot, 0.0)
         phim = 0.5 * phi[mesh.edges].sum(axis=1)
         rows = []
-        for s in states:
-            in_vals = {c.comp: traj.scenario.omega_in_value(c.comp, s.t)
+        for k in window:
+            in_vals = {c.comp: traj.scenario.omega_in_value(c.comp,
+                                                            traj.times[k])
                        for c in mesh.components if c.role == "inflow"}
             cf = traj.flux.vorticity_flux(
-                s.omega, s.assembly.multiplier * pot_bd, in_vals)
+                traj.omega[k], traj.multiplier[k] * pot_bd, in_vals)
             rows.append(float(cf @ phim))
         bdry = float(np.trapezoid(np.array(rows), times))
 
@@ -340,32 +341,31 @@ def weak_residual(traj: Trajectory, phi: np.ndarray,
             "exact_boundary": is_const}
 
 
-def circulation_trace(assembly: VelocityAssembly) -> np.ndarray:
-    """Per-component circulation of an assembly's velocity by the
-    one-sided quadrature of the tangential velocity (first order)."""
-    u = assembly.u
-    out = np.empty(len(assembly.mesh.components))
-    for comp in assembly.mesh.components:
+def circulation_trace(mesh: Mesh, u: np.ndarray) -> np.ndarray:
+    """Per-component circulation of a (T, 2) velocity by the one-sided
+    quadrature of the tangential velocity (first order)."""
+    out = np.empty(len(mesh.components))
+    for comp in mesh.components:
         ut = np.einsum("ed,ed->e", u[comp.tri], comp.tangent)
         out[comp.comp] = float(ut @ comp.length)
     return out
 
 
-def check_elliptic_growth(basis: HarmonicBasis, assembly: VelocityAssembly,
-                          omega: np.ndarray,
+def check_elliptic_growth(basis: HarmonicBasis, u: np.ndarray,
+                          multiplier: float, omega: np.ndarray,
                           g_edges: dict[int, np.ndarray] | None,
                           circulations: np.ndarray) -> dict:
-    """Report the p-growth of the W^{1,p} proxy of u against
-    p * (|omega|_p + |g|_inf + sum|C_i|) for every p of ``P_GRID``; the
-    flag asserts the whole sequence stays within twice its p = 2 value."""
+    """Report the p-growth of the W^{1,p} proxy of a reconstructed (T, 2)
+    velocity u against p * (|omega|_p + |g|_inf * |multiplier| +
+    sum|C_i|) for every p of ``P_GRID``; the flag asserts the whole
+    sequence stays within twice its p = 2 value."""
     mesh = basis.mesh
     g_inf = 0.0
     if g_edges:
         g_inf = max(float(np.abs(np.asarray(g)).max(initial=0.0))
-                    for g in g_edges.values()) * abs(assembly.multiplier)
+                    for g in g_edges.values()) * abs(multiplier)
     c_sum = float(np.abs(np.asarray(circulations)).sum())
     rows = []
-    u = assembly.u
     semis = w1p_seminorms_p0(mesh, u, P_GRID)
     for p, semi in zip(P_GRID, semis):
         up = lp_norm_p0(mesh, u, p)

@@ -96,19 +96,19 @@ def test_criterion_03_velocity_oracle(capsys):
         g = {0: np.full(nt, 1.0 / (4.0 * math.pi)),
              1: np.full(nt, -1.0 / (2.0 * math.pi))}
         zero_w = np.zeros(m.num_triangles)
-        asm, _, _ = hodge.reconstruct_velocity(
+        _, u, _ = hodge.reconstruct_velocity(
             basis, zero_w, np.zeros(1),
             phi_grad=transport.flow_setup(basis, g).phi_grad)
         ex = s / (2.0 * math.pi) * cen / r2[:, None]
-        errs_src.append(lp_norm_p0(m, asm.u - ex, 2.0)
+        errs_src.append(lp_norm_p0(m, u - ex, 2.0)
                         / lp_norm_p0(m, ex, 2.0))
 
         # pure circulation: positive C spins the flow clockwise
-        asm2, _, _ = hodge.reconstruct_velocity(basis, zero_w,
-                                                np.array([C]))
+        asm2, u2, _ = hodge.reconstruct_velocity(basis, zero_w,
+                                                 np.array([C]))
         ex2 = C / (2.0 * math.pi) \
             * np.column_stack([cen[:, 1], -cen[:, 0]]) / r2[:, None]
-        errs_circ.append(lp_norm_p0(m, asm2.u - ex2, 2.0)
+        errs_circ.append(lp_norm_p0(m, u2 - ex2, 2.0)
                          / lp_norm_p0(m, ex2, 2.0))
         circ_defect = max(circ_defect,
                           abs(float(asm2.circulation_consistent[1]) - C))
@@ -138,17 +138,15 @@ def test_criterion_04_transport_exactness(capsys, tmp_path):
     }
     sc = transport.parse_scenario(doc, base_dir=tmp_path)
     traj = transport.run(sc)
-    const_defect = max(float(np.abs(s.omega - w).max())
-                       for s in traj.states)
-    c_out = np.array([float(s.assembly.circulation_consistent[0])
-                      for s in traj.states])
+    const_defect = float(np.abs(traj.omega - w).max())
+    c_out = traj.circulations[:, 0]
     times = traj.times
     rate = Q * w * nt * math.sin(math.pi / nt) / math.pi
     # Kelvin drain of the outer circulation against the continuum -wQt
     drift_rel = max(abs((c_out[k] - c_out[0]) + w * Q * times[k])
                     / (w * Q * times[k]) for k in range(1, len(times)))
     h = float(traj.mesh.incircle_diameter.max())
-    dt = traj.states[-1].dt_last
+    dt = traj.dt[-1]
     ok = (traj.total_steps >= 500 and const_defect <= 1e-12
           and traj.budget_defect <= 1e-12
           and traj.max_principle_defect <= 1e-12

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -438,7 +439,33 @@ def test_certify_mismatched_pair_fails_before_the_runs(
     out = tmp_path / "cert"
     rc = main(["certify", str(scenario_file), str(pair), "-o", str(out)])
     assert rc == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err.strip()
+    assert err == f"error: certify: the two scenarios have {message}"
+    assert runs == []
+    assert not out.exists()
+    # a twin of the two runs rejects the pair by the same rule, in the
+    # same words
+    monkeypatch.undo()
+    sc1 = euler_ss.load_scenario(scenario_file)
+    sc2 = replace(euler_ss.load_scenario(pair), mesh=sc1.mesh)
+    basis = euler_ss.HarmonicBasis(sc1.mesh)
+    trajs = [euler_ss.run(sc, basis) for sc in (sc1, sc2)]
+    with pytest.raises(euler_ss.UsageError) as exc:
+        euler_ss.TwinRun(*trajs)
+    assert str(exc.value) == f"twin runs have {message}"
+
+
+@pytest.mark.parametrize("flag", ["--delta-c0", "--delta-omega-in"])
+def test_certify_repeated_delta_component_is_usage_error(
+        tmp_path, scenario_file, capsys, monkeypatch, flag):
+    runs = []
+    monkeypatch.setattr(euler_ss.transport, "run",
+                        lambda *a: runs.append(a))
+    out = tmp_path / "cert"
+    rc = main(["certify", str(scenario_file), flag, "1=0.1", flag, "1=0.2",
+               "-o", str(out)])
+    assert rc == 2
+    assert f"{flag}: component 1 given twice" in capsys.readouterr().err
     assert runs == []
     assert not out.exists()
 
@@ -482,6 +509,22 @@ def test_stability_repeated_ladder_delta_is_usage_error(tmp_path,
                "-o", str(out)])
     assert rc == 2
     assert "distinct" in capsys.readouterr().err
+    assert not (out / "report.csv").exists()
+
+
+@pytest.mark.parametrize("comp", ["0", "5"])
+def test_stability_perturb_of_no_inner_component_fails_before_the_runs(
+        tmp_path, scenario_file, capsys, monkeypatch, comp):
+    runs = []
+    monkeypatch.setattr(euler_ss.transport, "run",
+                        lambda *a: runs.append(a))
+    out = tmp_path / "stab"
+    rc = main(["stability", str(scenario_file), "--perturb", comp,
+               "-o", str(out)])
+    assert rc == 2
+    assert f"component {comp} is not an inner component" \
+        in capsys.readouterr().err
+    assert runs == []
     assert not (out / "report.csv").exists()
 
 

@@ -60,5 +60,6 @@ def test_stream_and_velocity_fields_are_arrays(basis, g_edges):
         basis, omega, np.full(basis.num_inner, 0.2), multiplier=0.5,
         phi_grad=flux.phi_grad)
     assert_field(u, (T, 2))
-    assert_field(asm.u, (T, 2))
+    assert_field(hodge.stream_velocity(mesh, asm.psi_total, asm.multiplier,
+                                       flux.phi_grad), (T, 2))
     assert_field(asm.psi_total, (V,))

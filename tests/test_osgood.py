@@ -237,8 +237,8 @@ def test_identical_twin_differs_by_exact_zeros(flow_pair):
     from euler_ss.certificates import TwinRun
     base, _ = flow_pair
     tw = TwinRun(base, base)
-    assert np.array_equal(tw.z_u, np.zeros(len(base.states)))
-    assert np.array_equal(tw.z_v, np.zeros(len(base.states)))
+    assert np.array_equal(tw.z_u, np.zeros(len(base.times)))
+    assert np.array_equal(tw.z_v, np.zeros(len(base.times)))
     assert osgood.NOISE_FLOOR == 1e-28
 
 

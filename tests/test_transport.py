@@ -265,22 +265,22 @@ def test_flux_assembler_divergence_free(flow_scenario):
 
 def test_flux_sums_match_scatter_reference(flow_pair):
     traj, _ = flow_pair
-    mesh, flux, s = traj.mesh, traj.flux, traj.states[2]
-    mult = s.assembly.multiplier
-    f = flux.fluxes(mesh.edge_jump_operator @ s.assembly.psi_total, mult)
+    mesh, flux, omega = traj.mesh, traj.flux, traj.omega[2]
+    mult = traj.multiplier[2]
+    f = flux.fluxes(mesh.edge_jump_operator @ traj.psi[2], mult)
     for c in mesh.components:
         assert np.array_equal(f[c.edge_ids],
                               mult * traj.flux.g_edges[c.comp] * c.length)
-    div, rates = flux.upwind_rates(s.omega, f, {1: 0.8})
-    dt = flux.stable_dt(s.assembly.u, f, 1.0)
+    div, rates = flux.upwind_rates(omega, f, {1: 0.8})
+    dt = flux.stable_dt(traj.velocity(2), f, 1.0)
 
     L, R, inner = mesh.edge_left, mesh.edge_right, mesh.interior_edge
     comp_of = np.full(len(mesh.edges), -1)
     for c in mesh.components:
         comp_of[c.edge_ids] = c.comp
-    up = np.where(f >= 0, s.omega[L],
-                  np.where(inner, s.omega[R], np.where(comp_of == 1, 0.8,
-                                                       0.0)))
+    up = np.where(f >= 0, omega[L],
+                  np.where(inner, omega[R], np.where(comp_of == 1, 0.8,
+                                                     0.0)))
     cf = f * up
     ref_div = np.zeros(mesh.num_triangles)
     np.add.at(ref_div, L, cf)
@@ -290,7 +290,7 @@ def test_flux_sums_match_scatter_reference(flow_pair):
     out = np.zeros(mesh.num_triangles)
     np.add.at(out, L, np.maximum(f, 0.0))
     np.add.at(out, R[inner], np.maximum(-f[inner], 0.0))
-    speed = np.linalg.norm(s.assembly.u, axis=1)
+    speed = np.linalg.norm(traj.velocity(2), axis=1)
     ref_dt = min((mesh.incircle_diameter / speed).min(),
                  (mesh.tri_area[out > 0] / out[out > 0]).min())
 
@@ -303,10 +303,10 @@ def test_flux_sums_match_scatter_reference(flow_pair):
 def test_stable_dt_matches_norm_formula(flow_pair):
     traj, _ = flow_pair
     mesh, flux = traj.mesh, traj.flux
-    for s in traj.states:
-        u = s.assembly.u
-        f = flux.fluxes(mesh.edge_jump_operator @ s.assembly.psi_total,
-                        s.assembly.multiplier)
+    for k in range(len(traj.times)):
+        u = traj.velocity(k)
+        f = flux.fluxes(mesh.edge_jump_operator @ traj.psi[k],
+                        traj.multiplier[k])
         speed = np.linalg.norm(u, axis=1)
         outflux = 0.5 * (flux.abs_D @ np.abs(f) + flux.D @ f)
         with np.errstate(divide="ignore"):
@@ -447,7 +447,7 @@ def test_released_factors_keep_the_through_flow_bits(kind, tmp_path):
 def test_snapshots_land_exactly(flow_scenario):
     basis = HarmonicBasis(flow_scenario.mesh)
     traj = transport.run(flow_scenario, basis)
-    times = np.array([s.t for s in traj.states])
+    times = traj.times
     expected = np.array([k * flow_scenario.T / flow_scenario.snapshots
                          for k in range(flow_scenario.snapshots + 1)])
     # snapshots land on their targets bit-exactly, no drift accumulation
@@ -458,8 +458,8 @@ def test_snapshots_land_exactly(flow_scenario):
 def test_constant_state_is_steady():
     sc = transport.parse_scenario(wall_doc(T=0.2, snapshots=4))
     traj = transport.run(sc)
-    for s in traj.states:
-        assert np.abs(s.omega - 1.0).max() < 1e-12
+    for omega in traj.omega:
+        assert np.abs(omega - 1.0).max() < 1e-12
     assert traj.max_principle_defect < 1e-12
     assert traj.budget_defect < 1e-12
 
@@ -473,7 +473,7 @@ def test_kelvin_consistency(flow_scenario):
 def test_flow_run_defects_small(flow_scenario):
     basis = HarmonicBasis(flow_scenario.mesh)
     traj = transport.run(flow_scenario, basis)
-    scale = max(abs(s.omega).max() for s in traj.states)
+    scale = np.abs(traj.omega).max()
     assert traj.max_principle_defect <= 1e-12 * max(scale, 1.0)
     assert traj.budget_defect <= 1e-11 * max(scale, 1.0)
 
@@ -481,20 +481,20 @@ def test_flow_run_defects_small(flow_scenario):
 def test_max_principle_bounds_range(flow_scenario):
     basis = HarmonicBasis(flow_scenario.mesh)
     traj = transport.run(flow_scenario, basis)
-    w0 = traj.states[0].omega
+    w0 = traj.omega[0]
     lo = min(w0.min(), 0.8)     # inflow trace value sits in the hull
     hi = max(w0.max(), 0.8)
-    for s in traj.states:
-        assert s.omega.min() >= lo - 1e-11
-        assert s.omega.max() <= hi + 1e-11
+    for omega in traj.omega:
+        assert omega.min() >= lo - 1e-11
+        assert omega.max() <= hi + 1e-11
 
 
 def test_rk2_scheme_runs(tmp_path):
     sc = modulated_band_scenario(tmp_path, scheme="rk2", T=0.2,
                                  snapshots=3)
     traj = transport.run(sc)
-    assert traj.states[-1].t == pytest.approx(0.2)
-    assert np.isfinite(traj.states[-1].omega).all()
+    assert traj.times[-1] == pytest.approx(0.2)
+    assert np.isfinite(traj.omega[-1]).all()
     assert traj.max_principle_defect < 1e-10
 
 
@@ -519,8 +519,8 @@ def test_circulation_evolution_kelvin_closed_form():
     # vorticity advects inward across the inner circle at the polygonal
     # rate w * Q * ntheta sin(pi/ntheta) / pi
     rate = Q * ntheta * math.sin(math.pi / ntheta) / math.pi
-    C1_t = np.array([s.C[0] for s in traj.states])
-    t = np.array([s.t for s in traj.states])
+    C1_t = traj.C[:, 0]
+    t = traj.times
     np.testing.assert_allclose(C1_t, C1_t[0] + rate * t, atol=1e-10)
 
 

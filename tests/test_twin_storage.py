@@ -1,4 +1,4 @@
-"""What snapshots and twin runs keep, that what they derive on read is
+"""What trajectories and twin runs keep, that what they derive on read is
 bit-for-bit what the live step used, and that the kernels of a twin
 agree with the per-snapshot formulas."""
 
@@ -43,38 +43,34 @@ def any_pair(request, small_pair, tmp_path_factory):
             transport.run(sc.perturbed(C0={1: 0.1, 2: -0.05}), basis))
 
 
-def live_velocity(traj, state):
-    """The velocity the step read at this snapshot, reconstructed again."""
+def live_velocity(traj, k):
+    """The velocity the step read at snapshot k, reconstructed again."""
     _, u, _ = hodge.reconstruct_velocity(
-        traj.basis, state.omega, state.C,
-        multiplier=state.assembly.multiplier, phi_grad=traj.flux.phi_grad)
+        traj.basis, traj.omega[k], traj.C[k],
+        multiplier=traj.multiplier[k], phi_grad=traj.flux.phi_grad)
     return u
 
 
-def live_load(traj, state):
-    """The stream load the reconstruction of this snapshot solved with."""
-    return hodge.greens_operator(
-        traj.basis, state.omega)[1]
+def live_load(traj, k):
+    """The stream load the reconstruction of snapshot k solved with."""
+    return hodge.greens_operator(traj.basis, traj.omega[k])[1]
 
 
 def test_snapshots_derive_the_live_step_velocity(any_pair):
     T = any_pair[0].mesh.num_triangles
-    live = [np.stack([live_velocity(traj, s) for s in traj.states])
+    live = [np.stack([live_velocity(traj, k)
+                      for k in range(len(traj.times))])
             for traj in any_pair]
     for traj, u in zip(any_pair, live):
         assert traj.flux.phi_grad is not None
-        for k, s in enumerate(traj.states):
+        for k in range(len(traj.times)):
             # one snapshot: the derived velocity, to the bit
-            assert np.array_equal(s.assembly.u, u[k])
-            # and no (T, 2) array of its own: the through-flow gradient
-            # is the assembler's, not a copy
-            for name, val in vars(s.assembly).items():
-                if name == "phi_grad":
-                    assert val is traj.flux.phi_grad
-                    continue
-                val = getattr(val, "values", val)
-                assert not (isinstance(val, np.ndarray)
-                            and val.shape == (T, 2)), name
+            assert np.array_equal(traj.velocity(k), u[k])
+        # and no (T, 2) rows of its own: the through-flow gradient is
+        # the assembler's, not a copy
+        for name, val in vars(traj).items():
+            assert not (isinstance(val, np.ndarray)
+                        and val.shape[-2:] == (T, 2)), name
     # the twin's fields of a snapshot: the live velocities and their
     # difference, the norm of that difference, and the boundary rows of
     # the loads the live reconstructions solved with
@@ -85,8 +81,7 @@ def test_snapshots_derive_the_live_step_velocity(any_pair):
         assert np.array_equal(u_hat, live[0][k])
         assert np.array_equal(u_d, live[0][k] - live[1][k])
         assert twin.z_u[k] == fem.sq_norm_p0(twin.mesh, u_d)
-        load1, load2 = (live_load(traj, traj.states[k])[bn]
-                        for traj in any_pair)
+        load1, load2 = (live_load(traj, k)[bn] for traj in any_pair)
         got1, got_d = twin._stream_loads(k)
         assert np.array_equal(got1, load1)
         assert np.array_equal(got_d, load1 - load2)
@@ -102,12 +97,12 @@ class StoredDifferenceTwin(TwinRun):
     def __init__(self, traj1, traj2):
         self.u_hat, self.u_d, self.loads = [], [], []
         bn = traj1.mesh.boundary_nodes
-        for s1, s2 in zip(traj1.states, traj2.states):
-            load1 = live_load(traj1, s1)
-            load2 = live_load(traj2, s2)
-            u1 = live_velocity(traj1, s1)
+        for k in range(len(traj1.times)):
+            load1 = live_load(traj1, k)
+            load2 = live_load(traj2, k)
+            u1 = live_velocity(traj1, k)
             self.u_hat.append(u1)
-            self.u_d.append(u1 - live_velocity(traj2, s2))
+            self.u_d.append(u1 - live_velocity(traj2, k))
             self.loads.append((load1[bn], (load1 - load2)[bn]))
         super().__init__(traj1, traj2)
 
@@ -155,7 +150,7 @@ def test_twin_keeps_vertex_sized_state_per_snapshot(tmp_path):
     pair = (transport.run(sc, basis),
             transport.run(sc.perturbed(C0={1: 0.1}), basis))
     TwinRun(*pair).energy_identity()     # warm the solver and mesh caches
-    n = len(pair[0].states)
+    n = len(pair[0].times)
     V, T = sc.mesh.num_vertices, sc.mesh.num_triangles
 
     tracemalloc.start()
@@ -180,7 +175,7 @@ def test_block_kernels_match_the_per_snapshot_formulas(small_pair, size):
     # the identities read over blocks of one snapshot interval, uneven
     # blocks of three (6 intervals: the last block is [3, 6]) and the
     # whole run, each against the einsum formulas of the same window
-    n = len(small_pair[0].states)
+    n = len(small_pair[0].times)
     assert len(snapshot_blocks(n, size)) == {1: 6, 3: 2, None: 1}[size]
     assert_matches_reference(TwinRun(*small_pair), EinsumTwin(*small_pair),
                              block=size)

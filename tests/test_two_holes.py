@@ -118,7 +118,7 @@ def test_three_component_run_closes_to_round_off(tmp_path, mesh, basis):
     assert transport.kelvin_consistency(traj) < 1e-13
     assert traj.flux.div_defect < 1e-13
     # the wall hole neither gains nor loses vorticity through its boundary
-    assert np.all(np.array([s.B[2] for s in traj.states]) == 0.0)
+    assert np.all(traj.B[:, 2] == 0.0)
 
 
 @pytest.mark.parametrize("size", [1, None])

@@ -94,13 +94,10 @@ def test_vortical_difference_state(flow_twin):
     """The auxiliary flux law holds for a genuine twin difference."""
     base, pert = flow_twin.traj1, flow_twin.traj2
     basis = base.basis
-    k = len(base.states) - 1
-    sa, sb = base.states[k], pert.states[k]
-    _, D = solve_auxiliary(basis,
-                           sa.assembly.psi_total - sb.assembly.psi_total,
-                           sa.omega - sb.omega)
-    dC = (sa.assembly.circulation_consistent
-          - sb.assembly.circulation_consistent)[1:]
+    k = len(base.times) - 1
+    _, D = solve_auxiliary(basis, base.psi[k] - pert.psi[k],
+                           base.omega[k] - pert.omega[k])
+    dC = (base.circulations[k] - pert.circulations[k])[1:]
     res = reversed_flux_residuals(D[:, None], basis, dC[None, :])
     scale = max(1.0, float(np.abs(dC).max()))
     assert res.max() < 1e-9 * scale
