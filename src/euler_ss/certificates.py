@@ -14,10 +14,13 @@ the other):
 
 Identity residuals are quadrature errors and must shrink under space-time
 refinement; inequality rows must hold with a single empirical constant per
-family.  Boundary integrands of a difference state use the tangentially
-projected one-sided trace: the twins share g, so the normal trace of the
-difference vanishes identically and the tangential sample is the whole
-trace.
+family, fitted by the interval rule of the Osgood ladder
+(``osgood.smallest_constant`` over ``osgood.interval_trapezoid``).  The
+inflow-data integrand and the ledger's data term read one (N, ncomp)
+difference of ``Scenario.inflow_trace``.  Boundary integrands of a
+difference state use the tangentially projected one-sided trace: the twins
+share g, so the normal trace of the difference vanishes identically and
+the tangential sample is the whole trace.
 """
 
 from __future__ import annotations
@@ -29,14 +32,11 @@ import numpy as np
 from . import fem, hodge, zaremba
 from .errors import UsageError
 from .mesh import Mesh
+from .osgood import interval_trapezoid, smallest_constant
 from .transport import Trajectory, snapshot_window
 
 # exponents of the growth ledger's rows
 P_GRID = (2, 4, 8, 16, 32)
-
-
-def _trapz(vals, times):
-    return float(np.trapezoid(np.asarray(vals), np.asarray(times)))
 
 
 def _volume_terms(area: np.ndarray, ud: np.ndarray, v: np.ndarray,
@@ -109,6 +109,9 @@ class TwinRun:
         self.times = traj1.times
 
         self.coeff_d = traj1.psi_coeffs - traj2.psi_coeffs
+        # (N, ncomp) difference of the inflow traces at the snapshots
+        self.trace_d = traj1.scenario.inflow_trace(self.times) \
+            - traj2.scenario.inflow_trace(self.times)
         self.C_d = traj1.C - traj2.C
         self._z_u: np.ndarray | None = None     # built on first read
         self.mult = traj1.multiplier
@@ -157,10 +160,6 @@ class TwinRun:
         return load1, load1 - load2
 
     # -- boundary data --------------------------------------------------
-
-    def omega_in_diff(self, cid: int, t: float) -> float:
-        return self.traj1.scenario.omega_in_value(cid, t) \
-            - self.traj2.scenario.omega_in_value(cid, t)
 
     def _flow_components(self):
         for comp in self.mesh.components:
@@ -242,9 +241,8 @@ class TwinRun:
                 # v . n, the exact P1 trace of the potential
                 vn = -(phi[b] - phi[a]) / comp.length[:, None]
                 bi += comp.length @ (ut * hat_t * vn)
-                om_in = np.array([self.omega_in_diff(cid, t)
-                                  for t in self.times])
-                bp += (w @ (0.5 * (phi[a] + phi[b]))) * om_in * mult
+                bp += (w @ (0.5 * (phi[a] + phi[b]))) * self.trace_d[:, cid] \
+                    * mult
             elif comp.role == "outflow":
                 # v . tau is the flux density of the potential
                 vt = _edge_means(fem.loop_flux_density(mesh, res_phi, cid))
@@ -255,7 +253,7 @@ class TwinRun:
     def _integrals(self, family: str, k0: int, k1: int) -> dict[str, float]:
         """Trapezoid sums of one identity's integrands over [k0, k1]."""
         times = self.times[k0:k1 + 1]
-        return {key: _trapz(col[k0:k1 + 1], times)
+        return {key: float(interval_trapezoid(times, col[k0:k1 + 1]).sum())
                 for key, col in self._integrands[family].items()}
 
     def energy_identity(self, k0: int = 0, k1: int | None = None) -> dict:
@@ -304,7 +302,8 @@ class TwinRun:
         coeffs = self.coeff_d[k0:k1 + 1]                 # (K, m)
         dpsi = _dt_series(coeffs, times)
         D_in = self.D[self.basis.inner, k0:k1 + 1]       # (m, K)
-        coupling = -_trapz(np.einsum("km,mk->k", dpsi, D_in), times)
+        coupling = -float(interval_trapezoid(
+            times, np.einsum("km,mk->k", dpsi, D_in)).sum())
 
         pieces = {"jump": jump, **self._integrals("aux", k0, k1),
                   "coupling": coupling}
@@ -378,36 +377,30 @@ class TwinRun:
         z = zu + self.z_v
         dt = np.diff(times)
 
-        def trap(vals):
-            """Trapezoid of each interval, with the bits of ``_trapz``."""
-            return dt * (vals[1:] + vals[:-1]) / 2.0
-
         c2 = (self.C_d ** 2).sum(axis=1)
         data2 = np.maximum(c2[:-1], c2[1:])
         om_in2 = np.zeros(len(dt))
         for comp, _ in self._flow_components():
             if comp.role == "inflow":
-                o2 = np.array([self.omega_in_diff(comp.comp, t) ** 2
-                               for t in times])
+                o2 = self.trace_d[:, comp.comp] ** 2
                 om_in2 += np.maximum(o2[:-1], o2[1:])
         data2 = data2 + om_in2
 
         lhs = np.column_stack([
-            0.5 * np.diff(zu) + trap(ints["energy"]["boundary"]),
-            0.5 * np.diff(self.z_v) + trap(ints["aux"]["inflow_energy"])])
+            0.5 * np.diff(zu)
+            + interval_trapezoid(times, ints["energy"]["boundary"]),
+            0.5 * np.diff(self.z_v)
+            + interval_trapezoid(times, ints["aux"]["inflow_energy"])])
         # one exponent at a time: a scalar power (a square root at p = 2)
-        rhs_e = np.column_stack([p * trap(zu ** (1.0 - 1.0 / p))
-                                 for p in P_GRID])
-        rhs_a = np.column_stack([trap(z + p * z ** (1.0 - 1.0 / p))
-                                 + data2 * dt for p in P_GRID])
+        rhs_e = np.column_stack([
+            p * interval_trapezoid(times, zu ** (1.0 - 1.0 / p))
+            for p in P_GRID])
+        rhs_a = np.column_stack([
+            interval_trapezoid(times, z + p * z ** (1.0 - 1.0 / p))
+            + data2 * dt for p in P_GRID])
 
-        def family(lhs_col, rhs):
-            ratio = np.maximum(lhs_col, 0.0)[:, None] / np.where(
-                rhs > 0, rhs, 1.0)
-            return float(np.where(rhs > 0, ratio, 0.0).max(initial=0.0))
-
-        c_energy = family(lhs[:, 0], rhs_e)
-        c_aux = family(lhs[:, 1], rhs_a)
+        c_energy = smallest_constant(lhs[:, :1], rhs_e)
+        c_aux = smallest_constant(lhs[:, 1:], rhs_a)
         flagged = (np.maximum(lhs[:, :1], 0.0) > 1.01 * c_energy * rhs_e) \
             | (np.maximum(lhs[:, 1:], 0.0) > 1.01 * c_aux * rhs_a)
         rows = [{"interval": k, "p": pk,

@@ -349,20 +349,18 @@ def cmd_stability(args) -> int:
     except ValueError:
         raise UsageError(f"--ladder expects comma separated numbers, "
                          f"got {args.ladder!r}") from None
-    comp: int | list[int] | None
-    if args.perturb is None:
-        comp = None
-    elif args.perturb == "all":
+    comp = None
+    if args.perturb == "all":
         comp = [c.comp for c in sc.mesh.components if c.comp != 0]
-    else:
+    elif args.perturb is not None:
         try:
-            comp = int(args.perturb)
+            comp = [int(args.perturb)]
         except ValueError:
             raise UsageError("--perturb takes a component id or 'all', "
                              f"got {args.perturb!r}") from None
-    outdir = _outdir(args)
 
     rep = stability_experiment(sc, ladder, comp=comp)
+    outdir = _outdir(args)      # a usage error above leaves no directory
 
     rows = []
     for i, rung in enumerate(rep.rungs):

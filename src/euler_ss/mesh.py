@@ -206,6 +206,10 @@ class Mesh:
         if comp_ids != list(range(len(comp_ids))):
             raise UsageError(
                 f"component ids must be 0..{len(comp_ids) - 1}, got {comp_ids}")
+        extra = sorted(set(roles) - set(comp_ids))
+        if extra:
+            raise UsageError(f"role for component {extra[0]}, which no "
+                             "boundary edge names")
         for c in comp_ids:
             if c not in roles:
                 raise UsageError(f"missing role for component {c}")
@@ -599,6 +603,9 @@ def load_mesh(path) -> Mesh:
             fail(lineno, f"triangle index out of range in {line!r}")
     bedges = rows(1 + nv + nt, nb, "boundary", "i j comp", index3)
     roles = rows(1 + nv + nt + nb, nk, "component", "comp role", (int, str))
+    for i, (lineno, _) in enumerate(body[1 + nv + nt + nb:]):
+        if roles[i][0] in dict(roles[:i]):
+            fail(lineno, f"second role line for component {roles[i][0]}")
     return Mesh(np.array(vertices, dtype=np.float64).reshape(nv, 2),
                 np.array(triangles, dtype=np.int64).reshape(nt, 3),
                 np.array(bedges, dtype=np.int64).reshape(nb, 3), dict(roles))

@@ -80,32 +80,39 @@ class StabilityReport:
     monotone: bool          # final amplitudes ordered with delta
 
 
+def interval_trapezoid(times: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Trapezoid dt (v_k + v_{k+1}) / 2 of each snapshot interval: the
+    terms that ``np.trapezoid`` sums, with its bits."""
+    return np.diff(times) * (vals[1:] + vals[:-1]) / 2.0
+
+
+def smallest_constant(lhs: np.ndarray, rhs: np.ndarray) -> float:
+    """Smallest C >= 0 with lhs <= C rhs wherever rhs > 0 (``lhs``
+    broadcast against ``rhs``): the largest max(lhs, 0) / rhs there."""
+    ratio = np.maximum(lhs, 0.0) / np.where(rhs > 0, rhs, 1.0)
+    return float(np.where(rhs > 0, ratio, 0.0).max(initial=0.0))
+
+
 def calibrate_constant(times: np.ndarray, y: np.ndarray,
                        data2: float) -> float:
     """Smallest C with  [y]_k <= C ( int_k y (1 + |log y|) + data2 dt )
     on every snapshot interval (trapezoid quadrature)."""
-    c = 0.0
-    for k in range(len(times) - 1):
-        inc = y[k + 1] - y[k]
-        if inc <= 0:
-            continue
-        dt = times[k + 1] - times[k]
-        den = 0.5 * dt * float(mu(y[k]) + mu(y[k + 1])) + data2 * dt
-        if den > 0:
-            c = max(c, inc / den)
-    return c
+    rhs = interval_trapezoid(times, mu(y)) + data2 * np.diff(times)
+    return smallest_constant(np.diff(y), rhs)
 
 
-def stability_experiment(base_scenario, deltas, comp: int | list | None = None
+def stability_experiment(base_scenario, deltas, comp: list | None = None
                          ) -> StabilityReport:
-    """Perturb the initial circulation of inner component ``comp`` (the
-    first by default, each of a non-empty list) by each delta, rerun, and
-    certify the Osgood-type response of the twin energy
+    """Perturb the initial circulation of each inner component of the
+    non-empty list ``comp`` (None: the first inner component) by each
+    delta, rerun, and measure the Osgood-type response of the twin energy
     y(t) = running max of |u|_2^2 + |v|_2^2:
 
       * every rung obeys its own calibrated closed-form bound,
-      * the calibrated constants agree across rungs (factor <= 1.5),
-      * the final amplitude scales linearly in delta (beta in (0, 1]).
+      * the final amplitudes are ordered with delta,
+      * the final amplitude scales at most linearly (beta in (0, 1.05]).
+    The CLI gates on these three and on failed rungs; how far the
+    calibrated constants agree (``C_spread``, ``C_dev``) is only reported.
     """
     from . import transport
     from .certificates import TwinRun
@@ -122,7 +129,7 @@ def stability_experiment(base_scenario, deltas, comp: int | list | None = None
     mesh = base_scenario.mesh
     if comp is None:
         comp = [c.comp for c in mesh.components[1:2]]
-    comps = [int(comp)] if np.isscalar(comp) else sorted(int(c) for c in comp)
+    comps = sorted(int(c) for c in comp)
     if not comps:
         raise UsageError("stability experiment needs an inner component")
     # the data term counts each perturbed component once
@@ -168,16 +175,12 @@ def stability_experiment(base_scenario, deltas, comp: int | list | None = None
         beta = float(np.polyfit(ld, la, 1)[0])
     else:
         beta = float("nan")
-    beta_ok = bool(0.0 < beta <= 1.0 + 5e-2) if math.isfinite(beta) \
-        else False
+    beta_ok = bool(0.0 < beta <= 1.0 + 5e-2)     # False for a nan beta
 
     cs = [r.C_hat for r in usable if r.C_hat > 0]
     spread = max(cs) / min(cs) if cs else 1.0
-    if cs:
-        med = float(np.median(cs))
-        dev = max(abs(c - med) / med for c in cs)
-    else:
-        dev = 0.0
+    med = float(np.median(cs)) if cs else 1.0
+    dev = max((abs(c - med) / med for c in cs), default=0.0)
     finals = [r.y_final for r in live]
     monotone = bool(finals) and \
         bool(np.all(np.diff(finals) >= -1e-12 * max(finals)))

@@ -33,6 +33,10 @@ gradient and the equilibrated fluxes) has one owner, ``FluxAssembler``.
 ``flow_setup`` caches one per g on the harmonic basis, so the twin and
 ladder runs on one basis pay for it once.
 
+The entering vorticity is one array over the boundary components,
+``Scenario.inflow_trace``: the upwind kernels read it as one ghost cell
+per component, and the max-principle bounds read its inflow entries.
+
 Time stepping is forward Euler (optionally a two-stage strong-stability
 update) under a CFL cap combining the incircle-diameter travel time with a
 positivity cap on the total outflux of each cell (one maximum of cell
@@ -306,9 +310,14 @@ class Scenario:
     def multiplier(self, t: float) -> float:
         return float(self.g_multiplier(t))
 
-    def omega_in_value(self, cid: int, t: float) -> float:
-        return float(self.omega_in[cid](t)) \
-            + self.omega_in_shift.get(cid, 0.0)
+    def inflow_trace(self, t) -> np.ndarray:
+        """The entering vorticity of every boundary component, zero off the
+        inflow ones: (ncomp,) at one time t, (N, ncomp) at an array of N."""
+        t = np.asarray(t, dtype=np.float64)
+        out = np.zeros(t.shape + (len(self.mesh.components),))
+        for cid, prof in self.omega_in.items():
+            out[..., cid] = prof(t) + self.omega_in_shift.get(cid, 0.0)
+        return out
 
     def initial_omega(self) -> np.ndarray:
         mesh, w = self.mesh, self.omega0
@@ -332,7 +341,7 @@ class Scenario:
     def perturbed(self, **delta) -> "Scenario":
         """Copy with additive perturbations: C0={comp: dC}, omega0=dw
         (constant shift), omega_in={comp: dw}.  The shifts are stored as
-        numbers, which ``initial_omega`` and ``omega_in_value`` add.  A
+        numbers, which ``initial_omega`` and ``inflow_trace`` add.  A
         C0 shift names an inner component, an omega_in shift an inflow
         component; any other id, and any shift that is not a finite
         number, is a usage error."""
@@ -557,21 +566,19 @@ class FluxAssembler:
         return cfl / rate if rate > 0 else math.inf
 
     def vorticity_flux(self, omega: np.ndarray, f: np.ndarray,
-                       omega_in_vals: dict[int, float]) -> np.ndarray:
+                       trace: np.ndarray) -> np.ndarray:
         """Upwind edge fluxes of vorticity: f times the cell value upwind
-        of each edge, the inflow trace ``omega_in_vals[c]`` on boundary
-        edges of component c that carry flow into the fluid."""
-        ghost = [omega_in_vals.get(c.comp, 0.0)
-                 for c in self.mesh.components]
+        of each edge, the (ncomp,) inflow trace ``trace[c]``
+        (``Scenario.inflow_trace``) on boundary edges of component c that
+        carry flow into the fluid."""
         upwind = np.where(f >= 0, self.mesh.edge_left, self.far)
-        return f * np.concatenate([omega, ghost])[upwind]
+        return f * np.concatenate([omega, trace])[upwind]
 
     def upwind_rates(self, omega: np.ndarray, f: np.ndarray,
-                     omega_in_vals: dict[int, float]
-                     ) -> tuple[np.ndarray, np.ndarray]:
+                     trace: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(cell divergence of the upwind vorticity flux, boundary outflux
         rate per component).  d(omega)/dt = -div/area; dC_i/dt = -rate_i."""
-        sums = self.rate_rows @ self.vorticity_flux(omega, f, omega_in_vals)
+        sums = self.rate_rows @ self.vorticity_flux(omega, f, trace)
         nt = self.mesh.num_triangles
         return sums[:nt], sums[nt:]
 
@@ -640,9 +647,8 @@ def run(scenario: Scenario, basis: HarmonicBasis | None = None) -> Trajectory:
         raise PreconditionError("initial vorticity contains non-finite "
                                 "values")
     C = scenario.initial_C()
-    ncomp = len(mesh.components)
-    B = np.zeros(ncomp)
-    inflow_ids = [c.comp for c in mesh.components if c.role == "inflow"]
+    B = np.zeros(len(mesh.components))
+    inflow = np.array([c.role == "inflow" for c in mesh.components], bool)
 
     bound_lo = float(omega.min(initial=np.inf))
     bound_hi = float(omega.max(initial=-np.inf))
@@ -688,34 +694,27 @@ def run(scenario: Scenario, basis: HarmonicBasis | None = None) -> Trajectory:
                 raise SolverError(f"non-positive time step {dt!r} at "
                                   f"t = {t:.6g}")
 
-            in_vals = {cid: scenario.omega_in_value(cid, t)
-                       for cid in inflow_ids}
-            div, rates = flux.upwind_rates(omega, f, in_vals)
+            t1 = t_next if landed else t + dt
+            traces = scenario.inflow_trace([t, t1] if rk2 else [t])
+            div, rates = flux.upwind_rates(omega, f, traces[0])
             mass_before = float(omega @ mesh.tri_area)
 
             if rk2:
                 om1 = omega - dt * div / mesh.tri_area
                 C1 = C - dt * rates[1:]
-                t1 = t_next if landed else t + dt
                 asm1, _, jumps1 = assemble(om1, C1, t1)
                 f2 = flux.fluxes(jumps1, asm1.multiplier)
-                in2 = {cid: scenario.omega_in_value(cid, t1)
-                       for cid in inflow_ids}
-                div2, rates2 = flux.upwind_rates(om1, f2, in2)
+                div2, rates2 = flux.upwind_rates(om1, f2, traces[1])
                 omega = 0.5 * (omega + om1 - dt * div2 / mesh.tri_area)
                 rate_eff = 0.5 * (rates + rates2)
-                for v in in2.values():
-                    bound_lo = min(bound_lo, v)
-                    bound_hi = max(bound_hi, v)
             else:
                 omega = omega - dt * div / mesh.tri_area
                 rate_eff = rates
             C = C - dt * rate_eff[1:]
             B = B + dt * rate_eff
 
-            for v in in_vals.values():
-                bound_lo = min(bound_lo, v)
-                bound_hi = max(bound_hi, v)
+            bound_lo = float(traces[:, inflow].min(initial=bound_lo))
+            bound_hi = float(traces[:, inflow].max(initial=bound_hi))
             traj.max_principle_defect = max(
                 traj.max_principle_defect,
                 float(omega.max(initial=-np.inf)) - bound_hi,
@@ -725,7 +724,7 @@ def run(scenario: Scenario, basis: HarmonicBasis | None = None) -> Trajectory:
             scale = max(1.0, abs(mass_before), abs(dt * rate_eff).sum())
             traj.budget_defect = max(traj.budget_defect, bd / scale)
 
-            t = t_next if landed else t + dt
+            t = t1
             traj.total_steps += 1
             asm, u, jumps = assemble(omega, C, t)
 

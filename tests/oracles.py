@@ -328,11 +328,9 @@ def weak_residual(traj: Trajectory, phi: np.ndarray,
         phim = 0.5 * phi[mesh.edges].sum(axis=1)
         rows = []
         for k in window:
-            in_vals = {c.comp: traj.scenario.omega_in_value(c.comp,
-                                                            traj.times[k])
-                       for c in mesh.components if c.role == "inflow"}
             cf = traj.flux.vorticity_flux(
-                traj.omega[k], traj.multiplier[k] * pot_bd, in_vals)
+                traj.omega[k], traj.multiplier[k] * pot_bd,
+                traj.scenario.inflow_trace(traj.times[k]))
             rows.append(float(cf @ phim))
         bdry = float(np.trapezoid(np.array(rows), times))
 

@@ -528,6 +528,18 @@ def test_stability_perturb_of_no_inner_component_fails_before_the_runs(
     assert not (out / "report.csv").exists()
 
 
+@pytest.mark.parametrize("flags", [["--perturb", "0"],
+                                   ["--ladder", "1e-3,1e-3"]])
+def test_stability_usage_error_leaves_no_output_directory(tmp_path,
+                                                          scenario_file,
+                                                          capsys, flags):
+    out = tmp_path / "stab"
+    rc = main(["stability", str(scenario_file), *flags, "-o", str(out)])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_stability_bad_ladder(tmp_path, scenario_file, capsys):
     rc = main(["stability", str(scenario_file), "--ladder", "0.1,fish",
                "-o", str(tmp_path / "stab")])

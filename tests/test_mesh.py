@@ -258,6 +258,39 @@ def test_load_errors_count_blank_lines(tmp_path):
         load_mesh(path)
 
 
+@pytest.mark.parametrize("roles,match", [
+    # two role lines for component 1: the inflow line would win
+    (["0 wall", "1 wall", "1 inflow"], "line {last}: second role line "
+                                       "for component 1"),
+    # a role for a component that no boundary edge names
+    (["0 wall", "1 wall", "7 inflow"], "role for component 7"),
+])
+def test_load_rejects_repeated_and_orphan_roles(tmp_path, capsys, roles,
+                                                match):
+    path = tmp_path / "bad.txt"
+    save_mesh(generate_annulus(1.0, 2.0, 2, 8), path)
+    lines = path.read_text().splitlines()
+    head = lines[0].split()
+    lines[0] = " ".join(head[:3] + [str(len(roles))])
+    lines = lines[:-2] + roles
+    path.write_text("\n".join(lines) + "\n")
+    match = match.format(last=len(lines))
+    with pytest.raises(UsageError, match=match):
+        load_mesh(path)
+    from euler_ss.cli import main
+    assert main(["mesh", "info", str(path)]) == 2
+    assert match.split(":")[-1].strip() in capsys.readouterr().err
+
+
+def test_mesh_rejects_role_of_unnamed_component():
+    m = generate_annulus(1.0, 2.0, 2, 8)
+    bedges = np.array([(a, b, c.comp) for c in m.components
+                       for a, b in c.edges])
+    with pytest.raises(UsageError, match="component 7"):
+        Mesh(m.vertices, m.triangles, bedges,
+             {0: "wall", 1: "wall", 7: "inflow"})
+
+
 def test_load_rejects_truncation(tmp_path):
     path = tmp_path / "short.txt"
     m = generate_annulus(1.0, 2.0, 2, 8)

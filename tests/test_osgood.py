@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from euler_ss import fem, osgood
 from euler_ss.errors import UsageError
-from euler_ss.osgood import (calibrate_constant, mu, osgood_bound,
+from euler_ss.osgood import (calibrate_constant, interval_trapezoid, mu,
+                             osgood_bound, smallest_constant,
                              stability_experiment)
 
 from conftest import modulated_band_scenario
@@ -195,6 +196,40 @@ def test_calibrate_constant_data_absorbs_growth():
     c_small = calibrate_constant(t, y, 1e-3)
     c_big = calibrate_constant(t, y, 1.0)
     assert c_big < c_small
+
+
+def test_interval_trapezoid_sums_to_numpy_trapezoid():
+    rng = np.random.default_rng(3)
+    t = np.cumsum(rng.uniform(0.01, 0.2, 30))
+    v = rng.standard_normal(30)
+    parts = interval_trapezoid(t, v)
+    assert parts.shape == (29,)
+    assert float(parts.sum()) == float(np.trapezoid(v, t))
+
+
+def test_smallest_constant_reads_rows_with_positive_rhs():
+    lhs = np.array([1.0, -5.0, 3.0, 2.0])
+    rhs = np.array([[2.0, 4.0], [1.0, 1.0], [0.0, 6.0], [-1.0, 0.0]])
+    # the largest ratio is 1 / 2 (row 0 against 2, row 2 against 6); the
+    # negative lhs and the entries with rhs <= 0 add nothing
+    assert smallest_constant(lhs[:, None], rhs) == 0.5
+    assert smallest_constant(np.ones(3), np.zeros(3)) == 0.0
+    assert smallest_constant(np.ones(0), np.ones(0)) == 0.0
+
+
+def test_calibrate_constant_matches_its_interval_loop():
+    rng = np.random.default_rng(4)
+    t = np.cumsum(rng.uniform(0.01, 0.1, 40))
+    y = np.maximum.accumulate(rng.uniform(1e-8, 1e-2, 40))
+    for data2 in (0.0, 1e-6, 1e-2):
+        c = 0.0
+        for k in range(len(t) - 1):
+            inc = y[k + 1] - y[k]
+            dt = t[k + 1] - t[k]
+            den = 0.5 * dt * float(mu(y[k]) + mu(y[k + 1])) + data2 * dt
+            if inc > 0 and den > 0:
+                c = max(c, inc / den)
+        assert calibrate_constant(t, y, data2) == c
 
 
 # -- twin-run stability experiment --------------------------------------

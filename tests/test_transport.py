@@ -195,13 +195,31 @@ def test_perturbed_shifts_omega0_and_omega_in():
     pert = sc.perturbed(omega0=0.1, omega_in={1: -0.2})
     np.testing.assert_array_equal(pert.initial_omega(),
                                   sc.initial_omega() + 0.1)
-    assert pert.omega_in_value(1, 0.05) == pytest.approx(0.3)
-    assert sc.omega_in_value(1, 0.05) == 0.5
+    assert pert.inflow_trace(0.05)[1] == pytest.approx(0.3)
+    assert sc.inflow_trace(0.05)[1] == 0.5
     twice = pert.perturbed(omega0=0.1, omega_in={1: 0.2})
     np.testing.assert_allclose(twice.initial_omega(), 1.2)
-    assert twice.omega_in_value(1, 0.0) == pytest.approx(0.5)
+    assert twice.inflow_trace(0.0)[1] == pytest.approx(0.5)
     with pytest.raises(UsageError, match="not an inflow"):
         sc.perturbed(omega_in={0: 0.1})
+
+
+def test_inflow_trace_is_one_array_of_components():
+    # zero off the inflow component, one row per time of an array, and
+    # each row the trace at that one time
+    doc = flow_doc(omega_in={1: {"type": "tabulated", "times": [0.0, 1.0],
+                                 "values": [0.5, 1.5]}})
+    sc = transport.parse_scenario(doc).perturbed(omega_in={1: 0.25})
+    assert sc.inflow_trace(0.5).shape == (2,)
+    times = np.array([0.0, 0.25, 0.5])
+    trace = sc.inflow_trace(times)
+    assert trace.shape == (3, 2)
+    np.testing.assert_array_equal(trace[:, 0], 0.0)
+    np.testing.assert_allclose(trace[:, 1], [0.75, 1.0, 1.25])
+    for t, row in zip(times, trace):
+        assert np.array_equal(sc.inflow_trace(t), row)
+    wall = transport.parse_scenario(wall_doc())
+    assert np.array_equal(wall.inflow_trace(times), np.zeros((3, 2)))
 
 
 def test_perturbed_then_refined_shifts_the_fine_mesh():
@@ -271,7 +289,7 @@ def test_flux_sums_match_scatter_reference(flow_pair):
     for c in mesh.components:
         assert np.array_equal(f[c.edge_ids],
                               mult * traj.flux.g_edges[c.comp] * c.length)
-    div, rates = flux.upwind_rates(omega, f, {1: 0.8})
+    div, rates = flux.upwind_rates(omega, f, np.array([0.0, 0.8]))
     dt = flux.stable_dt(traj.velocity(2), f, 1.0)
 
     L, R, inner = mesh.edge_left, mesh.edge_right, mesh.interior_edge

@@ -1,14 +1,18 @@
 """A domain with two holes: the m x m circulation system, the transport
 contract on three boundary components, and the twin certificates of an
-m = 2 difference."""
+m = 2 difference, and a stability ladder on both holes."""
+
+import json
 
 import numpy as np
 import pytest
 
 from euler_ss import transport
 from euler_ss.certificates import TwinRun
+from euler_ss.cli import main
 from euler_ss.hodge import HarmonicBasis
 from euler_ss.mesh import Mesh, save_mesh
+from euler_ss.osgood import stability_experiment
 
 from einsum_twin import EinsumTwin, assert_matches_reference
 
@@ -82,9 +86,11 @@ def test_circulation_matrix_spd_and_mirror_symmetric(basis):
         <= 1e-12 * np.abs(basis.flux_rows).max()
 
 
-def flow_scenario(tmp_path, mesh):
-    """Through-flow from the inflow holes to the outer boundary, past a
-    wall hole if there is one, with a smooth initial vorticity."""
+def flow_doc(tmp_path, mesh) -> dict:
+    """Scenario document of a through-flow from the inflow holes to the
+    outer boundary, past a wall hole if there is one, with a smooth
+    initial vorticity; the mesh and omega0 files it names are written to
+    ``tmp_path``."""
     save_mesh(mesh, tmp_path / "two_holes.mesh")
     x, y = mesh.centroid.T
     np.savetxt(tmp_path / "omega0.txt",
@@ -105,7 +111,13 @@ def flow_scenario(tmp_path, mesh):
         "omega_in": {cid: {"type": "constant", "value": 0.8}
                      for cid in inflows},
     }
-    return transport.parse_scenario(doc, base_dir=tmp_path)
+    return doc
+
+
+def flow_scenario(tmp_path, mesh):
+    """The parsed scenario of ``flow_doc``."""
+    return transport.parse_scenario(flow_doc(tmp_path, mesh),
+                                    base_dir=tmp_path)
 
 
 def test_three_component_run_closes_to_round_off(tmp_path, mesh, basis):
@@ -135,3 +147,20 @@ def test_twin_blocks_match_the_per_snapshot_formulas(tmp_path, mesh, size):
     assert all(c.shape == (2,) for c in twin.C_d)
     assert np.abs(np.array(twin.C_d)).min() > 0.0
     assert_matches_reference(twin, EinsumTwin(*pair), block=size)
+
+
+def test_ladder_perturbs_both_holes(tmp_path, mesh, capsys):
+    # both inner circulations shifted by each delta: every rung is live,
+    # obeys its bound, and the response is linear in delta
+    sc = flow_scenario(tmp_path, mesh)
+    rep = stability_experiment(sc, [1e-3, 1e-2, 1e-1], comp=[1, 2])
+    assert [r.failed for r in rep.rungs] == [None] * 3
+    assert all(r.bound_ok for r in rep.rungs)
+    assert rep.monotone
+    assert abs(rep.beta - 1.0) <= 5e-2
+    # and so does the command line, which names both holes by 'all'
+    (tmp_path / "flow.json").write_text(json.dumps(flow_doc(tmp_path, mesh)))
+    rc = main(["stability", str(tmp_path / "flow.json"), "--perturb", "all",
+               "--ladder", "1e-3,1e-2,1e-1", "-o", str(tmp_path / "stab")])
+    assert rc == 0
+    assert "stability: PASS" in capsys.readouterr().out
