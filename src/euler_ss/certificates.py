@@ -85,12 +85,15 @@ class TwinRun:
     (ncomp, N) consistent fluxes ``D``, a row of the (N, m) differences
     of the stream coefficients (``coeff_d``) and of the circulations
     (``C_d``), and the squared L2 norms ``z_u`` of the difference
-    velocity and ``z_v`` of the auxiliary field.  The difference fields
-    are formed from the rows of the two trajectories when they are needed
-    (``traj.psi[k]``, ``traj.omega[k]``, ``traj.velocity(k)``), one
-    snapshot at a time, so a twin holds O(V) floats per snapshot and no
-    cell array.  The pair must share one mesh, one basis and what
-    ``Scenario.twin_mismatch`` compares.
+    velocity and ``z_v`` of the auxiliary field, with their (N - 1,)
+    jumps ``dz_u`` and ``dz_v`` between consecutive snapshots, each
+    formed directly by ``fem.sq_norm_jump_p0``: every balance and growth
+    row reads those jumps, never a difference of two norms.  The
+    difference fields are formed from the rows of the two trajectories
+    when they are needed (``traj.psi[k]``, ``traj.omega[k]``,
+    ``traj.velocity(k)``), one snapshot at a time, so a twin holds O(V)
+    floats per snapshot and no cell array.  The pair must share one mesh,
+    one basis and what ``Scenario.twin_mismatch`` compares.
     """
 
     def __init__(self, traj1: Trajectory, traj2: Trajectory):
@@ -113,33 +116,48 @@ class TwinRun:
         self.trace_d = traj1.scenario.inflow_trace(self.times) \
             - traj2.scenario.inflow_trace(self.times)
         self.C_d = traj1.C - traj2.C
-        self._z_u: np.ndarray | None = None     # built on first read
+        # (z_u, dz_u), built on first read
+        self._u_norms: tuple[np.ndarray, np.ndarray] | None = None
         self.mult = traj1.multiplier
 
         mesh, n = self.mesh, len(self.times)
         # column-major: each snapshot's potential is one contiguous column
         self.phi = np.empty((mesh.num_vertices, n), order="F")
         self.D = np.empty((len(mesh.components), n))
-        self.z_v = np.empty(n)
+        self.z_v, self.dz_v = np.empty(n), np.empty(n - 1)
+        v = None
         for k in range(n):
             phi, self.D[:, k] = zaremba.solve_auxiliary(
                 self.basis, traj1.psi[k] - traj2.psi[k],
                 traj1.omega[k] - traj2.omega[k])
             self.phi[:, k] = phi
-            self.z_v[k] = fem.sq_norm_p0(
-                mesh, hodge.stream_velocity(mesh, phi, None, None))
+            v, prev = hodge.stream_velocity(mesh, phi, None, None), v
+            _store_norm(mesh, self.z_v, self.dz_v, k, v, prev)
 
     @property
     def z_u(self) -> np.ndarray:
-        """Squared L2 norms of the difference velocity, per snapshot, built
-        on first read: by the integrands pass when that comes first (the
-        identities and the ledger run it before they read the norms), else
-        by a velocity pass of their own."""
-        if self._z_u is None:
-            self._z_u = np.array([
-                fem.sq_norm_p0(self.mesh, self._velocities(k)[1])
-                for k in range(len(self.times))])
-        return self._z_u
+        """Squared L2 norms of the difference velocity, per snapshot."""
+        return self._velocity_norms()[0]
+
+    @property
+    def dz_u(self) -> np.ndarray:
+        """Jumps of ``z_u`` over the snapshot intervals."""
+        return self._velocity_norms()[1]
+
+    def _velocity_norms(self) -> tuple[np.ndarray, np.ndarray]:
+        """``z_u`` and ``dz_u``, built on first read: by the integrands
+        pass when that comes first (the identities and the ledger run it
+        before they read the norms), else by a velocity pass of their
+        own.  Both passes store them with ``_store_norm``, so their bits do
+        not depend on which pass built them."""
+        if self._u_norms is None:
+            n = len(self.times)
+            z_u, dz_u, u_d = np.empty(n), np.empty(n - 1), None
+            for k in range(n):
+                u_d, prev = self._velocities(k)[1], u_d
+                _store_norm(self.mesh, z_u, dz_u, k, u_d, prev)
+            self._u_norms = z_u, dz_u
+        return self._u_norms
 
     # -- fields of snapshot k, formed on read ---------------------------
 
@@ -173,8 +191,8 @@ class TwinRun:
     def _integrands(self) -> dict[str, dict[str, np.ndarray]]:
         """Per-snapshot integrands of the energy and auxiliary identities,
         keyed like the pieces those identities return.  Built on first use
-        in one pass over the snapshots, with the norms ``z_u`` of the same
-        velocities when those are not built yet.
+        in one pass over the snapshots, with the norms ``z_u`` and jumps
+        ``dz_u`` of the same velocities when those are not built yet.
 
         Volume terms read the velocities, the reference velocity gradient
         and the auxiliary field of one snapshot (``_volume_terms``).
@@ -186,7 +204,8 @@ class TwinRun:
         """
         mesh, op = self.mesh, self.basis.op
         n = len(self.times)
-        cols, z_u = np.empty((8, n)), np.empty(n)
+        cols, z_u, dz_u = np.empty((8, n)), np.empty(n), np.empty(n - 1)
+        u_d = None
         res = np.empty((3, len(mesh.boundary_nodes), n))
         for k in range(n):
             psi1, phi = self.traj1.psi[k], self.phi[:, k]
@@ -195,15 +214,16 @@ class TwinRun:
                 op, psi1 - self.traj2.psi[k], load_d)
             res[1, :, k] = fem.boundary_residual(op, psi1, load1)
             res[2, :, k] = op.boundary_rows @ phi
+            prev = u_d
             u_hat, u_d = self._velocities(k)
-            z_u[k] = fem.sq_norm_p0(mesh, u_d)
+            _store_norm(mesh, z_u, dz_u, k, u_d, prev)
             cols[[1, 5, 6], k] = _volume_terms(
                 mesh.tri_area, u_d,
                 hodge.stream_velocity(mesh, phi, None, None),
                 fem.velocity_gradient(mesh, u_hat), self.traj1.omega[k])
         cols[[0, 2, 3, 4, 7]] = self._boundary_terms(*res)
-        if self._z_u is None:
-            self._z_u = z_u
+        if self._u_norms is None:
+            self._u_norms = z_u, dz_u
         return {"energy": dict(zip(("boundary", "convective"), cols[:2])),
                 "aux": dict(zip(("inflow_energy", "outflow_cross",
                                  "inflow_cross", "convective", "vortical",
@@ -267,7 +287,7 @@ class TwinRun:
         """
         k0, k1 = snapshot_window(len(self.times), k0, k1)
         ints = self._integrals("energy", k0, k1)
-        jump = 0.5 * (self.z_u[k1] - self.z_u[k0])
+        jump = 0.5 * float(self.dz_u[k0:k1].sum())
         b_int, c_int = ints["boundary"], ints["convective"]
         residual = jump + b_int + c_int
         scale = max(abs(jump), abs(b_int), abs(c_int),
@@ -297,7 +317,7 @@ class TwinRun:
         """
         k0, k1 = snapshot_window(len(self.times), k0, k1)
         times = self.times[k0:k1 + 1]
-        jump = 0.5 * (self.z_v[k1] - self.z_v[k0])
+        jump = 0.5 * float(self.dz_v[k0:k1].sum())
 
         coeffs = self.coeff_d[k0:k1 + 1]                 # (K, m)
         dpsi = _dt_series(coeffs, times)
@@ -320,16 +340,12 @@ class TwinRun:
 
     # -- stream-coefficient regularity ----------------------------------
 
-    def psi_prime_diagnostic(self, k0: int = 0, k1: int | None = None
-                             ) -> dict:
+    def psi_prime_diagnostic(self) -> dict:
         """Certify the time-regularity bound of the stream coefficients:
         |psi'|_inf <= |M^{-1}|_inf (|C'|_1 + |flux(G[omega])'|_1) holds at
         every snapshot with the same difference quotients on both sides.
         """
-        k0, k1 = snapshot_window(len(self.times), k0, k1)
-        times = self.times[k0:k1 + 1]
-        coeffs = self.coeff_d[k0:k1 + 1]
-        C = self.C_d[k0:k1 + 1]
+        times, coeffs, C = self.times, self.coeff_d, self.C_d
         g0 = C - coeffs @ self.basis.M.T        # flux of the Green part
         dpsi = _dt_series(coeffs, times)
         dC = _dt_series(C, times)
@@ -362,15 +378,15 @@ class TwinRun:
         behind the uniqueness loop, with one empirical constant per family
         and one row per exponent p of ``P_GRID``.
 
-        energy row:   [E]  + 1/2 int int_Gamma |u|^2 g
+        energy row:   [1/2 z_u]  + 1/2 int int_Gamma |u|^2 g
                           <= C p int z_u^{1-1/p}
         aux row:      [1/2 z_v] + int int_{Gin} |u|^2 (-g)
                           <= C ( int (z + p z^{1-1/p}) + data^2 dt )
 
-        z = z_u + z_v; data^2 is the squared circulation-difference size
-        plus the squared inflow-trace difference, taken as a sup over the
-        interval.  Flags list rows exceeding 1.01 * C * rhs (empty by
-        construction of C).
+        z = z_u + z_v; the jumps [.] read ``dz_u`` and ``dz_v``; data^2 is
+        the squared circulation-difference size plus the squared
+        inflow-trace difference, taken as a sup over the interval.  Flags
+        list rows exceeding 1.01 * C * rhs (empty by construction of C).
         """
         ints = self._integrands
         times, zu = self.times, self.z_u
@@ -387,9 +403,9 @@ class TwinRun:
         data2 = data2 + om_in2
 
         lhs = np.column_stack([
-            0.5 * np.diff(zu)
+            0.5 * self.dz_u
             + interval_trapezoid(times, ints["energy"]["boundary"]),
-            0.5 * np.diff(self.z_v)
+            0.5 * self.dz_v
             + interval_trapezoid(times, ints["aux"]["inflow_energy"])])
         # one exponent at a time: a scalar power (a square root at p = 2)
         rhs_e = np.column_stack([
@@ -412,6 +428,16 @@ class TwinRun:
         flags = [rows[i] for i in np.flatnonzero(flagged.ravel())]
         return {"rows": rows, "C_hat": {"energy": c_energy, "aux": c_aux},
                 "flags": flags}
+
+
+def _store_norm(mesh: Mesh, z: np.ndarray, dz: np.ndarray, k: int,
+                field: np.ndarray, prev: np.ndarray | None) -> None:
+    """Store the squared norm of snapshot k's (T, 2) ``field`` in z[k]
+    and, past the first snapshot, its jump from the previous snapshot's
+    ``prev`` in dz[k - 1]."""
+    z[k] = fem.sq_norm_p0(mesh, field)
+    if k:
+        dz[k - 1] = fem.sq_norm_jump_p0(mesh, prev, field)
 
 
 def _dt_series(series: np.ndarray, times: np.ndarray) -> np.ndarray:

@@ -398,14 +398,15 @@ def convective_term(a: np.ndarray, jac_b: np.ndarray) -> np.ndarray:
 
 
 def sq_norm_p0(mesh: Mesh, vel: np.ndarray) -> float:
-    """Squared L2 norm of a (T, 2) cell field, summed term by term.
-
-    Run energies, the twin ledger and the stability ladder read
-    differences of consecutive norms, which magnify any change in the
-    rounding of a norm by about z / dz (1e5 over the one-step intervals of
-    a 32x128 annulus), so the norms keep this one summation order
-    (np.einsum's)."""
+    """Squared L2 norm of a (T, 2) cell field."""
     return float(np.einsum("td,td,t->", vel, vel, mesh.tri_area))
+
+
+def sq_norm_jump_p0(mesh: Mesh, a: np.ndarray, b: np.ndarray) -> float:
+    """``sq_norm_p0(b) - sq_norm_p0(a)`` of two (T, 2) cell fields, formed
+    directly as the sum of area (b - a) . (b + a): its rounding scales
+    with the jump, not with the norms."""
+    return float(np.einsum("td,td,t->", b - a, b + a, mesh.tri_area))
 
 
 # -- VTK output ---------------------------------------------------------

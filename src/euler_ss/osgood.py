@@ -93,12 +93,13 @@ def smallest_constant(lhs: np.ndarray, rhs: np.ndarray) -> float:
     return float(np.where(rhs > 0, ratio, 0.0).max(initial=0.0))
 
 
-def calibrate_constant(times: np.ndarray, y: np.ndarray,
+def calibrate_constant(times: np.ndarray, y: np.ndarray, dy: np.ndarray,
                        data2: float) -> float:
     """Smallest C with  [y]_k <= C ( int_k y (1 + |log y|) + data2 dt )
-    on every snapshot interval (trapezoid quadrature)."""
+    on every snapshot interval (trapezoid quadrature), where ``dy`` holds
+    the jumps [y]_k."""
     rhs = interval_trapezoid(times, mu(y)) + data2 * np.diff(times)
-    return smallest_constant(np.diff(y), rhs)
+    return smallest_constant(dy, rhs)
 
 
 def stability_experiment(base_scenario, deltas, comp: list | None = None
@@ -106,7 +107,8 @@ def stability_experiment(base_scenario, deltas, comp: list | None = None
     """Perturb the initial circulation of each inner component of the
     non-empty list ``comp`` (None: the first inner component) by each
     delta, rerun, and measure the Osgood-type response of the twin energy
-    y(t) = running max of |u|_2^2 + |v|_2^2:
+    y(t) = running max of z = |u|_2^2 + |v|_2^2, formed as z(0) plus the
+    running max of the summed jumps of z (the twin's ``dz_u + dz_v``):
 
       * every rung obeys its own calibrated closed-form bound,
       * the final amplitudes are ordered with delta,
@@ -153,9 +155,11 @@ def stability_experiment(base_scenario, deltas, comp: list | None = None
                                  a=math.nan, bound_margin=math.nan,
                                  bound_ok=False, failed=str(exc))
         times = tw.times
-        y = np.maximum.accumulate(tw.z_u + tw.z_v)
+        rise = np.maximum.accumulate(
+            np.concatenate(([0.0], np.cumsum(tw.dz_u + tw.dz_v))))
+        y = (tw.z_u[0] + tw.z_v[0]) + rise
         data2 = len(comps) * delta * delta
-        c_hat = calibrate_constant(times, y, data2)
+        c_hat = calibrate_constant(times, y, np.diff(rise), data2)
         a = c_hat * data2
         bound = osgood_bound(float(y[0]), a, c_hat, times)
         margin = float(np.min(bound - y))

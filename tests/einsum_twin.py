@@ -1,12 +1,13 @@
 """The einsum twin, kept as a reference for ``TwinRun``'s kernels.
 
 ``EinsumTwin`` solves each snapshot's auxiliary problem on its own, as
-``TwinRun`` does, and sums every integrand with ``np.einsum``, one
-snapshot and one boundary component at a time, and ``loop_ledger``
-builds the inequality ledger one row at a time: the formulas below are
-the textbook forms of ``certificates.TwinRun``'s BLAS dots, (B, N)
-boundary pass and array ledger.  Tests compare those kernels against
-them.
+``TwinRun`` does, sums every integrand with ``np.einsum``, one snapshot
+and one boundary component at a time, and forms each interval's norm
+jumps as the einsum of (u_{k+1} - u_k) . (u_{k+1} + u_k);
+``loop_ledger`` builds the inequality ledger one row at a time from
+those jumps: the formulas below are the textbook forms of
+``certificates.TwinRun``'s BLAS dots, (B, N) boundary pass and array
+ledger.  Tests compare those kernels against them.
 """
 
 from functools import cached_property
@@ -45,8 +46,7 @@ class EinsumTwin(TwinRun):
         coeff_d, C_d = [], []
         self.phi = np.empty((mesh.num_vertices, len(t1)))
         self.D = np.empty((len(mesh.components), len(t1)))
-        self._z_u = np.empty(len(t1))
-        self.z_v = np.empty(len(t1))
+        z_u, self.z_v = np.empty(len(t1)), np.empty(len(t1))
         self.mult = traj1.multiplier
 
         for k in range(len(t1)):
@@ -57,9 +57,21 @@ class EinsumTwin(TwinRun):
                 traj1.omega[k] - traj2.omega[k])
             ud = self._u_d(k)
             vv = self._v(k)
-            self._z_u[k] = float(np.einsum("td,td,t->", ud, ud, area))
+            z_u[k] = float(np.einsum("td,td,t->", ud, ud, area))
             self.z_v[k] = float(np.einsum("td,td,t->", vv, vv, area))
         self.coeff_d, self.C_d = np.array(coeff_d), np.array(C_d)
+        self._u_norms = z_u, self._jumps(self._u_d)
+        self.dz_v = self._jumps(self._v)
+
+    def _jumps(self, field) -> np.ndarray:
+        """Jumps of the squared norm of ``field(k)`` over each snapshot
+        interval: int (f_{k+1} - f_k) . (f_{k+1} + f_k)."""
+        out = []
+        for k in range(len(self.times) - 1):
+            a, b = field(k), field(k + 1)
+            out.append(float(np.einsum("td,td,t->", b - a, b + a,
+                                       self.mesh.tri_area)))
+        return np.array(out)
 
     def _u_d(self, k: int) -> np.ndarray:
         """Difference velocity at snapshot k, one snapshot's products."""
@@ -160,10 +172,8 @@ def loop_ledger(twin: TwinRun) -> dict:
                               for t in t_pair)
         data2 += om_in2
 
-        lhs_e = 0.5 * (twin.z_u[k + 1] - twin.z_u[k]) \
-            + _trapz(e_bdry[k:k + 2], t_pair)
-        lhs_a = 0.5 * (twin.z_v[k + 1] - twin.z_v[k]) \
-            + _trapz(a_bdry[k:k + 2], t_pair)
+        lhs_e = 0.5 * twin.dz_u[k] + _trapz(e_bdry[k:k + 2], t_pair)
+        lhs_a = 0.5 * twin.dz_v[k] + _trapz(a_bdry[k:k + 2], t_pair)
         for p in P_GRID:
             zu_pow = twin.z_u[k:k + 2] ** (1.0 - 1.0 / p)
             rhs_e = p * _trapz(zu_pow, t_pair)
@@ -200,8 +210,8 @@ def assert_matches_reference(twin: TwinRun, ref: EinsumTwin,
                              rtol: float = 1e-12,
                              block: int | None = None) -> None:
     """``TwinRun``'s kernels agree with the einsum formulas: the auxiliary
-    potentials, their fluxes and both norms to the bit (each is one
-    solve and one summation in both); integrands, and identity pieces
+    potentials, their fluxes, both norms and their jumps to the bit (each
+    is one solve and one summation in both); integrands, and identity pieces
     over every window of ``snapshot_blocks(n, block)``, to ``rtol`` of
     each quantity's scale (BLAS dots round differently from
     ``np.einsum``); and the ledger exactly as the row-at-a-time ledger
@@ -213,6 +223,8 @@ def assert_matches_reference(twin: TwinRun, ref: EinsumTwin,
 
     assert np.array_equal(twin.z_u, ref.z_u)
     assert np.array_equal(twin.z_v, ref.z_v)
+    assert np.array_equal(twin.dz_u, ref.dz_u)
+    assert np.array_equal(twin.dz_v, ref.dz_v)
     assert np.array_equal(twin.phi, ref.phi)
     assert np.array_equal(twin.D, ref.D)
     for family, cols in ref._integrands.items():

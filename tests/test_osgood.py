@@ -180,21 +180,21 @@ def test_calibrate_constant_recovers_rate():
     C = 1.7
     t = np.linspace(0.0, 1.0, 400)
     y = exact_comparison(1e-3, C, t)
-    c_hat = calibrate_constant(t, y, 0.0)
+    c_hat = calibrate_constant(t, y, np.diff(y), 0.0)
     assert abs(c_hat - C) < 0.01 * C
 
 
 def test_calibrate_constant_zero_for_decay():
     t = np.linspace(0.0, 1.0, 20)
     y = np.exp(-t)
-    assert calibrate_constant(t, y, 0.0) == 0.0
+    assert calibrate_constant(t, y, np.diff(y), 0.0) == 0.0
 
 
 def test_calibrate_constant_data_absorbs_growth():
     t = np.linspace(0.0, 1.0, 50)
     y = 1e-6 * t          # linear growth from zero needs the data term
-    c_small = calibrate_constant(t, y, 1e-3)
-    c_big = calibrate_constant(t, y, 1.0)
+    c_small = calibrate_constant(t, y, np.diff(y), 1e-3)
+    c_big = calibrate_constant(t, y, np.diff(y), 1.0)
     assert c_big < c_small
 
 
@@ -229,7 +229,7 @@ def test_calibrate_constant_matches_its_interval_loop():
             den = 0.5 * dt * float(mu(y[k]) + mu(y[k + 1])) + data2 * dt
             if inc > 0 and den > 0:
                 c = max(c, inc / den)
-        assert calibrate_constant(t, y, data2) == c
+        assert calibrate_constant(t, y, np.diff(y), data2) == c
 
 
 # -- twin-run stability experiment --------------------------------------

@@ -1,13 +1,14 @@
 """Runs compared with stored ones: the trajectory of two small simulate
-runs and the ledger of a small certify run, against the CSVs under
-``tests/data/``.
+runs, the ledger of a small certify run and the report of a small
+stability ladder, against the CSVs under ``tests/data/``.
 
 A column matches when it is within 10 * ``fem.DEFAULT_RTOL`` *
 max(1, max |reference column|) of the stored one, the tolerance of
 ``bench/run.py``'s trajectory references; a bytewise match would tie the
-files to one platform's last-bit rounding.  Re-record the files with
+files to one platform's last-bit rounding.  Re-record the files, or
+only the named cases, with
 
-    PYTHONPATH=src python tests/test_reference.py
+    PYTHONPATH=src python tests/test_reference.py [NAME ...]
 """
 
 import csv
@@ -65,21 +66,25 @@ def write_scenario(dest: Path, doc: dict) -> Path:
     return path
 
 
-# name -> (scenario document, command-line arguments after the scenario,
-# the output file compared)
+# name -> (scenario document, command, command-line arguments after the
+# scenario, the output file compared)
 CASES = {
-    "simulate_euler": (flow_doc("euler", False), [], "trajectory.csv"),
-    "simulate_rk2_tabulated": (flow_doc("rk2", True), [], "trajectory.csv"),
-    "certify_delta_c0": (flow_doc("euler", False), ["--delta-c0", "1=0.1"],
-                         "ledger.csv"),
+    "simulate_euler": (flow_doc("euler", False), "simulate", [],
+                       "trajectory.csv"),
+    "simulate_rk2_tabulated": (flow_doc("rk2", True), "simulate", [],
+                               "trajectory.csv"),
+    "certify_delta_c0": (flow_doc("euler", False), "certify",
+                         ["--delta-c0", "1=0.1"], "ledger.csv"),
+    "stability_ladder": (flow_doc("euler", False), "stability",
+                         ["--ladder", "1e-3,1e-2,1e-1", "--perturb", "1"],
+                         "report.csv"),
 }
 
 
 def run_case(name: str, work: Path) -> Path:
     """Run one case in ``work``; the path of the file it compares."""
-    doc, flags, table = CASES[name]
+    doc, command, flags, table = CASES[name]
     scenario = write_scenario(work, doc)
-    command = "simulate" if table == "trajectory.csv" else "certify"
     out = work / "out"
     assert main([command, str(scenario), "-o", str(out), *flags]) == 0
     return out / table
@@ -103,12 +108,12 @@ def test_run_matches_the_stored_reference(tmp_path, name):
     assert not bad, bad
 
 
-def record() -> None:
+def record(names: list[str]) -> None:
     import shutil
     import tempfile
 
     DATA.mkdir(exist_ok=True)
-    for name in sorted(CASES):
+    for name in names or sorted(CASES):
         with tempfile.TemporaryDirectory() as work:
             shutil.copyfile(run_case(name, Path(work)),
                             DATA / f"{name}.csv")
@@ -116,4 +121,4 @@ def record() -> None:
 
 
 if __name__ == "__main__":
-    record()
+    record(sys.argv[1:])

@@ -72,8 +72,9 @@ def test_snapshots_derive_the_live_step_velocity(any_pair):
             assert not (isinstance(val, np.ndarray)
                         and val.shape[-2:] == (T, 2)), name
     # the twin's fields of a snapshot: the live velocities and their
-    # difference, the norm of that difference, and the boundary rows of
-    # the loads the live reconstructions solved with
+    # difference, the norm of that difference and its jump from the
+    # previous snapshot, and the boundary rows of the loads the live
+    # reconstructions solved with
     twin = TwinRun(*any_pair)
     bn = twin.mesh.boundary_nodes
     for k in range(len(twin.times)):
@@ -81,6 +82,9 @@ def test_snapshots_derive_the_live_step_velocity(any_pair):
         assert np.array_equal(u_hat, live[0][k])
         assert np.array_equal(u_d, live[0][k] - live[1][k])
         assert twin.z_u[k] == fem.sq_norm_p0(twin.mesh, u_d)
+        if k:
+            assert twin.dz_u[k - 1] == fem.sq_norm_jump_p0(
+                twin.mesh, live[0][k - 1] - live[1][k - 1], u_d)
         load1, load2 = (live_load(traj, k)[bn] for traj in any_pair)
         got1, got_d = twin._stream_loads(k)
         assert np.array_equal(got1, load1)
@@ -118,6 +122,8 @@ def test_twin_matches_the_stored_difference_reference(small_pair):
     ref = StoredDifferenceTwin(*small_pair)
     assert np.array_equal(twin.z_u, ref.z_u)
     assert np.array_equal(twin.z_v, ref.z_v)
+    assert np.array_equal(twin.dz_u, ref.dz_u)
+    assert np.array_equal(twin.dz_v, ref.dz_v)
     assert twin.z_u.max() > 0.0 and twin.z_v.max() > 0.0
     assert np.array_equal(twin.D, ref.D)
     assert np.array_equal(twin.phi, ref.phi)
@@ -182,8 +188,9 @@ def test_block_kernels_match_the_per_snapshot_formulas(small_pair, size):
 
 
 def test_norms_read_alone_build_no_integrands(any_pair, monkeypatch):
-    # the stability ladder reads only the norms: they take no velocity
-    # gradient, and their bits do not depend on which pass built them
+    # the stability ladder reads only the norms and their jumps: they take
+    # no velocity gradient, and their bits do not depend on which pass,
+    # the norm pass or the integrands pass, built them
     calls = []
     real = fem.velocity_gradient
 
@@ -193,7 +200,7 @@ def test_norms_read_alone_build_no_integrands(any_pair, monkeypatch):
 
     monkeypatch.setattr(fem, "velocity_gradient", counted)
     twin = TwinRun(*any_pair)
-    z_u, z_v = twin.z_u, twin.z_v
+    z_u, z_v, dz_u, dz_v = twin.z_u, twin.z_v, twin.dz_u, twin.dz_v
     assert calls == []
     assert "_integrands" not in vars(twin)
     monkeypatch.undo()
@@ -202,6 +209,9 @@ def test_norms_read_alone_build_no_integrands(any_pair, monkeypatch):
     assert "_integrands" in vars(after)
     assert np.array_equal(after.z_u, z_u)
     assert np.array_equal(after.z_v, z_v)
+    assert np.array_equal(after.dz_u, dz_u)
+    assert np.array_equal(after.dz_v, dz_v)
+    assert np.any(dz_u != 0.0) and np.any(dz_v != 0.0)
 
 
 def test_twin_takes_one_load_product_per_block(any_pair, monkeypatch):
@@ -222,6 +232,7 @@ def test_twin_takes_one_load_product_per_block(any_pair, monkeypatch):
     twin = TwinRun(*any_pair)
     n = len(twin.times)
     assert twin.z_u.shape == twin.z_v.shape == (n,)
+    assert twin.dz_u.shape == twin.dz_v.shape == (n - 1,)
     assert calls == {"solve_auxiliary": n, "velocity_gradient": 0,
                      "p0_load_vector": n}
     for k0, k1 in snapshot_blocks(n, 3) + snapshot_blocks(n, None):
