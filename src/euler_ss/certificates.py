@@ -33,7 +33,7 @@ from . import fem, hodge, zaremba
 from .errors import UsageError
 from .mesh import Mesh
 from .osgood import interval_trapezoid, smallest_constant
-from .transport import Trajectory, snapshot_window
+from .transport import Trajectory
 
 # exponents of the growth ledger's rows
 P_GRID = (2, 4, 8, 16, 32)
@@ -270,33 +270,32 @@ class TwinRun:
         eb *= 0.5
         return out
 
-    def _integrals(self, family: str, k0: int, k1: int) -> dict[str, float]:
-        """Trapezoid sums of one identity's integrands over [k0, k1]."""
-        times = self.times[k0:k1 + 1]
-        return {key: float(interval_trapezoid(times, col[k0:k1 + 1]).sum())
+    def _integrals(self, family: str) -> dict[str, float]:
+        """Trapezoid sums of one identity's integrands over the run."""
+        return {key: float(interval_trapezoid(self.times, col).sum())
                 for key, col in self._integrands[family].items()}
 
-    def energy_identity(self, k0: int = 0, k1: int | None = None) -> dict:
+    def energy_identity(self) -> dict:
         """Kinetic-energy balance of the difference velocity:
 
             [ 1/2 |u|_2^2 ]  +  1/2 int_t int_Gamma |u|^2 g
                              +  int_t int_Omega u . ((u . grad) uhat) = 0.
 
-        Returns the three terms and their defect; the residual is pure
-        quadrature error and must vanish under refinement.
+        Returns the three terms over the whole run and their defect; the
+        residual is pure quadrature error and must vanish under
+        refinement.
         """
-        k0, k1 = snapshot_window(len(self.times), k0, k1)
-        ints = self._integrals("energy", k0, k1)
-        jump = 0.5 * float(self.dz_u[k0:k1].sum())
+        ints = self._integrals("energy")
+        jump = 0.5 * float(self.dz_u.sum())
         b_int, c_int = ints["boundary"], ints["convective"]
         residual = jump + b_int + c_int
         scale = max(abs(jump), abs(b_int), abs(c_int),
-                    0.5 * self.z_u[k0], 0.5 * self.z_u[k1], 1e-300)
+                    0.5 * self.z_u[0], 0.5 * self.z_u[-1], 1e-300)
         return {"kinetic_jump": jump, "boundary": b_int,
                 "convective": c_int, "residual": residual,
                 "relative": abs(residual) / scale}
 
-    def aux_identity(self, k0: int = 0, k1: int | None = None) -> dict:
+    def aux_identity(self) -> dict:
         """Balance law of the auxiliary (reversed-flow) potential:
 
             [ 1/2 |v|_2^2 ]  +  int_t int_{Gamma_in} |u|^2 (-g)
@@ -311,21 +310,20 @@ class TwinRun:
         Here u is the difference velocity, v the auxiliary field, phi its
         potential, uhat / omegahat the reference flow, psi_i the stream
         coefficients of the difference, and D_i the consistent fluxes of
-        phi.  All boundary quadratures use the tangentially projected
-        one-sided traces; v . n on the inflow components is the exact
-        P1 edge trace of the potential.
+        phi.  Every term is taken over the whole run.  All boundary
+        quadratures use the tangentially projected one-sided traces;
+        v . n on the inflow components is the exact P1 edge trace of the
+        potential.
         """
-        k0, k1 = snapshot_window(len(self.times), k0, k1)
-        times = self.times[k0:k1 + 1]
-        jump = 0.5 * float(self.dz_v[k0:k1].sum())
+        times = self.times
+        jump = 0.5 * float(self.dz_v.sum())
 
-        coeffs = self.coeff_d[k0:k1 + 1]                 # (K, m)
-        dpsi = _dt_series(coeffs, times)
-        D_in = self.D[self.basis.inner, k0:k1 + 1]       # (m, K)
+        dpsi = _dt_series(self.coeff_d, times)           # (N, m)
+        D_in = self.D[self.basis.inner]                  # (m, N)
         coupling = -float(interval_trapezoid(
             times, np.einsum("km,mk->k", dpsi, D_in)).sum())
 
-        pieces = {"jump": jump, **self._integrals("aux", k0, k1),
+        pieces = {"jump": jump, **self._integrals("aux"),
                   "coupling": coupling}
         lhs = jump + pieces["inflow_energy"]
         rhs = (pieces["outflow_cross"] + pieces["inflow_cross"]
@@ -333,7 +331,7 @@ class TwinRun:
                + pieces["inflow_data"] + coupling)
         residual = lhs - rhs
         scale = max(*(abs(v) for v in pieces.values()),
-                    0.5 * self.z_v[k0], 0.5 * self.z_v[k1], 1e-300)
+                    0.5 * self.z_v[0], 0.5 * self.z_v[-1], 1e-300)
         pieces.update({"residual": residual,
                        "relative": abs(residual) / scale})
         return pieces

@@ -268,7 +268,6 @@ def cmd_certify(args) -> int:
     # cannot be refined fails first
     scs = [sc1.refined(2 ** lvl) if lvl else sc1
            for lvl in range(args.refine)]
-    outdir = _outdir(args)
     # the rate checks read only the residuals of a coarser level: keep
     # those, and free its basis, runs and twin before the next level runs
     levels = []
@@ -278,6 +277,7 @@ def cmd_certify(args) -> int:
         levels.append({"energy": abs(fine["energy"]["residual"]),
                        "aux": abs(fine["aux"]["residual"]),
                        "lamb": fine["lamb"]})
+    outdir = _outdir(args)      # a failed run above leaves no directory
 
     tw, (traj1, traj2) = fine["tw"], fine["trajs"]
     basis = fine["basis"]

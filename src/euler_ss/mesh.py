@@ -20,9 +20,6 @@ Text format (one mesh per file)::
     i j comp_id    (B boundary edge lines)
     comp_id role   (K component role lines)
 
-Circles produced by the annulus generator remember their radii so midpoint
-refinement can project new boundary vertices back onto the circle.
-
 The fixed linear maps of a mesh (the cell x edge and vertex x cell
 incidences, the P1 gradient and perp-gradient operators, the edge-jump map
 of a stream function) are built once, on first use, and shared by every
@@ -85,8 +82,7 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 class Mesh:
     """Triangle mesh with validated boundary structure and edge tables."""
 
-    def __init__(self, vertices, triangles, boundary_edges, roles,
-                 radii=None):
+    def __init__(self, vertices, triangles, boundary_edges, roles):
         self.vertices = np.ascontiguousarray(vertices, dtype=np.float64)
         self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
@@ -97,7 +93,6 @@ class Mesh:
                              f"coordinates {self.vertices[bad[0]].tolist()}")
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
             raise UsageError("triangles must be a (T, 3) array")
-        self.radii = dict(radii) if radii else None
 
         self._build_triangle_data()
         self._build_edge_table()
@@ -454,9 +449,8 @@ def generate_annulus(r0: float, r1: float, nr: int, ntheta: int,
 
     nr radial layers and ntheta sectors give (nr+1)*ntheta vertices and
     2*nr*ntheta triangles.  Component 0 is the outer circle, component 1 the
-    inner circle; ``roles`` assigns their roles in that order.  The mesh
-    remembers both radii so refinement re-projects boundary midpoints.
-    Every argument is checked here, for the CLI and scenario files alike.
+    inner circle; ``roles`` assigns their roles in that order.  Every
+    argument is checked here, for the CLI and scenario files alike.
     """
     for name, n in (("nr", nr), ("ntheta", ntheta)):
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
@@ -491,30 +485,18 @@ def generate_annulus(r0: float, r1: float, nr: int, ntheta: int,
                  axis=1),
         np.stack([jn, j, np.ones_like(j)], axis=1)])
 
-    return Mesh(vertices, tris, bedges, {0: roles[0], 1: roles[1]},
-                radii={0: r1, 1: r0})
+    return Mesh(vertices, tris, bedges, {0: roles[0], 1: roles[1]})
 
 
 def uniform_refine(mesh: Mesh) -> Mesh:
-    """Midpoint refinement: every triangle splits into four.
-
-    New boundary vertices are projected onto the generating circle when the
-    mesh carries radii metadata; otherwise they stay at chord midpoints.
-    """
+    """Midpoint refinement: every triangle splits into four, and new
+    boundary vertices stay at chord midpoints.  A refined annulus is
+    therefore a polygon, not a finer circle: ``Scenario.refined``
+    regenerates an annulus instead."""
     nv = mesh.num_vertices
     mid_id = nv + np.arange(len(mesh.edges))
     mids = 0.5 * (mesh.vertices[mesh.edges[:, 0]]
                   + mesh.vertices[mesh.edges[:, 1]])
-
-    comp_of_edge = {}
-    for comp in mesh.components:
-        for e in comp.edge_ids:
-            comp_of_edge[int(e)] = comp.comp
-    if mesh.radii:
-        for e, c in comp_of_edge.items():
-            r = mesh.radii.get(c)
-            if r is not None:
-                mids[e] *= r / np.linalg.norm(mids[e])
 
     vertices = np.vstack([mesh.vertices, mids])
 
@@ -530,8 +512,7 @@ def uniform_refine(mesh: Mesh) -> Mesh:
             bedges.append((a, m, comp.comp))
             bedges.append((m, b, comp.comp))
 
-    return Mesh(vertices, tris, np.asarray(bedges), mesh.roles(),
-                radii=mesh.radii)
+    return Mesh(vertices, tris, np.asarray(bedges), mesh.roles())
 
 
 # -- text format --------------------------------------------------------

@@ -51,8 +51,8 @@ derives the velocity that snapshot's step read.
 Scenario files are strict JSON: unknown keys anywhere are errors.
 ``parse_scenario`` checks a document and parses each value once into a
 frozen ``Scenario``: every profile is a sample table that ``np.interp``
-evaluates, and a file omega0 is read then.  ``perturbed`` and ``refined``
-return ``dataclasses.replace`` copies.
+evaluates, and a file omega0 is read and checked against the mesh then.
+``perturbed`` and ``refined`` return ``dataclasses.replace`` copies.
 """
 
 from __future__ import annotations
@@ -126,9 +126,6 @@ class Profile:
 def _profile(spec: dict, where: str, xkey: str,
              periodic: bool = False) -> Profile:
     """The table of a constant or tabulated profile spec."""
-    if isinstance(spec, dict) and "profile" in spec and "type" not in spec:
-        spec = {**spec}
-        spec["type"] = spec.pop("profile")
     _check_keys(spec, where, required=("type",),
                 optional=("value", xkey, "values"))
     kind = spec["type"]
@@ -203,7 +200,9 @@ class Omega0:
     cells: np.ndarray | None = None
 
 
-def _omega0(spec: dict, base_dir: Path) -> Omega0:
+def _omega0(spec: dict, base_dir: Path, num_cells: int) -> Omega0:
+    """The parsed omega0 spec.  A band needs r0 <= r1, and a file one
+    value per cell of the mesh, each finite."""
     _check_keys(spec, "omega0", required=("type",),
                 optional=("value", "r0", "r1", "background", "path"))
     kind = spec["type"]
@@ -215,6 +214,9 @@ def _omega0(spec: dict, base_dir: Path) -> Omega0:
                     optional=("background",))
         band = tuple(_number(spec[k], f"omega0.{k}")
                      for k in ("r0", "r1", "value"))
+        if band[0] > band[1]:
+            raise UsageError(f"omega0: band needs r0 <= r1, got "
+                             f"r0={band[0]}, r1={band[1]}")
         return Omega0(_number(spec.get("background", 0.0),
                               "omega0.background"), band)
     if kind != "file":
@@ -225,6 +227,12 @@ def _omega0(spec: dict, base_dir: Path) -> Omega0:
         cells = np.loadtxt(path, dtype=np.float64, ndmin=1)
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read omega0 file {path}: {exc}") from None
+    if cells.shape != (num_cells,):
+        raise UsageError(f"omega0 file: expected {num_cells} cell values, "
+                         f"got {cells.shape}")
+    if not np.isfinite(cells).all():
+        raise PreconditionError("initial vorticity contains non-finite "
+                                "values")
     cells.setflags(write=False)
     return Omega0(cells=cells)
 
@@ -322,10 +330,6 @@ class Scenario:
     def initial_omega(self) -> np.ndarray:
         mesh, w = self.mesh, self.omega0
         if w.cells is not None:
-            if w.cells.shape != (mesh.num_triangles,):
-                raise UsageError(
-                    f"omega0 file: expected {mesh.num_triangles} cell "
-                    f"values, got {w.cells.shape}")
             return w.cells + self.omega0_shift
         vals = np.full(mesh.num_triangles, w.background)
         if w.band is not None:
@@ -425,7 +429,7 @@ def parse_scenario(doc: dict, base_dir: Path | str = ".") -> Scenario:
             raise UsageError("g_multiplier must be nonnegative "
                              "(a sign change would swap the roles)")
 
-    omega0 = _omega0(doc["omega0"], base_dir)
+    omega0 = _omega0(doc["omega0"], base_dir, mesh.num_triangles)
 
     omega_in: dict[int, Profile] = {}
     for key, spec in _container(doc, "omega_in").items():
@@ -734,17 +738,6 @@ def run(scenario: Scenario, basis: HarmonicBasis | None = None) -> Trajectory:
 
 
 # -- diagnostics --------------------------------------------------------
-
-
-def snapshot_window(n: int, k0: int, k1: int | None) -> tuple[int, int]:
-    """Snapshot window [k0, k1] of n snapshots; k1 defaults to the last
-    one.  A window outside 0 <= k0 <= k1 < n is a usage error."""
-    if k1 is None:
-        k1 = n - 1
-    if not 0 <= k0 <= k1 < n:
-        raise UsageError(f"snapshot window ({k0}, {k1}) needs "
-                         f"0 <= k0 <= k1 < {n}")
-    return k0, k1
 
 
 def kelvin_consistency(traj: Trajectory) -> float:

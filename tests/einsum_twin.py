@@ -198,24 +198,14 @@ def loop_ledger(twin: TwinRun) -> dict:
             "flags": flags}
 
 
-def snapshot_blocks(n: int, block: int | None) -> list[tuple[int, int]]:
-    """Windows [k0, k1] of ``block`` snapshot intervals that tile n
-    snapshots, the last one possibly shorter; one window when ``block``
-    is None."""
-    step = n - 1 if block is None else block
-    return [(k0, min(n - 1, k0 + step)) for k0 in range(0, n - 1, step)]
-
-
 def assert_matches_reference(twin: TwinRun, ref: EinsumTwin,
-                             rtol: float = 1e-12,
-                             block: int | None = None) -> None:
+                             rtol: float = 1e-12) -> None:
     """``TwinRun``'s kernels agree with the einsum formulas: the auxiliary
     potentials, their fluxes, both norms and their jumps to the bit (each
-    is one solve and one summation in both); integrands, and identity pieces
-    over every window of ``snapshot_blocks(n, block)``, to ``rtol`` of
-    each quantity's scale (BLAS dots round differently from
-    ``np.einsum``); and the ledger exactly as the row-at-a-time ledger
-    builds it from the same norms and integrands."""
+    is one solve and one summation in both); integrands and the pieces of
+    both identities to ``rtol`` of each quantity's scale (BLAS dots round
+    differently from ``np.einsum``); and the ledger exactly as the
+    row-at-a-time ledger builds it from the same norms and integrands."""
 
     def close(got, want):
         return np.abs(np.asarray(got) - want).max() \
@@ -230,13 +220,11 @@ def assert_matches_reference(twin: TwinRun, ref: EinsumTwin,
     for family, cols in ref._integrands.items():
         for key, col in cols.items():
             assert close(twin._integrands[family][key], col), (family, key)
-    for k0, k1 in snapshot_blocks(len(ref.times), block):
-        for ident in ("energy_identity", "aux_identity"):
-            got = getattr(twin, ident)(k0, k1)
-            want = getattr(ref, ident)(k0, k1)
-            scale = max(abs(v) for k, v in want.items() if k != "relative")
-            for key, val in want.items():
-                if key != "relative":
-                    assert abs(got[key] - val) <= rtol * scale, \
-                        (ident, k0, k1, key)
+    for ident in ("energy_identity", "aux_identity"):
+        got = getattr(twin, ident)()
+        want = getattr(ref, ident)()
+        scale = max(abs(v) for k, v in want.items() if k != "relative")
+        for key, val in want.items():
+            if key != "relative":
+                assert abs(got[key] - val) <= rtol * scale, (ident, key)
     assert twin.inequality_ledger() == loop_ledger(twin)

@@ -27,7 +27,7 @@ from euler_ss.errors import PreconditionError, UsageError
 from euler_ss.hodge import HarmonicBasis
 from euler_ss.mesh import Mesh
 from euler_ss.osgood import mu
-from euler_ss.transport import Trajectory, snapshot_window
+from euler_ss.transport import Trajectory
 
 P_SWITCH = math.exp(-2.0)    # below this, p = |log x| beats p = 2
 
@@ -288,7 +288,11 @@ def weak_residual(traj: Trajectory, phi: np.ndarray,
     boundary component the boundary integral is taken from the exact
     per-step accumulators; otherwise it is a trapezoid over the snapshots.
     """
-    k0, k1 = snapshot_window(len(traj.times), k0, k1)
+    n = len(traj.times)
+    k1 = n - 1 if k1 is None else k1
+    if not 0 <= k0 <= k1 < n:
+        raise UsageError(f"snapshot window ({k0}, {k1}) needs "
+                         f"0 <= k0 <= k1 < {n}")
     mesh = traj.mesh
     window = range(k0, k1 + 1)
     times = traj.times[k0:k1 + 1]

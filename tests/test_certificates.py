@@ -14,7 +14,6 @@ from euler_ss.mesh import generate_annulus
 from euler_ss.osgood import stability_experiment
 
 from conftest import modulated_band_scenario
-from einsum_twin import snapshot_blocks
 from oracles import interpolation_inequality, trace_inequality
 
 LN2 = math.log(2.0)
@@ -125,10 +124,9 @@ def test_inequality_ledger_structure(flow_twin):
 
 def test_integrands_take_one_velocity_gradient_per_block(flow_pair,
                                                          monkeypatch):
-    # the identities read over uneven blocks of three snapshot intervals
-    # (7 snapshots make the blocks [0, 3] and [3, 6]), over the whole run
-    # and by the ledger share one integrands pass: one velocity gradient
-    # per snapshot, none for the twin alone
+    # both identities, each read twice, and the ledger share one
+    # integrands pass over the run, its one block of snapshots: one
+    # velocity gradient per snapshot, none for the twin alone
     calls = []
     real = fem.velocity_gradient
 
@@ -140,31 +138,11 @@ def test_integrands_take_one_velocity_gradient_per_block(flow_pair,
     twin = TwinRun(*flow_pair)
     n = len(twin.times)
     assert len(calls) == 0
-    blocks = snapshot_blocks(n, 3)
-    assert blocks == [(0, 3), (3, 6)]
-    for k0, k1 in blocks + snapshot_blocks(n, None):
-        twin.energy_identity(k0, k1)
-        twin.aux_identity(k0, k1)
+    for _ in range(2):
+        twin.energy_identity()
+        twin.aux_identity()
     twin.inequality_ledger()
     assert len(calls) == n == 7
-
-
-# pieces that are time integrals or jumps over the window; the coupling
-# term differentiates psi inside the window, so it does not telescope
-ENERGY_PIECES = ("kinetic_jump", "boundary", "convective")
-AUX_PIECES = ("jump", "inflow_energy", "outflow_cross", "inflow_cross",
-              "convective", "vortical", "inflow_data")
-
-
-@pytest.mark.parametrize("name, pieces", [("energy_identity", ENERGY_PIECES),
-                                          ("aux_identity", AUX_PIECES)])
-def test_identity_pieces_telescope_over_intervals(flow_twin, name, pieces):
-    identity = getattr(flow_twin, name)
-    whole = identity()
-    parts = [identity(k, k + 1) for k in range(len(flow_twin.times) - 1)]
-    for key in pieces:
-        total = sum(p[key] for p in parts)
-        assert total == pytest.approx(whole[key], rel=1e-12, abs=1e-300), key
 
 
 def test_growth_rows_do_not_read_the_rounding_of_the_norms(tmp_path,
@@ -206,15 +184,6 @@ def test_growth_rows_do_not_read_the_rounding_of_the_norms(tmp_path,
         scale = np.abs(val).max()
         assert scale > 0.0, key
         assert np.abs(got[key] - val).max() <= 1e-13 * scale, key
-
-
-@pytest.mark.parametrize("window", [(3, 1), (-1, None), (0, 7), (-2, 3),
-                                    (7, None)])
-@pytest.mark.parametrize("name", ["energy_identity", "aux_identity"])
-def test_identity_windows_are_validated(flow_twin, name, window):
-    assert len(flow_twin.times) == 7
-    with pytest.raises(UsageError, match="window"):
-        getattr(flow_twin, name)(*window)
 
 
 # -- velocity-triple identity -------------------------------------------

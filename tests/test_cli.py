@@ -27,9 +27,9 @@ def radial_doc():
                              "roles": ["outflow", "inflow"]}},
         "omega0": {"type": "constant", "value": 1.0},
         "T": 0.5, "cfl": 0.4, "snapshots": 5,
-        "g": [{"comp": 0, "profile": "constant",
+        "g": [{"comp": 0, "type": "constant",
                "value": Q / (2 * math.pi * 2.0)},
-              {"comp": 1, "profile": "constant",
+              {"comp": 1, "type": "constant",
                "value": -Q / (2 * math.pi * 1.0)}],
         "omega_in": {1: {"type": "constant", "value": 1.0}},
         "C0": {1: 0.3},
@@ -226,11 +226,41 @@ def test_certify_refine_of_file_omega0_fails_first(tmp_path, capsys,
     assert not (out / "ledger.csv").exists()
 
 
+@pytest.mark.parametrize("case, code, message", [
+    ("sign", 3, "precondition"), ("short", 2, "288 cell values"),
+    ("nan", 3, "non-finite"), ("band", 2, "r0 <= r1")],
+    ids=["sign", "short", "nan", "band"])
+def test_certify_failure_leaves_no_output_directory(tmp_path, capsys, case,
+                                                    code, message):
+    # a sign-condition violation in the runs, an omega0 file one value
+    # short, one holding a NaN and a band with r0 > r1: the command fails
+    # before it writes
+    doc = radial_doc()
+    if case == "sign":
+        doc["g"] = [{**item, "value": -item["value"]} for item in doc["g"]]
+    elif case == "band":
+        doc["omega0"] = {"type": "annular_band", "r0": 1.75, "r1": 1.25,
+                         "value": 1.0}
+    else:
+        vals = np.ones(288 - (case == "short"))
+        vals[0] = np.nan if case == "nan" else 1.0
+        np.savetxt(tmp_path / "w.txt", vals)
+        doc["omega0"] = {"type": "file", "path": "w.txt"}
+    scenario = tmp_path / "bad.json"
+    scenario.write_text(json.dumps(doc))
+    out = tmp_path / "cert"
+    rc = main(["certify", str(scenario), "--delta-c0", "1=0.1",
+               "-o", str(out)])
+    assert rc == code
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_certify_broken_sign_condition(tmp_path, capsys):
     doc = radial_doc()
     # outflow data with the wrong sign violates the flow preconditions
-    doc["g"] = [{"comp": 0, "profile": "constant", "value": -0.05},
-                {"comp": 1, "profile": "constant", "value": 0.05}]
+    doc["g"] = [{"comp": 0, "type": "constant", "value": -0.05},
+                {"comp": 1, "type": "constant", "value": 0.05}]
     del doc["omega_in"]
     doc["mesh"]["annulus"]["roles"] = ["inflow", "outflow"]
     doc["omega_in"] = {0: {"type": "constant", "value": 1.0}}
@@ -249,9 +279,9 @@ def test_swapped_roles_fail_the_sign_check_at_every_scale(tmp_path, capsys,
     doc = radial_doc()
     doc["mesh"]["annulus"].update(nr=2, ntheta=8,
                                   roles=["inflow", "outflow"])
-    doc["g"] = [{"comp": 0, "profile": "constant",
+    doc["g"] = [{"comp": 0, "type": "constant",
                  "value": Q / (4 * math.pi)},
-                {"comp": 1, "profile": "constant",
+                {"comp": 1, "type": "constant",
                  "value": -Q / (2 * math.pi)}]
     doc["omega_in"] = {0: {"type": "constant", "value": 1.0}}
     bad = tmp_path / "swapped.json"
@@ -423,7 +453,7 @@ def test_certify_pair_with_renumbered_holes_is_usage_error(tmp_path,
     ({"snapshots": 4}, "different snapshot counts (5 and 4)"),
     ({"g": [{**item, "value": 2.0 * item["value"]}
             for item in radial_doc()["g"]]}, "different boundary data g"),
-    ({"g_multiplier": {"profile": "tabulated", "times": [0.0, 1.0],
+    ({"g_multiplier": {"type": "tabulated", "times": [0.0, 1.0],
                        "values": [1.0, 2.0]}},
      "different g multipliers at the snapshot times"),
 ], ids=["T", "snapshots", "g", "g_multiplier"])

@@ -21,7 +21,9 @@ def test_annulus_roles_and_radii():
     m = generate_annulus(1.0, 2.0, 2, 8, roles=("outflow", "inflow"))
     assert m.component(0).role == "outflow"
     assert m.component(1).role == "inflow"
-    assert m.radii == {0: 2.0, 1: 1.0}
+    for comp, r in ((0, 2.0), (1, 1.0)):
+        rad = np.hypot(*m.vertices[m.component(comp).nodes].T)
+        np.testing.assert_allclose(rad, r, atol=1e-12)
 
 
 @pytest.mark.parametrize("args,kwargs,name", [
@@ -54,7 +56,8 @@ def test_boundary_loops_are_closed_chains():
         a, b = c.edges[:, 0], c.edges[:, 1]
         assert np.array_equal(np.roll(a, -1), b)
         r = np.hypot(*m.vertices[c.nodes].T)
-        np.testing.assert_allclose(r, m.radii[c.comp], atol=1e-12)
+        np.testing.assert_allclose(r, {0: 2.0, 1: 1.0}[c.comp],
+                                   atol=1e-12)
 
 
 def test_boundary_orientation_fluid_left():
@@ -188,17 +191,17 @@ def test_incidence_signs_and_telescoping():
     assert np.abs(D @ jump).max() < 1e-14
 
 
-def test_uniform_refine_counts_and_projection():
+def test_uniform_refine_counts_and_keeps_the_polygon():
     m = generate_annulus(1.0, 2.0, 2, 8)
     r1 = uniform_refine(m)
     assert r1.num_triangles == 4 * m.num_triangles
     assert r1.num_vertices == m.num_vertices + len(m.edges)
-    for c in r1.components:
-        rad = np.hypot(*r1.vertices[c.nodes].T)
-        np.testing.assert_allclose(rad, r1.radii[c.comp], atol=1e-12)
-    # refinement tightens the polygonal area defect
-    exact = math.pi * 3.0
-    assert exact - r1.tri_area.sum() < 0.3 * (exact - m.tri_area.sum())
+    # every boundary edge splits at its chord midpoint: the refined mesh
+    # covers the same polygon
+    for c, c1 in zip(m.components, r1.components):
+        mids = 0.5 * (m.vertices[c.edges[:, 0]] + m.vertices[c.edges[:, 1]])
+        np.testing.assert_array_equal(r1.vertices[c1.nodes[1::2]], mids)
+    assert r1.tri_area.sum() == pytest.approx(m.tri_area.sum(), rel=1e-14)
 
 
 def test_refine_preserves_roles():
@@ -216,8 +219,6 @@ def test_save_load_round_trip(tmp_path):
     np.testing.assert_array_equal(back.triangles, m.triangles)
     assert [c.role for c in back.components] == \
         [c.role for c in m.components]
-    # analytic radii are generator metadata, not part of the file format
-    assert back.radii is None
 
 
 def test_load_errors_name_the_line(tmp_path):
@@ -329,7 +330,7 @@ def annulus_arrays_by_loop(nr, ntheta):
 def test_annulus_arrays_match_loop_reference(monkeypatch, nr, ntheta):
     built = {}
 
-    def capture(vertices, triangles, boundary_edges, roles, radii):
+    def capture(vertices, triangles, boundary_edges, roles):
         built.update(tris=triangles, bedges=boundary_edges)
 
     monkeypatch.setattr(mesh_module, "Mesh", capture)

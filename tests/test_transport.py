@@ -112,9 +112,26 @@ def test_omega0_unknown_type_rejected():
 def test_omega0_file_wrong_count(tmp_path):
     np.savetxt(tmp_path / "w.txt", np.ones(7))
     doc = wall_doc(omega0={"type": "file", "path": "w.txt"})
-    sc = transport.parse_scenario(doc, base_dir=tmp_path)
     with pytest.raises(UsageError, match="cell values"):
-        sc.initial_omega()
+        transport.parse_scenario(doc, base_dir=tmp_path)
+
+
+def test_omega0_file_non_finite_is_precondition_error(tmp_path):
+    vals = np.ones(128)
+    vals[5] = np.nan
+    np.savetxt(tmp_path / "w.txt", vals)
+    doc = wall_doc(omega0={"type": "file", "path": "w.txt"})
+    with pytest.raises(PreconditionError, match="non-finite"):
+        transport.parse_scenario(doc, base_dir=tmp_path)
+
+
+def test_omega0_band_needs_r0_at_most_r1():
+    band = {"type": "annular_band", "r0": 1.75, "r1": 1.25, "value": 1.0}
+    with pytest.raises(UsageError, match="r0 <= r1"):
+        transport.parse_scenario(wall_doc(omega0=band))
+    # an empty band of one radius is valid
+    sc = transport.parse_scenario(wall_doc(omega0={**band, "r1": 1.75}))
+    assert sc.omega0.band == (1.75, 1.75, 1.0)
 
 
 def test_mesh_spec_exactly_one_source():
@@ -141,8 +158,8 @@ def test_negative_multiplier_rejected():
 # -- accepted spellings ------------------------------------------------
 
 
-def test_g_list_form_and_profile_alias():
-    doc = flow_doc(g=[{"comp": 0, "profile": "constant", "value": 0.2},
+def test_g_list_form():
+    doc = flow_doc(g=[{"comp": 0, "type": "constant", "value": 0.2},
                       {"comp": 1, "type": "constant", "value": -0.4}])
     sc = transport.parse_scenario(doc)
     ge = sc.g_edges()

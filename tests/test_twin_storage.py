@@ -12,8 +12,7 @@ from euler_ss.certificates import TwinRun
 from euler_ss.hodge import HarmonicBasis
 
 from conftest import modulated_band_scenario
-from einsum_twin import (EinsumTwin, assert_matches_reference,
-                         snapshot_blocks)
+from einsum_twin import EinsumTwin, assert_matches_reference
 from test_two_holes import flow_scenario as two_hole_scenario
 from test_two_holes import two_hole_mesh
 
@@ -176,15 +175,10 @@ def test_twin_keeps_vertex_sized_state_per_snapshot(tmp_path):
     assert read < allowance, (read, allowance)
 
 
-@pytest.mark.parametrize("size", [1, 3, None])
-def test_block_kernels_match_the_per_snapshot_formulas(small_pair, size):
-    # the identities read over blocks of one snapshot interval, uneven
-    # blocks of three (6 intervals: the last block is [3, 6]) and the
-    # whole run, each against the einsum formulas of the same window
-    n = len(small_pair[0].times)
-    assert len(snapshot_blocks(n, size)) == {1: 6, 3: 2, None: 1}[size]
-    assert_matches_reference(TwinRun(*small_pair), EinsumTwin(*small_pair),
-                             block=size)
+def test_block_kernels_match_the_per_snapshot_formulas(small_pair):
+    # the twin's kernels, each over the (N, ...) block of all snapshots,
+    # against the einsum formulas of one snapshot at a time
+    assert_matches_reference(TwinRun(*small_pair), EinsumTwin(*small_pair))
 
 
 def test_norms_read_alone_build_no_integrands(any_pair, monkeypatch):
@@ -218,8 +212,8 @@ def test_twin_takes_one_load_product_per_block(any_pair, monkeypatch):
     # the counts the benchmark tracer reads: one auxiliary solve per
     # snapshot, one reference velocity gradient per snapshot once the
     # identities run and none for the norms alone; the auxiliary load is
-    # the only full P0 load of a snapshot, however many blocks of
-    # snapshots the identities are read over
+    # the only full P0 load of a snapshot, however often the identities
+    # are read
     calls = {"solve_auxiliary": 0, "velocity_gradient": 0,
              "p0_load_vector": 0}
     for mod, name in ((zaremba, "solve_auxiliary"),
@@ -235,9 +229,9 @@ def test_twin_takes_one_load_product_per_block(any_pair, monkeypatch):
     assert twin.dz_u.shape == twin.dz_v.shape == (n - 1,)
     assert calls == {"solve_auxiliary": n, "velocity_gradient": 0,
                      "p0_load_vector": n}
-    for k0, k1 in snapshot_blocks(n, 3) + snapshot_blocks(n, None):
-        twin.energy_identity(k0, k1)
-        twin.aux_identity(k0, k1)
+    for _ in range(2):
+        twin.energy_identity()
+        twin.aux_identity()
     twin.inequality_ledger()
     assert calls == {"solve_auxiliary": n, "velocity_gradient": n,
                      "p0_load_vector": n}

@@ -133,11 +133,9 @@ def test_three_component_run_closes_to_round_off(tmp_path, mesh, basis):
     assert np.all(traj.B[:, 2] == 0.0)
 
 
-@pytest.mark.parametrize("size", [1, None])
-def test_twin_blocks_match_the_per_snapshot_formulas(tmp_path, mesh, size):
+def test_twin_blocks_match_the_per_snapshot_formulas(tmp_path, mesh):
     # both holes' circulations and the inflow trace perturbed: an m = 2
-    # difference, pinned on the outer boundary and the wall hole; the
-    # identities read over blocks of one snapshot interval and the run
+    # difference, pinned on the outer boundary and the wall hole
     sc = flow_scenario(tmp_path, mesh)
     run_basis = HarmonicBasis(sc.mesh)
     pair = (transport.run(sc, run_basis),
@@ -146,7 +144,7 @@ def test_twin_blocks_match_the_per_snapshot_formulas(tmp_path, mesh, size):
     twin = TwinRun(*pair)
     assert all(c.shape == (2,) for c in twin.C_d)
     assert np.abs(np.array(twin.C_d)).min() > 0.0
-    assert_matches_reference(twin, EinsumTwin(*pair), block=size)
+    assert_matches_reference(twin, EinsumTwin(*pair))
 
 
 def test_ladder_perturbs_both_holes(tmp_path, mesh, capsys):
