@@ -25,8 +25,8 @@ from .errors import PreconditionError, SolverError, UsageError
 from .fem import (StiffnessOperator, consistent_flux, consistent_fluxes,
                   solve_constrained, solve_dirichlet, solve_mixed,
                   solve_neumann)
-from .hodge import (HarmonicBasis, VelocityAssembly, greens_operator,
-                    reconstruct_velocity, validate_sign_condition)
+from .hodge import (HarmonicBasis, greens_operator, reconstruct_velocity,
+                    validate_sign_condition)
 from .mesh import (BoundaryComponent, Mesh, generate_annulus, load_mesh,
                    save_mesh, uniform_refine)
 from .osgood import mu, osgood_bound, stability_experiment
@@ -40,7 +40,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundaryComponent", "HarmonicBasis", "Mesh", "PreconditionError",
     "Scenario", "SolverError", "StiffnessOperator", "Trajectory", "TwinRun",
-    "UsageError", "VelocityAssembly",
+    "UsageError",
     "consistent_flux", "consistent_fluxes", "generate_annulus",
     "greens_operator", "lamb_identity", "load_mesh", "load_scenario", "mu",
     "osgood_bound", "parse_scenario", "reconstruct_velocity",

@@ -91,9 +91,10 @@ class TwinRun:
     row reads those jumps, never a difference of two norms.  The
     difference fields are formed from the rows of the two trajectories
     when they are needed (``traj.psi[k]``, ``traj.omega[k]``,
-    ``traj.velocity(k)``), one snapshot at a time, so a twin holds O(V)
-    floats per snapshot and no cell array.  The pair must share one mesh,
-    one basis and what ``Scenario.twin_mismatch`` compares.
+    ``traj.velocity(k)``, ``traj.boundary_load(k)``), one snapshot at a
+    time, so a twin holds O(V) floats per snapshot and no cell array.
+    The pair must share one mesh, one basis and what
+    ``Scenario.twin_mismatch`` compares.
     """
 
     def __init__(self, traj1: Trajectory, traj2: Trajectory):
@@ -167,16 +168,6 @@ class TwinRun:
         u_hat = self.traj1.velocity(k)
         return u_hat, u_hat - self.traj2.velocity(k)
 
-    def _stream_loads(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Rows at ``Mesh.boundary_nodes`` of run 1's stream load
-        -p0_load_vector(mesh, omega) at snapshot k and of the load
-        difference: the bits the reconstructions solved with."""
-        mesh = self.mesh
-        load1, load2 = (-(mesh.boundary_vertex_cells
-                          @ (traj.omega[k] * mesh.tri_area / 3.0))
-                        for traj in (self.traj1, self.traj2))
-        return load1, load1 - load2
-
     # -- boundary data --------------------------------------------------
 
     def _flow_components(self):
@@ -197,8 +188,9 @@ class TwinRun:
         Volume terms read the velocities, the reference velocity gradient
         and the auxiliary field of one snapshot (``_volume_terms``).
         Boundary terms read only the boundary rows of three residuals: of
-        the difference and reference stream functions, paired with their
-        loads, and of the potential, paired with none.  Those rows are
+        the difference and reference stream functions, paired with the
+        boundary rows of their loads (each run's ``boundary_load(k)``),
+        and of the potential, paired with none.  Those rows are
         stacked as (B, N) arrays, one column per snapshot, and summed for
         every snapshot at once (``_boundary_terms``).
         """
@@ -209,9 +201,10 @@ class TwinRun:
         res = np.empty((3, len(mesh.boundary_nodes), n))
         for k in range(n):
             psi1, phi = self.traj1.psi[k], self.phi[:, k]
-            load1, load_d = self._stream_loads(k)
+            load1 = self.traj1.boundary_load(k)
             res[0, :, k] = fem.boundary_residual(
-                op, psi1 - self.traj2.psi[k], load_d)
+                op, psi1 - self.traj2.psi[k],
+                load1 - self.traj2.boundary_load(k))
             res[1, :, k] = fem.boundary_residual(op, psi1, load1)
             res[2, :, k] = op.boundary_rows @ phi
             prev = u_d

@@ -50,15 +50,19 @@ mesh (out of the fluid, into holes).  For the stream function of a flow
 this equals the circulation along the component in the fluid-on-the-left
 orientation; it is superconvergent compared with the one-sided trace
 quadrature.  X is zero off the boundary nodes, so only the boundary rows
-of the residual are formed:
-``boundary_indicator @ (boundary_rows @ psi - load[boundary nodes])``
-(``StiffnessOperator``, both built once per operator) sums the same terms
-in the same order as X (A psi - load), without the V x V product.  The
-loop flux density (``loop_flux_density``) reads the same boundary
-residual (``boundary_residual``) at the loop vertices of one component,
-in loop order (``BoundaryComponent.nodes``), divided by the boundary
-length each vertex owns (``lumped_length``), and takes the residual rows
-of several fields stacked as (B, n) columns as well.
+of the residual are formed, and every flux reads them in one convention:
+``boundary_residual(op, psi, load_rows)`` is
+``boundary_rows @ psi - load_rows`` with ``load_rows`` the rows of the
+load at ``Mesh.boundary_nodes`` (a caller that keeps no full load, such
+as a saved snapshot's ``traj.boundary_load(k)``, forms only those rows).
+``boundary_indicator @`` that residual (``StiffnessOperator``, both
+factors built once per operator) sums the same terms in the same order as
+X (A psi - load), without the V x V product.  The loop flux density
+(``loop_flux_density``) reads the same boundary residual at the loop
+vertices of one component, in loop order (``BoundaryComponent.nodes``),
+divided by the boundary length each vertex owns (``lumped_length``), and
+takes the residual rows of several fields stacked as (B, n) columns as
+well.
 Outside this module no code multiplies the stiffness matrix to read a flux.
 
 perp-gradient convention: grad_perp(psi) = (-d_y psi, d_x psi), so
@@ -140,16 +144,6 @@ class StiffnessOperator:
              (comp_of, np.searchsorted(mesh.boundary_nodes,
                                        np.concatenate(nodes)))),
             shape=(len(nodes), len(mesh.boundary_nodes)))
-
-    def boundary_fluxes(self, boundary_product: np.ndarray,
-                        load: np.ndarray | None = None) -> np.ndarray:
-        """Consistent fluxes of every component from the boundary rows of
-        a product, ``boundary_rows @ x`` (see ``consistent_fluxes``).  A
-        harmonic field pairs with no load (None)."""
-        if load is not None:
-            boundary_product = boundary_product \
-                - load[self.mesh.boundary_nodes]
-        return self.boundary_indicator @ boundary_product
 
 
 def p0_load_vector(mesh: Mesh, cell_values: np.ndarray) -> np.ndarray:
@@ -342,7 +336,8 @@ def consistent_fluxes(op: StiffnessOperator, field: np.ndarray,
     for a harmonic field).  The pairing with the component indicators makes
     the fluxes superconvergent.
     """
-    return op.boundary_fluxes(op.boundary_rows @ field, load)
+    load_rows = 0.0 if load is None else load[op.mesh.boundary_nodes]
+    return op.boundary_indicator @ boundary_residual(op, field, load_rows)
 
 
 def consistent_flux(op: StiffnessOperator, field: np.ndarray,

@@ -22,16 +22,17 @@ drives flow that is clockwise around the hole.
 Per reconstruction this is one load, one Green solve, one boundary-row
 product for the Green fluxes, the m-term sum of the stream function, and
 one product with ``HarmonicBasis.stream_operator``, a stack of the
-perp-gradient, the edge jumps and the stiffness boundary rows: it yields
-the velocity, the rotational edge fluxes of the transport step and the
-consistent circulations, each to the last bit of its own map.
-``reconstruct_velocity`` returns the assembly with the velocity and the
-edge jumps beside it: the step reads them once, and a saved snapshot
-copies the assembly into its trajectory row.  No velocity is stored:
-``stream_velocity`` derives it from a row's stream function and
-multiplier and the shared through-flow gradient, to the bits of the
-stacked product (``traj.velocity(k)``).  The through-flow, g with phi_g
-and its gradient at unit multiplier, is owned by
+perp-gradient and the edge jumps: it yields the velocity and the
+rotational edge fluxes of the transport step, each to the last bit of its
+own map.  ``reconstruct_velocity`` returns plain arrays: the stream
+function, its harmonic coefficients, the velocity and the edge jumps.
+Whatever a saved snapshot reports beyond them is derived from its
+trajectory row: ``stream_velocity`` gives the velocity from the row's
+stream function and multiplier and the shared through-flow gradient, to
+the bits of the stacked product (``traj.velocity(k)``), and the
+consistent circulations pair the row's stream function with the boundary
+rows of its load (``traj.boundary_load(k)``).  The through-flow, g with
+phi_g and its gradient at unit multiplier, is owned by
 ``transport.FluxAssembler``, one per g cached on the basis.
 
 The boundary data g must satisfy the sign condition: g <= 0 on inflow
@@ -41,7 +42,6 @@ hard errors naming the offending edge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -116,16 +116,14 @@ class HarmonicBasis:
 
     @cached_property
     def stream_operator(self) -> sp.csr_matrix:
-        """(2T + E + B, V) stack of the maps a velocity reconstruction
-        applies to its stream function: the perp-gradient (the velocity),
-        the edge jumps (the rotational edge fluxes) and the boundary rows
-        of the stiffness matrix (the consistent circulations).  The rows
-        are those of the three maps, so one product gives each of them to
-        the last bit.  Built on first use."""
+        """(2T + E, V) stack of the maps a velocity reconstruction applies
+        to its stream function: the perp-gradient (the velocity) and the
+        edge jumps (the rotational edge fluxes).  The rows are those of
+        the two maps, so one product gives each of them to the last bit.
+        Built on first use."""
         mesh = self.mesh
         return sp.vstack([mesh.perp_gradient_operator,
-                          mesh.edge_jump_operator, self.op.boundary_rows],
-                         format="csr")
+                          mesh.edge_jump_operator], format="csr")
 
 
 def greens_operator(basis: HarmonicBasis, omega: np.ndarray
@@ -151,27 +149,17 @@ def stream_velocity(mesh: Mesh, psi: np.ndarray, multiplier,
     return u
 
 
-@dataclass
-class VelocityAssembly:
-    """Stream data and flux diagnostics of a reconstructed velocity, which
-    a saved snapshot keeps; the velocity and the edge jumps come beside
-    it (``reconstruct_velocity``)."""
-
-    psi_coeffs: np.ndarray         # (m,) harmonic-basis constants
-    psi_total: np.ndarray          # (V,) G[omega] + sum_i psi_i f^i
-    multiplier: float              # of the through-flow potential
-    circulation_consistent: np.ndarray   # per component, consistent flux
-
-
 def reconstruct_velocity(basis: HarmonicBasis, omega: np.ndarray,
                          circulations: np.ndarray,
                          multiplier: float = 1.0,
                          phi_grad: np.ndarray | None = None
-                         ) -> tuple[VelocityAssembly, np.ndarray, np.ndarray]:
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                    np.ndarray]:
     """Assemble the velocity of a (T,) vorticity ``omega``, g and C;
-    return the assembly, the (T, 2) velocity and the (E,) stream jumps
-    psi_a - psi_b across every edge a -> b, zero on boundary edges (the
-    rotational edge fluxes of a transport step).
+    return the (V,) stream function G[omega] + sum_i psi_i f^i, its (m,)
+    harmonic coefficients psi_i, the (T, 2) velocity and the (E,) stream
+    jumps psi_a - psi_b across every edge a -> b, zero on boundary edges
+    (the rotational edge fluxes of a transport step).
 
     ``circulations`` lists C_i for the inner components in order.
     ``phi_grad`` is the gradient of the unit-multiplier through-flow
@@ -179,17 +167,16 @@ def reconstruct_velocity(basis: HarmonicBasis, omega: np.ndarray,
     nothing flows; the velocity adds ``multiplier`` times it.
 
     Past the Green solve, the stream function meets one product with
-    ``basis.stream_operator``, which gives the velocity, the edge jumps
-    and the boundary rows of the consistent circulations.
+    ``basis.stream_operator``, which gives the velocity and the edge
+    jumps.
     """
-    mesh = basis.mesh
     C = np.asarray(circulations, dtype=np.float64)
     if C.shape != (basis.num_inner,):
         raise UsageError(
             f"need {basis.num_inner} circulation value(s), got {C.shape}")
 
-    psi_total, load = greens_operator(basis, omega)
-    g0_flux = fem.consistent_fluxes(basis.op, psi_total, load)
+    psi, load = greens_operator(basis, omega)
+    g0_flux = fem.consistent_fluxes(basis.op, psi, load)
     coeffs = np.linalg.solve(basis.M, C - g0_flux[basis.inner]) \
         if basis.num_inner else np.zeros(0)
 
@@ -197,21 +184,12 @@ def reconstruct_velocity(basis: HarmonicBasis, omega: np.ndarray,
     # the stacked fields would change the summation order when there are
     # two or more
     for c_i, f in zip(coeffs, basis.fields):
-        psi_total += c_i * f
+        psi += c_i * f
 
-    stream = basis.stream_operator @ psi_total
-    nu = 2 * mesh.num_triangles
-    nj = nu + len(mesh.edges)
+    stream = basis.stream_operator @ psi
+    nu = 2 * basis.mesh.num_triangles
     # the perp-gradient rows are those of ``stream_velocity``
     u = stream[:nu].reshape(-1, 2)
     if phi_grad is not None:
         u = u + multiplier * phi_grad
-    # the potential part contributes exactly zero circulation (telescoping
-    # tangential P1 trace), so the stream flux is the whole consistent
-    # circulation
-    circ_cons = basis.op.boundary_fluxes(stream[nj:], load)
-
-    asm = VelocityAssembly(
-        psi_coeffs=coeffs, psi_total=psi_total, multiplier=multiplier,
-        circulation_consistent=circ_cons)
-    return asm, u, stream[nu:nj]
+    return psi, coeffs, u, stream[nu:]

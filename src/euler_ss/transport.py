@@ -24,9 +24,9 @@ is D D^T restricted to the interior edges.  That Laplacian and its sparse
 LU factor serve one solve per g, so the equilibration builds them, solves
 and lets them go; so does the Neumann solve of the potential.
 The rotational part is the edge-jump product that
-``hodge.reconstruct_velocity`` returns beside its assembly, and the cell
-and component sums of the upwind flux are one product with D stacked over
-the component x edge indicator.
+``hodge.reconstruct_velocity`` returns with the stream function and the
+velocity, and the cell and component sums of the upwind flux are one
+product with D stacked over the component x edge indicator.
 
 The through-flow of a g (the sign check, the Neumann potential, its
 gradient and the equilibrated fluxes) has one owner, ``FluxAssembler``.
@@ -46,7 +46,9 @@ components evolve by the boundary vorticity flux, summed per component
 from the same upwind edge array that serves the vorticity budget, so the
 two stay consistent to round-off.  A ``Trajectory`` holds one row per
 snapshot (``traj.omega[k]``, ``traj.psi[k]``, ...); ``traj.velocity(k)``
-derives the velocity that snapshot's step read.
+derives the velocity that snapshot's step read and
+``traj.boundary_load(k)`` the boundary rows of its stream load, from
+which ``run`` forms the row's consistent circulations as it saves it.
 
 Scenario files are strict JSON: unknown keys anywhere are errors.
 ``parse_scenario`` checks a document and parses each value once into a
@@ -154,6 +156,20 @@ def _comp_key(key, where: str) -> int:
                      f"got {key!r}")
 
 
+def _unique(pairs, where: str, comp: bool = False) -> dict:
+    """The dict of (key, value) pairs, each key read as a component id
+    if ``comp``; two keys that name one entry ("T" twice, or components
+    "1" and "01") are a usage error, not a silent overwrite."""
+    out = {}
+    for key, val in pairs:
+        key = _comp_key(key, where) if comp else key
+        if key in out:
+            kind = "component" if comp else "key"
+            raise UsageError(f"{where}: {kind} {key!r} given twice")
+        out[key] = val
+    return out
+
+
 def _container(doc: dict, key: str, lists: bool = False):
     """``doc[key]`` (default {}): an object, or a list if ``lists``."""
     raw = doc.get(key, {})
@@ -231,8 +247,8 @@ def _omega0(spec: dict, base_dir: Path, num_cells: int) -> Omega0:
         raise UsageError(f"omega0 file: expected {num_cells} cell values, "
                          f"got {cells.shape}")
     if not np.isfinite(cells).all():
-        raise PreconditionError("initial vorticity contains non-finite "
-                                "values")
+        raise UsageError(f"omega0 file: non-finite value in cell "
+                         f"{int(np.flatnonzero(~np.isfinite(cells))[0])}")
     cells.setflags(write=False)
     return Omega0(cells=cells)
 
@@ -397,19 +413,16 @@ def parse_scenario(doc: dict, base_dir: Path | str = ".") -> Scenario:
     comp_ids = {c.comp for c in mesh.components}
     raw_g = _container(doc, "g", lists=True)
     if isinstance(raw_g, list):
-        flat = {}
+        pairs = []
         for item in raw_g:
             if not isinstance(item, dict) or "comp" not in item:
                 raise UsageError("g: list entries need a 'comp' key")
             item = {**item}
-            cid = _comp_key(item.pop("comp"), "g")
-            if cid in flat:
-                raise UsageError(f"g: component {cid} given twice")
-            flat[cid] = item
-        raw_g = flat
+            pairs.append((item.pop("comp"), item))
+    else:
+        pairs = raw_g.items()
     g: dict[int, Profile] = {}
-    for key, spec in raw_g.items():
-        cid = _comp_key(key, "g")
+    for cid, spec in _unique(pairs, "g", comp=True).items():
         if cid not in comp_ids:
             raise UsageError(f"g: no boundary component {cid}")
         if mesh.component(cid).role == "wall":
@@ -432,8 +445,8 @@ def parse_scenario(doc: dict, base_dir: Path | str = ".") -> Scenario:
     omega0 = _omega0(doc["omega0"], base_dir, mesh.num_triangles)
 
     omega_in: dict[int, Profile] = {}
-    for key, spec in _container(doc, "omega_in").items():
-        cid = _comp_key(key, "omega_in")
+    for cid, spec in _unique(_container(doc, "omega_in").items(),
+                             "omega_in", comp=True).items():
         if cid not in comp_ids:
             raise UsageError(f"omega_in: no boundary component {cid}")
         if mesh.component(cid).role != "inflow":
@@ -446,8 +459,8 @@ def parse_scenario(doc: dict, base_dir: Path | str = ".") -> Scenario:
                              "needs trace data")
 
     C0: dict[int, float] = {}
-    for key, val in _container(doc, "C0").items():
-        cid = _comp_key(key, "C0")
+    for cid, val in _unique(_container(doc, "C0").items(), "C0",
+                            comp=True).items():
         if cid not in comp_ids or cid == 0:
             raise UsageError(f"C0: component {cid} is not an inner "
                              "component")
@@ -466,7 +479,9 @@ def parse_scenario(doc: dict, base_dir: Path | str = ".") -> Scenario:
 def load_scenario(path) -> Scenario:
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
+        # a key given twice in any object is an error, not the last value
+        doc = json.loads(path.read_text(), object_pairs_hook=lambda pairs:
+                         _unique(pairs, f"scenario {path}"))
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read scenario {path}: {exc}") from None
     except json.JSONDecodeError as exc:
@@ -603,8 +618,9 @@ def flow_setup(basis: HarmonicBasis, g_edges: dict[int, np.ndarray]
 
 class Trajectory:
     """The snapshots of one run as arrays, one row per snapshot, which
-    ``run`` fills as it saves each one.  The velocity of a snapshot is
-    derived on read (``velocity``); no stream load is kept."""
+    ``run`` fills as it saves each one.  The velocity of a snapshot and
+    the boundary rows of its stream load are derived on read
+    (``velocity``, ``boundary_load``); no load is kept."""
 
     def __init__(self, scenario: Scenario, basis: HarmonicBasis,
                  flux: FluxAssembler):
@@ -636,6 +652,14 @@ class Trajectory:
         return hodge.stream_velocity(self.mesh, self.psi[k],
                                      self.multiplier[k], self.flux.phi_grad)
 
+    def boundary_load(self, k: int) -> np.ndarray:
+        """Rows at ``Mesh.boundary_nodes`` of snapshot k's stream load
+        -p0_load_vector(mesh, omega[k]), to the bit the rows of the load
+        its reconstruction solved with."""
+        mesh = self.mesh
+        return -(mesh.boundary_vertex_cells
+                 @ (self.omega[k] * mesh.tri_area / 3.0))
+
 
 def run(scenario: Scenario, basis: HarmonicBasis | None = None) -> Trajectory:
     """Integrate a scenario and return its snapshot trajectory."""
@@ -658,9 +682,11 @@ def run(scenario: Scenario, basis: HarmonicBasis | None = None) -> Trajectory:
     bound_hi = float(omega.max(initial=-np.inf))
 
     def assemble(om, circ, t):
-        return hodge.reconstruct_velocity(
-            basis, om, circ, multiplier=scenario.multiplier(t),
-            phi_grad=flux.phi_grad)
+        """The multiplier at t, then the stream function, its harmonic
+        coefficients, the velocity and the edge jumps of (om, circ)."""
+        mult = scenario.multiplier(t)
+        return (mult, *hodge.reconstruct_velocity(
+            basis, om, circ, multiplier=mult, phi_grad=flux.phi_grad))
 
     traj = Trajectory(scenario, basis, flux)
 
@@ -669,14 +695,18 @@ def run(scenario: Scenario, basis: HarmonicBasis | None = None) -> Trajectory:
         traj.omega[k] = omega
         traj.C[k] = C
         traj.B[k] = B
-        traj.psi[k] = asm.psi_total
-        traj.psi_coeffs[k] = asm.psi_coeffs
-        traj.multiplier[k] = asm.multiplier
-        traj.circulations[k] = asm.circulation_consistent
+        traj.psi[k] = psi
+        traj.psi_coeffs[k] = coeffs
+        traj.multiplier[k] = mult
+        # the potential part contributes exactly zero circulation
+        # (telescoping tangential P1 trace), so the stream flux is the
+        # whole consistent circulation
+        traj.circulations[k] = basis.op.boundary_indicator @ \
+            fem.boundary_residual(basis.op, psi, traj.boundary_load(k))
         traj.energy[k] = 0.5 * fem.sq_norm_p0(mesh, u)
         traj.dt[k] = dt_last
 
-    asm, u, jumps = assemble(omega, C, 0.0)
+    mult, psi, coeffs, u, jumps = assemble(omega, C, 0.0)
     save(0, 0.0, 0.0)
     t = 0.0
     rk2 = scenario.scheme == "rk2"
@@ -690,7 +720,7 @@ def run(scenario: Scenario, basis: HarmonicBasis | None = None) -> Trajectory:
                     f"time step collapsed: more than "
                     f"{MAX_STEPS_PER_INTERVAL} steps in one snapshot "
                     f"interval (t = {t:.6g}, dt = {dt:.3e})")
-            f = flux.fluxes(jumps, asm.multiplier)
+            f = flux.fluxes(jumps, mult)
             dt = flux.stable_dt(u, f, scenario.cfl)
             landed = t_next - t <= dt
             dt = min(dt, t_next - t)
@@ -706,8 +736,8 @@ def run(scenario: Scenario, basis: HarmonicBasis | None = None) -> Trajectory:
             if rk2:
                 om1 = omega - dt * div / mesh.tri_area
                 C1 = C - dt * rates[1:]
-                asm1, _, jumps1 = assemble(om1, C1, t1)
-                f2 = flux.fluxes(jumps1, asm1.multiplier)
+                mult1, _, _, _, jumps1 = assemble(om1, C1, t1)
+                f2 = flux.fluxes(jumps1, mult1)
                 div2, rates2 = flux.upwind_rates(om1, f2, traces[1])
                 omega = 0.5 * (omega + om1 - dt * div2 / mesh.tri_area)
                 rate_eff = 0.5 * (rates + rates2)
@@ -730,7 +760,7 @@ def run(scenario: Scenario, basis: HarmonicBasis | None = None) -> Trajectory:
 
             t = t1
             traj.total_steps += 1
-            asm, u, jumps = assemble(omega, C, t)
+            mult, psi, coeffs, u, jumps = assemble(omega, C, t)
 
         save(k, t, dt)
 

@@ -353,6 +353,15 @@ def circulation_trace(mesh: Mesh, u: np.ndarray) -> np.ndarray:
     return out
 
 
+def consistent_circulations(basis: HarmonicBasis, omega: np.ndarray,
+                            psi: np.ndarray) -> np.ndarray:
+    """(ncomp,) consistent circulations of the stream function ``psi``
+    that ``hodge.reconstruct_velocity`` returns for the (T,) vorticity
+    ``omega``: its consistent fluxes paired with the stream load."""
+    return fem.consistent_fluxes(basis.op, psi,
+                                 -fem.p0_load_vector(basis.mesh, omega))
+
+
 def check_elliptic_growth(basis: HarmonicBasis, u: np.ndarray,
                           multiplier: float, omega: np.ndarray,
                           g_edges: dict[int, np.ndarray] | None,

@@ -228,7 +228,7 @@ def test_certify_refine_of_file_omega0_fails_first(tmp_path, capsys,
 
 @pytest.mark.parametrize("case, code, message", [
     ("sign", 3, "precondition"), ("short", 2, "288 cell values"),
-    ("nan", 3, "non-finite"), ("band", 2, "r0 <= r1")],
+    ("nan", 2, "non-finite"), ("band", 2, "r0 <= r1")],
     ids=["sign", "short", "nan", "band"])
 def test_certify_failure_leaves_no_output_directory(tmp_path, capsys, case,
                                                     code, message):
@@ -252,6 +252,31 @@ def test_certify_failure_leaves_no_output_directory(tmp_path, capsys, case,
     rc = main(["certify", str(scenario), "--delta-c0", "1=0.1",
                "-o", str(out)])
     assert rc == code
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, old, new, message", [
+    ("C0", '"C0": {"1": 0.3}', '"C0": {"1": 0.3, "01": 0.7}',
+     "C0: component 1 given twice"),
+    ("omega_in", '"omega_in": {"1": {"type": "constant", "value": 1.0}}',
+     '"omega_in": {"1": {"type": "constant", "value": 1.0}, '
+     '"+1": {"type": "constant", "value": 2.0}}',
+     "omega_in: component 1 given twice"),
+    ("T", '"T": 0.5', '"T": 0.5, "T": 50.0', "key 'T' given twice")],
+    ids=["C0", "omega_in", "T"])
+def test_repeated_scenario_entry_is_usage_error(tmp_path, capsys, key, old,
+                                                new, message):
+    # a second spelling of one component, or a JSON key given twice,
+    # would silently overwrite the first value
+    text = json.dumps(radial_doc())
+    assert old in text
+    scenario = tmp_path / "twice.json"
+    scenario.write_text(text.replace(old, new))
+    out = tmp_path / "cert"
+    rc = main(["certify", str(scenario), "--delta-c0", "1=0.1",
+               "-o", str(out)])
+    assert rc == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
 

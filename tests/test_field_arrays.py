@@ -56,10 +56,12 @@ def test_stream_and_velocity_fields_are_arrays(basis, g_edges):
     flux = transport.flow_setup(basis, g_edges)
     assert_field(flux.phi, (V,))
     assert_field(flux.phi_grad, (T, 2))
-    asm, u, _ = hodge.reconstruct_velocity(
+    psi, coeffs, u, jumps = hodge.reconstruct_velocity(
         basis, omega, np.full(basis.num_inner, 0.2), multiplier=0.5,
         phi_grad=flux.phi_grad)
     assert_field(u, (T, 2))
-    assert_field(hodge.stream_velocity(mesh, asm.psi_total, asm.multiplier,
-                                       flux.phi_grad), (T, 2))
-    assert_field(asm.psi_total, (V,))
+    assert_field(hodge.stream_velocity(mesh, psi, 0.5, flux.phi_grad),
+                 (T, 2))
+    assert_field(psi, (V,))
+    assert_field(coeffs, (basis.num_inner,))
+    assert_field(jumps, (len(mesh.edges),))

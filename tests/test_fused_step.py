@@ -3,7 +3,6 @@ cached operator, and one flow set-up serves every run of a (mesh, g)
 pair.  Both must leave every number of the step unchanged to the bit."""
 
 import math
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -82,7 +81,8 @@ def reference_step(basis, omega, g, C, mult, flux, trace):
     outflux = 0.5 * (abs(D) @ np.abs(f) + D @ f)
     rate = max(math.sqrt(adv2),
                float(np.max(outflux * (1.0 / mesh.tri_area))))
-    return {"u": u, "psi_total": total, "circulation": fluxes_of(total),
+    return {"u": u, "psi_total": total, "coeffs": coeffs,
+            "circulation": fluxes_of(total),
             "jumps": jumps, "f": f, "div": D @ cf, "rates": comp_edges @ cf,
             "dt": 0.4 / rate}
 
@@ -97,21 +97,25 @@ def test_fused_step_is_bit_identical_to_reference(flow):
     C = np.linspace(0.3, -0.2, basis.num_inner)
     mult = 0.9
     flux = transport.flow_setup(basis, g)
-    asm, u, jumps = hodge.reconstruct_velocity(basis, omega, C,
-                                               multiplier=mult,
-                                               phi_grad=flux.phi_grad)
+    psi, coeffs, u, jumps = hodge.reconstruct_velocity(
+        basis, omega, C, multiplier=mult, phi_grad=flux.phi_grad)
     ref = reference_step(basis, omega, g, C, mult, flux, trace)
 
-    f = flux.fluxes(jumps, asm.multiplier)
+    f = flux.fluxes(jumps, mult)
     div, rates = flux.upwind_rates(omega, f, trace)
     assert np.array_equal(u, ref["u"])
     # and so is the velocity a saved snapshot derives on read
     assert np.array_equal(hodge.stream_velocity(
-        mesh, asm.psi_total, asm.multiplier, flux.phi_grad), ref["u"])
-    assert np.array_equal(asm.psi_total, ref["psi_total"])
-    assert np.array_equal(asm.circulation_consistent, ref["circulation"])
+        mesh, psi, mult, flux.phi_grad), ref["u"])
+    assert np.array_equal(psi, ref["psi_total"])
+    assert np.array_equal(coeffs, ref["coeffs"])
+    # and so are the circulations a saved snapshot derives: one boundary
+    # residual of its stream function and its load's boundary rows
+    load_rows = (-fem.p0_load_vector(mesh, omega))[mesh.boundary_nodes]
+    assert np.array_equal(basis.op.boundary_indicator @ fem.boundary_residual(
+        basis.op, psi, load_rows), ref["circulation"])
     # the jumps of the fused product are those of the jump operator alone
-    assert np.array_equal(jumps, mesh.edge_jump_operator @ asm.psi_total)
+    assert np.array_equal(jumps, mesh.edge_jump_operator @ psi)
     assert np.array_equal(jumps, ref["jumps"])
     assert np.array_equal(f, ref["f"])
     assert np.array_equal(div, ref["div"])
@@ -119,9 +123,8 @@ def test_fused_step_is_bit_identical_to_reference(flow):
     assert flux.stable_dt(u, f, 0.4) == ref["dt"]
     # the flux of every component from the boundary rows alone
     load = hodge.greens_operator(basis, omega)[1]
-    assert np.array_equal(
-        fem.consistent_fluxes(basis.op, asm.psi_total, load),
-        ref["circulation"])
+    assert np.array_equal(fem.consistent_fluxes(basis.op, psi, load),
+                          ref["circulation"])
 
 
 def test_stream_operators_are_built_on_first_use():
@@ -134,14 +137,23 @@ def test_stream_operators_are_built_on_first_use():
     assert "stream_operator" not in vars(basis)
     hodge.reconstruct_velocity(basis, np.ones(mesh.num_triangles),
                                np.zeros(1), phi_grad=flux.phi_grad)
+    # the perp-gradient and edge-jump rows only: no boundary rows
     assert basis.stream_operator.shape == (
-        2 * mesh.num_triangles + len(mesh.edges) + len(mesh.boundary_nodes),
-        mesh.num_vertices)
+        2 * mesh.num_triangles + len(mesh.edges), mesh.num_vertices)
 
 
 def test_saved_snapshots_hold_no_jump_buffer(flow_pair):
-    assert {f.name for f in fields(hodge.VelocityAssembly)} == {
-        "psi_coeffs", "psi_total", "multiplier", "circulation_consistent"}
+    # a reconstruction returns plain arrays: the stream function, its
+    # harmonic coefficients, the velocity and the edge jumps
+    traj = flow_pair[0]
+    mesh = traj.mesh
+    out = hodge.reconstruct_velocity(traj.basis, traj.omega[0], traj.C[0],
+                                     multiplier=traj.multiplier[0],
+                                     phi_grad=traj.flux.phi_grad)
+    assert [type(a) for a in out] == [np.ndarray] * 4
+    assert [a.shape for a in out] == [
+        (mesh.num_vertices,), (traj.basis.num_inner,),
+        (mesh.num_triangles, 2), (len(mesh.edges),)]
     rows = {"times", "omega", "C", "B", "psi", "psi_coeffs", "multiplier",
             "circulations", "energy", "dt"}
     for traj in flow_pair:
@@ -150,6 +162,44 @@ def test_saved_snapshots_hold_no_jump_buffer(flow_pair):
         assert set(arrays) == rows
         assert {val.shape[0] for val in arrays.values()} \
             == {len(traj.times)}
+
+
+class CountingMatrix:
+    """A sparse matrix that counts the products taken with it."""
+
+    def __init__(self, matrix):
+        self.matrix, self.products = matrix, 0
+
+    def __matmul__(self, x):
+        self.products += 1
+        return self.matrix @ x
+
+
+@pytest.mark.parametrize("scheme", ["euler", "rk2"])
+def test_run_forms_one_circulation_residual_per_saved_snapshot(
+        tmp_path, monkeypatch, scheme):
+    # a reconstruction forms the residual of its Green fluxes; the
+    # consistent circulations come from one more residual per saved
+    # snapshot, not from a second residual of every reconstruction
+    sc = modulated_band_scenario(tmp_path, nr=4, ntheta=16, scheme=scheme)
+    basis = HarmonicBasis(sc.mesh)
+    indicator = basis.op.__dict__["boundary_indicator"] = CountingMatrix(
+        basis.op.boundary_indicator)
+    counts = {"reconstruct_velocity": 0, "boundary_residual": 0}
+    for mod, name in ((hodge, "reconstruct_velocity"),
+                      (fem, "boundary_residual")):
+        def counted(*args, _real=getattr(mod, name), _name=name,
+                    **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(mod, name, counted)
+    traj = transport.run(sc, basis)
+    per_step = 2 if scheme == "rk2" else 1
+    assert counts["reconstruct_velocity"] \
+        == 1 + per_step * traj.total_steps
+    expected = counts["reconstruct_velocity"] + len(traj.times)
+    assert counts["boundary_residual"] == expected
+    assert indicator.products == expected
 
 
 def test_ladder_does_one_flow_setup(tmp_path, monkeypatch):

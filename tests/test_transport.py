@@ -1,4 +1,5 @@
 import gc
+import json
 import math
 import weakref
 from dataclasses import FrozenInstanceError
@@ -9,7 +10,7 @@ import pytest
 
 from euler_ss import fem, transport
 from euler_ss.certificates import TwinRun
-from euler_ss.errors import PreconditionError, UsageError
+from euler_ss.errors import UsageError
 from euler_ss.hodge import HarmonicBasis
 from euler_ss.mesh import generate_annulus, save_mesh
 
@@ -116,12 +117,13 @@ def test_omega0_file_wrong_count(tmp_path):
         transport.parse_scenario(doc, base_dir=tmp_path)
 
 
-def test_omega0_file_non_finite_is_precondition_error(tmp_path):
+def test_omega0_file_non_finite_is_usage_error(tmp_path):
+    # malformed like a non-finite constant omega0: exit 2, naming the cell
     vals = np.ones(128)
     vals[5] = np.nan
     np.savetxt(tmp_path / "w.txt", vals)
     doc = wall_doc(omega0={"type": "file", "path": "w.txt"})
-    with pytest.raises(PreconditionError, match="non-finite"):
+    with pytest.raises(UsageError, match="non-finite value in cell 5"):
         transport.parse_scenario(doc, base_dir=tmp_path)
 
 
@@ -173,6 +175,37 @@ def test_g_duplicate_component_rejected():
                       {"comp": 1, "type": "constant", "value": -0.4}])
     with pytest.raises(UsageError, match="twice"):
         transport.parse_scenario(doc)
+
+
+@pytest.mark.parametrize("key, entries", [
+    ("g", {"0": {"type": "constant", "value": 0.2},
+           "1": {"type": "constant", "value": -0.4},
+           "+1": {"type": "constant", "value": -0.3}}),
+    ("omega_in", {"1": {"type": "constant", "value": 0.5},
+                  "+1": {"type": "constant", "value": 0.6}}),
+    ("C0", {"1": 0.3, "01": 0.7})], ids=["g", "omega_in", "C0"])
+def test_component_named_twice_rejected(key, entries):
+    # two spellings of one id would silently keep the second value
+    with pytest.raises(UsageError,
+                       match=f"^{key}: component 1 given twice$"):
+        transport.parse_scenario(flow_doc(**{key: entries}))
+
+
+@pytest.mark.parametrize("text, key", [
+    ('"omega0": {"type": "constant", "value": 1.0}, "T": 0.1, "T": 50.0',
+     "'T'"),
+    ('"omega0": {"type": "constant", "value": 1.0, "value": 2.0}, "T": 0.1',
+     "'value'")], ids=["top_level", "nested"])
+def test_json_key_given_twice_rejected(tmp_path, text, key):
+    # json.loads would keep the last value of a repeated key
+    path = tmp_path / "dup.json"
+    path.write_text('{"mesh": {"annulus": {"r0": 1.0, "r1": 2.0, "nr": 4, '
+                    '"ntheta": 16}}, "cfl": 0.4, "snapshots": 3, '
+                    + text + "}")
+    with pytest.raises(UsageError, match=f"{path}: key {key} given twice"):
+        transport.load_scenario(path)
+    path.write_text(json.dumps(wall_doc()))
+    assert transport.load_scenario(path).T == 0.1
 
 
 def test_mesh_bare_string_path(tmp_path):

@@ -2,6 +2,7 @@
 bit-for-bit what the live step used, and that the kernels of a twin
 agree with the per-snapshot formulas."""
 
+import copy
 import tracemalloc
 
 import numpy as np
@@ -44,7 +45,7 @@ def any_pair(request, small_pair, tmp_path_factory):
 
 def live_velocity(traj, k):
     """The velocity the step read at snapshot k, reconstructed again."""
-    _, u, _ = hodge.reconstruct_velocity(
+    _, _, u, _ = hodge.reconstruct_velocity(
         traj.basis, traj.omega[k], traj.C[k],
         multiplier=traj.multiplier[k], phi_grad=traj.flux.phi_grad)
     return u
@@ -85,9 +86,36 @@ def test_snapshots_derive_the_live_step_velocity(any_pair):
             assert twin.dz_u[k - 1] == fem.sq_norm_jump_p0(
                 twin.mesh, live[0][k - 1] - live[1][k - 1], u_d)
         load1, load2 = (live_load(traj, k)[bn] for traj in any_pair)
-        got1, got_d = twin._stream_loads(k)
+        got1, got2 = (traj.boundary_load(k) for traj in any_pair)
         assert np.array_equal(got1, load1)
-        assert np.array_equal(got_d, load1 - load2)
+        assert np.array_equal(got1 - got2, load1 - load2)
+
+
+def test_boundary_load_is_the_rows_of_the_stream_load(any_pair):
+    # the boundary rows of the load each reconstruction solved with,
+    # formed from the saved vorticity alone
+    for traj in any_pair:
+        mesh = traj.mesh
+        for k in range(len(traj.times)):
+            load = -fem.p0_load_vector(mesh, traj.omega[k])
+            assert np.array_equal(traj.boundary_load(k),
+                                  load[mesh.boundary_nodes])
+
+
+def test_saved_circulations_are_the_consistent_fluxes_of_the_row(any_pair):
+    # one boundary residual of the saved stream function and the
+    # boundary rows of its load give the consistent fluxes of the full
+    # residual, to the bit
+    for traj in any_pair:
+        mesh, op = traj.mesh, traj.basis.op
+        for k in range(len(traj.times)):
+            full = fem.consistent_fluxes(
+                op, traj.psi[k], -fem.p0_load_vector(mesh, traj.omega[k]))
+            assert np.array_equal(traj.circulations[k], full)
+            assert np.array_equal(
+                traj.circulations[k],
+                op.boundary_indicator @ fem.boundary_residual(
+                    op, traj.psi[k], traj.boundary_load(k)))
 
 
 class StoredDifferenceTwin(TwinRun):
@@ -95,25 +123,27 @@ class StoredDifferenceTwin(TwinRun):
     reconstructions of every snapshot, and feeds those stored fields
     through the same kernels in place of the fields the twin forms on
     read: the reference the derived-on-read twin must match bit for
-    bit."""
+    bit.  The stored loads stand in for each run's ``boundary_load`` on
+    a shallow copy of the run, so the shared trajectories are left as
+    they are."""
 
     def __init__(self, traj1, traj2):
-        self.u_hat, self.u_d, self.loads = [], [], []
+        self.u_hat, self.u_d = [], []
         bn = traj1.mesh.boundary_nodes
+        copies = []
+        for traj in (traj1, traj2):
+            loads = [live_load(traj, k)[bn] for k in range(len(traj.times))]
+            traj = copy.copy(traj)
+            traj.boundary_load = loads.__getitem__
+            copies.append(traj)
         for k in range(len(traj1.times)):
-            load1 = live_load(traj1, k)
-            load2 = live_load(traj2, k)
             u1 = live_velocity(traj1, k)
             self.u_hat.append(u1)
             self.u_d.append(u1 - live_velocity(traj2, k))
-            self.loads.append((load1[bn], (load1 - load2)[bn]))
-        super().__init__(traj1, traj2)
+        super().__init__(*copies)
 
     def _velocities(self, k):
         return self.u_hat[k], self.u_d[k]
-
-    def _stream_loads(self, k):
-        return self.loads[k]
 
 
 def test_twin_matches_the_stored_difference_reference(small_pair):
