@@ -125,6 +125,12 @@ class HarmonicBasis:
         return sp.vstack([mesh.perp_gradient_operator,
                           mesh.edge_jump_operator], format="csr")
 
+    @cached_property
+    def green_trace(self) -> dict[int, float]:
+        """The zero Dirichlet trace {component id: 0.0} of every Green
+        solve, built on first use."""
+        return {c.comp: 0.0 for c in self.mesh.components}
+
 
 def greens_operator(basis: HarmonicBasis, omega: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray]:
@@ -134,9 +140,9 @@ def greens_operator(basis: HarmonicBasis, omega: np.ndarray
     whole boundary; ``load`` is the right-hand side for flux pairings.
     Every call reuses the operator's cached all-boundary factor.
     """
-    load = -fem.p0_load_vector(basis.mesh, omega)
-    bc = {c.comp: 0.0 for c in basis.mesh.components}
-    return fem.solve_dirichlet(basis.op, load, bc), load
+    load = fem.p0_load_vector(basis.mesh, omega)
+    np.negative(load, out=load)
+    return fem.solve_dirichlet(basis.op, load, basis.green_trace), load
 
 
 def stream_velocity(mesh: Mesh, psi: np.ndarray, multiplier,
@@ -191,5 +197,5 @@ def reconstruct_velocity(basis: HarmonicBasis, omega: np.ndarray,
     # the perp-gradient rows are those of ``stream_velocity``
     u = stream[:nu].reshape(-1, 2)
     if phi_grad is not None:
-        u = u + multiplier * phi_grad
+        u += multiplier * phi_grad
     return psi, coeffs, u, stream[nu:]

@@ -199,6 +199,27 @@ def test_solve_constrained_free_rows(annulus, stiffness):
     assert np.abs(res[free]).max() < 1e-8 * scale
 
 
+def test_solve_constrained_rejects_a_node_pinned_twice(stiffness):
+    # two values for one node are a usage error, not the last one kept
+    load = np.zeros(stiffness.mesh.num_vertices)
+    with pytest.raises(UsageError, match="node 16 is named more than once"):
+        fem.solve_constrained(stiffness, load, [3, 16, 16],
+                              [0.0, 0.0, 5.0])
+
+
+def test_solve_constrained_rejects_a_negative_node(stiffness):
+    # -1 must not wrap around to the last vertex
+    load = np.zeros(stiffness.mesh.num_vertices)
+    with pytest.raises(UsageError, match="pinned node -1 is not a vertex"):
+        fem.solve_constrained(stiffness, load, [-1, 3], [1.0, 0.0])
+
+
+def test_solve_constrained_rejects_a_node_past_the_mesh(stiffness):
+    V = stiffness.mesh.num_vertices
+    with pytest.raises(UsageError, match=f"pinned node {V} is not a vertex"):
+        fem.solve_constrained(stiffness, np.zeros(V), [3, V], [0.0, 1.0])
+
+
 def test_gradients_exact_for_linear_fields(annulus):
     v = annulus.vertices
     f = 2.0 + 3.0 * v[:, 0] - 1.5 * v[:, 1]
@@ -349,6 +370,29 @@ def test_singular_system_is_solver_error():
     L = sp.csr_matrix(np.kron(np.eye(2), pair))
     with pytest.raises(SolverError, match="singular"):
         fem.solve_mean_zero(L, np.array([1.0, -1.0, 0.0, 0.0]))
+
+
+def test_asymmetric_system_is_solver_error(annulus, stiffness):
+    # every solve reads its factor transposed, which answers A x = b only
+    # for a symmetric A: one entry a rounding step off its mirror is
+    # refused before a factor is made
+    V = annulus.num_vertices
+    pinned = annulus.boundary_nodes
+    free = np.ones(V, dtype=bool)
+    free[pinned] = False
+    A = stiffness.matrix.tocoo()
+    k = np.flatnonzero((A.row != A.col) & free[A.row] & free[A.col])[0]
+    data = A.data.copy()
+    data[k] = np.nextafter(data[k], np.inf)
+    bad = sp.csr_matrix((data, (A.row, A.col)), shape=A.shape)
+    factors = {}
+    with pytest.raises(SolverError, match="not symmetric"):
+        fem._pinned_solve(bad, np.ones(V), pinned, np.zeros(V), factors)
+    assert not factors
+    # the same call on the matrix itself solves
+    x = fem._pinned_solve(stiffness.matrix, np.ones(V), pinned,
+                          np.zeros(V), factors)
+    assert len(factors) == 1 and np.isfinite(x).all()
 
 
 def test_boundary_load_sums_to_length(annulus):

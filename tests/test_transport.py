@@ -423,8 +423,8 @@ class WeakFactor:
     def __init__(self, lu):
         self.lu = lu
 
-    def solve(self, rhs):
-        return self.lu.solve(rhs)
+    def solve(self, rhs, **kwargs):
+        return self.lu.solve(rhs, **kwargs)
 
 
 def through_flow_scenario(kind, tmp_path):
@@ -462,6 +462,35 @@ def test_single_use_factors_are_released(kind, tmp_path, monkeypatch):
     green, neumann, graph, aux = [ref() for _, ref in factors]
     assert neumann is None and graph is None
     assert [lu for lu, _ in basis.op.factors.values()] == [green, aux]
+
+
+@pytest.mark.parametrize("kind", ["annulus", "two_holes"])
+def test_every_factored_system_is_exactly_symmetric(kind, tmp_path,
+                                                    monkeypatch):
+    # every pinned solve reads its factor transposed, which answers
+    # A x = b because each reduced matrix equals its transpose
+    factored = []
+    real = fem.spla.splu
+
+    def recorded(*args, **kwargs):
+        factored.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fem.spla, "splu", recorded)
+    sc = through_flow_scenario(kind, tmp_path)
+    mesh = sc.mesh
+    basis = HarmonicBasis(mesh)
+    TwinRun(transport.run(sc, basis),
+            transport.run(sc.perturbed(C0={1: 0.1}), basis))
+    pinned_aux = mesh.nodes_of(
+        [c.comp for c in mesh.components if c.role != "inflow"])
+    # Green (all boundary pinned), Neumann, cell graph, auxiliary
+    V = mesh.num_vertices
+    assert [R.shape for R in factored] == [
+        (n, n) for n in (V - len(mesh.boundary_nodes), V - 1,
+                         mesh.num_triangles - 1, V - len(pinned_aux))]
+    for R in factored:
+        assert (R != R.T).nnz == 0
 
 
 def cached_solve_mean_zero(A, load, factors):
