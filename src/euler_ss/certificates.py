@@ -16,8 +16,9 @@ Identity residuals are quadrature errors and must shrink under space-time
 refinement; inequality rows must hold with a single empirical constant per
 family, fitted by the interval rule of the Osgood ladder
 (``osgood.smallest_constant`` over ``osgood.interval_trapezoid``).  The
-inflow-data integrand and the ledger's data term read one (N, ncomp)
-difference of ``Scenario.inflow_trace``.  Boundary integrands of a
+inflow-data integrand and the twin's data term, which the ledger and the
+ladder both read, read one (N, ncomp) difference of
+``Scenario.inflow_trace``.  Boundary integrands of a
 difference state use the tangentially projected one-sided trace: the twins
 share g, so the normal trace of the difference vanishes identically and
 the tangential sample is the whole trace.
@@ -88,7 +89,10 @@ class TwinRun:
     velocity and ``z_v`` of the auxiliary field, with their (N - 1,)
     jumps ``dz_u`` and ``dz_v`` between consecutive snapshots, each
     formed directly by ``fem.sq_norm_jump_p0``: every balance and growth
-    row reads those jumps, never a difference of two norms.  The
+    row reads those jumps, never a difference of two norms.  The norms
+    are formed at construction, in the pass that solves the auxiliary
+    potentials, as is the (N - 1,) squared data size ``data2`` of each
+    interval that the growth ledger and the Osgood ladder both read.  The
     difference fields are formed from the rows of the two trajectories
     when they are needed (``traj.psi[k]``, ``traj.omega[k]``,
     ``traj.velocity(k)``, ``traj.boundary_load(k)``), one snapshot at a
@@ -117,48 +121,35 @@ class TwinRun:
         self.trace_d = traj1.scenario.inflow_trace(self.times) \
             - traj2.scenario.inflow_trace(self.times)
         self.C_d = traj1.C - traj2.C
-        # (z_u, dz_u), built on first read
-        self._u_norms: tuple[np.ndarray, np.ndarray] | None = None
         self.mult = traj1.multiplier
 
         mesh, n = self.mesh, len(self.times)
         # column-major: each snapshot's potential is one contiguous column
         self.phi = np.empty((mesh.num_vertices, n), order="F")
         self.D = np.empty((len(mesh.components), n))
+        self.z_u, self.dz_u = np.empty(n), np.empty(n - 1)
         self.z_v, self.dz_v = np.empty(n), np.empty(n - 1)
-        v = None
+        u = v = None
         for k in range(n):
             phi, self.D[:, k] = zaremba.solve_auxiliary(
                 self.basis, traj1.psi[k] - traj2.psi[k],
                 traj1.omega[k] - traj2.omega[k])
             self.phi[:, k] = phi
-            v, prev = hodge.stream_velocity(mesh, phi, None, None), v
-            _store_norm(mesh, self.z_v, self.dz_v, k, v, prev)
+            u, prev_u = self._velocities(k)[1], u
+            _store_norm(mesh, self.z_u, self.dz_u, k, u, prev_u)
+            v, prev_v = hodge.stream_velocity(mesh, phi, None, None), v
+            _store_norm(mesh, self.z_v, self.dz_v, k, v, prev_v)
 
-    @property
-    def z_u(self) -> np.ndarray:
-        """Squared L2 norms of the difference velocity, per snapshot."""
-        return self._velocity_norms()[0]
-
-    @property
-    def dz_u(self) -> np.ndarray:
-        """Jumps of ``z_u`` over the snapshot intervals."""
-        return self._velocity_norms()[1]
-
-    def _velocity_norms(self) -> tuple[np.ndarray, np.ndarray]:
-        """``z_u`` and ``dz_u``, built on first read: by the integrands
-        pass when that comes first (the identities and the ledger run it
-        before they read the norms), else by a velocity pass of their
-        own.  Both passes store them with ``_store_norm``, so their bits do
-        not depend on which pass built them."""
-        if self._u_norms is None:
-            n = len(self.times)
-            z_u, dz_u, u_d = np.empty(n), np.empty(n - 1), None
-            for k in range(n):
-                u_d, prev = self._velocities(k)[1], u_d
-                _store_norm(self.mesh, z_u, dz_u, k, u_d, prev)
-            self._u_norms = z_u, dz_u
-        return self._u_norms
+        # squared data size per interval: the larger end value of |C_d|^2
+        # plus, per flowing inflow component, that of its trace difference
+        c2 = (self.C_d ** 2).sum(axis=1)
+        data2 = np.maximum(c2[:-1], c2[1:])
+        om_in2 = np.zeros(n - 1)
+        for comp, _ in self._flow_components():
+            if comp.role == "inflow":
+                o2 = self.trace_d[:, comp.comp] ** 2
+                om_in2 += np.maximum(o2[:-1], o2[1:])
+        self.data2 = data2 + om_in2
 
     # -- fields of snapshot k, formed on read ---------------------------
 
@@ -182,8 +173,8 @@ class TwinRun:
     def _integrands(self) -> dict[str, dict[str, np.ndarray]]:
         """Per-snapshot integrands of the energy and auxiliary identities,
         keyed like the pieces those identities return.  Built on first use
-        in one pass over the snapshots, with the norms ``z_u`` and jumps
-        ``dz_u`` of the same velocities when those are not built yet.
+        in one pass over the snapshots; a twin whose identities are never
+        read (a ladder rung) takes no velocity gradient.
 
         Volume terms read the velocities, the reference velocity gradient
         and the auxiliary field of one snapshot (``_volume_terms``).
@@ -196,8 +187,7 @@ class TwinRun:
         """
         mesh, op = self.mesh, self.basis.op
         n = len(self.times)
-        cols, z_u, dz_u = np.empty((8, n)), np.empty(n), np.empty(n - 1)
-        u_d = None
+        cols = np.empty((8, n))
         res = np.empty((3, len(mesh.boundary_nodes), n))
         for k in range(n):
             psi1, phi = self.traj1.psi[k], self.phi[:, k]
@@ -207,16 +197,12 @@ class TwinRun:
                 load1 - self.traj2.boundary_load(k))
             res[1, :, k] = fem.boundary_residual(op, psi1, load1)
             res[2, :, k] = op.boundary_rows @ phi
-            prev = u_d
             u_hat, u_d = self._velocities(k)
-            _store_norm(mesh, z_u, dz_u, k, u_d, prev)
             cols[[1, 5, 6], k] = _volume_terms(
                 mesh.tri_area, u_d,
                 hodge.stream_velocity(mesh, phi, None, None),
                 fem.velocity_gradient(mesh, u_hat), self.traj1.omega[k])
         cols[[0, 2, 3, 4, 7]] = self._boundary_terms(*res)
-        if self._u_norms is None:
-            self._u_norms = z_u, dz_u
         return {"energy": dict(zip(("boundary", "convective"), cols[:2])),
                 "aux": dict(zip(("inflow_energy", "outflow_cross",
                                  "inflow_cross", "convective", "vortical",
@@ -375,23 +361,15 @@ class TwinRun:
                           <= C ( int (z + p z^{1-1/p}) + data^2 dt )
 
         z = z_u + z_v; the jumps [.] read ``dz_u`` and ``dz_v``; data^2 is
-        the squared circulation-difference size plus the squared
-        inflow-trace difference, taken as a sup over the interval.  Flags
+        the twin's ``data2``: the squared circulation-difference size plus
+        the squared inflow-trace difference, each the larger of its two
+        end values on the interval.  Flags
         list rows exceeding 1.01 * C * rhs (empty by construction of C).
         """
         ints = self._integrands
         times, zu = self.times, self.z_u
         z = zu + self.z_v
         dt = np.diff(times)
-
-        c2 = (self.C_d ** 2).sum(axis=1)
-        data2 = np.maximum(c2[:-1], c2[1:])
-        om_in2 = np.zeros(len(dt))
-        for comp, _ in self._flow_components():
-            if comp.role == "inflow":
-                o2 = self.trace_d[:, comp.comp] ** 2
-                om_in2 += np.maximum(o2[:-1], o2[1:])
-        data2 = data2 + om_in2
 
         lhs = np.column_stack([
             0.5 * self.dz_u
@@ -404,7 +382,7 @@ class TwinRun:
             for p in P_GRID])
         rhs_a = np.column_stack([
             interval_trapezoid(times, z + p * z ** (1.0 - 1.0 / p))
-            + data2 * dt for p in P_GRID])
+            + self.data2 * dt for p in P_GRID])
 
         c_energy = smallest_constant(lhs[:, :1], rhs_e)
         c_aux = smallest_constant(lhs[:, 1:], rhs_a)

@@ -332,16 +332,23 @@ def solve_constrained(op: StiffnessOperator, load: np.ndarray,
     auxiliary-function machinery, where only some components are pinned).
 
     Each pinned node is a vertex id in [0, V), named once; a repeated,
-    negative or out-of-range id is a UsageError.  A sorted set (such as
-    ``Mesh.nodes_of`` gives) is used as it is."""
+    non-integer, negative or out-of-range id is a UsageError.  A sorted
+    set (such as ``Mesh.nodes_of`` gives) is used as it is."""
     load = np.asarray(load, dtype=np.float64)
-    nodes = np.asarray(pinned_nodes, dtype=np.int64)
+    nodes = np.asarray(pinned_nodes)
     values = np.asarray(pinned_values, dtype=np.float64)
+    if nodes.dtype.kind not in "iu":
+        nodes = nodes.astype(np.float64)
+        bad = nodes[~np.isfinite(nodes) | (nodes != np.floor(nodes))]
+        if bad.size:
+            raise UsageError(f"pinned node {float(bad[0])!r} is not an "
+                             "integer vertex id")
     nv = op.mesh.num_vertices
     bad = nodes[(nodes < 0) | (nodes >= nv)]
     if bad.size:
         raise UsageError(f"pinned node {int(bad[0])} is not a vertex id "
                          f"in [0, {nv})")
+    nodes = nodes.astype(np.int64, copy=False)
     pinned = nodes
     if np.any(nodes[1:] <= nodes[:-1]):
         pinned = np.sort(nodes)

@@ -94,10 +94,11 @@ def smallest_constant(lhs: np.ndarray, rhs: np.ndarray) -> float:
 
 
 def calibrate_constant(times: np.ndarray, y: np.ndarray, dy: np.ndarray,
-                       data2: float) -> float:
+                       data2) -> float:
     """Smallest C with  [y]_k <= C ( int_k y (1 + |log y|) + data2 dt )
     on every snapshot interval (trapezoid quadrature), where ``dy`` holds
-    the jumps [y]_k."""
+    the jumps [y]_k and ``data2`` the squared data size, one number or
+    one per interval (a twin's ``data2``)."""
     rhs = interval_trapezoid(times, mu(y)) + data2 * np.diff(times)
     return smallest_constant(dy, rhs)
 
@@ -108,7 +109,10 @@ def stability_experiment(base_scenario, deltas, comp: list | None = None
     non-empty list ``comp`` (None: the first inner component) by each
     delta, rerun, and measure the Osgood-type response of the twin energy
     y(t) = running max of z = |u|_2^2 + |v|_2^2, formed as z(0) plus the
-    running max of the summed jumps of z (the twin's ``dz_u + dz_v``):
+    running max of the summed jumps of z (the twin's ``dz_u + dz_v``).
+    Each rung's constant is calibrated against the twin's data term
+    ``data2`` and its forcing is a = C_hat max(data2), so the ladder and
+    the growth ledger read one data term:
 
       * every rung obeys its own calibrated closed-form bound,
       * the final amplitudes are ordered with delta,
@@ -134,7 +138,7 @@ def stability_experiment(base_scenario, deltas, comp: list | None = None
     comps = sorted(int(c) for c in comp)
     if not comps:
         raise UsageError("stability experiment needs an inner component")
-    # the data term counts each perturbed component once
+    # a component named twice is a malformed request, not a larger shift
     if len(set(comps)) != len(comps):
         raise UsageError(f"components must be distinct, got {comps}")
 
@@ -158,9 +162,8 @@ def stability_experiment(base_scenario, deltas, comp: list | None = None
         rise = np.maximum.accumulate(
             np.concatenate(([0.0], np.cumsum(tw.dz_u + tw.dz_v))))
         y = (tw.z_u[0] + tw.z_v[0]) + rise
-        data2 = len(comps) * delta * delta
-        c_hat = calibrate_constant(times, y, np.diff(rise), data2)
-        a = c_hat * data2
+        c_hat = calibrate_constant(times, y, np.diff(rise), tw.data2)
+        a = c_hat * float(tw.data2.max())
         bound = osgood_bound(float(y[0]), a, c_hat, times)
         margin = float(np.min(bound - y))
         ok = bool(np.all(y <= bound * (1 + 1e-9) + 1e-300))

@@ -61,7 +61,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -257,7 +257,9 @@ def _omega0(spec: dict, base_dir: Path, num_cells: int) -> Omega0:
 class Scenario:
     """A parsed simulation setup (``parse_scenario``).  It is immutable:
     ``perturbed`` and ``refined`` return ``dataclasses.replace`` copies,
-    which share every value they do not change."""
+    which share every value they do not change.  A perturbed copy holds
+    its shifted values, so whatever reads its omega0 or omega_in reads
+    the perturbation."""
 
     mesh: Mesh
     annulus: tuple | None          # generate_annulus arguments, or None
@@ -270,9 +272,6 @@ class Scenario:
     omega0: Omega0
     omega_in: dict[int, Profile]   # per inflow component, in time
     C0: dict[int, float]
-    # additive shifts of a perturbed copy (see ``perturbed``)
-    omega0_shift: float = 0.0
-    omega_in_shift: dict[int, float] = field(default_factory=dict)
 
     def refined(self, factor: int = 2) -> "Scenario":
         """The same scenario on a mesh refined by ``factor`` (a power of 2).
@@ -340,19 +339,19 @@ class Scenario:
         t = np.asarray(t, dtype=np.float64)
         out = np.zeros(t.shape + (len(self.mesh.components),))
         for cid, prof in self.omega_in.items():
-            out[..., cid] = prof(t) + self.omega_in_shift.get(cid, 0.0)
+            out[..., cid] = prof(t)
         return out
 
     def initial_omega(self) -> np.ndarray:
         mesh, w = self.mesh, self.omega0
         if w.cells is not None:
-            return w.cells + self.omega0_shift
+            return w.cells.copy()
         vals = np.full(mesh.num_triangles, w.background)
         if w.band is not None:
             r0, r1, value = w.band
             r = np.linalg.norm(mesh.centroid, axis=1)
             vals[(r >= r0) & (r <= r1)] = value
-        return vals + self.omega0_shift
+        return vals
 
     def initial_C(self) -> np.ndarray:
         return np.array([self.C0.get(c.comp, 0.0)
@@ -360,8 +359,9 @@ class Scenario:
 
     def perturbed(self, **delta) -> "Scenario":
         """Copy with additive perturbations: C0={comp: dC}, omega0=dw
-        (constant shift), omega_in={comp: dw}.  The shifts are stored as
-        numbers, which ``initial_omega`` and ``inflow_trace`` add.  A
+        (constant shift), omega_in={comp: dw}.  The copy holds the
+        shifted values: dw is added to omega0's background, band value
+        and cells, and to the samples of each shifted omega_in table.  A
         C0 shift names an inner component, an omega_in shift an inflow
         component; any other id, and any shift that is not a finite
         number, is a usage error."""
@@ -372,18 +372,25 @@ class Scenario:
                 raise UsageError(f"C0: component {cid} is not an inner "
                                  "component")
             C0[cid] = C0.get(cid, 0.0) + _number(dv, f"C0[{cid}] shift")
-        omega0_shift = self.omega0_shift
+        w = self.omega0
         if "omega0" in delta:
-            omega0_shift += _number(delta["omega0"], "omega0 shift")
-        omega_in_shift = dict(self.omega_in_shift)
+            dw = _number(delta["omega0"], "omega0 shift")
+            band, cells = w.band, w.cells
+            if band is not None:
+                band = (band[0], band[1], band[2] + dw)
+            if cells is not None:
+                cells = cells + dw
+                cells.setflags(write=False)
+            w = Omega0(w.background + dw, band, cells)
+        omega_in = dict(self.omega_in)
         for cid, dv in delta.get("omega_in", {}).items():
             if cid not in self.omega_in:
                 raise UsageError(f"omega_in: component {cid} is not an "
                                  "inflow component")
-            omega_in_shift[cid] = omega_in_shift.get(cid, 0.0) \
-                + _number(dv, f"omega_in[{cid}] shift")
-        return replace(self, C0=C0, omega0_shift=omega0_shift,
-                       omega_in_shift=omega_in_shift)
+            prof = omega_in[cid]
+            omega_in[cid] = Profile(prof.x, prof.y + _number(
+                dv, f"omega_in[{cid}] shift"), prof.periodic)
+        return replace(self, C0=C0, omega0=w, omega_in=omega_in)
 
 
 def parse_scenario(doc: dict, base_dir: Path | str = ".") -> Scenario:

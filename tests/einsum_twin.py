@@ -60,7 +60,7 @@ class EinsumTwin(TwinRun):
             z_u[k] = float(np.einsum("td,td,t->", ud, ud, area))
             self.z_v[k] = float(np.einsum("td,td,t->", vv, vv, area))
         self.coeff_d, self.C_d = np.array(coeff_d), np.array(C_d)
-        self._u_norms = z_u, self._jumps(self._u_d)
+        self.z_u, self.dz_u = z_u, self._jumps(self._u_d)
         self.dz_v = self._jumps(self._v)
 
     def _jumps(self, field) -> np.ndarray:

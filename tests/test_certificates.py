@@ -122,6 +122,38 @@ def test_inequality_ledger_structure(flow_twin):
             "lhs_aux", "rhs_aux"} <= set(row)
 
 
+def test_data_term_is_the_squared_shift(flow_scenario, flow_pair):
+    # on the 6x24 flow annulus, shifting C0 of the inflow hole keeps the
+    # circulation difference: the data term is len(comps) delta^2 on
+    # every interval
+    base, pert = flow_pair
+    tw = TwinRun(base, pert)
+    assert tw.data2.shape == (len(tw.times) - 1,)
+    assert np.abs(tw.data2 - 0.1 ** 2).max() <= 1e-12 * 0.1 ** 2
+    # an omega_in shift adds delta^2 to the larger end value of |C_d|^2,
+    # which grows as the shifted vorticity enters through the hole
+    inflow = TwinRun(base, transport.run(
+        flow_scenario.perturbed(omega_in={1: 0.05}), base.basis))
+    c2 = (inflow.C_d ** 2).sum(axis=1)
+    assert c2[0] == 0.0 and np.all(np.diff(c2) > 0.0)
+    want = c2[1:] + 0.05 ** 2
+    assert np.abs(inflow.data2 - want).max() <= 1e-12 * want.max()
+
+
+def test_ledger_reads_the_twin_data_term(flow_pair):
+    # the aux rows add data2 dt to what the norms give
+    tw = TwinRun(*flow_pair)
+    rows = tw.inequality_ledger()["rows"]
+    data2, tw.data2 = tw.data2, np.zeros_like(tw.data2)
+    bare = tw.inequality_ledger()["rows"]
+    dt = np.diff(tw.times)
+    for row, row0 in zip(rows, bare):
+        k = row["interval"]
+        added = row["rhs_aux"] - row0["rhs_aux"]
+        assert added == pytest.approx(data2[k] * dt[k], rel=1e-12)
+        assert row["rhs_energy"] == row0["rhs_energy"]
+
+
 def test_integrands_take_one_velocity_gradient_per_block(flow_pair,
                                                          monkeypatch):
     # both identities, each read twice, and the ledger share one

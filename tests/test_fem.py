@@ -214,6 +214,21 @@ def test_solve_constrained_rejects_a_negative_node(stiffness):
         fem.solve_constrained(stiffness, load, [-1, 3], [1.0, 0.0])
 
 
+def test_solve_constrained_rejects_a_non_integer_node(stiffness):
+    # 16.7 must not be truncated to vertex 16; an integral float is an id
+    V = stiffness.mesh.num_vertices
+    with pytest.raises(UsageError, match="pinned node 16.7 is not an integ"):
+        fem.solve_constrained(stiffness, np.zeros(V), [0, 1, 16.7],
+                              [1.0, 1.0, 5.0])
+    with pytest.raises(UsageError, match="pinned node nan is not an integ"):
+        fem.solve_constrained(stiffness, np.zeros(V), [0.0, np.nan],
+                              [1.0, 0.0])
+    x = fem.solve_constrained(stiffness, np.zeros(V), [0.0, 1.0, 16.0],
+                              [1.0, 1.0, 5.0])
+    assert np.array_equal(x, fem.solve_constrained(
+        stiffness, np.zeros(V), [0, 1, 16], [1.0, 1.0, 5.0]))
+
+
 def test_solve_constrained_rejects_a_node_past_the_mesh(stiffness):
     V = stiffness.mesh.num_vertices
     with pytest.raises(UsageError, match=f"pinned node {V} is not a vertex"):

@@ -293,6 +293,29 @@ def test_ladder_factors_each_system_once(tmp_path, monkeypatch):
     assert len(calls) == 4
 
 
+def test_ladder_reads_the_twin_data_term(tmp_path, monkeypatch):
+    # each rung is calibrated against its twin's data2, the array the
+    # growth ledger reads, and its forcing is a = C_hat max(data2)
+    from euler_ss import certificates
+    twins = []
+
+    class Recorded(certificates.TwinRun):
+        def __init__(self, *args):
+            super().__init__(*args)
+            twins.append(self)
+
+    monkeypatch.setattr(certificates, "TwinRun", Recorded)
+    sc = modulated_band_scenario(tmp_path, nr=4, ntheta=16)
+    rep = stability_experiment(sc, [1e-2, 1e-1])
+    assert len(twins) == len(rep.rungs) == 2
+    for r, tw in zip(rep.rungs, twins):
+        assert r.a > 0.0
+        assert r.a == r.C_hat * tw.data2.max()
+        rise = r.y_series - r.y_series[0]
+        assert r.C_hat == pytest.approx(calibrate_constant(
+            tw.times, r.y_series, np.diff(rise), tw.data2), rel=1e-12)
+
+
 def test_stability_rejects_negative_delta(tmp_path):
     sc = modulated_band_scenario(tmp_path)
     with pytest.raises(UsageError, match="delta"):
@@ -321,8 +344,8 @@ def test_stability_rejects_empty_component_list(tmp_path):
 
 
 def test_stability_rejects_repeated_components(tmp_path):
-    # [1, 1] perturbs component 1 once: a data term of 2 delta^2 would
-    # count it twice
+    # [1, 1] names component 1 twice: a malformed request, not a larger
+    # shift
     sc = modulated_band_scenario(tmp_path, nr=4, ntheta=16)
     with pytest.raises(UsageError, match="distinct"):
         stability_experiment(sc, [1e-2], comp=[1, 1])

@@ -2,7 +2,7 @@ import gc
 import json
 import math
 import weakref
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,7 +10,7 @@ import pytest
 
 from euler_ss import fem, transport
 from euler_ss.certificates import TwinRun
-from euler_ss.errors import UsageError
+from euler_ss.errors import PreconditionError, UsageError
 from euler_ss.hodge import HarmonicBasis
 from euler_ss.mesh import generate_annulus, save_mesh
 
@@ -252,6 +252,44 @@ def test_perturbed_shifts_omega0_and_omega_in():
     assert twice.inflow_trace(0.0)[1] == pytest.approx(0.5)
     with pytest.raises(UsageError, match="not an inflow"):
         sc.perturbed(omega_in={0: 0.1})
+
+
+def test_perturbed_scenario_holds_its_values(tmp_path):
+    # a perturbed copy keeps no shift for its readers to add: its omega0
+    # and omega_in hold the shifted values
+    assert not [f.name for f in fields(transport.Scenario)
+                if "shift" in f.name]
+    doc = flow_doc(omega_in={1: {"type": "tabulated", "times": [0.0, 1.0],
+                                 "values": [0.5, 1.5]}})
+    sc = transport.parse_scenario(doc)
+    prof = sc.perturbed(omega_in={1: 0.25}).omega_in[1]
+    assert np.array_equal(prof.x, sc.omega_in[1].x)
+    assert np.array_equal(prof.y, [0.75, 1.75])
+    assert prof(0.5) == pytest.approx(1.25)
+    band = transport.parse_scenario(wall_doc(
+        omega0={"type": "annular_band", "r0": 1.25, "r1": 1.75,
+                "value": 1.0, "background": -1.0})).perturbed(omega0=0.5)
+    assert band.omega0.background == -0.5 and band.omega0.band[2] == 1.5
+    # file cells stay read-only; initial_omega is a fresh, writable copy
+    np.savetxt(tmp_path / "w.txt", np.arange(128.0))
+    on_file = transport.parse_scenario(
+        wall_doc(omega0={"type": "file", "path": "w.txt"}),
+        base_dir=tmp_path).perturbed(omega0=0.5)
+    assert not on_file.omega0.cells.flags.writeable
+    w = on_file.initial_omega()
+    assert w.flags.writeable
+    assert not np.shares_memory(w, on_file.omega0.cells)
+    assert np.array_equal(w, np.arange(128.0) + 0.5)
+
+
+@pytest.mark.parametrize("omega0", [
+    {"type": "constant", "value": 1e308},
+    {"type": "annular_band", "r0": 1.25, "r1": 1.75, "value": 1e308}])
+def test_overflowing_omega0_shift_stops_before_any_step(omega0):
+    # the shifted value is inf: the run's finiteness check stops it
+    sc = transport.parse_scenario(wall_doc(omega0=omega0))
+    with pytest.raises(PreconditionError, match="non-finite"):
+        transport.run(sc.perturbed(omega0=1.7e308))
 
 
 def test_inflow_trace_is_one_array_of_components():

@@ -212,9 +212,9 @@ def test_block_kernels_match_the_per_snapshot_formulas(small_pair):
 
 
 def test_norms_read_alone_build_no_integrands(any_pair, monkeypatch):
-    # the stability ladder reads only the norms and their jumps: they take
-    # no velocity gradient, and their bits do not depend on which pass,
-    # the norm pass or the integrands pass, built them
+    # the stability ladder reads only the norms and their jumps: they are
+    # formed at construction and take no velocity gradient, and reading
+    # the identities afterwards leaves their bits as they were
     calls = []
     real = fem.velocity_gradient
 

@@ -149,10 +149,13 @@ def test_twin_blocks_match_the_per_snapshot_formulas(tmp_path, mesh):
 
 def test_ladder_perturbs_both_holes(tmp_path, mesh, capsys):
     # both inner circulations shifted by each delta: every rung is live,
-    # obeys its bound, and the response is linear in delta
+    # obeys its bound, and the response is linear in delta; the data term
+    # counts both shifts, a = C_hat * 2 delta^2
     sc = flow_scenario(tmp_path, mesh)
     rep = stability_experiment(sc, [1e-3, 1e-2, 1e-1], comp=[1, 2])
     assert [r.failed for r in rep.rungs] == [None] * 3
+    for r in rep.rungs:
+        assert r.a == pytest.approx(r.C_hat * 2 * r.delta ** 2, rel=1e-12)
     assert all(r.bound_ok for r in rep.rungs)
     assert rep.monotone
     assert abs(rep.beta - 1.0) <= 5e-2
