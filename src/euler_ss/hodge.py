@@ -75,7 +75,7 @@ def validate_sign_condition(mesh: Mesh, g_edges: dict[int, np.ndarray]
             kind = "wall data must vanish"
         if bad.size:
             e = int(bad[0])
-            x, y = comp.midpoint[e]
+            x, y = mesh.vertices[comp.edges[e]].mean(axis=0)
             raise PreconditionError(
                 f"sign condition violated on component {comp.comp} "
                 f"({comp.role}): {kind}, but edge {e} at "

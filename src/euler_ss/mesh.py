@@ -45,7 +45,10 @@ ROLES = ("wall", "inflow", "outflow")
 
 @dataclass
 class BoundaryComponent:
-    """One closed boundary loop with its directed edge data."""
+    """One closed boundary loop: the ids of its edges in the mesh-wide edge
+    table, in loop order, and the table's rows at those ids.  A boundary
+    edge occurs in the table once, directed with the fluid on its left, so
+    each row is the loop's own directed edge."""
 
     comp: int
     role: str
@@ -53,8 +56,6 @@ class BoundaryComponent:
     tri: np.ndarray          # (E,) adjacent triangle per edge
     edge_ids: np.ndarray     # (E,) indices into the mesh-wide edge table
     length: np.ndarray       # (E,) edge lengths
-    midpoint: np.ndarray     # (E, 2)
-    tangent: np.ndarray      # (E, 2) unit, fluid on the left
     normal: np.ndarray       # (E, 2) unit, out of the fluid
 
     @property
@@ -171,30 +172,29 @@ class Mesh:
         self.interior_edge = self.edge_right >= 0
 
     def _build_components(self, bedges: np.ndarray, roles: dict) -> None:
-        boundary_ids = np.nonzero(~self.interior_edge)[0]
-        derived = {}
-        for e in boundary_ids:
-            a, b = (int(x) for x in self.edges[e])
-            derived[(a, b)] = int(e)
+        """Each component: the ids of its boundary edges, in either
+        direction in the file, walked as a loop from the first one declared
+        (the arclength origin of tabulated g), and the edge table's rows at
+        those ids."""
+        boundary = np.flatnonzero(~self.interior_edge).tolist()
+        edge_of = {(a, b): e for (a, b), e
+                   in zip(self.edges[boundary].tolist(), boundary)}
 
-        comp_of = {}
+        comp_of = {}    # boundary edge id -> component, in file order
         bedges = bedges.reshape(-1, 3)
-        if len(bedges) == 0 and derived:
+        if len(bedges) == 0 and edge_of:
             raise UsageError("mesh has boundary edges but none were declared")
         for i, j, c in bedges.tolist():
-            i, j, c = int(i), int(j), int(c)
-            if (i, j) in derived:
-                pair = (i, j)
-            elif (j, i) in derived:
-                pair = (j, i)   # accept either order, store fluid-left
-            else:
+            # accept either order; the edge table holds the fluid-left one
+            pair = (i, j) if (i, j) in edge_of else (j, i)
+            e = edge_of.get(pair)
+            if e is None:
                 raise UsageError(f"orphan boundary edge ({i}, {j})")
-            if pair in comp_of:
+            if e in comp_of:
                 raise UsageError(f"boundary edge {pair} declared twice")
-            comp_of[pair] = c
-        missing = set(derived) - set(comp_of)
-        if missing:
-            pair = sorted(missing)[0]
+            comp_of[e] = c
+        if len(comp_of) < len(edge_of):
+            pair = min(p for p, e in edge_of.items() if e not in comp_of)
             raise UsageError(f"undeclared boundary edge {pair}")
 
         comp_ids = sorted(set(comp_of.values()))
@@ -215,40 +215,29 @@ class Mesh:
 
         self.components: list[BoundaryComponent] = []
         for c in comp_ids:
-            pairs = [p for p, cc in comp_of.items() if cc == c]
-            succ = {}
-            for a, b in pairs:
+            ids = [e for e, cc in comp_of.items() if cc == c]
+            heads, tails = self.edges[ids].T.tolist()
+            succ = {}       # vertex -> (edge id, next vertex)
+            for a, b, e in zip(heads, tails, ids):
                 if a in succ:
                     raise UsageError(
                         f"open boundary loop, component {c} "
                         f"(vertex {a} has two outgoing edges)")
-                succ[a] = b
-            start = pairs[0][0]
+                succ[a] = (e, b)
             loop = []
-            node = start
-            for _ in range(len(pairs)):
+            node = heads[0]
+            for _ in ids:
                 if node not in succ:
                     raise UsageError(f"open boundary loop, component {c}")
-                nxt = succ.pop(node)
-                loop.append((node, nxt))
-                node = nxt
-            if node != start or succ:
+                e, node = succ.pop(node)
+                loop.append(e)
+            if node != heads[0]:
                 raise UsageError(f"open boundary loop, component {c}")
-            edges = np.asarray(loop, dtype=np.int64)
-            ids = np.asarray([derived[(int(a), int(b))] for a, b in loop],
-                             dtype=np.int64)
-            vec = self.vertices[edges[:, 1]] - self.vertices[edges[:, 0]]
-            length = np.linalg.norm(vec, axis=1)
-            tangent = vec / length[:, None]
-            normal = np.empty_like(tangent)
-            normal[:, 0] = tangent[:, 1]
-            normal[:, 1] = -tangent[:, 0]
+            ids = np.asarray(loop, dtype=np.int64)
             self.components.append(BoundaryComponent(
-                comp=c, role=roles[c], edges=edges, tri=self.edge_left[ids],
-                edge_ids=ids, length=length,
-                midpoint=0.5 * (self.vertices[edges[:, 0]]
-                                + self.vertices[edges[:, 1]]),
-                tangent=tangent, normal=normal))
+                comp=c, role=roles[c], edges=self.edges[ids],
+                tri=self.edge_left[ids], edge_ids=ids,
+                length=self.edge_length[ids], normal=self.edge_normal[ids]))
 
         # node sets are built once: every pinned solve asks for them
         self._component_nodes = [_read_only(np.unique(c.nodes))

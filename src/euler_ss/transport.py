@@ -379,7 +379,8 @@ class Scenario:
             if band is not None:
                 band = (band[0], band[1], band[2] + dw)
             if cells is not None:
-                cells = cells + dw
+                with np.errstate(over="ignore"):    # inf: run rejects it
+                    cells = cells + dw
                 cells.setflags(write=False)
             w = Omega0(w.background + dw, band, cells)
         omega_in = dict(self.omega_in)
@@ -579,16 +580,17 @@ class FluxAssembler:
         time d / |u| across the incircle diameter d, and the time
         area / outflux in which the positive outflux empties the cell.
         Infinite when nothing moves; a SolverError when a rate overflows
-        float64."""
+        float64 or is NaN."""
         with np.errstate(over="ignore"):
             sq = u * u
             adv2 = float(np.max((sq[:, 0] + sq[:, 1]) * self.inv_d2))
             outflux2 = self.abs_D @ np.abs(f) + self.D @ f
-            rate = max(math.sqrt(adv2),
-                       float(np.max(outflux2 * self.half_inv_area)))
-        if rate == math.inf:
+            rates = (math.sqrt(adv2),
+                     float(np.max(outflux2 * self.half_inv_area)))
+        if not all(r < math.inf for r in rates):    # inf or NaN
             raise SolverError("velocity overflow: the CFL rate of the flow "
                               "exceeds the float64 range")
+        rate = max(rates)
         return cfl / rate if rate > 0 else math.inf
 
     def vorticity_flux(self, omega: np.ndarray, f: np.ndarray,
@@ -681,6 +683,12 @@ def run(scenario: Scenario, basis: HarmonicBasis | None = None) -> Trajectory:
     if np.any(~np.isfinite(omega)):
         raise PreconditionError("initial vorticity contains non-finite "
                                 "values")
+    # a finite field whose mass overflows would make every row NaN
+    with np.errstate(over="ignore"):
+        mass = float(np.abs(omega) @ mesh.tri_area)
+    if not math.isfinite(mass):
+        raise SolverError("vorticity overflow: the vorticity mass of "
+                          "omega0 exceeds the float64 range")
     C = scenario.initial_C()
     B = np.zeros(len(mesh.components))
     inflow = np.array([c.role == "inflow" for c in mesh.components], bool)

@@ -348,7 +348,7 @@ def circulation_trace(mesh: Mesh, u: np.ndarray) -> np.ndarray:
     quadrature of the tangential velocity (first order)."""
     out = np.empty(len(mesh.components))
     for comp in mesh.components:
-        ut = np.einsum("ed,ed->e", u[comp.tri], comp.tangent)
+        ut = np.einsum("ed,ed->e", u[comp.tri], fem.rot90(comp.normal))
         out[comp.comp] = float(ut @ comp.length)
     return out
 

@@ -174,6 +174,22 @@ def test_simulate_velocity_overflow_is_solver_error(tmp_path, capsys,
     assert "velocity overflow" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [1e308, 5e307])
+def test_simulate_vorticity_mass_overflow_is_solver_error(tmp_path, capsys,
+                                                          value):
+    # each value is finite, its mass over the annulus is not: the run
+    # stops before the first stream function turns every row into NaN
+    doc = {"mesh": {"annulus": {"r0": 1, "r1": 2, "nr": 4, "ntheta": 16}},
+           "omega0": {"type": "constant", "value": value},
+           "T": 0.5, "cfl": 0.4, "snapshots": 4}
+    scenario = tmp_path / "huge.json"
+    scenario.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    assert main(["simulate", str(scenario), "-o", str(out)]) == 4
+    assert "vorticity overflow" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- certify ------------------------------------------------------------
 
 

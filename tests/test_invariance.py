@@ -13,6 +13,10 @@ from euler_ss import transport
 from euler_ss.mesh import Mesh, generate_annulus, save_mesh
 
 RTOL = 1e-13
+CONSTANT_G = {"type": "constant", "value": 0.25}
+# periodic in arclength with mean 0.25: it balances the inner loop's g as
+# the constant does, but reads where the outer loop starts
+TABULATED_G = {"type": "tabulated", "s": [0.0, 0.5], "values": [0.2, 0.3]}
 
 
 def declared_edges(mesh: Mesh) -> np.ndarray:
@@ -50,14 +54,16 @@ def loops_started_later(mesh: Mesh, omega: np.ndarray, by: int = 5):
     return Mesh(mesh.vertices, mesh.triangles, bedges, mesh.roles()), omega
 
 
-def run_on(tmp_path, name: str, mesh: Mesh, omega: np.ndarray):
-    """A run of the flow scenario on ``mesh``, saved and read back."""
+def run_on(tmp_path, name: str, mesh: Mesh, omega: np.ndarray,
+           g0: dict = CONSTANT_G):
+    """A run of the flow scenario on ``mesh``, saved and read back, with
+    ``g0`` the g of the outer loop."""
     save_mesh(mesh, tmp_path / f"{name}.mesh")
     np.savetxt(tmp_path / f"{name}.txt", omega)
     doc = {"mesh": f"{name}.mesh",
            "omega0": {"type": "file", "path": f"{name}.txt"},
            "C0": {"1": 0.3},
-           "g": {"0": {"type": "constant", "value": 0.25},
+           "g": {"0": g0,
                  "1": {"type": "constant", "value": -0.5}},
            "omega_in": {"1": {"type": "constant", "value": 0.8}},
            "T": 0.5, "cfl": 0.4, "snapshots": 4}
@@ -102,3 +108,25 @@ def test_run_ignores_where_each_loop_is_declared_to_start(base):
     assert all(int(c.edges[0, 0]) != int(d.edges[0, 0])
                for c, d in zip(moved.components, mesh.components))
     assert_same_run(run_on(tmp, "later", moved, omega), want)
+
+
+@pytest.fixture(scope="module")
+def base_tabulated(base):
+    """The run of ``base`` with the tabulated g on the outer loop."""
+    tmp, mesh, omega, _ = base
+    return run_on(tmp, "base_tabulated", mesh, omega, TABULATED_G)
+
+
+@pytest.mark.parametrize("angle", [0.0, np.pi / 6])
+def test_run_with_tabulated_g_ignores_the_numbering_and_a_rigid_turn(
+        base, base_tabulated, angle):
+    # the loops keep their declared order, so the arclength origin of g
+    # stays at the same vertex
+    tmp, mesh, omega, _ = base
+    g = base_tabulated.scenario.g_edges()[0]
+    assert g.max() - g.min() > 0.09
+    rng = np.random.default_rng(11)
+    name = f"renumbered_tabulated_{round(np.degrees(angle))}"
+    got = run_on(tmp, name, *renumbered(mesh, omega, rng, angle),
+                 TABULATED_G)
+    assert_same_run(got, base_tabulated)

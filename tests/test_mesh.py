@@ -1,12 +1,15 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from euler_ss import mesh as mesh_module
 from euler_ss.errors import UsageError
-from euler_ss.mesh import (Mesh, generate_annulus, load_mesh, save_mesh,
-                           uniform_refine)
+from euler_ss.mesh import (BoundaryComponent, Mesh, generate_annulus,
+                           load_mesh, save_mesh, uniform_refine)
+
+from test_two_holes import two_hole_mesh
 
 
 def test_annulus_counts():
@@ -64,15 +67,108 @@ def test_boundary_orientation_fluid_left():
     # outer loop counterclockwise, inner loop clockwise; outward normals
     m = generate_annulus(1.0, 2.0, 2, 16)
     for c in m.components:
-        mid, nrm = c.midpoint, c.normal
-        sign = np.einsum("ed,ed->e", mid, nrm)
+        p, q = m.vertices[c.edges[:, 0]], m.vertices[c.edges[:, 1]]
+        mid, tangent = 0.5 * (p + q), q - p
+        sign = np.einsum("ed,ed->e", mid, c.normal)
         if c.comp == 0:
             assert np.all(sign > 0)
         else:
             assert np.all(sign < 0)
-        cross = (c.midpoint[:, 0] * c.tangent[:, 1]
-                 - c.midpoint[:, 1] * c.tangent[:, 0])
+        cross = mid[:, 0] * tangent[:, 1] - mid[:, 1] * tangent[:, 0]
         assert np.all(cross > 0) if c.comp == 0 else np.all(cross < 0)
+
+
+def declared(m: Mesh) -> list[list[int]]:
+    """Rows [a, b, comp] in the order ``save_mesh`` writes them."""
+    return [[a, b, c.comp] for c in m.components for a, b in c.edges.tolist()]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: generate_annulus(1.0, 2.0, 3, 12), two_hole_mesh],
+    ids=["annulus", "two_holes"])
+def test_component_is_its_edge_table_rows(build):
+    m = build()
+    assert [f.name for f in fields(BoundaryComponent)] == \
+        ["comp", "role", "edges", "tri", "edge_ids", "length", "normal"]
+    for c in m.components:
+        for got, table in ((c.edges, m.edges), (c.tri, m.edge_left),
+                           (c.length, m.edge_length),
+                           (c.normal, m.edge_normal)):
+            assert np.array_equal(got, table[c.edge_ids])
+        # the rows are the loop's own geometry, to the last bit
+        vec = m.vertices[c.edges[:, 1]] - m.vertices[c.edges[:, 0]]
+        length = np.linalg.norm(vec, axis=1)
+        tangent = vec / length[:, None]
+        assert np.array_equal(c.length, length)
+        assert np.array_equal(c.normal[:, 0], tangent[:, 1])
+        assert np.array_equal(c.normal[:, 1], -tangent[:, 0])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: generate_annulus(1.0, 2.0, 3, 12), two_hole_mesh],
+    ids=["annulus", "two_holes"])
+def test_loop_order_does_not_depend_on_the_declaration_order(build):
+    # each loop declared from its fourth edge: that line stays first, the
+    # others follow shuffled, the loops interleaved, and about half of the
+    # lines (one first line among them) written as ``j i``
+    m = build()
+    rng = np.random.default_rng(5)
+    loops = [np.roll(np.column_stack([c.edges, np.full(len(c.edges), c.comp)]),
+                     -3, axis=0).tolist() for c in m.components]
+    rest = [row for rows in loops for row in rows[1:]]
+    rest = [rest[i] for i in rng.permutation(len(rest))]
+    for row in rest:
+        if rng.random() < 0.5:
+            row[:2] = row[1::-1]
+    first = [rows[0] for rows in loops]
+    first[-1][:2] = first[-1][1::-1]
+    got = Mesh(m.vertices, m.triangles, np.array(first + rest), m.roles())
+    for c, d in zip(got.components, m.components):
+        assert np.array_equal(c.edge_ids, np.roll(d.edge_ids, -3))
+        assert np.array_equal(c.edges, np.roll(d.edges, -3, axis=0))
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda rows: [], "mesh has boundary edges but none were declared"),
+    # the first of two orphans is named
+    (lambda rows: rows[:3] + [[0, 20, 0]] + rows[4:10] + [[1, 21, 1]]
+     + rows[11:], "orphan boundary edge (0, 20)"),
+    # named in its fluid-left order
+    (lambda rows: rows[:5] + [[17, 16, 0]] + rows[6:],
+     "boundary edge (16, 17) declared twice"),
+    # the smallest of the undeclared fluid-left pairs
+    (lambda rows: rows[:2] + rows[3:9] + rows[11:],
+     "undeclared boundary edge (0, 7)"),
+    # the walk from 16 runs out at 20, which is no head of component 0
+    (lambda rows: rows[:4] + [r[:2] + [2] for r in rows[4:8]] + rows[8:],
+     "open boundary loop, component 0"),
+    # the walk from 16 covers every edge and ends at 18, not 16
+    (lambda rows: rows[:2] + [r[:2] + [2] for r in rows[2:8]] + rows[8:],
+     "open boundary loop, component 0"),
+])
+def test_each_declaration_error_names_its_first_offender(edit, message):
+    m = generate_annulus(1.0, 2.0, 2, 8)
+    # rows 0-7 are (16 + j, 16 + (j + 1) % 8, 0); rows 8-15 are
+    # (1, 0, 1), (0, 7, 1), (7, 6, 1), ..., (2, 1, 1)
+    rows = edit(declared(m))
+    roles = {c: "wall" for c in {0, 1} | {r[2] for r in rows}}
+    with pytest.raises(UsageError) as exc:
+        Mesh(m.vertices, m.triangles, np.array(rows, dtype=np.int64), roles)
+    assert str(exc.value) == message
+
+
+def test_pinched_loop_has_two_outgoing_edges():
+    # two triangles that share only vertex 0, one loop declared: no
+    # annulus declaration gives a loop vertex two outgoing edges
+    vertices = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [-1.0, 0.0],
+                [-1.0, -1.0]]
+    bedges = [[0, 1, 0], [1, 2, 0], [2, 0, 0], [0, 3, 0], [3, 4, 0],
+              [4, 0, 0]]
+    with pytest.raises(UsageError) as exc:
+        Mesh(vertices, [[0, 1, 2], [0, 3, 4]], np.array(bedges),
+             {0: "wall"})
+    assert str(exc.value) == ("open boundary loop, component 0 (vertex 0 "
+                              "has two outgoing edges)")
 
 
 def test_edge_table_consistency():

@@ -10,7 +10,7 @@ import pytest
 
 from euler_ss import fem, transport
 from euler_ss.certificates import TwinRun
-from euler_ss.errors import PreconditionError, UsageError
+from euler_ss.errors import PreconditionError, SolverError, UsageError
 from euler_ss.hodge import HarmonicBasis
 from euler_ss.mesh import generate_annulus, save_mesh
 
@@ -284,10 +284,12 @@ def test_perturbed_scenario_holds_its_values(tmp_path):
 
 @pytest.mark.parametrize("omega0", [
     {"type": "constant", "value": 1e308},
-    {"type": "annular_band", "r0": 1.25, "r1": 1.75, "value": 1e308}])
-def test_overflowing_omega0_shift_stops_before_any_step(omega0):
+    {"type": "annular_band", "r0": 1.25, "r1": 1.75, "value": 1e308},
+    {"type": "file", "path": "w.txt"}])
+def test_overflowing_omega0_shift_stops_before_any_step(tmp_path, omega0):
     # the shifted value is inf: the run's finiteness check stops it
-    sc = transport.parse_scenario(wall_doc(omega0=omega0))
+    np.savetxt(tmp_path / "w.txt", np.full(128, 1e308))
+    sc = transport.parse_scenario(wall_doc(omega0=omega0), base_dir=tmp_path)
     with pytest.raises(PreconditionError, match="non-finite"):
         transport.run(sc.perturbed(omega0=1.7e308))
 
@@ -424,6 +426,18 @@ def test_stable_dt_matches_norm_formula(flow_pair):
             pytest.approx(0.4 * min(adv, pos), rel=1e-14)
     still = np.zeros((mesh.num_triangles, 2))
     assert flux.stable_dt(still, np.zeros(len(mesh.edges)), 0.4) == math.inf
+
+
+def test_stable_dt_rejects_a_nan_velocity(flow_pair):
+    # max(nan, x) is nan, which compares neither equal to inf nor above 0:
+    # it must not read as a flow in which nothing moves
+    traj, _ = flow_pair
+    u = traj.velocity(0).copy()
+    u[3, 1] = np.nan
+    f = traj.flux.fluxes(traj.mesh.edge_jump_operator @ traj.psi[0],
+                         traj.multiplier[0])
+    with pytest.raises(SolverError, match="velocity overflow"):
+        traj.flux.stable_dt(u, f, 0.4)
 
 
 def test_flow_setup_factors_single_use_systems_once_per_g(monkeypatch):
