@@ -163,8 +163,8 @@ class TwinRun:
 
     def _flow_components(self):
         for comp in self.mesh.components:
-            g = self.traj1.flux.g_edges.get(comp.comp)
-            if g is not None and np.any(g != 0.0):
+            g = self.traj1.flux.g_edges[comp.edge_ids]
+            if np.any(g != 0.0):
                 yield comp, g
 
     # -- identities -----------------------------------------------------

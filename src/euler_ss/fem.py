@@ -18,7 +18,8 @@ on the same factor SuperLU's transposed triangular solves take about 0.7
 of the time of the plain ones.  A factor is only made once its reduced
 matrix is checked to equal its transpose entry for entry.  Dirichlet data
 is one dict {component id: constant} (``solve_dirichlet``,
-``solve_mixed``).  The factor of a pinned set that
+``solve_mixed``), Neumann data one (E,) array over ``Mesh.edges``
+(``edge_data``).  The factor of a pinned set that
 serves many solves is cached on the ``StiffnessOperator``: the
 all-boundary set of the basis and of every step's Green solve, and the
 auxiliary set of every twin snapshot, so those cost one factorization
@@ -162,22 +163,26 @@ def p0_load_vector(mesh: Mesh, cell_values: np.ndarray) -> np.ndarray:
     return mesh.vertex_cells @ weighted
 
 
-def boundary_load_vector(mesh: Mesh, comp_data: dict[int, np.ndarray]
-                         ) -> np.ndarray:
-    """Nodal load b_a = integral_Gamma(q * lambda_a) from per-edge midpoint
-    values of q on the named components (trapezoid, exact for P1 traces)."""
-    b = np.zeros(mesh.num_vertices)
-    for cid, q in comp_data.items():
-        comp = mesh.component(cid)
-        q = np.asarray(q, dtype=np.float64)
-        if q.shape != comp.length.shape:
-            raise UsageError(
-                f"component {cid}: expected {len(comp.length)} edge values, "
-                f"got shape {q.shape}")
-        w = 0.5 * q * comp.length
-        b += np.bincount(comp.edges.T.ravel(), weights=np.tile(w, 2),
-                         minlength=mesh.num_vertices)
-    return b
+def edge_data(mesh: Mesh, q) -> np.ndarray:
+    """``q`` as float64 data on ``Mesh.edges``, a component's values the
+    slice at its ``edge_ids``; a shape other than (E,) is a UsageError."""
+    q = np.asarray(q)
+    if q.shape != (len(mesh.edges),):
+        raise UsageError(f"boundary data: expected {len(mesh.edges)} edge "
+                         f"values, got shape {q.shape}")
+    return q.astype(np.float64, copy=False)
+
+
+def boundary_load_vector(mesh: Mesh, q) -> np.ndarray:
+    """Nodal load b_a = integral_Gamma(q * lambda_a) from midpoint values
+    q on the boundary edges (trapezoid, exact for P1 traces)."""
+    q = edge_data(mesh, q)
+    bd = np.flatnonzero(~mesh.interior_edge)
+    w = 0.5 * q[bd] * mesh.edge_length[bd]
+    # every boundary vertex heads one boundary edge and tails one, so
+    # each sums 0 + w_head + w_tail
+    return np.bincount(mesh.edges[bd].T.ravel(), weights=np.tile(w, 2),
+                       minlength=mesh.num_vertices)
 
 
 # -- pinned solves ------------------------------------------------------
@@ -281,47 +286,40 @@ def solve_dirichlet(op: StiffnessOperator, load: np.ndarray,
     return _pinned_solve(op.matrix, load, nodes, x, op.factors)
 
 
-def solve_neumann(op: StiffnessOperator, g_edges: dict[int, np.ndarray]
-                  ) -> np.ndarray:
+def solve_neumann(op: StiffnessOperator, g) -> np.ndarray:
     """Solve the pure Neumann problem integral(grad u . grad chi) =
     integral_Gamma(g chi) with the mean-zero gauge.
 
-    ``g_edges`` maps component id to per-edge midpoint values of the normal
-    derivative (outward normal).  The data must be compatible: the total
-    boundary integral of g vanishes up to 1e-10 * |Gamma| * max|g|.
+    ``g`` holds midpoint values of the normal derivative (outward normal)
+    on the boundary edges of ``Mesh.edges``.  The data must be compatible:
+    the total boundary integral of g vanishes up to 1e-10 * |Gamma| * max|g|.
     """
     mesh = op.mesh
-    total = 0.0
-    scale = 0.0
-    length = 0.0
-    for cid, q in g_edges.items():
-        comp = mesh.component(cid)
-        q = np.asarray(q, dtype=np.float64)
-        total += float(q @ comp.length)
-        scale = max(scale, float(np.abs(q).max(initial=0.0)))
-        length += comp.total_length
-    for comp in mesh.components:
-        length += 0.0 if comp.comp in g_edges else comp.total_length
-    if abs(total) > 1e-10 * max(length * scale, 1e-300):
+    bd = np.flatnonzero(~mesh.interior_edge)
+    q, length = edge_data(mesh, g)[bd], mesh.edge_length[bd]
+    total = float(q @ length)
+    bound = float(length.sum()) * float(np.abs(q).max(initial=0.0))
+    if abs(total) > 1e-10 * max(bound, 1e-300):
         raise PreconditionError(
             f"incompatible Neumann data: net boundary flux {total:.6e} "
-            f"exceeds 1e-10 * {length * scale:.6e}")
-    b = boundary_load_vector(mesh, g_edges)
-    return solve_mean_zero(op.matrix, b)
+            f"exceeds 1e-10 * {bound:.6e}")
+    return solve_mean_zero(op.matrix, boundary_load_vector(mesh, g))
 
 
 def solve_mixed(op: StiffnessOperator, dirichlet: dict[int, float],
-                neumann: dict[int, np.ndarray]) -> np.ndarray:
+                neumann) -> np.ndarray:
     """Zaremba problem: constants pinned on the Dirichlet components,
-    per-edge normal-derivative data on the Neumann components."""
+    normal-derivative edge data on the others (non-zero on a Dirichlet
+    component is a UsageError)."""
     mesh = op.mesh
     nodes, x = _dirichlet_trace(mesh, dirichlet)
-    overlap = set(dirichlet) & set(neumann)
-    if overlap:
-        raise UsageError(f"components {sorted(overlap)} listed as both "
-                         "Dirichlet and Neumann")
-    load = boundary_load_vector(mesh, neumann) if neumann else \
-        np.zeros(mesh.num_vertices)
+    neumann = edge_data(mesh, neumann)
+    both = [cid for cid in dirichlet
+            if np.any(neumann[mesh.component(cid).edge_ids] != 0.0)]
+    if both:
+        raise UsageError(f"components {both} carry both Dirichlet and "
+                         "non-zero Neumann data")
+    load = boundary_load_vector(mesh, neumann)
     return _pinned_solve(op.matrix, load, nodes, x, op.factors)
 
 

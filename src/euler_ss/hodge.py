@@ -35,9 +35,9 @@ rows of its load (``traj.boundary_load(k)``).  The through-flow, g with
 phi_g and its gradient at unit multiplier, is owned by
 ``transport.FluxAssembler``, one per g cached on the basis.
 
-The boundary data g must satisfy the sign condition: g <= 0 on inflow
-components, g >= 0 on outflow components, g = 0 on walls.  Violations are
-hard errors naming the offending edge.
+The boundary data g, one (E,) array over ``Mesh.edges``, must satisfy the
+sign condition: g <= 0 on inflow components, g >= 0 on outflow components,
+g = 0 on walls.  Violations are hard errors naming the offending edge.
 """
 
 from __future__ import annotations
@@ -54,24 +54,21 @@ from .mesh import Mesh
 SIGN_TOL = 1e-12
 
 
-def validate_sign_condition(mesh: Mesh, g_edges: dict[int, np.ndarray]
-                            ) -> None:
-    """Enforce the sign condition on per-edge boundary data (tolerance
-    1e-12 relative to the largest |g|, at every data scale)."""
-    scale = max((float(np.abs(np.asarray(g)).max(initial=0.0))
-                 for g in g_edges.values()), default=0.0)
-    tol = SIGN_TOL * scale
+def validate_sign_condition(mesh: Mesh, g: np.ndarray) -> None:
+    """Enforce the sign condition on (E,) edge data, per component at its
+    ``edge_ids`` (tolerance 1e-12 relative to the largest |g|)."""
+    g = fem.edge_data(mesh, g)
+    tol = SIGN_TOL * float(np.abs(g).max(initial=0.0))
     for comp in mesh.components:
-        g = np.asarray(g_edges.get(comp.comp, np.zeros(len(comp.length))),
-                       dtype=np.float64)
+        loop = g[comp.edge_ids]
         if comp.role == "inflow":
-            bad = np.nonzero(g > tol)[0]
+            bad = np.nonzero(loop > tol)[0]
             kind = "inflow data must satisfy g <= 0"
         elif comp.role == "outflow":
-            bad = np.nonzero(g < -tol)[0]
+            bad = np.nonzero(loop < -tol)[0]
             kind = "outflow data must satisfy g >= 0"
         else:
-            bad = np.nonzero(np.abs(g) > tol)[0]
+            bad = np.nonzero(np.abs(loop) > tol)[0]
             kind = "wall data must vanish"
         if bad.size:
             e = int(bad[0])
@@ -79,7 +76,7 @@ def validate_sign_condition(mesh: Mesh, g_edges: dict[int, np.ndarray]
             raise PreconditionError(
                 f"sign condition violated on component {comp.comp} "
                 f"({comp.role}): {kind}, but edge {e} at "
-                f"({x:.6g}, {y:.6g}) carries g = {g[e]:.6e}")
+                f"({x:.6g}, {y:.6g}) carries g = {loop[e]:.6e}")
 
 
 class HarmonicBasis:
@@ -107,8 +104,8 @@ class HarmonicBasis:
             self.flux_rows[:, j] = fem.consistent_fluxes(self.op, f)
         self.M = self.flux_rows[self.inner, :].copy() if m \
             else np.zeros((0, 0))
-        # ``transport.FluxAssembler`` per g (``transport.flow_setup``)
-        self.flows: dict[tuple, object] = {}
+        # ``transport.FluxAssembler`` per g's bytes (``transport.flow_setup``)
+        self.flows: dict[bytes, object] = {}
 
     @property
     def num_inner(self) -> int:

@@ -28,10 +28,10 @@ The rotational part is the edge-jump product that
 velocity, and the cell and component sums of the upwind flux are one
 product with D stacked over the component x edge indicator.
 
-The through-flow of a g (the sign check, the Neumann potential, its
-gradient and the equilibrated fluxes) has one owner, ``FluxAssembler``.
-``flow_setup`` caches one per g on the harmonic basis, so the twin and
-ladder runs on one basis pay for it once.
+The through-flow of a g, one (E,) array over ``Mesh.edges`` (the sign
+check, the Neumann potential, its gradient and the equilibrated fluxes)
+has one owner, ``FluxAssembler``.  ``flow_setup`` caches one per g on the
+harmonic basis, so the twin and ladder runs on one basis pay for it once.
 
 The entering vorticity is one array over the boundary components,
 ``Scenario.inflow_trace``: the upwind kernels read it as one ghost cell
@@ -309,9 +309,7 @@ class Scenario:
         if self.snapshots != other.snapshots:
             return (f"snapshot counts ({self.snapshots} and "
                     f"{other.snapshots})")
-        g1, g2 = self.g_edges(), other.g_edges()
-        if g1.keys() != g2.keys() \
-                or not all(np.array_equal(g1[c], g2[c]) for c in g1):
+        if not np.array_equal(self.g_edges(), other.g_edges()):
             return "boundary data g"
         if not np.array_equal(self.g_multiplier(self.snapshot_times),
                               other.g_multiplier(other.snapshot_times)):
@@ -320,14 +318,16 @@ class Scenario:
 
     # -- data on a mesh -------------------------------------------------
 
-    def g_edges(self) -> dict[int, np.ndarray]:
-        """Per-edge boundary data at unit multiplier."""
-        out = {}
+    def g_edges(self) -> np.ndarray:
+        """The (E,) boundary data over ``Mesh.edges`` at unit multiplier:
+        each flow component's profile at its edge midpoints, in loop order
+        at its ``edge_ids``, and zero on interior and wall edges."""
+        out = np.zeros(len(self.mesh.edges))
         for cid, prof in self.g.items():
             comp = self.mesh.component(cid)
             s = (np.cumsum(comp.length) - 0.5 * comp.length) \
                 / comp.total_length
-            out[cid] = np.asarray(prof(s), dtype=np.float64)
+            out[comp.edge_ids] = prof(s)
         return out
 
     def multiplier(self, t: float) -> float:
@@ -388,9 +388,9 @@ class Scenario:
             if cid not in self.omega_in:
                 raise UsageError(f"omega_in: component {cid} is not an "
                                  "inflow component")
-            prof = omega_in[cid]
-            omega_in[cid] = Profile(prof.x, prof.y + _number(
-                dv, f"omega_in[{cid}] shift"), prof.periodic)
+            prof, dv = omega_in[cid], _number(dv, f"omega_in[{cid}] shift")
+            with np.errstate(over="ignore"):    # inf: run rejects it
+                omega_in[cid] = Profile(prof.x, prof.y + dv, prof.periodic)
         return replace(self, C0=C0, omega0=w, omega_in=omega_in)
 
 
@@ -502,20 +502,20 @@ def load_scenario(path) -> Scenario:
 
 
 class FluxAssembler:
-    """The through-flow of one g on one basis and the edge fluxes of its
-    runs: g checked against the sign condition, its unit-multiplier
+    """The through-flow of one (E,) g on one basis and the edge fluxes of
+    its runs: g checked against the sign condition, its unit-multiplier
     Neumann potential ``phi`` and ``phi_grad`` (None when nothing flows),
     and the equilibrated fluxes ``pot``.  Every cell and component sum is
     an incidence product; the Neumann and cell-graph factors are released
     after their one solve."""
 
-    def __init__(self, basis: HarmonicBasis, g_edges: dict[int, np.ndarray]):
+    def __init__(self, basis: HarmonicBasis, g_edges: np.ndarray):
         mesh = basis.mesh
         self.mesh = mesh
         self.g_edges = g_edges
         self.phi: np.ndarray | None = None
         self.phi_grad: np.ndarray | None = None
-        if any(np.any(g != 0.0) for g in g_edges.values()):
+        if np.any(g_edges != 0.0):
             hodge.validate_sign_condition(mesh, g_edges)
             self.phi = fem.solve_neumann(basis.op, g_edges)
             self.phi_grad = fem.gradient(mesh, self.phi)
@@ -540,11 +540,8 @@ class FluxAssembler:
             shape=(len(mesh.components), len(mesh.edges)))
         self.rate_rows = sp.vstack([self.D, comp_edges], format="csr")
         # through-flow fluxes at unit multiplier: exactly g * length on the
-        # boundary, equilibrated potential fluxes inside
-        self.pot = np.zeros(len(mesh.edges))
-        for c in mesh.components:
-            if c.comp in g_edges:
-                self.pot[c.edge_ids] = np.asarray(g_edges[c.comp]) * c.length
+        # boundary; inside, g's zeros until the equilibration replaces them
+        self.pot = g_edges * mesh.edge_length
         self.div_defect = 0.0
         if self.phi_grad is not None:
             self._equilibrate_potential_fluxes()
@@ -611,12 +608,11 @@ class FluxAssembler:
         return sums[:nt], sums[nt:]
 
 
-def flow_setup(basis: HarmonicBasis, g_edges: dict[int, np.ndarray]
-               ) -> FluxAssembler:
-    """The ``FluxAssembler`` of ``g_edges``, cached on the basis by the
-    bytes of the g arrays: the runs of a ladder or a twin pair share it."""
-    key = tuple((cid, np.asarray(g, dtype=np.float64).tobytes())
-                for cid, g in sorted(g_edges.items()))
+def flow_setup(basis: HarmonicBasis, g_edges: np.ndarray) -> FluxAssembler:
+    """The ``FluxAssembler`` of the (E,) ``g_edges``, cached on the basis
+    by its bytes: the runs of a ladder or a twin pair share it."""
+    g_edges = fem.edge_data(basis.mesh, g_edges)
+    key = g_edges.tobytes()
     if key not in basis.flows:
         basis.flows[key] = FluxAssembler(basis, g_edges)
     return basis.flows[key]
@@ -683,6 +679,9 @@ def run(scenario: Scenario, basis: HarmonicBasis | None = None) -> Trajectory:
     if np.any(~np.isfinite(omega)):
         raise PreconditionError("initial vorticity contains non-finite "
                                 "values")
+    if not all(np.isfinite(p.y).all() for p in scenario.omega_in.values()):
+        raise PreconditionError("entering vorticity contains non-finite "
+                                "values")
     # a finite field whose mass overflows would make every row NaN
     with np.errstate(over="ignore"):
         mass = float(np.abs(omega) @ mesh.tri_area)
@@ -745,22 +744,30 @@ def run(scenario: Scenario, basis: HarmonicBasis | None = None) -> Trajectory:
 
             t1 = t_next if landed else t + dt
             traces = scenario.inflow_trace([t, t1] if rk2 else [t])
-            div, rates = flux.upwind_rates(omega, f, traces[0])
-            mass_before = float(omega @ mesh.tri_area)
-
-            if rk2:
-                om1 = omega - dt * div / mesh.tri_area
-                C1 = C - dt * rates[1:]
-                mult1, _, _, _, jumps1 = assemble(om1, C1, t1)
-                f2 = flux.fluxes(jumps1, mult1)
-                div2, rates2 = flux.upwind_rates(om1, f2, traces[1])
-                omega = 0.5 * (omega + om1 - dt * div2 / mesh.tri_area)
-                rate_eff = 0.5 * (rates + rates2)
-            else:
-                omega = omega - dt * div / mesh.tri_area
-                rate_eff = rates
-            C = C - dt * rate_eff[1:]
-            B = B + dt * rate_eff
+            # a vorticity flux that overflows float64 turns into inf or NaN
+            # in this block, not a numpy warning, and the check stops it
+            with np.errstate(over="ignore", invalid="ignore"):
+                div, rates = flux.upwind_rates(omega, f, traces[0])
+                mass_before = float(omega @ mesh.tri_area)
+                if rk2:
+                    om1 = omega - dt * div / mesh.tri_area
+                    C1 = C - dt * rates[1:]
+                    mult1, _, _, _, jumps1 = assemble(om1, C1, t1)
+                    f2 = flux.fluxes(jumps1, mult1)
+                    div2, rates2 = flux.upwind_rates(om1, f2, traces[1])
+                    omega = 0.5 * (omega + om1 - dt * div2 / mesh.tri_area)
+                    rate_eff = 0.5 * (rates + rates2)
+                else:
+                    omega = omega - dt * div / mesh.tri_area
+                    rate_eff = rates
+                C = C - dt * rate_eff[1:]
+                B = B + dt * rate_eff
+                mass_after = float(omega @ mesh.tri_area)
+                bd = abs(mass_after - mass_before + dt * rate_eff.sum())
+                scale = max(1.0, abs(mass_before), abs(dt * rate_eff).sum())
+            if not (math.isfinite(bd) and np.isfinite(B).all()):
+                raise SolverError(f"vorticity overflow at t = {t:.6g}: the "
+                                  "vorticity flux exceeds the float64 range")
 
             bound_lo = float(traces[:, inflow].min(initial=bound_lo))
             bound_hi = float(traces[:, inflow].max(initial=bound_hi))
@@ -768,9 +775,6 @@ def run(scenario: Scenario, basis: HarmonicBasis | None = None) -> Trajectory:
                 traj.max_principle_defect,
                 float(omega.max(initial=-np.inf)) - bound_hi,
                 bound_lo - float(omega.min(initial=np.inf)))
-            mass_after = float(omega @ mesh.tri_area)
-            bd = abs(mass_after - mass_before + dt * rate_eff.sum())
-            scale = max(1.0, abs(mass_before), abs(dt * rate_eff).sum())
             traj.budget_defect = max(traj.budget_defect, bd / scale)
 
             t = t1

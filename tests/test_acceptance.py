@@ -12,8 +12,8 @@ import time
 import numpy as np
 
 from conftest import modulated_band_scenario
-from oracles import (choose_p, consistent_circulations, growth_F,
-                     lp_norm_p0, ode_oracle, trace_inequality)
+from oracles import (choose_p, consistent_circulations, edge_array,
+                     growth_F, lp_norm_p0, ode_oracle, trace_inequality)
 from euler_ss import fem, hodge, transport
 from euler_ss.certificates import TwinRun, lamb_identity
 from euler_ss.hodge import HarmonicBasis
@@ -93,8 +93,8 @@ def test_criterion_03_velocity_oracle(capsys):
         # radial source, unit pumping rate; the polygon boundary carries
         # the slightly smaller total flux s = sinc(pi/ntheta)
         s = math.sin(math.pi / nt) * nt / math.pi
-        g = {0: np.full(nt, 1.0 / (4.0 * math.pi)),
-             1: np.full(nt, -1.0 / (2.0 * math.pi))}
+        g = edge_array(m, {0: np.full(nt, 1.0 / (4.0 * math.pi)),
+                           1: np.full(nt, -1.0 / (2.0 * math.pi))})
         zero_w = np.zeros(m.num_triangles)
         _, _, u, _ = hodge.reconstruct_velocity(
             basis, zero_w, np.zeros(1),

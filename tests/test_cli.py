@@ -190,6 +190,44 @@ def test_simulate_vorticity_mass_overflow_is_solver_error(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("scheme", ["euler", "rk2"])
+def test_simulate_entering_vorticity_overflow_is_solver_error(
+        tmp_path, capsys, scheme):
+    # the entering vorticity is finite, the component rate of its flux is
+    # not: the run stops on it rather than let it reach a circulation, a
+    # stage reconstruction or the budget as a numpy warning (an error
+    # under the tests' error::RuntimeWarning filter)
+    doc = {"mesh": {"annulus": {"r0": 1, "r1": 2, "nr": 4, "ntheta": 16,
+                                "roles": ["outflow", "inflow"]}},
+           "omega0": {"type": "constant", "value": 1.0}, "C0": {"1": 0.3},
+           "g": {"0": {"type": "constant", "value": 0.25},
+                 "1": {"type": "constant", "value": -0.5}},
+           "omega_in": {"1": {"type": "constant", "value": 1e308}},
+           "T": 2.0, "cfl": 0.4, "snapshots": 4, "scheme": scheme}
+    scenario = tmp_path / "huge_in.json"
+    scenario.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    assert main(["simulate", str(scenario), "-o", str(out)]) == 4
+    assert "vorticity overflow" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_certify_overflowing_omega_in_shift_is_precondition_error(
+        tmp_path, capsys):
+    # run 1 reads only the finite samples before T; the shift makes the
+    # last sample inf, which the second run rejects before any step
+    doc = radial_doc()
+    doc["omega_in"] = {1: {"type": "tabulated", "times": [0.0, 1.0, 2.0],
+                           "values": [1.0, 1.0, 1e308]}}
+    scenario = tmp_path / "shift.json"
+    scenario.write_text(json.dumps(doc))
+    out = tmp_path / "cert"
+    assert main(["certify", str(scenario), "--delta-omega-in", "1=1.7e308",
+                 "-o", str(out)]) == 3
+    assert "entering vorticity" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- certify ------------------------------------------------------------
 
 

@@ -8,8 +8,8 @@ from euler_ss import fem, hodge, zaremba
 from euler_ss.errors import PreconditionError, SolverError, UsageError
 from euler_ss.mesh import Mesh, generate_annulus
 
-from oracles import (lp_norm_p0, nodal_flux_density, trace_inequality,
-                     w1p_seminorms_p0)
+from oracles import (edge_array, lp_norm_p0, nodal_flux_density,
+                     trace_inequality, w1p_seminorms_p0)
 
 LN2 = math.log(2.0)
 
@@ -91,7 +91,8 @@ def test_flux_density_integrates_to_flux():
     for comp in (0, 1):
         dens = nodal_flux_density(op, f, z, comp)
         c = mesh.component(comp)
-        w = fem.boundary_load_vector(mesh, {comp: np.ones(len(c.edges))})
+        w = fem.boundary_load_vector(
+            mesh, edge_array(mesh, {comp: np.ones(len(c.edges))}))
         total = dens @ w[c.nodes]
         assert abs(total - fem.consistent_flux(op, f, z, comp)) < 1e-10
 
@@ -133,7 +134,8 @@ def test_nodal_sums_match_loop_reference(annulus):
     for c in annulus.components:
         np.add.at(ref, c.edges[:, 0], 0.5 * q[c.comp] * c.length)
         np.add.at(ref, c.edges[:, 1], 0.5 * q[c.comp] * c.length)
-    np.testing.assert_array_equal(fem.boundary_load_vector(annulus, q), ref)
+    np.testing.assert_array_equal(
+        fem.boundary_load_vector(annulus, edge_array(annulus, q)), ref)
 
 
 def test_dirichlet_needs_every_component(annulus, stiffness):
@@ -159,7 +161,7 @@ def test_neumann_radial_source(annulus, stiffness):
     for c in annulus.components:
         sgn = 1.0 if c.comp == 0 else -1.0
         g[c.comp] = np.full(len(c.edges), sgn * Q / c.total_length)
-    u = fem.solve_neumann(stiffness, g)
+    u = fem.solve_neumann(stiffness, edge_array(annulus, g))
     r = np.hypot(*annulus.vertices.T)
     shape = (Q / (2 * math.pi)) * np.log(r)
     err = (u - u.mean()) - (shape - shape.mean())
@@ -171,13 +173,13 @@ def test_neumann_incompatible_data_rejected(annulus, stiffness):
     bad = {0: np.ones(len(annulus.component(0).edges)),
            1: np.ones(len(annulus.component(1).edges))}
     with pytest.raises(PreconditionError, match="[Nn]eumann|flux"):
-        fem.solve_neumann(stiffness, bad)
+        fem.solve_neumann(stiffness, edge_array(annulus, bad))
 
 
 def test_mixed_matches_harmonic(annulus, stiffness):
     # normal derivative of -ln(2/r)/ln 2 on the unit circle is -1/ln 2
     g = {1: np.full(len(annulus.component(1).edges), -1.0 / LN2)}
-    u = fem.solve_mixed(stiffness, {0: 0.0}, g)
+    u = fem.solve_mixed(stiffness, {0: 0.0}, edge_array(annulus, g))
     r = np.hypot(*annulus.vertices.T)
     exact = -np.log(2.0 / r) / LN2
     # data sits on polygon edge midpoints, slightly inside the circle
@@ -335,8 +337,9 @@ def test_direct_solve_matches_dense_reference(annulus, kind):
                             np.r_[np.zeros(len(outer)), np.ones(len(inner))])
     elif kind == "mixed":
         q = rng.standard_normal(len(c1.length))
-        got = fem.solve_mixed(op, {0: 0.5}, {1: q})
-        ref = _dense_pinned(A, fem.boundary_load_vector(annulus, {1: q}),
+        q = edge_array(annulus, {1: q})
+        got = fem.solve_mixed(op, {0: 0.5}, q)
+        ref = _dense_pinned(A, fem.boundary_load_vector(annulus, q),
                             outer, np.full(len(outer), 0.5))
     elif kind == "constrained":
         load = rng.standard_normal(annulus.num_vertices)
@@ -347,7 +350,7 @@ def test_direct_solve_matches_dense_reference(annulus, kind):
         q0 = rng.standard_normal(len(c0.length))
         q1 = rng.standard_normal(len(c1.length))
         q1 -= (q0 @ c0.length + q1 @ c1.length) / c1.total_length
-        g = {0: q0, 1: q1}
+        g = edge_array(annulus, {0: q0, 1: q1})
         got = fem.solve_neumann(op, g)
         load = fem.boundary_load_vector(annulus, g)
         ref = _dense_pinned(A, load - load.mean(), [0], [0.0])
@@ -413,10 +416,38 @@ def test_asymmetric_system_is_solver_error(annulus, stiffness):
 def test_boundary_load_sums_to_length(annulus):
     for comp in (0, 1):
         c = annulus.component(comp)
-        bl = fem.boundary_load_vector(annulus, {comp: np.ones(len(c.edges))})
+        bl = fem.boundary_load_vector(
+            annulus, edge_array(annulus, {comp: np.ones(len(c.edges))}))
         assert abs(bl.sum() - c.total_length) < 1e-12
         outside = np.setdiff1d(np.arange(annulus.num_vertices), c.nodes)
         assert np.abs(bl[outside]).max() == 0.0
+
+
+@pytest.mark.parametrize("q", [
+    "per_component", "one_loop", "short", "dict"])
+def test_boundary_data_must_be_one_edge_array(annulus, q):
+    # boundary data is one value per edge of the mesh's edge table; a
+    # component's loop, one edge short, or the per-component dict is not
+    c = annulus.component(1)
+    q = {"per_component": np.ones((2, len(c.length))),
+         "one_loop": np.ones(len(c.length)),
+         "short": np.ones(len(annulus.edges) - 1),
+         "dict": {1: np.ones(len(c.length))}}[q]
+    with pytest.raises(UsageError, match="edge values"):
+        fem.boundary_load_vector(annulus, q)
+
+
+def test_mixed_rejects_neumann_data_on_a_dirichlet_component(annulus,
+                                                            stiffness):
+    q = edge_array(annulus, {1: np.full(len(annulus.component(1).length),
+                                        -1.0)})
+    with pytest.raises(UsageError, match=r"components \[1\] carry both"):
+        fem.solve_mixed(stiffness, {0: 0.0, 1: 1.0}, q)
+    # zero data there is no data: the pure Dirichlet solve
+    u = fem.solve_mixed(stiffness, {0: 0.0, 1: 1.0}, np.zeros_like(q))
+    ref = fem.solve_dirichlet(stiffness, np.zeros(annulus.num_vertices),
+                              {0: 0.0, 1: 1.0})
+    assert np.array_equal(u, ref)
 
 
 def test_write_vtk_structure(tmp_path, annulus):

@@ -7,6 +7,7 @@ import pytest
 from euler_ss import fem, hodge, transport
 from euler_ss.mesh import generate_annulus
 
+from oracles import edge_array
 from test_two_holes import two_hole_mesh
 
 
@@ -21,8 +22,9 @@ def basis(request):
 def g_edges(basis):
     # unit through-flow: out of the outer component, into component 1
     c0, c1 = basis.mesh.components[:2]
-    return {0: np.full(len(c0.length), 1.0 / c0.total_length),
-            1: np.full(len(c1.length), -1.0 / c1.total_length)}
+    return edge_array(basis.mesh,
+                      {0: np.full(len(c0.length), 1.0 / c0.total_length),
+                       1: np.full(len(c1.length), -1.0 / c1.total_length)})
 
 
 def assert_field(x, shape):
@@ -37,7 +39,8 @@ def test_solvers_return_arrays(basis, g_edges):
     bc = {c.comp: float(c.comp == 1) for c in mesh.components}
     assert_field(fem.solve_dirichlet(op, np.zeros(V), bc), (V,))
     assert_field(fem.solve_neumann(op, g_edges), (V,))
-    assert_field(fem.solve_mixed(op, {0: 0.0}, {1: g_edges[1]}), (V,))
+    inflow = edge_array(mesh, {1: g_edges[mesh.component(1).edge_ids]})
+    assert_field(fem.solve_mixed(op, {0: 0.0}, inflow), (V,))
     nodes = mesh.component_nodes(0)
     vals = np.full(len(nodes), 0.5)
     load = np.random.default_rng(1).standard_normal(V)

@@ -14,6 +14,7 @@ from euler_ss.mesh import generate_annulus
 from euler_ss.osgood import stability_experiment
 
 from conftest import modulated_band_scenario
+from oracles import edge_array
 from test_two_holes import two_hole_mesh
 
 LADDER = [1e-3, 3e-3, 1e-2, 3e-2, 1e-1]
@@ -21,7 +22,8 @@ LADDER = [1e-3, 3e-3, 1e-2, 3e-2, 1e-1]
 
 def annulus_flow():
     mesh = generate_annulus(1.0, 2.0, 8, 32, roles=("outflow", "inflow"))
-    return mesh, {0: np.full(32, 0.25), 1: np.full(32, -0.5)}, \
+    return mesh, edge_array(mesh, {0: np.full(32, 0.25),
+                                   1: np.full(32, -0.5)}), \
         np.array([0.0, 0.8])
 
 
@@ -29,8 +31,8 @@ def two_hole_flow():
     mesh = two_hole_mesh()
     outer, inflow = mesh.component(0), mesh.component(1)
     g_out = 0.5 * inflow.total_length / outer.total_length
-    return mesh, {0: np.full(len(outer.length), g_out),
-                  1: np.full(len(inflow.length), -0.5)}, \
+    return mesh, edge_array(mesh, {0: np.full(len(outer.length), g_out),
+                                   1: np.full(len(inflow.length), -0.5)}), \
         np.array([0.0, 0.8, 0.0])
 
 
@@ -232,9 +234,8 @@ def test_flow_setups_are_keyed_by_g():
     mesh, g, _ = annulus_flow()
     basis = HarmonicBasis(mesh)
     first = transport.flow_setup(basis, g)
-    assert transport.flow_setup(basis, {c: v.copy() for c, v in g.items()}) \
-        is first
-    other = transport.flow_setup(basis, {c: 2.0 * v for c, v in g.items()})
+    assert transport.flow_setup(basis, g.copy()) is first
+    other = transport.flow_setup(basis, 2.0 * g)
     assert other is not first
     assert len(basis.flows) == 2
     assert not first.pot.flags.writeable

@@ -12,7 +12,8 @@ from euler_ss.hodge import (HarmonicBasis, greens_operator,
 from euler_ss.mesh import generate_annulus
 
 from oracles import (check_elliptic_growth, circulation_trace,
-                     consistent_circulations, lp_norm_p0, w1p_seminorms_p0)
+                     consistent_circulations, edge_array, lp_norm_p0,
+                     w1p_seminorms_p0)
 
 LN2 = math.log(2.0)
 
@@ -139,8 +140,7 @@ def test_wrong_circulation_count_rejected(basis_mid):
 
 def test_sign_condition_wall_must_vanish():
     m = generate_annulus(1.0, 2.0, 4, 16)
-    g = {0: np.full(len(m.component(0).edges), 0.1),
-         1: np.zeros(len(m.component(1).edges))}
+    g = edge_array(m, {0: np.full(len(m.component(0).edges), 0.1)})
     with pytest.raises(PreconditionError) as exc:
         validate_sign_condition(m, g)
     msg = str(exc.value)
@@ -149,44 +149,51 @@ def test_sign_condition_wall_must_vanish():
 
 def test_sign_condition_inflow_sign():
     m = generate_annulus(1.0, 2.0, 4, 16, roles=("outflow", "inflow"))
-    g = {0: np.full(len(m.component(0).edges), 0.1),
-         1: np.full(len(m.component(1).edges), 0.1)}
+    g = edge_array(m, {0: np.full(len(m.component(0).edges), 0.1),
+                       1: np.full(len(m.component(1).edges), 0.1)})
     with pytest.raises(PreconditionError, match="inflow.*g <= 0"):
         validate_sign_condition(m, g)
 
 
 def test_sign_condition_outflow_sign():
     m = generate_annulus(1.0, 2.0, 4, 16, roles=("outflow", "inflow"))
-    g = {0: np.full(len(m.component(0).edges), -0.1),
-         1: np.full(len(m.component(1).edges), -0.1)}
+    g = edge_array(m, {0: np.full(len(m.component(0).edges), -0.1),
+                       1: np.full(len(m.component(1).edges), -0.1)})
     with pytest.raises(PreconditionError, match="outflow"):
         validate_sign_condition(m, g)
 
 
 def test_sign_condition_accepts_valid_data():
     m = generate_annulus(1.0, 2.0, 4, 16, roles=("outflow", "inflow"))
-    g = {0: np.full(len(m.component(0).edges), 0.1),
-         1: np.full(len(m.component(1).edges), -0.1)}
+    g = edge_array(m, {0: np.full(len(m.component(0).edges), 0.1),
+                       1: np.full(len(m.component(1).edges), -0.1)})
     validate_sign_condition(m, g)
     # tiny values below the relative tolerance are treated as zero
-    g_wall = {0: np.full(len(m.component(0).edges), 0.1),
-              1: np.full(len(m.component(1).edges), -0.1)}
     m2 = generate_annulus(1.0, 2.0, 4, 16, roles=("outflow", "wall"))
-    g2 = {0: np.full(len(m2.component(0).edges), 0.1),
-          1: np.full(len(m2.component(1).edges), 1e-18)}
+    g2 = edge_array(m2, {0: np.full(len(m2.component(0).edges), 0.1),
+                         1: np.full(len(m2.component(1).edges), 1e-18)})
     validate_sign_condition(m2, g2)
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-14, 1e-30])
 def test_sign_condition_is_relative_at_every_scale(scale):
     m = generate_annulus(1.0, 2.0, 4, 16, roles=("outflow", "inflow"))
-    g = {0: np.full(len(m.component(0).edges), 0.1 * scale),
-         1: np.full(len(m.component(1).edges), -0.1 * scale)}
-    g[1][3] = 1e-14 * scale      # below the relative tolerance: zero
+    g = edge_array(m, {0: np.full(len(m.component(0).edges), 0.1 * scale),
+                       1: np.full(len(m.component(1).edges), -0.1 * scale)})
+    e3 = m.component(1).edge_ids[3]     # the fourth edge of loop 1
+    g[e3] = 1e-14 * scale      # below the relative tolerance: zero
     validate_sign_condition(m, g)
-    g[1][3] = 1e-3 * scale
+    g[e3] = 1e-3 * scale
     with pytest.raises(PreconditionError, match="edge 3"):
         validate_sign_condition(m, g)
+
+
+def test_sign_condition_needs_one_edge_array():
+    m = generate_annulus(1.0, 2.0, 4, 16, roles=("outflow", "inflow"))
+    loop = np.full(len(m.component(1).edges), -0.1)
+    for g in (loop, {1: loop}, np.zeros(len(m.edges) + 1)):
+        with pytest.raises(UsageError, match="edge values"):
+            validate_sign_condition(m, g)
 
 
 def test_elliptic_growth_proxy_bounded(basis_mid, flow_scenario):
@@ -214,7 +221,7 @@ def test_elliptic_growth_proxy_bounded(basis_mid, flow_scenario):
     rep = check_elliptic_growth(basis, u, mult, w, flow.g_edges,
                                 np.array([0.2]))
     assert rep["bounded"]
-    g_inf = max(float(np.abs(g).max()) for g in flow.g_edges.values())
+    g_inf = float(np.abs(flow.g_edges).max())
     assert g_inf > 0
     for r0, r in zip(dry["rows"], rep["rows"]):
         assert r["proxy"] == r0["proxy"]

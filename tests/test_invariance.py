@@ -123,7 +123,7 @@ def test_run_with_tabulated_g_ignores_the_numbering_and_a_rigid_turn(
     # the loops keep their declared order, so the arclength origin of g
     # stays at the same vertex
     tmp, mesh, omega, _ = base
-    g = base_tabulated.scenario.g_edges()[0]
+    g = base_tabulated.scenario.g_edges()[mesh.component(0).edge_ids]
     assert g.max() - g.min() > 0.09
     rng = np.random.default_rng(11)
     name = f"renumbered_tabulated_{round(np.degrees(angle))}"

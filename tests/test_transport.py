@@ -15,9 +15,10 @@ from euler_ss.hodge import HarmonicBasis
 from euler_ss.mesh import generate_annulus, save_mesh
 
 from conftest import modulated_band_scenario
+from test_two_holes import flow_doc as two_hole_doc
 from test_two_holes import flow_scenario as two_hole_scenario
 from test_two_holes import two_hole_mesh
-from oracles import weak_residual
+from oracles import edge_array, weak_residual
 
 
 def wall_doc(**extra):
@@ -165,8 +166,32 @@ def test_g_list_form():
                       {"comp": 1, "type": "constant", "value": -0.4}])
     sc = transport.parse_scenario(doc)
     ge = sc.g_edges()
-    assert np.all(ge[0] == 0.2)
-    assert np.all(ge[1] == -0.4)
+    assert np.all(ge[sc.mesh.component(0).edge_ids] == 0.2)
+    assert np.all(ge[sc.mesh.component(1).edge_ids] == -0.4)
+
+
+@pytest.mark.parametrize("form", ["dict", "list"])
+def test_g_edges_is_one_array_over_the_edge_table(tmp_path, form):
+    # zero on interior and wall edges; on each flow component's edge ids,
+    # in loop order, its profile at the edge midpoints
+    doc = two_hole_doc(tmp_path, two_hole_mesh())
+    doc["g"][0] = {"type": "tabulated", "s": [0.0, 0.5],
+                   "values": [0.4, 0.6]}
+    if form == "list":
+        doc["g"] = [{"comp": cid, **spec}
+                    for cid, spec in reversed(doc["g"].items())]
+    sc = transport.parse_scenario(doc, base_dir=tmp_path)
+    mesh = sc.mesh
+    ge = sc.g_edges()
+    assert ge.shape == (len(mesh.edges),) and ge.dtype == np.float64
+    assert np.all(ge[mesh.interior_edge] == 0.0)
+    for c in mesh.components:
+        if c.role == "wall":
+            assert np.all(ge[c.edge_ids] == 0.0)
+            continue
+        s = (np.cumsum(c.length) - 0.5 * c.length) / c.total_length
+        assert np.array_equal(ge[c.edge_ids], sc.g[c.comp](s))
+    assert np.ptp(ge[mesh.component(0).edge_ids]) > 0.1
 
 
 def test_g_duplicate_component_rejected():
@@ -294,6 +319,22 @@ def test_overflowing_omega0_shift_stops_before_any_step(tmp_path, omega0):
         transport.run(sc.perturbed(omega0=1.7e308))
 
 
+def test_overflowing_omega_in_shift_stops_before_any_step(monkeypatch):
+    # the shifted samples are inf, not a numpy warning; the run's
+    # finiteness check stops it before the first flux is formed
+    sc = transport.parse_scenario(flow_doc(
+        omega_in={1: {"type": "constant", "value": 1e308}}))
+    shifted = sc.perturbed(omega_in={1: 1.7e308})
+    assert np.isinf(shifted.omega_in[1].y).all()
+
+    def no_step(*args):
+        raise AssertionError("a step ran")
+
+    monkeypatch.setattr(transport.FluxAssembler, "upwind_rates", no_step)
+    with pytest.raises(PreconditionError, match="entering vorticity"):
+        transport.run(shifted)
+
+
 def test_inflow_trace_is_one_array_of_components():
     # zero off the inflow component, one row per time of an array, and
     # each row the trace at that one time
@@ -378,7 +419,7 @@ def test_flux_sums_match_scatter_reference(flow_pair):
     f = flux.fluxes(mesh.edge_jump_operator @ traj.psi[2], mult)
     for c in mesh.components:
         assert np.array_equal(f[c.edge_ids],
-                              mult * traj.flux.g_edges[c.comp] * c.length)
+                              mult * traj.flux.g_edges[c.edge_ids] * c.length)
     div, rates = flux.upwind_rates(omega, f, np.array([0.0, 0.8]))
     dt = flux.stable_dt(traj.velocity(2), f, 1.0)
 
@@ -451,16 +492,14 @@ def test_flow_setup_factors_single_use_systems_once_per_g(monkeypatch):
     monkeypatch.setattr(fem.spla, "splu", counted)
     mesh = generate_annulus(1.0, 2.0, 4, 16, roles=("outflow", "inflow"))
     basis = HarmonicBasis(mesh)
-    g = {0: np.full(16, 0.25), 1: np.full(16, -0.5)}
+    g = edge_array(mesh, {0: np.full(16, 0.25), 1: np.full(16, -0.5)})
     a = transport.flow_setup(basis, g)
     setup_calls = len(calls)
     # the cached assembler of a g is reused: no second factorization
-    assert transport.flow_setup(basis, {c: v.copy() for c, v in g.items()}) \
-        is a
+    assert transport.flow_setup(basis, g.copy()) is a
     assert len(calls) == setup_calls
     # a new g factors its Neumann and cell-graph systems once each
-    g2 = {c: 2.0 * v for c, v in g.items()}
-    b = transport.flow_setup(basis, g2)
+    b = transport.flow_setup(basis, 2.0 * g)
     assert calls[setup_calls:] == [(mesh.num_vertices - 1,) * 2,
                                    (mesh.num_triangles - 1,) * 2]
     assert max(a.div_defect, b.div_defect) < 1e-13
@@ -566,8 +605,7 @@ def cached_graph_through_flow(basis, g_edges):
                             laplacian=(D_int @ D_int.T).tocsr(), factors={})
     pot = np.zeros(len(mesh.edges))
     for c in mesh.components:
-        if c.comp in g_edges:
-            pot[c.edge_ids] = np.asarray(g_edges[c.comp]) * c.length
+        pot[c.edge_ids] = g_edges[c.edge_ids] * c.length
     ids = graph.interior
     n = mesh.edge_normal[ids]
     ln = mesh.edge_length[ids]

@@ -120,8 +120,15 @@ def flow_scenario(tmp_path, mesh):
                                     base_dir=tmp_path)
 
 
-def test_three_component_run_closes_to_round_off(tmp_path, mesh, basis):
-    sc = flow_scenario(tmp_path, mesh)
+# a wall hole, and a second inflow hole (two holes feed the flow)
+ROLE_SETS = pytest.mark.parametrize(
+    "roles", [("outflow", "inflow", "wall"), ("outflow", "inflow", "inflow")],
+    ids=["wall_hole", "two_inflow_holes"])
+
+
+@ROLE_SETS
+def test_three_component_run_closes_to_round_off(tmp_path, roles):
+    sc = flow_scenario(tmp_path, two_hole_mesh(roles))
     run_basis = HarmonicBasis(sc.mesh)
     traj = transport.run(sc, run_basis)
     assert traj.total_steps > 0
@@ -129,14 +136,21 @@ def test_three_component_run_closes_to_round_off(tmp_path, mesh, basis):
     assert traj.max_principle_defect < 1e-12
     assert transport.kelvin_consistency(traj) < 1e-13
     assert traj.flux.div_defect < 1e-13
-    # the wall hole neither gains nor loses vorticity through its boundary
-    assert np.all(traj.B[:, 2] == 0.0)
+    if roles[2] == "wall":
+        # the wall hole neither gains nor loses vorticity through its
+        # boundary
+        assert np.all(traj.B[:, 2] == 0.0)
+    else:
+        # both inflow holes feed vorticity in
+        assert np.all(traj.B[-1, 1:] < 0.0)
 
 
-def test_twin_blocks_match_the_per_snapshot_formulas(tmp_path, mesh):
-    # both holes' circulations and the inflow trace perturbed: an m = 2
-    # difference, pinned on the outer boundary and the wall hole
-    sc = flow_scenario(tmp_path, mesh)
+@ROLE_SETS
+def test_twin_blocks_match_the_per_snapshot_formulas(tmp_path, roles):
+    # both holes' circulations and the first hole's inflow trace
+    # perturbed: an m = 2 difference, pinned on the outer boundary and on
+    # the wall hole if there is one
+    sc = flow_scenario(tmp_path, two_hole_mesh(roles))
     run_basis = HarmonicBasis(sc.mesh)
     pair = (transport.run(sc, run_basis),
             transport.run(sc.perturbed(C0={1: 0.1, 2: -0.05},
