@@ -21,7 +21,10 @@ ladder both read, read one (N, ncomp) difference of
 ``Scenario.inflow_trace``.  Boundary integrands of a
 difference state use the tangentially projected one-sided trace: the twins
 share g, so the normal trace of the difference vanishes identically and
-the tangential sample is the whole trace.
+the tangential sample is the whole trace.  Every boundary sum, of the
+twin's integrands and of the Lamb identity, runs over the boundary edges
+of the edge table at once (``Mesh.edge_comp`` gives each edge its
+component and, through it, its role), never one component at a time.
 """
 
 from __future__ import annotations
@@ -65,15 +68,6 @@ def _volume_terms(area: np.ndarray, ud: np.ndarray, v: np.ndarray,
     # omegahat u . rot90(v), rot90(v) = (-v_y, v_x)
     vortical = omega_hat @ (myx - mxy)
     return convective, aux_convective, vortical
-
-
-def _edge_means(dn: np.ndarray) -> np.ndarray:
-    """Per-edge means of loop-vertex values (edge i joins loop vertices i
-    and i + 1, cyclically), for every snapshot's column."""
-    out = np.empty_like(dn)
-    np.add(dn[:-1], dn[1:], out=out[:-1])
-    np.add(dn[-1], dn[0], out=out[-1])
-    return 0.5 * out
 
 
 class TwinRun:
@@ -140,16 +134,21 @@ class TwinRun:
             v, prev_v = hodge.stream_velocity(mesh, phi, None, None), v
             _store_norm(mesh, self.z_v, self.dz_v, k, v, prev_v)
 
+        # the boundary edges of the components that carry any non-zero g,
+        # and the role of each edge's component
+        comp = mesh.edge_comp
+        roles = np.array([c.role for c in mesh.components])
+        flowing = np.zeros(len(roles), dtype=bool)
+        flowing[comp[(comp >= 0) & (traj1.flux.g_edges != 0.0)]] = True
+        self._flow = np.flatnonzero((comp >= 0) & flowing[comp])
+        self._flow_role = roles[comp[self._flow]]
+
         # squared data size per interval: the larger end value of |C_d|^2
         # plus, per flowing inflow component, that of its trace difference
         c2 = (self.C_d ** 2).sum(axis=1)
-        data2 = np.maximum(c2[:-1], c2[1:])
-        om_in2 = np.zeros(n - 1)
-        for comp, _ in self._flow_components():
-            if comp.role == "inflow":
-                o2 = self.trace_d[:, comp.comp] ** 2
-                om_in2 += np.maximum(o2[:-1], o2[1:])
-        self.data2 = data2 + om_in2
+        o2 = self.trace_d[:, flowing & (roles == "inflow")] ** 2
+        self.data2 = np.maximum(c2[:-1], c2[1:]) \
+            + np.maximum(o2[:-1], o2[1:]).sum(axis=1)
 
     # -- fields of snapshot k, formed on read ---------------------------
 
@@ -158,14 +157,6 @@ class TwinRun:
         each run's ``velocity(k)``: the bits its step read."""
         u_hat = self.traj1.velocity(k)
         return u_hat, u_hat - self.traj2.velocity(k)
-
-    # -- boundary data --------------------------------------------------
-
-    def _flow_components(self):
-        for comp in self.mesh.components:
-            g = self.traj1.flux.g_edges[comp.edge_ids]
-            if np.any(g != 0.0):
-                yield comp, g
 
     # -- identities -----------------------------------------------------
 
@@ -214,40 +205,39 @@ class TwinRun:
         energy term, then the inflow-energy, outflow-cross, inflow-cross
         and inflow-data terms, from the (B, N) boundary residual rows of
         the difference and reference stream functions and of the
-        potentials."""
+        potentials.  Each is one sum over the edges of the flowing
+        components, or over those of the inflow or outflow ones."""
         mesh, phi, mult = self.mesh, self.phi, self.mult
-        eb, bl, bo, bi, bp = out = np.zeros((5, len(self.times)))
+        ids, inflow = self._flow, self._flow_role == "inflow"
+        outflow = self._flow_role == "outflow"
+        w = self.traj1.flux.g_edges[ids] * mesh.edge_length[ids]
+        # tangential trace of the difference: its stream flux density
+        ut = fem.edge_flux_density(mesh, res_d, ids)
+        uu = ut * ut
+        eb = 0.5 * (w @ uu) * mult
+        bl = -(w[inflow] @ uu[inflow]) * mult
+
+        ids_in = ids[inflow]
+        a, b = mesh.edges[ids_in].T
+        length = mesh.edge_length[ids_in]
+        # tangential trace of the reference velocity: stream flux density
+        # plus the exact tangential derivative of the through-flow
+        # potential
+        hat_t = fem.edge_flux_density(mesh, res_hat, ids_in)
         through = self.traj1.flux.phi
-        for comp, g in self._flow_components():
-            cid = comp.comp
-            a, b = comp.edges[:, 0], comp.edges[:, 1]
-            w = g * comp.length
-            # tangential trace of the difference: its stream flux density
-            ut = _edge_means(fem.loop_flux_density(mesh, res_d, cid))
-            e = (w @ (ut * ut)) * mult
-            eb += e
-            if comp.role == "inflow":
-                bl -= e
-                # tangential trace of the reference velocity: stream flux
-                # density plus the exact tangential derivative of the
-                # through-flow potential
-                hat_t = _edge_means(fem.loop_flux_density(mesh, res_hat,
-                                                          cid))
-                if through is not None:
-                    dphi = through[b] - through[a]
-                    hat_t += np.multiply.outer(dphi, mult) \
-                        / comp.length[:, None]
-                # v . n, the exact P1 trace of the potential
-                vn = -(phi[b] - phi[a]) / comp.length[:, None]
-                bi += comp.length @ (ut * hat_t * vn)
-                bp += (w @ (0.5 * (phi[a] + phi[b]))) * self.trace_d[:, cid] \
-                    * mult
-            elif comp.role == "outflow":
-                # v . tau is the flux density of the potential
-                vt = _edge_means(fem.loop_flux_density(mesh, res_phi, cid))
-                bo -= (w @ (ut * vt)) * mult
-        eb *= 0.5
-        return out
+        if through is not None:
+            hat_t += np.multiply.outer(through[b] - through[a], mult) \
+                / length[:, None]
+        # v . n, the exact P1 trace of the potential
+        vn = -(phi[b] - phi[a]) / length[:, None]
+        bi = length @ (ut[inflow] * hat_t * vn)
+        trace = self.trace_d.T[mesh.edge_comp[ids_in]]
+        bp = (w[inflow] @ (0.5 * (phi[a] + phi[b]) * trace)) * mult
+
+        # v . tau is the flux density of the potential
+        vt = fem.edge_flux_density(mesh, res_phi, ids[outflow])
+        bo = -(w[outflow] @ (ut[outflow] * vt)) * mult
+        return np.array([eb, bl, bo, bi, bp])
 
     def _integrals(self, family: str) -> dict[str, float]:
         """Trapezoid sums of one identity's integrands over the run."""
@@ -451,15 +441,15 @@ def lamb_identity(mesh: Mesh, u: np.ndarray, v: np.ndarray, w: np.ndarray,
         curl_v = jv[:, 1, 0] - jv[:, 0, 1]
 
     area = mesh.tri_area
+    bd = np.flatnonzero(~mesh.interior_edge)
+    cells, normal = mesh.edge_left[bd], mesh.edge_normal[bd]
+    length = mesh.edge_length[bd]
 
     def pair_normal(a_vals, b_vals, c_vals):
-        """oint (a . b)(c . n)."""
-        tot = 0.0
-        for comp in mesh.components:
-            ab = np.einsum("ed,ed->e", a_vals[comp.tri], b_vals[comp.tri])
-            cn = np.einsum("ed,ed->e", c_vals[comp.tri], comp.normal)
-            tot += float(np.sum(ab * cn * comp.length))
-        return tot
+        """oint (a . b)(c . n), over every boundary edge at once."""
+        ab = np.einsum("ed,ed->e", a_vals[cells], b_vals[cells])
+        cn = np.einsum("ed,ed->e", c_vals[cells], normal)
+        return float(np.sum(ab * cn * length))
 
     lhs = pair_normal(u, v, w) - pair_normal(u, w, v) - pair_normal(v, w, u)
 

@@ -175,8 +175,8 @@ def _align_pair(sc1: transport.Scenario,
     m1, m2 = sc1.mesh, sc2.mesh
     same = np.array_equal(m1.vertices, m2.vertices) \
         and np.array_equal(m1.triangles, m2.triangles) \
-        and [(c.comp, c.role, sorted(c.edge_ids)) for c in m1.components] \
-        == [(c.comp, c.role, sorted(c.edge_ids)) for c in m2.components]
+        and np.array_equal(m1.edge_comp, m2.edge_comp) \
+        and m1.roles() == m2.roles()
     if not same:
         raise UsageError("certify: the two scenarios describe different "
                          "meshes")

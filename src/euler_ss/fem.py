@@ -65,12 +65,12 @@ load at ``Mesh.boundary_nodes`` (a caller that keeps no full load, such
 as a saved snapshot's ``traj.boundary_load(k)``, forms only those rows).
 ``boundary_indicator @`` that residual (``StiffnessOperator``, both
 factors built once per operator) sums the same terms in the same order as
-X (A psi - load), without the V x V product.  The loop flux density
-(``loop_flux_density``) reads the same boundary residual at the loop
-vertices of one component, in loop order (``BoundaryComponent.nodes``),
-divided by the boundary length each vertex owns (``lumped_length``), and
-takes the residual rows of several fields stacked as (B, n) columns as
-well.
+X (A psi - load), without the V x V product.  The edge flux density
+(``edge_flux_density``) reads the same boundary residual: each boundary
+vertex's row divided by the boundary length it owns
+(``Mesh.boundary_lumped_length``), averaged over the two end vertices of
+each boundary edge asked for, for one field or for the residual rows of
+several fields stacked as (B, n) columns.
 Outside this module no code multiplies the stiffness matrix to read a flux.
 
 perp-gradient convention: grad_perp(psi) = (-d_y psi, d_x psi), so
@@ -389,16 +389,17 @@ def consistent_flux(op: StiffnessOperator, field: np.ndarray,
     return float(consistent_fluxes(op, field, load)[comp])
 
 
-def loop_flux_density(mesh: Mesh, residual: np.ndarray, comp: int
+def edge_flux_density(mesh: Mesh, residual: np.ndarray, ids: np.ndarray
                       ) -> np.ndarray:
-    """Normal derivative at the loop vertices of a component, in
-    ``BoundaryComponent.nodes`` order, from a ``boundary_residual`` (of
-    one field, or of n fields stacked as (B, n) columns): the nodal
-    residual divided by the lumped boundary length (half of each of the
-    two adjacent edges)."""
-    c = mesh.component(comp)
-    r = residual[np.searchsorted(mesh.boundary_nodes, c.nodes)]
-    return r / c.lumped_length.reshape((-1,) + (1,) * (r.ndim - 1))
+    """Normal derivative on the boundary edges ``ids`` from a
+    ``boundary_residual`` (of one field, or of n fields stacked as (B, n)
+    columns): the mean, over each edge's two end vertices, of the nodal
+    residual divided by the boundary length the vertex owns
+    (``Mesh.boundary_lumped_length``)."""
+    lumped = mesh.boundary_lumped_length
+    dn = residual / lumped.reshape((-1,) + (1,) * (residual.ndim - 1))
+    a, b = np.searchsorted(mesh.boundary_nodes, mesh.edges[ids]).T
+    return 0.5 * (dn[a] + dn[b])
 
 
 # -- discrete calculus --------------------------------------------------

@@ -12,6 +12,12 @@ Conventions used throughout the package:
   components);
 * each boundary component carries a role: "wall", "inflow" or "outflow".
 
+Boundary data lives on the mesh-wide edge table, where a boundary edge
+occurs once, directed fluid-left, with its cell ``edge_left``, length,
+normal and component ``edge_comp`` (-1 inside).  A component is the
+slice of the table at its ``edge_ids`` in loop order, the order that a
+tabulated g's arclength runs in.
+
 Text format (one mesh per file)::
 
     V T B K
@@ -46,17 +52,15 @@ ROLES = ("wall", "inflow", "outflow")
 @dataclass
 class BoundaryComponent:
     """One closed boundary loop: the ids of its edges in the mesh-wide edge
-    table, in loop order, and the table's rows at those ids.  A boundary
-    edge occurs in the table once, directed with the fluid on its left, so
-    each row is the loop's own directed edge."""
+    table, in loop order, with the table's vertex pairs and lengths at
+    those ids.  A boundary edge occurs in the table once, directed with
+    the fluid on its left, so each pair is the loop's own directed edge."""
 
     comp: int
     role: str
     edges: np.ndarray        # (E, 2) directed vertex pairs, loop order
-    tri: np.ndarray          # (E,) adjacent triangle per edge
     edge_ids: np.ndarray     # (E,) indices into the mesh-wide edge table
     length: np.ndarray       # (E,) edge lengths
-    normal: np.ndarray       # (E, 2) unit, out of the fluid
 
     @property
     def nodes(self) -> np.ndarray:
@@ -66,13 +70,6 @@ class BoundaryComponent:
     @property
     def total_length(self) -> float:
         return float(self.length.sum())
-
-    @cached_property
-    def lumped_length(self) -> np.ndarray:
-        """Read-only boundary length owned by each loop vertex (``nodes``
-        order): half of each of its two adjacent edges.  Built on first
-        use."""
-        return _read_only(0.5 * (self.length + np.roll(self.length, 1)))
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -235,9 +232,11 @@ class Mesh:
                 raise UsageError(f"open boundary loop, component {c}")
             ids = np.asarray(loop, dtype=np.int64)
             self.components.append(BoundaryComponent(
-                comp=c, role=roles[c], edges=self.edges[ids],
-                tri=self.edge_left[ids], edge_ids=ids,
-                length=self.edge_length[ids], normal=self.edge_normal[ids]))
+                comp=c, role=roles[c], edges=self.edges[ids], edge_ids=ids,
+                length=self.edge_length[ids]))
+        edge_comp = np.full(len(self.edges), -1, dtype=np.int64)
+        edge_comp[list(comp_of)] = list(comp_of.values())
+        self.edge_comp = _read_only(edge_comp)
 
         # node sets are built once: every pinned solve asks for them
         self._component_nodes = [_read_only(np.unique(c.nodes))
@@ -311,6 +310,16 @@ class Mesh:
     def boundary_nodes(self) -> np.ndarray:
         """Sorted, read-only array of all vertices lying on the boundary."""
         return self._boundary_nodes
+
+    @cached_property
+    def boundary_lumped_length(self) -> np.ndarray:
+        """Read-only boundary length owned by each of ``boundary_nodes``:
+        half of each of its two boundary edges.  Built on first use."""
+        bd = np.flatnonzero(self.edge_comp >= 0)
+        owned = np.bincount(self.edges[bd].ravel(),
+                            weights=np.repeat(0.5 * self.edge_length[bd], 2),
+                            minlength=self.num_vertices)
+        return _read_only(owned[self.boundary_nodes])
 
     def component_nodes(self, comp: int) -> np.ndarray:
         """Sorted, read-only array of the vertices of one component."""

@@ -528,9 +528,8 @@ class FluxAssembler:
         self.half_inv_area = 0.5 / mesh.tri_area
         # the cell across each edge; boundary edges of component c face a
         # ghost cell T + c that holds the component's inflow trace
-        bd = np.concatenate([c.edge_ids for c in mesh.components])
-        comp_of = np.concatenate([np.full(len(c.edge_ids), c.comp)
-                                  for c in mesh.components])
+        bd = np.flatnonzero(mesh.edge_comp >= 0)
+        comp_of = mesh.edge_comp[bd]
         self.far = mesh.edge_right.copy()
         self.far[bd] = mesh.num_triangles + comp_of
         # cell sums (D) stacked over per-component boundary sums: one
@@ -743,6 +742,9 @@ def run(scenario: Scenario, basis: HarmonicBasis | None = None) -> Trajectory:
                                   f"t = {t:.6g}")
 
             t1 = t_next if landed else t + dt
+            if t1 == t:
+                raise SolverError(f"time step collapsed: dt = {dt:.3e} "
+                                  f"leaves t = {t:.6g} where it is")
             traces = scenario.inflow_trace([t, t1] if rk2 else [t])
             # a vorticity flux that overflows float64 turns into inf or NaN
             # in this block, not a numpy warning, and the check stops it

@@ -31,6 +31,15 @@ def trace_diff(twin: TwinRun, cid: int, t: float) -> float:
                  - twin.traj2.scenario.inflow_trace(t)[cid])
 
 
+def flow_components(twin: TwinRun):
+    """Each boundary component that carries any non-zero g, with its g in
+    loop order."""
+    for comp in twin.mesh.components:
+        g = twin.traj1.flux.g_edges[comp.edge_ids]
+        if np.any(g != 0.0):
+            yield comp, g
+
+
 class EinsumTwin(TwinRun):
     """Per-snapshot auxiliary solves and einsum integrands."""
 
@@ -116,7 +125,7 @@ class EinsumTwin(TwinRun):
             t = self.times[k]
 
             eb = bl = bo = bi = bp = 0.0
-            for comp, g in self._flow_components():
+            for comp, g in flow_components(self):
                 ut = self._edge_density(psi_d, load_d, comp)
                 eb += float(np.sum(ut * ut * g * comp.length)) * mult
                 if comp.role == "inflow":
@@ -166,7 +175,7 @@ def loop_ledger(twin: TwinRun) -> dict:
         data2 = max(float(np.sum(np.asarray(twin.C_d[j]) ** 2))
                     for j in (k, k + 1))
         om_in2 = 0.0
-        for comp, _ in twin._flow_components():
+        for comp, _ in flow_components(twin):
             if comp.role == "inflow":
                 om_in2 += max(trace_diff(twin, comp.comp, t) ** 2
                               for t in t_pair)

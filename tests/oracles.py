@@ -227,12 +227,23 @@ def interpolation_inequality(mesh: Mesh, values: np.ndarray, p: float
 # -- boundary trace inequality ------------------------------------------
 
 
+def lumped_length(comp) -> np.ndarray:
+    """Boundary length owned by each loop vertex of a component
+    (``BoundaryComponent.nodes`` order): half of each of its two adjacent
+    edges."""
+    return 0.5 * (comp.length + np.roll(comp.length, 1))
+
+
 def nodal_flux_density(op: fem.StiffnessOperator, field: np.ndarray,
                        load: np.ndarray, comp: int) -> np.ndarray:
-    """Normal derivative of a field at the loop vertices of a component
-    (see ``fem.loop_flux_density``)."""
-    residual = fem.boundary_residual(op, field, load[op.mesh.boundary_nodes])
-    return fem.loop_flux_density(op.mesh, residual, comp)
+    """Normal derivative of a field at the loop vertices of a component,
+    in ``BoundaryComponent.nodes`` order: the nodal residual divided by
+    the vertex's lumped length."""
+    mesh = op.mesh
+    residual = fem.boundary_residual(op, field, load[mesh.boundary_nodes])
+    c = mesh.component(comp)
+    return residual[np.searchsorted(mesh.boundary_nodes, c.nodes)] \
+        / lumped_length(c)
 
 
 def trace_inequality(op: fem.StiffnessOperator, field: np.ndarray,
@@ -266,7 +277,7 @@ def trace_inequality(op: fem.StiffnessOperator, field: np.ndarray,
             f"residual {resid_norm:.3e} exceeds 10*rtol")
     comp = mesh.component(comp_id)
     dn = nodal_flux_density(op, field, load, comp_id)
-    lhs = float(np.sum(dn ** 2 * comp.lumped_length))
+    lhs = float(np.sum(dn ** 2 * lumped_length(comp)))
     dtau = (field[comp.edges[:, 1]] - field[comp.edges[:, 0]]) / comp.length
     tangential = float(np.sum(dtau ** 2 * comp.length))
     energy = float(field @ a_field)
@@ -348,7 +359,8 @@ def circulation_trace(mesh: Mesh, u: np.ndarray) -> np.ndarray:
     quadrature of the tangential velocity (first order)."""
     out = np.empty(len(mesh.components))
     for comp in mesh.components:
-        ut = np.einsum("ed,ed->e", u[comp.tri], fem.rot90(comp.normal))
+        ut = np.einsum("ed,ed->e", u[mesh.edge_left[comp.edge_ids]],
+                       fem.rot90(mesh.edge_normal[comp.edge_ids]))
         out[comp.comp] = float(ut @ comp.length)
     return out
 

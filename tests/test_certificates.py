@@ -272,6 +272,38 @@ def test_lamb_identity_rate():
     assert math.log2(rels[0] / rels[1]) > 0.9
 
 
+def test_lamb_identity_on_three_loops():
+    # on the two-hole mesh the constants balance to round-off, and the
+    # boundary side of smooth polynomial fields is the sum, loop by loop,
+    # of their one-sided edge samples
+    from test_two_holes import two_hole_mesh
+
+    m = two_hole_mesh()
+    mk = lambda vec: np.tile(vec, (m.num_triangles, 1))
+    res = lamb_identity(m, mk([1.0, 0.0]), mk([0.0, 1.0]), mk([1.0, 1.0]))
+    assert abs(res["residual"]) < 1e-14
+
+    x, y = m.centroid.T
+    u = np.column_stack([x * y, 1.0 - x * x])
+    v = np.column_stack([y * y, x + y])
+    w = np.column_stack([x - 2.0 * y * y, x * y])
+
+    def pair_normal(a, b, c):
+        """oint (a . b)(c . n), one component at a time."""
+        parts = []
+        for comp in m.components:
+            cells = m.edge_left[comp.edge_ids]
+            parts.append(np.einsum("ed,ed,ef,ef,e->", a[cells], b[cells],
+                                   c[cells], m.edge_normal[comp.edge_ids],
+                                   comp.length))
+        return sum(parts)
+
+    pairs = (pair_normal(u, v, w), pair_normal(u, w, v), pair_normal(v, w, u))
+    want = pairs[0] - pairs[1] - pairs[2]
+    res = lamb_identity(m, u, v, w)
+    assert abs(res["lhs"] - want) <= 1e-14 * max(map(abs, pairs))
+
+
 # -- boundary trace inequality ------------------------------------------
 
 

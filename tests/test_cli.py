@@ -190,6 +190,18 @@ def test_simulate_vorticity_mass_overflow_is_solver_error(tmp_path, capsys,
     assert not out.exists()
 
 
+def entering_doc(value: float, scheme: str = "euler") -> dict:
+    """The 4x16 flow annulus (outflow outside, inflow inside) with a
+    constant entering vorticity ``value``."""
+    return {"mesh": {"annulus": {"r0": 1, "r1": 2, "nr": 4, "ntheta": 16,
+                                 "roles": ["outflow", "inflow"]}},
+            "omega0": {"type": "constant", "value": 1.0}, "C0": {"1": 0.3},
+            "g": {"0": {"type": "constant", "value": 0.25},
+                  "1": {"type": "constant", "value": -0.5}},
+            "omega_in": {"1": {"type": "constant", "value": value}},
+            "T": 2.0, "cfl": 0.4, "snapshots": 4, "scheme": scheme}
+
+
 @pytest.mark.parametrize("scheme", ["euler", "rk2"])
 def test_simulate_entering_vorticity_overflow_is_solver_error(
         tmp_path, capsys, scheme):
@@ -197,18 +209,28 @@ def test_simulate_entering_vorticity_overflow_is_solver_error(
     # not: the run stops on it rather than let it reach a circulation, a
     # stage reconstruction or the budget as a numpy warning (an error
     # under the tests' error::RuntimeWarning filter)
-    doc = {"mesh": {"annulus": {"r0": 1, "r1": 2, "nr": 4, "ntheta": 16,
-                                "roles": ["outflow", "inflow"]}},
-           "omega0": {"type": "constant", "value": 1.0}, "C0": {"1": 0.3},
-           "g": {"0": {"type": "constant", "value": 0.25},
-                 "1": {"type": "constant", "value": -0.5}},
-           "omega_in": {"1": {"type": "constant", "value": 1e308}},
-           "T": 2.0, "cfl": 0.4, "snapshots": 4, "scheme": scheme}
+    doc = entering_doc(1e308, scheme)
     scenario = tmp_path / "huge_in.json"
     scenario.write_text(json.dumps(doc))
     out = tmp_path / "run"
     assert main(["simulate", str(scenario), "-o", str(out)]) == 4
     assert "vorticity overflow" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_collapsed_time_step_is_solver_error(tmp_path, capsys,
+                                                      monkeypatch):
+    # an entering vorticity of 1e150 drives dt below the spacing of t near
+    # t = 0.098: the run stops at the first step that would leave t where
+    # it is, instead of stepping in place to the per-interval step limit
+    # (lowered here, so that a run that does step in place ends soon)
+    monkeypatch.setattr(euler_ss.transport, "MAX_STEPS_PER_INTERVAL", 1000)
+    scenario = tmp_path / "collapse.json"
+    scenario.write_text(json.dumps(entering_doc(1e150)))
+    out = tmp_path / "run"
+    assert main(["simulate", str(scenario), "-o", str(out)]) == 4
+    assert "time step collapsed: dt = 4.609e-150 leaves t = 0.0980785" \
+        in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -464,20 +464,28 @@ def test_write_vtk_structure(tmp_path, annulus):
 
 def test_block_forms_match_single_column_calls(annulus, stiffness):
     # the boundary residual rows of n fields, stacked as (B, n) columns,
-    # give each column's nodal flux density to the bit
+    # give each column's per-loop edge mean of the nodal flux density to
+    # the bit, on the annulus and on the two-hole mesh
+    from test_two_holes import two_hole_mesh
+
     rng = np.random.default_rng(7)
-    V = annulus.num_vertices
-    fields = rng.standard_normal((V, 5))
-    loads = rng.standard_normal((V, 5))
-    bn = annulus.boundary_nodes
-    rows = np.column_stack([
-        fem.boundary_residual(stiffness, fields[:, j], loads[bn, j])
-        for j in range(5)])
-    for comp in (0, 1):
-        dens = fem.loop_flux_density(annulus, rows, comp)
-        for j in range(5):
-            assert np.array_equal(dens[:, j], nodal_flux_density(
-                stiffness, fields[:, j], loads[:, j], comp))
+    holes = two_hole_mesh()
+    for op in (stiffness, fem.StiffnessOperator(holes)):
+        mesh = op.mesh
+        V = mesh.num_vertices
+        fields = rng.standard_normal((V, 5))
+        loads = rng.standard_normal((V, 5))
+        bn = mesh.boundary_nodes
+        rows = np.column_stack([
+            fem.boundary_residual(op, fields[:, j], loads[bn, j])
+            for j in range(5)])
+        for c in mesh.components:
+            dens = fem.edge_flux_density(mesh, rows, c.edge_ids)
+            for j in range(5):
+                dn = nodal_flux_density(op, fields[:, j], loads[:, j],
+                                        c.comp)
+                assert np.array_equal(dens[:, j],
+                                      0.5 * (dn + np.roll(dn, -1)))
 
 
 @pytest.mark.parametrize("which", ["annulus", "two_holes"])

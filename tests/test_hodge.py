@@ -82,7 +82,8 @@ def test_biot_savart_no_slip_walls(basis_mid):
     psi0, _ = greens_operator(basis_mid, w)
     u = stream_velocity(m, psi0, None, None)
     for c in m.components:
-        un = np.einsum("ed,ed->e", u[c.tri], c.normal)
+        un = np.einsum("ed,ed->e", u[m.edge_left[c.edge_ids]],
+                       m.edge_normal[c.edge_ids])
         assert np.abs(un).max() < 1e-13
 
 
@@ -128,7 +129,8 @@ def test_stream_velocity_tangent_to_walls(basis_mid):
     w = rng.standard_normal(m.num_triangles)
     _, _, u, _ = reconstruct_velocity(basis_mid, w, np.array([0.3]))
     for c in m.components:
-        un = np.einsum("ed,ed->e", u[c.tri], c.normal)
+        un = np.einsum("ed,ed->e", u[m.edge_left[c.edge_ids]],
+                       m.edge_normal[c.edge_ids])
         assert np.abs(un).max() < 1e-13
 
 

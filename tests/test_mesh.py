@@ -69,7 +69,7 @@ def test_boundary_orientation_fluid_left():
     for c in m.components:
         p, q = m.vertices[c.edges[:, 0]], m.vertices[c.edges[:, 1]]
         mid, tangent = 0.5 * (p + q), q - p
-        sign = np.einsum("ed,ed->e", mid, c.normal)
+        sign = np.einsum("ed,ed->e", mid, m.edge_normal[c.edge_ids])
         if c.comp == 0:
             assert np.all(sign > 0)
         else:
@@ -89,19 +89,35 @@ def declared(m: Mesh) -> list[list[int]]:
 def test_component_is_its_edge_table_rows(build):
     m = build()
     assert [f.name for f in fields(BoundaryComponent)] == \
-        ["comp", "role", "edges", "tri", "edge_ids", "length", "normal"]
+        ["comp", "role", "edges", "edge_ids", "length"]
     for c in m.components:
-        for got, table in ((c.edges, m.edges), (c.tri, m.edge_left),
-                           (c.length, m.edge_length),
-                           (c.normal, m.edge_normal)):
+        for got, table in ((c.edges, m.edges), (c.length, m.edge_length)):
             assert np.array_equal(got, table[c.edge_ids])
         # the rows are the loop's own geometry, to the last bit
         vec = m.vertices[c.edges[:, 1]] - m.vertices[c.edges[:, 0]]
         length = np.linalg.norm(vec, axis=1)
         tangent = vec / length[:, None]
+        normal = m.edge_normal[c.edge_ids]
         assert np.array_equal(c.length, length)
-        assert np.array_equal(c.normal[:, 0], tangent[:, 1])
-        assert np.array_equal(c.normal[:, 1], -tangent[:, 0])
+        assert np.array_equal(normal[:, 0], tangent[:, 1])
+        assert np.array_equal(normal[:, 1], -tangent[:, 0])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: generate_annulus(1.0, 2.0, 3, 12), two_hole_mesh],
+    ids=["annulus", "two_holes"])
+def test_edge_comp_and_lumped_length_read_the_loops(build):
+    # every boundary edge names its component, every interior edge -1; each
+    # loop vertex owns half of each of its two loop edges, to the bit
+    m = build()
+    assert not m.edge_comp.flags.writeable
+    assert not m.boundary_lumped_length.flags.writeable
+    assert np.all(m.edge_comp[m.interior_edge] == -1)
+    for c in m.components:
+        assert np.all(m.edge_comp[c.edge_ids] == c.comp)
+        at = np.searchsorted(m.boundary_nodes, c.nodes)
+        assert np.array_equal(m.boundary_lumped_length[at],
+                              0.5 * (c.length + np.roll(c.length, 1)))
 
 
 @pytest.mark.parametrize("build", [

@@ -78,7 +78,9 @@ def test_normal_trace_matches_cell_velocity(flow_basis):
         for comp in m.components:
             a, b = comp.edges[:, 0], comp.edges[:, 1]
             tr = -(phi[b] - phi[a]) / comp.length
-            cell = np.einsum("ed,ed->e", v[comp.tri], comp.normal)
+            ids = comp.edge_ids
+            cell = np.einsum("ed,ed->e", v[m.edge_left[ids]],
+                             m.edge_normal[ids])
             assert np.abs(tr - cell).max() < 1e-13
 
 
