@@ -21,30 +21,34 @@ The package splits along the same seams as the underlying problem:
 - :mod:`euler_ss.cli` — batch entry points (``euler-ss``).
 """
 
-from .errors import PreconditionError, SolverError, UsageError
-from .fem import (StiffnessOperator, consistent_flux, consistent_fluxes,
-                  solve_constrained, solve_dirichlet, solve_mixed,
-                  solve_neumann)
-from .hodge import (HarmonicBasis, greens_operator, reconstruct_velocity,
-                    validate_sign_condition)
-from .mesh import (BoundaryComponent, Mesh, generate_annulus, load_mesh,
-                   save_mesh, uniform_refine)
-from .osgood import mu, osgood_bound, stability_experiment
-from .transport import (Scenario, Trajectory, load_scenario, parse_scenario,
-                        run)
-from .zaremba import reversed_flux_residuals, solve_auxiliary
-from .certificates import TwinRun, lamb_identity
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundaryComponent", "HarmonicBasis", "Mesh", "PreconditionError",
-    "Scenario", "SolverError", "StiffnessOperator", "Trajectory", "TwinRun",
-    "UsageError",
-    "consistent_flux", "consistent_fluxes", "generate_annulus",
-    "greens_operator", "lamb_identity", "load_mesh", "load_scenario", "mu",
-    "osgood_bound", "parse_scenario", "reconstruct_velocity",
-    "reversed_flux_residuals", "run", "save_mesh", "solve_auxiliary",
-    "solve_constrained", "solve_dirichlet", "solve_mixed", "solve_neumann",
-    "stability_experiment", "uniform_refine", "validate_sign_condition",
-]
+# each exported name and its module, imported on first read (PEP 562), so
+# importing the package loads neither numpy nor scipy
+_HOME = {name: module for module, names in {
+    "errors": "PreconditionError SolverError UsageError",
+    "fem": "StiffnessOperator consistent_flux consistent_fluxes "
+           "solve_constrained solve_dirichlet solve_mixed solve_neumann",
+    "hodge": "HarmonicBasis greens_operator reconstruct_velocity "
+             "validate_sign_condition",
+    "mesh": "BoundaryComponent Mesh generate_annulus load_mesh save_mesh "
+            "uniform_refine",
+    "osgood": "mu osgood_bound stability_experiment",
+    "transport": "Scenario Trajectory load_scenario parse_scenario run",
+    "zaremba": "reversed_flux_residuals solve_auxiliary",
+    "certificates": "TwinRun lamb_identity",
+}.items() for name in names.split()}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+
+
+def __dir__():
+    return [*globals(), *__all__]

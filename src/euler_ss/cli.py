@@ -9,6 +9,12 @@ Exit codes: 0 success, 1 failed certificate checks, 2 usage or
 configuration errors, 3 precondition violations, 4 solver failures.
 ``main`` returns the code; ``console_entry`` (the ``euler-ss`` script and
 ``python -m euler_ss.cli``) exits the process with it.
+
+BLAS runs on one thread: unless the caller sets ``OPENBLAS_NUM_THREADS``,
+``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS``, importing this module before
+numpy sets all three to 1.  Nothing here is threaded, each BLAS thread
+pool costs start-up time, and one thread keeps BLAS sums independent of
+the machine's core count.
 """
 
 from __future__ import annotations
@@ -20,7 +26,11 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if "numpy" not in sys.modules and os.environ.keys().isdisjoint(_THREAD_VARS):
+    os.environ.update(dict.fromkeys(_THREAD_VARS, "1"))
+
+import numpy as np  # noqa: E402
 
 from . import fem, transport, zaremba
 from .certificates import TwinRun, lamb_identity

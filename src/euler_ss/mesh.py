@@ -453,8 +453,8 @@ def generate_annulus(r0: float, r1: float, nr: int, ntheta: int,
     for name, n in (("nr", nr), ("ntheta", ntheta)):
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
             raise UsageError(f"{name} must be an integer, got {n!r}")
-    if not 0 < r0 < r1:
-        raise UsageError(f"need 0 < r0 < r1, got r0={r0}, r1={r1}")
+    if not 0 < r0 < r1 < np.inf:
+        raise UsageError(f"need 0 < r0 < r1 < inf, got r0={r0}, r1={r1}")
     if nr < 1 or ntheta < 3:
         raise UsageError(f"need nr >= 1 and ntheta >= 3, got {nr}, {ntheta}")
     if not (isinstance(roles, (tuple, list)) and len(roles) == 2
@@ -529,8 +529,11 @@ def save_mesh(mesh: Mesh, path) -> None:
             lines.append(f"{a} {b} {comp.comp}")
     for comp in mesh.components:
         lines.append(f"{comp.comp} {comp.role}")
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    try:
+        with open(path, "w") as f:
+            f.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise UsageError(f"cannot write mesh file {path}: {exc}") from None
 
 
 def load_mesh(path) -> Mesh:

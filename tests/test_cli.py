@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -88,6 +89,34 @@ def test_mesh_annulus_bad_roles(tmp_path, capsys):
                "-o", str(tmp_path / "m.txt")])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_mesh_annulus_infinite_radius_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "m.mesh"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["mesh", "annulus", "--r0", "1", "--r1", "inf",
+                   "--nr", "2", "--ntheta", "8", "-o", str(out)])
+    assert rc == 2
+    assert "r1=inf" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["annulus", "refine"])
+def test_mesh_into_missing_directory_is_usage_error(tmp_path, capsys,
+                                                    command):
+    src = tmp_path / "m.mesh"
+    main(["mesh", "annulus", "--r0", "1", "--r1", "2",
+          "--nr", "2", "--ntheta", "8", "-o", str(src)])
+    out = tmp_path / "missing" / "m.mesh"
+    if command == "annulus":
+        argv = ["mesh", "annulus", "--r0", "1", "--r1", "2",
+                "--nr", "2", "--ntheta", "8", "-o", str(out)]
+    else:
+        argv = ["mesh", "refine", str(src), "-o", str(out)]
+    assert main(argv) == 2
+    assert "cannot write mesh file" in capsys.readouterr().err
+    assert not out.parent.exists()
 
 
 @pytest.mark.parametrize("command", ["mesh info", "simulate"])
@@ -737,6 +766,61 @@ def test_cli_import_skips_ode_integrators():
             "sys.exit('scipy.integrate' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], env=child_env())
     assert proc.returncode == 0
+
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def run_python(code: str, **env_vars) -> dict:
+    """Run ``code`` in a fresh interpreter whose environment has none of
+    the BLAS thread variables but ``env_vars``; returns the JSON the code
+    prints."""
+    env = {k: v for k, v in child_env().items() if k not in THREAD_VARS}
+    env.update(env_vars)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_package_import_loads_no_numpy():
+    assert run_python("import json, sys, euler_ss; "
+                      "print(json.dumps('numpy' in sys.modules))") is False
+
+
+def test_package_exports_resolve_on_first_read():
+    out = run_python("""
+import json, sys, euler_ss
+wrong = [n for n in euler_ss.__all__ if getattr(euler_ss, n) is not
+         vars(sys.modules[getattr(euler_ss, n).__module__]).get(n)]
+try:
+    euler_ss.no_such_name
+    unknown = "no error"
+except AttributeError as exc:
+    unknown = str(exc)
+print(json.dumps({"wrong": wrong, "missing": sorted(
+    set(euler_ss.__all__) - set(dir(euler_ss))), "unknown": unknown}))
+""")
+    assert out == {"wrong": [], "missing": [], "unknown":
+                   "module 'euler_ss' has no attribute 'no_such_name'"}
+
+
+THREADS_AFTER_CLI_IMPORT = (
+    "import json, os, sys, euler_ss.cli; print(json.dumps({"
+    "'env': {v: os.environ.get(v) for v in %r}, 'threads': "
+    "len(os.listdir('/proc/self/task')) if sys.platform == 'linux' "
+    "else 1}))" % (THREAD_VARS,))
+
+
+def test_cli_import_runs_blas_on_one_thread():
+    out = run_python(THREADS_AFTER_CLI_IMPORT)
+    assert out == {"env": dict.fromkeys(THREAD_VARS, "1"), "threads": 1}
+
+
+def test_callers_thread_variable_wins():
+    out = run_python(THREADS_AFTER_CLI_IMPORT, OMP_NUM_THREADS="2")
+    assert out["env"] == {"OPENBLAS_NUM_THREADS": None,
+                          "OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": None}
 
 
 def run_module(tmp_path, args):

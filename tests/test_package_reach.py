@@ -9,7 +9,9 @@ on import.  A reached definition reaches every top-level definition
 named by a name it loads, and every definition, method or top-level,
 named by an attribute it loads (``fem.gradient``, ``self.fluxes``).  A
 reached class reaches its decorators, bases and class-level statements,
-and its dunder methods, which Python calls without naming them.
+and its dunder methods, which Python calls without naming them.  For the
+same reason every module-level dunder function (``__getattr__``,
+``__dir__``) is a root.
 Matching by name over-approximates the calls: the walk can miss dead
 code, but it never flags code that runs.
 """
@@ -23,6 +25,10 @@ from test_tracer_targets import load_tracer
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "euler_ss"
 FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
 
 
 def definitions():
@@ -71,6 +77,7 @@ def unreached() -> list[str]:
         roots.append((getattr(euler_ss, name).__module__.rpartition(".")[2],
                       name))
     roots += [(t.module, t.name) for t in load_tracer().TARGETS]
+    roots += [k for k in defs if "." not in k[1] and dunder(k[1])]
     missing = [k for k in roots if k not in defs]
     assert missing == [], f"roots not defined in the package: {missing}"
 
@@ -93,9 +100,8 @@ def unreached() -> list[str]:
             body = [item for item in node.body if not isinstance(item, FUNCS)]
             reach(*loaded(node.decorator_list + node.bases + body))
             todo.extend((key[0], f"{node.name}.{item.name}")
-                        for item in node.body if isinstance(item, FUNCS)
-                        and item.name.startswith("__")
-                        and item.name.endswith("__"))
+                        for item in node.body
+                        if isinstance(item, FUNCS) and dunder(item.name))
         else:
             reach(*loaded([node]))
     return sorted(f"{mod}.{qual}" for mod, qual in set(defs) - reached)
