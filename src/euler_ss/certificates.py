@@ -9,6 +9,8 @@ the other):
   * the kinetic-energy identity of the difference velocity,
   * the auxiliary-potential identity (its reversed-flow twin),
   * the Lamb-type integration-by-parts identity for velocity triples,
+    given with their curls and Jacobian (``lamb_identity``), and the
+    canonical triple that ``certify`` checks it on (``lamb_check``),
   * the interval ledger of the growth inequalities behind the Osgood loop,
   * the time-regularity bound for the stream coefficients.
 
@@ -34,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from . import fem, hodge, zaremba
-from .errors import UsageError
+from .errors import PreconditionError, UsageError
 from .mesh import Mesh
 from .osgood import interval_trapezoid, smallest_constant
 from .transport import Trajectory
@@ -402,14 +404,10 @@ def _store_norm(mesh: Mesh, z: np.ndarray, dz: np.ndarray, k: int,
 def _dt_series(series: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Centered time differences on a snapshot series (one-sided ends)."""
     out = np.empty_like(series)
-    if len(times) < 2:
-        return np.zeros_like(series)
     out[0] = (series[1] - series[0]) / (times[1] - times[0])
     out[-1] = (series[-1] - series[-2]) / (times[-1] - times[-2])
-    if len(times) > 2:
-        span = (times[2:] - times[:-2]).reshape((-1,) + (1,)
-                                                * (series.ndim - 1))
-        out[1:-1] = (series[2:] - series[:-2]) / span
+    span = (times[2:] - times[:-2]).reshape((-1,) + (1,) * (series.ndim - 1))
+    out[1:-1] = (series[2:] - series[:-2]) / span
     return out
 
 
@@ -417,9 +415,8 @@ def _dt_series(series: np.ndarray, times: np.ndarray) -> np.ndarray:
 
 
 def lamb_identity(mesh: Mesh, u: np.ndarray, v: np.ndarray, w: np.ndarray,
-                  curl_u: np.ndarray | None = None,
-                  curl_v: np.ndarray | None = None,
-                  jac_w: np.ndarray | None = None) -> dict:
+                  curl_u: np.ndarray, curl_v: np.ndarray,
+                  jac_w: np.ndarray) -> dict:
     """Integration-by-parts identity for a triple of (T, 2) velocities:
 
         oint (u.v)(w.n) - oint (u.w)(v.n) - oint (v.w)(u.n)
@@ -427,19 +424,11 @@ def lamb_identity(mesh: Mesh, u: np.ndarray, v: np.ndarray, w: np.ndarray,
             - int (curl u) (v_perp . w) - int (curl v) (u_perp . w)
             - int u.((v.grad) w) - int v.((u.grad) w).
 
-    Curls and the Jacobian of w default to the recovered discrete values;
-    analytic arrays may be passed to certify the quadratures alone.  All
-    boundary integrands are full one-sided cell samples.
+    The (T,) curls of u and v and the (T, 2, 2) Jacobian
+    ``jac_w[t, i, d] = d_d(w_i)`` are given, analytic, so the residual
+    certifies the quadratures alone.  All boundary integrands are full
+    one-sided cell samples.
     """
-    if jac_w is None:
-        jac_w = fem.velocity_gradient(mesh, w)
-    if curl_u is None:
-        ju = fem.velocity_gradient(mesh, u)
-        curl_u = ju[:, 1, 0] - ju[:, 0, 1]
-    if curl_v is None:
-        jv = fem.velocity_gradient(mesh, v)
-        curl_v = jv[:, 1, 0] - jv[:, 0, 1]
-
     area = mesh.tri_area
     bd = np.flatnonzero(~mesh.interior_edge)
     cells, normal = mesh.edge_left[bd], mesh.edge_normal[bd]
@@ -469,3 +458,31 @@ def lamb_identity(mesh: Mesh, u: np.ndarray, v: np.ndarray, w: np.ndarray,
     return {"lhs": lhs, "div": t_div, "curl_u": t_cu, "curl_v": t_cv,
             "conv_u": t_au, "conv_v": t_av, "rhs": rhs,
             "residual": residual, "relative": abs(residual) / scale}
+
+
+def lamb_check(mesh: Mesh) -> dict:
+    """``lamb_identity`` for the canonical triple on this geometry: the
+    rigid rotation (curl 2), the point vortex (curl 0) and the point
+    source, each sampled at the cell centroids, with the source's analytic
+    Jacobian.  The triple is singular at the origin, which must lie in no
+    closed triangle (``PreconditionError`` otherwise): a triangle holds it
+    when the orientations cross(a, b) of the origin against its edges
+    a -> b share a sign (to round-off of the vertex size)."""
+    vx, vy = mesh.vertices[mesh.triangles].T        # (3, T) each
+    cross = vx * np.roll(vy, -1, axis=0) - vy * np.roll(vx, -1, axis=0)
+    tol = 1e-12 * float(np.abs(mesh.vertices).max()) ** 2
+    if np.any((cross >= -tol).all(axis=0) | (cross <= tol).all(axis=0)):
+        raise PreconditionError("lamb check needs the origin outside "
+                                "the fluid")
+    x, y = mesh.centroid[:, 0], mesh.centroid[:, 1]
+    r2 = x * x + y * y
+    u = np.column_stack([-y, x])                    # rotation, curl 2
+    v = np.column_stack([-y, x]) / r2[:, None]      # vortex, curl 0
+    w = np.column_stack([x, y]) / r2[:, None]       # source, div 0
+    jac = np.empty((mesh.num_triangles, 2, 2))
+    jac[:, 0, 0] = (y * y - x * x) / r2 ** 2
+    jac[:, 0, 1] = -2 * x * y / r2 ** 2
+    jac[:, 1, 0] = -2 * x * y / r2 ** 2
+    jac[:, 1, 1] = (x * x - y * y) / r2 ** 2
+    return lamb_identity(mesh, u, v, w, curl_u=np.full(len(x), 2.0),
+                         curl_v=np.zeros(len(x)), jac_w=jac)

@@ -33,7 +33,7 @@ if "numpy" not in sys.modules and os.environ.keys().isdisjoint(_THREAD_VARS):
 import numpy as np  # noqa: E402
 
 from . import fem, transport, zaremba
-from .certificates import TwinRun, lamb_identity
+from .certificates import TwinRun, lamb_check
 from .errors import PreconditionError, SolverError, UsageError
 from .hodge import HarmonicBasis
 from .mesh import (Mesh, generate_annulus, load_mesh, save_mesh,
@@ -48,15 +48,9 @@ def _g17(x) -> str:
 def _write_csv(path: Path, header, rows) -> None:
     lines = [",".join(header)]
     for row in rows:
-        cells = []
-        for v in row:
-            if isinstance(v, str):
-                cells.append(v)
-            elif isinstance(v, (int, np.integer)):
-                cells.append(str(int(v)))
-            else:
-                cells.append(_g17(v))
-        lines.append(",".join(cells))
+        lines.append(",".join(
+            str(int(v)) if isinstance(v, (int, np.integer)) else _g17(v)
+            for v in row))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -213,40 +207,12 @@ def _perturbation(args) -> dict:
 _RATE_MIN = 0.9     # least convergence rate of every identity residual
 
 
-def _lamb_on(mesh: Mesh) -> float:
-    """Relative closure defect of the boundary/volume exchange identity
-    for the canonical rotation / vortex / source triple on this geometry.
-    The triple is singular at the origin, which must lie in no closed
-    triangle: a triangle holds it when the orientations cross(a, b) of
-    the origin against its edges a -> b share a sign (to round-off of the
-    vertex size)."""
-    vx, vy = mesh.vertices[mesh.triangles].T        # (3, T) each
-    cross = vx * np.roll(vy, -1, axis=0) - vy * np.roll(vx, -1, axis=0)
-    tol = 1e-12 * float(np.abs(mesh.vertices).max()) ** 2
-    if np.any((cross >= -tol).all(axis=0) | (cross <= tol).all(axis=0)):
-        raise PreconditionError("lamb check needs the origin outside "
-                                "the fluid")
-    x, y = mesh.centroid[:, 0], mesh.centroid[:, 1]
-    r2 = x * x + y * y
-    u = np.column_stack([-y, x])                    # rotation, curl 2
-    v = np.column_stack([-y, x]) / r2[:, None]      # vortex, curl 0
-    w = np.column_stack([x, y]) / r2[:, None]       # source, div 0
-    jac = np.empty((mesh.num_triangles, 2, 2))
-    jac[:, 0, 0] = (y * y - x * x) / r2 ** 2
-    jac[:, 0, 1] = -2 * x * y / r2 ** 2
-    jac[:, 1, 0] = -2 * x * y / r2 ** 2
-    jac[:, 1, 1] = (x * x - y * y) / r2 ** 2
-    res = lamb_identity(mesh, u, v, w, curl_u=np.full(len(x), 2.0),
-                        curl_v=np.zeros(len(x)), jac_w=jac)
-    return res["relative"]
-
-
 def _certify_level(sc1, delta, sc2) -> dict:
     """One level of ``certify``: the twin of ``sc1`` and its aligned pair
     ``sc2``, or of ``sc1`` and its perturbation when ``sc2`` is None."""
     if sc2 is None:
         sc2 = sc1.perturbed(**delta) if delta else sc1
-    lamb = _lamb_on(sc1.mesh)       # checks its precondition before the runs
+    lamb = lamb_check(sc1.mesh)["relative"]  # checks its precondition first
     basis = HarmonicBasis(sc1.mesh)
     traj1 = transport.run(sc1, basis)
     traj2 = transport.run(sc2, basis) if sc2 is not sc1 else traj1

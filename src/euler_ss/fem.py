@@ -451,7 +451,7 @@ def sq_norm_jump_p0(mesh: Mesh, a: np.ndarray, b: np.ndarray) -> float:
 # -- VTK output ---------------------------------------------------------
 
 
-def write_vtk(path, mesh: Mesh, point_data=None, cell_data=None) -> None:
+def write_vtk(path, mesh: Mesh, point_data: dict, cell_data: dict) -> None:
     """Legacy ASCII VTK unstructured grid; scalars and 2-vectors (padded to
     3 components) on points (P1) and cells (P0)."""
     lines = ["# vtk DataFile Version 3.0", "euler-ss fields", "ASCII",
@@ -478,9 +478,7 @@ def write_vtk(path, mesh: Mesh, point_data=None, cell_data=None) -> None:
                 lines.append(f"VECTORS {name} double")
                 lines.extend(f"{v[0]:.17g} {v[1]:.17g} 0" for v in arr)
 
-    if point_data:
-        emit("POINT_DATA", mesh.num_vertices, point_data)
-    if cell_data:
-        emit("CELL_DATA", nt, cell_data)
+    emit("POINT_DATA", mesh.num_vertices, point_data)
+    emit("CELL_DATA", nt, cell_data)
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")

@@ -92,11 +92,13 @@ class Mesh:
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
             raise UsageError("triangles must be a (T, 3) array")
 
-        self._build_triangle_data()
-        self._build_edge_table()
-        self._build_components(np.asarray(boundary_edges, dtype=np.int64),
-                               dict(roles))
-        self._validate_global()
+        # finite coordinates can overflow the geometry: checked as formed
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._build_triangle_data()
+            self._build_edge_table()
+            self._build_components(
+                np.asarray(boundary_edges, dtype=np.int64), dict(roles))
+            self._validate_global()
 
     # -- construction ---------------------------------------------------
 
@@ -105,18 +107,27 @@ class Mesh:
         d1 = v[:, 1] - v[:, 0]
         d2 = v[:, 2] - v[:, 0]
         signed = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-        bad = np.nonzero(signed <= 0.0)[0]
+        # an area that overflowed to NaN compares false: checked below
+        bad = np.flatnonzero(signed <= 0.0)
         if bad.size:
-            raise UsageError(
-                f"inverted triangle {int(bad[0])} "
-                f"(signed area {signed[bad[0]]:.3e}; must be counterclockwise)")
+            t = int(bad[0])
+            kind = "degenerate" if signed[t] == 0.0 else "inverted"
+            raise UsageError(f"{kind} triangle {t} (signed area "
+                             f"{signed[t]:.3e}; must be counterclockwise)")
         self.tri_area = signed
         self.centroid = v.mean(axis=1)
-        l0 = np.linalg.norm(v[:, 2] - v[:, 1], axis=1)
-        l1 = np.linalg.norm(v[:, 0] - v[:, 2], axis=1)
-        l2 = np.linalg.norm(d1, axis=1)
+        perimeter = np.linalg.norm(v[:, 2] - v[:, 1], axis=1) \
+            + np.linalg.norm(v[:, 0] - v[:, 2], axis=1) \
+            + np.linalg.norm(d1, axis=1)
         # incircle diameter 4*area / perimeter, used by the CFL cap
-        self.incircle_diameter = 4.0 * signed / (l0 + l1 + l2)
+        self.incircle_diameter = 4.0 * signed / perimeter
+        geometry = np.column_stack([signed, perimeter, self.centroid,
+                                    self.incircle_diameter])
+        bad = np.flatnonzero(~np.isfinite(geometry).all(axis=1))
+        if bad.size:
+            raise UsageError(
+                f"triangle {int(bad[0])}: area, edge lengths or centroid "
+                "overflow float64 (coordinates too large)")
 
     def _build_edge_table(self) -> None:
         t = self.triangles
@@ -266,7 +277,11 @@ class Mesh:
     def _loop_area(self, comp: BoundaryComponent) -> float:
         p = self.vertices[comp.edges[:, 0]]
         q = self.vertices[comp.edges[:, 1]]
-        return float(0.5 * np.sum(p[:, 0] * q[:, 1] - q[:, 0] * p[:, 1]))
+        area = float(0.5 * np.sum(p[:, 0] * q[:, 1] - q[:, 0] * p[:, 1]))
+        if not np.isfinite(area):
+            raise UsageError(f"component {comp.comp}: loop area overflows "
+                             "float64 (coordinates too large)")
+        return area
 
     def _validate_global(self) -> None:
         n_holes = max(len(self.components) - 1, 0)
@@ -277,7 +292,8 @@ class Mesh:
                 f"{1 - n_holes} for {n_holes} hole(s)")
         loop_total = sum(self._loop_area(c) for c in self.components)
         tri_total = float(self.tri_area.sum())
-        if abs(loop_total - tri_total) > 1e-12 * max(tri_total, 1.0):
+        if not np.isfinite(tri_total) \
+                or abs(loop_total - tri_total) > 1e-12 * max(tri_total, 1.0):
             raise UsageError(
                 f"triangle area {tri_total!r} does not match "
                 f"boundary loop area {loop_total!r}")

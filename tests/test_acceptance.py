@@ -183,9 +183,11 @@ def test_criterion_05_lamb_identity(capsys):
     t0 = time.perf_counter()
     m8 = generate_annulus(1.0, 2.0, 8, 32)
     ones = np.ones(m8.num_triangles)
-    triv = lamb_identity(m8, np.column_stack([ones, 0 * ones]),
-                         np.column_stack([0 * ones, ones]),
-                         np.column_stack([ones, ones]))
+    zeros = np.zeros(m8.num_triangles)
+    triv = lamb_identity(m8, np.column_stack([ones, zeros]),
+                         np.column_stack([zeros, ones]),
+                         np.column_stack([ones, ones]), curl_u=zeros,
+                         curl_v=zeros, jac_w=np.zeros((len(ones), 2, 2)))
     closed = {"div": 0.0, "curl_u": 4.0 * math.pi * LN2,
               "curl_v": 0.0, "conv_u": -2.0 * math.pi * LN2,
               "conv_v": -2.0 * math.pi * LN2}

@@ -102,6 +102,33 @@ def test_mesh_annulus_infinite_radius_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("r1, rc, message", [
+    ("1e200", 2, "triangle 0: area, edge lengths or centroid overflow"),
+    ("1e154", 2, "component 0: loop area overflows"),
+    ("1e153", 0, ""), ("1e150", 0, "")])
+def test_mesh_annulus_overflowing_geometry_is_usage_error(tmp_path, capsys,
+                                                          r1, rc, message):
+    # finite radii whose areas or loop-area sums overflow float64 exit 2,
+    # writing nothing, with no numpy warning (the tests turn any
+    # RuntimeWarning into an error); a smaller one still makes a mesh
+    out = tmp_path / "m.mesh"
+    assert main(["mesh", "annulus", "--r0", "1", "--r1", r1, "--nr", "2",
+                 "--ntheta", "8", "-o", str(out)]) == rc
+    assert message in capsys.readouterr().err
+    assert out.exists() == (rc == 0)
+
+
+def test_mesh_info_on_overflowing_coordinates_is_usage_error(tmp_path,
+                                                             capsys):
+    # a hand-written unit square, two triangles, scaled by 1e200
+    mesh_file = tmp_path / "big.mesh"
+    mesh_file.write_text("4 2 4 1\n0 0\n1e200 0\n1e200 1e200\n0 1e200\n"
+                         "0 1 2\n0 2 3\n0 1 0\n1 2 0\n2 3 0\n3 0 0\n"
+                         "0 wall\n")
+    assert main(["mesh", "info", str(mesh_file)]) == 2
+    assert "overflow" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["annulus", "refine"])
 def test_mesh_into_missing_directory_is_usage_error(tmp_path, capsys,
                                                     command):

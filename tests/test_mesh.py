@@ -53,6 +53,19 @@ def test_triangle_orientation_and_area():
     assert m.tri_area.sum() > 0.97 * exact
 
 
+def test_degenerate_and_inverted_triangles_are_told_apart():
+    # areas that underflow to zero are degenerate, not inverted
+    with pytest.raises(UsageError,
+                       match=r"degenerate triangle 0 \(signed area 0\.0"):
+        generate_annulus(1e-200, 2e-200, 2, 8)
+    # the annulus mirrored in the x axis: every triangle runs clockwise
+    m = generate_annulus(1.0, 2.0, 2, 8)
+    with pytest.raises(UsageError,
+                       match=r"inverted triangle 0 \(signed area -"):
+        Mesh(m.vertices * [1.0, -1.0], m.triangles, np.empty((0, 3)),
+             m.roles())
+
+
 def test_boundary_loops_are_closed_chains():
     m = generate_annulus(1.0, 2.0, 3, 12)
     for c in m.components:
