@@ -83,17 +83,17 @@ class TwinRun:
     of the stream coefficients (``coeff_d``) and of the circulations
     (``C_d``), and the squared L2 norms ``z_u`` of the difference
     velocity and ``z_v`` of the auxiliary field, with their (N - 1,)
-    jumps ``dz_u`` and ``dz_v`` between consecutive snapshots, each
-    formed directly by ``fem.sq_norm_jump_p0``: every balance and growth
-    row reads those jumps, never a difference of two norms.  The norms
-    are formed at construction, in the pass that solves the auxiliary
-    potentials, as is the (N - 1,) squared data size ``data2`` of each
-    interval that the growth ledger and the Osgood ladder both read.  The
-    difference fields are formed from the rows of the two trajectories
-    when they are needed (``traj.psi[k]``, ``traj.omega[k]``,
-    ``traj.velocity(k)``, ``traj.boundary_load(k)``), one snapshot at a
-    time, so a twin holds O(V) floats per snapshot and no cell array.
-    The pair must share one mesh, one basis and what
+    jumps ``dz_u`` and ``dz_v``, which every balance and growth row
+    reads in place of a difference of two norms.  The pair shares its
+    normal boundary velocity, so each norm is the stiffness energy of a
+    P1 field, psi_d = psi_1 - psi_2 or phi (``_store_energy``), formed
+    with no velocity in the pass that solves the auxiliary potentials,
+    as is the (N - 1,) squared data size ``data2`` of each interval that
+    the growth ledger and the Osgood ladder both read.  The difference
+    fields are formed from the two trajectories' rows when needed
+    (``traj.psi[k]``, ``traj.omega[k]``, ``traj.boundary_load(k)``), one
+    snapshot at a time, so a twin holds O(V) floats per snapshot and no
+    cell array.  The pair must share one mesh, one basis and what
     ``Scenario.twin_mismatch`` compares.
     """
 
@@ -125,16 +125,15 @@ class TwinRun:
         self.D = np.empty((len(mesh.components), n))
         self.z_u, self.dz_u = np.empty(n), np.empty(n - 1)
         self.z_v, self.dz_v = np.empty(n), np.empty(n - 1)
+        A = self.basis.op.matrix
         u = v = None
         for k in range(n):
+            psi_d = traj1.psi[k] - traj2.psi[k]
             phi, self.D[:, k] = zaremba.solve_auxiliary(
-                self.basis, traj1.psi[k] - traj2.psi[k],
-                traj1.omega[k] - traj2.omega[k])
+                self.basis, psi_d, traj1.omega[k] - traj2.omega[k])
             self.phi[:, k] = phi
-            u, prev_u = self._velocities(k)[1], u
-            _store_norm(mesh, self.z_u, self.dz_u, k, u, prev_u)
-            v, prev_v = hodge.stream_velocity(mesh, phi, None, None), v
-            _store_norm(mesh, self.z_v, self.dz_v, k, v, prev_v)
+            u = _store_energy(A, self.z_u, self.dz_u, k, psi_d, u)
+            v = _store_energy(A, self.z_v, self.dz_v, k, phi, v)
 
         # the boundary edges of the components that carry any non-zero g,
         # and the role of each edge's component
@@ -155,10 +154,12 @@ class TwinRun:
     # -- fields of snapshot k, formed on read ---------------------------
 
     def _velocities(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """(T, 2) reference and difference velocities at snapshot k, from
-        each run's ``velocity(k)``: the bits its step read."""
-        u_hat = self.traj1.velocity(k)
-        return u_hat, u_hat - self.traj2.velocity(k)
+        """(T, 2) reference and difference velocities at snapshot k: run
+        1's ``velocity(k)``, the bits its step read, and grad_perp(psi_d)
+        (the runs' through-flows are equal)."""
+        psi_d = self.traj1.psi[k] - self.traj2.psi[k]
+        return (self.traj1.velocity(k),
+                hodge.stream_velocity(self.mesh, psi_d, None, None))
 
     # -- identities -----------------------------------------------------
 
@@ -391,14 +392,17 @@ class TwinRun:
                 "flags": flags}
 
 
-def _store_norm(mesh: Mesh, z: np.ndarray, dz: np.ndarray, k: int,
-                field: np.ndarray, prev: np.ndarray | None) -> None:
-    """Store the squared norm of snapshot k's (T, 2) ``field`` in z[k]
-    and, past the first snapshot, its jump from the previous snapshot's
-    ``prev`` in dz[k - 1]."""
-    z[k] = fem.sq_norm_p0(mesh, field)
+def _store_energy(matrix, z: np.ndarray, dz: np.ndarray, k: int,
+                  field: np.ndarray, prev: tuple | None) -> tuple:
+    """Store the stiffness energy x^T A x of snapshot k's (V,) P1 ``field``
+    x, the squared norm of grad_perp(x), in z[k] and, past the first
+    snapshot, its jump (x - a)^T (A x + A a) from the previous pair
+    ``prev`` = (a, A a) in dz[k - 1]; return this snapshot's pair."""
+    ax = matrix @ field
+    z[k] = float(field @ ax)
     if k:
-        dz[k - 1] = fem.sq_norm_jump_p0(mesh, prev, field)
+        dz[k - 1] = float((field - prev[0]) @ (ax + prev[1]))
+    return field, ax
 
 
 def _dt_series(series: np.ndarray, times: np.ndarray) -> np.ndarray:

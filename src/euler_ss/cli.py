@@ -174,13 +174,15 @@ def _align_pair(sc1: transport.Scenario,
                 sc2: transport.Scenario) -> transport.Scenario:
     """``sc2`` on the mesh object of ``sc1`` (twins must share it), checked
     before either run against what ``TwinRun`` needs of a pair: each
-    boundary component keeps its id, role and set of edges, and
-    ``Scenario.twin_mismatch`` finds nothing."""
+    boundary component keeps its id, role and loop from the same start
+    (g's arclength origin), and ``Scenario.twin_mismatch`` finds nothing."""
     m1, m2 = sc1.mesh, sc2.mesh
     same = np.array_equal(m1.vertices, m2.vertices) \
         and np.array_equal(m1.triangles, m2.triangles) \
         and np.array_equal(m1.edge_comp, m2.edge_comp) \
-        and m1.roles() == m2.roles()
+        and m1.roles() == m2.roles() \
+        and all(np.array_equal(c1.edge_ids, c2.edge_ids)
+                for c1, c2 in zip(m1.components, m2.components))
     if not same:
         raise UsageError("certify: the two scenarios describe different "
                          "meshes")

@@ -441,13 +441,6 @@ def sq_norm_p0(mesh: Mesh, vel: np.ndarray) -> float:
     return float(np.einsum("td,td,t->", vel, vel, mesh.tri_area))
 
 
-def sq_norm_jump_p0(mesh: Mesh, a: np.ndarray, b: np.ndarray) -> float:
-    """``sq_norm_p0(b) - sq_norm_p0(a)`` of two (T, 2) cell fields, formed
-    directly as the sum of area (b - a) . (b + a): its rounding scales
-    with the jump, not with the norms."""
-    return float(np.einsum("td,td,t->", b - a, b + a, mesh.tri_area))
-
-
 # -- VTK output ---------------------------------------------------------
 
 

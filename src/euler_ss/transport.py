@@ -725,14 +725,8 @@ def run(scenario: Scenario, basis: HarmonicBasis | None = None) -> Trajectory:
     rk2 = scenario.scheme == "rk2"
 
     for k, t_next in enumerate(scenario.snapshot_times[1:].tolist(), 1):
-        interval_steps = 0
+        steps_left = MAX_STEPS_PER_INTERVAL
         while t < t_next:
-            interval_steps += 1
-            if interval_steps > MAX_STEPS_PER_INTERVAL:
-                raise SolverError(
-                    f"time step collapsed: more than "
-                    f"{MAX_STEPS_PER_INTERVAL} steps in one snapshot "
-                    f"interval (t = {t:.6g}, dt = {dt:.3e})")
             f = flux.fluxes(jumps, mult)
             dt = flux.stable_dt(u, f, scenario.cfl)
             landed = t_next - t <= dt
@@ -740,6 +734,12 @@ def run(scenario: Scenario, basis: HarmonicBasis | None = None) -> Trajectory:
             if not (dt > 0 and math.isfinite(dt)):
                 raise SolverError(f"non-positive time step {dt!r} at "
                                   f"t = {t:.6g}")
+            # at this dt the steps left miss t_next (the last one must land)
+            if t_next - t > dt * steps_left:
+                raise SolverError(
+                    f"time step collapsed: dt = {dt:.3e} at t = {t:.6g} "
+                    f"needs more than {MAX_STEPS_PER_INTERVAL} steps")
+            steps_left -= 1
 
             t1 = t_next if landed else t + dt
             if t1 == t:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from euler_ss import fem, transport
+from euler_ss import certificates, fem, transport
 from euler_ss.certificates import (P_GRID, TwinRun, lamb_check,
                                    lamb_identity)
 from euler_ss.errors import PreconditionError, UsageError
@@ -182,9 +182,9 @@ def test_growth_rows_do_not_read_the_rounding_of_the_norms(tmp_path,
                                                            monkeypatch):
     # one step per snapshot interval: the norms are some 1e5 times their
     # jumps, so rows that differenced two norms would carry the norms'
-    # rounding magnified that much; summed by BLAS dots in place of
-    # np.einsum, the norms move by a few 1e-15, and every jump-read
-    # quantity must stay within 1e-13 of itself
+    # rounding magnified that much; summed by np.sum of the products in
+    # place of a BLAS dot, the stiffness energies move by a few 1e-15,
+    # and every jump-read quantity must stay within 1e-13 of itself
     sc = modulated_band_scenario(tmp_path, nr=12, ntheta=48, T=0.2,
                                  snapshots=30)
     basis = HarmonicBasis(sc.mesh)
@@ -202,13 +202,15 @@ def test_growth_rows_do_not_read_the_rounding_of_the_norms(tmp_path,
                 "aux_jump": tw.aux_identity()["jump"],
                 "C_hat": rung.C_hat, "z_u": tw.z_u}
 
-    def blas_norm(mesh, vel):
-        area = mesh.tri_area
-        return float(area @ (vel[:, 0] * vel[:, 0])
-                     + area @ (vel[:, 1] * vel[:, 1]))
+    real = certificates._store_energy
+
+    def resummed(matrix, z, dz, k, field, prev):
+        pair = real(matrix, z, dz, k, field, prev)
+        z[k] = float(np.sum(field * pair[1]))
+        return pair
 
     want = readings()
-    monkeypatch.setattr(fem, "sq_norm_p0", blas_norm)
+    monkeypatch.setattr(certificates, "_store_energy", resummed)
     got = readings()
     # the norms themselves do move
     assert not np.array_equal(got["z_u"], want["z_u"])

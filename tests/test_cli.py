@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 import weakref
 from dataclasses import replace
@@ -276,16 +277,41 @@ def test_simulate_entering_vorticity_overflow_is_solver_error(
 
 def test_simulate_collapsed_time_step_is_solver_error(tmp_path, capsys,
                                                       monkeypatch):
-    # an entering vorticity of 1e150 drives dt below the spacing of t near
-    # t = 0.098: the run stops at the first step that would leave t where
-    # it is, instead of stepping in place to the per-interval step limit
-    # (lowered here, so that a run that does step in place ends soon)
-    monkeypatch.setattr(euler_ss.transport, "MAX_STEPS_PER_INTERVAL", 1000)
+    # an entering vorticity of 1e150 drives dt to 4.6e-150 near t = 0.098:
+    # the run stops at the first step whose dt could not reach the next
+    # snapshot within the per-interval step limit, instead of stepping
+    # to that limit
     scenario = tmp_path / "collapse.json"
     scenario.write_text(json.dumps(entering_doc(1e150)))
     out = tmp_path / "run"
     assert main(["simulate", str(scenario), "-o", str(out)]) == 4
+    assert "time step collapsed: dt = 4.609e-150 at t = 0.0980785 needs " \
+        "more than 2000000 steps" in capsys.readouterr().err
+    assert not out.exists()
+    # with no practical limit, the step that would leave t where it is
+    # stops the run
+    monkeypatch.setattr(euler_ss.transport, "MAX_STEPS_PER_INTERVAL",
+                        10 ** 300)
+    assert main(["simulate", str(scenario), "-o", str(out)]) == 4
     assert "time step collapsed: dt = 4.609e-150 leaves t = 0.0980785" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_certify_collapsed_time_step_of_the_perturbed_run(tmp_path, capsys):
+    # a circulation shift of 1e150 collapses the perturbed run's first
+    # step: from t = 0 a dt of 4.7e-151 still moves t, and the run stops
+    # at once rather than stepping to the per-interval limit
+    doc = entering_doc(0.8)
+    doc["T"] = 0.5
+    scenario = tmp_path / "flow.json"
+    scenario.write_text(json.dumps(doc))
+    out = tmp_path / "cert"
+    start = time.perf_counter()
+    assert main(["certify", str(scenario), "--delta-c0", "1=1e150",
+                 "-o", str(out)]) == 4
+    assert time.perf_counter() - start < 30.0
+    assert "time step collapsed: dt = 4.703e-151 at t = 0 " \
         in capsys.readouterr().err
     assert not out.exists()
 
@@ -603,6 +629,41 @@ def test_certify_pair_with_renumbered_holes_is_usage_error(tmp_path,
     assert rc == 2
     assert "different meshes" in capsys.readouterr().err
     assert not (out / "ledger.csv").exists()
+
+
+def test_certify_pair_with_shifted_loop_start_is_usage_error(tmp_path,
+                                                              capsys):
+    # one 3x12 flow annulus saved twice, the second with the inner loop
+    # starting 5 edges later: a tabulated g on that loop reads its
+    # arclength from the loop's start, so the two files give that loop
+    # different data, and the pair does not describe one flow
+    mesh = euler_ss.generate_annulus(1.0, 2.0, 3, 12,
+                                     roles=("outflow", "inflow"))
+    bedges = np.concatenate([
+        np.column_stack([np.roll(c.edges, -5 * c.comp, axis=0),
+                         np.full(len(c.edges), c.comp)])
+        for c in mesh.components])
+    save_mesh(mesh, tmp_path / "a.mesh")
+    save_mesh(Mesh(mesh.vertices, mesh.triangles, bedges, mesh.roles()),
+              tmp_path / "b.mesh")
+    files = []
+    for name in ("a", "b"):
+        doc = {"mesh": f"{name}.mesh",
+               "omega0": {"type": "constant", "value": 1.0},
+               "T": 0.1, "cfl": 0.4, "snapshots": 2, "C0": {1: 0.3},
+               "g": {0: {"type": "constant", "value": 0.25},
+                     1: {"type": "tabulated", "s": [0.0, 0.5],
+                         "values": [-1.0, 0.0]}},
+               "omega_in": {1: {"type": "constant", "value": 0.8}}}
+        files.append(tmp_path / f"{name}.json")
+        files[-1].write_text(json.dumps(doc))
+    a, b = (euler_ss.load_scenario(f) for f in files)
+    assert np.abs(a.g_edges() - b.g_edges()).max() > 0.4
+    out = tmp_path / "cert"
+    rc = main(["certify", *map(str, files), "-o", str(out)])
+    assert rc == 2
+    assert "different meshes" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("change, message", [

@@ -502,16 +502,3 @@ def test_stiffness_and_cell_graph_laplacian_exactly_symmetric(annulus,
     assert (L != L.T).nnz == 0
     assert L.shape == (mesh.num_triangles, mesh.num_triangles)
 
-
-def test_norm_jump_is_the_difference_of_the_norms(annulus):
-    # the jump of two nearby fields agrees with the difference of their
-    # norms to the rounding of the norms, and is odd in its arguments
-    rng = np.random.default_rng(5)
-    a = rng.standard_normal((annulus.num_triangles, 2))
-    b = a + 1e-6 * rng.standard_normal(a.shape)
-    jump = fem.sq_norm_jump_p0(annulus, a, b)
-    diff = fem.sq_norm_p0(annulus, b) - fem.sq_norm_p0(annulus, a)
-    assert jump != 0.0
-    assert abs(jump - diff) <= 1e-13 * fem.sq_norm_p0(annulus, a)
-    assert fem.sq_norm_jump_p0(annulus, b, a) == -jump
-    assert fem.sq_norm_jump_p0(annulus, a, a) == 0.0

@@ -11,6 +11,7 @@ import pytest
 from euler_ss import fem, hodge, transport, zaremba
 from euler_ss.certificates import TwinRun
 from euler_ss.hodge import HarmonicBasis
+from euler_ss.osgood import stability_experiment
 
 from conftest import modulated_band_scenario
 from einsum_twin import EinsumTwin, assert_matches_reference
@@ -51,6 +52,13 @@ def live_velocity(traj, k):
     return u
 
 
+def live_stream(traj, k):
+    """The stream function of the live reconstruction of snapshot k."""
+    return hodge.reconstruct_velocity(
+        traj.basis, traj.omega[k], traj.C[k],
+        multiplier=traj.multiplier[k], phi_grad=traj.flux.phi_grad)[0]
+
+
 def live_load(traj, k):
     """The stream load the reconstruction of snapshot k solved with."""
     return hodge.greens_operator(traj.basis, traj.omega[k])[1]
@@ -71,20 +79,25 @@ def test_snapshots_derive_the_live_step_velocity(any_pair):
         for name, val in vars(traj).items():
             assert not (isinstance(val, np.ndarray)
                         and val.shape[-2:] == (T, 2)), name
-    # the twin's fields of a snapshot: the live velocities and their
-    # difference, the norm of that difference and its jump from the
-    # previous snapshot, and the boundary rows of the loads the live
-    # reconstructions solved with
+    # the twin's fields of a snapshot: run 1's live velocity, the
+    # perp-gradient of the live stream difference, the stiffness energy
+    # of that difference and its jump from the previous snapshot, and the
+    # boundary rows of the loads the live reconstructions solved with
     twin = TwinRun(*any_pair)
-    bn = twin.mesh.boundary_nodes
+    mesh, A = twin.mesh, twin.basis.op.matrix
+    bn = mesh.boundary_nodes
+    prev = None
     for k in range(len(twin.times)):
+        psi_d = live_stream(any_pair[0], k) - live_stream(any_pair[1], k)
         u_hat, u_d = twin._velocities(k)
         assert np.array_equal(u_hat, live[0][k])
-        assert np.array_equal(u_d, live[0][k] - live[1][k])
-        assert twin.z_u[k] == fem.sq_norm_p0(twin.mesh, u_d)
+        assert np.array_equal(
+            u_d, (mesh.perp_gradient_operator @ psi_d).reshape(-1, 2))
+        assert twin.z_u[k] == psi_d @ (A @ psi_d)
         if k:
-            assert twin.dz_u[k - 1] == fem.sq_norm_jump_p0(
-                twin.mesh, live[0][k - 1] - live[1][k - 1], u_d)
+            assert twin.dz_u[k - 1] == \
+                (psi_d - prev) @ (A @ psi_d + A @ prev)
+        prev = psi_d
         load1, load2 = (live_load(traj, k)[bn] for traj in any_pair)
         got1, got2 = (traj.boundary_load(k) for traj in any_pair)
         assert np.array_equal(got1, load1)
@@ -119,7 +132,8 @@ def test_saved_circulations_are_the_consistent_fluxes_of_the_row(any_pair):
 
 
 class StoredDifferenceTwin(TwinRun):
-    """A twin that stores the velocities and stream loads of the live
+    """A twin that stores the reference velocity, the perp-gradient of
+    the stream difference and the stream loads of the live
     reconstructions of every snapshot, and feeds those stored fields
     through the same kernels in place of the fields the twin forms on
     read: the reference the derived-on-read twin must match bit for
@@ -136,10 +150,11 @@ class StoredDifferenceTwin(TwinRun):
             traj = copy.copy(traj)
             traj.boundary_load = loads.__getitem__
             copies.append(traj)
+        grad_perp = traj1.mesh.perp_gradient_operator
         for k in range(len(traj1.times)):
-            u1 = live_velocity(traj1, k)
-            self.u_hat.append(u1)
-            self.u_d.append(u1 - live_velocity(traj2, k))
+            self.u_hat.append(live_velocity(traj1, k))
+            psi_d = live_stream(traj1, k) - live_stream(traj2, k)
+            self.u_d.append((grad_perp @ psi_d).reshape(-1, 2))
         super().__init__(*copies)
 
     def _velocities(self, k):
@@ -243,11 +258,13 @@ def test_twin_takes_one_load_product_per_block(any_pair, monkeypatch):
     # snapshot, one reference velocity gradient per snapshot once the
     # identities run and none for the norms alone; the auxiliary load is
     # the only full P0 load of a snapshot, however often the identities
-    # are read
+    # are read; construction forms no velocity, and the integrands form
+    # each snapshot's three (reference, difference, auxiliary) once
     calls = {"solve_auxiliary": 0, "velocity_gradient": 0,
-             "p0_load_vector": 0}
+             "p0_load_vector": 0, "stream_velocity": 0}
     for mod, name in ((zaremba, "solve_auxiliary"),
-                      (fem, "velocity_gradient"), (fem, "p0_load_vector")):
+                      (fem, "velocity_gradient"), (fem, "p0_load_vector"),
+                      (hodge, "stream_velocity")):
         def counted(*args, _real=getattr(mod, name), _name=name,
                     **kwargs):
             calls[_name] += 1
@@ -258,10 +275,78 @@ def test_twin_takes_one_load_product_per_block(any_pair, monkeypatch):
     assert twin.z_u.shape == twin.z_v.shape == (n,)
     assert twin.dz_u.shape == twin.dz_v.shape == (n - 1,)
     assert calls == {"solve_auxiliary": n, "velocity_gradient": 0,
-                     "p0_load_vector": n}
+                     "p0_load_vector": n, "stream_velocity": 0}
     for _ in range(2):
         twin.energy_identity()
         twin.aux_identity()
     twin.inequality_ledger()
     assert calls == {"solve_auxiliary": n, "velocity_gradient": n,
-                     "p0_load_vector": n}
+                     "p0_load_vector": n, "stream_velocity": 3 * n}
+
+
+def test_ladder_twins_form_no_velocity(tmp_path, monkeypatch):
+    # a stability rung reads only the norms, their jumps and the data
+    # term: its twin forms no velocity and no velocity gradient
+    sc = modulated_band_scenario(tmp_path, nr=4, ntheta=16)
+    calls = []
+    for mod, name in ((fem, "velocity_gradient"),
+                      (hodge, "stream_velocity")):
+        def counted(*args, _real=getattr(mod, name), _name=name,
+                    **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(mod, name, counted)
+    rep = stability_experiment(sc, [1e-2, 1e-1])
+    assert [r.failed for r in rep.rungs] == [None, None]
+    assert calls == []
+
+
+@pytest.fixture(scope="module",
+                params=["band", "wall_hole", "two_inflow_holes",
+                        "tabulated_multiplier"])
+def norm_pair(request, small_pair, tmp_path_factory):
+    """``small_pair``, twins of both circulations and the first hole's
+    inflow trace on both two-hole role sets, and circulation-perturbed
+    twins under a tabulated g multiplier."""
+    if request.param == "band":
+        return small_pair
+    tmp = tmp_path_factory.mktemp(request.param)
+    if request.param == "tabulated_multiplier":
+        times = [0.0, 0.125, 0.25, 0.375, 0.5]
+        sc = modulated_band_scenario(
+            tmp, nr=4, ntheta=16,
+            g_multiplier={"type": "tabulated", "times": times,
+                          "values": [1.0, 1.3, 0.6, 1.1, 0.9]})
+        delta = {"C0": {1: 0.1}}
+    else:
+        roles = ("outflow", "inflow",
+                 "wall" if request.param == "wall_hole" else "inflow")
+        sc = two_hole_scenario(tmp, two_hole_mesh(roles))
+        delta = {"C0": {1: 0.1, 2: -0.05}, "omega_in": {1: 0.05}}
+    basis = HarmonicBasis(sc.mesh)
+    return (transport.run(sc, basis),
+            transport.run(sc.perturbed(**delta), basis))
+
+
+def test_stiffness_norms_are_the_p0_norms_of_the_difference(norm_pair):
+    # the stiffness energies of psi_d and phi, and their jumps, are the
+    # P0 norms of u1 - u2 and grad_perp(phi) to round-off of the norm;
+    # the difference velocity is u1 - u2 to round-off of |u1|
+    traj1, traj2 = norm_pair
+    twin = TwinRun(traj1, traj2)
+    mesh, n = twin.mesh, len(twin.times)
+    u = [traj1.velocity(k) - traj2.velocity(k) for k in range(n)]
+    v = [hodge.stream_velocity(mesh, twin.phi[:, k], None, None)
+         for k in range(n)]
+    for fields, z, dz in ((u, twin.z_u, twin.dz_u), (v, twin.z_v, twin.dz_v)):
+        want = np.array([fem.sq_norm_p0(mesh, f) for f in fields])
+        jumps = np.array([np.einsum("td,td,t->", b - a, b + a, mesh.tri_area)
+                          for a, b in zip(fields[:-1], fields[1:])])
+        norm = want.max()
+        assert norm > 0.0 and np.any(jumps != 0.0)
+        assert np.abs(z - want).max() <= 1e-13 * norm
+        assert np.abs(dz - jumps).max() <= 1e-13 * norm
+    for k in range(n):
+        u1 = traj1.velocity(k)
+        assert np.abs(twin._velocities(k)[1] - u[k]).max() \
+            <= 1e-13 * np.abs(u1).max()
