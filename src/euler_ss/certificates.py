@@ -25,8 +25,8 @@ difference state use the tangentially projected one-sided trace: the twins
 share g, so the normal trace of the difference vanishes identically and
 the tangential sample is the whole trace.  Every boundary sum, of the
 twin's integrands and of the Lamb identity, runs over the boundary edges
-of the edge table at once (``Mesh.edge_comp`` gives each edge its
-component and, through it, its role), never one component at a time.
+of the edge table at once (``Mesh.edge_comp`` and ``Mesh.edge_role``
+give each edge its component and role), never one component at a time.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ from functools import cached_property
 import numpy as np
 
 from . import fem, hodge, zaremba
-from .errors import PreconditionError, UsageError
-from .mesh import Mesh
+from .errors import UsageError
+from .mesh import INFLOW, OUTFLOW, Mesh
 from .osgood import interval_trapezoid, smallest_constant
 from .transport import Trajectory
 
@@ -136,18 +136,17 @@ class TwinRun:
             v = _store_energy(A, self.z_v, self.dz_v, k, phi, v)
 
         # the boundary edges of the components that carry any non-zero g,
-        # and the role of each edge's component
+        # and the role of each
         comp = mesh.edge_comp
-        roles = np.array([c.role for c in mesh.components])
-        flowing = np.zeros(len(roles), dtype=bool)
-        flowing[comp[(comp >= 0) & (traj1.flux.g_edges != 0.0)]] = True
-        self._flow = np.flatnonzero((comp >= 0) & flowing[comp])
-        self._flow_role = roles[comp[self._flow]]
+        flowing = np.unique(comp[(comp >= 0) & (traj1.flux.g_edges != 0.0)])
+        self._flow = np.flatnonzero(np.isin(comp, flowing))
+        self._flow_role = mesh.edge_role[self._flow]
 
         # squared data size per interval: the larger end value of |C_d|^2
         # plus, per flowing inflow component, that of its trace difference
         c2 = (self.C_d ** 2).sum(axis=1)
-        o2 = self.trace_d[:, flowing & (roles == "inflow")] ** 2
+        inflow = np.unique(comp[self._flow[self._flow_role == INFLOW]])
+        o2 = self.trace_d[:, inflow] ** 2
         self.data2 = np.maximum(c2[:-1], c2[1:]) \
             + np.maximum(o2[:-1], o2[1:]).sum(axis=1)
 
@@ -211,8 +210,8 @@ class TwinRun:
         potentials.  Each is one sum over the edges of the flowing
         components, or over those of the inflow or outflow ones."""
         mesh, phi, mult = self.mesh, self.phi, self.mult
-        ids, inflow = self._flow, self._flow_role == "inflow"
-        outflow = self._flow_role == "outflow"
+        ids, inflow = self._flow, self._flow_role == INFLOW
+        outflow = self._flow_role == OUTFLOW
         w = self.traj1.flux.g_edges[ids] * mesh.edge_length[ids]
         # tangential trace of the difference: its stream flux density
         ut = fem.edge_flux_density(mesh, res_d, ids)
@@ -468,17 +467,18 @@ def lamb_check(mesh: Mesh) -> dict:
     """``lamb_identity`` for the canonical triple on this geometry: the
     rigid rotation (curl 2), the point vortex (curl 0) and the point
     source, each sampled at the cell centroids, with the source's analytic
-    Jacobian.  The triple is singular at the origin, which must lie in no
-    closed triangle (``PreconditionError`` otherwise): a triangle holds it
-    when the orientations cross(a, b) of the origin against its edges
-    a -> b share a sign (to round-off of the vertex size)."""
+    Jacobian.  The triple is singular at its centre, which lies outside
+    the closed fluid: the origin when no closed triangle holds it (the
+    orientations cross(a, b) of the origin against a triangle's edges
+    a -> b share a sign, to round-off of the vertex size), else
+    (x_max + w, (y_min + y_max) / 2) for a bounding box of width w."""
     vx, vy = mesh.vertices[mesh.triangles].T        # (3, T) each
     cross = vx * np.roll(vy, -1, axis=0) - vy * np.roll(vx, -1, axis=0)
     tol = 1e-12 * float(np.abs(mesh.vertices).max()) ** 2
-    if np.any((cross >= -tol).all(axis=0) | (cross <= tol).all(axis=0)):
-        raise PreconditionError("lamb check needs the origin outside "
-                                "the fluid")
     x, y = mesh.centroid[:, 0], mesh.centroid[:, 1]
+    if np.any((cross >= -tol).all(axis=0) | (cross <= tol).all(axis=0)):
+        lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
+        x, y = x - (2.0 * hi[0] - lo[0]), y - 0.5 * (lo[1] + hi[1])
     r2 = x * x + y * y
     u = np.column_stack([-y, x])                    # rotation, curl 2
     v = np.column_stack([-y, x]) / r2[:, None]      # vortex, curl 0

@@ -111,8 +111,8 @@ def cmd_mesh(args) -> int:
     print(f"vertices: {m.num_vertices}")
     print(f"triangles: {m.num_triangles}")
     print(f"components: {len(m.components)}, chi: {m.euler_characteristic}")
-    for c in m.components:
-        print(f"  component {c.comp}: role={c.role}, "
+    for c, role in zip(m.components, m.roles().values()):
+        print(f"  component {c.comp}: role={role}, "
               f"edges={len(c.edges)}, length={c.total_length:.6g}")
     print(f"min angle: {_min_angle_deg(m):.2f} deg")
     return 0
@@ -180,7 +180,7 @@ def _align_pair(sc1: transport.Scenario,
     same = np.array_equal(m1.vertices, m2.vertices) \
         and np.array_equal(m1.triangles, m2.triangles) \
         and np.array_equal(m1.edge_comp, m2.edge_comp) \
-        and m1.roles() == m2.roles() \
+        and np.array_equal(m1.edge_role, m2.edge_role) \
         and all(np.array_equal(c1.edge_ids, c2.edge_ids)
                 for c1, c2 in zip(m1.components, m2.components))
     if not same:
@@ -214,7 +214,7 @@ def _certify_level(sc1, delta, sc2) -> dict:
     ``sc2``, or of ``sc1`` and its perturbation when ``sc2`` is None."""
     if sc2 is None:
         sc2 = sc1.perturbed(**delta) if delta else sc1
-    lamb = lamb_check(sc1.mesh)["relative"]  # checks its precondition first
+    lamb = lamb_check(sc1.mesh)["relative"]
     basis = HarmonicBasis(sc1.mesh)
     traj1 = transport.run(sc1, basis)
     traj2 = transport.run(sc2, basis) if sc2 is not sc1 else traj1

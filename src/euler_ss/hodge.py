@@ -36,8 +36,9 @@ phi_g and its gradient at unit multiplier, is owned by
 ``transport.FluxAssembler``, one per g cached on the basis.
 
 The boundary data g, one (E,) array over ``Mesh.edges``, must satisfy the
-sign condition: g <= 0 on inflow components, g >= 0 on outflow components,
-g = 0 on walls.  Violations are hard errors naming the offending edge.
+sign condition: g <= 0 on inflow edges, g >= 0 on outflow edges, g = 0 on
+walls, by each edge's ``Mesh.edge_role``.  Violations are hard errors
+naming the offending edge.
 """
 
 from __future__ import annotations
@@ -49,34 +50,32 @@ import scipy.sparse as sp
 
 from . import fem
 from .errors import PreconditionError, UsageError
-from .mesh import Mesh
+from .mesh import INFLOW, OUTFLOW, ROLES, Mesh
 
 SIGN_TOL = 1e-12
+_SIGN_RULE = ("wall data must vanish", "inflow data must satisfy g <= 0",
+              "outflow data must satisfy g >= 0")     # by role code
 
 
 def validate_sign_condition(mesh: Mesh, g: np.ndarray) -> None:
-    """Enforce the sign condition on (E,) edge data, per component at its
-    ``edge_ids`` (tolerance 1e-12 relative to the largest |g|)."""
+    """Enforce the sign condition on (E,) edge data by ``Mesh.edge_role``
+    (tolerance 1e-12 relative to the largest |g|), naming the first
+    offender in component, then loop order."""
     g = fem.edge_data(mesh, g)
     tol = SIGN_TOL * float(np.abs(g).max(initial=0.0))
+    role = mesh.edge_role
+    excess = np.where(role == INFLOW, g, np.where(role == OUTFLOW, -g, abs(g)))
+    bad = (excess > tol) & (role >= 0)
     for comp in mesh.components:
-        loop = g[comp.edge_ids]
-        if comp.role == "inflow":
-            bad = np.nonzero(loop > tol)[0]
-            kind = "inflow data must satisfy g <= 0"
-        elif comp.role == "outflow":
-            bad = np.nonzero(loop < -tol)[0]
-            kind = "outflow data must satisfy g >= 0"
-        else:
-            bad = np.nonzero(np.abs(loop) > tol)[0]
-            kind = "wall data must vanish"
-        if bad.size:
-            e = int(bad[0])
+        hit = np.flatnonzero(bad[comp.edge_ids])
+        if hit.size:
+            e = int(hit[0])
+            edge, r = comp.edge_ids[e], role[comp.edge_ids[e]]
             x, y = mesh.vertices[comp.edges[e]].mean(axis=0)
             raise PreconditionError(
                 f"sign condition violated on component {comp.comp} "
-                f"({comp.role}): {kind}, but edge {e} at "
-                f"({x:.6g}, {y:.6g}) carries g = {loop[e]:.6e}")
+                f"({ROLES[r]}): {_SIGN_RULE[r]}, but edge {e} at "
+                f"({x:.6g}, {y:.6g}) carries g = {g[edge]:.6e}")
 
 
 class HarmonicBasis:

@@ -10,13 +10,13 @@ Conventions used throughout the package:
 * the unit normal of a directed edge (a -> b) is the tangent rotated by -90
   degrees, which points out of the fluid everywhere (into the holes on inner
   components);
-* each boundary component carries a role: "wall", "inflow" or "outflow".
+* each boundary edge carries a role: "wall", "inflow" or "outflow".
 
 Boundary data lives on the mesh-wide edge table, where a boundary edge
 occurs once, directed fluid-left, with its cell ``edge_left``, length,
-normal and component ``edge_comp`` (-1 inside).  A component is the
-slice of the table at its ``edge_ids`` in loop order, the order that a
-tabulated g's arclength runs in.
+normal, component ``edge_comp`` and role ``edge_role`` (both -1 inside),
+constant on a component: the slice of the table at its ``edge_ids`` in
+loop order, the order that a tabulated g's arclength runs in.
 
 Text format (one mesh per file)::
 
@@ -47,6 +47,7 @@ import scipy.sparse as sp
 from .errors import UsageError
 
 ROLES = ("wall", "inflow", "outflow")
+WALL, INFLOW, OUTFLOW = range(3)        # the codes of ``Mesh.edge_role``
 
 
 @dataclass
@@ -57,7 +58,6 @@ class BoundaryComponent:
     the fluid on its left, so each pair is the loop's own directed edge."""
 
     comp: int
-    role: str
     edges: np.ndarray        # (E, 2) directed vertex pairs, loop order
     edge_ids: np.ndarray     # (E,) indices into the mesh-wide edge table
     length: np.ndarray       # (E,) edge lengths
@@ -243,11 +243,13 @@ class Mesh:
                 raise UsageError(f"open boundary loop, component {c}")
             ids = np.asarray(loop, dtype=np.int64)
             self.components.append(BoundaryComponent(
-                comp=c, role=roles[c], edges=self.edges[ids], edge_ids=ids,
+                comp=c, edges=self.edges[ids], edge_ids=ids,
                 length=self.edge_length[ids]))
         edge_comp = np.full(len(self.edges), -1, dtype=np.int64)
         edge_comp[list(comp_of)] = list(comp_of.values())
         self.edge_comp = _read_only(edge_comp)
+        codes = [ROLES.index(roles[c]) for c in comp_ids] + [-1]
+        self.edge_role = _read_only(np.array(codes, np.int8)[edge_comp])
 
         # node sets are built once: every pinned solve asks for them
         self._component_nodes = [_read_only(np.unique(c.nodes))
@@ -451,7 +453,8 @@ class Mesh:
             shape=(len(self.edges), self.num_vertices))
 
     def roles(self) -> dict[int, str]:
-        return {c.comp: c.role for c in self.components}
+        return {c.comp: ROLES[self.edge_role[c.edge_ids[0]]]
+                for c in self.components}
 
 
 # -- generators ---------------------------------------------------------
@@ -543,8 +546,7 @@ def save_mesh(mesh: Mesh, path) -> None:
     for comp in mesh.components:
         for a, b in comp.edges:
             lines.append(f"{a} {b} {comp.comp}")
-    for comp in mesh.components:
-        lines.append(f"{comp.comp} {comp.role}")
+    lines += [f"{c} {role}" for c, role in mesh.roles().items()]
     try:
         with open(path, "w") as f:
             f.write("\n".join(lines) + "\n")

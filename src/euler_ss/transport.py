@@ -35,7 +35,7 @@ harmonic basis, so the twin and ladder runs on one basis pay for it once.
 
 The entering vorticity is one array over the boundary components,
 ``Scenario.inflow_trace``: the upwind kernels read it as one ghost cell
-per component, and the max-principle bounds read its inflow entries.
+per boundary edge, and the max-principle bounds read the inflow ones.
 
 Time stepping is forward Euler (optionally a two-stage strong-stability
 update) under a CFL cap combining the incircle-diameter travel time with a
@@ -70,7 +70,7 @@ import scipy.sparse as sp
 from . import fem, hodge
 from .errors import PreconditionError, SolverError, UsageError
 from .hodge import HarmonicBasis
-from .mesh import Mesh, generate_annulus, load_mesh, uniform_refine
+from .mesh import INFLOW, Mesh, generate_annulus, load_mesh, uniform_refine
 
 MAX_STEPS_PER_INTERVAL = 2_000_000
 
@@ -303,7 +303,8 @@ class Scenario:
     def twin_mismatch(self, other: "Scenario") -> str | None:
         """What a twin of runs of this scenario and ``other`` (on one mesh)
         finds different first, in words ("T (0.5 and 0.6)"), or None: T
-        to 1e-13 T, snapshot count, g, g multiplier at the snapshots."""
+        to 1e-13 T, snapshot count, g, g multiplier on [0, T] (exactly: at
+        the snapshots and at each sample time of either table)."""
         if abs(self.T - other.T) > 1e-13 * self.T:
             return f"T ({self.T!r} and {other.T!r})"
         if self.snapshots != other.snapshots:
@@ -311,9 +312,11 @@ class Scenario:
                     f"{other.snapshots})")
         if not np.array_equal(self.g_edges(), other.g_edges()):
             return "boundary data g"
-        if not np.array_equal(self.g_multiplier(self.snapshot_times),
-                              other.g_multiplier(other.snapshot_times)):
-            return "g multipliers at the snapshot times"
+        knots = np.concatenate([self.g_multiplier.x, other.g_multiplier.x])
+        times = np.union1d(self.snapshot_times, np.clip(knots, 0.0, self.T))
+        if not np.array_equal(self.g_multiplier(times),
+                              other.g_multiplier(times)):
+            return "g multipliers on [0, T]"
         return None
 
     # -- data on a mesh -------------------------------------------------
@@ -418,7 +421,7 @@ def parse_scenario(doc: dict, base_dir: Path | str = ".") -> Scenario:
         raise UsageError(f"unknown scheme {scheme!r} "
                          "(expected 'euler' or 'rk2')")
 
-    comp_ids = {c.comp for c in mesh.components}
+    roles = mesh.roles()
     raw_g = _container(doc, "g", lists=True)
     if isinstance(raw_g, list):
         pairs = []
@@ -431,16 +434,16 @@ def parse_scenario(doc: dict, base_dir: Path | str = ".") -> Scenario:
         pairs = raw_g.items()
     g: dict[int, Profile] = {}
     for cid, spec in _unique(pairs, "g", comp=True).items():
-        if cid not in comp_ids:
+        if cid not in roles:
             raise UsageError(f"g: no boundary component {cid}")
-        if mesh.component(cid).role == "wall":
+        if roles[cid] == "wall":
             raise UsageError(f"g: component {cid} is a wall; boundary "
                              "data belongs on inflow/outflow components")
         g[cid] = _profile(spec, f"g[{cid}]", "s", periodic=True)
-    for c in mesh.components:
-        if c.role != "wall" and c.comp not in g:
-            raise UsageError(f"g: component {c.comp} has role "
-                             f"{c.role!r} but no boundary data")
+    for cid, role in roles.items():
+        if role != "wall" and cid not in g:
+            raise UsageError(f"g: component {cid} has role "
+                             f"{role!r} but no boundary data")
 
     g_multiplier = Profile(np.zeros(1), np.ones(1))
     if "g_multiplier" in doc:
@@ -455,21 +458,21 @@ def parse_scenario(doc: dict, base_dir: Path | str = ".") -> Scenario:
     omega_in: dict[int, Profile] = {}
     for cid, spec in _unique(_container(doc, "omega_in").items(),
                              "omega_in", comp=True).items():
-        if cid not in comp_ids:
+        if cid not in roles:
             raise UsageError(f"omega_in: no boundary component {cid}")
-        if mesh.component(cid).role != "inflow":
+        if roles[cid] != "inflow":
             raise UsageError(f"omega_in: component {cid} is not an "
                              "inflow component")
         omega_in[cid] = _profile(spec, f"omega_in[{cid}]", "times")
-    for c in mesh.components:
-        if c.role == "inflow" and c.comp not in omega_in:
-            raise UsageError(f"omega_in: inflow component {c.comp} "
+    for cid, role in roles.items():
+        if role == "inflow" and cid not in omega_in:
+            raise UsageError(f"omega_in: inflow component {cid} "
                              "needs trace data")
 
     C0: dict[int, float] = {}
     for cid, val in _unique(_container(doc, "C0").items(), "C0",
                             comp=True).items():
-        if cid not in comp_ids or cid == 0:
+        if cid not in roles or cid == 0:
             raise UsageError(f"C0: component {cid} is not an inner "
                              "component")
         C0[cid] = _number(val, f"C0[{cid}]")
@@ -526,12 +529,12 @@ class FluxAssembler:
         # power of two, so it moves no bit of the rate)
         self.inv_d2 = mesh.incircle_diameter ** -2
         self.half_inv_area = 0.5 / mesh.tri_area
-        # the cell across each edge; boundary edges of component c face a
-        # ghost cell T + c that holds the component's inflow trace
+        # the cell across each edge; boundary edge bd[i] faces ghost cell
+        # T + i, which holds the inflow trace of its component comp_of[i]
         bd = np.flatnonzero(mesh.edge_comp >= 0)
-        comp_of = mesh.edge_comp[bd]
+        self.ghost_comp = comp_of = mesh.edge_comp[bd]
         self.far = mesh.edge_right.copy()
-        self.far[bd] = mesh.num_triangles + comp_of
+        self.far[bd] = mesh.num_triangles + np.arange(len(bd))
         # cell sums (D) stacked over per-component boundary sums: one
         # product gives both rows of ``upwind_rates``
         comp_edges = sp.csr_matrix(
@@ -592,11 +595,11 @@ class FluxAssembler:
     def vorticity_flux(self, omega: np.ndarray, f: np.ndarray,
                        trace: np.ndarray) -> np.ndarray:
         """Upwind edge fluxes of vorticity: f times the cell value upwind
-        of each edge, the (ncomp,) inflow trace ``trace[c]``
-        (``Scenario.inflow_trace``) on boundary edges of component c that
-        carry flow into the fluid."""
+        of each edge, the ghost value ``trace[c]`` of the (ncomp,) inflow
+        trace (``Scenario.inflow_trace``) on boundary edges of component c
+        that carry flow into the fluid."""
         upwind = np.where(f >= 0, self.mesh.edge_left, self.far)
-        return f * np.concatenate([omega, trace])[upwind]
+        return f * np.concatenate([omega, trace[self.ghost_comp]])[upwind]
 
     def upwind_rates(self, omega: np.ndarray, f: np.ndarray,
                      trace: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -689,7 +692,7 @@ def run(scenario: Scenario, basis: HarmonicBasis | None = None) -> Trajectory:
                           "omega0 exceeds the float64 range")
     C = scenario.initial_C()
     B = np.zeros(len(mesh.components))
-    inflow = np.array([c.role == "inflow" for c in mesh.components], bool)
+    inflow = flux.ghost_comp[mesh.edge_role[mesh.edge_comp >= 0] == INFLOW]
 
     bound_lo = float(omega.min(initial=np.inf))
     bound_hi = float(omega.max(initial=-np.inf))

@@ -6,8 +6,8 @@ difference omega, the auxiliary potential solves
     integral(grad(phi) . grad(chi)) = -integral(grad(psi) . grad(chi))
                                       - integral(omega chi)
 
-for every test function chi vanishing on the outflow and wall components;
-phi itself is pinned to zero there, free on the inflow components and in
+for every test function chi vanishing on the outflow and wall edges;
+phi itself is pinned to zero there, free on the inflow edges and in
 the interior.  Its perp-gradient v = grad_perp(phi) is the reversed-flow
 field used by the difference estimates (``hodge.stream_velocity`` of phi
 with no through-flow): v is discrete-divergence-free by construction and
@@ -26,6 +26,7 @@ import numpy as np
 from . import fem
 from .errors import PreconditionError
 from .hodge import HarmonicBasis
+from .mesh import INFLOW
 
 
 def solve_auxiliary(basis: HarmonicBasis, psi: np.ndarray, omega: np.ndarray
@@ -37,8 +38,10 @@ def solve_auxiliary(basis: HarmonicBasis, psi: np.ndarray, omega: np.ndarray
     the pinned set, and one flux product.  Returns the (V,) potential phi
     and its (ncomp,) consistent fluxes D."""
     mesh = basis.mesh
-    pinned = [c.comp for c in mesh.components if c.role != "inflow"]
-    if not pinned:
+    # the sorted nodes of the wall and outflow edges, one cached factor
+    role = mesh.edge_role
+    nodes = np.unique(mesh.edges[(role >= 0) & (role != INFLOW)])
+    if not nodes.size:
         raise PreconditionError(
             "auxiliary problem needs at least one wall or outflow "
             "component to pin (every component is an inflow)")
@@ -47,7 +50,6 @@ def solve_auxiliary(basis: HarmonicBasis, psi: np.ndarray, omega: np.ndarray
     load = basis.op.matrix @ psi
     load += fem.p0_load_vector(mesh, omega)
     np.negative(load, out=load)
-    nodes = mesh.nodes_of(pinned)
     phi = fem.solve_constrained(basis.op, load, nodes, np.zeros(len(nodes)))
     # consistent fluxes of phi, which is harmonic: no pairing load
     return phi, fem.consistent_fluxes(basis.op, phi)
@@ -63,7 +65,7 @@ def reversed_flux_residuals(D: np.ndarray, basis: HarmonicBasis,
     circulations for the inner components in basis order; the law only
     constrains inflow components.
     """
-    comps = [c.comp for c in basis.mesh.components
-             if c.role == "inflow" and c.comp != 0]
+    comps = np.unique(basis.mesh.edge_comp[basis.mesh.edge_role == INFLOW])
+    comps = comps[comps != 0]
     idx = [basis.inner.index(cid) for cid in comps]
     return np.abs(D[comps].T + np.asarray(C, dtype=np.float64)[:, idx])

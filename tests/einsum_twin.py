@@ -130,7 +130,7 @@ class EinsumTwin(TwinRun):
             for comp, g in flow_components(self):
                 ut = self._edge_density(psi_d, load_d, comp)
                 eb += float(np.sum(ut * ut * g * comp.length)) * mult
-                if comp.role == "inflow":
+                if mesh.roles()[comp.comp] == "inflow":
                     bl += float(np.sum(ut * ut * (-g) * comp.length)) * mult
                     hat_t = self._hat_tau_edges(k, load1, comp)
                     a, b = comp.edges[:, 0], comp.edges[:, 1]
@@ -140,7 +140,7 @@ class EinsumTwin(TwinRun):
                     om_in = trace_diff(self, comp.comp, t)
                     bp += float(np.sum(phim * om_in * g * comp.length)) \
                         * mult
-                elif comp.role == "outflow":
+                elif mesh.roles()[comp.comp] == "outflow":
                     vt = self._edge_density(phi,
                                             np.zeros(mesh.num_vertices),
                                             comp)
@@ -178,7 +178,7 @@ def loop_ledger(twin: TwinRun) -> dict:
                     for j in (k, k + 1))
         om_in2 = 0.0
         for comp, _ in flow_components(twin):
-            if comp.role == "inflow":
+            if twin.mesh.roles()[comp.comp] == "inflow":
                 om_in2 += max(trace_diff(twin, comp.comp, t) ** 2
                               for t in t_pair)
         data2 += om_in2

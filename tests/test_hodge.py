@@ -9,11 +9,12 @@ from euler_ss.certificates import P_GRID
 from euler_ss.hodge import (HarmonicBasis, greens_operator,
                             reconstruct_velocity, stream_velocity,
                             validate_sign_condition)
-from euler_ss.mesh import generate_annulus
+from euler_ss.mesh import INFLOW, OUTFLOW, generate_annulus
 
 from oracles import (check_elliptic_growth, circulation_trace,
                      consistent_circulations, edge_array, lp_norm_p0,
                      w1p_seminorms_p0)
+from test_two_holes import two_hole_mesh
 
 LN2 = math.log(2.0)
 
@@ -188,6 +189,32 @@ def test_sign_condition_is_relative_at_every_scale(scale):
     g[e3] = 1e-3 * scale
     with pytest.raises(PreconditionError, match="edge 3"):
         validate_sign_condition(m, g)
+
+
+@pytest.mark.parametrize("comp, role, rule, bad", [
+    (0, "inflow", "inflow data must satisfy g <= 0", 0.2),
+    (1, "wall", "wall data must vanish", -0.2),
+    (2, "outflow", "outflow data must satisfy g >= 0", -0.2)])
+def test_sign_condition_names_the_first_offender(comp, role, rule, bad):
+    # two bad edges on one loop, the later one with the smaller edge id,
+    # and one on every later component: the first in component order, then
+    # loop order, is named
+    m = two_hole_mesh(("inflow", "wall", "outflow"))
+    g = np.zeros(len(m.edges))
+    g[m.edge_role == INFLOW] = -0.1
+    g[m.edge_role == OUTFLOW] = 0.1
+    ids = m.component(comp).edge_ids
+    first = int(np.argmax(ids))
+    assert ids[-1] < ids[first]
+    g[ids[[first, -1]]] = bad
+    for c in m.components[comp + 1:]:
+        g[c.edge_ids[1]] = 0.5
+    x, y = m.vertices[m.edges[ids[first]]].mean(axis=0)
+    with pytest.raises(PreconditionError) as exc:
+        validate_sign_condition(m, g)
+    assert str(exc.value) == (
+        f"sign condition violated on component {comp} ({role}): {rule}, "
+        f"but edge {first} at ({x:.6g}, {y:.6g}) carries g = {bad:.6e}")
 
 
 def test_sign_condition_needs_one_edge_array():

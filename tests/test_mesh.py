@@ -22,8 +22,7 @@ def test_annulus_counts():
 
 def test_annulus_roles_and_radii():
     m = generate_annulus(1.0, 2.0, 2, 8, roles=("outflow", "inflow"))
-    assert m.component(0).role == "outflow"
-    assert m.component(1).role == "inflow"
+    assert m.roles() == {0: "outflow", 1: "inflow"}
     for comp, r in ((0, 2.0), (1, 1.0)):
         rad = np.hypot(*m.vertices[m.component(comp).nodes].T)
         np.testing.assert_allclose(rad, r, atol=1e-12)
@@ -102,7 +101,7 @@ def declared(m: Mesh) -> list[list[int]]:
 def test_component_is_its_edge_table_rows(build):
     m = build()
     assert [f.name for f in fields(BoundaryComponent)] == \
-        ["comp", "role", "edges", "edge_ids", "length"]
+        ["comp", "edges", "edge_ids", "length"]
     for c in m.components:
         for got, table in ((c.edges, m.edges), (c.length, m.edge_length)):
             assert np.array_equal(got, table[c.edge_ids])
@@ -131,6 +130,54 @@ def test_edge_comp_and_lumped_length_read_the_loops(build):
         at = np.searchsorted(m.boundary_nodes, c.nodes)
         assert np.array_equal(m.boundary_lumped_length[at],
                               0.5 * (c.length + np.roll(c.length, 1)))
+
+
+ROLE_MESHES = pytest.mark.parametrize("build", [
+    lambda: generate_annulus(1.0, 2.0, 3, 12, roles=("outflow", "inflow")),
+    lambda: two_hole_mesh(("inflow", "wall", "outflow"))],
+    ids=["annulus", "two_holes"])
+
+
+@ROLE_MESHES
+def test_edge_role_is_the_one_copy_of_the_roles(build):
+    # a read-only int8 index into ROLES on the boundary edges, -1 exactly
+    # on the interior ones, constant on each loop and read by roles()
+    m = build()
+    assert m.edge_role.dtype == np.int8
+    assert m.edge_role.shape == (len(m.edges),)
+    assert not m.edge_role.flags.writeable
+    assert np.array_equal(m.edge_role == -1, m.interior_edge)
+    for c in m.components:
+        code = mesh_module.ROLES.index(m.roles()[c.comp])
+        assert np.all(m.edge_role[c.edge_ids] == code)
+    assert len(set(m.roles().values())) == len(m.components)
+
+
+@ROLE_MESHES
+def test_edge_role_survives_files_refinement_and_shuffled_lines(build,
+                                                                tmp_path):
+    m = build()
+    save_mesh(m, tmp_path / "m.mesh")
+    assert np.array_equal(load_mesh(tmp_path / "m.mesh").edge_role,
+                          m.edge_role)
+    # each refined loop edge keeps its component's role
+    r = uniform_refine(m)
+    assert r.roles() == m.roles()
+    assert np.array_equal(r.edge_role == -1, r.interior_edge)
+    for c in r.components:
+        assert np.all(r.edge_role[c.edge_ids] ==
+                      m.edge_role[m.component(c.comp).edge_ids[0]])
+    # each loop's lines after its first shuffled and every other one
+    # written as "j i", as the CI's shuffled file is
+    rng = np.random.default_rng(3)
+    rows = []
+    for c in m.components:
+        loop = np.column_stack([c.edges, np.full(len(c.edges), c.comp)])
+        rest = loop[1:][rng.permutation(len(loop) - 1)]
+        rest[1::2, :2] = rest[1::2, 1::-1]
+        rows += [loop[:1], rest]
+    shuffled = Mesh(m.vertices, m.triangles, np.concatenate(rows), m.roles())
+    assert np.array_equal(shuffled.edge_role, m.edge_role)
 
 
 @pytest.mark.parametrize("build", [
@@ -332,7 +379,7 @@ def test_uniform_refine_counts_and_keeps_the_polygon():
 def test_refine_preserves_roles():
     m = generate_annulus(1.0, 2.0, 2, 8, roles=("wall", "inflow"))
     r = uniform_refine(m)
-    assert [c.role for c in r.components] == ["wall", "inflow"]
+    assert list(r.roles().values()) == ["wall", "inflow"]
 
 
 def test_save_load_round_trip(tmp_path):
@@ -342,8 +389,7 @@ def test_save_load_round_trip(tmp_path):
     back = load_mesh(path)
     np.testing.assert_array_equal(back.vertices, m.vertices)
     np.testing.assert_array_equal(back.triangles, m.triangles)
-    assert [c.role for c in back.components] == \
-        [c.role for c in m.components]
+    assert back.roles() == m.roles()
 
 
 def test_load_errors_name_the_line(tmp_path):

@@ -186,7 +186,7 @@ def test_g_edges_is_one_array_over_the_edge_table(tmp_path, form):
     assert ge.shape == (len(mesh.edges),) and ge.dtype == np.float64
     assert np.all(ge[mesh.interior_edge] == 0.0)
     for c in mesh.components:
-        if c.role == "wall":
+        if mesh.roles()[c.comp] == "wall":
             assert np.all(ge[c.edge_ids] == 0.0)
             continue
         s = (np.cumsum(c.length) - 0.5 * c.length) / c.total_length
@@ -574,7 +574,7 @@ def test_every_factored_system_is_exactly_symmetric(kind, tmp_path,
     TwinRun(transport.run(sc, basis),
             transport.run(sc.perturbed(C0={1: 0.1}), basis))
     pinned_aux = mesh.nodes_of(
-        [c.comp for c in mesh.components if c.role != "inflow"])
+        [c for c, role in mesh.roles().items() if role != "inflow"])
     # Green (all boundary pinned), Neumann, cell graph, auxiliary
     V = mesh.num_vertices
     assert [R.shape for R in factored] == [

@@ -3,15 +3,16 @@ contract on three boundary components, and the twin certificates of an
 m = 2 difference, and a stability ladder on both holes."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from euler_ss import transport
-from euler_ss.certificates import TwinRun
+from euler_ss.certificates import TwinRun, lamb_check
 from euler_ss.cli import main
 from euler_ss.hodge import HarmonicBasis
-from euler_ss.mesh import Mesh, save_mesh
+from euler_ss.mesh import INFLOW, Mesh, save_mesh, uniform_refine
 from euler_ss.osgood import stability_experiment
 
 from einsum_twin import EinsumTwin, assert_matches_reference
@@ -68,8 +69,7 @@ def basis(mesh):
 def test_mesh_has_two_holes(mesh):
     assert (mesh.num_vertices, mesh.num_triangles) == (307, 512)
     assert mesh.euler_characteristic == -1
-    assert [c.role for c in mesh.components] == ["outflow", "inflow",
-                                                 "wall"]
+    assert list(mesh.roles().values()) == ["outflow", "inflow", "wall"]
     assert [c.total_length for c in mesh.components] == \
         pytest.approx([6.0, 4 / 3, 4 / 3])
 
@@ -96,7 +96,7 @@ def flow_doc(tmp_path, mesh) -> dict:
     np.savetxt(tmp_path / "omega0.txt",
                np.sin(np.pi * x) * np.cos(np.pi * y))
     outer = mesh.component(0)
-    inflows = [c.comp for c in mesh.components if c.role == "inflow"]
+    inflows = [c for c, role in mesh.roles().items() if role == "inflow"]
     g_in = -0.5
     inflow_length = sum(mesh.component(cid).total_length for cid in inflows)
     g = {0: {"type": "constant",
@@ -179,3 +179,69 @@ def test_ladder_perturbs_both_holes(tmp_path, mesh, capsys):
                "--ladder", "1e-3,1e-2,1e-1", "-o", str(tmp_path / "stab")])
     assert rc == 0
     assert "stability: PASS" in capsys.readouterr().out
+
+
+def test_inflow_ghosts_hold_their_components_traces(tmp_path):
+    # two inflow holes with different traces: every boundary edge that
+    # carries flow into the fluid reads the trace of its own component,
+    # to the bits of a gather through one ghost cell per component
+    mesh = two_hole_mesh(("outflow", "inflow", "inflow"))
+    doc = flow_doc(tmp_path, mesh)
+    doc["omega_in"] = {1: {"type": "constant", "value": 0.8},
+                       2: {"type": "constant", "value": -0.3}}
+    sc = transport.parse_scenario(doc, base_dir=tmp_path)
+    flux = transport.flow_setup(HarmonicBasis(mesh), sc.g_edges())
+    f = flux.fluxes(np.zeros(len(mesh.edges)), 1.0)
+    omega = np.linspace(-1.0, 1.0, mesh.num_triangles)
+    trace = sc.inflow_trace(0.0)
+    got = flux.vorticity_flux(omega, f, trace)
+
+    entering = np.flatnonzero((mesh.edge_comp >= 0) & (f < 0))
+    assert np.array_equal(entering, np.flatnonzero(mesh.edge_role == INFLOW))
+    assert set(mesh.edge_comp[entering]) == {1, 2}
+    assert np.array_equal(got[entering],
+                          f[entering] * trace[mesh.edge_comp[entering]])
+    far = mesh.edge_right.copy()
+    bd = mesh.edge_comp >= 0
+    far[bd] = mesh.num_triangles + mesh.edge_comp[bd]
+    upwind = np.where(f >= 0, mesh.edge_left, far)
+    assert np.array_equal(got, f * np.concatenate([omega, trace])[upwind])
+
+
+def test_lamb_check_centres_the_triple_beyond_the_box(mesh):
+    # the origin is a corner of the fluid: the triple is centred at
+    # (x_max + w, (y_min + y_max) / 2) = (4, 0.5) instead, the same as the
+    # origin of the mesh moved by (-4, -0.5), and the residual is a
+    # first-order quadrature error
+    moved = Mesh(mesh.vertices - [4.0, 0.5], mesh.triangles,
+                 np.column_stack([mesh.edges[mesh.edge_comp >= 0],
+                                  mesh.edge_comp[mesh.edge_comp >= 0]]),
+                 mesh.roles())
+    res = lamb_check(mesh)
+    assert res["relative"] == pytest.approx(lamb_check(moved)["relative"],
+                                            rel=1e-9)
+    finer = lamb_check(uniform_refine(mesh))["relative"]
+    assert 1e-3 < finer < res["relative"] < 2e-2
+    assert math.log2(res["relative"] / finer) > 0.9
+
+
+def test_certify_runs_with_the_origin_in_the_closed_fluid(tmp_path, mesh,
+                                                          capsys):
+    # the origin is a corner of the fluid, so the Lamb triple is centred
+    # beyond the bounding box; certify exits 0 with every check passed
+    save_mesh(mesh, tmp_path / "two_holes.mesh")
+    doc = {"mesh": "two_holes.mesh",
+           "omega0": {"type": "constant", "value": 1.0},
+           "g": {0: {"type": "constant", "value": 0.1},
+                 1: {"type": "constant", "value": -0.45}},
+           "omega_in": {1: {"type": "constant", "value": 0.8}},
+           "T": 0.3, "cfl": 0.4, "snapshots": 4}
+    (tmp_path / "flow.json").write_text(json.dumps(doc))
+    out = tmp_path / "cert"
+    rc = main(["certify", str(tmp_path / "flow.json"), "--delta-c0",
+               "1=0.1", "-o", str(out)])
+    stdout = capsys.readouterr().out
+    assert rc == 0
+    assert "certify: PASS" in stdout.splitlines()
+    assert "info lamb identity relative residual: 9.872e-03" in stdout
+    assert (out / "ledger.csv").exists()
